@@ -24,17 +24,11 @@
 //	tbl-sortdual  classic sort-based aggregation vs the operator
 //	tbl-columnar  Section 3.3's three column-processing models
 //	interference  Section 6.2's co-runner experiment
-//	sweep       standard hot-path sweep (uniform-K strategies + multi-column
-//	            SUM); -json writes one machine-readable record per point
-//	skew        skewed-distribution sweep with sketch planning off vs on
-//	            (heavy-hitter, zipf, moving-cluster + uniform control);
-//	            same -json / -trace-dir record schema as sweep
-//	external    out-of-core sweep (budget × K grid, sequential vs parallel
-//	            merge, spill forced); -json emits the same record schema
-//	global      routine sweep: partitioned vs lock-free shared global table
-//	            vs ADAPTIVE's pick, interleaved medians; -host widens it
-//	            across worker counts and tags -json as a bare-metal profile
+//	ablation    hash storage in runs: recompute from the key vs carry a column
 //	all         run everything at the default scale
+//
+// Performance claims about the library are measured by the benchmark in
+// benchmark/ (see benchmark/README.md), not by this command.
 //
 // Common flags (defaults target a quick laptop run; raise -logn toward the
 // paper's 2^31-2^32 rows on a big machine):
@@ -44,6 +38,7 @@
 //	-cache B     cache budget bytes/worker  (default 1 MiB, scaled-down L3 share)
 //	-reps R      repetitions, median taken  (default 3; paper uses 10)
 //	-tsv         machine-readable TSV instead of aligned tables
+//	-cpuprofile FILE, -memprofile FILE  pprof output of the run
 package main
 
 import (
@@ -65,7 +60,6 @@ type scale struct {
 	reps    int
 	tsv     bool
 	sim     bool
-	host    bool
 }
 
 func main() {
@@ -81,23 +75,10 @@ func main() {
 	reps := fs.Int("reps", 3, "repetitions per measurement (median reported)")
 	tsv := fs.Bool("tsv", false, "emit TSV instead of aligned tables")
 	sim := fs.Bool("sim", false, "fig1: also run the cache-simulator validation")
-	host := fs.Bool("host", false, "host profile: widen the global sweep across worker counts and tag -json metadata as a bare-metal run")
-	jsonPath := fs.String("json", "", "write machine-readable sweep records to this file (sweep command)")
-	traceFlag := fs.String("trace-dir", "", "write one JSONL execution trace per sweep point into this directory (sweep/external)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile taken at exit to this file")
-	if cmd == "compare" {
-		os.Exit(runCompare(os.Args[2:]))
-	}
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
-	}
-	if *traceFlag != "" {
-		if err := os.MkdirAll(*traceFlag, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "aggbench: -trace-dir: %v\n", err)
-			os.Exit(1)
-		}
-		traceDir = *traceFlag
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -128,13 +109,6 @@ func main() {
 			}
 		}()
 	}
-	if *jsonPath != "" {
-		defer func() {
-			if err := writeSweepJSON(*jsonPath); err != nil {
-				fmt.Fprintf(os.Stderr, "aggbench: -json: %v\n", err)
-			}
-		}()
-	}
 	sc := scale{
 		logN:    *logN,
 		n:       1 << uint(*logN),
@@ -143,9 +117,7 @@ func main() {
 		reps:    *reps,
 		tsv:     *tsv,
 		sim:     *sim,
-		host:    *host,
 	}
-	hostProfile = *host
 
 	figures := map[string]func(scale) []*bench.Table{
 		"fig1":         fig1,
@@ -163,10 +135,6 @@ func main() {
 		"tbl-columnar": tblColumnar,
 		"interference": fig6Interference,
 		"ablation":     tblAblation,
-		"sweep":        sweep,
-		"skew":         skewSweep,
-		"external":     externalSweep,
-		"global":       globalSweep,
 	}
 
 	emit := func(tables []*bench.Table) {
@@ -206,16 +174,11 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `aggbench — regenerate the paper's tables and figures
 
 usage: aggbench <fig1|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11|
-                 tbl-insert|tbl-sortdual|tbl-columnar|interference|sweep|
-                 skew|external|global|compare|all> [flags]
+                 tbl-insert|tbl-sortdual|tbl-columnar|interference|ablation|
+                 all> [flags]
 
 flags: -logn N  -workers P  -cache BYTES  -reps R  -tsv  -sim
-       -host  (global: sweep worker counts, tag -json as bare-metal profile)
-       -json FILE  (sweep/external/global: machine-readable records)
-       -trace-dir DIR  (sweep/external: one JSONL trace per point)
        -cpuprofile FILE  -memprofile FILE  (pprof output of the run)
 
-compare: diff two -json record files as a markdown delta table
-       aggbench compare -baseline OLD.json -current NEW.json [-tolerance PCT]
-       [-title T] [-out FILE]  (defaults to $GITHUB_STEP_SUMMARY or stdout)`)
+Performance claims about the library: see benchmark/README.md.`)
 }

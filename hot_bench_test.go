@@ -167,7 +167,8 @@ func BenchmarkHashingFold(b *testing.B) {
 // BenchmarkHashingUniformK is the end-to-end uniform-K sweep at N=2^20
 // through the public operator (the batched engine): the trend line the
 // tentpole targets. Scalar-vs-batched at this level is a before/after
-// comparison across commits (see docs/PERFORMANCE.md).
+// comparison across commits (see benchmark/README.md, "Comparing two
+// commits").
 func BenchmarkHashingUniformK(b *testing.B) {
 	for _, kExp := range hotKs {
 		keys := benchKeys(b, datagen.Uniform, 1<<uint(kExp))

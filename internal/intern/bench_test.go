@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// The steady-state benchmarks back the docs/PERFORMANCE.md interning-cost
-// numbers: ns/row for already-interned keys (the hot path during a long
+// The steady-state benchmarks price the interning cost described in
+// docs/PERFORMANCE.md: ns/row for already-interned keys (the hot path during a long
 // aggregation) and for first-appearance inserts (dictionary build).
 
 func benchColumns(n, distinct int) []Column {

@@ -150,16 +150,23 @@ func TestAggregateMatchesDirectCall(t *testing.T) {
 	if len(rows) != want.Len() {
 		t.Fatalf("served %d groups, direct call has %d", len(rows), want.Len())
 	}
-	for i, row := range rows {
-		if row.G != want.Groups[i] {
-			t.Fatalf("row %d: group %d, want %d", i, row.G, want.Groups[i])
+	// Group order depends on worker scheduling, so compare per group key.
+	wantRow := make(map[uint64]int, want.Len())
+	for i, g := range want.Groups {
+		wantRow[g] = i
+	}
+	for _, row := range rows {
+		i, ok := wantRow[row.G]
+		if !ok {
+			t.Fatalf("group %d served twice or absent from the direct call", row.G)
 		}
+		delete(wantRow, row.G)
 		for a := range want.Aggs {
 			if row.A[a] != want.Aggs[a][i] {
-				t.Fatalf("row %d agg %d: %d, want %d", i, a, row.A[a], want.Aggs[a][i])
+				t.Fatalf("group %d agg %d: %d, want %d", row.G, a, row.A[a], want.Aggs[a][i])
 			}
 			if row.F[a] != want.Float(a, i) {
-				t.Fatalf("row %d agg %d float: %v, want %v", i, a, row.F[a], want.Float(a, i))
+				t.Fatalf("group %d agg %d float: %v, want %v", row.G, a, row.F[a], want.Float(a, i))
 			}
 		}
 	}
