@@ -140,24 +140,19 @@ func PartitionAlwaysStrategy(passes int) Strategy { return Strategy{core.Partiti
 // framework's in-cache hashing pass (Appendix A.1).
 func PartitionOnlyStrategy() Strategy { return Strategy{core.PartitionOnly()} }
 
-// Routine selects which of the three execution routines runs the query.
-// The default, RoutineAuto, decides from the sketch plan's estimates (and
-// is the only mode that can demote mid-run); the explicit values force a
-// routine for benchmarking and testing.
+// Routine selects which execution routine runs the query. The default,
+// RoutineAuto, decides from the sketch plan's estimates; the explicit
+// values force a routine for benchmarking and testing.
 type Routine int
 
 const (
-	// RoutineAuto picks the routine from the plan's K̂/α̂ estimates; the
-	// partitioned routine when no trustworthy plan exists. Auto-selected
-	// global runs demote to partitioned mid-run when the observed
-	// reduction factor undershoots.
+	// RoutineAuto picks the routine from the plan's K̂ estimate: sort-spill
+	// when the output alone provably exceeds MemoryBudgetBytes, otherwise
+	// (and whenever no trustworthy plan exists) partitioned.
 	RoutineAuto Routine = iota
 	// RoutinePartitioned forces the paper's per-worker tables with
 	// radix-256 recursion.
 	RoutinePartitioned
-	// RoutineGlobal forces the lock-free shared global hash table for
-	// intake (arXiv:2505.04153's regime: many cores, high reduction).
-	RoutineGlobal
 	// RoutineSortSpill forces the sort-based out-of-core path, the same
 	// executor a memory-budget degradation uses.
 	RoutineSortSpill
@@ -204,8 +199,8 @@ type Options struct {
 	// and populates Result.Phases. The nil default costs one branch per
 	// block of rows on the hot path — see docs/OBSERVABILITY.md.
 	Tracer *Tracer
-	// Routine overrides the three-way execution-routine selection; the
-	// zero value selects automatically. See Routine.
+	// Routine overrides the execution-routine selection; the zero value
+	// selects automatically. See Routine.
 	Routine Routine
 	// Interner, when non-nil, is the shared key dictionary AggregateGeneral
 	// encodes through, so dense ids stay comparable across calls (and the
@@ -268,23 +263,9 @@ type Stats struct {
 	// accumulators instead of entering the hash/partition machinery.
 	HotRowsBypassed int64
 
-	// Routine is the execution routine the run committed to ("partitioned",
-	// "global", or "sort-spill"; a demoted global run reports
-	// "partitioned" with GlobalDemotions = 1).
+	// Routine is the execution routine the run committed to
+	// ("partitioned" or "sort-spill").
 	Routine string
-	// GlobalRows counts rows folded into the shared global table.
-	GlobalRows int64
-	// GlobalEscapedRows counts rows the shared table bounced back into
-	// private tables (contention bounds, full blocks, refused growth).
-	GlobalEscapedRows int64
-	// GlobalContention counts contention events observed on the shared
-	// table (claim-phase spins plus failed fold CASes).
-	GlobalContention int64
-	// GlobalDemotions is 1 when an auto-selected global run demoted to
-	// the partitioned routine mid-run.
-	GlobalDemotions int64
-	// GlobalGrows counts stop-the-world growth splits of the shared table.
-	GlobalGrows int64
 
 	// The memory-governor fields below are populated whenever
 	// Options.MemoryBudgetBytes was set, independent of CollectStats.
@@ -300,9 +281,8 @@ type Stats struct {
 	// retry layer during a degraded run.
 	SpillRetries int64
 
-	// The general-key fields below are populated by AggregateGeneral (and
-	// its wrappers) independent of CollectStats; uint64-keyed calls leave
-	// them zero.
+	// The general-key fields below are populated by AggregateGeneral
+	// independent of CollectStats; uint64-keyed calls leave them zero.
 
 	// InternedKeys is the key dictionary's distinct-key count after the
 	// encode phase (cumulative when Options.Interner is shared).
@@ -482,12 +462,7 @@ func AggregateContext(ctx context.Context, in Input, opt Options) (*Result, erro
 			PlanNanos:          st.PlanNanos,
 			HotRowsBypassed:    st.HotRowsBypassed,
 
-			Routine:           st.Routine.String(),
-			GlobalRows:        st.GlobalRows,
-			GlobalEscapedRows: st.GlobalEscapedRows,
-			GlobalContention:  st.GlobalContention,
-			GlobalDemotions:   st.GlobalDemotions,
-			GlobalGrows:       st.GlobalGrows,
+			Routine: st.Routine.String(),
 		}
 		if st.TablesEmitted > 0 {
 			res.Stats.MeanAlpha = st.AlphaSum / float64(st.TablesEmitted)

@@ -11,7 +11,7 @@
 //	  aggrun -in /tmp/z.bin -format binary
 //	aggrun -n 4194304 -k 4194304 -budget 16777216 -spill -spill-budget 1073741824
 //	aggrun -keytype strings -dist zipf -n 1048576 -k 65536 -verify
-//	aggrun -keytype composite2 -n 1048576 -k 65536 -routine global
+//	aggrun -keytype composite2 -n 1048576 -k 65536 -routine partitioned
 //
 // Exit codes are typed so scripts and load harnesses can assert on the
 // failure class instead of parsing stderr:
@@ -78,12 +78,10 @@ func parseRoutine(name string) (core.Routine, error) {
 		return core.RoutineAuto, nil
 	case "partitioned":
 		return core.RoutinePartitioned, nil
-	case "global":
-		return core.RoutineGlobal, nil
 	case "sort-spill":
 		return core.RoutineSortSpill, nil
 	default:
-		return 0, fmt.Errorf("unknown routine %q (auto | partitioned | global | sort-spill)", name)
+		return 0, fmt.Errorf("unknown routine %q (auto | partitioned | sort-spill)", name)
 	}
 }
 
@@ -129,7 +127,7 @@ func run() error {
 		in       = flag.String("in", "", "read keys from file instead of generating")
 		format   = flag.String("format", "text", "input file format: text | binary")
 		strat    = flag.String("strategy", "adaptive", "adaptive | hashing-only | partition-always | partition-only")
-		routine  = flag.String("routine", "auto", "execution routine: auto | partitioned | global | sort-spill (sort-spill needs -spill and -budget)")
+		routine  = flag.String("routine", "auto", "execution routine: auto | partitioned | sort-spill (sort-spill needs -spill and -budget)")
 		passes   = flag.Int("passes", 1, "partitioning passes for partition-always")
 		workers  = flag.Int("workers", 0, "worker threads (0 = GOMAXPROCS)")
 		cache    = flag.Int("cache", 0, "cache budget bytes per worker (0 = 4 MiB)")
@@ -266,13 +264,6 @@ func run() error {
 	fmt.Printf("switches   %d\n", st.Switches)
 	fmt.Printf("directemit %d buckets\n", st.DirectEmits)
 	fmt.Printf("routine    %s\n", st.Routine)
-	if st.GlobalRows > 0 || st.GlobalEscapedRows > 0 {
-		fmt.Printf("global     %d rows folded, %d escaped, %d contention events, %d grows\n",
-			st.GlobalRows, st.GlobalEscapedRows, st.GlobalContention, st.GlobalGrows)
-		if st.GlobalDemotions > 0 {
-			fmt.Printf("global     demoted to partitioned mid-run (observed α undershot)\n")
-		}
-	}
 	if st.Planned {
 		mode := "hash"
 		if st.PlanStartPartition {

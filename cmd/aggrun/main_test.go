@@ -237,6 +237,7 @@ func TestCLIUsageExitCodes(t *testing.T) {
 func TestCLIBadFlagsExitCleanly(t *testing.T) {
 	for _, args := range [][]string{
 		{"-strategy", "bogus"},
+		{"-routine", "global"},
 		{"-dist", "not-a-distribution"},
 		{"-in", "/definitely/missing/file", "-format", "binary"},
 		{"-in", "/dev/null", "-format", "bogus"},

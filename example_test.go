@@ -54,10 +54,10 @@ func ExampleDistinct() {
 }
 
 // GROUP BY over a string column via dictionary encoding.
-func ExampleAggregateStrings() {
+func ExampleAggregateGeneral() {
 	cities := []string{"paris", "tokyo", "paris", "berlin"}
-	res, err := cacheagg.AggregateStrings(cacheagg.StringInput{
-		GroupBy:    cities,
+	res, err := cacheagg.AggregateGeneral(cacheagg.GeneralInput{
+		GroupBy:    []cacheagg.KeyColumn{{Strings: cities}},
 		Aggregates: []cacheagg.AggSpec{{Func: cacheagg.Count}},
 	}, cacheagg.Options{})
 	if err != nil {
@@ -68,7 +68,7 @@ func ExampleAggregateStrings() {
 		n    int64
 	}
 	var rows []row
-	for i, c := range res.Groups {
+	for i, c := range res.GroupCols[0].Strings {
 		rows = append(rows, row{c, res.Aggs[0][i]})
 	}
 	sort.Slice(rows, func(a, b int) bool { return rows[a].city < rows[b].city })

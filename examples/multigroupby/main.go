@@ -2,7 +2,8 @@
 //
 // The paper's operator — like most column-store aggregation kernels —
 // works on 64-bit integer grouping keys. This example shows the
-// dictionary-encoding bridge the library provides for realistic schemas:
+// dictionary-encoding bridge the library provides for realistic schemas,
+// AggregateGeneral, on two queries:
 //
 //	SELECT region, product, COUNT(*), SUM(units), AVG(price)
 //	FROM sales GROUP BY region, product          -- composite key
@@ -41,8 +42,8 @@ func compositeKeys() {
 		price[i] = 10 + int64(rng.Uint64n(90))
 	}
 
-	res, err := cacheagg.AggregateMulti(cacheagg.MultiInput{
-		GroupBy: [][]uint64{region, product},
+	res, err := cacheagg.AggregateGeneral(cacheagg.GeneralInput{
+		GroupBy: []cacheagg.KeyColumn{{Uint64s: region}, {Uint64s: product}},
 		Columns: [][]int64{units, price},
 		Aggregates: []cacheagg.AggSpec{
 			{Func: cacheagg.Count},
@@ -62,9 +63,10 @@ func compositeKeys() {
 		avgPrice    float64
 	}
 	var r1 []row
+	regionCol, productCol := res.GroupCols[0].Uint64s, res.GroupCols[1].Uint64s
 	for i := 0; i < res.Len(); i++ {
-		if res.GroupCols[0][i] == 1 {
-			r1 = append(r1, row{res.GroupCols[1][i], res.Aggs[0][i], res.Aggs[1][i], res.Float(2, i)})
+		if regionCol[i] == 1 {
+			r1 = append(r1, row{productCol[i], res.Aggs[0][i], res.Aggs[1][i], res.Float(2, i)})
 		}
 	}
 	sort.Slice(r1, func(a, b int) bool { return r1[a].qty > r1[b].qty })
@@ -81,20 +83,21 @@ func stringKeys() {
 		"paris", "tokyo", "paris", "berlin", "tokyo", "paris",
 		"nairobi", "berlin", "tokyo", "tokyo",
 	}
-	res, err := cacheagg.AggregateStrings(cacheagg.StringInput{
-		GroupBy:    visits,
+	res, err := cacheagg.AggregateGeneral(cacheagg.GeneralInput{
+		GroupBy:    []cacheagg.KeyColumn{{Strings: visits}},
 		Aggregates: []cacheagg.AggSpec{{Func: cacheagg.Count}},
 	}, cacheagg.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("GROUP BY city:")
+	city := res.GroupCols[0].Strings
 	order := make([]int, res.Len())
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return res.Groups[order[a]] < res.Groups[order[b]] })
+	sort.Slice(order, func(a, b int) bool { return city[order[a]] < city[order[b]] })
 	for _, i := range order {
-		fmt.Printf("  %-8s %d visits\n", res.Groups[i], res.Aggs[0][i])
+		fmt.Printf("  %-8s %d visits\n", city[i], res.Aggs[0][i])
 	}
 }

@@ -100,13 +100,13 @@ var keyShapes = []keyShape{
 
 // TestAggregateGeneralDifferentialOracle is the acceptance gate for the
 // general-key layer: for string, composite and NULL-bearing keys, across
-// distributions, worker counts and all three execution routines, every
+// distributions, worker counts and both forced execution routines, every
 // decoded group's aggregates must be bit-identical to the map-keyed
 // scalar oracle. Run under -race in CI.
 func TestAggregateGeneralDifferentialOracle(t *testing.T) {
 	const n = 20000
 	dists := []datagen.Dist{datagen.Uniform, datagen.Zipf, datagen.HeavyHitter, datagen.Sequential}
-	routines := []Routine{RoutinePartitioned, RoutineGlobal, RoutineSortSpill}
+	routines := []Routine{RoutinePartitioned, RoutineSortSpill}
 	aggs := []AggSpec{
 		{Func: Count},
 		{Func: Sum, Col: 0},
@@ -168,6 +168,63 @@ func TestAggregateGeneralDifferentialOracle(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestAggregateGeneralExact pins small hand-computed inputs: every group's
+// key (in oracleKey form) maps to its aggregates as read through Float,
+// exact for AVG and the widened integer otherwise.
+func TestAggregateGeneralExact(t *testing.T) {
+	cases := []struct {
+		name string
+		in   GeneralInput
+		want map[string][]float64
+	}{
+		{"two-columns", GeneralInput{
+			// GROUP BY (region, product): COUNT, SUM(sales).
+			GroupBy: []KeyColumn{
+				{Uint64s: []uint64{1, 1, 2, 2, 3, 1, 2}},
+				{Uint64s: []uint64{10, 20, 10, 10, 20, 10, 10}},
+			},
+			Columns:    [][]int64{{5, 7, 3, 2, 9, 1, 4}},
+			Aggregates: []AggSpec{{Func: Count}, {Func: Sum, Col: 0}},
+		}, map[string][]float64{
+			"u:1|u:10|": {2, 6}, "u:1|u:20|": {1, 7},
+			"u:2|u:10|": {3, 9},
+			"u:3|u:20|": {1, 9},
+		}},
+		{"avg", GeneralInput{
+			GroupBy:    []KeyColumn{{Uint64s: []uint64{1, 1}}},
+			Columns:    [][]int64{{1, 2}},
+			Aggregates: []AggSpec{{Func: Avg, Col: 0}},
+		}, map[string][]float64{"u:1|": {1.5}}},
+		{"empty-strings", GeneralInput{
+			GroupBy:    []KeyColumn{{Strings: []string{}}},
+			Aggregates: []AggSpec{{Func: Count}},
+		}, map[string][]float64{}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := AggregateGeneral(tc.in, opts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Len() != len(tc.want) {
+				t.Fatalf("%d groups, want %d", res.Len(), len(tc.want))
+			}
+			for r := 0; r < res.Len(); r++ {
+				k := oracleKey(res.GroupCols, r)
+				w, ok := tc.want[k]
+				if !ok {
+					t.Fatalf("unexpected group %q", k)
+				}
+				for a, wv := range w {
+					if got := res.Float(a, r); got != wv {
+						t.Fatalf("group %q aggregate %d: %v, want %v", k, a, got, wv)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -99,9 +99,8 @@ type Config struct {
 	// EnablePlan). Exposed so tests can inject arbitrary — including
 	// deliberately corrupt — plans and pin that execution stays correct.
 	Plan *Plan
-	// Routine overrides the three-way routine selection (see Routine).
-	// The zero value, RoutineAuto, selects from the plan's K̂/α̂ estimates
-	// and is the only mode with mid-run global→partitioned demotion.
+	// Routine overrides the routine selection (see Routine). The zero
+	// value, RoutineAuto, selects from the plan's K̂ estimate.
 	Routine Routine
 }
 
@@ -217,24 +216,8 @@ type Stats struct {
 	// accumulators instead of the hash path.
 	HotRowsBypassed int64
 
-	// Routine is the execution routine the run committed to (after any
-	// demotion: a demoted run reports RoutinePartitioned with
-	// GlobalDemotions = 1).
+	// Routine is the execution routine the run committed to.
 	Routine Routine
-	// GlobalRows counts input rows folded into the shared global table.
-	GlobalRows int64
-	// GlobalEscapedRows counts rows that escaped the shared table
-	// (contention bounds, full blocks, refused growth) into the escaping
-	// worker's private table.
-	GlobalEscapedRows int64
-	// GlobalContention counts contention events on the shared table
-	// (claim-phase spins and failed fold CASes).
-	GlobalContention int64
-	// GlobalDemotions is 1 when an auto-selected global run demoted to
-	// the partitioned routine mid-run on observed α.
-	GlobalDemotions int64
-	// GlobalGrows counts stop-the-world growth splits of the shared table.
-	GlobalGrows int64
 }
 
 func (s *Stats) merge(o *workerStats) {
@@ -250,10 +233,6 @@ func (s *Stats) merge(o *workerStats) {
 	s.DirectEmits += o.directEmits
 	s.Tasks += o.tasks
 	s.HotRowsBypassed += o.hotRows
-	s.GlobalRows += o.globalRows
-	s.GlobalEscapedRows += o.globalEscaped
-	s.GlobalContention += o.globalContended
-	s.GlobalDemotions += o.demotions
 }
 
 // workerStats is the per-worker, contention-free statistics accumulator.
@@ -268,10 +247,6 @@ type workerStats struct {
 	directEmits     int64
 	tasks           int64
 	hotRows         int64
-	globalRows      int64
-	globalEscaped   int64
-	globalContended int64
-	demotions       int64
 }
 
 // chunk is one finalized output fragment: all groups of one bucket, tagged
@@ -403,12 +378,6 @@ func (e *exec) assemble() *Result {
 			}
 		}
 		res.Stats.Routine = e.routine
-		if e.glob != nil {
-			if e.demoted.Load() {
-				res.Stats.Routine = RoutinePartitioned
-			}
-			res.Stats.GlobalGrows = e.glob.Grows()
-		}
 		if p := e.plan; p != nil {
 			res.Stats.Planned = true
 			res.Stats.PlanSampleRows = int64(p.SampleRows)

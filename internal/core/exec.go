@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"cacheagg/internal/agg"
-	"cacheagg/internal/global"
 	"cacheagg/internal/hashfn"
 	"cacheagg/internal/hashtable"
 	"cacheagg/internal/memgov"
@@ -55,15 +53,9 @@ type exec struct {
 	// tr is the optional execution tracer (nil when not observing).
 	tr trace.Tracer
 
-	// Three-way routine selection (routine.go). glob is the shared
-	// concurrent table, non-nil only for global-routine runs; demoted
-	// flips once when an auto-selected global run's observed α undershoots
-	// and every worker's next morsel reverts to the partitioned path.
-	routine       Routine
-	routineAlpha  float64 // the α that drove the selection (0 = no plan)
-	routineForced bool    // Config.Routine override: never demote
-	glob          *global.Table
-	demoted       atomic.Bool
+	// Routine selection (routine.go).
+	routine      Routine
+	routineAlpha float64 // the α that drove the selection (0 = no plan)
 
 	pool    *sched.Pool
 	morsels *sched.Morsels
@@ -115,14 +107,6 @@ type workerState struct {
 	coldKeys []uint64
 	coldCols [][]int64
 	coldIdx  []int32
-
-	// Global-routine escape scratch (allocated only for global runs):
-	// escIdx receives the batch-relative indices of rows the shared table
-	// could not absorb; escKeys/escCols are the gather destination before
-	// the escaped rows re-enter the private dispatch loop.
-	escIdx  []int32
-	escKeys []uint64
-	escCols [][]int64
 
 	stats workerStats
 }
@@ -218,21 +202,16 @@ func newExec(cfg Config, in *Input) (*exec, error) {
 	}
 	e.chunkRow = int64(8 * (2 + e.words))
 	e.pool = sched.NewPool(cfg.Workers)
-	// Three-way routine selection (routine.go). Sort-spill refuses the run
-	// with the typed budget error before anything is reserved, so the
-	// caller degrades to the external path without burning a pass. A
-	// refused global-table reservation falls back to partitioned.
+	// Routine selection (routine.go). Sort-spill refuses the run with the
+	// typed budget error before anything is reserved, so the caller
+	// degrades to the external path without burning a pass.
 	e.routine, e.routineAlpha = e.selectRoutine()
-	e.routineForced = cfg.Routine == e.routine && cfg.Routine != RoutineAuto
 	if e.routine == RoutineSortSpill {
 		if e.tr != nil {
 			e.tr.Emit(trace.KindRoutineSelect, 0, 0, int64(RoutineSortSpill), e.routineAlpha)
 		}
 		return nil, fmt.Errorf("core: routine selector chose sort-spill (α̂=%.1f): %w",
 			e.routineAlpha, ErrMemoryBudget)
-	}
-	if e.routine == RoutineGlobal && !e.setupGlobal() {
-		e.routine = RoutinePartitioned
 	}
 	e.workers = make([]workerState, e.pool.Workers())
 	e.kits = kitKey{
@@ -297,14 +276,6 @@ func newExec(cfg Config, in *Input) (*exec, error) {
 				ws.coldCols[c] = make([]int64, scratchRows)
 			}
 		}
-		if e.glob != nil {
-			ws.escIdx = make([]int32, 0, scratchRows)
-			ws.escKeys = make([]uint64, scratchRows)
-			ws.escCols = make([][]int64, len(in.AggCols))
-			for _, c := range e.refCols {
-				ws.escCols[c] = make([]int64, scratchRows)
-			}
-		}
 		ws.mem = e.gov.NewCache(0)
 	}
 	if e.gov != nil {
@@ -325,17 +296,8 @@ func newExec(cfg Config, in *Input) (*exec, error) {
 				fixed += int64(len(e.refCols) * scratchRows * 8)      // coldCols
 				fixed += int64(len(e.hot.keys) * (e.words*8 + 8 + 1)) // accumulators
 			}
-			if e.glob != nil {
-				fixed += int64(scratchRows * (8 + 4))            // escKeys + escIdx
-				fixed += int64(len(e.refCols) * scratchRows * 8) // escCols
-			}
 		}
 		if !e.gov.TryReserve(fixed) {
-			if e.glob != nil {
-				// The shared table was reserved by setupGlobal; give it back
-				// before failing (releaseAccounting is not armed yet).
-				e.gov.Release(e.glob.FootprintBytes())
-			}
 			return nil, e.gov.BudgetError("core: per-worker machinery", fixed)
 		}
 		e.fixedBytes = fixed
@@ -382,11 +344,6 @@ func (e *exec) releaseAccounting() {
 		ws.mem.Flush()
 		total += ws.mem.Net()
 	}
-	if e.glob != nil {
-		// Initial reservation (setupGlobal) plus every growth delta the
-		// table reserved itself — the footprint covers both.
-		total += e.glob.FootprintBytes()
-	}
 	e.gov.Release(total)
 }
 
@@ -417,7 +374,7 @@ func (e *exec) run(ctx context.Context) error {
 		e.tr.Emit(trace.KindPlan, 0, 0, int64(len(e.plan.HotKeys)), e.plan.EstimatedK)
 	}
 	if e.tr != nil {
-		// The run's committed routine (demotion re-emits with the observed α).
+		// The run's committed routine.
 		e.tr.Emit(trace.KindRoutineSelect, 0, 0, int64(e.routine), e.routineAlpha)
 	}
 	// Phase A — intake: split the input into runs (Algorithm 2, line 5).
@@ -434,10 +391,6 @@ func (e *exec) run(ctx context.Context) error {
 		return err
 	}
 	e.lap(t0, trace.PhaseIntake)
-	// Global routine: publish the shared table's groups into the root
-	// buckets as per-digit aggregated runs (single-threaded between the
-	// phases, after the pool joined — the table is quiescent).
-	e.drainGlobal()
 
 	// Phase B — recursion into the buckets (Algorithm 2, line 8), spawned
 	// largest-first. Task spawn order is the partition assignment of the
@@ -521,10 +474,7 @@ func (e *exec) intake(ctx *sched.Ctx) {
 			break
 		}
 		e.timed(ws, 0, func() {
-			if e.usingGlobal() {
-				e.globalIntakeMorsel(ws, st, keys, cols, lo, hi, &local)
-				e.maybeDemote(ws)
-			} else if e.hot == nil {
+			if e.hot == nil {
 				e.dispatchRaw(ws, st, table, scat, keys, cols, lo, hi, &local)
 			} else {
 				for blkLo := lo; blkLo < hi; blkLo += scratchRows {
@@ -834,17 +784,6 @@ func (e *exec) processBucket(ctx *sched.Ctx, b *runs.Bucket, level int, prefix u
 func (e *exec) doBucket(ctx *sched.Ctx, ws *workerState, b *runs.Bucket, level int, prefix uint64) []child {
 	n := b.Rows()
 
-	// Global-routine fast path: a bucket holding exactly one aggregated
-	// run has all-distinct keys by construction (a shared-table drain, or
-	// a single private-table split) — it IS the final result of this
-	// bucket. Re-tabling it would be pure memory traffic; emit directly.
-	// Gated on the global routine so partitioned runs keep their exact
-	// historical behavior.
-	if e.glob != nil && len(b.Runs) == 1 && b.Runs[0].Aggregated {
-		e.emitRun(ws, b.Runs[0], prefix, level)
-		return nil
-	}
-
 	// Out of hash digits: all rows share the full 64-bit hash. Finalize
 	// with a table sized to the bucket (a 64-bit collision bucket is
 	// tiny). The level is passed through unclamped so the chunk sort key
@@ -1125,39 +1064,6 @@ func (e *exec) finalizeGrown(ws *workerState, b *runs.Bucket, prefix uint64, lev
 	e.lap(t0, trace.PhaseTableBuild)
 	e.emitTable(ws, table, prefix, level)
 	ws.stats.directEmits++
-}
-
-// emitRun converts one already-aggregated run into an output chunk without
-// re-tabling it (the global-routine direct-emit path). Hashes are copied
-// when the run carries them and recomputed otherwise. Within the chunk the
-// rows keep the run's order — like emitTable, only the chunk-level prefix
-// order matters for assembly.
-func (e *exec) emitRun(ws *workerState, r *runs.Run, prefix uint64, level int) {
-	n := r.Len()
-	t0 := e.stamp()
-	ch := chunk{
-		sortKey: prefix << uint(64-hashfn.DigitBits*min(level, hashfn.MaxLevels)),
-		hashes:  make([]uint64, n),
-		keys:    make([]uint64, n),
-		states:  make([][]uint64, e.words),
-	}
-	copy(ch.keys, r.Keys)
-	if r.Hashes != nil {
-		copy(ch.hashes, r.Hashes)
-	} else {
-		hashfn.HashBatch(r.Keys, ch.hashes)
-	}
-	for w := range ch.states {
-		ch.states[w] = make([]uint64, n)
-		copy(ch.states[w], r.States[w])
-	}
-	e.lap(t0, trace.PhaseSplit)
-	if e.tr != nil {
-		e.tr.Emit(trace.KindTableEmit, ws.id, level, int64(prefix), float64(n))
-	}
-	ws.stats.directEmits++
-	ws.mem.Reserve(int64(n) * e.chunkRow)
-	e.out.add(ch)
 }
 
 // emitTable converts the table's contents into an output chunk tagged with

@@ -3,36 +3,22 @@ package core
 import (
 	"fmt"
 	"math"
-
-	"cacheagg/internal/global"
-	"cacheagg/internal/hashfn"
-	"cacheagg/internal/runs"
-	"cacheagg/internal/trace"
 )
 
-// Routine identifies one of the three execution routines the operator can
-// run a query with. The paper's ADAPTIVE chooses between two (hashing with
-// spill vs sort-based partitioning) inside the partitioned executor;
-// "Global Hash Tables Strike Back!" (arXiv:2505.04153) adds the third: on
-// many cores with a high reduction factor, one shared concurrent table
-// beats partition-everything. The selector below is three-way and
-// measured, not hardcoded — the hash-vs-sort study (arXiv:2411.13245)
-// shows the crossover is workload-dependent.
+// Routine identifies the execution routine the operator runs a query with.
+// The paper's ADAPTIVE chooses between its two routines (hashing with spill
+// vs sort-based partitioning) inside the partitioned executor; the only
+// decision above it is whether the in-memory pass can fit at all. That
+// decision is measured from the plan's sketch, not hardcoded.
 type Routine uint8
 
 const (
-	// RoutineAuto lets the selector choose from the plan's K̂/α̂ sketch
-	// estimates (partitioned when there is no trustworthy plan). Auto is
-	// the only mode with mid-run demotion: a run started on the global
-	// table falls back to partitioned when the observed α undershoots.
+	// RoutineAuto lets the selector choose from the plan's K̂ sketch
+	// estimate (partitioned when there is no trustworthy plan).
 	RoutineAuto Routine = iota
 	// RoutinePartitioned forces the paper's per-worker block tables +
-	// radix-256 recursion (the executor of PRs 1-8).
+	// radix-256 recursion.
 	RoutinePartitioned
-	// RoutineGlobal forces the lock-free shared table for intake. A forced
-	// global run never demotes — tests use this to keep the table under
-	// maximum contention.
-	RoutineGlobal
 	// RoutineSortSpill forces the sort-based external path: core refuses
 	// the run with ErrMemoryBudget and the cacheagg layer degrades to the
 	// spilling out-of-core operator. Auto selects it when the plan proves
@@ -40,10 +26,10 @@ const (
 	// in-memory pass.
 	RoutineSortSpill
 
-	numRoutines = 4
+	numRoutines = 3
 )
 
-var routineNames = [numRoutines]string{"auto", "partitioned", "global", "sort-spill"}
+var routineNames = [numRoutines]string{"auto", "partitioned", "sort-spill"}
 
 func (r Routine) String() string {
 	if int(r) < len(routineNames) {
@@ -51,23 +37,6 @@ func (r Routine) String() string {
 	}
 	return fmt.Sprintf("routine(%d)", uint8(r))
 }
-
-const (
-	// globalAlphaMin is the predicted-α gate for auto-selecting the shared
-	// table: well above the ADAPTIVE α₀=11 switch point, because the
-	// shared table's win requires rows to overwhelmingly hit existing
-	// groups (claims are contended, folds are cheap).
-	globalAlphaMin = 32.0
-	// globalMinWorkers gates auto-selection on parallelism: below it the
-	// per-worker tables see no redundant re-aggregation worth removing.
-	globalMinWorkers = 4
-	// globalMaxBytes caps the auto-sized shared table (ungoverned runs).
-	globalMaxBytes = 1 << 28
-	// demoteMinRows is the minimum number of rows absorbed by the shared
-	// table before the live-α demotion check may trigger: earlier the
-	// estimate is noise.
-	demoteMinRows = 1 << 15
-)
 
 // planTrusted reports whether the (possibly injected, possibly corrupt)
 // plan's K̂ estimate is usable for routine selection: a real sample, a
@@ -140,154 +109,5 @@ func (e *exec) selectRoutine() (Routine, float64) {
 			return RoutineSortSpill, alphaHat
 		}
 	}
-
-	// Global table: many workers, high predicted reduction, and a table
-	// that plausibly fits. StartPartition (the planner's low-α signal)
-	// excludes it by construction: alphaHat < α₀ < globalAlphaMin.
-	if e.pool.Workers() >= globalMinWorkers && alphaHat >= globalAlphaMin {
-		need := int64(float64(global.SlotBytes(e.words)) * 4 * kHat)
-		limit := int64(globalMaxBytes)
-		if e.gov != nil && e.gov.Budget() > 0 && e.gov.Budget() < limit {
-			limit = e.gov.Budget()
-		}
-		if need <= limit {
-			return RoutineGlobal, alphaHat
-		}
-	}
 	return RoutinePartitioned, alphaHat
-}
-
-// setupGlobal sizes and installs the shared table for a global-routine run.
-// Sizing: 4·K̂ slots when a trusted plan provides K̂ (25 % fill at the
-// predicted group count), otherwise one cache-sized table per worker —
-// growth covers underestimates. If the governor refuses the reservation the
-// routine falls back to partitioned instead of failing: the shared table is
-// an optimization, never a requirement.
-func (e *exec) setupGlobal() bool {
-	capRows := e.cacheRows * e.pool.Workers()
-	if planTrusted(e.plan) {
-		capRows = int(4 * effectiveK(e.plan, len(e.in.Keys)))
-	}
-	if maxRows := int(int64(globalMaxBytes) / global.SlotBytes(e.words)); capRows > maxRows {
-		capRows = maxRows
-	}
-	if capRows < global.MinRows {
-		capRows = global.MinRows
-	}
-	maxCap := int(int64(globalMaxBytes) / global.SlotBytes(e.words))
-	g := global.New(global.Config{
-		CapacityRows:    capRows,
-		MaxCapacityRows: maxCap,
-		MaxFill:         e.cfg.MaxFill,
-		Ops:             e.wordOps,
-		Governor:        e.gov,
-	})
-	if e.gov != nil && !e.gov.TryReserve(g.FootprintBytes()) {
-		return false
-	}
-	e.glob = g
-	return true
-}
-
-// maybeDemote runs the live-α demotion check after a global-intake morsel.
-// Only auto-selected global runs demote (forced runs stay put so tests can
-// hold the table under contention); the first worker to observe the
-// undershoot flips the shared flag and every worker's next morsel takes the
-// partitioned path. The table's absorbed rows are NOT discarded — they are
-// drained into the root buckets after intake like any other run fragment.
-func (e *exec) maybeDemote(ws *workerState) {
-	if e.routineForced || e.demoted.Load() {
-		return
-	}
-	if e.glob.RowsIn() < demoteMinRows {
-		return
-	}
-	alpha := e.glob.Alpha()
-	if alpha >= DefaultAlpha0 {
-		return
-	}
-	if e.demoted.CompareAndSwap(false, true) {
-		ws.stats.demotions++
-		if e.tr != nil {
-			e.tr.Emit(trace.KindRoutineSelect, ws.id, 0, int64(RoutinePartitioned), alpha)
-		}
-	}
-}
-
-// usingGlobal reports whether this worker's next morsel should take the
-// shared-table intake path.
-func (e *exec) usingGlobal() bool {
-	return e.glob != nil && !e.demoted.Load()
-}
-
-// globalIntakeMorsel feeds morsel rows [lo, hi) through the shared table:
-// hash a block, fold it into the global table, and dispatch the escaped
-// remainder (contention, full blocks, refused growth) through the worker's
-// private table/scatter machinery. With a hot-key plan the block is
-// bypass-compacted first, exactly like the partitioned path.
-func (e *exec) globalIntakeMorsel(ws *workerState, st StrategyState,
-	keys []uint64, cols [][]int64, lo, hi int, local *[hashfn.Fanout]runs.Bucket) {
-	for blkLo := lo; blkLo < hi; blkLo += scratchRows {
-		blkHi := min(blkLo+scratchRows, hi)
-		bk, bc, base, n := keys, cols, blkLo, blkHi-blkLo
-		if e.hot != nil {
-			n = e.compactCold(ws, keys, cols, blkLo, blkHi)
-			bk, bc, base = ws.coldKeys, ws.coldCols, 0
-		}
-		if n == 0 {
-			continue
-		}
-		t0 := e.stamp()
-		hs := ws.hashScratch[:n]
-		hashfn.HashBatch(bk[base:base+n], hs)
-		esc, contended := e.glob.InsertBatch(hs, bk[base:base+n], bc, base, ws.escIdx[:0])
-		ws.escIdx = esc[:0]
-		absorbed := n - len(esc)
-		ws.stats.globalRows += int64(absorbed)
-		ws.stats.globalContended += int64(contended)
-		e.lap(t0, trace.PhaseTableBuild)
-		if len(esc) == 0 {
-			continue
-		}
-		// Gather the escaped rows (keys + referenced aggregate columns)
-		// and run them through the normal decision loop: the escape hatch
-		// is the per-worker table, so contention can degrade throughput
-		// but never correctness or progress.
-		ws.stats.globalEscaped += int64(len(esc))
-		if e.tr != nil {
-			e.tr.Emit(trace.KindGlobalContention, ws.id, 0, int64(len(esc)), float64(contended))
-		}
-		for x, ei := range esc {
-			ws.escKeys[x] = bk[base+int(ei)]
-		}
-		for _, c := range e.refCols {
-			dst := ws.escCols[c]
-			src := bc[c]
-			for x, ei := range esc {
-				dst[x] = src[base+int(ei)]
-			}
-		}
-		e.dispatchRaw(ws, st, ws.table, ws.scat, ws.escKeys, ws.escCols, 0, len(esc), local)
-	}
-}
-
-// drainGlobal publishes the shared table's contents into the root buckets
-// as one aggregated run per radix-256 digit. Called between intake and
-// recursion, after the pool has joined — single-threaded, so no locking.
-func (e *exec) drainGlobal() {
-	if e.glob == nil {
-		return
-	}
-	t0 := e.stamp()
-	drained := e.glob.DrainRuns(e.cfg.CarryHashes)
-	ws0 := &e.workers[0]
-	total := 0
-	for d := range drained {
-		if r := drained[d]; r != nil && r.Len() > 0 {
-			e.root[d].Add(r)
-			total += r.Len()
-		}
-	}
-	ws0.mem.Reserve(int64(total) * e.interRow)
-	e.lap(t0, trace.PhaseSplit)
 }

@@ -9,7 +9,6 @@ import (
 	"cacheagg/internal/datagen"
 	"cacheagg/internal/memgov"
 	"cacheagg/internal/testutil"
-	"cacheagg/internal/trace"
 	"cacheagg/internal/xrand"
 )
 
@@ -33,181 +32,6 @@ func makeAggInput(dist datagen.Dist, n int, k uint64, seed uint64) *Input {
 		vals[i] = int64(rng.Next()%2001) - 1000
 	}
 	return &Input{Keys: keys, AggCols: [][]int64{vals}, Specs: fullSpecs()}
-}
-
-// routineSelectParts extracts the Part of every routine-select event.
-func routineSelectParts(rec *trace.Recorder) []int64 {
-	var parts []int64
-	for _, ev := range rec.Events() {
-		if ev.Kind == trace.KindRoutineSelect {
-			parts = append(parts, ev.Part)
-		}
-	}
-	return parts
-}
-
-// TestGlobalRoutineMatchesPartitioned is the bit-identity acceptance test:
-// the forced shared-table routine must produce exactly the partitioned
-// routine's groups and aggregates (which in turn match the scalar oracle)
-// on every distribution the generator offers, across worker counts, with
-// the full aggregate alphabet. The tiny cache keeps the shared table under
-// growth and escape pressure the whole time.
-func TestGlobalRoutineMatchesPartitioned(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
-	const n = 60000
-	for _, dist := range datagen.Dists() {
-		for _, k := range []uint64{10, 3000, 40000} {
-			in := makeAggInput(dist, n, k, 77)
-			for _, workers := range []int{1, 4, 8} {
-				cfg := smallCfg(DefaultAdaptive())
-				cfg.Workers = workers
-				cfg.CollectStats = true
-
-				cfg.Routine = RoutinePartitioned
-				part, err := Aggregate(cfg, in)
-				if err != nil {
-					t.Fatalf("%v/K=%d/P=%d partitioned: %v", dist, k, workers, err)
-				}
-				cfg.Routine = RoutineGlobal
-				glob, err := Aggregate(cfg, in)
-				if err != nil {
-					t.Fatalf("%v/K=%d/P=%d global: %v", dist, k, workers, err)
-				}
-
-				checkResult(t, part, in)
-				checkResult(t, glob, in) // key-indexed vs the scalar oracle
-				if part.Groups() != glob.Groups() {
-					t.Fatalf("%v/K=%d/P=%d: %d vs %d groups",
-						dist, k, workers, part.Groups(), glob.Groups())
-				}
-				if glob.Stats.Routine != RoutineGlobal {
-					t.Fatalf("forced global reported routine %v", glob.Stats.Routine)
-				}
-				if glob.Stats.GlobalRows+glob.Stats.GlobalEscapedRows == 0 {
-					t.Fatalf("%v/K=%d/P=%d: no rows flowed through the shared table",
-						dist, k, workers)
-				}
-				if part.Stats.GlobalRows != 0 || part.Stats.Routine != RoutinePartitioned {
-					t.Fatalf("partitioned run leaked global stats: %+v", part.Stats)
-				}
-			}
-		}
-	}
-}
-
-// TestGlobalDemotesMidRun: an auto run started on the shared table by an
-// (injected) over-optimistic α̂ must demote to partitioned once the live α
-// undershoots — and the rows already absorbed by the table must survive
-// into an exact result.
-func TestGlobalDemotesMidRun(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
-	const n = 200000
-	in := makeAggInput(datagen.Uniform, n, 60000, 5) // real α ≈ 3.3 ≪ α₀
-	rec := trace.NewRecorder(0)
-	cfg := smallCfg(DefaultAdaptive())
-	cfg.Workers = 4
-	cfg.CollectStats = true
-	cfg.Tracer = rec
-	cfg.MorselRows = 4096 // frequent demotion checks
-	cfg.Plan = &Plan{
-		SampleRows:     1024,
-		TotalRows:      n,
-		EstimatedK:     1000, // lies: promises α̂ = 200
-		HalfSampleK:    990,
-		PredictedAlpha: 200,
-	}
-	res, err := Aggregate(cfg, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkResult(t, res, in)
-	st := res.Stats
-	if st.GlobalDemotions != 1 {
-		t.Fatalf("demotions = %d, want 1", st.GlobalDemotions)
-	}
-	if st.Routine != RoutinePartitioned {
-		t.Fatalf("demoted run reports routine %v, want partitioned", st.Routine)
-	}
-	if st.GlobalRows == 0 {
-		t.Fatal("no rows absorbed before demotion")
-	}
-	// The trace must show the full story: global selected, then demoted.
-	parts := routineSelectParts(rec)
-	if len(parts) != 2 || parts[0] != int64(RoutineGlobal) || parts[1] != int64(RoutinePartitioned) {
-		t.Fatalf("routine-select parts = %v, want [global, partitioned]", parts)
-	}
-}
-
-// TestAdaptiveNeverSelectsGlobalOnLowAlpha is the trace-pinned selector
-// gate: a near-distinct input (α ≈ 1.5) with real planning on must never
-// route through the shared table, at any worker count.
-func TestAdaptiveNeverSelectsGlobalOnLowAlpha(t *testing.T) {
-	const n = 120000
-	in := makeAggInput(datagen.Uniform, n, 80000, 9)
-	for _, workers := range []int{4, 8} {
-		rec := trace.NewRecorder(0)
-		cfg := smallCfg(DefaultAdaptive())
-		cfg.Workers = workers
-		cfg.CollectStats = true
-		cfg.EnablePlan = true
-		cfg.Tracer = rec
-		res, err := Aggregate(cfg, in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkResult(t, res, in)
-		for _, part := range routineSelectParts(rec) {
-			if part == int64(RoutineGlobal) {
-				t.Fatalf("P=%d: selector chose the global routine on a low-α input", workers)
-			}
-		}
-		if res.Stats.Routine == RoutineGlobal {
-			t.Fatalf("P=%d: stats report the global routine on a low-α input", workers)
-		}
-	}
-}
-
-// TestAdaptiveSelectsGlobalOnHighAlpha: the selector's positive direction —
-// few hot groups, many workers, real planning — must pick the shared table,
-// say so in the trace, and stay on it (no demotion at α ≈ 1500).
-func TestAdaptiveSelectsGlobalOnHighAlpha(t *testing.T) {
-	const n = 150000
-	in := makeAggInput(datagen.Uniform, n, 100, 13)
-	rec := trace.NewRecorder(0)
-	cfg := smallCfg(DefaultAdaptive())
-	cfg.Workers = 4
-	cfg.CollectStats = true
-	cfg.EnablePlan = true
-	cfg.Tracer = rec
-	res, err := Aggregate(cfg, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkResult(t, res, in)
-	st := res.Stats
-	if st.Routine != RoutineGlobal {
-		t.Fatalf("routine = %v, want global (α ≈ %d)", st.Routine, n/100)
-	}
-	if st.GlobalDemotions != 0 {
-		t.Fatalf("high-α run demoted %d times", st.GlobalDemotions)
-	}
-	if st.GlobalRows == 0 {
-		t.Fatal("no rows folded into the shared table")
-	}
-	parts := routineSelectParts(rec)
-	if len(parts) == 0 || parts[0] != int64(RoutineGlobal) {
-		t.Fatalf("routine-select parts = %v, want leading global", parts)
-	}
-	// Below the worker gate the same input must NOT pick the shared table.
-	cfg.Workers = 2
-	cfg.Tracer = nil
-	res, err = Aggregate(cfg, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Routine == RoutineGlobal {
-		t.Fatal("P=2 run picked the global routine below the worker gate")
-	}
 }
 
 // TestAutoSelectsSortSpill: a trusted plan proving the finalized output
@@ -238,7 +62,9 @@ func TestAutoSelectsSortSpill(t *testing.T) {
 // TestAdversarialRoutinePlans mirrors PR 8's TestAdversarialPlans for the
 // routine selector: corrupt injected plans (absurd K̂, zero/NaN/Inf α̂,
 // drift-guard violations) must be sanitized — never a panic, never a
-// livelock, never a wrong result, never a garbage-driven global pick.
+// livelock, never a wrong result. Without a memory budget every plan and
+// every override short of sort-spill (an out-of-range value included)
+// commits to the partitioned routine.
 func TestAdversarialRoutinePlans(t *testing.T) {
 	defer testutil.VerifyNoLeaks(t)
 	const n = 50000
@@ -257,7 +83,7 @@ func TestAdversarialRoutinePlans(t *testing.T) {
 		{SampleRows: 1024, EstimatedK: 2, HalfSampleK: 2, PredictedAlpha: 1e12, TableRows: -9},
 	}
 	for pi, p := range plans {
-		for _, rt := range []Routine{RoutineAuto, RoutineGlobal, Routine(250)} {
+		for _, rt := range []Routine{RoutineAuto, RoutinePartitioned, Routine(250)} {
 			cfg := smallCfg(DefaultAdaptive())
 			cfg.Workers = 4
 			cfg.CollectStats = true
@@ -268,14 +94,8 @@ func TestAdversarialRoutinePlans(t *testing.T) {
 				t.Fatalf("plan %d routine %d: %v", pi, rt, err)
 			}
 			checkResult(t, res, in)
-			if rt == RoutineAuto && p != nil && res.Stats.Routine == RoutineGlobal {
-				// Auto may legitimately pick global only off a TRUSTED high-α
-				// plan; every corrupt plan above must fail planTrusted or the
-				// α/fit gates... except the last one (tiny trusted K̂, huge α̂),
-				// which is allowed to pick global — and must still be exact.
-				if !(p.EstimatedK == 2 && planTrusted(p)) {
-					t.Fatalf("plan %d: corrupt plan drove a global pick", pi)
-				}
+			if res.Stats.Routine != RoutinePartitioned {
+				t.Fatalf("plan %d routine %d: committed to %v", pi, rt, res.Stats.Routine)
 			}
 		}
 	}
@@ -286,7 +106,6 @@ func TestRoutineStrings(t *testing.T) {
 	want := map[Routine]string{
 		RoutineAuto:        "auto",
 		RoutinePartitioned: "partitioned",
-		RoutineGlobal:      "global",
 		RoutineSortSpill:   "sort-spill",
 		Routine(9):         "routine(9)",
 	}

@@ -1,6 +1,7 @@
-// Package global implements the third execution routine of the operator: a
-// single shared concurrent hash table that all workers fold into, instead of
-// the share-nothing per-worker block tables of the partitioned routine.
+// Package global implements a single shared concurrent hash table that all
+// workers fold into, instead of the share-nothing per-worker block tables of
+// the partitioned routine. It is a standalone component: the operator does
+// not use it, and benchmark/replay.go measures it directly.
 //
 // "Global Hash Tables Strike Back!" (arXiv:2505.04153) shows that on
 // many-core machines with a high reduction factor α (rows per group), a
@@ -32,8 +33,8 @@
 //     the claiming phase is bounded, the in-block probe is bounded, and a
 //     whole batch has a bounded contention budget. When any bound trips,
 //     the row ESCAPES — the caller folds it into its private local table
-//     instead. Escapes are counted and traced (the global-contention trace
-//     kind) so the demotion logic upstairs can see the routine misbehaving.
+//     instead. Escapes are counted so the caller can see the table
+//     misbehaving.
 //   - Growth is a cooperative stop-the-world split: inserters hold a shared
 //     RLock for the duration of one batch (the hot path inside stays
 //     CAS-only), the grower takes the write lock, doubles the block size
@@ -213,8 +214,8 @@ func (t *Table) Contended() int64 { return t.contended.Load() }
 // Grows returns the number of completed stop-the-world growth splits.
 func (t *Table) Grows() int64 { return t.grows.Load() }
 
-// Alpha returns the observed reduction factor rows/groups, the live signal
-// the adaptive routine selection demotes on. 0 while the table is empty.
+// Alpha returns the observed reduction factor rows/groups. 0 while the
+// table is empty.
 func (t *Table) Alpha() float64 {
 	g := t.claimed.Load()
 	if g == 0 {

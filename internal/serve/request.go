@@ -102,7 +102,7 @@ type Request struct {
 	// NoCache bypasses the result cache (read and fill).
 	NoCache bool `json:"no_cache,omitempty"`
 	// Routine overrides the execution-routine selection:
-	// auto | partitioned | global | sort-spill ("" = auto).
+	// auto | partitioned | sort-spill ("" = auto).
 	Routine string `json:"routine,omitempty"`
 }
 
@@ -112,12 +112,10 @@ func parseRoutine(s string) (cacheagg.Routine, error) {
 		return cacheagg.RoutineAuto, nil
 	case "partitioned":
 		return cacheagg.RoutinePartitioned, nil
-	case "global":
-		return cacheagg.RoutineGlobal, nil
 	case "sort-spill":
 		return cacheagg.RoutineSortSpill, nil
 	default:
-		return 0, fmt.Errorf("unknown routine %q (auto | partitioned | global | sort-spill)", s)
+		return 0, fmt.Errorf("unknown routine %q (auto | partitioned | sort-spill)", s)
 	}
 }
 

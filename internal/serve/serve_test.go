@@ -201,6 +201,7 @@ func TestTypedRequestRejections(t *testing.T) {
 		{"unknown dataset", `{"dataset":"nope"}`, 404, "unknown_dataset"},
 		{"bad priority", `{"dataset":"events","priority":"urgent"}`, 400, "bad_request"},
 		{"bad routine", `{"dataset":"events","routine":"hashed"}`, 400, "bad_request"},
+		{"retired routine", `{"dataset":"events","routine":"global"}`, 400, "bad_request"},
 		{"bad func", `{"dataset":"events","aggregates":[{"func":"median"}]}`, 400, "bad_request"},
 		{"negative deadline", `{"dataset":"events","deadline_ms":-1}`, 400, "bad_request"},
 		{"col out of range", `{"dataset":"events","aggregates":[{"func":"sum","col":9}]}`, 400, "bad_request"},
@@ -239,7 +240,7 @@ func TestRoutineOverride(t *testing.T) {
 	for _, r := range autoRows {
 		want[r.G] = r.A[0]
 	}
-	for _, rt := range []string{"partitioned", "global"} {
+	for _, rt := range []string{"partitioned", "sort-spill"} {
 		q := `{"dataset":"events","routine":"` + rt + `","aggregates":[{"func":"sum","col":0}]}`
 		h, rows := parseResponse(t, postQuery(t, ts.URL, q))
 		if h["cache"] != "miss" {

@@ -145,18 +145,11 @@ const (
 	// into the merge stream. Part = the hot key (as int64),
 	// Value = rows folded into the accumulator since the last flush.
 	KindHotKeyBypass
-	// KindRoutineSelect: the three-way routine selector committed to an
-	// execution routine for the run, or demoted mid-run. Emitted once at
-	// run start (worker 0) and once more on demotion. Part = the chosen
-	// core.Routine as an int64, Value = the predicted (at selection) or
-	// observed (at demotion) reduction factor α that drove the decision.
+	// KindRoutineSelect: the routine selector committed to an execution
+	// routine for the run. Emitted exactly once per run (worker 0).
+	// Part = the chosen core.Routine as an int64, Value = the predicted
+	// reduction factor α̂ (0 when no plan informed the decision).
 	KindRoutineSelect
-	// KindGlobalContention: a worker's bounded CAS-retry budget on the
-	// shared global table ran out and a batch of rows escaped to its local
-	// overflow table. Part = escaped rows in the batch, Value = contended
-	// slot encounters (claim-in-progress spins + CAS fold retries)
-	// observed while inserting the batch.
-	KindGlobalContention
 	// KindInternGrow: a shard of the key-interning dictionary grew its
 	// open-addressed index and republished it (an epoch boundary for
 	// lock-free readers of that shard). Part = shard number,
@@ -164,7 +157,7 @@ const (
 	KindInternGrow
 
 	// NumKinds is the number of kinds; valid Kind values are < NumKinds.
-	NumKinds = 22
+	NumKinds = 21
 )
 
 var kindNames = [NumKinds]string{
@@ -175,8 +168,7 @@ var kindNames = [NumKinds]string{
 	"gov-high-water",
 	"epoch-seal", "checkpoint-write", "recover", "backpressure",
 	"plan", "hot-key-bypass",
-	"routine-select", "global-contention",
-	"intern-grow",
+	"routine-select", "intern-grow",
 }
 
 func (k Kind) String() string {
