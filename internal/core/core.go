@@ -253,6 +253,7 @@ type workerStats struct {
 // with the bucket's hash prefix for ordered assembly.
 type chunk struct {
 	sortKey uint64 // bucket prefix left-aligned to 64 bits
+	worker  int    // the emitting worker, whose free list takes the columns back
 	hashes  []uint64
 	keys    []uint64
 	states  [][]uint64 // packed state columns, finalized at assembly
@@ -330,7 +331,8 @@ func DistinctContext(ctx context.Context, cfg Config, keys []uint64) (*Result, e
 }
 
 // assemble sorts the finalized chunks by bucket prefix and concatenates
-// them into the final result, finalizing aggregate states column-wise.
+// them into the final result, finalizing aggregate states column-wise. The
+// result is a copy: each chunk's columns go back to its worker's free list.
 func (e *exec) assemble() *Result {
 	c := &e.out
 	sort.Slice(c.chunks, func(i, j int) bool { return c.chunks[i].sortKey < c.chunks[j].sortKey })
@@ -364,6 +366,12 @@ func (e *exec) assemble() *Result {
 			}
 			res.Aggs[si] = col
 			res.AggsFloat[si] = fcol
+		}
+		free := e.workers[ch.worker].free
+		free.Put(ch.hashes)
+		free.Put(ch.keys)
+		for _, col := range ch.states {
+			free.Put(col)
 		}
 	}
 	// Merge stats.

@@ -89,6 +89,10 @@ type workerState struct {
 	// genuinely oversized ones stay throwaway.
 	grownTables map[int]*hashtable.Table
 	scat        *partition.Scatterer
+	// free is the worker's column free list: the scatterer's writers and
+	// emitTable cut chunks from it, and consumed buckets and assembled
+	// output chunks give their columns back.
+	free *runs.Free
 
 	hashScratch  []uint64
 	stateScratch [][]uint64 // words × scratchRows, for intake partitioning
@@ -116,12 +120,14 @@ type workerState struct {
 // executions through a config-keyed pool. A kit is returned to the pool
 // only after a cleanly completed run (never on error, cancellation, or
 // panic), at which point nothing escapes the execution that references it:
-// results are materialized by copy in emitTable/assemble.
+// results are materialized by copy in assemble, and the free list holds
+// only columns of runs and chunks the execution has finished with.
 type workerKit struct {
 	table        *hashtable.Table
 	finalTables  map[int]*hashtable.Table
 	grownTables  map[int]*hashtable.Table
 	scat         *partition.Scatterer
+	free         *runs.Free
 	hashScratch  []uint64
 	stateScratch [][]uint64
 	stateViews   [][]uint64
@@ -231,6 +237,7 @@ func newExec(cfg Config, in *Input) (*exec, error) {
 			ws.finalTables = k.finalTables
 			ws.grownTables = k.grownTables
 			ws.scat = k.scat
+			ws.free = k.free
 			ws.hashScratch = k.hashScratch
 			ws.stateScratch = k.stateScratch
 			ws.stateViews = k.stateViews
@@ -253,11 +260,13 @@ func newExec(cfg Config, in *Input) (*exec, error) {
 			})
 			ws.finalTables = make(map[int]*hashtable.Table)
 			ws.grownTables = make(map[int]*hashtable.Table)
+			ws.free = &runs.Free{}
 			ws.scat = partition.New(partition.Config{
 				Level:      0,
 				Words:      e.words,
 				ChunkRows:  cfg.ChunkRows,
 				DropHashes: !cfg.CarryHashes,
+				Free:       ws.free,
 			})
 			ws.hashScratch = make([]uint64, scratchRows)
 			ws.stateScratch = make([][]uint64, e.words)
@@ -311,6 +320,15 @@ func newExec(cfg Config, in *Input) (*exec, error) {
 // buffered in its scatterer, which the next run's Reset would refuse).
 func (e *exec) recycle() {
 	kp := kitPool(e.kits)
+	// Runs and output chunks went back to whichever worker consumed them;
+	// even the free lists out and trim them to their recent demand.
+	lists := make([]*runs.Free, 0, len(e.workers))
+	for w := range e.workers {
+		if ws := &e.workers[w]; ws.table != nil {
+			lists = append(lists, ws.free)
+		}
+	}
+	runs.Settle(lists)
 	for w := range e.workers {
 		ws := &e.workers[w]
 		if ws.table == nil {
@@ -321,6 +339,7 @@ func (e *exec) recycle() {
 			finalTables:  ws.finalTables,
 			grownTables:  ws.grownTables,
 			scat:         ws.scat,
+			free:         ws.free,
 			hashScratch:  ws.hashScratch,
 			stateScratch: ws.stateScratch,
 			stateViews:   ws.stateViews,
@@ -753,8 +772,15 @@ func (e *exec) processBucket(ctx *sched.Ctx, b *runs.Bucket, level int, prefix u
 	})
 	// The input bucket is consumed: its rows now live either in the
 	// sub-buckets (reserved as they were re-materialized) or in the output
-	// chunk (reserved by emitTable).
+	// chunk (reserved by emitTable). Its chunks go to this worker's free
+	// list, unless the run was aborted: that drops its kits, lists included.
 	ws.mem.Reserve(-int64(n) * e.interRow)
+	if ctx.Aborted() {
+		return
+	}
+	for _, r := range b.Runs {
+		ws.free.Recycle(r)
+	}
 	// Spawn the oversized children largest-first so a skew-bloated child
 	// enters the scheduler before its siblings: idle workers pick up the
 	// long pole early instead of finding it last behind a queue of small
@@ -1069,18 +1095,20 @@ func (e *exec) finalizeGrown(ws *workerState, b *runs.Bucket, prefix uint64, lev
 // emitTable converts the table's contents into an output chunk tagged with
 // the bucket's prefix and hands it to the collector. Rows are emitted in
 // block order, i.e. ordered by the next hash digit — concatenating all
-// chunks in prefix order yields the hash-ordered result.
+// chunks in prefix order yields the hash-ordered result. The chunk's columns
+// come from the worker's free list; assemble gives them back to it.
 func (e *exec) emitTable(ws *workerState, table *hashtable.Table, prefix uint64, level int) {
 	n := table.Len()
 	t0 := e.stamp()
 	ch := chunk{
 		sortKey: prefix << uint(64-hashfn.DigitBits*min(level, hashfn.MaxLevels)),
-		hashes:  make([]uint64, n),
-		keys:    make([]uint64, n),
+		worker:  ws.id,
+		hashes:  ws.free.Col(n),
+		keys:    ws.free.Col(n),
 		states:  make([][]uint64, e.words),
 	}
 	for w := range ch.states {
-		ch.states[w] = make([]uint64, n)
+		ch.states[w] = ws.free.Col(n)
 	}
 	table.EmitColumns(ch.hashes, ch.keys, ch.states)
 	table.Reset()

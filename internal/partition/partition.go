@@ -48,6 +48,10 @@ type Config struct {
 	// in both directions). Digits are still taken from the hashes passed
 	// to Scatter, which callers compute block-wise anyway.
 	DropHashes bool
+	// Free is the column free list the output writers cut their chunks
+	// from (nil allocates fresh columns). It must belong to the goroutine
+	// that drives the scatterer.
+	Free *runs.Free
 }
 
 // Scatterer scatters rows into 256 per-digit outputs. It is not safe for
@@ -70,7 +74,6 @@ type Scatterer struct {
 
 	writers    []*runs.Writer
 	rows       int
-	chunkRows  int
 	dropHashes bool
 }
 
@@ -97,14 +100,13 @@ func New(cfg Config) *Scatterer {
 		bufLen:     make([]int, hashfn.Fanout),
 		flushViews: make([][]uint64, cfg.Words),
 		writers:    make([]*runs.Writer, hashfn.Fanout),
-		chunkRows:  cfg.ChunkRows,
 		dropHashes: cfg.DropHashes,
 	}
 	for w := range s.bufState {
 		s.bufState[w] = make([]uint64, hashfn.Fanout*bufRows)
 	}
 	for p := range s.writers {
-		s.writers[p] = runs.NewWriterDrop(cfg.ChunkRows, cfg.Words, cfg.DropHashes)
+		s.writers[p] = runs.NewWriterFree(cfg.ChunkRows, cfg.Words, cfg.DropHashes, cfg.Free)
 	}
 	return s
 }
@@ -116,10 +118,10 @@ func (s *Scatterer) Rows() int { return s.rows }
 // Level returns the radix level the scatterer was created for.
 func (s *Scatterer) Level() int { return s.level }
 
-// Reset re-targets the scatterer to a new level with fresh writers while
-// keeping its buffers, so one worker can reuse the (sizable) SWC buffer
-// allocation across bucket tasks. It panics if rows are still buffered —
-// the previous task must have flushed or sealed.
+// Reset re-targets the scatterer to a new level, emptying its writers in
+// place and keeping its buffers, so one worker can reuse the (sizable) SWC
+// buffer allocation across bucket tasks. It panics if rows are still
+// buffered — the previous task must have flushed or sealed.
 func (s *Scatterer) Reset(level int) {
 	if level < 0 || level >= hashfn.MaxLevels {
 		panic(fmt.Sprintf("partition: level %d out of range", level))
@@ -132,8 +134,8 @@ func (s *Scatterer) Reset(level int) {
 	s.level = level
 	s.shift = uint(64 - hashfn.DigitBits*(level+1))
 	s.rows = 0
-	for p := range s.writers {
-		s.writers[p] = runs.NewWriterDrop(s.chunkRows, s.words, s.dropHashes)
+	for _, w := range s.writers {
+		w.Reset()
 	}
 }
 

@@ -317,3 +317,35 @@ func TestDropHashesSurvivesReset(t *testing.T) {
 		}
 	}
 }
+
+// TestResetRecyclesAcrossTasks drives one scatterer the way a worker does:
+// scatter, seal, consume and recycle the runs, Reset to the next level,
+// scatter again. Every task must see exactly its own rows.
+func TestResetRecyclesAcrossTasks(t *testing.T) {
+	free := &runs.Free{}
+	s := New(Config{Level: 0, Words: 1, ChunkRows: 256, Free: free})
+	for level := 0; level < 3; level++ {
+		hashes, keys, states := genRows(uint64(20+level), 3000, 1)
+		if level > 0 {
+			s.Reset(level)
+		}
+		s.Scatter(hashes, keys, states)
+		byDigit := s.Seal()
+		got, total := collect(t, byDigit, level, 1)
+		if total != len(keys) {
+			t.Fatalf("level %d: scattered %d rows, want %d", level, total, len(keys))
+		}
+		for i := range keys {
+			id := rowID{hashes[i], keys[i], states[0][i]}
+			if got[id] == 0 {
+				t.Fatalf("level %d: row %+v missing", level, id)
+			}
+			got[id]--
+		}
+		for _, rs := range byDigit {
+			for _, r := range rs {
+				free.Recycle(r)
+			}
+		}
+	}
+}

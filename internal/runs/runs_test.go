@@ -100,23 +100,164 @@ func TestAppendBlockCrossesChunks(t *testing.T) {
 		keys[i] = uint64(i)
 		st[0][i] = uint64(i * 3)
 	}
-	w := NewWriter(7, 1) // deliberately awkward chunk size
-	w.AppendBlock(hashes, keys, st, 0, 60)
-	w.AppendBlock(hashes, keys, st, 60, 60) // empty range is a no-op
-	w.AppendBlock(hashes, keys, st, 60, n)
-	if w.Rows() != n {
-		t.Fatalf("Rows = %d, want %d", w.Rows(), n)
-	}
-	var b Bucket
-	w.SealInto(&b)
-	got := Concat(&b, 1)
-	if got.Len() != n {
-		t.Fatalf("concat %d rows, want %d", got.Len(), n)
-	}
-	for i := 0; i < n; i++ {
-		if got.Hashes[i] != hashes[i] || got.Keys[i] != keys[i] || got.States[0][i] != st[0][i] {
-			t.Fatalf("row %d corrupted", i)
+	// The free list hands out power-of-two columns; a chunk cut from one
+	// must still stop at the deliberately awkward chunk size.
+	for _, free := range []*Free{nil, {}} {
+		w := NewWriterFree(7, 1, false, free)
+		w.AppendBlock(hashes, keys, st, 0, 60)
+		w.AppendBlock(hashes, keys, st, 60, 60) // empty range is a no-op
+		w.AppendBlock(hashes, keys, st, 60, n)
+		if w.Rows() != n {
+			t.Fatalf("Rows = %d, want %d", w.Rows(), n)
 		}
+		var b Bucket
+		w.SealInto(&b)
+		for i, r := range b.Runs {
+			if r.Len() > 7 {
+				t.Fatalf("run %d has %d rows, chunk size is 7", i, r.Len())
+			}
+		}
+		got := Concat(&b, 1)
+		if got.Len() != n {
+			t.Fatalf("concat %d rows, want %d", got.Len(), n)
+		}
+		for i := 0; i < n; i++ {
+			if got.Hashes[i] != hashes[i] || got.Keys[i] != keys[i] || got.States[0][i] != st[0][i] {
+				t.Fatalf("row %d corrupted", i)
+			}
+		}
+	}
+}
+
+// TestWriterChunkGrowth pins the chunk sequence: firstChunkRows, doubling
+// up to the chunk size, then the chunk size repeated.
+func TestWriterChunkGrowth(t *testing.T) {
+	want := []int{64, 128, 256, 512, 1024, 2048, 4096, 4096, 4096}
+	total := 0
+	for _, c := range want {
+		total += c
+	}
+	keys := make([]uint64, total)
+	st := [][]uint64{make([]uint64, total)}
+	w := NewWriterFree(DefaultChunkRows, 1, true, &Free{})
+	w.AppendBlock(nil, keys, st, 0, total)
+	rs := w.Seal()
+	if len(rs) != len(want) {
+		t.Fatalf("got %d chunks, want %d", len(rs), len(want))
+	}
+	for i, r := range rs {
+		if r.Len() != want[i] || cap(r.Keys) != want[i] || cap(r.States[0]) != want[i] {
+			t.Fatalf("chunk %d: %d rows, capacity %d, want %d", i, r.Len(), cap(r.Keys), want[i])
+		}
+	}
+}
+
+// TestWriterReset: a reset writer is empty, usable, and grows from the
+// first chunk size again.
+func TestWriterReset(t *testing.T) {
+	w := NewWriter(0, 1)
+	for i := 0; i < 300; i++ {
+		w.Append(uint64(i), uint64(i), []uint64{1})
+	}
+	w.Reset()
+	if w.Rows() != 0 || len(w.Seal()) != 0 {
+		t.Fatal("reset writer is not empty")
+	}
+	w.Append(5, 6, []uint64{7})
+	rs := w.Seal()
+	if len(rs) != 1 || rs[0].Len() != 1 || rs[0].Keys[0] != 6 || rs[0].States[0][0] != 7 {
+		t.Fatalf("writer unusable after Reset: %+v", rs)
+	}
+	if cap(rs[0].Keys) != firstChunkRows {
+		t.Fatalf("first chunk after Reset has capacity %d, want %d", cap(rs[0].Keys), firstChunkRows)
+	}
+}
+
+// TestRecycleReusesWriterColumns: a recycled writer run is emptied and its
+// columns are cut again by the next writer on the same list.
+func TestRecycleReusesWriterColumns(t *testing.T) {
+	free := &Free{}
+	w := NewWriterFree(0, 1, true, free)
+	w.Append(0, 1, []uint64{2})
+	r := w.Seal()[0]
+	backing := &r.Keys[:1][0]
+	free.Recycle(r)
+	if r.Len() != 0 || r.States != nil {
+		t.Fatal("recycled run still holds its columns")
+	}
+	w2 := NewWriterFree(0, 1, true, free)
+	w2.Append(0, 3, []uint64{4})
+	r2 := w2.Seal()[0]
+	if p := &r2.States[0][:1][0]; p != backing && &r2.Keys[:1][0] != backing {
+		t.Fatal("the next writer did not reuse the recycled column")
+	}
+	if r2.Keys[0] != 3 || r2.States[0][0] != 4 {
+		t.Fatalf("reused chunk holds %v %v", r2.Keys, r2.States)
+	}
+}
+
+// TestRecycleForeignRunIsNoop: runs no Writer produced — table splits cut
+// from a shared slab, hand-built runs — are never taken apart.
+func TestRecycleForeignRunIsNoop(t *testing.T) {
+	free := &Free{}
+	slab := []uint64{1, 2, 3, 4}
+	r := &Run{Keys: slab[:2], States: [][]uint64{slab[2:]}, Aggregated: true}
+	free.Recycle(r)
+	if r.Len() != 2 || len(r.States) != 1 || !r.Aggregated {
+		t.Fatal("Recycle changed a run it does not own")
+	}
+	if col := free.Col(2); &col[0] == &slab[0] || &col[0] == &slab[2] {
+		t.Fatal("Recycle handed out a foreign run's storage")
+	}
+}
+
+// TestNilFree: a nil list allocates fresh columns and drops returned ones.
+func TestNilFree(t *testing.T) {
+	var free *Free
+	col := free.Col(5)
+	if len(col) != 5 {
+		t.Fatalf("len = %d, want 5", len(col))
+	}
+	free.Put(col)
+	w := NewWriterFree(0, 2, false, free)
+	w.Append(1, 2, []uint64{3, 4})
+	r := w.Seal()[0]
+	free.Recycle(r)
+	if r.Len() != 1 || r.States[1][0] != 4 {
+		t.Fatal("nil list took a run apart")
+	}
+}
+
+// TestSettleEvensOutAndTrims: columns that came back to the wrong list
+// move to the list that handed them out, a list keeps no more than its
+// recent demand, and an unused class fades out.
+func TestSettleEvensOutAndTrims(t *testing.T) {
+	a, b := &Free{}, &Free{}
+	var cols [][]uint64
+	for range 3 {
+		cols = append(cols, a.Col(64), b.Col(100))
+	}
+	for _, c := range cols {
+		a.Put(c) // every column comes back to a
+	}
+	a.Put(make([]uint64, 8)) // surplus a never handed out
+	lists := []*Free{a, b}
+	Settle(lists)
+	if len(a.class[6]) != 3 || len(a.class[7]) != 0 || len(b.class[6]) != 0 || len(b.class[7]) != 3 {
+		t.Fatalf("after Settle a holds %d + %d, b %d + %d columns of 64 + 128 rows, want 3 + 0, 0 + 3",
+			len(a.class[6]), len(a.class[7]), len(b.class[6]), len(b.class[7]))
+	}
+	if len(a.class[3]) != 0 {
+		t.Fatal("Settle kept a column nobody handed out")
+	}
+	Settle(lists) // nothing handed out since: demand decays from 3 to 2
+	if len(a.class[6]) != 2 || len(b.class[7]) != 2 {
+		t.Fatalf("idle lists hold %d and %d columns, want 2", len(a.class[6]), len(b.class[7]))
+	}
+	Settle(lists)
+	Settle(lists)
+	if len(a.class[6])+len(b.class[7]) != 0 {
+		t.Fatal("an unused class did not fade out")
 	}
 }
 
@@ -150,6 +291,11 @@ func TestWriterPreservesMultiset(t *testing.T) {
 		}
 		var b Bucket
 		w.SealInto(&b)
+		for _, r := range b.Runs {
+			if r.Len() > 13 {
+				return false
+			}
+		}
 		got := Concat(&b, 2)
 		if got.Len() != n {
 			return false
@@ -276,7 +422,7 @@ func BenchmarkAppendBlock64(b *testing.B) {
 }
 
 func TestNewWriterDrop(t *testing.T) {
-	w := NewWriterDrop(4, 1, true)
+	w := NewWriterFree(4, 1, true, nil)
 	w.Append(123, 7, []uint64{9})
 	// AppendBlock with a nil hash column must be legal in drop mode.
 	w.AppendBlock(nil, []uint64{8, 9}, [][]uint64{{1, 2}}, 0, 2)
