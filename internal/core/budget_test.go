@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"cacheagg/internal/agg"
+	"cacheagg/internal/hashfn"
 	"cacheagg/internal/memgov"
+	"cacheagg/internal/partition"
 )
 
 func budgetInput(n, groups int) ([]uint64, [][]int64) {
@@ -127,5 +129,57 @@ func TestGovernorResultMatchesUngovernedRun(t *testing.T) {
 	}
 	if gov.OverBudget() {
 		t.Fatal("1 GiB budget must not be exceeded by a 50k-row input")
+	}
+}
+
+// TestFootprintMatchesReservation pins Footprint to the bytes a governed
+// run reserves up front, and both to the live machinery of the workers:
+// their tables, intake and row scratch, plus the scatterers' SWC buffers.
+func TestFootprintMatchesReservation(t *testing.T) {
+	widths := []struct {
+		words int
+		specs []agg.Spec
+	}{
+		{1, []agg.Spec{{Kind: agg.Count}}},
+		{5, []agg.Spec{{Kind: agg.Count}, {Kind: agg.Sum}, {Kind: agg.Min}, {Kind: agg.Avg}}},
+		{9, []agg.Spec{{Kind: agg.Count}, {Kind: agg.Sum}, {Kind: agg.Min}, {Kind: agg.Max},
+			{Kind: agg.Avg}, {Kind: agg.Avg}, {Kind: agg.Sum}}},
+	}
+	keys, cols := budgetInput(1000, 100)
+	for _, wd := range widths {
+		for _, cache := range []int{64 << 10, 1 << 20, 4 << 20} {
+			for workers := 1; workers <= 4; workers++ {
+				cfg := Config{Workers: workers, CacheBytes: cache, Governor: memgov.New(0)}.withDefaults()
+				e, err := newExec(cfg, &Input{Keys: keys, AggCols: cols, Specs: wd.specs})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if e.words != wd.words || len(e.workers) != workers {
+					t.Fatalf("exec has %d words, %d workers; want %d, %d", e.words, len(e.workers), wd.words, workers)
+				}
+				fixed, perRow := Footprint(cfg, wd.words)
+				if got := int64(workers) * fixed; got != e.fixedBytes {
+					t.Errorf("words %d cache %d workers %d: Workers·fixed = %d, reserved %d",
+						wd.words, cache, workers, got, e.fixedBytes)
+				}
+				if perRow != e.chunkRow {
+					t.Errorf("words %d: perRow = %d, chunk row %d", wd.words, perRow, e.chunkRow)
+				}
+				live := int64(0)
+				for w := range e.workers {
+					ws := &e.workers[w]
+					live += ws.table.FootprintBytes()
+					live += 8 * int64(cap(ws.hashScratch)+cap(ws.rowScratch))
+					for _, c := range ws.stateScratch {
+						live += 8 * int64(cap(c))
+					}
+					live += int64(hashfn.Fanout * partition.DefaultBufRows * 8 * (2 + wd.words))
+				}
+				if live != e.fixedBytes {
+					t.Errorf("words %d cache %d workers %d: live machinery %d, reserved %d",
+						wd.words, cache, workers, live, e.fixedBytes)
+				}
+			}
+		}
 	}
 }

@@ -21,6 +21,49 @@ import (
 // before being handed to a routine. The block stays cache resident.
 const scratchRows = 4096
 
+// Footprint returns the operator's memory terms for aggregate states of
+// the given word width under cfg (CacheBytes 0 selects the default):
+// fixed is the bytes of one worker's machinery and perRow the bytes of one
+// output-chunk row. A governed run without a plan reserves exactly
+// Workers·fixed up front; admission and the external path size themselves
+// from the same two numbers.
+func Footprint(cfg Config, words int) (fixed, perRow int64) {
+	if cfg.CacheBytes <= 0 {
+		cfg.CacheBytes = DefaultCacheBytes
+	}
+	return workerBytes(cacheRows(cfg.CacheBytes, words), words, 0, 0), chunkRowBytes(words)
+}
+
+// minTableRows is the smallest worker table: each of the Fanout blocks
+// keeps MinBlockRows slots.
+const minTableRows = hashfn.Fanout * hashtable.MinBlockRows
+
+// cacheRows is the capacity of a cache-sized table, at least minTableRows.
+func cacheRows(cacheBytes, words int) int {
+	return max(hashtable.CapacityForCache(cacheBytes, words), minTableRows)
+}
+
+// chunkRowBytes is one output-chunk row: hash, key and state words.
+func chunkRowBytes(words int) int64 { return int64(8 * (2 + words)) }
+
+// workerBytes is one worker's fixed machinery: a table of tableRows slots,
+// the intake scratch blocks (hashes and states), the packed-row scratch,
+// the scatterer's §4.2 write-combining buffers (DefaultBufRows chunk rows
+// per partition) and, when the plan bypasses hotKeys keys reading hotCols
+// input columns, the bypass scratch and accumulators.
+func workerBytes(tableRows, words, hotKeys, hotCols int) int64 {
+	b := int64(tableRows) * int64(hashtable.SlotBytes(words))
+	b += int64(scratchRows * 8 * (1 + words)) // hashScratch + stateScratch
+	b += int64(8 * words)                     // rowScratch
+	b += int64(hashfn.Fanout*partition.DefaultBufRows) * chunkRowBytes(words)
+	if hotKeys > 0 {
+		b += int64(scratchRows * (8 + 4))       // coldKeys + coldIdx
+		b += int64(hotCols * scratchRows * 8)   // coldCols
+		b += int64(hotKeys * (words*8 + 8 + 1)) // accumulators
+	}
+	return b
+}
+
 // exec holds one execution's shared state.
 type exec struct {
 	cfg     Config
@@ -170,10 +213,7 @@ func newExec(cfg Config, in *Input) (*exec, error) {
 		gov:     cfg.Governor,
 		tr:      cfg.Tracer,
 	}
-	e.cacheRows = hashtable.CapacityForCache(cfg.CacheBytes, e.words)
-	if e.cacheRows < hashfn.Fanout*hashtable.MinBlockRows {
-		e.cacheRows = hashfn.Fanout * hashtable.MinBlockRows
-	}
+	e.cacheRows = cacheRows(cfg.CacheBytes, e.words)
 	// Sketch plan: table pre-size and hot-key bypass. The plan is advisory
 	// throughout — a corrupt injected plan can at worst waste a few
 	// accumulators or split tables more often, never change results.
@@ -199,14 +239,13 @@ func newExec(cfg Config, in *Input) (*exec, error) {
 	if e.finalRows < 1 {
 		e.finalRows = 1
 	}
-	// One intermediate-run row materializes its key and state words, plus
-	// the hash when runs carry hashes; one output-chunk row always carries
-	// hash + key + state.
-	e.interRow = int64(8 * (1 + e.words))
-	if cfg.CarryHashes {
-		e.interRow += 8
+	// An intermediate-run row is an output-chunk row without the hash,
+	// unless runs carry hashes.
+	e.chunkRow = chunkRowBytes(e.words)
+	e.interRow = e.chunkRow
+	if !cfg.CarryHashes {
+		e.interRow -= 8
 	}
-	e.chunkRow = int64(8 * (2 + e.words))
 	e.pool = sched.NewPool(cfg.Workers)
 	// Routine selection (routine.go). Sort-spill refuses the run with the
 	// typed budget error before anything is reserved, so the caller
@@ -288,24 +327,14 @@ func newExec(cfg Config, in *Input) (*exec, error) {
 		ws.mem = e.gov.NewCache(0)
 	}
 	if e.gov != nil {
-		// Register the fixed per-worker machinery up front: the cache-sized
-		// table, the intake scratch blocks, and the scatterer's SWC buffers.
+		// Register the fixed per-worker machinery up front (workerBytes).
 		// If even that doesn't fit the budget, fail before touching the
 		// input so the caller can degrade immediately.
-		fixed := int64(0)
-		for w := range e.workers {
-			ws := &e.workers[w]
-			fixed += ws.table.FootprintBytes()
-			fixed += int64(scratchRows * 8)           // hashScratch
-			fixed += int64(e.words * scratchRows * 8) // stateScratch
-			fixed += int64(e.words * 8)               // rowScratch
-			fixed += int64(hashfn.Fanout * partition.DefaultBufRows * 8 * (2 + e.words))
-			if e.hot != nil {
-				fixed += int64(scratchRows * (8 + 4))                 // coldKeys + coldIdx
-				fixed += int64(len(e.refCols) * scratchRows * 8)      // coldCols
-				fixed += int64(len(e.hot.keys) * (e.words*8 + 8 + 1)) // accumulators
-			}
+		hotKeys, hotCols := 0, 0
+		if e.hot != nil {
+			hotKeys, hotCols = len(e.hot.keys), len(e.refCols)
 		}
+		fixed := int64(len(e.workers)) * workerBytes(e.tableRows, e.words, hotKeys, hotCols)
 		if !e.gov.TryReserve(fixed) {
 			return nil, e.gov.BudgetError("core: per-worker machinery", fixed)
 		}

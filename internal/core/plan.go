@@ -5,7 +5,6 @@ import (
 
 	"cacheagg/internal/agg"
 	"cacheagg/internal/hashfn"
-	"cacheagg/internal/hashtable"
 	"cacheagg/internal/sketch"
 )
 
@@ -198,11 +197,8 @@ func promotable(sk *sketch.Sketch, rows int) bool {
 
 // derive turns the measurements into decisions for the given configuration.
 func (p *Plan) derive(cfg Config, words int) {
-	cacheRows := hashtable.CapacityForCache(cfg.CacheBytes, words)
-	if cacheRows < hashfn.Fanout*hashtable.MinBlockRows {
-		cacheRows = hashfn.Fanout * hashtable.MinBlockRows
-	}
-	tableGroups := float64(cacheRows) * cfg.MaxFill
+	capRows := cacheRows(cfg.CacheBytes, words)
+	tableGroups := float64(capRows) * cfg.MaxFill
 
 	// Cold-stream reduction factor: bypassed hot keys are excluded from
 	// both the row mass and the group count, because the table never sees
@@ -231,12 +227,8 @@ func (p *Plan) derive(cfg Config, words int) {
 	// the slots. Kept a power of two ≥ the blocked-table floor and at most
 	// half the cache-sized capacity (below that the saving is noise).
 	if p.HalfSampleK > 0 && p.EstimatedK/p.HalfSampleK <= planDriftLimit {
-		want := ceilPow2Int(int(planTableSlack * p.EstimatedK))
-		floor := hashfn.Fanout * hashtable.MinBlockRows
-		if want < floor {
-			want = floor
-		}
-		if want <= cacheRows/2 {
+		want := max(ceilPow2Int(int(planTableSlack*p.EstimatedK)), minTableRows)
+		if want <= capRows/2 {
 			p.TableRows = want
 		}
 	}
@@ -259,10 +251,7 @@ func (p *Plan) sanitizedTableRows(cacheRows int) int {
 	if p == nil || p.TableRows <= 0 {
 		return 0
 	}
-	rows := ceilPow2Int(p.TableRows)
-	if floor := hashfn.Fanout * hashtable.MinBlockRows; rows < floor {
-		rows = floor
-	}
+	rows := max(ceilPow2Int(p.TableRows), minTableRows)
 	if rows >= cacheRows {
 		return 0
 	}

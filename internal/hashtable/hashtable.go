@@ -155,7 +155,7 @@ func (t *Table) CapacityRows() int { return t.capRows }
 // (hash, key, and version columns plus one column per state word), for
 // registration with the memory governor.
 func (t *Table) FootprintBytes() int64 {
-	return int64(t.capRows) * int64(8+8+1+8*t.words)
+	return int64(t.capRows) * int64(SlotBytes(t.words))
 }
 
 // SetLevel re-targets an empty table to a different recursion level, so a

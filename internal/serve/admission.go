@@ -35,9 +35,8 @@ import (
 	"sync"
 	"time"
 
-	"cacheagg/internal/hashfn"
+	"cacheagg/internal/core"
 	"cacheagg/internal/memgov"
-	"cacheagg/internal/partition"
 )
 
 // GrantMode says which rung of the degradation ladder admitted the query.
@@ -414,23 +413,16 @@ func (c *Controller) waitReserve(ctx context.Context, n int64, bound time.Durati
 }
 
 // EstimateCost sizes a query's up-front reservation from its input: the
-// per-worker fixed machinery of the operator (cache-sized hash table,
-// write-combining scatter buffers, intake scratch) plus the intermediate
-// state the input could produce. Deliberately a planning number — the
-// query's own byte-accurate governor enforces the grant; the estimate
-// only has to be the right order of magnitude for admission to slot
-// queries sensibly.
+// per-worker fixed machinery of the operator plus one output row per input
+// row, both from core.Footprint at aggWidth+1 state words (room for an AVG
+// decomposed into SUM and COUNT), and 1 MiB of slack. Deliberately a
+// planning number — the query's own byte-accurate governor enforces the
+// grant; the estimate only has to be the right order of magnitude for
+// admission to slot queries sensibly.
 func EstimateCost(rows, aggWidth, workers, cacheBytes int) int64 {
 	if workers <= 0 {
 		workers = 1
 	}
-	if cacheBytes <= 0 {
-		cacheBytes = 4 << 20 // operator default
-	}
-	width := aggWidth + 1 // +1: AVG decomposes into SUM and COUNT
-	perWorker := int64(2*cacheBytes) +
-		int64(hashfn.Fanout*partition.DefaultBufRows*8*(2+width)) +
-		256<<10
-	intermediates := int64(rows) * int64(16+8*width)
-	return int64(workers)*perWorker + intermediates + 1<<20
+	fixed, perRow := core.Footprint(core.Config{CacheBytes: cacheBytes}, aggWidth+1)
+	return int64(workers)*fixed + int64(rows)*perRow + 1<<20
 }

@@ -6,11 +6,8 @@ package serve
 // bit-identical result regardless of budgets, workers or spill behaviour —
 // makes the cached body exactly the body a fresh execution would produce.
 //
-// Three layers keep hits nearly free and misses cheap:
+// Two layers keep hits nearly free and misses cheap:
 //
-//   - a bloom pre-filter in front of the LRU: a key the filter has never
-//     seen is a definite miss, answered with four hash probes and no lock
-//     (the SNIPPETS.md bloom-guarded LRU idiom, ~80 ns misses);
 //   - a byte-bounded LRU holding pre-marshaled response bodies;
 //   - singleflight dedup: identical queries arriving while one is already
 //     executing wait for that leader instead of burning budget on N
@@ -21,7 +18,6 @@ package serve
 import (
 	"container/list"
 	"sync"
-	"sync/atomic"
 )
 
 // cacheEntry is one cached result body.
@@ -32,23 +28,11 @@ type cacheEntry struct {
 	elem   *list.Element
 }
 
-// bloomBits is the pre-filter size: 2^18 bits = 32 KiB, fine for the
-// ~thousands of distinct queries a byte-bounded result cache can hold.
-const bloomBits = 1 << 18
-
-// resultCache is the bloom-pre-filtered LRU with singleflight dedup.
+// resultCache is the byte-bounded LRU with singleflight dedup.
 // A nil *resultCache disables caching (every lookup misses, Do always
 // executes).
 type resultCache struct {
 	maxBytes int64
-
-	// bloom is a bit set over canonical keys ever inserted. It admits
-	// false positives (they fall through to an LRU miss) but no false
-	// negatives, so a clear probe answers "miss" without the lock.
-	// Inserts-only; rebuilt from live entries when saturation would make
-	// false positives common.
-	bloom        [bloomBits / 64]atomic.Uint64
-	bloomInserts atomic.Int64
 
 	mu      sync.Mutex
 	entries map[uint64]*cacheEntry // by 64-bit key hash
@@ -92,74 +76,14 @@ func fnv1a(s string) uint64 {
 	return h
 }
 
-// bloomProbes derives four probe positions from the key hash.
-func bloomProbes(h uint64) [4]uint32 {
-	var p [4]uint32
-	for i := range p {
-		p[i] = uint32(h>>(i*16)) % bloomBits
-		h = h*0x9e3779b97f4a7c15 + 1
-	}
-	return p
-}
-
-func (c *resultCache) bloomContains(h uint64) bool {
-	for _, p := range bloomProbes(h) {
-		if c.bloom[p/64].Load()&(1<<(p%64)) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func (c *resultCache) bloomAdd(h uint64) {
-	for _, p := range bloomProbes(h) {
-		word := &c.bloom[p/64]
-		for {
-			old := word.Load()
-			if old&(1<<(p%64)) != 0 || word.CompareAndSwap(old, old|1<<(p%64)) {
-				break
-			}
-		}
-	}
-	// Rebuild once the insert count reaches the classic m/(k·ln2)-ish
-	// saturation point: stale bits from evicted entries otherwise erode
-	// the pre-filter into a pass-through.
-	if c.bloomInserts.Add(1) > bloomBits/16 {
-		c.rebuildBloom()
-	}
-}
-
-// rebuildBloom resets the filter to the live entries. Holding the lock
-// keeps it consistent with the map; at 32 KiB the sweep is microseconds.
-func (c *resultCache) rebuildBloom() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := range c.bloom {
-		c.bloom[i].Store(0)
-	}
-	n := int64(0)
-	for h := range c.entries {
-		for _, p := range bloomProbes(h) {
-			word := &c.bloom[p/64]
-			word.Store(word.Load() | 1<<(p%64))
-		}
-		n++
-	}
-	c.bloomInserts.Store(n)
-}
-
 // get returns the cached body for the canonical key, or ok=false.
 func (c *resultCache) get(key string) (body []byte, groups int, ok bool) {
 	if c == nil {
 		return nil, 0, false
 	}
-	h := fnv1a(key)
-	if !c.bloomContains(h) {
-		return nil, 0, false // definite miss, no lock taken
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[h]
+	e, ok := c.entries[fnv1a(key)]
 	if !ok || e.key != key {
 		return nil, 0, false
 	}
@@ -175,6 +99,7 @@ func (c *resultCache) put(key string, body []byte, groups int) {
 	}
 	h := fnv1a(key)
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if old, ok := c.entries[h]; ok {
 		// Same hash: refresh (same key) or replace (collision — rare
 		// enough that keeping the newcomer is fine).
@@ -200,8 +125,6 @@ func (c *resultCache) put(key string, body []byte, groups int) {
 		c.metrics.CacheEntries.Store(int64(len(c.entries)))
 		c.metrics.CacheBytes.Store(c.bytes)
 	}
-	c.mu.Unlock()
-	c.bloomAdd(h)
 }
 
 // join registers interest in an in-flight execution of key. It returns

@@ -14,7 +14,7 @@
 //     queued work — instead of failing (admission.go);
 //   - per-request deadlines and client-disconnect cancellation threaded
 //     through AggregateContext end to end (server.go);
-//   - a bloom-pre-filtered LRU result cache with singleflight dedup of
+//   - a byte-bounded LRU result cache with singleflight dedup of
 //     identical in-flight queries (cache.go);
 //   - panic containment per session, graceful drain on shutdown, and
 //     /healthz + /metrics observability (server.go, metrics.go).

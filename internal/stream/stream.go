@@ -1077,8 +1077,7 @@ func (a *Aggregator) mergeByMap(keys []uint64, cols [][]int64) ([]uint64, [][]ui
 }
 
 // finalize turns merged decomposed partials into the original specs'
-// results: AVG from its (SUM, COUNT) pair — exact in the float column —
-// everything else widened in place.
+// results (external.Plan.AppendFinalized) and stamps each group's hash.
 func finalize(p *external.Plan, keys []uint64, parts [][]uint64, res *Result) {
 	res.Keys = keys
 	res.Hashes = make([]uint64, len(keys))
@@ -1087,27 +1086,11 @@ func finalize(p *external.Plan, keys []uint64, parts [][]uint64, res *Result) {
 	}
 	res.Aggs = make([][]int64, len(p.Orig))
 	res.AggsFloat = make([][]float64, len(p.Orig))
-	for si, s := range p.Orig {
-		off := p.Off[si]
-		col := make([]int64, len(keys))
-		fcol := make([]float64, len(keys))
-		for g := range keys {
-			if s.Kind == agg.Avg {
-				sum := int64(parts[off][g])
-				cnt := int64(parts[off+1][g])
-				if cnt == 0 {
-					col[g], fcol[g] = 0, 0
-				} else {
-					col[g], fcol[g] = sum/cnt, float64(sum)/float64(cnt)
-				}
-			} else {
-				v := int64(parts[off][g])
-				col[g], fcol[g] = v, float64(v)
-			}
-		}
-		res.Aggs[si] = col
-		res.AggsFloat[si] = fcol
+	for si := range p.Orig {
+		res.Aggs[si] = make([]int64, 0, len(keys))
+		res.AggsFloat[si] = make([]float64, 0, len(keys))
 	}
+	p.AppendFinalized(res.Aggs, res.AggsFloat, parts, len(keys))
 }
 
 // sortResult orders the result by (hash, key): the canonical order that
