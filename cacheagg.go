@@ -318,7 +318,7 @@ func (r *Result) Len() int { return len(r.Groups) }
 // Float returns aggregate column a of row (group) idx as a float64 — the
 // exact value for Avg, the widened integer otherwise.
 func (r *Result) Float(a, idx int) float64 {
-	return r.states.AggsFloat[a][idx]
+	return r.states.Float(a, idx)
 }
 
 // Hashes returns the hash digests of the groups (ascending bucket order),
@@ -540,8 +540,12 @@ func degradeToExternal(ctx context.Context, in Input, opt Options, cin *core.Inp
 			aggs[a][i] = col[o]
 		}
 	}
+	// Only AVG keeps a float column, as in the in-memory result.
 	aggsF := make([][]float64, len(eres.AggsFloat))
 	for a, col := range eres.AggsFloat {
+		if cin.Specs[a].Kind != agg.Avg {
+			continue
+		}
 		aggsF[a] = make([]float64, n)
 		for i, o := range ord {
 			aggsF[a][i] = col[o]

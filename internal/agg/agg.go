@@ -162,6 +162,34 @@ func (k Kind) FinalizeFloat(state []uint64) float64 {
 	}
 }
 
+// FinalizeColumn is the column form of FinalizeInt and FinalizeFloat: it
+// finalizes len(ints) rows of the state columns (state[w] is state word w,
+// Width() columns) with the kind switch outside the row loop. Avg writes
+// its truncated quotient to ints and its exact quotient to floats, which
+// must hold len(ints) rows; a zero count gives 0 in both. Every other kind
+// writes ints only, and floats may be nil.
+func (k Kind) FinalizeColumn(ints []int64, floats []float64, state [][]uint64) {
+	switch k {
+	case Count, Sum, Min, Max:
+		for i, v := range state[0][:len(ints)] {
+			ints[i] = int64(v)
+		}
+	case Avg:
+		sums, cnts := state[0][:len(ints)], state[1][:len(ints)]
+		floats = floats[:len(ints)]
+		for i := range ints {
+			sum, cnt := int64(sums[i]), int64(cnts[i])
+			if cnt == 0 {
+				ints[i], floats[i] = 0, 0
+				continue
+			}
+			ints[i], floats[i] = sum/cnt, float64(sum)/float64(cnt)
+		}
+	default:
+		panic("agg: invalid kind")
+	}
+}
+
 // Spec describes one aggregate column of a query: which function to apply
 // and which input column feeds it. Col indexes the caller's slice of
 // aggregate input columns; it is ignored by Count (which consumes no input)

@@ -1,6 +1,7 @@
 package agg
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -251,6 +252,54 @@ func TestAvgZeroCountFinalizesToZero(t *testing.T) {
 	}
 }
 
+// TestFinalizeColumnMatchesRowForm: the column kernel gives the row
+// finalizers' values bit for bit, for every kind, over random states and a
+// zero-count AVG row; it writes floats for AVG only.
+func TestFinalizeColumnMatchesRowForm(t *testing.T) {
+	rng := xrand.NewXoshiro256(3)
+	const n = 257
+	for _, k := range allKinds() {
+		state := make([][]uint64, k.Width())
+		for w := range state {
+			state[w] = make([]uint64, n)
+			for i := range state[w] {
+				state[w][i] = rng.Next()
+			}
+		}
+		if k == Avg {
+			for i := range state[1] {
+				state[1][i] %= 1000 // a count; row 7 has none
+			}
+			state[1][7] = 0
+		}
+		ints := make([]int64, n)
+		floats := make([]float64, n)
+		for i := range floats {
+			floats[i] = -1
+		}
+		k.FinalizeColumn(ints, floats, state)
+		row := make([]uint64, k.Width())
+		for i := 0; i < n; i++ {
+			for w := range row {
+				row[w] = state[w][i]
+			}
+			if ints[i] != k.FinalizeInt(row) {
+				t.Fatalf("%v row %d: int %d, want %d", k, i, ints[i], k.FinalizeInt(row))
+			}
+			wantF := -1.0
+			if k == Avg {
+				wantF = k.FinalizeFloat(row)
+			}
+			if math.Float64bits(floats[i]) != math.Float64bits(wantF) {
+				t.Fatalf("%v row %d: float %v, want %v", k, i, floats[i], wantF)
+			}
+		}
+		if k != Avg {
+			k.FinalizeColumn(ints, nil, state) // floats unused
+		}
+	}
+}
+
 func TestInvalidKindPanics(t *testing.T) {
 	bad := Kind(77)
 	cases := []func(){
@@ -259,6 +308,7 @@ func TestInvalidKindPanics(t *testing.T) {
 		func() { bad.Merge(make([]uint64, 1), make([]uint64, 1)) },
 		func() { bad.FinalizeInt(make([]uint64, 1)) },
 		func() { bad.FinalizeFloat(make([]uint64, 1)) },
+		func() { bad.FinalizeColumn(make([]int64, 1), nil, [][]uint64{{0}}) },
 	}
 	for i, f := range cases {
 		func() {

@@ -18,9 +18,10 @@
 //     final aggregates directly (when one hash table absorbed the entire
 //     bucket without filling: the fused final pass of Section 2.1) or
 //     spawns child tasks for the 256 sub-buckets at level d+1.
-//  3. Assembly: finalized chunks are concatenated in hash order — the
-//     output is "a hash table like HASHAGGREGATION would produce, but built
-//     with a sorting algorithm" (Section 3.1).
+//  3. Assembly: the chunks are ordered by hash prefix, and each is
+//     finalized in parallel into its range of the result — the output is
+//     "a hash table like HASHAGGREGATION would produce, but built with a
+//     sorting algorithm" (Section 3.1).
 package core
 
 import (
@@ -28,12 +29,15 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cacheagg/internal/agg"
 	"cacheagg/internal/hashfn"
 	"cacheagg/internal/hashtable"
 	"cacheagg/internal/memgov"
+	"cacheagg/internal/runs"
+	"cacheagg/internal/sched"
 	"cacheagg/internal/trace"
 )
 
@@ -145,16 +149,18 @@ func (in *Input) Validate() error {
 }
 
 // Result is the operator's output: one row per group, ordered by hash value
-// (the concatenation of the final runs).
+// (the concatenation of the final runs). Every column holds exactly
+// Groups() rows, at length and capacity.
 type Result struct {
 	// Keys holds the group keys.
 	Keys []uint64
 	// Hashes holds the corresponding hash digests (ascending bucket order).
 	Hashes []uint64
-	// Aggs holds one finalized column per input spec.
+	// Aggs holds one finalized column per input spec (AVG truncated).
 	Aggs [][]int64
-	// AggsFloat holds the same columns finalized as float64 (exact for
-	// AVG, widened integers otherwise).
+	// AggsFloat holds the exact float64 column of each AVG spec and nil
+	// for every other spec, whose float value is its Aggs value widened;
+	// read floats through Float.
 	AggsFloat [][]float64
 	// Stats holds execution statistics (populated when CollectStats).
 	Stats Stats
@@ -162,6 +168,15 @@ type Result struct {
 
 // Groups returns the number of groups in the result.
 func (r *Result) Groups() int { return len(r.Keys) }
+
+// Float returns spec a of the given row as a float64: the exact quotient for
+// AVG, the widened integer otherwise.
+func (r *Result) Float(a, row int) float64 {
+	if f := r.AggsFloat[a]; f != nil {
+		return f[row]
+	}
+	return float64(r.Aggs[a][row])
+}
 
 // MaxPasses is the deepest possible recursion: one level per radix-256
 // digit of the 64-bit hash, plus one pseudo-level for forced finalization.
@@ -253,7 +268,6 @@ type workerStats struct {
 // with the bucket's hash prefix for ordered assembly.
 type chunk struct {
 	sortKey uint64 // bucket prefix left-aligned to 64 bits
-	worker  int    // the emitting worker, whose free list takes the columns back
 	hashes  []uint64
 	keys    []uint64
 	states  [][]uint64 // packed state columns, finalized at assembly
@@ -313,7 +327,9 @@ func AggregateContext(ctx context.Context, cfg Config, in *Input) (res *Result, 
 	if err := e.run(ctx); err != nil {
 		return nil, err
 	}
-	res = e.assemble()
+	if res, err = e.assemble(ctx); err != nil {
+		return nil, err
+	}
 	e.recycle()
 	return res, nil
 }
@@ -330,49 +346,52 @@ func DistinctContext(ctx context.Context, cfg Config, keys []uint64) (*Result, e
 	return AggregateContext(ctx, cfg, &Input{Keys: keys})
 }
 
-// assemble sorts the finalized chunks by bucket prefix and concatenates
-// them into the final result, finalizing aggregate states column-wise. The
-// result is a copy: each chunk's columns go back to its worker's free list.
-func (e *exec) assemble() *Result {
-	c := &e.out
-	sort.Slice(c.chunks, func(i, j int) bool { return c.chunks[i].sortKey < c.chunks[j].sortKey })
+// assemble sorts the finalized chunks by bucket prefix and finalizes each
+// into its prefix-ordered range of a result allocated at exact size: one
+// pool task per chunk, run inline when the pool has one worker or there is
+// at most one chunk. A task gives its chunk's columns to the free list of
+// the worker running it. A cancelled context returns ctx.Err().
+func (e *exec) assemble(ctx context.Context) (*Result, error) {
+	chunks := e.out.chunks
+	sort.Slice(chunks, func(i, j int) bool { return chunks[i].sortKey < chunks[j].sortKey })
 
+	n := e.out.groups
 	res := &Result{
-		Keys:      make([]uint64, 0, c.groups),
-		Hashes:    make([]uint64, 0, c.groups),
+		Keys:      make([]uint64, n),
+		Hashes:    make([]uint64, n),
 		Aggs:      make([][]int64, len(e.layout.Specs)),
 		AggsFloat: make([][]float64, len(e.layout.Specs)),
 	}
-	for i := range res.Aggs {
-		res.Aggs[i] = make([]int64, 0, c.groups)
-		res.AggsFloat[i] = make([]float64, 0, c.groups)
+	for si, sp := range e.layout.Specs {
+		res.Aggs[si] = make([]int64, n)
+		if sp.Kind == agg.Avg {
+			res.AggsFloat[si] = make([]float64, n)
+		}
 	}
-	scratch := make([]uint64, 2) // widest state is AVG's two words
-	for _, ch := range c.chunks {
-		res.Hashes = append(res.Hashes, ch.hashes...)
-		res.Keys = append(res.Keys, ch.keys...)
-		for si, sp := range e.layout.Specs {
-			off := e.layout.Offsets[si]
-			w := sp.Kind.Width()
-			col := res.Aggs[si]
-			fcol := res.AggsFloat[si]
-			for r := 0; r < len(ch.keys); r++ {
-				st := scratch[:w]
-				for x := 0; x < w; x++ {
-					st[x] = ch.states[off+x][r]
-				}
-				col = append(col, sp.Kind.FinalizeInt(st))
-				fcol = append(fcol, sp.Kind.FinalizeFloat(st))
-			}
-			res.Aggs[si] = col
-			res.AggsFloat[si] = fcol
+	offs := make([]int, len(chunks))
+	for i, off := 0, 0; i < len(chunks); i++ {
+		offs[i] = off
+		off += len(chunks[i].keys)
+	}
+	if e.pool.Workers() == 1 || len(chunks) <= 1 {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		free := e.workers[ch.worker].free
-		free.Put(ch.hashes)
-		free.Put(ch.keys)
-		for _, col := range ch.states {
-			free.Put(col)
+		for i := range chunks {
+			e.finalizeChunk(e.workers[0].free, res, &chunks[i], offs[i])
 		}
+	} else if err := e.pool.RunContext(ctx, func(ctx *sched.Ctx) {
+		// Each task claims the next chunk, so one closure serves them all.
+		var next atomic.Int64
+		task := func(c *sched.Ctx) {
+			i := next.Add(1) - 1
+			e.finalizeChunk(e.workers[c.Worker].free, res, &chunks[i], offs[i])
+		}
+		for range chunks {
+			ctx.Spawn(task)
+		}
+	}); err != nil {
+		return nil, err
 	}
 	// Merge stats.
 	if e.cfg.CollectStats {
@@ -399,7 +418,28 @@ func (e *exec) assemble() *Result {
 			res.Stats.PlanNanos = p.Nanos
 		}
 	}
-	return res
+	return res, nil
+}
+
+// finalizeChunk writes chunk ch into rows [off, off+len) of res and gives
+// its columns to free.
+func (e *exec) finalizeChunk(free *runs.Free, res *Result, ch *chunk, off int) {
+	end := off + len(ch.keys)
+	copy(res.Keys[off:end], ch.keys)
+	copy(res.Hashes[off:end], ch.hashes)
+	for si, sp := range e.layout.Specs {
+		var floats []float64
+		if f := res.AggsFloat[si]; f != nil {
+			floats = f[off:end]
+		}
+		so := e.layout.Offsets[si]
+		sp.Kind.FinalizeColumn(res.Aggs[si][off:end], floats, ch.states[so:so+sp.Kind.Width()])
+	}
+	free.Put(ch.hashes)
+	free.Put(ch.keys)
+	for _, col := range ch.states {
+		free.Put(col)
+	}
 }
 
 // timed runs fn and charges its wall time to the given level of the

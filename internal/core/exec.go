@@ -1125,13 +1125,13 @@ func (e *exec) finalizeGrown(ws *workerState, b *runs.Bucket, prefix uint64, lev
 // the bucket's prefix and hands it to the collector. Rows are emitted in
 // block order, i.e. ordered by the next hash digit — concatenating all
 // chunks in prefix order yields the hash-ordered result. The chunk's columns
-// come from the worker's free list; assemble gives them back to it.
+// come from the worker's free list; assemble gives them to the list of
+// the worker that finalizes the chunk.
 func (e *exec) emitTable(ws *workerState, table *hashtable.Table, prefix uint64, level int) {
 	n := table.Len()
 	t0 := e.stamp()
 	ch := chunk{
 		sortKey: prefix << uint(64-hashfn.DigitBits*min(level, hashfn.MaxLevels)),
-		worker:  ws.id,
 		hashes:  ws.free.Col(n),
 		keys:    ws.free.Col(n),
 		states:  make([][]uint64, e.words),

@@ -32,6 +32,16 @@ func mkExec(specs []agg.Spec, keys []uint64, cols [][]int64) *exec {
 	return e
 }
 
+// assembled runs e's finalize round, failing the test on error.
+func assembled(t *testing.T, e *exec) *Result {
+	t.Helper()
+	res, err := e.assemble(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // runBucketTask drives processBucket through the pool like the engine does.
 func runBucketTask(e *exec, b *runs.Bucket, level int, prefix uint64) {
 	e.pool.Run(func(ctx *sched.Ctx) { e.processBucket(ctx, b, level, prefix) })
@@ -52,7 +62,7 @@ func TestForcedFinalizationAtMaxLevels(t *testing.T) {
 	var b runs.Bucket
 	b.Add(r)
 	runBucketTask(e, &b, hashfn.MaxLevels, 0)
-	res := e.assemble()
+	res := assembled(t, e)
 	if res.Groups() != n {
 		t.Fatalf("collision bucket produced %d groups, want %d", res.Groups(), n)
 	}
@@ -79,7 +89,7 @@ func TestForcedFinalizationMergesDuplicates(t *testing.T) {
 	var b runs.Bucket
 	b.Add(r)
 	runBucketTask(e, &b, hashfn.MaxLevels, 0)
-	res := e.assemble()
+	res := assembled(t, e)
 	if res.Groups() != 3 {
 		t.Fatalf("got %d groups, want 3", res.Groups())
 	}
@@ -114,7 +124,7 @@ func TestLeafBlockOverflowFallsBackToGrownTable(t *testing.T) {
 		t.Skipf("bucket (%d) exceeds leaf threshold (%d)", b.Rows(), e.finalRows)
 	}
 	runBucketTask(e, &b, 1, 0)
-	res := e.assemble()
+	res := assembled(t, e)
 	if res.Groups() != n {
 		t.Fatalf("block-overflow fallback lost groups: %d, want %d", res.Groups(), n)
 	}
@@ -139,7 +149,7 @@ func TestEmitTableChunkOrdering(t *testing.T) {
 	// Process high-digit bucket first.
 	runBucketTask(e, mkBucket(9), 1, 9)
 	runBucketTask(e, mkBucket(2), 1, 2)
-	res := e.assemble()
+	res := assembled(t, e)
 	if res.Groups() != 100 {
 		t.Fatalf("groups = %d", res.Groups())
 	}
@@ -173,7 +183,7 @@ func TestDirectEmitOnLowCardinalityBucket(t *testing.T) {
 	// level 1 anyway (the engine never depends on the prefix actually
 	// matching for correctness, only for output ordering).
 	runBucketTask(e, &b, 1, 0)
-	res := e.assemble()
+	res := assembled(t, e)
 	if res.Groups() != 7 {
 		t.Fatalf("groups = %d, want 7", res.Groups())
 	}
@@ -196,7 +206,7 @@ func TestCapacityFloor(t *testing.T) {
 	if err := e.run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	res := e.assemble()
+	res := assembled(t, e)
 	if res.Groups() != 3 {
 		t.Fatalf("groups = %d", res.Groups())
 	}

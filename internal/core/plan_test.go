@@ -61,9 +61,9 @@ func requireIdentical(t *testing.T, planned, plain *Result, label string) {
 				t.Fatalf("%s: key %d agg %d: %d != %d",
 					label, k, a, planned.Aggs[a][r], plain.Aggs[a][pr])
 			}
-			if planned.AggsFloat[a][r] != plain.AggsFloat[a][pr] {
+			if planned.Float(a, r) != plain.Float(a, pr) {
 				t.Fatalf("%s: key %d agg %d float: %g != %g",
-					label, k, a, planned.AggsFloat[a][r], plain.AggsFloat[a][pr])
+					label, k, a, planned.Float(a, r), plain.Float(a, pr))
 			}
 		}
 	}

@@ -52,7 +52,9 @@ func cloneResult(r *Result) *Result {
 	}
 	for i := range r.Aggs {
 		c.Aggs[i] = append([]int64(nil), r.Aggs[i]...)
-		c.AggsFloat[i] = append([]float64(nil), r.AggsFloat[i]...)
+		if r.AggsFloat[i] != nil {
+			c.AggsFloat[i] = append([]float64(nil), r.AggsFloat[i]...)
+		}
 	}
 	return c
 }
@@ -69,7 +71,7 @@ func sameResult(a, b *Result) bool {
 	for s := range a.Aggs {
 		for i := range a.Aggs[s] {
 			if a.Aggs[s][i] != b.Aggs[s][i] ||
-				math.Float64bits(a.AggsFloat[s][i]) != math.Float64bits(b.AggsFloat[s][i]) {
+				math.Float64bits(a.Float(s, i)) != math.Float64bits(b.Float(s, i)) {
 				return false
 			}
 		}
@@ -142,7 +144,8 @@ func TestCleanRunAfterAbortedRunsMatchesReference(t *testing.T) {
 
 // TestPartitioningAllocStaysProportional: an op that partitions allocates
 // about its result, not 256 full chunks per column — run storage grows with
-// the data and is reused from the previous op.
+// the data and is reused from the previous op. At one worker the finalize
+// round runs inline, so this also pins that it adds no mallocs.
 func TestPartitioningAllocStaysProportional(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector drops pooled worker kits at random")
@@ -169,8 +172,10 @@ func TestPartitioningAllocStaysProportional(t *testing.T) {
 	perOp := float64(after.TotalAlloc-before.TotalAlloc) / ops / inputBytes
 	mallocs := (after.Mallocs - before.Mallocs) / ops
 	t.Logf("%.2f× input bytes and %d mallocs per op", perOp, mallocs)
-	if perOp > 3 {
-		t.Errorf("an op allocates %.2f× its input bytes, want ≤ 3×", perOp)
+	// The result is made once at its exact size, with a float column for
+	// AVG only.
+	if perOp > 2 {
+		t.Errorf("an op allocates %.2f× its input bytes, want ≤ 2×", perOp)
 	}
 	// 5976 is this op's count with full 4096-row chunks and no free list:
 	// smaller chunks must not cost more allocations than they save.
