@@ -652,6 +652,51 @@ func (t *Table) EmitColumns(hashes, keys []uint64, states [][]uint64) {
 	}
 }
 
+// Double returns a table of twice t's capacity — same blocks, fill rate,
+// level, width and run layout — holding every row of t; t is left
+// unchanged. Rows move in slot order, each to the first free slot of its
+// probe sequence in the new table: the keys are distinct, so no key is
+// compared and no state merged, and the result is the table that
+// re-inserting t's emitted rows would build. Every block and the fill
+// limit at least double, so every row finds a slot; running out is a bug
+// and panics.
+func (t *Table) Double() *Table {
+	nt := New(Config{
+		CapacityRows:     2 * t.capRows,
+		Blocks:           t.blocks,
+		Words:            t.words,
+		Level:            t.level,
+		OmitHashesInRuns: t.omitInRun,
+	})
+	nt.maxRows = 2 * t.maxRows // the same fill rate
+	m := int(nt.blockMask)
+	for s, v := range t.version {
+		if v != t.epoch {
+			continue
+		}
+		h := t.hashes[s]
+		base, off := nt.block(h)*nt.blockRows, nt.probeStart(h)
+		d := -1
+		for i := 0; i < nt.blockRows; i++ {
+			if s2 := base + (off+i)&m; nt.version[s2] != nt.epoch {
+				d = s2
+				break
+			}
+		}
+		if d < 0 {
+			panic("hashtable: doubled table overflowed")
+		}
+		nt.version[d] = nt.epoch
+		nt.hashes[d] = h
+		nt.keys[d] = t.keys[s]
+		for w, col := range t.states {
+			nt.states[w][d] = col[s]
+		}
+	}
+	nt.rows, nt.rowsIn = t.rows, t.rowsIn
+	return nt
+}
+
 // Reset clears the table in O(1) via epoch bump (O(capacity) re-zeroing
 // happens only on the rare epoch wrap).
 func (t *Table) Reset() {

@@ -457,3 +457,116 @@ func TestInsertColsAgainstKindAPI(t *testing.T) {
 		}
 	})
 }
+
+// TestDoubleGrowsWithoutLoss drives a table from its smallest legal size
+// through every doubling a fill stop forces, and checks each grown table
+// against a map reference: same groups, same states, same rowsIn, twice
+// the capacity and footprint, and the source table left untouched.
+func TestDoubleGrowsWithoutLoss(t *testing.T) {
+	lay := agg.NewLayout([]agg.Spec{
+		{Kind: agg.Count}, {Kind: agg.Sum, Col: 0}, {Kind: agg.Min, Col: 0},
+		{Kind: agg.Max, Col: 0}, {Kind: agg.Avg, Col: 0},
+	})
+	kern := lay.Kernels()
+	for _, cfg := range []Config{
+		{Blocks: 1, MaxFill: 0.5},
+		{Blocks: 4, MaxFill: 0.25, Level: 1, OmitHashesInRuns: true},
+	} {
+		cfg.Words = lay.Words
+		cfg.CapacityRows = cfg.Blocks * MinBlockRows
+		tb := New(cfg)
+		rng := xrand.NewXoshiro256(uint64(cfg.Blocks))
+		const n = 5000
+		keys := make([]uint64, n)
+		vals := make([]int64, n)
+		for i := range keys {
+			keys[i] = rng.Next() % 1500
+			vals[i] = int64(rng.Next()%4001) - 2000
+		}
+		hashes := make([]uint64, n)
+		hashfn.HashBatch(keys, hashes)
+		cols := [][]int64{vals}
+		doublings := 0
+		for i := 0; i < n; {
+			i += tb.InsertRawBatch(hashes[i:], keys[i:], cols, i, kern)
+			if i == n {
+				break
+			}
+			before, footprint, capRows := tb.Len(), tb.FootprintBytes(), tb.CapacityRows()
+			grown := tb.Double()
+			doublings++
+			if grown.CapacityRows() != 2*capRows || grown.FootprintBytes() != 2*footprint ||
+				grown.MaxRows() != 2*tb.MaxRows() {
+				t.Fatalf("blocks %d: doubled %d slots / %d B / fill %d into %d / %d / %d",
+					cfg.Blocks, capRows, footprint, tb.MaxRows(),
+					grown.CapacityRows(), grown.FootprintBytes(), grown.MaxRows())
+			}
+			// The moved table is the one re-inserting t's emitted rows
+			// builds: same rows in the same slots.
+			ref := New(cfg)
+			for ref.CapacityRows() < grown.CapacityRows() {
+				ref = ref.Double()
+			}
+			eh, ek, es := emitAll(tb)
+			if m := ref.InsertStateBatch(eh, ek, es, 0, kern); m != before {
+				t.Fatalf("blocks %d: reference re-insert absorbed %d of %d rows", cfg.Blocks, m, before)
+			}
+			gh, gk, gs := emitAll(grown)
+			rh, rk, rs := emitAll(ref)
+			for j := range gk {
+				if gh[j] != rh[j] || gk[j] != rk[j] {
+					t.Fatalf("blocks %d: row %d moved to a different slot than a re-insert puts it", cfg.Blocks, j)
+				}
+				for w := range gs {
+					if gs[w][j] != rs[w][j] {
+						t.Fatalf("blocks %d: row %d word %d differs from the re-insert", cfg.Blocks, j, w)
+					}
+				}
+			}
+			if grown.Len() != before || grown.RowsIn() != i || tb.Len() != before {
+				t.Fatalf("blocks %d: groups %d -> %d (source now %d), rowsIn %d want %d",
+					cfg.Blocks, before, grown.Len(), tb.Len(), grown.RowsIn(), i)
+			}
+			tb = grown
+		}
+		if doublings < 8 {
+			t.Fatalf("blocks %d: only %d doublings from the smallest table", cfg.Blocks, doublings)
+		}
+		ref := map[uint64][]uint64{}
+		for i, k := range keys {
+			st, ok := ref[k]
+			if !ok {
+				st = make([]uint64, lay.Words)
+				lay.InitRow(st, func(int) int64 { return vals[i] })
+				ref[k] = st
+				continue
+			}
+			lay.FoldRow(st, func(int) int64 { return vals[i] })
+		}
+		if tb.Len() != len(ref) {
+			t.Fatalf("blocks %d: %d groups, want %d", cfg.Blocks, tb.Len(), len(ref))
+		}
+		for k, want := range ref {
+			got, ok := tb.Lookup(hashfn.Murmur2(k), k)
+			if !ok {
+				t.Fatalf("blocks %d: key %d lost", cfg.Blocks, k)
+			}
+			for w := range want {
+				if got[w] != want[w] {
+					t.Fatalf("blocks %d: key %d word %d = %d, want %d", cfg.Blocks, k, w, got[w], want[w])
+				}
+			}
+		}
+	}
+}
+
+// emitAll gathers every row of t in slot order.
+func emitAll(t *Table) (hashes, keys []uint64, states [][]uint64) {
+	hashes, keys = make([]uint64, t.Len()), make([]uint64, t.Len())
+	states = make([][]uint64, t.words)
+	for w := range states {
+		states[w] = make([]uint64, t.Len())
+	}
+	t.EmitColumns(hashes, keys, states)
+	return hashes, keys, states
+}

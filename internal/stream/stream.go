@@ -1,8 +1,11 @@
 // Package stream implements durable push-based streaming aggregation on
 // top of the batch operator: a StreamAggregator accepts blocks of
 // (key, columns) rows through a bounded, memory-governed ingest queue,
-// folds them into an in-memory epoch accumulator with sorted/clustered-run
-// early aggregation, and periodically seals the accumulator into an epoch
+// folds them block by block into the epoch accumulator — a growable batch
+// hash table (hashtable.Table fed by hashfn.HashBatch and the batch insert
+// kernels) whose exact footprint is on the memory ledger, with runs of
+// equal adjacent keys pre-folded before the table — and periodically seals
+// the accumulator into an epoch
 // checkpoint — partial aggregation state written through the external
 // package's CRC-checked block codec, committed by an atomically-renamed,
 // checksummed manifest. Resume reconstructs the stream from its checkpoint
@@ -41,12 +44,13 @@
 package stream
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -55,6 +59,7 @@ import (
 	"cacheagg/internal/external"
 	"cacheagg/internal/faultfs"
 	"cacheagg/internal/hashfn"
+	"cacheagg/internal/hashtable"
 	"cacheagg/internal/memgov"
 	"cacheagg/internal/trace"
 )
@@ -219,16 +224,13 @@ type Result struct {
 // Groups returns the number of groups.
 func (r *Result) Groups() int { return len(r.Keys) }
 
-// bytesPerGroup estimates the resident cost of one accumulator group:
-// key + partial words + map entry overhead.
-func bytesPerGroup(width int) int64 { return int64(8 + 8*width + 48) }
-
 // Aggregator is the durable streaming aggregation session. All methods
 // are safe for concurrent use; blocks and control operations are applied
 // in one total order by a single consumer goroutine.
 type Aggregator struct {
 	opts   Options
 	plan   *external.Plan
+	kern   *agg.Kernels // the decomposed plan's batch kernels
 	specs  []agg.Spec
 	fs     faultfs.FS // retry-wrapped
 	baseFS faultfs.FS
@@ -260,28 +262,60 @@ type Aggregator struct {
 	prog   Progress
 }
 
-// accum is the open epoch's accumulator: group index in first-appearance
-// order with one uint64 partial-state word per decomposed column.
+// accum is the open epoch's accumulator: one growable batch hash table
+// with one state word per decomposed column — unblocked and at most half
+// full, like core's grown finalization table — plus reusable scratch. The
+// governor holds exactly tab.FootprintBytes() for it while tab is non-nil.
 type accum struct {
-	idx      map[uint64]int
-	keys     []uint64
-	parts    [][]uint64
-	rows     int64 // raw rows folded this epoch
-	resBytes int64 // bytes reserved with the governor
+	tab  *hashtable.Table // nil until the epoch's first fold
+	rows int64            // raw rows folded this epoch
+
+	// Fold scratch, one block wide: the run scan's row→segment slot vector
+	// and segment keys, hashes, and the pre-folded segment states.
+	slots     []int32
+	segKeys   []uint64
+	hashes    []uint64
+	segStates [][]uint64
+
+	// EmitColumns scratch of seal and snapshot, reserved with the governor
+	// only while in use.
+	outHashes []uint64
+	outKeys   []uint64
+	outStates [][]uint64
 }
 
-func (a *accum) reset(width int) {
-	a.idx = make(map[uint64]int, 1024)
-	a.keys = a.keys[:0]
-	if a.parts == nil {
-		a.parts = make([][]uint64, width)
-	}
-	for c := range a.parts {
-		a.parts[c] = a.parts[c][:0]
-	}
-	a.rows = 0
-	a.resBytes = 0
+// newAccumTable is the accumulator's table at its smallest legal size;
+// growth doubles it.
+func newAccumTable(width int) *hashtable.Table {
+	return hashtable.New(hashtable.Config{
+		CapacityRows: hashtable.MinBlockRows,
+		Blocks:       1,
+		MaxFill:      0.5,
+		Words:        width,
+	})
 }
+
+// sizeFold makes the fold scratch at least n rows wide. A block pre-folds
+// its segments only when they are at most half its rows, so the segment
+// states need half the width.
+func (acc *accum) sizeFold(n, width int) {
+	if cap(acc.slots) >= n {
+		return
+	}
+	acc.slots = make([]int32, n)
+	acc.segKeys = make([]uint64, n)
+	acc.hashes = make([]uint64, n)
+	acc.segStates = make([][]uint64, width)
+	for w := range acc.segStates {
+		acc.segStates[w] = make([]uint64, n/2)
+	}
+}
+
+// foldBytes is the fold scratch n block rows occupy, as sizeFold lays it
+// out: per row a slot, a segment key, a hash, the table's batch slot, and
+// half a row of segment states. A queued block reserves it on top of its
+// columns, so the working memory of its fold is admitted with it.
+func foldBytes(n, width int) int64 { return int64(n) * int64(24+4*width) }
 
 type ctlOp int
 
@@ -364,7 +398,7 @@ func newAggregator(opts Options) (*Aggregator, error) {
 
 // start finalizes the plan-dependent state and launches the consumer.
 func (a *Aggregator) start() {
-	a.acc.reset(a.plan.Width())
+	a.kern = agg.NewLayout(a.plan.Dec).Kernels()
 	a.statMu.Lock()
 	a.prog.Epoch = a.epoch
 	a.prog.RowsDurable = a.man.RowsDurable
@@ -426,11 +460,55 @@ func (a *Aggregator) fail(err error) {
 	a.releaseAcc()
 }
 
+// releaseAcc drops the accumulator's table and emit scratch and returns
+// the table's reservation.
 func (a *Aggregator) releaseAcc() {
-	if a.acc.resBytes > 0 {
-		a.gov.Release(a.acc.resBytes)
+	if a.acc.tab != nil {
+		a.gov.Release(a.acc.tab.FootprintBytes())
 	}
-	a.acc.reset(a.plan.Width())
+	a.acc.tab = nil
+	a.acc.rows = 0
+	a.acc.outHashes, a.acc.outKeys, a.acc.outStates = nil, nil, nil
+}
+
+// endEpoch empties the accumulator after a seal. An unbudgeted stream
+// resets its table in place (O(1)) and keeps it and its reservation for
+// the next epoch; a budgeted one drops them, so a pressure seal frees the
+// budget.
+func (a *Aggregator) endEpoch() {
+	if a.gov.Budget() == 0 && a.acc.tab != nil {
+		a.acc.tab.Reset()
+		a.acc.rows = 0
+		return
+	}
+	a.releaseAcc()
+}
+
+// emitScratch sizes the accumulator's emit scratch for n rows and
+// reserves it with the governor; releaseScratch returns the reservation.
+func (a *Aggregator) emitScratch(n int) int64 {
+	acc := &a.acc
+	width := a.plan.Width()
+	if cap(acc.outKeys) < n {
+		acc.outHashes = make([]uint64, n)
+		acc.outKeys = make([]uint64, n)
+		acc.outStates = make([][]uint64, width)
+		for w := range acc.outStates {
+			acc.outStates[w] = make([]uint64, n)
+		}
+	}
+	bytes := int64(cap(acc.outKeys)) * int64(16+8*width)
+	a.gov.Reserve(bytes)
+	return bytes
+}
+
+// releaseScratch returns the emit scratch's reservation. A budgeted
+// stream also drops the scratch, so no unreserved bytes outlive their use.
+func (a *Aggregator) releaseScratch(bytes int64) {
+	a.gov.Release(bytes)
+	if a.gov.Budget() > 0 {
+		a.acc.outHashes, a.acc.outKeys, a.acc.outStates = nil, nil, nil
+	}
 }
 
 // backpressure builds the typed refusal and records the event.
@@ -483,7 +561,7 @@ func (a *Aggregator) push(ctx context.Context, b Block, wait bool) error {
 	if err := a.loadErr(); err != nil {
 		return err
 	}
-	bytes := blockBytes(b)
+	bytes := blockBytes(b) + foldBytes(b.Rows(), a.plan.Width())
 	if budget := a.gov.Budget(); budget > 0 && bytes > budget {
 		return a.gov.BudgetError("stream: ingest block", bytes)
 	}
@@ -659,8 +737,10 @@ func (a *Aggregator) run() {
 			m.reply <- ctlReply{res: res, err: err}
 		case m.ctl == ctlFinish:
 			res, err := a.finish()
-			m.reply <- ctlReply{res: res, err: err}
+			// Release before replying: Finish's caller may read the
+			// ledger, and an unbudgeted stream keeps its table past a seal.
 			a.releaseAcc()
+			m.reply <- ctlReply{res: res, err: err}
 			return
 		case m.ctl == ctlClose:
 			a.releaseAcc()
@@ -669,79 +749,56 @@ func (a *Aggregator) run() {
 	}
 }
 
-// fold merges one block into the accumulator, one map operation per run
-// of equal consecutive keys: on sorted or clustered input whole groups
-// collapse before touching the index (in-stream early aggregation).
+// fold merges one block into the accumulator table through the batch
+// kernels. One scan finds the segments of equal adjacent keys. When runs
+// remove at least half the rows (sorted or clustered input), each segment
+// is pre-folded into one state row with the same fold kernels and the
+// segments are merged into the table (in-stream early aggregation, sound
+// by the super-aggregate law); otherwise the raw rows go straight in.
 func (a *Aggregator) fold(b Block) {
 	acc := &a.acc
-	dec := a.plan.Dec
-	width := len(dec)
-	groupsBefore := len(acc.keys)
 	n := len(b.Keys)
+	width := a.plan.Width()
+	if acc.tab == nil {
+		acc.tab = newAccumTable(width)
+		a.gov.Reserve(acc.tab.FootprintBytes())
+	}
+	acc.sizeFold(n, width)
+	keys, slots, segKeys := b.Keys, acc.slots[:n], acc.segKeys[:n]
 	var runs, runRows int64
-	for i := 0; i < n; {
-		k := b.Keys[i]
-		j := i + 1
-		for j < n && b.Keys[j] == k {
-			j++
+	g, start := 0, 0
+	segKeys[0], slots[0] = keys[0], 0
+	for r := 1; r < n; r++ {
+		if keys[r] != keys[r-1] {
+			if r-start >= 2 {
+				runs++
+				runRows += int64(r - start)
+			}
+			g++
+			segKeys[g] = keys[r]
+			start = r
 		}
-		s, ok := acc.idx[k]
-		if !ok {
-			s = len(acc.keys)
-			acc.idx[k] = s
-			acc.keys = append(acc.keys, k)
-			for c := 0; c < width; c++ {
-				acc.parts[c] = append(acc.parts[c], 0)
-			}
-			var st [1]uint64
-			for c := 0; c < width; c++ {
-				sp := dec[c]
-				st[0] = acc.parts[c][s]
-				first := true
-				for r := i; r < j; r++ {
-					v := int64(0)
-					if sp.Kind != agg.Count {
-						v = b.Cols[sp.Col][r]
-					}
-					if first {
-						sp.Kind.Init(st[:], v)
-						first = false
-					} else {
-						sp.Kind.Fold(st[:], v)
-					}
-				}
-				acc.parts[c][s] = st[0]
-			}
-		} else {
-			var st [1]uint64
-			for c := 0; c < width; c++ {
-				sp := dec[c]
-				st[0] = acc.parts[c][s]
-				for r := i; r < j; r++ {
-					v := int64(0)
-					if sp.Kind != agg.Count {
-						v = b.Cols[sp.Col][r]
-					}
-					sp.Kind.Fold(st[:], v)
-				}
-				acc.parts[c][s] = st[0]
+		slots[r] = int32(g)
+	}
+	if n-start >= 2 {
+		runs++
+		runRows += int64(n - start)
+	}
+	g++
+	if 2*(n-g) >= n {
+		a.foldSegments(b, g)
+	} else {
+		hashes := acc.hashes[:n]
+		hashfn.HashBatch(keys, hashes)
+		for i := 0; i < n; {
+			i += acc.tab.InsertRawBatch(hashes[i:], keys[i:], b.Cols, i, a.kern)
+			if i < n {
+				a.grow()
 			}
 		}
-		if j-i >= 2 {
-			runs++
-			runRows += int64(j - i)
-		}
-		i = j
 	}
 	acc.rows += int64(n)
 	a.pending++
-	if grown := len(acc.keys) - groupsBefore; grown > 0 {
-		delta := int64(grown) * bytesPerGroup(width)
-		// Reserve unconditionally: the groups are already materialized.
-		// The budget check happens at the block boundary (maybeSeal).
-		a.gov.Reserve(delta)
-		acc.resBytes += delta
-	}
 	a.statMu.Lock()
 	a.stats.RowsIngested += int64(n)
 	a.stats.BlocksIngested++
@@ -749,6 +806,49 @@ func (a *Aggregator) fold(b Block) {
 	a.stats.RunRows += runRows
 	a.prog.RowsBuffered = acc.rows
 	a.statMu.Unlock()
+}
+
+// foldSegments pre-folds each of the block's g segments (the slot vector
+// of fold's scan maps rows to segments) into one state row, starting from
+// the word identities, and merges the segment rows into the table.
+func (a *Aggregator) foldSegments(b Block, g int) {
+	acc := &a.acc
+	n := len(b.Keys)
+	states := acc.segStates
+	for w, op := range a.kern.Ops {
+		id := op.Op.Identity()
+		col := states[w][:g]
+		for i := range col {
+			col[i] = id
+		}
+	}
+	slots := acc.slots[:n]
+	for w, fold := range a.kern.Fold {
+		var vals []int64
+		if c := a.kern.Cols[w]; c >= 0 {
+			vals = b.Cols[c][:n]
+		}
+		fold(states[w], slots, vals)
+	}
+	keys, hashes := acc.segKeys[:g], acc.hashes[:g]
+	hashfn.HashBatch(keys, hashes)
+	for i := 0; i < g; {
+		i += acc.tab.InsertStateBatch(hashes[i:], keys[i:], states, i, a.kern)
+		if i < g {
+			a.grow()
+		}
+	}
+}
+
+// grow doubles the accumulator table when an insert stops short. The
+// doubled table is reserved before it is filled and the old one released
+// afterwards; like every fold reservation it is unconditional, and the
+// budget is checked at the block boundary (maybeSeal).
+func (a *Aggregator) grow() {
+	old := a.acc.tab
+	a.gov.Reserve(2 * old.FootprintBytes())
+	a.acc.tab = old.Double()
+	a.gov.Release(old.FootprintBytes())
 }
 
 // maybeSeal seals when the open epoch crossed the row threshold or the
@@ -792,8 +892,13 @@ func (a *Aggregator) seal() error {
 	if err != nil {
 		return fmt.Errorf("stream: seal epoch %d: %w", seq, err)
 	}
-	for i := range a.acc.keys {
-		if err := w.AppendState(a.acc.keys[i], a.acc.parts, i); err != nil {
+	groups := a.acc.tab.Len()
+	scratch := a.emitScratch(groups)
+	defer a.releaseScratch(scratch)
+	keys, states := a.acc.outKeys[:groups], a.acc.outStates
+	a.acc.tab.EmitColumns(a.acc.outHashes[:groups], keys, states)
+	for i, k := range keys {
+		if err := w.AppendState(k, states, i); err != nil {
 			w.Abort()
 			a.fs.Remove(path)
 			return fmt.Errorf("stream: seal epoch %d: %w", seq, err)
@@ -810,7 +915,7 @@ func (a *Aggregator) seal() error {
 	m := a.man.clone()
 	m.Epochs = append(m.Epochs, epochEntry{
 		Seq:     seq,
-		Records: uint64(len(a.acc.keys)),
+		Records: uint64(groups),
 		Bytes:   w.Bytes(),
 	})
 	m.RowsDurable += uint64(a.acc.rows)
@@ -824,7 +929,7 @@ func (a *Aggregator) seal() error {
 	a.epoch = seq
 	a.pending = 0
 	if a.tr != nil {
-		a.tr.Emit(trace.KindEpochSeal, 0, 0, int64(seq), float64(len(a.acc.keys)))
+		a.tr.Emit(trace.KindEpochSeal, 0, 0, int64(seq), float64(groups))
 	}
 	a.statMu.Lock()
 	a.stats.EpochsSealed++
@@ -834,7 +939,7 @@ func (a *Aggregator) seal() error {
 	a.prog.BlocksDurable = m.BlocksDurable
 	a.prog.RowsBuffered = 0
 	a.statMu.Unlock()
-	a.releaseAcc()
+	a.endEpoch()
 	return nil
 }
 
@@ -928,7 +1033,11 @@ func (a *Aggregator) snapshot(window int) (*Result, error) {
 		epochs = epochs[len(epochs)-window:]
 	}
 	width := a.plan.Width()
-	total := len(a.acc.keys)
+	live := 0
+	if a.acc.tab != nil {
+		live = a.acc.tab.Len()
+	}
+	total := live
 	for _, e := range epochs {
 		total += int(e.Records)
 	}
@@ -969,11 +1078,16 @@ func (a *Aggregator) snapshot(window int) (*Result, error) {
 			}
 		}
 	}
-	keys = append(keys, a.acc.keys...)
-	for c := 0; c < width; c++ {
-		for _, v := range a.acc.parts[c] {
-			cols[c] = append(cols[c], int64(v))
+	if live > 0 {
+		scratch := a.emitScratch(live)
+		a.acc.tab.EmitColumns(a.acc.outHashes[:live], a.acc.outKeys[:live], a.acc.outStates)
+		keys = append(keys, a.acc.outKeys[:live]...)
+		for c := 0; c < width; c++ {
+			for _, v := range a.acc.outStates[c][:live] {
+				cols[c] = append(cols[c], int64(v))
+			}
 		}
+		a.releaseScratch(scratch)
 	}
 
 	// Merge: the decomposed partials under their super-aggregate kinds,
@@ -1081,9 +1195,7 @@ func (a *Aggregator) mergeByMap(keys []uint64, cols [][]int64) ([]uint64, [][]ui
 func finalize(p *external.Plan, keys []uint64, parts [][]uint64, res *Result) {
 	res.Keys = keys
 	res.Hashes = make([]uint64, len(keys))
-	for i, k := range keys {
-		res.Hashes[i] = hashfn.Murmur2(k)
-	}
+	hashfn.HashBatch(keys, res.Hashes)
 	res.Aggs = make([][]int64, len(p.Orig))
 	res.AggsFloat = make([][]float64, len(p.Orig))
 	for si := range p.Orig {
@@ -1102,12 +1214,11 @@ func sortResult(res *Result) {
 	for i := range perm {
 		perm[i] = i
 	}
-	sort.Slice(perm, func(a, b int) bool {
-		i, j := perm[a], perm[b]
-		if res.Hashes[i] != res.Hashes[j] {
-			return res.Hashes[i] < res.Hashes[j]
+	slices.SortFunc(perm, func(i, j int) int {
+		if c := cmp.Compare(res.Hashes[i], res.Hashes[j]); c != 0 {
+			return c
 		}
-		return res.Keys[i] < res.Keys[j]
+		return cmp.Compare(res.Keys[i], res.Keys[j])
 	})
 	keys := make([]uint64, n)
 	hashes := make([]uint64, n)

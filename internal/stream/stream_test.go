@@ -15,6 +15,7 @@ import (
 	"cacheagg/internal/agg"
 	"cacheagg/internal/faultfs"
 	"cacheagg/internal/hashfn"
+	"cacheagg/internal/hashtable"
 	"cacheagg/internal/memgov"
 	"cacheagg/internal/testutil"
 	"cacheagg/internal/trace"
@@ -707,9 +708,10 @@ func TestTryPushBudgetBackpressure(t *testing.T) {
 	bytes := blockBytes(blk)
 	a, err := Begin(Options{
 		Dir: t.TempDir(), Specs: allSpecs, FS: fs,
-		// Room for the block and its four accumulator groups, but not
-		// for a second queued block while the groups are held.
-		MemoryBudgetBytes: 4*bytesPerGroup(6) + bytes/2,
+		// Room for the block and the smallest accumulator table, which
+		// holds its four groups, but not for a second queued block while
+		// the table is held.
+		MemoryBudgetBytes: int64(hashtable.MinBlockRows*hashtable.SlotBytes(6)) + bytes/2,
 		EpochMaxRows:      1,
 	})
 	if err != nil {
