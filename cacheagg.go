@@ -202,10 +202,11 @@ type Options struct {
 	// Routine overrides the execution-routine selection; the zero value
 	// selects automatically. See Routine.
 	Routine Routine
-	// Interner, when non-nil, is the shared key dictionary AggregateGeneral
-	// encodes through, so dense ids stay comparable across calls (and the
-	// dictionary builds once, not per query). Nil gives each general-key
-	// call a private dictionary. Ignored by uint64-keyed Aggregate.
+	// Interner, when non-nil, is a shared key dictionary AggregateGeneral
+	// adds every distinct key of its result to, so the dictionary holds
+	// every key seen and its dense ids stay comparable across calls. Nil
+	// builds no dictionary: the query path groups by first occurrence
+	// either way. Ignored by uint64-keyed Aggregate.
 	Interner *Interner
 }
 
@@ -284,12 +285,15 @@ type Stats struct {
 	// The general-key fields below are populated by AggregateGeneral
 	// independent of CollectStats; uint64-keyed calls leave them zero.
 
-	// InternedKeys is the key dictionary's distinct-key count after the
-	// encode phase (cumulative when Options.Interner is shared).
+	// InternedKeys is the shared Options.Interner's distinct-key count
+	// after the call (cumulative), or the call's distinct-key count
+	// without one.
 	InternedKeys int64
-	// InternBytes is the total encoded size of the dictionary's keys.
+	// InternBytes is the total encoded size of the shared dictionary's
+	// keys, or without one the size the call's distinct keys encode to.
 	InternBytes int64
-	// EncodeNanos is the wall time of the key-interning encode phase.
+	// EncodeNanos is the wall time of the first-occurrence dedupe that
+	// reduces the general keys to uint64 ids.
 	EncodeNanos int64
 }
 

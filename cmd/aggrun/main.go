@@ -138,7 +138,7 @@ func run() error {
 		budget   = flag.Int64("budget", 0, "memory budget in bytes enforced by a governor (0 = unlimited)")
 		spill    = flag.Bool("spill", false, "degrade to the out-of-core path when -budget is exceeded")
 		spillCap = flag.Int64("spill-budget", 0, "cap on spill bytes for the degraded run (0 = no cap)")
-		keytype  = flag.String("keytype", "uint64", "group-by key shape: uint64 | strings | composite2 (general keys run through the interning layer)")
+		keytype  = flag.String("keytype", "uint64", "group-by key shape: uint64 | strings | composite2 (general keys run through AggregateGeneral)")
 	)
 	flag.Parse()
 	if *spill && *budget <= 0 {
@@ -150,8 +150,8 @@ func run() error {
 	switch *keytype {
 	case "uint64":
 	case "strings", "composite2":
-		// General keys run through the public operator (interning + dense
-		// aggregation); the flags of the low-level distinct path that it
+		// General keys run through the public operator (first-row dedupe +
+		// dense aggregation); the flags of the low-level distinct path that it
 		// does not expose are usage errors, not silent no-ops.
 		switch {
 		case *in != "":
@@ -311,10 +311,10 @@ func run() error {
 }
 
 // runGeneral is the general-key mode of aggrun: string or composite keys
-// generated with the same distribution machinery, interned to dense ids
-// through the public operator, counted per group, and decoded back for
-// display and verification. It exercises the full encode → aggregate →
-// decode path the library exposes as AggregateGeneral.
+// generated with the same distribution machinery, reduced to first-row
+// ids through the public operator, counted per group, and gathered back
+// for display and verification. It exercises the full dedupe → aggregate
+// → gather path the library exposes as AggregateGeneral.
 func runGeneral(keytype string, spec datagen.Spec, routineName string,
 	workers, cache int, budget int64, timeout time.Duration, topN int, verify bool) error {
 	rt, err := parseRoutine(routineName)
@@ -359,9 +359,9 @@ func runGeneral(keytype string, spec datagen.Spec, routineName string,
 	fmt.Printf("groups     %d\n", res.Len())
 	fmt.Printf("time       %v (%.1f ns/row)\n", elapsed.Round(time.Microsecond),
 		float64(elapsed.Nanoseconds())/float64(max(spec.N, 1)))
-	fmt.Printf("interned   %d keys, %d dictionary bytes\n",
+	fmt.Printf("keys       %d distinct, %d encoded bytes\n",
 		res.Stats.InternedKeys, res.Stats.InternBytes)
-	fmt.Printf("encode     %v (%.1f ns/row)\n",
+	fmt.Printf("dedupe     %v (%.1f ns/row)\n",
 		time.Duration(res.Stats.EncodeNanos).Round(time.Microsecond),
 		float64(res.Stats.EncodeNanos)/float64(max(spec.N, 1)))
 	fmt.Printf("routine    %s\n", res.Stats.Routine)

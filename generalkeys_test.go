@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cacheagg/internal/datagen"
+	"cacheagg/internal/testutil"
 )
 
 // oracleKey serializes one row's key columns with its own scheme —
@@ -272,20 +273,105 @@ func TestAggregateGeneralValidation(t *testing.T) {
 }
 
 func TestAggregateGeneralInternGrowTrace(t *testing.T) {
-	tr := NewTracer(1 << 16)
+	// Only a shared dictionary grows: the private path builds none, so it
+	// emits no intern-grow events.
 	keys := make([]string, 40000)
 	for i := range keys {
 		keys[i] = datagen.StringKey(uint64(i))
 	}
-	_, err := AggregateGeneral(GeneralInput{
+	in := GeneralInput{
 		GroupBy:    []KeyColumn{{Strings: keys}},
 		Aggregates: []AggSpec{{Func: Count}},
-	}, Options{Tracer: tr})
-	if err != nil {
+	}
+	tr := NewTracer(1 << 16)
+	if _, err := AggregateGeneral(in, Options{Tracer: tr, Interner: NewInterner()}); err != nil {
 		t.Fatal(err)
 	}
 	if n := tr.Snapshot().Counts["intern-grow"]; n == 0 {
 		t.Fatal("no intern-grow events for a 40k-key dictionary build")
+	}
+	tr = NewTracer(1 << 16)
+	if _, err := AggregateGeneral(in, Options{Tracer: tr}); err != nil {
+		t.Fatal(err)
+	}
+	if n := tr.Snapshot().Counts["intern-grow"]; n != 0 {
+		t.Fatalf("the private path emitted %d intern-grow events", n)
+	}
+}
+
+// TestAggregateGeneralAllocsBelowGroups pins decode-as-gather: a private
+// dictionary op allocates a bounded number of times, fewer than it has
+// groups, where decoding every group allocated one string each.
+func TestAggregateGeneralAllocsBelowGroups(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector drops pooled worker kits at random")
+	}
+	const n, k = 1 << 14, 1 << 12
+	keys := make([]string, n)
+	vals := make([]int64, n)
+	for i := range keys {
+		keys[i] = datagen.StringKey(uint64(i % k))
+		vals[i] = int64(i)
+	}
+	in := GeneralInput{
+		GroupBy:    []KeyColumn{{Strings: keys}},
+		Columns:    [][]int64{vals},
+		Aggregates: []AggSpec{{Func: Count}, {Func: Sum, Col: 0}},
+	}
+	opt := Options{Workers: 1}
+	var groups int
+	mallocs := testing.AllocsPerRun(5, func() {
+		res, err := AggregateGeneral(in, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups = res.Len()
+	})
+	t.Logf("%.0f mallocs per op for %d groups", mallocs, groups)
+	if groups != k {
+		t.Fatalf("%d groups, want %d", groups, k)
+	}
+	if mallocs >= float64(groups) {
+		t.Fatalf("%.0f mallocs per op, want fewer than the %d groups", mallocs, groups)
+	}
+}
+
+// TestAggregateGeneralSharedDictionaryRoundTrip: a shared dictionary still
+// learns every key a query saw, and its ids decode back to the input.
+func TestAggregateGeneralSharedDictionaryRoundTrip(t *testing.T) {
+	const n = 5000
+	spec := datagen.Spec{Dist: datagen.Zipf, N: n, K: 300, Seed: 11}
+	cols := []KeyColumn{
+		{Strings: datagen.GenerateStrings(spec), Nulls: datagen.NullMask(n, 0.05, 12)},
+		{Uint64s: datagen.Generate(datagen.Spec{Dist: datagen.Uniform, N: n, K: 5, Seed: 13}), Nulls: datagen.NullMask(n, 0.1, 14)},
+	}
+	distinct := make(map[string]bool)
+	for r := 0; r < n; r++ {
+		distinct[oracleKey(cols, r)] = true
+	}
+	it := NewInterner()
+	res, err := AggregateGeneral(GeneralInput{GroupBy: cols, Aggregates: []AggSpec{{Func: Count}}}, Options{Interner: it})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if it.Len() != len(distinct) || res.Len() != len(distinct) {
+		t.Fatalf("dictionary holds %d keys, result %d groups, want %d", it.Len(), res.Len(), len(distinct))
+	}
+	ids, err := it.EncodeColumns(cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if it.Len() != len(distinct) {
+		t.Fatalf("re-encoding the input grew the dictionary to %d keys", it.Len())
+	}
+	dec, err := it.DecodeGroups(ids, []KeyType{KeyString, KeyUint64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < n; r++ {
+		if got, want := oracleKey(dec, r), oracleKey(cols, r); got != want {
+			t.Fatalf("row %d decodes to %s, want %s", r, got, want)
+		}
 	}
 }
 

@@ -83,6 +83,7 @@ func BenchmarkDecodeColumns(b *testing.B) {
 	if err := enc.EncodeColumns(cols, ids); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := enc.DecodeColumns(ids, []ColType{U64Col, StrCol}); err != nil {
