@@ -14,6 +14,7 @@ package serve
 // wire form of the library's *BackpressureError.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -210,7 +211,7 @@ func decodeIngest(r io.Reader, lim Limits) (*ingestRequest, error) {
 	if int64(len(body)) > lim.MaxBodyBytes {
 		return nil, errf(ErrRequestTooLarge, nil, "request body exceeds %d bytes", lim.MaxBodyBytes)
 	}
-	dec := json.NewDecoder(strings.NewReader(string(body)))
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	var req ingestRequest
 	if err := dec.Decode(&req); err != nil {
@@ -470,51 +471,45 @@ func (s *Server) ingestFinish(ctx context.Context, w http.ResponseWriter, req *i
 }
 
 // respondStream writes a snapshot as the JSONL result stream: header,
-// one line per group, done trailer — the same shape as /v1/aggregate
-// responses, so the load harness validates both with one parser.
+// one line per group, done trailer — the same shape and writer as
+// /v1/aggregate responses, so the load harness validates both with one
+// parser. Lines go out in chunks of about jsonlChunk bytes.
 func (s *Server) respondStream(w http.ResponseWriter, sess *ingestSession, res *cacheagg.StreamResult) error {
+	rows := jsonlRows{groups: res.Groups, aggs: res.Aggs}
 	// Decode before committing the response: a dictionary gap is an error
 	// response, not a truncated stream.
-	var skeys []string
 	if sess.dict != nil {
-		var err error
-		skeys, err = sess.dict.decode(res.Groups)
+		skeys, err := sess.dict.decode(res.Groups)
 		if err != nil {
 			return errf(ErrInternal, err, "decode group keys: %v", err)
 		}
+		rows.keys = []cacheagg.KeyColumn{{Strings: skeys}}
 	}
+	if sess.hasAvg {
+		rows.float = res.Float
+	}
+	// Until the first chunk is written, a failure is still a typed error
+	// response (writeError replaces the content type).
 	w.Header().Set("Content-Type", "application/jsonl")
-	hdr, _ := json.Marshal(map[string]any{
-		"groups": res.Len(), "epochs": res.Epochs, "session": sess.name,
-	})
-	w.Write(append(hdr, '\n'))
-	row := struct {
-		G uint64    `json:"g"`
-		K []any     `json:"k,omitempty"`
-		A []int64   `json:"a,omitempty"`
-		F []float64 `json:"f,omitempty"`
-	}{}
-	enc := json.NewEncoder(w)
-	for i := 0; i < res.Len(); i++ {
-		row.G = res.Groups[i]
-		if skeys != nil {
-			row.K = append(row.K[:0], skeys[i])
-		}
-		row.A = row.A[:0]
-		for _, col := range res.Aggs {
-			row.A = append(row.A, col[i])
-		}
-		if sess.hasAvg {
-			row.F = row.F[:0]
-			for a := range res.Aggs {
-				row.F = append(row.F, res.Float(a, i))
+	b := appendStreamHeader(make([]byte, 0, jsonlChunk+4096), res.Len(), res.Epochs, sess.name)
+	committed := false
+	for i := range res.Groups {
+		var err error
+		if b, err = rows.appendRow(b, i); err != nil {
+			if committed {
+				return nil // torn stream: the missing trailer tells the client
 			}
+			return errf(ErrInternal, err, "encoding snapshot: %v", err)
 		}
-		if err := enc.Encode(&row); err != nil {
-			return nil // client went away mid-stream; nothing to map
+		if len(b) >= jsonlChunk {
+			committed = true
+			if _, err := w.Write(b); err != nil {
+				return nil // client went away mid-stream; nothing to map
+			}
+			b = b[:0]
 		}
 	}
-	fmt.Fprintf(w, "{\"done\":true,\"rows\":%d}\n", res.Len())
+	w.Write(appendTrailer(b, res.Len()))
 	return nil
 }
 

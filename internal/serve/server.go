@@ -16,7 +16,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -488,55 +487,18 @@ func hasAvg(req *Request) bool {
 // array element per key column; NULL encodes as JSON null). "g" stays the
 // dense interned id — existing row parsers keep working unchanged.
 func marshalBody(res *cacheagg.Result, withFloats bool, ds *Dataset) ([]byte, error) {
-	var gcols []cacheagg.KeyColumn
+	rows := jsonlRows{groups: res.Groups, aggs: res.Aggs}
 	if ds != nil && ds.GeneralKeys() {
 		var err error
-		gcols, err = ds.Interner.DecodeGroups(res.Groups, ds.KeyTypes)
+		rows.keys, err = ds.Interner.DecodeGroups(res.Groups, ds.KeyTypes)
 		if err != nil {
 			return nil, err
 		}
 	}
-	var b strings.Builder
-	b.Grow(res.Len() * 32)
-	row := struct {
-		G uint64    `json:"g"`
-		K []any     `json:"k,omitempty"`
-		A []int64   `json:"a,omitempty"`
-		F []float64 `json:"f,omitempty"`
-	}{}
-	enc := json.NewEncoder(&b)
-	for i := 0; i < res.Len(); i++ {
-		row.G = res.Groups[i]
-		if gcols != nil {
-			row.K = row.K[:0]
-			for ci := range gcols {
-				c := &gcols[ci]
-				switch {
-				case c.IsNull(i):
-					row.K = append(row.K, nil)
-				case c.Uint64s != nil:
-					row.K = append(row.K, c.Uint64s[i])
-				default:
-					row.K = append(row.K, c.Strings[i])
-				}
-			}
-		}
-		row.A = row.A[:0]
-		for _, col := range res.Aggs {
-			row.A = append(row.A, col[i])
-		}
-		if withFloats {
-			row.F = row.F[:0]
-			for a := range res.Aggs {
-				row.F = append(row.F, res.Float(a, i))
-			}
-		}
-		if err := enc.Encode(&row); err != nil {
-			return nil, err
-		}
+	if withFloats {
+		rows.float = res.Float
 	}
-	fmt.Fprintf(&b, "{\"done\":true,\"rows\":%d}\n", res.Len())
-	return []byte(b.String()), nil
+	return rows.body()
 }
 
 // responseMeta parameterizes the header line of a successful response.
@@ -552,16 +514,7 @@ type responseMeta struct {
 // per group, one trailer line.
 func (s *Server) respond(w http.ResponseWriter, meta responseMeta, body []byte, start time.Time) {
 	w.Header().Set("Content-Type", "application/jsonl")
-	hdr := map[string]any{"groups": meta.groups, "cache": meta.cache}
-	if meta.mode != "" {
-		hdr["mode"] = meta.mode
-	}
-	if meta.queued {
-		hdr["queued"] = true
-		hdr["wait_ms"] = math.Round(float64(meta.waited)/float64(time.Millisecond)*1000) / 1000
-	}
-	line, _ := json.Marshal(hdr)
-	w.Write(append(line, '\n'))
+	w.Write(meta.appendHeader(nil))
 	w.Write(body)
 	s.observeOutcome(start)
 }
