@@ -159,8 +159,6 @@ func (s *Server) streamOptions(name string, aggs []cacheagg.AggSpec) cacheagg.St
 		QueueDepth:        s.cfg.IngestQueueDepth,
 		EpochMaxRows:      s.cfg.IngestEpochMaxRows,
 		MemoryBudgetBytes: s.cfg.IngestBudgetBytes,
-		Workers:           s.cfg.QueryWorkers,
-		CacheBytes:        s.cfg.QueryCacheBytes,
 		Tracer:            s.cfg.Tracer,
 		NoSync:            s.cfg.IngestNoSync,
 	}

@@ -101,7 +101,8 @@ func Resume(opts Options) (*Aggregator, error) {
 			torn++
 		}
 	}
-	// Leftover snapshot spill temp dir from a crashed merge.
+	// A snapshot spill temp dir left by a crashed merge of an earlier
+	// version, which spilled snapshots to disk; this one never writes it.
 	if err := os.RemoveAll(filepath.Join(a.dir, snapshotTmpDir)); err != nil {
 		return nil, fmt.Errorf("stream: clear snapshot temp dir: %w", err)
 	}

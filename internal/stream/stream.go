@@ -55,7 +55,6 @@ import (
 	"time"
 
 	"cacheagg/internal/agg"
-	"cacheagg/internal/core"
 	"cacheagg/internal/external"
 	"cacheagg/internal/faultfs"
 	"cacheagg/internal/hashfn"
@@ -142,14 +141,11 @@ type Options struct {
 	// select faultfs.DefaultRetryPolicy.
 	Retry faultfs.RetryPolicy
 	// Tracer, when non-nil, receives epoch-seal, checkpoint-write,
-	// recover and backpressure events plus the events of snapshot merges.
+	// recover and backpressure events.
 	Tracer trace.Tracer
 	// RetryHint is the backoff suggested by BackpressureError; <= 0
 	// selects 10ms.
 	RetryHint time.Duration
-	// Core configures the in-memory operator used to merge epoch partials
-	// for Snapshot/Finish (workers, cache size).
-	Core core.Config
 	// NoSync skips every fsync (epoch files, manifests, directory).
 	// Tests and benchmarks only: a NoSync stream survives process
 	// crashes in practice but not power loss.
@@ -183,7 +179,6 @@ type Stats struct {
 	Backpressure         int64 // refused TryPushes + Pushes that had to wait
 	EarlySeals           int64 // epochs sealed by memory pressure, not row count
 	Snapshots            int64
-	SnapshotSpills       int64 // snapshot merges degraded to the external engine
 	RecoveredEpochs      int64 // sealed epochs restored by Resume
 	RecoveredRows        int64 // durable raw rows restored by Resume
 	TornEpochsRolledBack int64 // un-manifested epoch files deleted by Resume
@@ -233,7 +228,6 @@ type Aggregator struct {
 	kern   *agg.Kernels // the decomposed plan's batch kernels
 	specs  []agg.Spec
 	fs     faultfs.FS // retry-wrapped
-	baseFS faultfs.FS
 	gov    *memgov.Governor
 	ownGov bool // governor created here: drain-to-zero is ours to assert
 	tr     trace.Tracer
@@ -284,11 +278,12 @@ type accum struct {
 	outStates [][]uint64
 }
 
-// newAccumTable is the accumulator's table at its smallest legal size;
-// growth doubles it.
-func newAccumTable(width int) *hashtable.Table {
+// newAccumTable is the accumulator's table shape with at least slots
+// slots; growth doubles it. The accumulator starts at the smallest legal
+// size, the snapshot merge at twice its largest input.
+func newAccumTable(width, slots int) *hashtable.Table {
 	return hashtable.New(hashtable.Config{
-		CapacityRows: hashtable.MinBlockRows,
+		CapacityRows: slots,
 		Blocks:       1,
 		MaxFill:      0.5,
 		Words:        width,
@@ -381,7 +376,6 @@ func newAggregator(opts Options) (*Aggregator, error) {
 	a := &Aggregator{
 		opts:   opts,
 		specs:  opts.Specs,
-		baseFS: opts.FS,
 		fs:     faultfs.NewRetry(opts.FS, opts.Retry),
 		gov:    gov,
 		ownGov: own,
@@ -760,7 +754,7 @@ func (a *Aggregator) fold(b Block) {
 	n := len(b.Keys)
 	width := a.plan.Width()
 	if acc.tab == nil {
-		acc.tab = newAccumTable(width)
+		acc.tab = newAccumTable(width, hashtable.MinBlockRows)
 		a.gov.Reserve(acc.tab.FootprintBytes())
 	}
 	acc.sizeFold(n, width)
@@ -790,12 +784,9 @@ func (a *Aggregator) fold(b Block) {
 	} else {
 		hashes := acc.hashes[:n]
 		hashfn.HashBatch(keys, hashes)
-		for i := 0; i < n; {
-			i += acc.tab.InsertRawBatch(hashes[i:], keys[i:], b.Cols, i, a.kern)
-			if i < n {
-				a.grow()
-			}
-		}
+		acc.tab = a.fill(acc.tab, n, func(t *hashtable.Table, i int) int {
+			return t.InsertRawBatch(hashes[i:], keys[i:], b.Cols, i, a.kern)
+		})
 	}
 	acc.rows += int64(n)
 	a.pending++
@@ -832,23 +823,35 @@ func (a *Aggregator) foldSegments(b Block, g int) {
 	}
 	keys, hashes := acc.segKeys[:g], acc.hashes[:g]
 	hashfn.HashBatch(keys, hashes)
-	for i := 0; i < g; {
-		i += acc.tab.InsertStateBatch(hashes[i:], keys[i:], states, i, a.kern)
-		if i < g {
-			a.grow()
-		}
-	}
+	acc.tab = a.insertStates(acc.tab, hashes, keys, states)
 }
 
-// grow doubles the accumulator table when an insert stops short. The
-// doubled table is reserved before it is filled and the old one released
-// afterwards; like every fold reservation it is unconditional, and the
-// budget is checked at the block boundary (maybeSeal).
-func (a *Aggregator) grow() {
-	old := a.acc.tab
-	a.gov.Reserve(2 * old.FootprintBytes())
-	a.acc.tab = old.Double()
-	a.gov.Release(old.FootprintBytes())
+// insertStates merges the state rows of hashes, keys and states into tab
+// and returns the table that holds them.
+func (a *Aggregator) insertStates(tab *hashtable.Table, hashes, keys []uint64, states [][]uint64) *hashtable.Table {
+	return a.fill(tab, len(keys), func(t *hashtable.Table, i int) int {
+		return t.InsertStateBatch(hashes[i:], keys[i:], states, i, a.kern)
+	})
+}
+
+// fill inserts rows [0, n) into tab through insert, which absorbs rows
+// from i on and returns how many it took, and returns the table that
+// holds them. When an insert stops short the table doubles: the doubled
+// table is reserved before it is filled and the old one released
+// afterwards. Like every fold and merge reservation this is
+// unconditional; a fold's budget is checked at the block boundary
+// (maybeSeal).
+func (a *Aggregator) fill(tab *hashtable.Table, n int, insert func(t *hashtable.Table, i int) int) *hashtable.Table {
+	for i := 0; i < n; {
+		i += insert(tab, i)
+		if i < n {
+			old := tab
+			a.gov.Reserve(2 * old.FootprintBytes())
+			tab = old.Double()
+			a.gov.Release(old.FootprintBytes())
+		}
+	}
+	return tab
 }
 
 // maybeSeal seals when the open epoch crossed the row threshold or the
@@ -1022,8 +1025,13 @@ func (a *Aggregator) finish() (*Result, error) {
 }
 
 // snapshot merges the last `window` sealed epochs plus the open
-// accumulator through the batch machinery and finalizes per the original
-// specs.
+// accumulator into one table of the accumulator's shape and finalizes per
+// the original specs. The table starts at twice the largest input — the
+// merge holds at least that many groups — and doubles through fill when a
+// merge stops short. Epoch partials go in as read, with no widening; the
+// live table goes in with its emitted hashes. The table, the emit scratch
+// and each decoded epoch are reserved with the governor while held,
+// unconditionally, so a Snapshot always materializes.
 func (a *Aggregator) snapshot(window int) (*Result, error) {
 	if err := a.loadErr(); err != nil {
 		return nil, err
@@ -1032,170 +1040,80 @@ func (a *Aggregator) snapshot(window int) (*Result, error) {
 	if window > 0 && window < len(epochs) {
 		epochs = epochs[len(epochs)-window:]
 	}
-	width := a.plan.Width()
 	live := 0
 	if a.acc.tab != nil {
 		live = a.acc.tab.Len()
 	}
-	total := live
+	largest := live
 	for _, e := range epochs {
-		total += int(e.Records)
+		largest = max(largest, int(e.Records))
 	}
 	res := &Result{Epochs: len(epochs)}
 	a.statMu.Lock()
 	a.stats.Snapshots++
 	a.statMu.Unlock()
-	if total == 0 {
+	if largest == 0 {
 		res.Aggs = make([][]int64, len(a.specs))
 		res.AggsFloat = make([][]float64, len(a.specs))
 		return res, nil
 	}
 
-	// Gather: sealed epoch partials from disk plus the live accumulator.
-	// The gather buffer is reserved with the governor for its lifetime.
-	gatherBytes := int64(total) * int64(8+8*width)
-	a.gov.Reserve(gatherBytes)
-	defer a.gov.Release(gatherBytes)
-	keys := make([]uint64, 0, total)
-	cols := make([][]int64, width)
-	for c := range cols {
-		cols[c] = make([]int64, 0, total)
+	width := a.plan.Width()
+	tab := newAccumTable(width, 2*largest)
+	a.gov.Reserve(tab.FootprintBytes())
+	defer func() { a.gov.Release(tab.FootprintBytes()) }()
+	// The emit scratch holds the live rows, then each epoch's hashes.
+	scratch := a.emitScratch(largest)
+	defer a.releaseScratch(scratch)
+	if live > 0 {
+		hashes, keys := a.acc.outHashes[:live], a.acc.outKeys[:live]
+		a.acc.tab.EmitColumns(hashes, keys, a.acc.outStates)
+		tab = a.insertStates(tab, hashes, keys, a.acc.outStates)
 	}
 	for _, e := range epochs {
-		path := filepath.Join(a.dir, epochFileName(e.Seq))
-		ekeys, ecols, err := external.ReadBlockFile(a.fs, path, "checkpoint", width)
-		if err != nil {
-			return nil, fmt.Errorf("%w: epoch %d: %w", ErrCorruptCheckpoint, e.Seq, err)
+		var err error
+		if tab, err = a.mergeEpoch(tab, e); err != nil {
+			return nil, err
 		}
-		if uint64(len(ekeys)) != e.Records {
-			return nil, fmt.Errorf("%w: epoch %d holds %d records, manifest says %d",
-				ErrCorruptCheckpoint, e.Seq, len(ekeys), e.Records)
-		}
-		keys = append(keys, ekeys...)
-		for c := 0; c < width; c++ {
-			for _, v := range ecols[c] {
-				cols[c] = append(cols[c], int64(v))
-			}
-		}
-	}
-	if live > 0 {
-		scratch := a.emitScratch(live)
-		a.acc.tab.EmitColumns(a.acc.outHashes[:live], a.acc.outKeys[:live], a.acc.outStates)
-		keys = append(keys, a.acc.outKeys[:live]...)
-		for c := 0; c < width; c++ {
-			for _, v := range a.acc.outStates[c][:live] {
-				cols[c] = append(cols[c], int64(v))
-			}
-		}
-		a.releaseScratch(scratch)
 	}
 
-	// Merge: the decomposed partials under their super-aggregate kinds,
-	// through the in-memory operator — degrading to the external engine
-	// when the budget refuses the table.
-	mergeSpecs := make([]agg.Spec, width)
-	for c := 0; c < width; c++ {
-		mergeSpecs[c] = agg.Spec{Kind: a.plan.MergeKind[c], Col: c}
+	groups := tab.Len()
+	keys, hashes := make([]uint64, groups), make([]uint64, groups)
+	parts := make([][]uint64, width)
+	for w := range parts {
+		parts[w] = make([]uint64, groups)
 	}
-	in := &core.Input{Keys: keys, AggCols: cols, Specs: mergeSpecs}
-	ccfg := a.opts.Core
-	ccfg.Governor = a.gov
-	ccfg.Tracer = a.tr
-	merged, err := core.AggregateContext(context.Background(), ccfg, in)
-	var mkeys []uint64
-	var mparts [][]uint64
-	switch {
-	case err == nil:
-		mkeys = merged.Keys
-		mparts = make([][]uint64, width)
-		for c := 0; c < width; c++ {
-			col := make([]uint64, len(merged.Aggs[c]))
-			for i, v := range merged.Aggs[c] {
-				col[i] = uint64(v)
-			}
-			mparts[c] = col
-		}
-	case errors.Is(err, core.ErrMemoryBudget) || errors.Is(err, memgov.ErrBudget):
-		a.statMu.Lock()
-		a.stats.SnapshotSpills++
-		a.statMu.Unlock()
-		ecfg := external.Config{
-			Governor: a.gov,
-			TempDir:  filepath.Join(a.dir, snapshotTmpDir),
-			FS:       a.baseFS,
-			Retry:    a.opts.Retry,
-			Tracer:   a.tr,
-			Core:     a.opts.Core,
-		}
-		if err := os.MkdirAll(ecfg.TempDir, 0o755); err != nil {
-			return nil, fmt.Errorf("stream: snapshot spill dir: %w", err)
-		}
-		eres, eerr := external.AggregateContext(context.Background(), ecfg, in)
-		switch {
-		case eerr == nil:
-			mkeys = eres.Keys
-			mparts = make([][]uint64, width)
-			for c := 0; c < width; c++ {
-				col := make([]uint64, len(eres.Aggs[c]))
-				for i, v := range eres.Aggs[c] {
-					col[i] = uint64(v)
-				}
-				mparts[c] = col
-			}
-		case errors.Is(eerr, core.ErrMemoryBudget) || errors.Is(eerr, memgov.ErrBudget):
-			// The budget is smaller than the operators' own machinery
-			// floor. The snapshot must still materialize — its working
-			// set is already charged to the ledger by the gather
-			// reservation — so fall to the minimal-footprint merge.
-			mkeys, mparts = a.mergeByMap(keys, cols)
-		default:
-			return nil, fmt.Errorf("stream: snapshot merge: %w", eerr)
-		}
-	default:
-		return nil, fmt.Errorf("stream: snapshot merge: %w", err)
-	}
-
-	finalize(a.plan, mkeys, mparts, res)
+	tab.EmitColumns(hashes, keys, parts)
+	finalize(a.plan, keys, hashes, parts, res)
 	sortResult(res)
 	return res, nil
 }
 
-// mergeByMap is the snapshot merge of last resort: one hash map, one
-// pass, no operator machinery. It exists so a Snapshot always succeeds
-// under budgets too small for the core or external engines — the result
-// has to materialize regardless, and this path's footprint is the gather
-// reservation the caller already holds.
-func (a *Aggregator) mergeByMap(keys []uint64, cols [][]int64) ([]uint64, [][]uint64) {
-	width := a.plan.Width()
-	idx := make(map[uint64]int, 1024)
-	var mk []uint64
-	mp := make([][]uint64, width)
-	var dst, src [1]uint64
-	for r, k := range keys {
-		g, ok := idx[k]
-		if !ok {
-			idx[k] = len(mk)
-			mk = append(mk, k)
-			for c := 0; c < width; c++ {
-				mp[c] = append(mp[c], uint64(cols[c][r]))
-			}
-			continue
-		}
-		for c := 0; c < width; c++ {
-			dst[0], src[0] = mp[c][g], uint64(cols[c][r])
-			a.plan.MergeKind[c].Merge(dst[:], src[:])
-			mp[c][g] = dst[0]
-		}
+// mergeEpoch reads sealed epoch e, merges its partials into tab and
+// returns the table that holds them. The decoded columns are reserved with
+// the governor, at the file's size, while they are held.
+func (a *Aggregator) mergeEpoch(tab *hashtable.Table, e epochEntry) (*hashtable.Table, error) {
+	a.gov.Reserve(e.Bytes)
+	defer a.gov.Release(e.Bytes)
+	path := filepath.Join(a.dir, epochFileName(e.Seq))
+	keys, states, err := external.ReadBlockFile(a.fs, path, "checkpoint", a.plan.Width())
+	if err != nil {
+		return tab, fmt.Errorf("%w: epoch %d: %w", ErrCorruptCheckpoint, e.Seq, err)
 	}
-	return mk, mp
+	if uint64(len(keys)) != e.Records {
+		return tab, fmt.Errorf("%w: epoch %d holds %d records, manifest says %d",
+			ErrCorruptCheckpoint, e.Seq, len(keys), e.Records)
+	}
+	hashes := a.acc.outHashes[:len(keys)]
+	hashfn.HashBatch(keys, hashes)
+	return a.insertStates(tab, hashes, keys, states), nil
 }
 
 // finalize turns merged decomposed partials into the original specs'
-// results (external.Plan.AppendFinalized) and stamps each group's hash.
-func finalize(p *external.Plan, keys []uint64, parts [][]uint64, res *Result) {
-	res.Keys = keys
-	res.Hashes = make([]uint64, len(keys))
-	hashfn.HashBatch(keys, res.Hashes)
+// results (external.Plan.AppendFinalized); hashes are the groups' hashes
+// as the merge table emitted them.
+func finalize(p *external.Plan, keys, hashes []uint64, parts [][]uint64, res *Result) {
+	res.Keys, res.Hashes = keys, hashes
 	res.Aggs = make([][]int64, len(p.Orig))
 	res.AggsFloat = make([][]float64, len(p.Orig))
 	for si := range p.Orig {

@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"cacheagg/internal/agg"
-	"cacheagg/internal/core"
 	"cacheagg/internal/stream"
 )
 
@@ -108,16 +107,17 @@ type StreamOptions struct {
 	// budget seals smaller epochs early and pushes back on producers
 	// rather than growing without bound.
 	MemoryBudgetBytes int64
-	// Workers and CacheBytes tune the merge machinery behind Snapshot
-	// and Finish, as in Options.
-	Workers    int
-	CacheBytes int
+	// Workers is ignored: Snapshot and Finish merge in one table on the
+	// stream's own goroutine.
+	//
+	// Deprecated: it has no effect and will be removed.
+	Workers int
 	// RetryHint is the backoff BackpressureError suggests to producers
 	// (<= 0 selects 10ms).
 	RetryHint time.Duration
 	// Tracer, when non-nil, records epoch-seal, checkpoint-write,
-	// recover and backpressure events alongside the usual execution
-	// events — the same JSONL/expvar pipeline as batch runs.
+	// recover and backpressure events — the same JSONL/expvar pipeline
+	// as batch runs.
 	Tracer *Tracer
 	// NoSync skips every fsync on the checkpoint path. Tests and
 	// benchmarks only: a NoSync stream survives process crashes in
@@ -143,11 +143,7 @@ func (o StreamOptions) lower() (stream.Options, error) {
 		EpochMaxRows:      o.EpochMaxRows,
 		MemoryBudgetBytes: o.MemoryBudgetBytes,
 		RetryHint:         o.RetryHint,
-		Core: core.Config{
-			Workers:    o.Workers,
-			CacheBytes: o.CacheBytes,
-		},
-		NoSync: o.NoSync,
+		NoSync:            o.NoSync,
 	}
 	if o.Tracer != nil {
 		opts.Tracer = o.Tracer.rec
