@@ -28,10 +28,11 @@
 package cacheagg
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"cacheagg/internal/agg"
 	"cacheagg/internal/core"
@@ -141,14 +142,14 @@ func PartitionAlwaysStrategy(passes int) Strategy { return Strategy{core.Partiti
 func PartitionOnlyStrategy() Strategy { return Strategy{core.PartitionOnly()} }
 
 // Routine selects which execution routine runs the query. The default,
-// RoutineAuto, decides from the sketch plan's estimates; the explicit
+// RoutineAuto, needs no estimate of the output cardinality; the explicit
 // values force a routine for benchmarking and testing.
 type Routine int
 
 const (
-	// RoutineAuto picks the routine from the plan's K̂ estimate: sort-spill
-	// when the output alone provably exceeds MemoryBudgetBytes, otherwise
-	// (and whenever no trustworthy plan exists) partitioned.
+	// RoutineAuto runs the partitioned in-memory operator and, when its
+	// working set outgrows MemoryBudgetBytes mid-run, degrades to the
+	// sort-spill path (Stats.Routine then reads "sort-spill").
 	RoutineAuto Routine = iota
 	// RoutinePartitioned forces the paper's per-worker tables with
 	// radix-256 recursion.
@@ -184,13 +185,9 @@ type Options struct {
 	// table, scratch, write-combining buffers — roughly a few MiB) fail
 	// with an error that wraps ErrMemoryBudget.
 	MemoryBudgetBytes int64
-	// EnablePlan runs a sketch-guided planning pass before execution: a
-	// bounded prefix of the input feeds HyperLogLog and Count-Min sketches
-	// whose estimates pick the initial routine, pre-size the worker hash
-	// tables, and nominate heavy-hitter keys for a scalar bypass that
-	// skips the hash path entirely. Results are bit-identical with
-	// planning on or off; the plan only changes how fast they are
-	// produced. See docs/PERFORMANCE.md.
+	// EnablePlan is ignored.
+	//
+	// Deprecated: it has no effect and will be removed.
 	EnablePlan bool
 	// CollectStats enables execution statistics on the result.
 	CollectStats bool
@@ -241,27 +238,21 @@ type Stats struct {
 	// DirectEmits counts buckets finalized by one fused hashing pass.
 	DirectEmits int64
 
-	// Planned reports that Options.EnablePlan built a sketch plan for this
-	// run; the Plan* fields below echo its inputs and decisions.
+	// Planned is always false.
+	//
+	// Deprecated: it has no effect and will be removed.
 	Planned bool
-	// PlanSampleRows is the number of input rows the sketch pass sampled.
-	PlanSampleRows int64
-	// PlanEstimatedK is the HyperLogLog distinct-group estimate.
-	PlanEstimatedK float64
-	// PlanHotKeys is the size of the heavy-hitter bypass set.
-	PlanHotKeys int64
-	// PlanHotMass is the sampled row fraction attributed to the bypass set.
-	PlanHotMass float64
-	// PlanStartPartition reports that intake started in partitioning mode
-	// instead of probing hashing first.
-	PlanStartPartition bool
-	// PlanTableRows is the pre-sized worker-table row capacity (0 when the
-	// cache-sized default was kept).
-	PlanTableRows int64
-	// PlanNanos is the wall time the planning pass took.
+	// PlanNanos is always zero.
+	//
+	// Deprecated: it has no effect and will be removed.
 	PlanNanos int64
-	// HotRowsBypassed counts input rows folded into hot-key scalar
-	// accumulators instead of entering the hash/partition machinery.
+	// PlanEstimatedK is always zero.
+	//
+	// Deprecated: it has no effect and will be removed.
+	PlanEstimatedK float64
+	// HotRowsBypassed is always zero.
+	//
+	// Deprecated: it has no effect and will be removed.
 	HotRowsBypassed int64
 
 	// Routine is the execution routine the run committed to
@@ -403,7 +394,6 @@ func AggregateContext(ctx context.Context, in Input, opt Options) (*Result, erro
 		Workers:      opt.Workers,
 		CacheBytes:   opt.CacheBytes,
 		CollectStats: opt.CollectStats,
-		EnablePlan:   opt.EnablePlan,
 		Governor:     gov,
 		Routine:      core.Routine(opt.Routine),
 	}
@@ -455,18 +445,7 @@ func AggregateContext(ctx context.Context, in Input, opt Options) (*Result, erro
 			TablesEmitted:   st.TablesEmitted,
 			Switches:        st.Switches,
 			DirectEmits:     st.DirectEmits,
-
-			Planned:            st.Planned,
-			PlanSampleRows:     st.PlanSampleRows,
-			PlanEstimatedK:     st.PlanEstimatedK,
-			PlanHotKeys:        st.PlanHotKeys,
-			PlanHotMass:        st.PlanHotMass,
-			PlanStartPartition: st.PlanStartPartition,
-			PlanTableRows:      st.PlanTableRows,
-			PlanNanos:          st.PlanNanos,
-			HotRowsBypassed:    st.HotRowsBypassed,
-
-			Routine: st.Routine.String(),
+			Routine:         st.Routine.String(),
 		}
 		if st.TablesEmitted > 0 {
 			res.Stats.MeanAlpha = st.AlphaSum / float64(st.TablesEmitted)
@@ -530,7 +509,8 @@ func degradeToExternal(ctx context.Context, in Input, opt Options, cin *core.Inp
 		hashes[i] = hashfn.Murmur2(k)
 		ord[i] = i
 	}
-	sort.Slice(ord, func(a, b int) bool { return hashes[ord[a]] < hashes[ord[b]] })
+	// Murmur2 is a bijection on uint64, so distinct keys never tie.
+	slices.SortFunc(ord, func(a, b int) int { return cmp.Compare(hashes[a], hashes[b]) })
 	groups := make([]uint64, n)
 	sortedHashes := make([]uint64, n)
 	for i, o := range ord {

@@ -1,6 +1,7 @@
 package cacheagg
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -228,6 +229,77 @@ func TestResultIndex(t *testing.T) {
 	for k, i := range idx {
 		if res.Groups[i] != k {
 			t.Fatalf("index broken for %d", k)
+		}
+	}
+}
+
+// TestEnablePlanHasNoEffect pins the deprecated Options.EnablePlan as a
+// no-op: on a three-segment heavy-hitter / zipf / uniform input and on a
+// 90 % heavy hitter, setting it returns the same result as leaving it off,
+// and the deprecated planner Stats fields read zero. At one worker rows are
+// compared by position; at two, rows inside a hash bucket may land in a
+// different order, so they are compared by key.
+func TestEnablePlanHasNoEffect(t *testing.T) {
+	const n, k = 3 << 15, 1 << 13
+	skew := make([]uint64, n)
+	seg := n / 3
+	datagen.Fill(skew[:seg], datagen.Spec{Dist: datagen.HeavyHitter, K: k, Seed: 1, HitFraction: 0.5})
+	datagen.Fill(skew[seg:2*seg], datagen.Spec{Dist: datagen.Zipf, K: k, Seed: 2, Theta: 1.0})
+	datagen.Fill(skew[2*seg:], datagen.Spec{Dist: datagen.Uniform, K: k, Seed: 3})
+	inputs := map[string][]uint64{
+		"skew-segments": skew,
+		"heavy-hitter":  datagen.Generate(datagen.Spec{Dist: datagen.HeavyHitter, N: n, K: k, Seed: 4, HitFraction: 0.9}),
+	}
+	for name, keys := range inputs {
+		vals := make([]int64, len(keys))
+		for i := range vals {
+			vals[i] = int64(i%2001) - 1000
+		}
+		in := Input{
+			GroupBy: keys,
+			Columns: [][]int64{vals},
+			Aggregates: []AggSpec{
+				{Func: Count}, {Func: Sum, Col: 0}, {Func: Min, Col: 0}, {Func: Max, Col: 0}, {Func: Avg, Col: 0},
+			},
+		}
+		for _, workers := range []int{1, 2} {
+			o := Options{Workers: workers, CacheBytes: 64 << 10, CollectStats: true}
+			off, err := Aggregate(in, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.EnablePlan = true
+			on, err := Aggregate(in, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%s workers %d", name, workers)
+			st := on.Stats
+			if st.Planned || st.PlanNanos != 0 || st.PlanEstimatedK != 0 || st.HotRowsBypassed != 0 {
+				t.Fatalf("%s: deprecated plan stats not zero: %+v", label, st)
+			}
+			if on.Len() != off.Len() {
+				t.Fatalf("%s: %d groups, want %d", label, on.Len(), off.Len())
+			}
+			row := func(i int) int { return i }
+			if workers > 1 {
+				idx := off.Index()
+				row = func(i int) int { return idx[on.Groups[i]] }
+			}
+			for i, g := range on.Groups {
+				j := row(i)
+				if off.Groups[j] != g || off.Hashes()[j] != on.Hashes()[i] {
+					t.Fatalf("%s: row %d: group %d hash %x, want group %d hash %x",
+						label, i, g, on.Hashes()[i], off.Groups[j], off.Hashes()[j])
+				}
+				for a := range in.Aggregates {
+					if on.Aggs[a][i] != off.Aggs[a][j] ||
+						math.Float64bits(on.Float(a, i)) != math.Float64bits(off.Float(a, j)) {
+						t.Fatalf("%s: group %d agg %d: %d (%v), want %d (%v)", label, g, a,
+							on.Aggs[a][i], on.Float(a, i), off.Aggs[a][j], off.Float(a, j))
+					}
+				}
+			}
 		}
 	}
 }

@@ -123,7 +123,6 @@ func run() error {
 		theta    = flag.Float64("theta", 0, "zipf skew parameter (0 = generator default)")
 		hitFrac  = flag.Float64("hitfrac", 0, "heavy-hitter hot-key row fraction (0 = generator default)")
 		window   = flag.Uint64("window", 0, "moving-cluster window size (0 = generator default)")
-		plan     = flag.Bool("plan", false, "run the sketch-guided planning pass before execution")
 		in       = flag.String("in", "", "read keys from file instead of generating")
 		format   = flag.String("format", "text", "input file format: text | binary")
 		strat    = flag.String("strategy", "adaptive", "adaptive | hashing-only | partition-always | partition-only")
@@ -158,8 +157,6 @@ func run() error {
 			return usageError("-keytype " + *keytype + " generates its own keys; -in is not supported")
 		case *spill:
 			return usageError("-keytype " + *keytype + " does not support -spill")
-		case *plan:
-			return usageError("-keytype " + *keytype + " does not support -plan")
 		case *traceOut != "":
 			return usageError("-keytype " + *keytype + " does not support -trace")
 		case *strat != "adaptive":
@@ -208,7 +205,6 @@ func run() error {
 		Workers:      *workers,
 		CacheBytes:   *cache,
 		CollectStats: true,
-		EnablePlan:   *plan,
 		Routine:      rt,
 	}
 	var gov *memgov.Governor
@@ -264,22 +260,6 @@ func run() error {
 	fmt.Printf("switches   %d\n", st.Switches)
 	fmt.Printf("directemit %d buckets\n", st.DirectEmits)
 	fmt.Printf("routine    %s\n", st.Routine)
-	if st.Planned {
-		mode := "hash"
-		if st.PlanStartPartition {
-			mode = "partition"
-		}
-		fmt.Printf("plan       sampled %d rows in %v: K̂=%.0f, start=%s\n",
-			st.PlanSampleRows, time.Duration(st.PlanNanos).Round(time.Microsecond),
-			st.PlanEstimatedK, mode)
-		if st.PlanTableRows > 0 {
-			fmt.Printf("plan       table pre-sized to %d rows\n", st.PlanTableRows)
-		}
-		if st.PlanHotKeys > 0 {
-			fmt.Printf("plan       %d hot keys (%.1f%% of sample), %d rows bypassed\n",
-				st.PlanHotKeys, 100*st.PlanHotMass, st.HotRowsBypassed)
-		}
-	}
 
 	if rec != nil {
 		snap := rec.Snapshot()

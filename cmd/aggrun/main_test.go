@@ -280,7 +280,6 @@ func TestCLIGeneralKeysUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-keytype", "martian"},
 		{"-keytype", "strings", "-in", "/dev/null"},
-		{"-keytype", "strings", "-plan"},
 		{"-keytype", "strings", "-trace", "/tmp/t.jsonl"},
 		{"-keytype", "strings", "-strategy", "hashing-only"},
 		{"-keytype", "composite2", "-budget", "1", "-spill"},

@@ -25,9 +25,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,19 +93,8 @@ type Config struct {
 	// path is one nil-check per block of rows; leave nil (the untyped nil
 	// interface, not a typed nil pointer) when not observing.
 	Tracer trace.Tracer
-	// EnablePlan runs the sketch-guided planning pass before execution: a
-	// bounded prefix sample feeds HyperLogLog + Count-Min sketches whose
-	// estimates pick the initial routine, pre-size the worker hash
-	// tables, and select heavy-hitter keys for the scalar bypass (see
-	// plan.go). Results are bit-identical with planning on or off; the
-	// plan only changes how fast they are produced.
-	EnablePlan bool
-	// Plan, when non-nil, is used instead of building one (and implies
-	// EnablePlan). Exposed so tests can inject arbitrary — including
-	// deliberately corrupt — plans and pin that execution stays correct.
-	Plan *Plan
 	// Routine overrides the routine selection (see Routine). The zero
-	// value, RoutineAuto, selects from the plan's K̂ estimate.
+	// value, RoutineAuto, runs the partitioned executor.
 	Routine Routine
 }
 
@@ -209,28 +199,6 @@ type Stats struct {
 	// Passes is the deepest level that processed any rows, plus one.
 	Passes int
 
-	// Planned reports that a sketch plan was in effect; the fields below
-	// echo its inputs and decisions (see Plan).
-	Planned bool
-	// PlanSampleRows is the number of rows the sketch pass sampled.
-	PlanSampleRows int64
-	// PlanEstimatedK is the HLL distinct-group estimate.
-	PlanEstimatedK float64
-	// PlanHotKeys is the size of the heavy-hitter bypass set.
-	PlanHotKeys int64
-	// PlanHotMass is the sampled row fraction attributed to the bypass set.
-	PlanHotMass float64
-	// PlanStartPartition reports that intake started in partitioning mode.
-	PlanStartPartition bool
-	// PlanTableRows is the pre-sized worker-table capacity (0 when the
-	// cache-sized default was kept).
-	PlanTableRows int64
-	// PlanNanos is the wall time of the planning pass.
-	PlanNanos int64
-	// HotRowsBypassed counts input rows folded into hot-key scalar
-	// accumulators instead of the hash path.
-	HotRowsBypassed int64
-
 	// Routine is the execution routine the run committed to.
 	Routine Routine
 }
@@ -247,7 +215,6 @@ func (s *Stats) merge(o *workerStats) {
 	s.Switches += o.switches
 	s.DirectEmits += o.directEmits
 	s.Tasks += o.tasks
-	s.HotRowsBypassed += o.hotRows
 }
 
 // workerStats is the per-worker, contention-free statistics accumulator.
@@ -261,7 +228,6 @@ type workerStats struct {
 	switches        int64
 	directEmits     int64
 	tasks           int64
-	hotRows         int64
 }
 
 // chunk is one finalized output fragment: all groups of one bucket, tagged
@@ -314,9 +280,6 @@ func AggregateContext(ctx context.Context, cfg Config, in *Input) (res *Result, 
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	if cfg.EnablePlan && cfg.Plan == nil {
-		cfg.Plan = BuildPlan(cfg, in)
-	}
 	e, err := newExec(cfg, in)
 	if err != nil {
 		return nil, err
@@ -353,7 +316,7 @@ func DistinctContext(ctx context.Context, cfg Config, keys []uint64) (*Result, e
 // the worker running it. A cancelled context returns ctx.Err().
 func (e *exec) assemble(ctx context.Context) (*Result, error) {
 	chunks := e.out.chunks
-	sort.Slice(chunks, func(i, j int) bool { return chunks[i].sortKey < chunks[j].sortKey })
+	slices.SortFunc(chunks, func(a, b chunk) int { return cmp.Compare(a.sortKey, b.sortKey) })
 
 	n := e.out.groups
 	res := &Result{
@@ -404,19 +367,7 @@ func (e *exec) assemble(ctx context.Context) (*Result, error) {
 				break
 			}
 		}
-		res.Stats.Routine = e.routine
-		if p := e.plan; p != nil {
-			res.Stats.Planned = true
-			res.Stats.PlanSampleRows = int64(p.SampleRows)
-			res.Stats.PlanEstimatedK = p.EstimatedK
-			res.Stats.PlanHotKeys = int64(len(p.HotKeys))
-			res.Stats.PlanHotMass = p.HotMass
-			res.Stats.PlanStartPartition = p.StartPartition
-			if e.tableRows != e.cacheRows {
-				res.Stats.PlanTableRows = int64(e.tableRows)
-			}
-			res.Stats.PlanNanos = p.Nanos
-		}
+		res.Stats.Routine = RoutinePartitioned
 	}
 	return res, nil
 }

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"cacheagg/internal/agg"
@@ -24,14 +25,14 @@ const scratchRows = 4096
 // Footprint returns the operator's memory terms for aggregate states of
 // the given word width under cfg (CacheBytes 0 selects the default):
 // fixed is the bytes of one worker's machinery and perRow the bytes of one
-// output-chunk row. A governed run without a plan reserves exactly
-// Workers·fixed up front; admission and the external path size themselves
-// from the same two numbers.
+// output-chunk row. A governed run reserves exactly Workers·fixed up
+// front; admission and the external path size themselves from the same
+// two numbers.
 func Footprint(cfg Config, words int) (fixed, perRow int64) {
 	if cfg.CacheBytes <= 0 {
 		cfg.CacheBytes = DefaultCacheBytes
 	}
-	return workerBytes(cacheRows(cfg.CacheBytes, words), words, 0, 0), chunkRowBytes(words)
+	return workerBytes(cacheRows(cfg.CacheBytes, words), words), chunkRowBytes(words)
 }
 
 // minTableRows is the smallest worker table: each of the Fanout blocks
@@ -47,20 +48,14 @@ func cacheRows(cacheBytes, words int) int {
 func chunkRowBytes(words int) int64 { return int64(8 * (2 + words)) }
 
 // workerBytes is one worker's fixed machinery: a table of tableRows slots,
-// the intake scratch blocks (hashes and states), the packed-row scratch,
-// the scatterer's §4.2 write-combining buffers (DefaultBufRows chunk rows
-// per partition) and, when the plan bypasses hotKeys keys reading hotCols
-// input columns, the bypass scratch and accumulators.
-func workerBytes(tableRows, words, hotKeys, hotCols int) int64 {
+// the intake scratch blocks (hashes and states), the packed-row scratch
+// and the scatterer's §4.2 write-combining buffers (DefaultBufRows chunk
+// rows per partition).
+func workerBytes(tableRows, words int) int64 {
 	b := int64(tableRows) * int64(hashtable.SlotBytes(words))
 	b += int64(scratchRows * 8 * (1 + words)) // hashScratch + stateScratch
 	b += int64(8 * words)                     // rowScratch
 	b += int64(hashfn.Fanout*partition.DefaultBufRows) * chunkRowBytes(words)
-	if hotKeys > 0 {
-		b += int64(scratchRows * (8 + 4))       // coldKeys + coldIdx
-		b += int64(hotCols * scratchRows * 8)   // coldCols
-		b += int64(hotKeys * (words*8 + 8 + 1)) // accumulators
-	}
 	return b
 }
 
@@ -75,15 +70,6 @@ type exec struct {
 
 	cacheRows int // capacity of a cache-sized table
 	finalRows int // its fill limit: the leaf threshold of the recursion
-	tableRows int // worker-table capacity: cacheRows, or the plan's pre-size
-
-	// Sketch plan (nil when planning is off). hot is the executor's
-	// exact-match view of the plan's heavy-hitter keys; refCols lists the
-	// input columns the aggregate layout actually reads (the only ones the
-	// bypass compaction must copy).
-	plan    *Plan
-	hot     *hotSet
-	refCols []int
 
 	// Memory governance: interRow is the byte cost of one materialized
 	// intermediate-run row, chunkRow of one output-chunk row. gov is nil
@@ -95,10 +81,6 @@ type exec struct {
 
 	// tr is the optional execution tracer (nil when not observing).
 	tr trace.Tracer
-
-	// Routine selection (routine.go).
-	routine      Routine
-	routineAlpha float64 // the α that drove the selection (0 = no plan)
 
 	pool    *sched.Pool
 	morsels *sched.Morsels
@@ -146,15 +128,6 @@ type workerState struct {
 	// (nil-safe no-op when no governor is configured).
 	mem *memgov.Cache
 
-	// Hot-key bypass state (allocated only when the plan selected hot
-	// keys, never pooled — it is a few KiB). hotAcc holds the scalar
-	// accumulators; coldKeys/coldCols/coldIdx are the compaction scratch
-	// the cold remainder of each block is gathered into before dispatch.
-	hotAcc   *hotAccums
-	coldKeys []uint64
-	coldCols [][]int64
-	coldIdx  []int32
-
 	stats workerStats
 }
 
@@ -178,11 +151,9 @@ type workerKit struct {
 }
 
 // kitKey pins every size- or layout-relevant parameter of a kit; kits are
-// only reused by executions with the identical key. tableRows joins the
-// key because the plan may pre-size the worker table below cacheRows.
+// only reused by executions with the identical key.
 type kitKey struct {
 	cacheRows int
-	tableRows int
 	words     int
 	maxFill   float64
 	carry     bool
@@ -214,24 +185,6 @@ func newExec(cfg Config, in *Input) (*exec, error) {
 		tr:      cfg.Tracer,
 	}
 	e.cacheRows = cacheRows(cfg.CacheBytes, e.words)
-	// Sketch plan: table pre-size and hot-key bypass. The plan is advisory
-	// throughout — a corrupt injected plan can at worst waste a few
-	// accumulators or split tables more often, never change results.
-	e.plan = cfg.Plan
-	e.tableRows = e.cacheRows
-	if rows := e.plan.sanitizedTableRows(e.cacheRows); rows != 0 {
-		e.tableRows = rows
-	}
-	if e.plan != nil {
-		e.hot = newHotSet(e.plan.HotKeys)
-	}
-	seen := make(map[int]bool)
-	for _, c := range e.kern.Cols {
-		if c >= 0 && !seen[c] {
-			seen[c] = true
-			e.refCols = append(e.refCols, c)
-		}
-	}
 	// The leaf threshold: the fused final pass may fill its table up to
 	// half (vs the routine tables' 25 %) — the paper's "factor B more
 	// partitions" optimization, bounded at 50 % to keep probing cheap.
@@ -247,21 +200,19 @@ func newExec(cfg Config, in *Input) (*exec, error) {
 		e.interRow -= 8
 	}
 	e.pool = sched.NewPool(cfg.Workers)
-	// Routine selection (routine.go). Sort-spill refuses the run with the
-	// typed budget error before anything is reserved, so the caller
-	// degrades to the external path without burning a pass.
-	e.routine, e.routineAlpha = e.selectRoutine()
-	if e.routine == RoutineSortSpill {
+	// A forced sort-spill refuses the run with the typed budget error
+	// before anything is reserved, so the caller degrades to the external
+	// path without burning a pass. Every other value, an out-of-range one
+	// included, runs the partitioned executor.
+	if cfg.Routine == RoutineSortSpill {
 		if e.tr != nil {
-			e.tr.Emit(trace.KindRoutineSelect, 0, 0, int64(RoutineSortSpill), e.routineAlpha)
+			e.tr.Emit(trace.KindRoutineSelect, 0, 0, int64(RoutineSortSpill), 0)
 		}
-		return nil, fmt.Errorf("core: routine selector chose sort-spill (α̂=%.1f): %w",
-			e.routineAlpha, ErrMemoryBudget)
+		return nil, fmt.Errorf("core: sort-spill routine forced: %w", ErrMemoryBudget)
 	}
 	e.workers = make([]workerState, e.pool.Workers())
 	e.kits = kitKey{
 		cacheRows: e.cacheRows,
-		tableRows: e.tableRows,
 		words:     e.words,
 		maxFill:   cfg.MaxFill,
 		carry:     cfg.CarryHashes,
@@ -291,7 +242,7 @@ func newExec(cfg Config, in *Input) (*exec, error) {
 			}
 		} else {
 			ws.table = hashtable.New(hashtable.Config{
-				CapacityRows:     e.tableRows,
+				CapacityRows:     e.cacheRows,
 				Blocks:           hashfn.Fanout,
 				MaxFill:          cfg.MaxFill,
 				Words:            e.words,
@@ -315,26 +266,13 @@ func newExec(cfg Config, in *Input) (*exec, error) {
 			ws.stateViews = make([][]uint64, e.words)
 			ws.rowScratch = make([]uint64, e.words)
 		}
-		if e.hot != nil {
-			ws.hotAcc = newHotAccums(len(e.hot.keys), e.words)
-			ws.coldKeys = make([]uint64, scratchRows)
-			ws.coldIdx = make([]int32, 0, scratchRows)
-			ws.coldCols = make([][]int64, len(in.AggCols))
-			for _, c := range e.refCols {
-				ws.coldCols[c] = make([]int64, scratchRows)
-			}
-		}
 		ws.mem = e.gov.NewCache(0)
 	}
 	if e.gov != nil {
 		// Register the fixed per-worker machinery up front (workerBytes).
 		// If even that doesn't fit the budget, fail before touching the
 		// input so the caller can degrade immediately.
-		hotKeys, hotCols := 0, 0
-		if e.hot != nil {
-			hotKeys, hotCols = len(e.hot.keys), len(e.refCols)
-		}
-		fixed := int64(len(e.workers)) * workerBytes(e.tableRows, e.words, hotKeys, hotCols)
+		fixed := int64(len(e.workers)) * workerBytes(e.cacheRows, e.words)
 		if !e.gov.TryReserve(fixed) {
 			return nil, e.gov.BudgetError("core: per-worker machinery", fixed)
 		}
@@ -416,14 +354,9 @@ func (e *exec) checkBudget(ctx *sched.Ctx, ws *workerState) bool {
 // A cancelled context or a panicking task aborts the run and is returned
 // as the error; the partially built state is simply discarded.
 func (e *exec) run(ctx context.Context) error {
-	if e.tr != nil && e.plan != nil {
-		// Part = bypass-set size, Value = K̂; the companion decisions are
-		// in Stats (and the per-key bypass volumes in KindHotKeyBypass).
-		e.tr.Emit(trace.KindPlan, 0, 0, int64(len(e.plan.HotKeys)), e.plan.EstimatedK)
-	}
 	if e.tr != nil {
 		// The run's committed routine.
-		e.tr.Emit(trace.KindRoutineSelect, 0, 0, int64(e.routine), e.routineAlpha)
+		e.tr.Emit(trace.KindRoutineSelect, 0, 0, int64(RoutinePartitioned), 0)
 	}
 	// Phase A — intake: split the input into runs (Algorithm 2, line 5).
 	e.morsels = sched.NewMorsels(len(e.in.Keys), e.cfg.MorselRows)
@@ -456,11 +389,8 @@ func (e *exec) run(ctx context.Context) error {
 				order = append(order, rootTask{d, n})
 			}
 		}
-		sort.Slice(order, func(i, j int) bool {
-			if order[i].rows != order[j].rows {
-				return order[i].rows > order[j].rows
-			}
-			return order[i].d < order[j].d
+		slices.SortFunc(order, func(a, b rootTask) int {
+			return cmp.Or(cmp.Compare(b.rows, a.rows), cmp.Compare(a.d, b.d))
 		})
 		for _, rt := range order {
 			b := &e.root[rt.d]
@@ -480,24 +410,10 @@ func (ws *workerState) sliceStates(states [][]uint64, lo, hi int) [][]uint64 {
 
 // intake is one worker's main loop over the input: grab morsels, run the
 // strategy's decision loop on raw rows, produce level-0 runs.
-//
-// With a plan installed, two things change. The strategy may start in
-// partitioning mode (ADAPTIVE's low-α switch, taken up front from the
-// predicted reduction factor instead of after filling a table for
-// nothing). And when the plan selected hot keys, each block is first
-// compacted: hot rows fold into per-worker scalar accumulators (flushed
-// below as one-row pre-aggregated runs), only the cold remainder reaches
-// the table/scatter dispatch.
 func (e *exec) intake(ctx *sched.Ctx) {
 	ws := &e.workers[ctx.Worker]
 	ws.stats.tasks++
 	st := e.cfg.Strategy.NewState(0, e.cacheRows)
-	if p := e.plan; p != nil && p.StartPartition {
-		if as, ok := st.(*adaptiveState); ok {
-			as.partitioning = true
-			as.left = as.budget
-		}
-	}
 	table := ws.table
 	table.Reset()
 	table.SetLevel(0)
@@ -522,13 +438,18 @@ func (e *exec) intake(ctx *sched.Ctx) {
 			break
 		}
 		e.timed(ws, 0, func() {
-			if e.hot == nil {
-				e.dispatchRaw(ws, st, table, scat, keys, cols, lo, hi, &local)
-			} else {
-				for blkLo := lo; blkLo < hi; blkLo += scratchRows {
-					blkHi := min(blkLo+scratchRows, hi)
-					m := e.compactCold(ws, keys, cols, blkLo, blkHi)
-					e.dispatchRaw(ws, st, table, scat, ws.coldKeys, ws.coldCols, 0, m, &local)
+			for i := lo; i < hi; {
+				switch st.NextMode() {
+				case ModePartition:
+					blk := min(hi-i, scratchRows)
+					t0 := e.stamp()
+					e.scatterRaw(ws, scat, keys, cols, i, i+blk)
+					e.lap(t0, trace.PhaseScatter)
+					st.OnPartitioned(blk)
+					ws.stats.partitionedRows += int64(blk)
+					i += blk
+				default: // ModeHash (ModeFinal cannot occur at intake)
+					i = e.hashRaw(ws, st, table, keys, cols, i, hi, &local)
 				}
 			}
 			ws.stats.levelRows[0] += int64(hi - lo)
@@ -551,7 +472,6 @@ func (e *exec) intake(ctx *sched.Ctx) {
 			views[d] = &local[d]
 		}
 		scat.SealInto(views)
-		e.flushHotAccums(ws, &local)
 		e.lap(t0, trace.PhaseSplit)
 	})
 
@@ -562,127 +482,6 @@ func (e *exec) intake(ctx *sched.Ctx) {
 		e.root[d].AddAll(&local[d])
 	}
 	e.rootMu.Unlock()
-}
-
-// dispatchRaw runs the strategy's decision loop over raw rows [lo, hi) of
-// the given key/column slices — the shared inner loop of the direct and the
-// bypass-compacted intake paths.
-func (e *exec) dispatchRaw(ws *workerState, st StrategyState, table *hashtable.Table,
-	scat *partition.Scatterer, keys []uint64, cols [][]int64, lo, hi int,
-	local *[hashfn.Fanout]runs.Bucket) {
-	i := lo
-	for i < hi {
-		switch st.NextMode() {
-		case ModePartition:
-			blk := min(hi-i, scratchRows)
-			t0 := e.stamp()
-			e.scatterRaw(ws, scat, keys, cols, i, i+blk)
-			e.lap(t0, trace.PhaseScatter)
-			st.OnPartitioned(blk)
-			ws.stats.partitionedRows += int64(blk)
-			i += blk
-		default: // ModeHash (ModeFinal cannot occur at intake)
-			i = e.hashRaw(ws, st, table, keys, cols, i, hi, local)
-		}
-	}
-}
-
-// compactCold splits block [lo, hi) of the input into hot and cold rows:
-// hot rows (exact key match against the plan's bypass set) fold into the
-// worker's scalar accumulators, cold rows are gathered — keys and the
-// referenced aggregate columns — into the worker's compaction scratch.
-// Returns the number of cold rows.
-func (e *exec) compactCold(ws *workerState, keys []uint64, cols [][]int64, lo, hi int) int {
-	hot := e.hot
-	acc := ws.hotAcc
-	lut := &hot.lut
-	hk := hot.keys
-	idx := ws.coldIdx[:0]
-	ck := ws.coldKeys
-	m := 0
-	// Distinct queries carry no state words: hot rows only need a counter,
-	// and cold rows need no index for the (empty) column gather. The split
-	// keeps both loops free of per-row calls — the classifier's home-slot
-	// probe is inlined; only probe-chain collisions take the call.
-	if len(e.wordOps) == 0 {
-		for r := lo; r < hi; r++ {
-			k := keys[r]
-			j := int(lut[hotSlot(k)])
-			if j >= 0 && hk[j] != k {
-				j = hot.lookup(k)
-			}
-			if j >= 0 {
-				acc.touched[j] = true
-				acc.rows[j]++
-				continue
-			}
-			ck[m] = k
-			m++
-		}
-		return m
-	}
-	for r := lo; r < hi; r++ {
-		k := keys[r]
-		j := int(lut[hotSlot(k)])
-		if j >= 0 && hk[j] != k {
-			j = hot.lookup(k)
-		}
-		if j >= 0 {
-			acc.fold(e.wordOps, j, cols, r)
-			continue
-		}
-		ck[m] = k
-		idx = append(idx, int32(r))
-		m++
-	}
-	// Column-major gather of the cold rows' referenced aggregate inputs.
-	for _, c := range e.refCols {
-		dst := ws.coldCols[c]
-		src := cols[c]
-		for x, r := range idx {
-			dst[x] = src[r]
-		}
-	}
-	ws.coldIdx = idx
-	return m
-}
-
-// flushHotAccums publishes the worker's touched hot-key accumulators as
-// one-row pre-aggregated runs into the local level-0 buckets, routed by the
-// hash digit exactly like table splits — downstream merging needs no
-// special case, and output order is identical to the unplanned path. The
-// state words are copied (the runs outlive the accumulators, which are
-// reset so a worker running several intake tasks cannot double-publish).
-func (e *exec) flushHotAccums(ws *workerState, local *[hashfn.Fanout]runs.Bucket) {
-	acc := ws.hotAcc
-	if acc == nil {
-		return
-	}
-	for j := range acc.touched {
-		if !acc.touched[j] {
-			continue
-		}
-		key, hash := e.hot.keys[j], e.hot.hashes[j]
-		r := &runs.Run{
-			Keys:       []uint64{key},
-			States:     make([][]uint64, e.words),
-			Aggregated: true,
-		}
-		for w := 0; w < e.words; w++ {
-			r.States[w] = []uint64{acc.states[j][w]}
-		}
-		if e.cfg.CarryHashes {
-			r.Hashes = []uint64{hash}
-		}
-		local[hashfn.Digit(hash, 0)].Add(r)
-		ws.mem.Reserve(e.interRow)
-		ws.stats.hotRows += acc.rows[j]
-		if e.tr != nil {
-			e.tr.Emit(trace.KindHotKeyBypass, ws.id, 0, int64(key), float64(acc.rows[j]))
-		}
-		acc.touched[j] = false
-		acc.rows[j] = 0
-	}
 }
 
 // hashRaw inserts raw input rows [i, hi) into the table until the table
@@ -822,12 +621,8 @@ func (e *exec) processBucket(ctx *sched.Ctx, b *runs.Bucket, level int, prefix u
 			big = append(big, c)
 		}
 	}
-	sort.Slice(big, func(i, j int) bool {
-		ri, rj := big[i].b.Rows(), big[j].b.Rows()
-		if ri != rj {
-			return ri > rj
-		}
-		return big[i].prefix < big[j].prefix
+	slices.SortFunc(big, func(x, y child) int {
+		return cmp.Or(cmp.Compare(y.b.Rows(), x.b.Rows()), cmp.Compare(x.prefix, y.prefix))
 	})
 	for _, c := range big {
 		c := c

@@ -8,7 +8,6 @@ package core
 import (
 	"encoding/binary"
 	"errors"
-	"math"
 	"testing"
 
 	"cacheagg/internal/agg"
@@ -58,21 +57,6 @@ func FuzzAggregateMatchesReference(f *testing.F) {
 			MorselRows:  64,
 			ChunkRows:   32,
 			CarryHashes: mode&1 == 1,
-			EnablePlan:  mode&2 == 2,
-		}
-		if cfg.EnablePlan && len(keys) >= 64 {
-			// Fuzz inputs are below the planner's minimum, so synthesize the
-			// plan directly from fuzz bytes: the executor must stay correct
-			// under arbitrary hot keys, table sizes, and routing decisions.
-			cfg.Plan = &Plan{
-				SampleRows:     len(keys),
-				EstimatedK:     float64(data[0]) * 17,
-				HotKeys:        []uint64{uint64(data[1]), uint64(data[2]), uint64(data[3])},
-				HotHashes:      []uint64{0, 0, 0},
-				HotMass:        float64(data[4]) / 255,
-				StartPartition: data[5]&1 == 1,
-				TableRows:      int(data[6]) << 6,
-			}
 		}
 		res, err := Aggregate(cfg, in)
 		if err != nil {
@@ -97,18 +81,16 @@ func FuzzAggregateMatchesReference(f *testing.F) {
 	})
 }
 
-// FuzzRoutineSelection drives the routine selector with fuzz-
-// synthesized — frequently bogus — plans (huge/zero/NaN/Inf K̂ and α̂,
-// drift-guard violations) and every routine override. The selector must
-// sanitize: no panic, no livelock (the run completes inside the fuzz
-// timeout), a forced sort-spill fails fast with ErrMemoryBudget and
-// everything else returns exactly the reference answer.
+// FuzzRoutineSelection drives every routine override, one out-of-range
+// value included. A forced sort-spill fails fast with ErrMemoryBudget; an
+// out-of-range override is treated as auto; auto and partitioned commit to
+// the partitioned routine and return exactly the reference answer.
 func FuzzRoutineSelection(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 1, 2, 1, 9, 9}, uint8(0), uint8(0))
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}, uint8(2), uint8(255))
-	f.Add([]byte{7, 7, 7, 7, 1, 2, 3, 4}, uint8(3), uint8(17))
-	f.Add([]byte{200, 100, 50, 25, 12, 6, 3, 1}, uint8(1), uint8(64))
-	f.Fuzz(func(t *testing.T, data []byte, routineByte, planByte uint8) {
+	f.Add([]byte{1, 2, 3, 1, 2, 1, 9, 9}, uint8(0))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}, uint8(2))
+	f.Add([]byte{7, 7, 7, 7, 1, 2, 3, 4}, uint8(3))
+	f.Add([]byte{200, 100, 50, 25, 12, 6, 3, 1}, uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, routineByte uint8) {
 		if len(data) < 8 || len(data) > 1<<14 {
 			return
 		}
@@ -126,32 +108,27 @@ func FuzzRoutineSelection(f *testing.F) {
 				{Kind: agg.Avg, Col: 0},
 			},
 		}
-		// A palette of plan-field poisons indexed by fuzz bytes.
-		kPalette := []float64{0, 1, float64(data[0]) * 17, 1e300, math.Inf(1), math.NaN(), -3, 2}
-		aPalette := []float64{0, 1e12, math.NaN(), math.Inf(1), -1, float64(data[1]), 200}
-		plan := &Plan{
-			SampleRows:     int(int8(data[2])) * 64, // negative half the time
-			TotalRows:      len(keys),
-			EstimatedK:     kPalette[int(planByte)%len(kPalette)],
-			HalfSampleK:    kPalette[int(planByte>>3)%len(kPalette)],
-			PredictedAlpha: aPalette[int(planByte>>5)%len(aPalette)],
-			TableRows:      int(int8(data[3])) << 5,
-		}
 		cfg := Config{
-			Strategy:   DefaultAdaptive(),
-			Workers:    1 + int(routineByte>>4)%4,
-			CacheBytes: 8 << 10,
-			MorselRows: 64,
-			ChunkRows:  32,
-			Plan:       plan,
-			Routine:    Routine(routineByte % 4), // includes one out-of-range value
+			Strategy:     DefaultAdaptive(),
+			Workers:      1 + int(routineByte>>4)%4,
+			CacheBytes:   8 << 10,
+			MorselRows:   64,
+			ChunkRows:    32,
+			CollectStats: true,
+			Routine:      Routine(routineByte % 4), // includes one out-of-range value
 		}
 		res, err := Aggregate(cfg, in)
-		if err != nil {
-			if cfg.Routine == RoutineSortSpill && errors.Is(err, ErrMemoryBudget) {
-				return // fail-fast contract: typed, immediate, no result
+		if cfg.Routine == RoutineSortSpill {
+			if !errors.Is(err, ErrMemoryBudget) {
+				t.Fatalf("forced sort-spill: err = %v, want ErrMemoryBudget", err)
 			}
-			t.Fatalf("routine %v plan %+v: %v", cfg.Routine, plan, err)
+			return // fail-fast contract: typed, immediate, no result
+		}
+		if err != nil {
+			t.Fatalf("routine %v: %v", cfg.Routine, err)
+		}
+		if res.Stats.Routine != RoutinePartitioned {
+			t.Fatalf("routine %v: committed to %v, want partitioned", cfg.Routine, res.Stats.Routine)
 		}
 		want := refAggregate(in)
 		if res.Groups() != len(want) {

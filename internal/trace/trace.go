@@ -137,18 +137,9 @@ const (
 	// because the ingest queue or memory budget was full. Part = queue
 	// length at refusal, Value = 1.
 	KindBackpressure
-	// KindPlan: a sketch-guided plan was attached to the run. Emitted once
-	// at run start. Part = number of hot keys nominated for bypass,
-	// Value = estimated distinct-key count (HLL).
-	KindPlan
-	// KindHotKeyBypass: a worker flushed one hot key's scalar accumulator
-	// into the merge stream. Part = the hot key (as int64),
-	// Value = rows folded into the accumulator since the last flush.
-	KindHotKeyBypass
-	// KindRoutineSelect: the routine selector committed to an execution
-	// routine for the run. Emitted exactly once per run (worker 0).
-	// Part = the chosen core.Routine as an int64, Value = the predicted
-	// reduction factor α̂ (0 when no plan informed the decision).
+	// KindRoutineSelect: the run committed to an execution routine.
+	// Emitted exactly once per run (worker 0). Part = the chosen
+	// core.Routine as an int64, Value = 0.
 	KindRoutineSelect
 	// KindInternGrow: a shard of the key-interning dictionary grew its
 	// open-addressed index and republished it (an epoch boundary for
@@ -157,7 +148,7 @@ const (
 	KindInternGrow
 
 	// NumKinds is the number of kinds; valid Kind values are < NumKinds.
-	NumKinds = 21
+	NumKinds = 19
 )
 
 var kindNames = [NumKinds]string{
@@ -167,7 +158,6 @@ var kindNames = [NumKinds]string{
 	"prefetch-load", "prefetch-hit", "prefetch-drop",
 	"gov-high-water",
 	"epoch-seal", "checkpoint-write", "recover", "backpressure",
-	"plan", "hot-key-bypass",
 	"routine-select", "intern-grow",
 }
 

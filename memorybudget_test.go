@@ -210,3 +210,65 @@ func TestExternalOptionsByteBudget(t *testing.T) {
 		t.Fatal("hybrid mode never engaged")
 	}
 }
+
+// TestAutoDegradesToSortSpillMidRun: RoutineAuto under a budget smaller
+// than the output starts the partitioned in-memory pass (no estimate of K
+// decides otherwise up front), runs over budget mid-run and degrades to
+// the sort-spill path, whose result matches the map oracle.
+func TestAutoDegradesToSortSpillMidRun(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	in := budgetInput(400000, 300000)
+	tr := NewTracer(1 << 16)
+	o := opts()
+	o.Routine = RoutineAuto
+	o.MemoryBudgetBytes = 8 << 20 // < 300000 groups · 40-byte output rows
+	o.CollectStats = true
+	o.Tracer = tr
+	res, err := Aggregate(in, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Routine != "sort-spill" || !res.Stats.DegradedToExternal {
+		t.Fatalf("Routine = %q, DegradedToExternal = %v; want sort-spill, true",
+			res.Stats.Routine, res.Stats.DegradedToExternal)
+	}
+	evs := tr.Events()
+	if len(evs) == 0 || evs[0].Seq != 0 {
+		t.Fatal("event ring wrapped; raise the tracer capacity")
+	}
+	for _, ev := range evs {
+		if ev.Kind == "routine-select" {
+			if ev.Part != int64(RoutinePartitioned) {
+				t.Fatalf("first routine-select part = %d, want the partitioned in-memory pass", ev.Part)
+			}
+			break
+		}
+	}
+	if tr.Snapshot().Counts["routine-select"] == 0 {
+		t.Fatal("no routine-select event")
+	}
+
+	// The map oracle: COUNT, SUM and exact AVG per key.
+	type acc struct{ n, sum int64 }
+	want := make(map[uint64]acc)
+	for i, k := range in.GroupBy {
+		a := want[k]
+		a.n++
+		a.sum += in.Columns[0][i]
+		want[k] = a
+	}
+	if res.Len() != len(want) {
+		t.Fatalf("groups = %d, want %d", res.Len(), len(want))
+	}
+	for i, g := range res.Groups {
+		w, ok := want[g]
+		if !ok {
+			t.Fatalf("phantom group %d", g)
+		}
+		avg := float64(w.sum) / float64(w.n)
+		if res.Aggs[0][i] != w.n || res.Aggs[1][i] != w.sum || res.Float(2, i) != avg {
+			t.Fatalf("group %d: count %d sum %d avg %v, want %d %d %v",
+				g, res.Aggs[0][i], res.Aggs[1][i], res.Float(2, i), w.n, w.sum, avg)
+		}
+	}
+}

@@ -46,8 +46,7 @@ type TraceEvent struct {
 	// "spill-write", "spill-read", "spill-retry", "merge-start",
 	// "merge-steal", "merge-finish", "prefetch-load", "prefetch-hit",
 	// "prefetch-drop", "gov-high-water", "epoch-seal", "checkpoint-write",
-	// "recover", "backpressure", "plan", "hot-key-bypass", "routine-select"
-	// or "intern-grow".
+	// "recover", "backpressure", "routine-select" or "intern-grow".
 	Kind string `json:"kind"`
 	// Worker is the emitting worker's index (0 when not worker-scoped).
 	Worker int `json:"worker"`
