@@ -1,260 +1,667 @@
 package cacheagg
 
-// One testing.B benchmark per table and figure of the paper. These are the
-// Go-native counterparts of the cmd/aggbench subcommands: `aggbench`
-// prints full sweeps in the paper's units, while `go test -bench=.`
-// integrates with standard Go tooling (benchstat, -benchmem, CI).
+// One testing.B benchmark per table and figure of the paper. Each figure is
+// a table of cases that its Benchmark… and a tier-1 Test…Smoke share: the
+// benchmark runs the cases at N = benchN rows, the smoke test runs the same
+// cases once at smokeN rows and checks their group counts, so the harness
+// runs every time the tests do.
 //
-// Scale: N = 2^20 rows per iteration by default — large enough that the
-// recursion of the operator engages with the reduced cache budget below,
-// small enough that the full suite runs in minutes. The cache budget is
-// 1 MiB per worker so tables fill and strategies diverge at this N.
+// The sub-benchmarks report the paper's units with b.ReportMetric: ns/elem
+// is Element Time (T·P/N/C, Section 6.1); cases that collect operator
+// statistics add passes, switches, mean_alpha, hashed_share and the
+// per-pass breakdown pass<i>_ns/elem; the cache-simulator cases add
+// transfers; Figure 3 adds MB/s through b.SetBytes. Section 6.1's "median
+// of 10 runs" is
+//
+//	go test -run '^$' -bench Fig8 -count 10 .
+//
+// and the median of each case's ten lines. To compare two commits, build
+// each side's test binary once with go test -c and alternate -test.count 1
+// runs of the two, so that drift on the host hits both sides alike.
+//
+// Scale: N = 2^20 rows per operation: large enough that the recursion of
+// the operator engages with the reduced cache budget below, small enough
+// that a figure runs in minutes. The cache budget is 1 MiB per worker so
+// tables fill and strategies diverge at this N. Operators run on
+// P = GOMAXPROCS workers unless the figure sweeps P.
 
 import (
 	"fmt"
+	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"cacheagg/internal/agg"
 	"cacheagg/internal/baselines"
+	"cacheagg/internal/bench"
 	"cacheagg/internal/cachesim"
+	"cacheagg/internal/columnar"
 	"cacheagg/internal/core"
 	"cacheagg/internal/datagen"
-	"cacheagg/internal/emm"
 	"cacheagg/internal/hashfn"
 	"cacheagg/internal/hashtable"
 	"cacheagg/internal/partition"
+	"cacheagg/internal/sortagg"
 	"cacheagg/internal/xrand"
 )
 
 const (
 	benchN     = 1 << 20
 	benchCache = 1 << 20
+	smokeN     = benchN / 64
 )
+
+// kSweep is the K axis of the strategy figures, as exponents: 2^4 … 2^20.
+var kSweep = []int{4, 6, 8, 10, 12, 14, 16, 18, 20}
 
 func benchKeys(b *testing.B, dist datagen.Dist, k uint64) []uint64 {
 	b.Helper()
 	return datagen.Generate(datagen.Spec{Dist: dist, N: benchN, K: k, Seed: 42})
 }
 
-func coreCfg(s core.Strategy) core.Config {
-	return core.Config{Strategy: s, CacheBytes: benchCache}
+// figOut is what one operation of a figure case produced.
+type figOut struct {
+	groups    int         // result groups (0 when the operation does not group)
+	rows      int         // rows processed, when not the case's n
+	stats     *core.Stats // set when the case collects operator statistics
+	transfers int64       // cache-line transfers of a cache-simulator run
 }
 
-func runDistinct(b *testing.B, cfg core.Config, keys []uint64) {
-	b.Helper()
-	b.SetBytes(int64(len(keys)) * 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Distinct(cfg, keys); err != nil {
-			b.Fatal(err)
+// figCase is one point of a figure. setup builds its input at n rows and
+// returns the operation one benchmark iteration times, plus the group-by
+// keys that operation aggregates (nil when it does not group), against
+// which the smoke test checks out.groups.
+type figCase struct {
+	name     string
+	workers  int // Element Time's P; 0 counts as 1
+	cols     int // Element Time's C; 0 counts as 1
+	rowBytes int // bytes moved per row, reported as MB/s
+	setup    func(tb testing.TB, n int) (op func() figOut, keys []uint64)
+}
+
+// metrics converts one operation of c over n rows that took d into the
+// paper's units.
+func (c figCase) metrics(out figOut, n int, d time.Duration) map[string]float64 {
+	if out.rows > 0 {
+		n = out.rows
+	}
+	m := map[string]float64{"ns/elem": bench.ElementTime(d, c.workers, n, max(c.cols, 1))}
+	if out.transfers > 0 {
+		m["transfers"] = float64(out.transfers)
+	}
+	if st := out.stats; st != nil {
+		m["passes"] = float64(st.Passes)
+		m["switches"] = float64(st.Switches)
+		// With no table split the whole input reduced in one table.
+		m["mean_alpha"] = float64(n) / float64(max(out.groups, 1))
+		if st.TablesEmitted > 0 {
+			m["mean_alpha"] = st.AlphaSum / float64(st.TablesEmitted)
+		}
+		if routed := st.HashedRows + st.PartitionedRows; routed > 0 {
+			m["hashed_share"] = float64(st.HashedRows) / float64(routed)
+		}
+		for l := 0; l < st.Passes; l++ {
+			m[fmt.Sprintf("pass%d_ns/elem", l)] = float64(st.LevelNanos[l]) / float64(n)
 		}
 	}
+	return m
 }
 
-// --- Figure 1: the cost model itself (cheap) and the cache simulator. ---
-
-func BenchmarkFig1CostModel(b *testing.B) {
-	p := emm.FigureParams()
-	for i := 0; i < b.N; i++ {
-		if rows := emm.Figure1(p); len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-func BenchmarkFig1CacheSim(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		m := cachesim.NewMachine(1<<12, 16)
-		in := cachesim.UniformKeys(m, 1<<14, 1<<10, 42)
-		if st := cachesim.HashAggOpt(m, in); st.Groups == 0 {
-			b.Fatal("no groups")
-		}
-	}
-}
-
-// --- Figure 3: partitioning micro-benchmarks. ---
-
-func BenchmarkFig3PartitionNaive(b *testing.B) {
-	keys := benchKeys(b, datagen.Uniform, 1<<30)
-	b.SetBytes(benchN * 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hashes := make([]uint64, len(keys))
-		for j, k := range keys {
-			hashes[j] = hashfn.Murmur2(k)
-		}
-		partition.NaiveScatter(0, 0, hashes, keys, nil)
-	}
-}
-
-func BenchmarkFig3PartitionSWC(b *testing.B) {
-	keys := benchKeys(b, datagen.Uniform, 1<<30)
-	var scratch [16]uint64
-	b.SetBytes(benchN * 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := partition.New(partition.Config{Level: 0})
-		j := 0
-		for ; j+16 <= len(keys); j += 16 {
-			for x := 0; x < 16; x++ {
-				scratch[x] = hashfn.Murmur2(keys[j+x])
-			}
-			s.Scatter(scratch[:], keys[j:j+16], nil)
-		}
-		for ; j < len(keys); j++ {
-			s.Add(hashfn.Murmur2(keys[j]), keys[j], nil)
-		}
-		s.Flush()
-	}
-}
-
-// --- Figures 4 and 5: strategies over small/large K. ---
-
-func benchStrategies() map[string]core.Strategy {
-	return map[string]core.Strategy{
-		"HashingOnly":     core.HashingOnly(),
-		"PartitionAlways": core.PartitionAlways(1),
-		"Adaptive":        core.DefaultAdaptive(),
-	}
-}
-
-func BenchmarkFig4And5Strategies(b *testing.B) {
-	for name, s := range benchStrategies() {
-		for _, kExp := range []int{8, 14, 19} {
-			keys := benchKeys(b, datagen.Uniform, 1<<uint(kExp))
-			b.Run(fmt.Sprintf("%s/K=2^%d", name, kExp), func(b *testing.B) {
-				runDistinct(b, coreCfg(s), keys)
-			})
-		}
-	}
-}
-
-// --- Figure 6: worker scaling. ---
-
-func BenchmarkFig6Speedup(b *testing.B) {
-	keys := benchKeys(b, datagen.Uniform, 1<<16)
-	for _, p := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
-			cfg := coreCfg(core.DefaultAdaptive())
-			cfg.Workers = p
-			runDistinct(b, cfg, keys)
-		})
-	}
-}
-
-// --- Figure 7: aggregate-column scaling. ---
-
-func BenchmarkFig7Columns(b *testing.B) {
-	keys := benchKeys(b, datagen.Uniform, 1<<14)
-	rng := xrand.NewXoshiro256(5)
-	maxCols := 4
-	cols := make([][]int64, maxCols)
-	for c := range cols {
-		cols[c] = make([]int64, benchN)
-		for i := range cols[c] {
-			cols[c][i] = int64(rng.Next() % 1000)
-		}
-	}
-	for _, nc := range []int{0, 1, 2, 4} {
-		b.Run(fmt.Sprintf("C=%d", nc+1), func(b *testing.B) {
-			in := Input{GroupBy: keys, Columns: cols[:nc]}
-			for c := 0; c < nc; c++ {
-				in.Aggregates = append(in.Aggregates, AggSpec{Func: Sum, Col: c})
-			}
-			opt := Options{CacheBytes: benchCache}
-			b.SetBytes(int64(benchN) * 8 * int64(nc+1))
+func benchFig(b *testing.B, cases []figCase) {
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			op, _ := c.setup(b, benchN)
+			b.SetBytes(int64(c.rowBytes) * benchN)
+			var out figOut
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Aggregate(in, opt); err != nil {
-					b.Fatal(err)
+				out = op()
+			}
+			b.StopTimer()
+			for unit, v := range c.metrics(out, benchN, b.Elapsed()/time.Duration(b.N)) {
+				b.ReportMetric(v, unit)
+			}
+		})
+	}
+}
+
+func smokeFig(t *testing.T, cases []figCase) {
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			op, keys := c.setup(t, smokeN)
+			start := time.Now()
+			out := op()
+			d := time.Since(start)
+			if keys != nil {
+				if want := datagen.CountDistinct(keys); out.groups != want {
+					t.Errorf("%d groups, want %d", out.groups, want)
+				}
+			}
+			for unit, v := range c.metrics(out, smokeN, d) {
+				if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+					t.Errorf("%s = %v", unit, v)
 				}
 			}
 		})
 	}
 }
 
-// --- Figure 8: prior work vs Adaptive. ---
+func keysAt(s datagen.Spec, n int) []uint64 {
+	s.N = n
+	return datagen.Generate(s)
+}
 
-func BenchmarkFig8Baselines(b *testing.B) {
-	for _, kExp := range []int{10, 19} {
-		keys := benchKeys(b, datagen.Uniform, 1<<uint(kExp))
-		k := datagen.CountDistinct(keys)
-		for _, alg := range baselines.All() {
-			b.Run(fmt.Sprintf("%s/K=2^%d", alg.Name(), kExp), func(b *testing.B) {
-				cfg := baselines.Config{CacheBytes: benchCache, EstimatedGroups: k}
-				b.SetBytes(benchN * 8)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					alg.Run(keys, cfg)
+func uniform(kExp int) datagen.Spec {
+	return datagen.Spec{Dist: datagen.Uniform, K: 1 << kExp, Seed: 42}
+}
+
+func valueCol(n int, seed uint64) []int64 {
+	rng := xrand.NewXoshiro256(seed)
+	col := make([]int64, n)
+	for i := range col {
+		col[i] = int64(rng.Next() % 1000)
+	}
+	return col
+}
+
+// opCfg is the operator in the figures: p workers, the reduced cache
+// budget, and statistics when the figure plots them.
+func opCfg(s core.Strategy, p int, stats bool) core.Config {
+	return core.Config{Strategy: s, Workers: p, CacheBytes: benchCache, CollectStats: stats}
+}
+
+func aggregateOp(tb testing.TB, cfg core.Config, in *core.Input) func() figOut {
+	return func() figOut {
+		res, err := core.Aggregate(cfg, in)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out := figOut{groups: res.Groups(), rows: len(in.Keys)}
+		if cfg.CollectStats {
+			out.stats = &res.Stats
+		}
+		return out
+	}
+}
+
+// distinctCase times the DISTINCT query under cfg over spec's keys.
+func distinctCase(name string, spec datagen.Spec, cfg core.Config) figCase {
+	return figCase{name: name, workers: cfg.Workers, setup: func(tb testing.TB, n int) (func() figOut, []uint64) {
+		keys := keysAt(spec, n)
+		return aggregateOp(tb, cfg, &core.Input{Keys: keys}), keys
+	}}
+}
+
+type namedStrategy struct {
+	name string
+	s    core.Strategy
+}
+
+// --- Figure 1 (empirical): the textbook algorithms and the framework on
+// the cache simulator, M = 2^12 words, B = 16, at N/32 rows. ---
+
+func fig1Cases() []figCase {
+	algs := []struct {
+		name string
+		run  func(*cachesim.Machine, cachesim.Array) cachesim.Stats
+	}{
+		{"SortAggNaive", func(m *cachesim.Machine, in cachesim.Array) cachesim.Stats { return cachesim.SortAggNaive(m, in, 16) }},
+		{"SortAggOpt", func(m *cachesim.Machine, in cachesim.Array) cachesim.Stats { return cachesim.SortAggOpt(m, in, 16) }},
+		{"HashAggNaive", cachesim.HashAggNaive},
+		{"HashAggOpt", cachesim.HashAggOpt},
+		{"Framework", func(m *cachesim.Machine, in cachesim.Array) cachesim.Stats {
+			return cachesim.FrameworkAgg(m, in, cachesim.FrameworkConfig{})
+		}},
+	}
+	var cases []figCase
+	for _, a := range algs {
+		for _, k := range []int{6, 10, 12, 14} {
+			cases = append(cases, figCase{name: fmt.Sprintf("%s/K=2^%d", a.name, k), setup: func(_ testing.TB, n int) (func() figOut, []uint64) {
+				return func() figOut {
+					m := cachesim.NewMachine(1<<12, 16)
+					st := a.run(m, cachesim.UniformKeys(m, n/32, 1<<k, 42))
+					return figOut{rows: n / 32, transfers: st.Transfers}
+				}, nil
+			}})
+		}
+	}
+	return cases
+}
+
+func BenchmarkFig1CacheSim(b *testing.B) { benchFig(b, fig1Cases()) }
+func TestFig1CacheSimSmoke(t *testing.T) { smokeFig(t, fig1Cases()) }
+
+// --- Figure 3: each tuning step of the partitioning routine, on uniform
+// random keys. Every variant moves a hash and a key per row, except map,
+// which moves one column through a precomputed mapping vector. ---
+
+func fig3Cases() []figCase {
+	variant := func(name string, rowBytes int, mk func(keys []uint64) func()) figCase {
+		return figCase{name: name, rowBytes: rowBytes, setup: func(_ testing.TB, n int) (func() figOut, []uint64) {
+			run := mk(keysAt(datagen.Spec{Dist: datagen.Uniform, K: math.MaxUint64, Seed: 7}, n))
+			return func() figOut { run(); return figOut{} }, nil
+		}}
+	}
+	cases := []figCase{variant("memcpy", 16, func(keys []uint64) func() {
+		dstA, dstB := make([]uint64, len(keys)), make([]uint64, len(keys))
+		return func() { copy(dstA, keys); copy(dstB, keys) }
+	})}
+	digits := []struct {
+		name string
+		f    hashfn.Func
+	}{{"key", hashfn.Identity}, {"hash", hashfn.Murmur2}}
+	for _, h := range digits {
+		cases = append(cases, variant("naive/"+h.name, 16, func(keys []uint64) func() {
+			hs := make([]uint64, len(keys))
+			return func() {
+				for i, k := range keys {
+					hs[i] = h.f(k)
 				}
-			})
-		}
-		b.Run(fmt.Sprintf("ADAPTIVE/K=2^%d", kExp), func(b *testing.B) {
-			runDistinct(b, coreCfg(core.DefaultAdaptive()), keys)
-		})
+				partition.NaiveScatter(0, 0, hs, keys, nil)
+			}
+		}))
 	}
+	for _, h := range digits {
+		cases = append(cases, variant("swc/"+h.name, 16, func(keys []uint64) func() {
+			return func() {
+				s := partition.New(partition.Config{Level: 0})
+				for _, k := range keys {
+					s.Add(h.f(k), k, nil)
+				}
+				s.Flush()
+			}
+		}))
+	}
+	// oo hashes 16 rows ahead of their scatter (the paper's out-of-order
+	// unrolling; n is a multiple of 16); two-level is the production
+	// routine, overalloc writes into over-allocated flat outputs instead.
+	var hs [16]uint64
+	unrolled := func(keys []uint64, scatter func(hs, keys []uint64)) {
+		for i := 0; i+16 <= len(keys); i += 16 {
+			for j := range hs {
+				hs[j] = hashfn.Murmur2(keys[i+j])
+			}
+			scatter(hs[:], keys[i:i+16])
+		}
+	}
+	return append(cases,
+		variant("swc+oo/two-level", 16, func(keys []uint64) func() {
+			return func() {
+				s := partition.New(partition.Config{Level: 0})
+				unrolled(keys, func(hs, keys []uint64) { s.Scatter(hs, keys, nil) })
+				s.Flush()
+			}
+		}),
+		variant("swc+oo/overalloc", 16, func(keys []uint64) func() {
+			return func() {
+				outH, outK := make([][]uint64, hashfn.Fanout), make([][]uint64, hashfn.Fanout)
+				per := len(keys)/hashfn.Fanout*2 + 1024
+				for p := range outH {
+					outH[p], outK[p] = make([]uint64, 0, per), make([]uint64, 0, per)
+				}
+				unrolled(keys, func(hs, keys []uint64) {
+					for j, h := range hs {
+						p := h >> 56
+						outH[p], outK[p] = append(outH[p], h), append(outK[p], keys[j])
+					}
+				})
+			}
+		}),
+		// The moved column's values do not matter: map moves the keys.
+		variant("map", 8, func(keys []uint64) func() {
+			mapping, _ := columnar.PartitionMapping(keys, 0)
+			return func() { columnar.ApplyMappingSWC(mapping, keys) }
+		}),
+	)
 }
 
-// --- Figure 9: skew resistance. ---
+func BenchmarkFig3Partitioning(b *testing.B) { benchFig(b, fig3Cases()) }
+func TestFig3PartitioningSmoke(t *testing.T) { smokeFig(t, fig3Cases()) }
 
-func BenchmarkFig9Skew(b *testing.B) {
+// --- Figures 4 and 5: the illustrative strategies and ADAPTIVE over K, on
+// uniform keys, with the per-pass breakdown of Figure 4. ---
+
+func fig4And5Cases() []figCase {
+	p := runtime.GOMAXPROCS(0)
+	var cases []figCase
+	for _, s := range []namedStrategy{
+		{"HashingOnly", core.HashingOnly()},
+		{"PartitionAlways1", core.PartitionAlways(1)},
+		{"PartitionAlways2", core.PartitionAlways(2)},
+		{"Adaptive", core.DefaultAdaptive()},
+	} {
+		for _, k := range kSweep {
+			cases = append(cases, distinctCase(fmt.Sprintf("%s/K=2^%d", s.name, k), uniform(k), opCfg(s.s, p, true)))
+		}
+	}
+	return cases
+}
+
+func BenchmarkFig4And5Strategies(b *testing.B) { benchFig(b, fig4And5Cases()) }
+func TestFig4And5StrategiesSmoke(t *testing.T) { smokeFig(t, fig4And5Cases()) }
+
+// --- Figure 6: worker scaling. Element Time is per core, so a flat
+// ns/elem over P is linear speedup. ---
+
+func fig6Cases() []figCase {
+	var cases []figCase
+	for _, p := range []int{1, 2, 4} {
+		for _, k := range []int{10, 16, 18} {
+			cases = append(cases, distinctCase(fmt.Sprintf("P=%d/K=2^%d", p, k), uniform(k), opCfg(core.DefaultAdaptive(), p, false)))
+		}
+	}
+	return cases
+}
+
+func BenchmarkFig6Speedup(b *testing.B) { benchFig(b, fig6Cases()) }
+func TestFig6SpeedupSmoke(t *testing.T) { smokeFig(t, fig6Cases()) }
+
+// --- Section 6.2: ADAPTIVE beside one co-runner goroutine per worker that
+// either loops over a cache-resident buffer or copies out-of-cache ones.
+// The paper finds the first harmless and the second up to 2× slower. The
+// co-runners yield after every sweep, as a time-sliced thread would: Go
+// preempts a running goroutine only every 10 ms, so a co-runner that never
+// yields holds its P that long each time an operator worker wakes. ---
+
+func interferenceCases() []figCase {
+	p := runtime.GOMAXPROCS(0)
+	var cases []figCase
+	for _, co := range []struct {
+		name string
+		run  func(n int, stop *atomic.Bool)
+	}{
+		{"none", nil},
+		{"cache-resident", func(_ int, stop *atomic.Bool) {
+			buf := make([]uint64, 32768) // 256 KiB
+			for s := uint64(0); !stop.Load(); buf[0] = s {
+				for _, v := range buf {
+					s += v
+				}
+				runtime.Gosched()
+			}
+		}},
+		{"memcpy", func(n int, stop *atomic.Bool) {
+			src, dst := make([]uint64, 4*n), make([]uint64, 4*n) // 32 MiB each at N = 2^20
+			for !stop.Load() {
+				copy(dst, src)
+				runtime.Gosched()
+			}
+		}},
+	} {
+		for _, k := range []int{10, 18} {
+			c := distinctCase(fmt.Sprintf("%s/K=2^%d", co.name, k), uniform(k), opCfg(core.DefaultAdaptive(), p, false))
+			if co.run != nil {
+				setup := c.setup
+				c.setup = func(tb testing.TB, n int) (func() figOut, []uint64) {
+					var stop atomic.Bool
+					var wg sync.WaitGroup
+					for d := 0; d < p; d++ {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							co.run(n, &stop)
+						}()
+					}
+					tb.Cleanup(func() {
+						stop.Store(true)
+						wg.Wait()
+					})
+					return setup(tb, n)
+				}
+			}
+			cases = append(cases, c)
+		}
+	}
+	return cases
+}
+
+func BenchmarkFig6Interference(b *testing.B) { benchFig(b, interferenceCases()) }
+func TestFig6InterferenceSmoke(t *testing.T) { smokeFig(t, interferenceCases()) }
+
+// --- Figure 7: SUM columns added to the query. C counts the grouping
+// column too; Figure 7 alone runs at N/4 rows, as the paper does, to
+// offset the memory of its extra columns. ---
+
+func fig7Cases() []figCase {
+	p := runtime.GOMAXPROCS(0)
+	var cases []figCase
+	for _, nc := range []int{0, 1, 2, 4, 8} {
+		for _, k := range []int{10, 16} {
+			cases = append(cases, figCase{name: fmt.Sprintf("C=%d/K=2^%d", nc+1, k), workers: p, cols: nc + 1,
+				setup: func(tb testing.TB, n int) (func() figOut, []uint64) {
+					in := &core.Input{Keys: keysAt(uniform(k), n/4)}
+					for c := 0; c < nc; c++ {
+						in.AggCols = append(in.AggCols, valueCol(n/4, uint64(c)))
+						in.Specs = append(in.Specs, agg.Spec{Kind: agg.Sum, Col: c})
+					}
+					return aggregateOp(tb, opCfg(core.DefaultAdaptive(), p, false), in), in.Keys
+				}})
+		}
+	}
+	return cases
+}
+
+func BenchmarkFig7Columns(b *testing.B) { benchFig(b, fig7Cases()) }
+func TestFig7ColumnsSmoke(t *testing.T) { smokeFig(t, fig7Cases()) }
+
+// --- Figure 8: prior work vs ADAPTIVE on the DISTINCT query, all on the
+// same P workers. Every baseline is told the true K, the optimizer
+// estimate it relies on; ADAPTIVE gets none. ---
+
+func fig8Cases() []figCase {
+	p := runtime.GOMAXPROCS(0)
+	var cases []figCase
+	for _, k := range kSweep {
+		for _, alg := range baselines.All() {
+			cases = append(cases, figCase{name: fmt.Sprintf("%s/K=2^%d", alg.Name(), k), workers: p,
+				setup: func(_ testing.TB, n int) (func() figOut, []uint64) {
+					keys := keysAt(uniform(k), n)
+					cfg := baselines.Config{Workers: p, CacheBytes: benchCache, EstimatedGroups: datagen.CountDistinct(keys)}
+					return func() figOut { return figOut{groups: alg.Run(keys, cfg).Groups()} }, keys
+				}})
+		}
+		cases = append(cases, distinctCase(fmt.Sprintf("ADAPTIVE/K=2^%d", k), uniform(k), opCfg(core.DefaultAdaptive(), p, false)))
+	}
+	return cases
+}
+
+func BenchmarkFig8Baselines(b *testing.B) { benchFig(b, fig8Cases()) }
+func TestFig8BaselinesSmoke(t *testing.T) { smokeFig(t, fig8Cases()) }
+
+// --- Figure 9: ADAPTIVE on every distribution. hashed_share > 0.5 is the
+// paper's solid marker: hashing handled most rows. ---
+
+func fig9Cases() []figCase {
+	p := runtime.GOMAXPROCS(0)
+	var cases []figCase
 	for _, dist := range datagen.Dists() {
-		keys := benchKeys(b, dist, 1<<16)
-		b.Run(dist.String(), func(b *testing.B) {
-			runDistinct(b, coreCfg(core.DefaultAdaptive()), keys)
-		})
+		for _, k := range kSweep {
+			spec := datagen.Spec{Dist: dist, K: 1 << k, Seed: 42}
+			cases = append(cases, distinctCase(fmt.Sprintf("%s/K=2^%d", dist, k), spec, opCfg(core.DefaultAdaptive(), p, true)))
+		}
 	}
+	return cases
 }
 
-// --- Figure 10: the two pure strategies across locality. ---
+func BenchmarkFig9Skew(b *testing.B) { benchFig(b, fig9Cases()) }
+func TestFig9SkewSmoke(t *testing.T) { smokeFig(t, fig9Cases()) }
 
-func BenchmarkFig10Locality(b *testing.B) {
-	for _, w := range []uint64{256, 65536} {
-		keys := datagen.Generate(datagen.Spec{
-			Dist: datagen.MovingCluster, N: benchN, K: benchN / 4, Window: w, Seed: 42,
-		})
-		for name, s := range map[string]core.Strategy{
-			"HashingOnly": core.HashingOnly(), "PartitionOnly": core.PartitionOnly(),
-		} {
-			b.Run(fmt.Sprintf("%s/window=%d", name, w), func(b *testing.B) {
-				runDistinct(b, coreCfg(s), keys)
+// --- Figure 10 (Appendix A.1): the two pure strategies across locality
+// sweeps of three families at K = N/4; their crossover in mean_alpha
+// locates α₀. ---
+
+func fig10Cases() []figCase {
+	p := runtime.GOMAXPROCS(0)
+	const k = benchN / 4
+	type input struct {
+		name string
+		spec datagen.Spec
+	}
+	var inputs []input
+	for _, w := range []uint64{64, 256, 1024, 4096, 16384, 65536, k} {
+		inputs = append(inputs, input{fmt.Sprintf("moving-cluster/window=%d", w),
+			datagen.Spec{Dist: datagen.MovingCluster, K: k, Window: w, Seed: 42}})
+	}
+	for _, h := range []float64{0.05, 0.1, 0.2, 0.3, 0.4, 0.5} {
+		inputs = append(inputs, input{fmt.Sprintf("self-similar/h=%g", h),
+			datagen.Spec{Dist: datagen.SelfSimilar, K: k, H: h, Seed: 42}})
+	}
+	for _, f := range []float64{0.95, 0.9, 0.75, 0.5, 0.25, 0.1} {
+		inputs = append(inputs, input{fmt.Sprintf("heavy-hitter/frac=%g", f),
+			datagen.Spec{Dist: datagen.HeavyHitter, K: k, HitFraction: f, Seed: 42}})
+	}
+	var cases []figCase
+	for _, in := range inputs {
+		for _, s := range []namedStrategy{{"HashingOnly", core.HashingOnly()}, {"PartitionOnly", core.PartitionOnly()}} {
+			cases = append(cases, distinctCase(in.name+"/"+s.name, in.spec, opCfg(s.s, p, true)))
+		}
+	}
+	return cases
+}
+
+func BenchmarkFig10Locality(b *testing.B) { benchFig(b, fig10Cases()) }
+func TestFig10LocalitySmoke(t *testing.T) { smokeFig(t, fig10Cases()) }
+
+// --- Figure 11 (Appendix A.2): the amortization constant c. c = 0 routes
+// rows exactly as HashingOnly does. ---
+
+func fig11Cases() []figCase {
+	p := runtime.GOMAXPROCS(0)
+	var cases []figCase
+	for _, c := range []int{0, 1, 2, 5, 10, 20, 50} {
+		for _, k := range []int{10, 16, 19} {
+			cases = append(cases, distinctCase(fmt.Sprintf("c=%d/K=2^%d", c, k), uniform(k), opCfg(core.Adaptive(core.DefaultAlpha0, c), p, false)))
+		}
+	}
+	return cases
+}
+
+func BenchmarkFig11C(b *testing.B) { benchFig(b, fig11Cases()) }
+func TestFig11CSmoke(t *testing.T) { smokeFig(t, fig11Cases()) }
+
+// --- Section 4.1: insertion into a cache-sized table; ns/elem is the cost
+// of one insert. ---
+
+func insertCases() []figCase {
+	var cases []figCase
+	for _, k := range []int{6, 10, 14} {
+		cases = append(cases, figCase{name: fmt.Sprintf("K=2^%d", k), setup: func(_ testing.TB, n int) (func() figOut, []uint64) {
+			keys := keysAt(uniform(k), n)
+			hs := make([]uint64, n)
+			for i, key := range keys {
+				hs[i] = hashfn.Murmur2(key)
+			}
+			ht := hashtable.New(hashtable.Config{
+				CapacityRows: hashtable.CapacityForCache(benchCache, 0),
+				Blocks:       hashfn.Fanout,
 			})
+			return func() figOut {
+				ht.Reset()
+				for i, key := range keys {
+					if !ht.InsertState(hs[i], key, nil, nil) {
+						ht.Reset()
+					}
+				}
+				return figOut{}
+			}, nil
+		}})
+	}
+	return cases
+}
+
+func BenchmarkHashTableInsert(b *testing.B) { benchFig(b, insertCases()) }
+func TestHashTableInsertSmoke(t *testing.T) { smokeFig(t, insertCases()) }
+
+// --- Duality table: classic sort-based aggregation vs the operator, all
+// on one worker. ---
+
+func sortDualCases() []figCase {
+	var cases []figCase
+	for _, in := range []struct {
+		name string
+		spec datagen.Spec
+	}{
+		{"uniform/K=2^10", uniform(10)},
+		{"uniform/K=2^19", uniform(19)},
+		{"sorted/K=2^18", datagen.Spec{Dist: datagen.Sorted, K: 1 << 18, Seed: 42}},
+		{"heavy-hitter/K=2^18", datagen.Spec{Dist: datagen.HeavyHitter, K: 1 << 18, Seed: 42}},
+	} {
+		for _, alg := range []struct {
+			name string
+			run  func([]uint64) *sortagg.Result
+		}{
+			{"SortAgg", sortagg.SortAggregate},
+			{"MergeAgg", func(keys []uint64) *sortagg.Result { return sortagg.MergeAggregate(keys, 0) }},
+			{"RadixAgg", sortagg.RadixAggregate},
+		} {
+			cases = append(cases, figCase{name: in.name + "/" + alg.name, setup: func(_ testing.TB, n int) (func() figOut, []uint64) {
+				keys := keysAt(in.spec, n)
+				return func() figOut { return figOut{groups: alg.run(keys).Groups()} }, keys
+			}})
+		}
+		cases = append(cases, distinctCase(in.name+"/ADAPTIVE", in.spec, opCfg(core.DefaultAdaptive(), 1, false)))
+	}
+	return cases
+}
+
+func BenchmarkTblSortDual(b *testing.B) { benchFig(b, sortDualCases()) }
+func TestTblSortDualSmoke(t *testing.T) { smokeFig(t, sortDualCases()) }
+
+// --- Section 3.3: the three column-processing models of SUM GROUP BY. ---
+
+func columnarCases() []figCase {
+	var cases []figCase
+	for _, k := range []int{8, 14, 18} {
+		for _, model := range []struct {
+			name string
+			run  func([]uint64, []int64) ([]uint64, []int64)
+		}{
+			{"row-at-a-time", columnar.SumRowAtATime},
+			{"column-at-a-time", columnar.SumColumnAtATime},
+			{"block-wise", func(keys []uint64, vals []int64) ([]uint64, []int64) { return columnar.SumBlockWise(keys, vals, 0) }},
+		} {
+			cases = append(cases, figCase{name: fmt.Sprintf("K=2^%d/%s", k, model.name), cols: 2, setup: func(_ testing.TB, n int) (func() figOut, []uint64) {
+				keys, vals := keysAt(uniform(k), n), valueCol(n, 21)
+				return func() figOut {
+					groups, _ := model.run(keys, vals)
+					return figOut{groups: len(groups)}
+				}, keys
+			}})
 		}
 	}
+	return cases
 }
 
-// --- Figure 11: the amortization constant c. ---
+func BenchmarkTblColumnar(b *testing.B) { benchFig(b, columnarCases()) }
+func TestTblColumnarSmoke(t *testing.T) { smokeFig(t, columnarCases()) }
 
-func BenchmarkFig11C(b *testing.B) {
-	keys := benchKeys(b, datagen.Uniform, 1<<18)
-	for _, c := range []int{1, 10, 50} {
-		b.Run(fmt.Sprintf("c=%d", c), func(b *testing.B) {
-			runDistinct(b, coreCfg(core.Adaptive(core.DefaultAlpha0, c)), keys)
-		})
-	}
-}
+// --- Ablation: hash storage in runs. The paper's runs hold only keys and
+// recompute the hash every pass; carrying it trades ~1 ns of MurmurHash2
+// per row per pass against 8 bytes of memory traffic per row per pass in
+// each direction. ---
 
-// --- Section 4.1 table: hash insertion cost. ---
-
-func BenchmarkHashTableInsert(b *testing.B) {
-	tb := hashtable.New(hashtable.Config{
-		CapacityRows: hashtable.CapacityForCache(benchCache, 0),
-		Blocks:       hashfn.Fanout,
-	})
-	rng := xrand.NewXoshiro256(1)
-	keys := make([]uint64, 1<<16)
-	hs := make([]uint64, len(keys))
-	for i := range keys {
-		keys[i] = rng.Uint64n(1 << 12)
-		hs[i] = hashfn.Murmur2(keys[i])
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := i & (len(keys) - 1)
-		if !tb.InsertState(hs[j], keys[j], nil, nil) {
-			tb.Reset()
+func ablationCases() []figCase {
+	p := runtime.GOMAXPROCS(0)
+	var cases []figCase
+	for _, k := range []int{10, 16, 19} {
+		for _, carry := range []bool{false, true} {
+			name := "recompute"
+			if carry {
+				name = "carry"
+			}
+			cfg := opCfg(core.DefaultAdaptive(), p, false)
+			cfg.CarryHashes = carry
+			cases = append(cases, distinctCase(fmt.Sprintf("%s/K=2^%d", name, k), uniform(k), cfg))
 		}
 	}
+	return cases
 }
+
+func BenchmarkAblationHashStorage(b *testing.B) { benchFig(b, ablationCases()) }
+func TestAblationHashStorageSmoke(t *testing.T) { smokeFig(t, ablationCases()) }
 
 // --- End-to-end: the public API, as a library consumer would call it. ---
 
@@ -327,36 +734,5 @@ func BenchmarkAggregateGeneral(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
 		})
-	}
-}
-
-// --- Ablation: hash storage (DESIGN.md design-choice bench). ---
-// The paper's runs hold only keys; hashes are recomputed every pass.
-// Carrying the hash trades ~1 ns of MurmurHash2 per row per pass against
-// 8 bytes of extra memory traffic per row per pass in each direction.
-func BenchmarkAblationHashStorage(b *testing.B) {
-	keys := benchKeys(b, datagen.Uniform, 1<<19)
-	for _, carry := range []bool{false, true} {
-		name := "recompute"
-		if carry {
-			name = "carry"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := coreCfg(core.DefaultAdaptive())
-			cfg.CarryHashes = carry
-			runDistinct(b, cfg, keys)
-		})
-	}
-}
-
-// --- Figure 1 addendum: the framework itself on the cache simulator. ---
-
-func BenchmarkFig1FrameworkSim(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		m := cachesim.NewMachine(1<<12, 16)
-		in := cachesim.UniformKeys(m, 1<<14, 1<<10, 42)
-		if st := cachesim.FrameworkAgg(m, in, cachesim.FrameworkConfig{}); st.Groups == 0 {
-			b.Fatal("no groups")
-		}
 	}
 }

@@ -124,7 +124,8 @@ func AdaptiveStrategy() Strategy { return Strategy{core.DefaultAdaptive()} }
 // switching threshold alpha0 (hashing continues while the observed
 // reduction factor stays above it) and the amortization constant c
 // (partitioning runs for c·cacheRows rows before hashing is probed again).
-// Non-positive values select the defaults.
+// alpha0 ≤ 0 selects 11 and c < 0 selects 10. c = 0 probes hashing again
+// at once after every switch, so it behaves exactly like HashingOnlyStrategy.
 func AdaptiveStrategyTuned(alpha0 float64, c int) Strategy {
 	return Strategy{core.Adaptive(alpha0, c)}
 }

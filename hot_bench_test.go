@@ -4,8 +4,10 @@ package cacheagg
 // (morsel-wide) versions of the aggregation inner loops, over uniform keys
 // at N=2^20. These are the benchmarks behind this repo's batching work:
 //
-//	go test -bench 'BenchmarkHashing' -count 10 > new.txt
-//	benchstat -col '/path' new.txt          # scalar vs batched, per sweep
+//	go test -run '^$' -bench Hashing -count 10 .
+//
+// prints ten lines per sub-benchmark; compare the median of the scalar
+// lines with the median of the batched lines of the same sweep.
 //
 // The scalar variants exercise exactly the code the engine used before the
 // batch kernels existed (Murmur2 per row, InsertRawCols/InsertStateCols per
@@ -173,7 +175,14 @@ func BenchmarkHashingUniformK(b *testing.B) {
 	for _, kExp := range hotKs {
 		keys := benchKeys(b, datagen.Uniform, 1<<uint(kExp))
 		b.Run(fmt.Sprintf("K=2^%d", kExp), func(b *testing.B) {
-			runDistinct(b, coreCfg(core.HashingOnly()), keys)
+			cfg := core.Config{Strategy: core.HashingOnly(), CacheBytes: benchCache}
+			b.SetBytes(benchN * 8)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.Distinct(cfg, keys); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

@@ -1,37 +1,8 @@
-// Package bench provides the measurement harness shared by the figure
-// benchmarks: repeated timing with median selection (the paper reports "the
-// median of 10 runs", Section 6.1), the paper's "Element Time" metric, and
-// plain-text table/series printers for regenerating the figures' data.
+// Package bench holds the paper's "Element Time" metric (Section 6.1),
+// shared by the figure benchmarks and the repository benchmark.
 package bench
 
-import (
-	"fmt"
-	"io"
-	"sort"
-	"strings"
-	"time"
-)
-
-// Time runs f once and returns its wall-clock duration.
-func Time(f func()) time.Duration {
-	start := time.Now()
-	f()
-	return time.Since(start)
-}
-
-// MedianOf runs f n times and returns the median duration. n < 1 is
-// treated as 1.
-func MedianOf(n int, f func()) time.Duration {
-	if n < 1 {
-		n = 1
-	}
-	ds := make([]time.Duration, n)
-	for i := range ds {
-		ds[i] = Time(f)
-	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-	return ds[n/2]
-}
+import "time"
 
 // ElementTime computes the paper's normalized metric (Section 6.1):
 //
@@ -48,140 +19,4 @@ func ElementTime(total time.Duration, workers, n, cols int) float64 {
 		workers = 1
 	}
 	return float64(total.Nanoseconds()) * float64(workers) / float64(n) / float64(cols)
-}
-
-// Throughput returns processed elements per second.
-func Throughput(total time.Duration, n int) float64 {
-	if total <= 0 {
-		return 0
-	}
-	return float64(n) / total.Seconds()
-}
-
-// BandwidthMBs returns megabytes per second for the given payload size.
-func BandwidthMBs(total time.Duration, bytes int64) float64 {
-	if total <= 0 {
-		return 0
-	}
-	return float64(bytes) / total.Seconds() / (1 << 20)
-}
-
-// Pow2s returns 2^lo, 2^(lo+step), …, 2^hi.
-func Pow2s(lo, hi, step int) []int {
-	if step < 1 {
-		step = 1
-	}
-	var out []int
-	for e := lo; e <= hi; e += step {
-		out = append(out, 1<<uint(e))
-	}
-	return out
-}
-
-// FormatCount renders n with a power-of-two annotation when exact
-// (e.g. "65536 (2^16)").
-func FormatCount(n int64) string {
-	if n > 0 && n&(n-1) == 0 {
-		e := 0
-		for v := n; v > 1; v >>= 1 {
-			e++
-		}
-		return fmt.Sprintf("%d (2^%d)", n, e)
-	}
-	return fmt.Sprintf("%d", n)
-}
-
-// Table is a plain-text table printer with right-aligned numeric columns.
-type Table struct {
-	Title   string
-	Columns []string
-	rows    [][]string
-}
-
-// NewTable creates a table with the given title and column headers.
-func NewTable(title string, columns ...string) *Table {
-	return &Table{Title: title, Columns: columns}
-}
-
-// AddRow appends a row; cells beyond the column count are dropped, missing
-// cells are blank.
-func (t *Table) AddRow(cells ...any) {
-	row := make([]string, len(t.Columns))
-	for i := range row {
-		if i < len(cells) {
-			row[i] = formatCell(cells[i])
-		}
-	}
-	t.rows = append(t.rows, row)
-}
-
-func formatCell(v any) string {
-	switch x := v.(type) {
-	case string:
-		return x
-	case float64:
-		return fmt.Sprintf("%.2f", x)
-	case float32:
-		return fmt.Sprintf("%.2f", x)
-	case time.Duration:
-		return x.Round(time.Microsecond).String()
-	default:
-		return fmt.Sprint(v)
-	}
-}
-
-// NumRows returns the number of data rows added.
-func (t *Table) NumRows() int { return len(t.rows) }
-
-// Fprint renders the table.
-func (t *Table) Fprint(w io.Writer) {
-	widths := make([]int, len(t.Columns))
-	for i, c := range t.Columns {
-		widths[i] = len(c)
-	}
-	for _, r := range t.rows {
-		for i, c := range r {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	if t.Title != "" {
-		fmt.Fprintf(w, "# %s\n", t.Title)
-	}
-	var head strings.Builder
-	for i, c := range t.Columns {
-		if i > 0 {
-			head.WriteString("  ")
-		}
-		fmt.Fprintf(&head, "%-*s", widths[i], c)
-	}
-	fmt.Fprintln(w, strings.TrimRight(head.String(), " "))
-	fmt.Fprintln(w, strings.Repeat("-", len(strings.TrimRight(head.String(), " "))))
-	for _, r := range t.rows {
-		var line strings.Builder
-		for i, c := range r {
-			if i > 0 {
-				line.WriteString("  ")
-			}
-			fmt.Fprintf(&line, "%*s", widths[i], c)
-		}
-		fmt.Fprintln(w, strings.TrimRight(line.String(), " "))
-	}
-}
-
-// String renders the table to a string.
-func (t *Table) String() string {
-	var b strings.Builder
-	t.Fprint(&b)
-	return b.String()
-}
-
-// WriteTSV writes the table as tab-separated values (header + rows), the
-// machine-readable companion for plotting.
-func (t *Table) WriteTSV(w io.Writer) {
-	fmt.Fprintln(w, strings.Join(t.Columns, "\t"))
-	for _, r := range t.rows {
-		fmt.Fprintln(w, strings.Join(r, "\t"))
-	}
 }

@@ -1,40 +1,9 @@
 package bench
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
-
-func TestTimePositive(t *testing.T) {
-	d := Time(func() {
-		s := 0
-		for i := 0; i < 1000; i++ {
-			s += i
-		}
-		_ = s
-	})
-	if d < 0 {
-		t.Fatalf("negative duration %v", d)
-	}
-}
-
-func TestMedianOfPicksMiddle(t *testing.T) {
-	// Can't control wall time precisely; check call count and sanity.
-	calls := 0
-	d := MedianOf(5, func() { calls++ })
-	if calls != 5 {
-		t.Fatalf("called %d times, want 5", calls)
-	}
-	if d < 0 {
-		t.Fatal("negative median")
-	}
-	calls = 0
-	MedianOf(0, func() { calls++ })
-	if calls != 1 {
-		t.Fatalf("n<1 should run once, ran %d", calls)
-	}
-}
 
 func TestElementTime(t *testing.T) {
 	// 1 second, 2 workers, 1e6 elements, 2 columns → 1e9·2/1e6/2 = 1000 ns.
@@ -47,77 +16,5 @@ func TestElementTime(t *testing.T) {
 	}
 	if ElementTime(time.Second, 0, 100, 1) != ElementTime(time.Second, 1, 100, 1) {
 		t.Fatal("workers<1 should clamp to 1")
-	}
-}
-
-func TestThroughputAndBandwidth(t *testing.T) {
-	if Throughput(time.Second, 1000) != 1000 {
-		t.Fatal("throughput wrong")
-	}
-	if Throughput(0, 1000) != 0 {
-		t.Fatal("zero duration should yield 0")
-	}
-	if BandwidthMBs(time.Second, 1<<20) != 1 {
-		t.Fatal("bandwidth wrong")
-	}
-	if BandwidthMBs(0, 1<<20) != 0 {
-		t.Fatal("zero duration bandwidth should yield 0")
-	}
-}
-
-func TestPow2s(t *testing.T) {
-	got := Pow2s(3, 7, 2)
-	want := []int{8, 32, 128}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-	if got := Pow2s(2, 3, 0); len(got) != 2 {
-		t.Fatalf("step 0 should behave as 1: %v", got)
-	}
-}
-
-func TestFormatCount(t *testing.T) {
-	if FormatCount(65536) != "65536 (2^16)" {
-		t.Fatalf("got %q", FormatCount(65536))
-	}
-	if FormatCount(100) != "100" {
-		t.Fatalf("got %q", FormatCount(100))
-	}
-	if FormatCount(1) != "1 (2^0)" {
-		t.Fatalf("got %q", FormatCount(1))
-	}
-}
-
-func TestTableRendering(t *testing.T) {
-	tb := NewTable("demo", "K", "time")
-	tb.AddRow(1024, 3.14159)
-	tb.AddRow("big", time.Millisecond*1500)
-	if tb.NumRows() != 2 {
-		t.Fatalf("NumRows = %d", tb.NumRows())
-	}
-	s := tb.String()
-	if !strings.Contains(s, "# demo") || !strings.Contains(s, "3.14") || !strings.Contains(s, "1024") {
-		t.Fatalf("rendering missing content:\n%s", s)
-	}
-	var tsv strings.Builder
-	tb.WriteTSV(&tsv)
-	lines := strings.Split(strings.TrimSpace(tsv.String()), "\n")
-	if len(lines) != 3 || lines[0] != "K\ttime" {
-		t.Fatalf("tsv wrong:\n%s", tsv.String())
-	}
-}
-
-func TestTableRowPadding(t *testing.T) {
-	tb := NewTable("", "a", "b", "c")
-	tb.AddRow(1) // missing cells
-	tb.AddRow(1, 2, 3, 4)
-	s := tb.String()
-	if strings.Contains(s, "4") {
-		t.Fatal("extra cell should be dropped")
 	}
 }

@@ -383,6 +383,28 @@ func TestHashingOnlyNeverPartitions(t *testing.T) {
 	}
 }
 
+// TestAdaptiveCZeroIsHashingOnly pins what c = 0 means: the amortization
+// budget is empty, so ADAPTIVE probes hashing again right after every
+// switch and routes exactly the rows HashingOnly routes.
+func TestAdaptiveCZeroIsHashingOnly(t *testing.T) {
+	for kExp := 4; kExp <= 13; kExp++ {
+		keys := datagen.Generate(datagen.Spec{Dist: datagen.Uniform, N: 1 << 14, K: 1 << kExp, Seed: 5})
+		var st [2]Stats
+		for i, s := range []Strategy{Adaptive(DefaultAlpha0, 0), HashingOnly()} {
+			res, err := Distinct(Config{Strategy: s, Workers: 1, CacheBytes: 16 << 10, CollectStats: true}, keys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st[i] = res.Stats
+		}
+		a, h := st[0], st[1]
+		if a.HashedRows != h.HashedRows || a.PartitionedRows != h.PartitionedRows || a.TablesEmitted != h.TablesEmitted {
+			t.Errorf("K=2^%d: Adaptive(c=0) hashed/partitioned/tables %d/%d/%d, HashingOnly %d/%d/%d", kExp,
+				a.HashedRows, a.PartitionedRows, a.TablesEmitted, h.HashedRows, h.PartitionedRows, h.TablesEmitted)
+		}
+	}
+}
+
 func TestPartitionAlwaysPassStructure(t *testing.T) {
 	keys := datagen.Generate(datagen.Spec{Dist: datagen.Uniform, N: 100000, K: 80000, Seed: 4})
 	cfg := smallCfg(PartitionAlways(1))

@@ -164,8 +164,10 @@ type adaptive struct {
 }
 
 // Adaptive returns the paper's ADAPTIVE strategy with the given switching
-// threshold α₀ and amortization constant c; non-positive values select the
-// paper's defaults (α₀ = 11, c = 10).
+// threshold α₀ and amortization constant c. α₀ ≤ 0 selects the paper's
+// α₀ = 11 and c < 0 its c = 10. c = 0 leaves no partitioning budget:
+// hashing is probed again at once after every switch, so the strategy
+// routes rows exactly as HashingOnly does.
 func Adaptive(alpha0 float64, c int) Strategy {
 	if alpha0 <= 0 {
 		alpha0 = DefaultAlpha0
