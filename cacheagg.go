@@ -28,17 +28,12 @@
 package cacheagg
 
 import (
-	"cmp"
 	"context"
-	"errors"
 	"fmt"
-	"slices"
 
 	"cacheagg/internal/agg"
 	"cacheagg/internal/core"
-	"cacheagg/internal/external"
 	"cacheagg/internal/faultfs"
-	"cacheagg/internal/hashfn"
 	"cacheagg/internal/memgov"
 	"cacheagg/internal/trace"
 )
@@ -148,15 +143,15 @@ func PartitionOnlyStrategy() Strategy { return Strategy{core.PartitionOnly()} }
 type Routine int
 
 const (
-	// RoutineAuto runs the partitioned in-memory operator and, when its
-	// working set outgrows MemoryBudgetBytes mid-run, degrades to the
-	// sort-spill path (Stats.Routine then reads "sort-spill").
+	// RoutineAuto runs the partitioned operator and, when its working set
+	// outgrows MemoryBudgetBytes mid-run, spills its largest buckets to
+	// disk (Stats.Routine then reads "sort-spill").
 	RoutineAuto Routine = iota
 	// RoutinePartitioned forces the paper's per-worker tables with
 	// radix-256 recursion.
 	RoutinePartitioned
-	// RoutineSortSpill forces the sort-based out-of-core path, the same
-	// executor a memory-budget degradation uses.
+	// RoutineSortSpill forces the out-of-core path: every level-0 bucket
+	// goes through a spill file, as in a run that outgrew its budget.
 	RoutineSortSpill
 )
 
@@ -175,16 +170,18 @@ type Options struct {
 	// fidelity to the paper's tuning.
 	CacheBytes int
 	// MemoryBudgetBytes caps the total bytes of intermediate state the
-	// aggregation may hold in memory (0 = unlimited). The budget is
-	// enforced by a byte-accurate governor: when the working set of the
-	// in-memory operator would exceed it, the call transparently degrades
-	// to the out-of-core path — partial aggregates spill to the system
-	// temp directory and are merged with bounded memory — instead of
-	// growing without bound. The result is identical either way; whether
-	// degradation happened is reported in Stats.DegradedToExternal.
-	// Budgets too small for even one worker's fixed machinery (hash
-	// table, scratch, write-combining buffers — roughly a few MiB) fail
-	// with an error that wraps ErrMemoryBudget.
+	// aggregation may hold in memory (0 = unlimited); the result itself is
+	// the caller's memory. The budget is enforced by a byte-accurate
+	// governor, and the run is sized to it (fewer workers and smaller
+	// caches when it is tight). When the working set would exceed it, the
+	// operator spills its largest buckets of partial aggregates to the
+	// system temp directory and reads them back with bounded memory,
+	// instead of growing without bound. The groups are identical either
+	// way; whether spilling happened is reported in
+	// Stats.DegradedToExternal, and a run that spilled returns them in
+	// total hash order. Budgets too small for even one worker's fixed
+	// machinery (hash table, scratch, write-combining buffers — roughly a
+	// MiB) fail with an error that wraps ErrMemoryBudget.
 	MemoryBudgetBytes int64
 	// EnablePlan is ignored.
 	//
@@ -209,10 +206,10 @@ type Options struct {
 }
 
 // ErrMemoryBudget is wrapped by errors reporting that MemoryBudgetBytes is
-// too small to run at all (smaller than one worker's fixed machinery, or
-// exhausted even by the out-of-core path's minimum chunk size). Budgets
-// that are merely smaller than the working set do not produce it — they
-// degrade to spilling and succeed.
+// too small to run at all: smaller than the machinery no spill can free
+// (one worker's tables, scratch and write-combining buffers). Budgets that
+// are merely smaller than the working set do not produce it — they spill
+// and succeed.
 var ErrMemoryBudget = core.ErrMemoryBudget
 
 // Stats describes what an execution did. See the fields of the same names
@@ -264,14 +261,14 @@ type Stats struct {
 	// Options.MemoryBudgetBytes was set, independent of CollectStats.
 
 	// PeakReservedBytes is the governor's high-water mark: the largest
-	// byte footprint the execution registered at any point, spanning the
-	// in-memory attempt and (if degraded) the out-of-core run.
+	// byte footprint the execution registered at any point.
 	PeakReservedBytes int64
-	// DegradedToExternal reports that the in-memory working set exceeded
-	// MemoryBudgetBytes and the run completed via the spilling path.
+	// DegradedToExternal reports that the working set exceeded
+	// MemoryBudgetBytes and the run spilled to disk (or that
+	// RoutineSortSpill forced it to).
 	DegradedToExternal bool
 	// SpillRetries counts transient spill-I/O faults absorbed by the
-	// retry layer during a degraded run.
+	// retry layer during a run that spilled.
 	SpillRetries int64
 
 	// The general-key fields below are populated by AggregateGeneral
@@ -336,6 +333,18 @@ func errInvalidFunc(f int) error {
 	return fmt.Errorf("cacheagg: invalid aggregate function %d", f)
 }
 
+// aggSpecs converts the requested aggregates to the operator's specs.
+func aggSpecs(aggs []AggSpec) ([]agg.Spec, error) {
+	specs := make([]agg.Spec, len(aggs))
+	for i, a := range aggs {
+		if a.Func < Count || a.Func > Avg {
+			return nil, errInvalidFunc(int(a.Func))
+		}
+		specs[i] = agg.Spec{Kind: a.Func.kind(), Col: a.Col}
+	}
+	return specs, nil
+}
+
 // Aggregate executes the GROUP BY described by in.
 func Aggregate(in Input, opt Options) (*Result, error) {
 	return AggregateContext(context.Background(), in, opt)
@@ -349,83 +358,42 @@ func Aggregate(in Input, opt Options) (*Result, error) {
 // the orchestration around it) is contained and returned as an error — the
 // process survives and all workers exit.
 func AggregateContext(ctx context.Context, in Input, opt Options) (*Result, error) {
-	specs := make([]agg.Spec, len(in.Aggregates))
-	for i, a := range in.Aggregates {
-		if a.Func < Count || a.Func > Avg {
-			return nil, errInvalidFunc(int(a.Func))
-		}
-		specs[i] = agg.Spec{Kind: a.Func.kind(), Col: a.Col}
+	specs, err := aggSpecs(in.Aggregates)
+	if err != nil {
+		return nil, err
 	}
-	var gov *memgov.Governor
 	if opt.MemoryBudgetBytes < 0 {
 		return nil, fmt.Errorf("cacheagg: negative MemoryBudgetBytes %d", opt.MemoryBudgetBytes)
 	}
-	if opt.MemoryBudgetBytes > 0 {
-		gov = memgov.New(opt.MemoryBudgetBytes)
-	}
 	if opt.Routine < RoutineAuto || opt.Routine > RoutineSortSpill {
 		return nil, fmt.Errorf("cacheagg: invalid Routine %d", opt.Routine)
-	}
-	if opt.Routine == RoutineSortSpill {
-		// Forced sort-spill goes straight to the out-of-core executor —
-		// the same path a budget degradation takes, minus the wasted
-		// in-memory attempt.
-		cin := &core.Input{Keys: in.GroupBy, AggCols: in.Columns, Specs: specs}
-		if err := cin.Validate(); err != nil {
-			return nil, err
-		}
-		if gov == nil {
-			gov = memgov.New(0) // unlimited: pure accounting
-		}
-		var pre trace.Snapshot
-		if t := opt.Tracer; t != nil {
-			pre = t.rec.Snapshot()
-		}
-		res, err := degradeToExternal(ctx, in, opt, cin, gov)
-		if err == nil {
-			res.Stats.Routine = core.RoutineSortSpill.String()
-			if opt.Tracer != nil {
-				res.Phases = opt.Tracer.phasesSince(pre)
-			}
-		}
-		return res, err
 	}
 	cfg := core.Config{
 		Strategy:     opt.Strategy.inner,
 		Workers:      opt.Workers,
 		CacheBytes:   opt.CacheBytes,
 		CollectStats: opt.CollectStats,
-		Governor:     gov,
 		Routine:      core.Routine(opt.Routine),
+	}
+	var gov *memgov.Governor
+	if opt.MemoryBudgetBytes > 0 || opt.Routine == RoutineSortSpill {
+		// A budget, or the forced sort-spill, runs with a spill target in
+		// the system temp directory (unlimited accounting without a budget).
+		gov = memgov.New(opt.MemoryBudgetBytes)
+		cfg.Governor = gov
+		cfg.Spill = &core.Spill{FS: testHookSpillFS, Retry: testHookSpillRetry}
 	}
 	var pre trace.Snapshot
 	if t := opt.Tracer; t != nil {
 		pre = t.rec.Snapshot()
 		cfg.Tracer = t.rec
-		if gov != nil {
-			rec := t.rec
-			gov.SetHighWaterHook(govGrain(opt.MemoryBudgetBytes), func(hw int64) {
-				rec.Emit(trace.KindGovHighWater, 0, 0, -1, float64(hw))
-			})
-		}
 	}
-	cin := &core.Input{
+	cres, err := core.AggregateContext(ctx, cfg, &core.Input{
 		Keys:    in.GroupBy,
 		AggCols: in.Columns,
 		Specs:   specs,
-	}
-	cres, err := core.AggregateContext(ctx, cfg, cin)
+	})
 	if err != nil {
-		if gov != nil && errors.Is(err, core.ErrMemoryBudget) {
-			res, err := degradeToExternal(ctx, in, opt, cin, gov)
-			if err == nil {
-				res.Stats.Routine = core.RoutineSortSpill.String()
-				if opt.Tracer != nil {
-					res.Phases = opt.Tracer.phasesSince(pre)
-				}
-			}
-			return res, err
-		}
 		return nil, err
 	}
 	res := &Result{
@@ -454,6 +422,11 @@ func AggregateContext(ctx context.Context, in Input, opt Options) (*Result, erro
 	}
 	if gov != nil {
 		res.Stats.PeakReservedBytes = gov.HighWater()
+		if sp := cres.Spill; sp.Buckets > 0 || opt.Routine == RoutineSortSpill {
+			res.Stats.Routine = core.RoutineSortSpill.String()
+			res.Stats.DegradedToExternal = true
+			res.Stats.SpillRetries = sp.Retries
+		}
 	}
 	if opt.Tracer != nil {
 		res.Phases = opt.Tracer.phasesSince(pre)
@@ -461,93 +434,14 @@ func AggregateContext(ctx context.Context, in Input, opt Options) (*Result, erro
 	return res, nil
 }
 
-// Test hooks: a degraded run's spill I/O goes through testHookExternalFS
-// when set, with testHookExternalRetry as the retry policy. Both are zero
-// in production; root tests use them to inject spill faults through the
+// Test hooks: the spill I/O of a budgeted run goes through testHookSpillFS
+// when set, with testHookSpillRetry as the retry policy. Both are zero in
+// production; root tests use them to inject spill faults through the
 // public API.
 var (
-	testHookExternalFS    faultfs.FS
-	testHookExternalRetry faultfs.RetryPolicy
+	testHookSpillFS    faultfs.FS
+	testHookSpillRetry faultfs.RetryPolicy
 )
-
-// degradeToExternal re-runs an over-budget aggregation through the
-// out-of-core path, sharing the governor so PeakReservedBytes spans the
-// whole query, then restores the public contract (hash-ordered rows,
-// Hashes, exact Float averages) that the external result lacks.
-func degradeToExternal(ctx context.Context, in Input, opt Options, cin *core.Input, gov *memgov.Governor) (*Result, error) {
-	ecfg := external.Config{
-		MemoryBudgetBytes: opt.MemoryBudgetBytes,
-		Governor:          gov,
-		Core: core.Config{
-			Strategy:   opt.Strategy.inner,
-			Workers:    opt.Workers,
-			CacheBytes: opt.CacheBytes,
-		},
-	}
-	if opt.Tracer != nil {
-		// The external layer adopts the core tracer for its own spill and
-		// merge events; the shared governor keeps the high-water hook
-		// installed above.
-		ecfg.Core.Tracer = opt.Tracer.rec
-	}
-	if testHookExternalFS != nil {
-		ecfg.FS = testHookExternalFS
-		ecfg.Retry = testHookExternalRetry
-	}
-	eres, err := external.AggregateContext(ctx, ecfg, cin)
-	if err != nil {
-		return nil, err
-	}
-	// The external merge emits partitions in level-0 digit order, but rows
-	// inside a resident or re-partitioned merge are not globally sorted.
-	// Re-establish the documented order: ascending by hash value (level-0
-	// digits are the most significant hash bits, so this matches the
-	// in-memory operator's bucket-order output).
-	n := len(eres.Keys)
-	hashes := make([]uint64, n)
-	ord := make([]int, n)
-	for i, k := range eres.Keys {
-		hashes[i] = hashfn.Murmur2(k)
-		ord[i] = i
-	}
-	// Murmur2 is a bijection on uint64, so distinct keys never tie.
-	slices.SortFunc(ord, func(a, b int) int { return cmp.Compare(hashes[a], hashes[b]) })
-	groups := make([]uint64, n)
-	sortedHashes := make([]uint64, n)
-	for i, o := range ord {
-		groups[i] = eres.Keys[o]
-		sortedHashes[i] = hashes[o]
-	}
-	aggs := make([][]int64, len(eres.Aggs))
-	for a, col := range eres.Aggs {
-		aggs[a] = make([]int64, n)
-		for i, o := range ord {
-			aggs[a][i] = col[o]
-		}
-	}
-	// Only AVG keeps a float column, as in the in-memory result.
-	aggsF := make([][]float64, len(eres.AggsFloat))
-	for a, col := range eres.AggsFloat {
-		if cin.Specs[a].Kind != agg.Avg {
-			continue
-		}
-		aggsF[a] = make([]float64, n)
-		for i, o := range ord {
-			aggsF[a][i] = col[o]
-		}
-	}
-	res := &Result{
-		Groups: groups,
-		Aggs:   aggs,
-		specs:  in.Aggregates,
-		hashes: sortedHashes,
-		states: &core.Result{Keys: groups, Hashes: sortedHashes, Aggs: aggs, AggsFloat: aggsF},
-	}
-	res.Stats.DegradedToExternal = true
-	res.Stats.PeakReservedBytes = gov.HighWater()
-	res.Stats.SpillRetries = eres.Stats.SpillRetries
-	return res, nil
-}
 
 // Distinct returns the distinct keys of the column, ordered by hash value.
 func Distinct(keys []uint64, opt Options) ([]uint64, error) {

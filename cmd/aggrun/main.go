@@ -19,8 +19,9 @@
 //	0  success
 //	1  generic failure (bad input file, internal error)
 //	2  usage error (unknown flag or flag value)
-//	3  memory budget exceeded (-budget too small, and -spill not given)
-//	4  spill budget exceeded (-spill-budget too small for the degraded run)
+//	3  memory budget exceeded (-budget too small, and -spill not given, or
+//	   too small even for the machinery no spill can free)
+//	4  spill budget exceeded (-spill-budget too small for what the run spills)
 //	5  deadline exceeded (-timeout elapsed)
 package main
 
@@ -39,8 +40,8 @@ import (
 	"cacheagg"
 	"cacheagg/internal/core"
 	"cacheagg/internal/datagen"
-	"cacheagg/internal/external"
 	"cacheagg/internal/memgov"
+	"cacheagg/internal/runs"
 	"cacheagg/internal/trace"
 )
 
@@ -61,7 +62,7 @@ func exitCode(err error) int {
 	switch {
 	case err == nil:
 		return exitOK
-	case errors.Is(err, external.ErrSpillBudget):
+	case errors.Is(err, runs.ErrSpillBudget):
 		return exitSpillBudget
 	case errors.Is(err, core.ErrMemoryBudget):
 		return exitMemBudget
@@ -126,7 +127,7 @@ func run() error {
 		in       = flag.String("in", "", "read keys from file instead of generating")
 		format   = flag.String("format", "text", "input file format: text | binary")
 		strat    = flag.String("strategy", "adaptive", "adaptive | hashing-only | partition-always | partition-only")
-		routine  = flag.String("routine", "auto", "execution routine: auto | partitioned | sort-spill (sort-spill needs -spill and -budget)")
+		routine  = flag.String("routine", "auto", "execution routine: auto | partitioned | sort-spill (sort-spill needs -spill)")
 		passes   = flag.Int("passes", 1, "partitioning passes for partition-always")
 		workers  = flag.Int("workers", 0, "worker threads (0 = GOMAXPROCS)")
 		cache    = flag.Int("cache", 0, "cache budget bytes per worker (0 = 4 MiB)")
@@ -135,13 +136,13 @@ func run() error {
 		timeout  = flag.Duration("timeout", 0, "abort the aggregation after this long (0 = no limit)")
 		traceOut = flag.String("trace", "", "record an execution trace and write it to this file as JSONL")
 		budget   = flag.Int64("budget", 0, "memory budget in bytes enforced by a governor (0 = unlimited)")
-		spill    = flag.Bool("spill", false, "degrade to the out-of-core path when -budget is exceeded")
-		spillCap = flag.Int64("spill-budget", 0, "cap on spill bytes for the degraded run (0 = no cap)")
+		spill    = flag.Bool("spill", false, "spill the largest buckets to the temp directory when -budget is exceeded")
+		spillCap = flag.Int64("spill-budget", 0, "cap on the bytes -spill writes (0 = no cap)")
 		keytype  = flag.String("keytype", "uint64", "group-by key shape: uint64 | strings | composite2 (general keys run through AggregateGeneral)")
 	)
 	flag.Parse()
 	if *spill && *budget <= 0 {
-		return usageError("-spill requires a positive -budget (nothing to degrade from)")
+		return usageError("-spill requires a positive -budget (nothing would press the run to spill)")
 	}
 	if *spillCap != 0 && !*spill {
 		return usageError("-spill-budget only applies with -spill")
@@ -212,6 +213,9 @@ func run() error {
 		gov = memgov.New(*budget)
 		cfg.Governor = gov
 	}
+	if *spill {
+		cfg.Spill = &core.Spill{MaxSpillBytes: *spillCap}
+	}
 	var rec *trace.Recorder
 	if *traceOut != "" {
 		rec = trace.NewRecorder(1 << 16)
@@ -225,12 +229,6 @@ func run() error {
 	}
 	start := time.Now()
 	res, err := core.DistinctContext(ctx, cfg, keys)
-	if err != nil && *spill && errors.Is(err, core.ErrMemoryBudget) {
-		// The in-memory run hit the -budget wall; rerun out-of-core under
-		// the same governor (its reservations were released with the failed
-		// run, and the shared high-water mark then spans the whole query).
-		return runExternal(ctx, cfg, gov, *budget, *spillCap, keys, start, *topN, *verify)
-	}
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			return fmt.Errorf("aggregation exceeded -timeout %v: %w", *timeout, err)
@@ -260,6 +258,13 @@ func run() error {
 	fmt.Printf("switches   %d\n", st.Switches)
 	fmt.Printf("directemit %d buckets\n", st.DirectEmits)
 	fmt.Printf("routine    %s\n", st.Routine)
+	if sp := res.Spill; sp.Buckets > 0 {
+		fmt.Printf("spilled    %d rows, %d bytes (%d bucket spills, deepest read level %d, %d level-0 buckets resident)\n",
+			sp.Rows, sp.Bytes, sp.Buckets, sp.DeepestRead, sp.ResidentRoots)
+	}
+	if gov != nil {
+		fmt.Printf("highwater  %d bytes\n", gov.HighWater())
+	}
 
 	if rec != nil {
 		snap := rec.Snapshot()
@@ -405,50 +410,6 @@ func verifyGeneral(gcols []cacheagg.KeyColumn, res *cacheagg.GeneralResult) erro
 		if res.Aggs[0][r] != want {
 			return fmt.Errorf("verify: group %s count %d, want %d", k, res.Aggs[0][r], want)
 		}
-	}
-	return nil
-}
-
-// runExternal is the degraded continuation of run(): the in-memory attempt
-// exceeded -budget and -spill was given, so the same distinct query reruns
-// through the out-of-core operator, spilling to disk under the same
-// governor. A too-small -spill-budget surfaces as ErrSpillBudget (exit 4).
-func runExternal(ctx context.Context, cfg core.Config, gov *memgov.Governor,
-	budget, spillCap int64, keys []uint64, start time.Time, topN int, verify bool) error {
-	ecfg := external.Config{
-		MemoryBudgetBytes: budget,
-		Governor:          gov,
-		MaxSpillBytes:     spillCap,
-		Core:              cfg,
-	}
-	// The governor hook belongs to the external run now; the core tracer
-	// (if any) rides along inside cfg.
-	ecfg.Core.Governor = nil
-	res, err := external.AggregateContext(ctx, ecfg, &core.Input{Keys: keys})
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			return fmt.Errorf("degraded aggregation exceeded -timeout: %w", err)
-		}
-		return err
-	}
-	elapsed := time.Since(start)
-	fmt.Printf("mode       external (degraded: -budget %d exceeded in memory)\n", budget)
-	fmt.Printf("rows       %d\n", len(keys))
-	fmt.Printf("groups     %d\n", res.Groups())
-	fmt.Printf("time       %v (%.1f ns/row)\n", elapsed.Round(time.Microsecond),
-		float64(elapsed.Nanoseconds())/float64(max(len(keys), 1)))
-	fmt.Printf("spilled    %d rows, %d bytes (merge depth %d, %d resident, %d evicted)\n",
-		res.Stats.SpilledRows, res.Stats.SpilledBytes, res.Stats.MergeLevels,
-		res.Stats.ResidentPartitions, res.Stats.EvictedPartitions)
-	fmt.Printf("highwater  %d bytes\n", gov.HighWater())
-	for i := 0; i < topN && i < res.Groups(); i++ {
-		fmt.Printf("row %d: key=%d\n", i, res.Keys[i])
-	}
-	if verify {
-		if err := verifyDistinct(keys, res.Keys); err != nil {
-			return err
-		}
-		fmt.Println("verify     OK (matches reference aggregation)")
 	}
 	return nil
 }

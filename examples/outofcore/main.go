@@ -3,14 +3,14 @@
 //
 // The paper's cost analysis (Section 2) "holds in the cache setting as
 // well as in the disk-based setting". This example runs the same GROUP BY
-// twice: fully in memory, and with a memory budget of 1/16 of the input,
-// which forces the operator to pre-aggregate chunk-wise and spill partial
-// groups to hash-partitioned temp files (classic grace aggregation, with
-// the paper's adaptive operator as the in-RAM leaf).
+// twice: fully in memory, and with a memory budget of 1/4 of the input,
+// which makes the operator spill its largest buckets of partial groups to
+// temp files and read them back bucket by bucket — the same recursion by
+// hash digit, one storage level down.
 //
-// Watch the spill statistics: on the skewed half of the input, chunk-level
-// early aggregation shrinks the spilled volume far below N — the same
-// α-effect the ADAPTIVE strategy exploits one level down.
+// Watch the spill statistics: on the skewed and sorted inputs, early
+// aggregation before the spill shrinks the spilled volume far below N —
+// the same α-effect the ADAPTIVE strategy exploits one level down.
 //
 // Run with: go run ./examples/outofcore
 package main
@@ -41,7 +41,7 @@ func main() {
 
 		start = time.Now()
 		ext, err := cacheagg.AggregateExternal(in, cacheagg.Options{}, cacheagg.ExternalOptions{
-			MemoryBudgetRows: n / 16,
+			MemoryBudgetBytes: 8 * n / 4,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -51,9 +51,9 @@ func main() {
 		if mem.Len() != ext.Len() {
 			log.Fatalf("mismatch: %d vs %d groups", mem.Len(), ext.Len())
 		}
-		fmt.Printf("%-22s %9d groups | in-memory %8v | out-of-core %8v, %2d chunks, %5.1f MiB spilled, %d merge level(s)\n",
+		fmt.Printf("%-22s %9d groups | in-memory %8v | out-of-core %8v, %4d bucket spills, %5.1f MiB spilled, %d merge level(s)\n",
 			label, mem.Len(), memTime.Round(time.Millisecond), extTime.Round(time.Millisecond),
-			ext.Stats.Chunks, float64(ext.Stats.SpilledBytes)/(1<<20), ext.Stats.MergeLevels)
+			ext.Stats.EvictedPartitions, float64(ext.Stats.SpilledBytes)/(1<<20), ext.Stats.MergeLevels)
 	}
 
 	run("uniform, K=2^21", datagen.Generate(datagen.Spec{

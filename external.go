@@ -1,79 +1,76 @@
 package cacheagg
 
-// Out-of-core aggregation: the disk level of the external memory model.
-// See internal/external for the algorithm (chunked in-memory
-// pre-aggregation → hash-partitioned spill files → recursive merge) and
-// docs/ROBUSTNESS.md for the failure model and the spill-file format.
+// Out-of-core aggregation: the disk level of the external memory model,
+// run by the same engine as Aggregate through its spill tier. See
+// internal/external for the algorithm (early aggregation in memory →
+// largest buckets spilled to checksummed files → spilled buckets read back
+// and recursed on by hash digit) and docs/ROBUSTNESS.md for the failure
+// model and the spill-file format.
 
 import (
 	"context"
+	"fmt"
 
-	"cacheagg/internal/agg"
 	"cacheagg/internal/core"
 	"cacheagg/internal/external"
 )
 
 // ExternalOptions tunes an out-of-core aggregation.
 type ExternalOptions struct {
-	// MemoryBudgetRows caps the rows held in memory at a time; inputs
-	// larger than this are processed in chunks with spilling. 0 selects
-	// 1Mi rows (or a budget-derived count when MemoryBudgetBytes is set).
+	// MemoryBudgetRows is accepted for compatibility and sizes nothing:
+	// the engine spills by bytes. Negative values are rejected.
 	MemoryBudgetRows int
 	// MemoryBudgetBytes caps the total bytes of in-memory state, enforced
-	// by a byte-accurate governor. It sizes workers, caches and chunks;
-	// level-0 partitions stay resident in memory as long as they fit and
-	// are evicted to disk largest-first under pressure, and a chunk whose
-	// in-memory pre-aggregation overruns the budget is retried with a
-	// smaller chunk size. 0 means rows-only budgeting. Negative values
-	// are rejected up front.
+	// by a byte-accurate governor. It sizes workers and caches; buckets of
+	// partial aggregates stay in memory as long as they fit, and the
+	// largest one a worker owns goes to disk whenever the budget is
+	// exceeded. 0 sends every partial aggregate through disk. Negative
+	// values are rejected up front.
 	MemoryBudgetBytes int64
 	// TempDir hosts the spill files ("" = system temp directory). Files
 	// are removed when the call returns, on success and on every error
 	// path.
 	TempDir string
 	// MaxSpillBytes caps the total bytes written to spill files over the
-	// whole run (including re-partitioning passes). When the cap would be
-	// exceeded, the aggregation fails fast with a descriptive error
-	// instead of filling the disk. 0 means no cap.
+	// whole run. When the cap would be exceeded, the aggregation fails
+	// fast with a descriptive error instead of filling the disk. 0 means
+	// no cap.
 	MaxSpillBytes int64
-	// MergeWorkers sets the parallelism of the disk merge phase: spill
-	// partitions are merged as independent tasks on a work-stealing pool,
-	// with partition reads prefetched ahead of the merge inside the memory
-	// budget. 0 selects GOMAXPROCS. The output is identical — including
-	// its order — for every worker count. Negative values are rejected.
+	// MergeWorkers is accepted for compatibility and sizes nothing:
+	// Options.Workers is the parallelism of every phase, reading spilled
+	// buckets back included. Negative values are rejected.
 	MergeWorkers int
 }
 
 // ExternalStats describes the spill behaviour of an out-of-core run.
 type ExternalStats struct {
-	// Chunks is the number of input chunks pre-aggregated in memory.
+	// Chunks is always 1: the input is consumed in one pass.
 	Chunks int
 	// SpilledRows and SpilledBytes count the partial-group records that
 	// went through disk.
 	SpilledRows  int64
 	SpilledBytes int64
-	// MergeLevels is the deepest disk-level partitioning recursion.
+	// MergeLevels is the deepest recursion level that read a spilled
+	// bucket back (level-0 buckets are read at level 1; 0 when nothing
+	// spilled).
 	MergeLevels int
 	// CleanupFailures counts spill files whose individual removal failed
-	// (the temp directory is still deleted recursively afterwards).
+	// (the spill directory is still deleted recursively afterwards).
 	CleanupFailures int
 	// SpillRetries counts transient spill-I/O faults absorbed by the
 	// retry layer.
 	SpillRetries int64
-	// PeakReservedBytes is the memory governor's high-water mark (0 when
-	// no byte budget was set).
+	// PeakReservedBytes is the memory governor's high-water mark.
 	PeakReservedBytes int64
-	// ResidentPartitions counts level-0 partitions merged straight from
-	// memory without touching disk (hybrid mode under MemoryBudgetBytes).
+	// ResidentPartitions counts level-0 buckets that never spilled.
 	ResidentPartitions int
-	// EvictedPartitions counts resident partitions pushed to disk because
-	// the byte budget demanded it (largest first).
+	// EvictedPartitions counts bucket spills: the largest bucket a worker
+	// owned, written to disk because the byte budget demanded it (or every
+	// level-0 bucket without a byte budget).
 	EvictedPartitions int
-	// ChunkRetries counts input ranges re-aggregated with a smaller chunk
-	// size after the in-memory leaf overran the byte budget.
+	// ChunkRetries is always 0.
 	ChunkRetries int
-	// PrefetchedPartitions counts partition files whose read was overlapped
-	// with merge compute by the prefetch window.
+	// PrefetchedPartitions is always 0.
 	PrefetchedPartitions int
 }
 
@@ -92,9 +89,11 @@ type ExternalResult struct {
 func (r *ExternalResult) Len() int { return len(r.Groups) }
 
 // AggregateExternal executes the GROUP BY with bounded memory, spilling
-// partial aggregates to disk when the input exceeds the budget. The
-// in-memory operator (configured by opt) serves as the in-RAM leaf, so all
-// of its adaptivity applies within each chunk.
+// partial aggregates to disk: under MemoryBudgetBytes the largest buckets
+// when the budget demands it, without one every level-0 bucket. The
+// operator (configured by opt) runs every level, so all of its adaptivity
+// applies to the spilled buckets too. A run that spilled returns its
+// groups in total hash order.
 //
 // Spill files are checksummed: a truncated or bit-flipped file is detected
 // and reported as a "corrupt spill file" error rather than silently
@@ -104,20 +103,19 @@ func AggregateExternal(in Input, opt Options, ext ExternalOptions) (*ExternalRes
 }
 
 // AggregateExternalContext is AggregateExternal with cancellation: the
-// context is observed between chunks, inside each chunk's in-memory
-// aggregation, and at every step of the disk merge recursion. On
-// cancellation — as on any other failure — all spill files are closed and
-// removed before the call returns.
+// context is observed at morsel and task boundaries and between the blocks
+// of a spilled bucket being read back. On cancellation — as on any other
+// failure — all spill files are closed and removed before the call
+// returns.
 func AggregateExternalContext(ctx context.Context, in Input, opt Options, ext ExternalOptions) (*ExternalResult, error) {
-	specs := make([]agg.Spec, len(in.Aggregates))
-	for i, a := range in.Aggregates {
-		if a.Func < Count || a.Func > Avg {
-			return nil, errInvalidFunc(int(a.Func))
-		}
-		specs[i] = agg.Spec{Kind: a.Func.kind(), Col: a.Col}
+	specs, err := aggSpecs(in.Aggregates)
+	if err != nil {
+		return nil, err
+	}
+	if ext.MemoryBudgetRows < 0 {
+		return nil, fmt.Errorf("cacheagg: MemoryBudgetRows is negative (%d); use 0 for the default", ext.MemoryBudgetRows)
 	}
 	cfg := external.Config{
-		MemoryBudgetRows:  ext.MemoryBudgetRows,
 		MemoryBudgetBytes: ext.MemoryBudgetBytes,
 		TempDir:           ext.TempDir,
 		MaxSpillBytes:     ext.MaxSpillBytes,
@@ -129,9 +127,7 @@ func AggregateExternalContext(ctx context.Context, in Input, opt Options, ext Ex
 		},
 	}
 	if t := opt.Tracer; t != nil {
-		// The external layer hands its tracer down to the in-memory
-		// leaves and installs the governor high-water hook itself.
-		cfg.Tracer = t.rec
+		cfg.Core.Tracer = t.rec
 	}
 	res, err := external.AggregateContext(ctx, cfg, &core.Input{
 		Keys:    in.GroupBy,
@@ -144,18 +140,6 @@ func AggregateExternalContext(ctx context.Context, in Input, opt Options, ext Ex
 	return &ExternalResult{
 		Groups: res.Keys,
 		Aggs:   res.Aggs,
-		Stats: ExternalStats{
-			Chunks:               res.Stats.Chunks,
-			SpilledRows:          res.Stats.SpilledRows,
-			SpilledBytes:         res.Stats.SpilledBytes,
-			MergeLevels:          res.Stats.MergeLevels,
-			CleanupFailures:      res.Stats.CleanupFailures,
-			SpillRetries:         res.Stats.SpillRetries,
-			PeakReservedBytes:    res.Stats.PeakReservedBytes,
-			ResidentPartitions:   res.Stats.ResidentPartitions,
-			EvictedPartitions:    res.Stats.EvictedPartitions,
-			ChunkRetries:         res.Stats.ChunkRetries,
-			PrefetchedPartitions: res.Stats.PrefetchedPartitions,
-		},
+		Stats:  ExternalStats(res.Stats),
 	}, nil
 }

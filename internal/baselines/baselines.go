@@ -27,6 +27,7 @@ package baselines
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -35,7 +36,8 @@ import (
 
 // Config configures a baseline run.
 type Config struct {
-	// Workers is the thread count; 0 selects 1.
+	// Workers is the thread count; 0 selects GOMAXPROCS, as for the
+	// operator (core.Config).
 	Workers int
 	// CacheBytes models the per-thread L3 share; it sizes private tables.
 	// 0 selects 4 MiB.
@@ -49,7 +51,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
-		c.Workers = 1
+		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.CacheBytes <= 0 {
 		c.CacheBytes = 4 << 20

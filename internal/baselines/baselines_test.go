@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -31,6 +32,20 @@ func checkResult(t *testing.T, name string, res *Result, keys []uint64) {
 		if res.Counts[i] != want[k] {
 			t.Fatalf("%s: key %d count %d, want %d", name, k, res.Counts[i], want[k])
 		}
+	}
+}
+
+// TestWorkersDefaultIsGOMAXPROCS pins the zero Workers to GOMAXPROCS, the
+// operator's default, so a comparison that leaves both at zero runs both
+// at the same parallelism.
+func TestWorkersDefaultIsGOMAXPROCS(t *testing.T) {
+	prev := runtime.GOMAXPROCS(3)
+	defer runtime.GOMAXPROCS(prev)
+	if got := (Config{}).withDefaults().Workers; got != 3 {
+		t.Fatalf("Workers 0 defaults to %d, want GOMAXPROCS = 3", got)
+	}
+	if got := (Config{Workers: 2}).withDefaults().Workers; got != 2 {
+		t.Fatalf("explicit Workers 2 became %d", got)
 	}
 }
 

@@ -22,6 +22,10 @@
 //     finalized in parallel into its range of the result — the output is
 //     "a hash table like HASHAGGREGATION would produce, but built with a
 //     sorting algorithm" (Section 3.1).
+//
+// With a spill target (Config.Spill), the same executor is the disk level
+// of the model too: over its memory budget it spills buckets to files and
+// reads them back in phase 2 (see spill.go).
 package core
 
 import (
@@ -43,8 +47,8 @@ import (
 )
 
 // ErrMemoryBudget marks a run aborted because the Config.Governor byte
-// budget was exceeded. It is the signal on which callers degrade to the
-// out-of-core path; matched with errors.Is (it is memgov.ErrBudget).
+// budget was exceeded: without a spill target, or at the floor of one.
+// Matched with errors.Is (it is memgov.ErrBudget).
 var ErrMemoryBudget = memgov.ErrBudget
 
 // DefaultCacheBytes is the default per-worker cache budget for hash tables.
@@ -80,14 +84,25 @@ type Config struct {
 	// ablation switch for the hash-storage design choice.
 	CarryHashes bool
 	// Governor, when non-nil, is the memory accountant the execution
-	// registers its footprint with: worker machinery at start, materialized
-	// intermediate runs as they are produced (released when consumed), and
-	// output chunks. When the governor has a budget and it is exceeded, the
-	// run aborts with an error wrapping ErrMemoryBudget instead of growing
-	// without bound — the caller degrades to the spilling path. Workers
+	// registers its footprint with: worker machinery at start, and
+	// materialized intermediate runs as they are produced (released when
+	// consumed). The output is the caller's memory and is not charged.
+	// When the governor has a budget and it is exceeded, the run spills
+	// (see Spill) or, without a spill target, aborts with an error
+	// wrapping ErrMemoryBudget instead of growing without bound. Workers
 	// check the budget at morsel and task boundaries, so the overshoot is
 	// bounded by one morsel of production per worker.
 	Governor *memgov.Governor
+	// Spill, when non-nil, is the run's spill target. A governed run
+	// that goes over budget then spills the largest bucket the worker
+	// that sees it owns to a file and reads it back a block at a time when
+	// the bucket's task runs; it fails typed only when nothing is left to
+	// spill and the machinery alone exceeds the budget. With a byte budget
+	// the run is first sized to it (fewer workers, smaller caches; see
+	// sizeForSpill). RoutineSortSpill spills every level-0 bucket at the
+	// end of intake. A run that spilled returns its groups in total hash
+	// order.
+	Spill *Spill
 	// Tracer, when non-nil, receives execution events (strategy switches,
 	// table splits/emits) and per-phase timings. The absent-tracer fast
 	// path is one nil-check per block of rows; leave nil (the untyped nil
@@ -154,6 +169,8 @@ type Result struct {
 	AggsFloat [][]float64
 	// Stats holds execution statistics (populated when CollectStats).
 	Stats Stats
+	// Spill reports the spill tier's work (populated with Config.Spill).
+	Spill SpillStats
 }
 
 // Groups returns the number of groups in the result.
@@ -287,11 +304,15 @@ func AggregateContext(ctx context.Context, cfg Config, in *Input) (res *Result, 
 	// Whatever happens, hand the reservations back: the run is over, and a
 	// governor shared across runs must not accumulate dead bookkeeping.
 	defer e.releaseAccounting()
+	defer e.spill.close()
 	if err := e.run(ctx); err != nil {
 		return nil, err
 	}
 	if res, err = e.assemble(ctx); err != nil {
 		return nil, err
+	}
+	if e.spill != nil {
+		res.Spill = e.spill.result()
 	}
 	e.recycle()
 	return res, nil
@@ -313,8 +334,12 @@ func DistinctContext(ctx context.Context, cfg Config, keys []uint64) (*Result, e
 // into its prefix-ordered range of a result allocated at exact size: one
 // pool task per chunk, run inline when the pool has one worker or there is
 // at most one chunk. A task gives its chunk's columns to the free list of
-// the worker running it. A cancelled context returns ctx.Err().
+// the worker running it. A run that spilled (or was forced to) orders the
+// rows of each chunk by hash too, so its result is in total hash order. A
+// cancelled context returns ctx.Err().
 func (e *exec) assemble(ctx context.Context) (*Result, error) {
+	// The pool has quiesced: the spill counters need no lock.
+	sortSpill := e.spill != nil && (e.spill.forced || e.spill.stats.Buckets > 0)
 	chunks := e.out.chunks
 	slices.SortFunc(chunks, func(a, b chunk) int { return cmp.Compare(a.sortKey, b.sortKey) })
 
@@ -341,14 +366,14 @@ func (e *exec) assemble(ctx context.Context) (*Result, error) {
 			return nil, err
 		}
 		for i := range chunks {
-			e.finalizeChunk(e.workers[0].free, res, &chunks[i], offs[i])
+			e.finalizeChunk(e.workers[0].free, res, &chunks[i], offs[i], sortSpill)
 		}
 	} else if err := e.pool.RunContext(ctx, func(ctx *sched.Ctx) {
 		// Each task claims the next chunk, so one closure serves them all.
 		var next atomic.Int64
 		task := func(c *sched.Ctx) {
 			i := next.Add(1) - 1
-			e.finalizeChunk(e.workers[c.Worker].free, res, &chunks[i], offs[i])
+			e.finalizeChunk(e.workers[c.Worker].free, res, &chunks[i], offs[i], sortSpill)
 		}
 		for range chunks {
 			ctx.Spawn(task)
@@ -368,13 +393,19 @@ func (e *exec) assemble(ctx context.Context) (*Result, error) {
 			}
 		}
 		res.Stats.Routine = RoutinePartitioned
+		if sortSpill {
+			res.Stats.Routine = RoutineSortSpill
+		}
 	}
 	return res, nil
 }
 
-// finalizeChunk writes chunk ch into rows [off, off+len) of res and gives
-// its columns to free.
-func (e *exec) finalizeChunk(free *runs.Free, res *Result, ch *chunk, off int) {
+// finalizeChunk writes chunk ch into rows [off, off+len) of res, ordered
+// by hash when sorted is set, and gives its columns to free.
+func (e *exec) finalizeChunk(free *runs.Free, res *Result, ch *chunk, off int, sorted bool) {
+	if sorted {
+		sortChunk(ch, free)
+	}
 	end := off + len(ch.keys)
 	copy(res.Keys[off:end], ch.keys)
 	copy(res.Hashes[off:end], ch.hashes)

@@ -82,6 +82,9 @@ type exec struct {
 	// tr is the optional execution tracer (nil when not observing).
 	tr trace.Tracer
 
+	// spill is the spill tier (nil without Config.Spill).
+	spill *spiller
+
 	pool    *sched.Pool
 	morsels *sched.Morsels
 	workers []workerState
@@ -120,13 +123,28 @@ type workerState struct {
 	free *runs.Free
 
 	hashScratch  []uint64
-	stateScratch [][]uint64 // words × scratchRows, for intake partitioning
-	stateViews   [][]uint64 // reusable column-view scratch
-	rowScratch   []uint64   // one packed state row
+	stateScratch [][]uint64    // words × scratchRows, for intake partitioning
+	stateViews   [][]uint64    // reusable column-view scratch
+	rowScratch   []uint64      // one packed state row
+	local        []runs.Bucket // intake's level-0 buckets, empty between runs
 
 	// mem is the worker's reservation cache against the shared governor
 	// (nil-safe no-op when no governor is configured).
 	mem *memgov.Cache
+
+	// The spill tier's per-worker state. owned is the bucket set the worker
+	// may spill: its intake-local buckets, or the sub-buckets of the
+	// bucket it passes over, which become the children it has not spawned
+	// yet; ownedScat says the scatterer's writers still hold rows of them.
+	owned     []runs.Bucket
+	ownedScat bool
+	spillW    *runs.BlockWriter // created on first spill
+	spillID   int               // file id of the spill being written
+	reader    runs.BlockReader
+	// The read-back run: one decoded block at a time.
+	back       *runs.Run
+	backKeys   []uint64
+	backStates [][]uint64
 
 	stats workerStats
 }
@@ -148,6 +166,7 @@ type workerKit struct {
 	stateScratch [][]uint64
 	stateViews   [][]uint64
 	rowScratch   []uint64
+	local        []runs.Bucket
 }
 
 // kitKey pins every size- or layout-relevant parameter of a kit; kits are
@@ -174,6 +193,13 @@ func kitPool(key kitKey) *sync.Pool {
 
 func newExec(cfg Config, in *Input) (*exec, error) {
 	lay := agg.NewLayout(in.Specs)
+	if cfg.Spill != nil {
+		if cfg.Governor == nil {
+			cfg.Governor = memgov.New(0) // a spill tier keeps the ledger
+		} else if b := cfg.Governor.Budget(); b > 0 {
+			cfg = sizeForSpill(cfg, lay.Words, b)
+		}
+	}
 	e := &exec{
 		cfg:     cfg,
 		in:      in,
@@ -199,17 +225,16 @@ func newExec(cfg Config, in *Input) (*exec, error) {
 	if !cfg.CarryHashes {
 		e.interRow -= 8
 	}
-	e.pool = sched.NewPool(cfg.Workers)
-	// A forced sort-spill refuses the run with the typed budget error
-	// before anything is reserved, so the caller degrades to the external
-	// path without burning a pass. Every other value, an out-of-range one
-	// included, runs the partitioned executor.
-	if cfg.Routine == RoutineSortSpill {
+	// A forced sort-spill without a spill target refuses the run with the
+	// typed budget error before anything is reserved. Every other value,
+	// an out-of-range one included, runs the partitioned executor.
+	if cfg.Routine == RoutineSortSpill && cfg.Spill == nil {
 		if e.tr != nil {
 			e.tr.Emit(trace.KindRoutineSelect, 0, 0, int64(RoutineSortSpill), 0)
 		}
-		return nil, fmt.Errorf("core: sort-spill routine forced: %w", ErrMemoryBudget)
+		return nil, fmt.Errorf("core: sort-spill routine forced without a spill target: %w", ErrMemoryBudget)
 	}
+	e.pool = sched.NewPool(cfg.Workers)
 	e.workers = make([]workerState, e.pool.Workers())
 	e.kits = kitKey{
 		cacheRows: e.cacheRows,
@@ -232,6 +257,7 @@ func newExec(cfg Config, in *Input) (*exec, error) {
 			ws.stateScratch = k.stateScratch
 			ws.stateViews = k.stateViews
 			ws.rowScratch = k.rowScratch
+			ws.local = k.local
 			if e.gov != nil {
 				// Budgeted runs account retained leaf tables as they are
 				// (re)created; starting from empty maps keeps the up-front
@@ -265,13 +291,29 @@ func newExec(cfg Config, in *Input) (*exec, error) {
 			}
 			ws.stateViews = make([][]uint64, e.words)
 			ws.rowScratch = make([]uint64, e.words)
+			ws.local = make([]runs.Bucket, hashfn.Fanout)
 		}
 		ws.mem = e.gov.NewCache(0)
+	}
+	if cfg.Spill != nil {
+		e.spill = newSpiller(*cfg.Spill, e.words, cfg.Routine == RoutineSortSpill, e.tr)
+	}
+	if e.tr != nil && e.gov != nil {
+		// Sample the ledger's high water into the trace: every 64th of the
+		// budget, at least 32 KiB apart, or every MiB without a budget.
+		grain := int64(1 << 20)
+		if b := e.gov.Budget(); b > 0 {
+			grain = max(b/64, 32<<10)
+		}
+		tr := e.tr
+		e.gov.SetHighWaterHook(grain, func(hw int64) {
+			tr.Emit(trace.KindGovHighWater, 0, 0, -1, float64(hw))
+		})
 	}
 	if e.gov != nil {
 		// Register the fixed per-worker machinery up front (workerBytes).
 		// If even that doesn't fit the budget, fail before touching the
-		// input so the caller can degrade immediately.
+		// input: no spill can free it.
 		fixed := int64(len(e.workers)) * workerBytes(e.cacheRows, e.words)
 		if !e.gov.TryReserve(fixed) {
 			return nil, e.gov.BudgetError("core: per-worker machinery", fixed)
@@ -311,6 +353,7 @@ func (e *exec) recycle() {
 			stateScratch: ws.stateScratch,
 			stateViews:   ws.stateViews,
 			rowScratch:   ws.rowScratch,
+			local:        ws.local,
 		})
 		ws.table = nil
 	}
@@ -334,20 +377,25 @@ func (e *exec) releaseAccounting() {
 }
 
 // checkBudget flushes the worker's reservation cache and, when the run has
-// gone over budget, aborts it with a typed ErrMemoryBudget failure. Called
-// at morsel and task boundaries — the overshoot between two checks is at
-// most one morsel of production per worker, the documented budget slack.
-func (e *exec) checkBudget(ctx *sched.Ctx, ws *workerState) bool {
+// gone over budget, spills what the worker owns (busy excepted; see
+// relieve) or, without a spill target, aborts the run with a typed
+// ErrMemoryBudget failure. Called at morsel and task boundaries — the
+// overshoot between two checks is at most one morsel of production per
+// worker, the documented budget slack.
+func (e *exec) checkBudget(ctx *sched.Ctx, ws *workerState, busy *runs.Bucket) bool {
 	if e.gov == nil {
 		return true
 	}
 	ws.mem.Flush()
-	if e.gov.OverBudget() {
-		ctx.Fail(fmt.Errorf("core: working set %d of %d bytes: %w",
-			e.gov.Reserved(), e.gov.Budget(), ErrMemoryBudget))
-		return false
+	if !e.gov.OverBudget() {
+		return true
 	}
-	return true
+	if e.spill != nil {
+		return e.relieve(ctx, ws, busy)
+	}
+	ctx.Fail(fmt.Errorf("core: working set %d of %d bytes: %w",
+		e.gov.Reserved(), e.gov.Budget(), ErrMemoryBudget))
+	return false
 }
 
 // run executes the two phases: parallel intake, then parallel recursion.
@@ -356,7 +404,11 @@ func (e *exec) checkBudget(ctx *sched.Ctx, ws *workerState) bool {
 func (e *exec) run(ctx context.Context) error {
 	if e.tr != nil {
 		// The run's committed routine.
-		e.tr.Emit(trace.KindRoutineSelect, 0, 0, int64(RoutinePartitioned), 0)
+		rt := RoutinePartitioned
+		if e.spill != nil && e.spill.forced {
+			rt = RoutineSortSpill
+		}
+		e.tr.Emit(trace.KindRoutineSelect, 0, 0, int64(rt), 0)
 	}
 	// Phase A — intake: split the input into runs (Algorithm 2, line 5).
 	e.morsels = sched.NewMorsels(len(e.in.Keys), e.cfg.MorselRows)
@@ -372,6 +424,15 @@ func (e *exec) run(ctx context.Context) error {
 		return err
 	}
 	e.lap(t0, trace.PhaseIntake)
+	if e.spill != nil {
+		if err := e.spillRoots(); err != nil {
+			return err
+		}
+		if e.spill.stats.Buckets > 0 { // one goroutine runs here
+			// Phase B reads spilled buckets back: the out-of-core merge.
+			defer e.lap(e.stamp(), trace.PhaseMerge)
+		}
+	}
 
 	// Phase B — recursion into the buckets (Algorithm 2, line 8), spawned
 	// largest-first. Task spawn order is the partition assignment of the
@@ -419,7 +480,9 @@ func (e *exec) intake(ctx *sched.Ctx) {
 	table.SetLevel(0)
 	scat := ws.scat
 	scat.Reset(0)
-	var local [hashfn.Fanout]runs.Bucket
+	local := ws.local
+	ws.owned, ws.ownedScat = local, true
+	defer func() { ws.owned, ws.ownedScat = nil, false }()
 
 	keys := e.in.Keys
 	cols := e.in.AggCols
@@ -430,7 +493,7 @@ func (e *exec) intake(ctx *sched.Ctx) {
 		if ctx.Aborted() {
 			return
 		}
-		if !e.checkBudget(ctx, ws) {
+		if !e.checkBudget(ctx, ws, nil) {
 			return
 		}
 		lo, hi, ok := e.morsels.Next()
@@ -449,7 +512,7 @@ func (e *exec) intake(ctx *sched.Ctx) {
 					ws.stats.partitionedRows += int64(blk)
 					i += blk
 				default: // ModeHash (ModeFinal cannot occur at intake)
-					i = e.hashRaw(ws, st, table, keys, cols, i, hi, &local)
+					i = e.hashRaw(ws, st, table, keys, cols, i, hi, local)
 				}
 			}
 			ws.stats.levelRows[0] += int64(hi - lo)
@@ -482,6 +545,7 @@ func (e *exec) intake(ctx *sched.Ctx) {
 		e.root[d].AddAll(&local[d])
 	}
 	e.rootMu.Unlock()
+	clear(local)
 }
 
 // hashRaw inserts raw input rows [i, hi) into the table until the table
@@ -494,7 +558,7 @@ func (e *exec) intake(ctx *sched.Ctx) {
 // the software-pipelined batch insert. Only a table-fill event (rare: once
 // per cache-sized table) drops back to per-event bookkeeping.
 func (e *exec) hashRaw(ws *workerState, st StrategyState, table *hashtable.Table,
-	keys []uint64, cols [][]int64, i, hi int, local *[hashfn.Fanout]runs.Bucket) int {
+	keys []uint64, cols [][]int64, i, hi int, local []runs.Bucket) int {
 	t0 := e.stamp()
 	for i < hi {
 		blk := min(hi-i, scratchRows)
@@ -586,28 +650,47 @@ func (e *exec) processBucket(ctx *sched.Ctx, b *runs.Bucket, level int, prefix u
 	}
 	ws := &e.workers[ctx.Worker]
 	ws.stats.tasks++
-	if !e.checkBudget(ctx, ws) {
+	if !e.checkBudget(ctx, ws, b) {
 		return
 	}
 	n := b.Rows()
 	if n == 0 {
 		return
 	}
+	// Spilled rows gave their reservation back when they were written.
+	inMem := n
+	spilled := len(b.Spilled) > 0
+	if spilled {
+		inMem = b.MemRows()
+		e.spill.mu.Lock()
+		e.spill.stats.DeepestRead = max(e.spill.stats.DeepestRead, level)
+		e.spill.mu.Unlock()
+		if e.tr != nil {
+			e.tr.Emit(trace.KindMergeStart, ws.id, level, int64(prefix), float64(n))
+		}
+	}
+	owner := ws.owned
 	var children []child
 	e.timed(ws, min(level, MaxPasses-1), func() {
 		ws.stats.levelRows[min(level, MaxPasses-1)] += int64(n)
 		children = e.doBucket(ctx, ws, b, level, prefix)
 	})
+	ws.ownedScat = false
 	// The input bucket is consumed: its rows now live either in the
 	// sub-buckets (reserved as they were re-materialized) or in the output
-	// chunk (reserved by emitTable). Its chunks go to this worker's free
-	// list, unless the run was aborted: that drops its kits, lists included.
-	ws.mem.Reserve(-int64(n) * e.interRow)
+	// chunk. Its chunks go to this worker's free list, unless the run was
+	// aborted: that drops its kits, lists included.
+	ws.mem.Reserve(-int64(inMem) * e.interRow)
 	if ctx.Aborted() {
+		ws.owned = owner
 		return
 	}
 	for _, r := range b.Runs {
 		ws.free.Recycle(r)
+	}
+	b.Runs, b.Spilled = nil, nil
+	if spilled && e.tr != nil {
+		e.tr.Emit(trace.KindMergeFinish, ws.id, level, int64(prefix), float64(n))
 	}
 	// Spawn the oversized children largest-first so a skew-bloated child
 	// enters the scheduler before its siblings: idle workers pick up the
@@ -621,6 +704,7 @@ func (e *exec) processBucket(ctx *sched.Ctx, b *runs.Bucket, level int, prefix u
 			big = append(big, c)
 		}
 	}
+	ws.owned = owner
 	slices.SortFunc(big, func(x, y child) int {
 		return cmp.Or(cmp.Compare(y.b.Rows(), x.b.Rows()), cmp.Compare(x.prefix, y.prefix))
 	})
@@ -640,7 +724,7 @@ func (e *exec) doBucket(ctx *sched.Ctx, ws *workerState, b *runs.Bucket, level i
 	// keeps the full 64-bit prefix; finalizeGrown clamps the table level
 	// itself.
 	if level >= hashfn.MaxLevels {
-		e.finalizeGrown(ws, b, prefix, level)
+		e.finalizeGrown(ctx, ws, b, prefix, level)
 		return nil
 	}
 
@@ -649,14 +733,14 @@ func (e *exec) doBucket(ctx *sched.Ctx, ws *workerState, b *runs.Bucket, level i
 	// more partitions") certainly has few enough groups for a single
 	// in-cache pass (groups ≤ rows), independent of the strategy.
 	if n <= e.finalRows {
-		e.finalizeLeaf(ws, b, level, prefix)
+		e.finalizeLeaf(ctx, ws, b, level, prefix)
 		return nil
 	}
 
 	st := e.cfg.Strategy.NewState(level, e.cacheRows)
 	if st.NextMode() == ModeFinal {
 		// Fixed-pass strategy demands its single growing hashing pass.
-		e.finalizeGrown(ws, b, prefix, level)
+		e.finalizeGrown(ctx, ws, b, prefix, level)
 		return nil
 	}
 
@@ -668,11 +752,13 @@ func (e *exec) doBucket(ctx *sched.Ctx, ws *workerState, b *runs.Bucket, level i
 	sub := make([]runs.Bucket, hashfn.Fanout)
 	pure := true // no table emitted, no scatter used → direct output legal
 	usedScatter := false
+	if e.spill != nil {
+		// The sub-buckets are this worker's to spill while it fills them.
+		ws.owned, ws.ownedScat = sub, true
+	}
 
-	for _, r := range b.Runs {
-		if ctx.Aborted() {
-			return nil
-		}
+	// consume runs the strategy's decision loop over one run of the bucket.
+	consume := func(r *runs.Run) bool {
 		i := 0
 		for i < r.Len() {
 			switch st.NextMode() {
@@ -701,6 +787,17 @@ func (e *exec) doBucket(ctx *sched.Ctx, ws *workerState, b *runs.Bucket, level i
 					pure = false
 				}
 			}
+		}
+		return e.spill == nil || e.checkBudget(ctx, ws, nil)
+	}
+	for _, r := range b.Runs {
+		if ctx.Aborted() || !consume(r) {
+			return nil
+		}
+	}
+	for _, s := range b.Spilled {
+		if !e.readBack(ctx, ws, level, s, consume) {
+			return nil
 		}
 	}
 
@@ -820,7 +917,7 @@ func (e *exec) leafTable(ws *workerState, n, level int) *hashtable.Table {
 		})
 		ws.finalTables[capRows] = t
 		// Retained across leaves as worker machinery.
-		ws.mem.Reserve(t.FootprintBytes())
+		e.reserveMachinery(ws, t.FootprintBytes())
 	}
 	t.Reset()
 	t.SetLevel(min(level, hashfn.MaxLevels-1))
@@ -830,27 +927,13 @@ func (e *exec) leafTable(ws *workerState, n, level int) *hashtable.Table {
 // finalizeLeaf aggregates a leaf bucket with one in-cache hashing pass and
 // emits the result. The table is sized to the bucket (emitting scans the
 // whole table, so a cache-sized table would waste a full scan on a 64-row
-// bucket). In the impossible-in-practice case of overflow it falls back to
-// a grown throwaway table.
-func (e *exec) finalizeLeaf(ws *workerState, b *runs.Bucket, level int, prefix uint64) {
-	n := b.Rows()
-	table := e.leafTable(ws, n, level)
-	t0 := e.stamp()
-	for _, r := range b.Runs {
-		if !e.absorbRun(ws, table, r) {
-			e.lap(t0, trace.PhaseTableBuild)
-			table.Reset()
-			e.finalizeGrown(ws, b, prefix, level)
-			return
-		}
-	}
-	e.lap(t0, trace.PhaseTableBuild)
-	e.emitTable(ws, table, prefix, level)
-	ws.stats.directEmits++
+// bucket).
+func (e *exec) finalizeLeaf(ctx *sched.Ctx, ws *workerState, b *runs.Bucket, level int, prefix uint64) {
+	e.finalize(ctx, ws, b, e.leafTable(ws, b.Rows(), level), prefix, level)
 }
 
 // absorbRun feeds an entire run through the batch merge path into table,
-// reporting false if the table cannot hold it (caller falls back).
+// reporting false if the table cannot hold it.
 func (e *exec) absorbRun(ws *workerState, table *hashtable.Table, r *runs.Run) bool {
 	carried := r.Hashes != nil
 	n := r.Len()
@@ -875,9 +958,9 @@ func (e *exec) absorbRun(ws *workerState, table *hashtable.Table, r *runs.Run) b
 
 // finalizeGrown aggregates a bucket with a single hashing pass whose
 // unblocked table is sized to the bucket's row count, growing beyond the
-// cache budget if necessary. Used for fixed-pass strategies (ModeFinal),
-// for 64-bit hash-collision buckets, and as the leaf fallback.
-func (e *exec) finalizeGrown(ws *workerState, b *runs.Bucket, prefix uint64, level int) {
+// cache budget if necessary. Used for fixed-pass strategies (ModeFinal)
+// and for 64-bit hash-collision buckets.
+func (e *exec) finalizeGrown(ctx *sched.Ctx, ws *workerState, b *runs.Bucket, prefix uint64, level int) {
 	n := b.Rows()
 	capRows := 64
 	for capRows < 4*n {
@@ -892,7 +975,7 @@ func (e *exec) finalizeGrown(ws *workerState, b *runs.Bucket, prefix uint64, lev
 			MaxFill:      0.5,
 			Words:        e.words,
 		})
-		ws.mem.Reserve(table.FootprintBytes())
+		e.reserveMachinery(ws, table.FootprintBytes())
 		if capRows <= 4*e.cacheRows {
 			// Retained across buckets as worker machinery.
 			ws.grownTables[capRows] = table
@@ -900,15 +983,32 @@ func (e *exec) finalizeGrown(ws *workerState, b *runs.Bucket, prefix uint64, lev
 		}
 	}
 	if !retained {
-		defer ws.mem.Reserve(-table.FootprintBytes())
+		defer e.reserveMachinery(ws, -table.FootprintBytes())
 	}
 	table.Reset()
 	table.SetLevel(min(level, hashfn.MaxLevels-1))
+	e.finalize(ctx, ws, b, table, prefix, level)
+}
+
+// finalize is the fused final pass: it absorbs every run of b into table,
+// spilled ones read back block by block, and emits the table. Both callers
+// size the table so it cannot fill: an unblocked table whose fill limit is
+// at least the bucket's rows, hence its groups.
+func (e *exec) finalize(ctx *sched.Ctx, ws *workerState, b *runs.Bucket, table *hashtable.Table, prefix uint64, level int) {
 	t0 := e.stamp()
 	for _, r := range b.Runs {
 		if !e.absorbRun(ws, table, r) {
-			// Cannot happen: capacity ≥ 4·rows ≥ 4·groups with fill 0.5.
-			panic("core: grown finalization table overflowed")
+			panic("core: finalization table overflowed")
+		}
+	}
+	for _, s := range b.Spilled {
+		if !e.readBack(ctx, ws, level, s, func(r *runs.Run) bool {
+			if !e.absorbRun(ws, table, r) {
+				panic("core: finalization table overflowed")
+			}
+			return true
+		}) {
+			return
 		}
 	}
 	e.lap(t0, trace.PhaseTableBuild)
@@ -940,8 +1040,6 @@ func (e *exec) emitTable(ws *workerState, table *hashtable.Table, prefix uint64,
 	if e.tr != nil {
 		e.tr.Emit(trace.KindTableEmit, ws.id, level, int64(prefix), float64(n))
 	}
-	// Output chunks are retained until assemble; they are part of the
-	// run's footprint.
-	ws.mem.Reserve(int64(n) * e.chunkRow)
+	// The output is the caller's memory, not the run's working set.
 	e.out.add(ch)
 }

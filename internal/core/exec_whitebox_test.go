@@ -101,10 +101,11 @@ func TestForcedFinalizationMergesDuplicates(t *testing.T) {
 }
 
 func TestLeafBlockOverflowFallsBackToGrownTable(t *testing.T) {
-	// Craft a leaf-sized bucket whose rows all land in ONE block of the
-	// final table (identical digit at every level ⇒ same block), with
-	// more rows than a single block holds. finalizeLeaf must detect the
-	// overflow and fall back to the unblocked grown table.
+	// Craft a leaf-sized bucket whose rows all land in ONE block of a
+	// blocked table (identical digit at every level ⇒ same block), with
+	// more rows than a single block of one holds. The leaf table is
+	// unblocked with room for twice the rows, so finalizeLeaf must still
+	// hold them all.
 	e := mkExec(nil, nil, nil)
 	if e.finalRows < 300 {
 		t.Skip("cache too small for this scenario")

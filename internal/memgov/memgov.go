@@ -1,21 +1,18 @@
 // Package memgov implements the central memory governor of the engine: a
 // byte-accurate accountant that the big memory consumers — worker hash
-// tables, partition/run buffers, resident spill partitions, and external
-// merge state — register their allocations with.
+// tables, partition/run buffers, and spilled blocks being read back —
+// register their allocations with.
 //
 // The governor does not allocate anything itself and it cannot stop an
 // allocation that has already happened; it is the bookkeeping that lets the
 // operator make *decisions* from real footprint instead of row-count
 // proxies:
 //
-//   - the in-memory operator polls OverBudget at morsel and task boundaries
-//     and aborts with a typed error so the caller can degrade to the
-//     out-of-core path instead of blowing past the budget;
-//   - the external operator calls TryReserve before growing a resident
-//     partition and evicts (spills) the largest resident partition when the
-//     reservation fails — the dynamic-hybrid degradation of Jahangiri et
-//     al.;
-//   - both size their buffers from Remaining instead of guessing.
+//   - the operator polls OverBudget at morsel and task boundaries and, over
+//     budget, spills the largest bucket the worker owns — the
+//     dynamic-hybrid degradation of Jahangiri et al. — or, without a spill
+//     target, aborts with a typed error instead of blowing past the budget;
+//   - serve admission grants each query its budget with TryReserve.
 //
 // Accounting precision: reservations go through per-worker Caches that
 // batch small deltas into one shared atomic, so the hot path costs one

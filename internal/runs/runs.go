@@ -86,13 +86,35 @@ func (r *Run) Validate(words int) error {
 
 // Bucket is the set of runs that share one bucket path. The recursion of
 // the framework treats all runs of the same partition as a single bucket
-// (Algorithm 2).
+// (Algorithm 2). A run is either in memory (Runs) or in a block file
+// (Spilled).
 type Bucket struct {
 	Runs []*Run
+	// Spilled lists the runs of the bucket that were written to block
+	// files to free memory.
+	Spilled []Spilled
 }
 
-// Rows returns the total number of rows across all runs of the bucket.
+// Spilled is a run one storage level down: its keys and state columns
+// written to a block file (see BlockWriter); hashes are recomputed when it
+// is read back.
+type Spilled struct {
+	Path string
+	Rows int
+}
+
+// Rows returns the total number of rows across all runs of the bucket,
+// spilled ones included.
 func (b *Bucket) Rows() int {
+	n := b.MemRows()
+	for _, s := range b.Spilled {
+		n += s.Rows
+	}
+	return n
+}
+
+// MemRows returns the number of rows of the bucket's in-memory runs.
+func (b *Bucket) MemRows() int {
 	n := 0
 	for _, r := range b.Runs {
 		n += r.Len()
@@ -107,11 +129,12 @@ func (b *Bucket) Add(r *Run) {
 	}
 }
 
-// AddAll appends all runs of other to b.
+// AddAll appends all runs of other to b, spilled ones included.
 func (b *Bucket) AddAll(other *Bucket) {
 	for _, r := range other.Runs {
 		b.Add(r)
 	}
+	b.Spilled = append(b.Spilled, other.Spilled...)
 }
 
 // AllAggregated reports whether every run in the bucket is aggregated.

@@ -277,11 +277,13 @@ func (c *Controller) shedLocked(arriving Priority) bool {
 		q.Remove(victim.elem)
 		victim.queued = false
 		c.queued--
-		victim.ch <- withRetry(errf(ErrShed, nil,
-			"%s-priority work shed for higher-priority arrival", class), c.cfg.RetryHint)
+		// Count the shed before waking the victim, so whoever reads its
+		// error already sees it in the metrics.
 		if c.metrics != nil {
 			c.metrics.Shed.Add(1)
 		}
+		victim.ch <- withRetry(errf(ErrShed, nil,
+			"%s-priority work shed for higher-priority arrival", class), c.cfg.RetryHint)
 		return true
 	}
 	return false

@@ -348,9 +348,8 @@ func (s *Server) admitAndRun(ctx context.Context, req *Request, input cacheagg.I
 	}
 	if s.ctrl.Ledger().Budget() > 0 {
 		// The grant is enforced byte-accurately by the query's own
-		// governor; GrantExternal rides the same mechanism (a floor-sized
-		// budget forces the in-memory attempt over budget immediately, so
-		// the operator degrades to the spilling path).
+		// governor; GrantExternal rides the same mechanism (the run is
+		// sized to a floor-sized budget and spills inside the engine).
 		opts.MemoryBudgetBytes = grant.Bytes
 	}
 	res, err := runContained(ctx, input, opts)
@@ -550,8 +549,8 @@ func (s *Server) mapExecErr(ctx context.Context, err error) error {
 		return serr // already typed (contained panic)
 	}
 	if errors.Is(err, cacheagg.ErrMemoryBudget) {
-		// The grant was too small even for the spilling path's machinery
-		// — a server sizing problem, retryable once pressure clears.
+		// The grant was too small even for the machinery no spill can
+		// free — a server sizing problem, retryable once pressure clears.
 		s.metrics.RejectedBudget.Add(1)
 		return withRetry(errf(ErrBudgetUnavailable, err,
 			"grant too small for execution: %v", err), s.ctrl.cfg.RetryHint)

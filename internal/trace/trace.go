@@ -1,6 +1,6 @@
 // Package trace is the execution-observability layer: a pluggable Tracer
 // that the operator threads through every execution stage (core build,
-// scatter/split, spill I/O, out-of-core merge, prefetcher, governor).
+// scatter/split, spill I/O, reading spilled buckets back, governor).
 //
 // The design goal is that an *absent* tracer costs one nil-check per block
 // of work and an *installed* tracer costs two atomic stores per event plus
@@ -53,10 +53,10 @@ const (
 	// full tables into sorted-by-hash runs and emitting output columns.
 	PhaseSplit
 	// PhaseSpill is summed writer activity spent encoding and writing
-	// spill blocks (external mode only).
+	// spill blocks (runs that spilled only).
 	PhaseSpill
-	// PhaseMerge is the wall time of the out-of-core merge phase
-	// (external mode only).
+	// PhaseMerge is the wall time of the recursion phase of a run whose
+	// level-0 buckets spilled: the out-of-core merge that reads them back.
 	PhaseMerge
 
 	// NumPhases is the number of phases; valid Phase values are < NumPhases.
@@ -91,33 +91,20 @@ const (
 	// groups directly. Part = partition prefix, Value = groups emitted.
 	KindTableEmit
 	// KindSpillWrite: one column-major block was encoded and written to a
-	// spill file. Part = spill partition id, Value = rows in the block.
+	// spill file. Part = spill file id, Value = rows in the block.
 	KindSpillWrite
-	// KindSpillRead: one spill partition file was read and decoded.
-	// Part = partition digit (-1 when unknown), Value = file size bytes.
+	// KindSpillRead: one spill file was opened to be read back.
+	// Part = -1, Value = rows in the file.
 	KindSpillRead
 	// KindSpillRetry: a transient spill-I/O fault was retried.
 	// Part = faultfs op code, Value = 1.
 	KindSpillRetry
-	// KindMergeStart: a merge task began. Part = level-1 digit (-1 for
-	// recursive sub-partitions), Value = 0.
+	// KindMergeStart: a bucket task began reading a spilled bucket back.
+	// Part = the bucket's hash prefix, Value = the bucket's rows.
 	KindMergeStart
-	// KindMergeSteal: a pool worker stole a merge task. Worker = thief,
-	// Part = victim worker, Value = 0.
-	KindMergeSteal
-	// KindMergeFinish: a merge task completed. Part mirrors the matching
-	// KindMergeStart, Value = groups produced (0 when repartitioned).
+	// KindMergeFinish: the task consumed it. Part and Value mirror the
+	// matching KindMergeStart.
 	KindMergeFinish
-	// KindPrefetchLoad: the prefetcher finished loading a partition ahead
-	// of demand. Part = partition digit, Value = file size bytes.
-	KindPrefetchLoad
-	// KindPrefetchHit: a merge task consumed a prefetched partition.
-	// Part = partition digit.
-	KindPrefetchHit
-	// KindPrefetchDrop: a prefetched or in-flight load was discarded
-	// (reservation refused, memory reclaimed, or merge aborted).
-	// Part = partition digit.
-	KindPrefetchDrop
 	// KindGovHighWater: the governor's reservation high-water mark rose
 	// past another sampling grain. Part = -1, Value = high water in bytes.
 	KindGovHighWater
@@ -148,14 +135,13 @@ const (
 	KindInternGrow
 
 	// NumKinds is the number of kinds; valid Kind values are < NumKinds.
-	NumKinds = 19
+	NumKinds = 15
 )
 
 var kindNames = [NumKinds]string{
 	"strategy-switch", "table-split", "table-emit",
 	"spill-write", "spill-read", "spill-retry",
-	"merge-start", "merge-steal", "merge-finish",
-	"prefetch-load", "prefetch-hit", "prefetch-drop",
+	"merge-start", "merge-finish",
 	"gov-high-water",
 	"epoch-seal", "checkpoint-write", "recover", "backpressure",
 	"routine-select", "intern-grow",

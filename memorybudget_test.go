@@ -7,11 +7,13 @@ package cacheagg
 
 import (
 	"errors"
+	"os"
 	"testing"
 	"time"
 
 	"cacheagg/internal/faultfs"
 	"cacheagg/internal/memgov"
+	"cacheagg/internal/runs"
 	"cacheagg/internal/testutil"
 )
 
@@ -128,16 +130,16 @@ func TestMemoryBudgetGenerousStaysInMemory(t *testing.T) {
 func TestMemoryBudgetTransientSpillFaultRetried(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	flaky := faultfs.NewFlaky(faultfs.OS(), faultfs.OpWrite, 30, 2)
-	testHookExternalFS = flaky
-	testHookExternalRetry = faultfs.RetryPolicy{
+	testHookSpillFS = flaky
+	testHookSpillRetry = faultfs.RetryPolicy{
 		MaxAttempts: 4,
 		BaseDelay:   time.Microsecond,
 		MaxDelay:    time.Microsecond,
 		Sleep:       func(time.Duration) {},
 	}
 	defer func() {
-		testHookExternalFS = nil
-		testHookExternalRetry = faultfs.RetryPolicy{}
+		testHookSpillFS = nil
+		testHookSpillRetry = faultfs.RetryPolicy{}
 	}()
 
 	in := budgetInput(400000, 300000)
@@ -218,7 +220,8 @@ func TestExternalOptionsByteBudget(t *testing.T) {
 func TestAutoDegradesToSortSpillMidRun(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	in := budgetInput(400000, 300000)
-	tr := NewTracer(1 << 16)
+	// One run's events: its ~65k leaf emits alone fill a 2^16 ring.
+	tr := NewTracer(1 << 18)
 	o := opts()
 	o.Routine = RoutineAuto
 	o.MemoryBudgetBytes = 8 << 20 // < 300000 groups · 40-byte output rows
@@ -270,5 +273,73 @@ func TestAutoDegradesToSortSpillMidRun(t *testing.T) {
 			t.Fatalf("group %d: count %d sum %d avg %v, want %d %d %v",
 				g, res.Aggs[0][i], res.Aggs[1][i], res.Float(2, i), w.n, w.sum, avg)
 		}
+	}
+}
+
+// TestMemoryBudgetNoRerun: a budget overrun late in intake spills and
+// carries on instead of throwing the in-memory work away and starting
+// over. At one worker the routines see at most 1.2× the rows of the same
+// query with no budget.
+func TestMemoryBudgetNoRerun(t *testing.T) {
+	in := budgetInput(400000, 300000)
+	o := opts()
+	o.Workers = 1
+	o.CollectStats = true
+	free, err := Aggregate(in, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	work := free.Stats.HashedRows + free.Stats.PartitionedRows
+
+	// The peak of a run that fits: nine tenths of it is crossed only near
+	// the end of intake, when almost every row is materialized.
+	o.MemoryBudgetBytes = 1 << 30
+	roomy, err := Aggregate(in, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.MemoryBudgetBytes = roomy.Stats.PeakReservedBytes * 9 / 10
+	res, err := Aggregate(in, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Stats.DegradedToExternal {
+		t.Fatalf("budget %d below the peak %d did not spill", o.MemoryBudgetBytes, roomy.Stats.PeakReservedBytes)
+	}
+	checkAgainstReference(t, res, free)
+	if got := res.Stats.HashedRows + res.Stats.PartitionedRows; got*10 > work*12 {
+		t.Fatalf("spilled run routed %d rows, %.2f× the %d of the run with no budget",
+			got, float64(got)/float64(work), work)
+	}
+}
+
+// corruptingFS flips one byte in the middle of every spill file before it
+// is opened for read-back.
+type corruptingFS struct{ faultfs.FS }
+
+func (c corruptingFS) Open(name string) (faultfs.File, error) {
+	raw, err := os.ReadFile(name)
+	if err != nil {
+		return nil, err
+	}
+	raw[len(raw)/2] ^= 0x10
+	if err := os.WriteFile(name, raw, 0o600); err != nil {
+		return nil, err
+	}
+	return c.FS.Open(name)
+}
+
+// TestMemoryBudgetCorruptSpillTyped: a spill file damaged before its
+// read-back fails the budgeted Aggregate with the typed corrupt-spill
+// error, not a wrong answer.
+func TestMemoryBudgetCorruptSpillTyped(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	testHookSpillFS = corruptingFS{faultfs.OS()}
+	defer func() { testHookSpillFS = nil }()
+	o := opts()
+	o.MemoryBudgetBytes = 8 << 20
+	_, err := Aggregate(budgetInput(400000, 300000), o)
+	if !errors.Is(err, runs.ErrCorruptSpill) {
+		t.Fatalf("err = %v, want ErrCorruptSpill", err)
 	}
 }

@@ -100,13 +100,18 @@ func TestAggregateExternalContextCancelCleansSpill(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	dir := t.TempDir()
-	keys := make([]uint64, 50000)
+	// Every level-0 bucket spills at the end of intake and outgrows a
+	// 32 KiB cache's leaf, so the third strategy state — after the two of
+	// intake — belongs to a bucket being read back: the cancel lands
+	// while spill files are on disk.
+	keys := make([]uint64, 400000)
 	for i := range keys {
 		keys[i] = uint64(i)
 	}
 	_, err := AggregateExternalContext(ctx, Input{GroupBy: keys}, Options{
-		Strategy: Strategy{inner: cancellingStrategy{cancel: cancel, calls: new(atomic.Int64)}},
-		Workers:  2,
+		Strategy:   Strategy{inner: cancellingStrategy{cancel: cancel, calls: new(atomic.Int64)}},
+		Workers:    2,
+		CacheBytes: 32 << 10,
 	}, ExternalOptions{MemoryBudgetRows: 5000, TempDir: dir})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

@@ -126,12 +126,9 @@ type StreamOptions struct {
 }
 
 func (o StreamOptions) lower() (stream.Options, error) {
-	specs := make([]agg.Spec, len(o.Aggregates))
-	for i, a := range o.Aggregates {
-		if a.Func < Count || a.Func > Avg {
-			return stream.Options{}, errInvalidFunc(int(a.Func))
-		}
-		specs[i] = agg.Spec{Kind: a.Func.kind(), Col: a.Col}
+	specs, err := aggSpecs(o.Aggregates)
+	if err != nil {
+		return stream.Options{}, err
 	}
 	if len(o.Aggregates) == 0 {
 		specs = nil

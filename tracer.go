@@ -44,8 +44,7 @@ type TraceEvent struct {
 	Nanos int64 `json:"t_ns"`
 	// Kind names the event: "strategy-switch", "table-split", "table-emit",
 	// "spill-write", "spill-read", "spill-retry", "merge-start",
-	// "merge-steal", "merge-finish", "prefetch-load", "prefetch-hit",
-	// "prefetch-drop", "gov-high-water", "epoch-seal", "checkpoint-write",
+	// "merge-finish", "gov-high-water", "epoch-seal", "checkpoint-write",
 	// "recover", "backpressure", "routine-select" or "intern-grow".
 	Kind string `json:"kind"`
 	// Worker is the emitting worker's index (0 when not worker-scoped).
@@ -56,8 +55,8 @@ type TraceEvent struct {
 	// event concerns, or -1 when it has no partition identity.
 	Part int64 `json:"part"`
 	// Value is the event's payload: the observed α for strategy switches
-	// and table splits, row counts for emits and spill writes, byte sizes
-	// for spill reads and prefetches, the sampled bytes for gov-high-water.
+	// and table splits, row counts for emits, spill writes and reads and
+	// merges, the sampled bytes for gov-high-water.
 	Value float64 `json:"value"`
 }
 
@@ -78,8 +77,9 @@ type Phases struct {
 	Split time.Duration
 	// Spill is worker time spent encoding and writing spill blocks.
 	Spill time.Duration
-	// Merge is the wall time of the out-of-core merge phase (zero unless
-	// the run degraded to external).
+	// Merge is the wall time of the out-of-core merge phase: recursion
+	// over level-0 buckets that spilled (zero unless the run spilled
+	// before it).
 	Merge time.Duration
 }
 
@@ -176,14 +176,4 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 // breakdown.
 func (t *Tracer) phasesSince(pre trace.Snapshot) Phases {
 	return phasesOf(t.rec.Snapshot().Sub(pre).Phases)
-}
-
-// govGrain picks the high-water sampling grain for a budgeted run: 64
-// samples across the budget, but no finer than 32 KiB.
-func govGrain(budget int64) int64 {
-	g := budget / 64
-	if g < 32<<10 {
-		g = 32 << 10
-	}
-	return g
 }
