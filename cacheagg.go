@@ -137,26 +137,16 @@ func PartitionAlwaysStrategy(passes int) Strategy { return Strategy{core.Partiti
 // framework's in-cache hashing pass (Appendix A.1).
 func PartitionOnlyStrategy() Strategy { return Strategy{core.PartitionOnly()} }
 
-// Routine selects which execution routine runs the query. The default,
-// RoutineAuto, needs no estimate of the output cardinality; the explicit
-// values force a routine for benchmarking and testing.
+// Routine is ignored.
+//
+// Deprecated: there is one engine and nothing to choose; whether a run
+// spills follows from MemoryBudgetBytes. It will be removed.
 type Routine int
 
-const (
-	// RoutineAuto runs the partitioned operator and, when its working set
-	// outgrows MemoryBudgetBytes mid-run, spills its largest buckets to
-	// disk (Stats.Routine then reads "sort-spill").
-	RoutineAuto Routine = iota
-	// RoutinePartitioned forces the paper's per-worker tables with
-	// radix-256 recursion.
-	RoutinePartitioned
-	// RoutineSortSpill forces the out-of-core path: every level-0 bucket
-	// goes through a spill file, as in a run that outgrew its budget.
-	RoutineSortSpill
-)
-
-// String returns the routine's display name.
-func (r Routine) String() string { return core.Routine(r).String() }
+// RoutineAuto is the zero Routine.
+//
+// Deprecated: see Routine.
+const RoutineAuto Routine = 0
 
 // Options tunes an execution. The zero value is a sensible default:
 // adaptive strategy, GOMAXPROCS workers, 4 MiB cache budget.
@@ -194,8 +184,9 @@ type Options struct {
 	// and populates Result.Phases. The nil default costs one branch per
 	// block of rows on the hot path — see docs/OBSERVABILITY.md.
 	Tracer *Tracer
-	// Routine overrides the execution-routine selection; the zero value
-	// selects automatically. See Routine.
+	// Routine is ignored.
+	//
+	// Deprecated: see Routine.
 	Routine Routine
 	// Interner, when non-nil, is a shared key dictionary AggregateGeneral
 	// adds every distinct key of its result to, so the dictionary holds
@@ -253,10 +244,6 @@ type Stats struct {
 	// Deprecated: it has no effect and will be removed.
 	HotRowsBypassed int64
 
-	// Routine is the execution routine the run committed to
-	// ("partitioned" or "sort-spill").
-	Routine string
-
 	// The memory-governor fields below are populated whenever
 	// Options.MemoryBudgetBytes was set, independent of CollectStats.
 
@@ -264,8 +251,7 @@ type Stats struct {
 	// byte footprint the execution registered at any point.
 	PeakReservedBytes int64
 	// DegradedToExternal reports that the working set exceeded
-	// MemoryBudgetBytes and the run spilled to disk (or that
-	// RoutineSortSpill forced it to).
+	// MemoryBudgetBytes and the run spilled to disk.
 	DegradedToExternal bool
 	// SpillRetries counts transient spill-I/O faults absorbed by the
 	// retry layer during a run that spilled.
@@ -365,23 +351,28 @@ func AggregateContext(ctx context.Context, in Input, opt Options) (*Result, erro
 	if opt.MemoryBudgetBytes < 0 {
 		return nil, fmt.Errorf("cacheagg: negative MemoryBudgetBytes %d", opt.MemoryBudgetBytes)
 	}
-	if opt.Routine < RoutineAuto || opt.Routine > RoutineSortSpill {
-		return nil, fmt.Errorf("cacheagg: invalid Routine %d", opt.Routine)
+	if opt.MemoryBudgetBytes == 0 {
+		return aggregate(ctx, in, specs, opt, nil, nil)
 	}
+	// A budget runs with a spill target in the system temp directory.
+	return aggregate(ctx, in, specs, opt, memgov.New(opt.MemoryBudgetBytes), &core.Spill{})
+}
+
+// aggregate runs the query on the operator: gov, when non-nil, is its
+// memory governor, and spill, when non-nil, its spill target, whose I/O
+// goes through the test hooks. Without a byte budget a spill target takes
+// every level-0 bucket.
+func aggregate(ctx context.Context, in Input, specs []agg.Spec, opt Options, gov *memgov.Governor, spill *core.Spill) (*Result, error) {
 	cfg := core.Config{
 		Strategy:     opt.Strategy.inner,
 		Workers:      opt.Workers,
 		CacheBytes:   opt.CacheBytes,
 		CollectStats: opt.CollectStats,
-		Routine:      core.Routine(opt.Routine),
+		Governor:     gov,
+		Spill:        spill,
 	}
-	var gov *memgov.Governor
-	if opt.MemoryBudgetBytes > 0 || opt.Routine == RoutineSortSpill {
-		// A budget, or the forced sort-spill, runs with a spill target in
-		// the system temp directory (unlimited accounting without a budget).
-		gov = memgov.New(opt.MemoryBudgetBytes)
-		cfg.Governor = gov
-		cfg.Spill = &core.Spill{FS: testHookSpillFS, Retry: testHookSpillRetry}
+	if spill != nil {
+		spill.FS, spill.Retry = testHookSpillFS, testHookSpillRetry
 	}
 	var pre trace.Snapshot
 	if t := opt.Tracer; t != nil {
@@ -414,7 +405,6 @@ func AggregateContext(ctx context.Context, in Input, opt Options) (*Result, erro
 			TablesEmitted:   st.TablesEmitted,
 			Switches:        st.Switches,
 			DirectEmits:     st.DirectEmits,
-			Routine:         st.Routine.String(),
 		}
 		if st.TablesEmitted > 0 {
 			res.Stats.MeanAlpha = st.AlphaSum / float64(st.TablesEmitted)
@@ -422,8 +412,7 @@ func AggregateContext(ctx context.Context, in Input, opt Options) (*Result, erro
 	}
 	if gov != nil {
 		res.Stats.PeakReservedBytes = gov.HighWater()
-		if sp := cres.Spill; sp.Buckets > 0 || opt.Routine == RoutineSortSpill {
-			res.Stats.Routine = core.RoutineSortSpill.String()
+		if sp := cres.Spill; sp.Buckets > 0 {
 			res.Stats.DegradedToExternal = true
 			res.Stats.SpillRetries = sp.Retries
 		}

@@ -10,8 +10,13 @@
 //	agggen -dist zipf -n 1000000 -format binary -o /tmp/z.bin && \
 //	  aggrun -in /tmp/z.bin -format binary
 //	aggrun -n 4194304 -k 4194304 -budget 16777216 -spill -spill-budget 1073741824
+//	aggrun -n 4194304 -k 4194304 -spill
 //	aggrun -keytype strings -dist zipf -n 1048576 -k 65536 -verify
-//	aggrun -keytype composite2 -n 1048576 -k 65536 -routine partitioned
+//	aggrun -keytype composite2 -n 1048576 -k 65536 -budget 67108864
+//
+// There is one engine and no routine to pick: with -spill and -budget the
+// run spills its largest buckets only when the budget demands it, and with
+// -spill alone every level-0 bucket goes through disk.
 //
 // Exit codes are typed so scripts and load harnesses can assert on the
 // failure class instead of parsing stderr:
@@ -73,19 +78,6 @@ func exitCode(err error) int {
 	}
 }
 
-func parseRoutine(name string) (core.Routine, error) {
-	switch name {
-	case "auto", "":
-		return core.RoutineAuto, nil
-	case "partitioned":
-		return core.RoutinePartitioned, nil
-	case "sort-spill":
-		return core.RoutineSortSpill, nil
-	default:
-		return 0, fmt.Errorf("unknown routine %q (auto | partitioned | sort-spill)", name)
-	}
-}
-
 func parseStrategy(name string, passes int) (core.Strategy, error) {
 	switch name {
 	case "adaptive":
@@ -127,7 +119,6 @@ func run() error {
 		in       = flag.String("in", "", "read keys from file instead of generating")
 		format   = flag.String("format", "text", "input file format: text | binary")
 		strat    = flag.String("strategy", "adaptive", "adaptive | hashing-only | partition-always | partition-only")
-		routine  = flag.String("routine", "auto", "execution routine: auto | partitioned | sort-spill (sort-spill needs -spill)")
 		passes   = flag.Int("passes", 1, "partitioning passes for partition-always")
 		workers  = flag.Int("workers", 0, "worker threads (0 = GOMAXPROCS)")
 		cache    = flag.Int("cache", 0, "cache budget bytes per worker (0 = 4 MiB)")
@@ -136,14 +127,11 @@ func run() error {
 		timeout  = flag.Duration("timeout", 0, "abort the aggregation after this long (0 = no limit)")
 		traceOut = flag.String("trace", "", "record an execution trace and write it to this file as JSONL")
 		budget   = flag.Int64("budget", 0, "memory budget in bytes enforced by a governor (0 = unlimited)")
-		spill    = flag.Bool("spill", false, "spill the largest buckets to the temp directory when -budget is exceeded")
+		spill    = flag.Bool("spill", false, "spill to the temp directory: the largest buckets when -budget is exceeded, or without -budget every level-0 bucket (fully out of core)")
 		spillCap = flag.Int64("spill-budget", 0, "cap on the bytes -spill writes (0 = no cap)")
 		keytype  = flag.String("keytype", "uint64", "group-by key shape: uint64 | strings | composite2 (general keys run through AggregateGeneral)")
 	)
 	flag.Parse()
-	if *spill && *budget <= 0 {
-		return usageError("-spill requires a positive -budget (nothing would press the run to spill)")
-	}
 	if *spillCap != 0 && !*spill {
 		return usageError("-spill-budget only applies with -spill")
 	}
@@ -170,7 +158,7 @@ func run() error {
 		return runGeneral(*keytype, datagen.Spec{
 			Dist: dist, N: *n, K: *k, Seed: *seed,
 			Theta: *theta, HitFraction: *hitFrac, Window: *window,
-		}, *routine, *workers, *cache, *budget, *timeout, *topN, *verify)
+		}, *workers, *cache, *budget, *timeout, *topN, *verify)
 	default:
 		return usageError("unknown -keytype " + *keytype + " (uint64 | strings | composite2)")
 	}
@@ -197,16 +185,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	rt, err := parseRoutine(*routine)
-	if err != nil {
-		return err
-	}
 	cfg := core.Config{
 		Strategy:     strategy,
 		Workers:      *workers,
 		CacheBytes:   *cache,
 		CollectStats: true,
-		Routine:      rt,
 	}
 	var gov *memgov.Governor
 	if *budget > 0 {
@@ -257,7 +240,6 @@ func run() error {
 	fmt.Println()
 	fmt.Printf("switches   %d\n", st.Switches)
 	fmt.Printf("directemit %d buckets\n", st.DirectEmits)
-	fmt.Printf("routine    %s\n", st.Routine)
 	if sp := res.Spill; sp.Buckets > 0 {
 		fmt.Printf("spilled    %d rows, %d bytes (%d bucket spills, deepest read level %d, %d level-0 buckets resident)\n",
 			sp.Rows, sp.Bytes, sp.Buckets, sp.DeepestRead, sp.ResidentRoots)
@@ -300,12 +282,8 @@ func run() error {
 // ids through the public operator, counted per group, and gathered back
 // for display and verification. It exercises the full dedupe → aggregate
 // → gather path the library exposes as AggregateGeneral.
-func runGeneral(keytype string, spec datagen.Spec, routineName string,
+func runGeneral(keytype string, spec datagen.Spec,
 	workers, cache int, budget int64, timeout time.Duration, topN int, verify bool) error {
-	rt, err := parseRoutine(routineName)
-	if err != nil {
-		return err
-	}
 	var gcols []cacheagg.KeyColumn
 	switch keytype {
 	case "strings":
@@ -329,7 +307,6 @@ func runGeneral(keytype string, spec datagen.Spec, routineName string,
 		CacheBytes:        cache,
 		MemoryBudgetBytes: budget,
 		CollectStats:      true,
-		Routine:           cacheagg.Routine(rt),
 	})
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
@@ -349,7 +326,6 @@ func runGeneral(keytype string, spec datagen.Spec, routineName string,
 	fmt.Printf("dedupe     %v (%.1f ns/row)\n",
 		time.Duration(res.Stats.EncodeNanos).Round(time.Microsecond),
 		float64(res.Stats.EncodeNanos)/float64(max(spec.N, 1)))
-	fmt.Printf("routine    %s\n", res.Stats.Routine)
 
 	for i := 0; i < topN && i < res.Len(); i++ {
 		fmt.Printf("row %d:", i)

@@ -13,7 +13,7 @@ import (
 	"testing"
 
 	"cacheagg/internal/core"
-	"cacheagg/internal/external"
+	"cacheagg/internal/runs"
 )
 
 func TestParseStrategy(t *testing.T) {
@@ -132,7 +132,7 @@ func TestExitCodeMapping(t *testing.T) {
 		{nil, exitOK},
 		{errors.New("anything"), exitFailure},
 		{fmt.Errorf("wrap: %w", core.ErrMemoryBudget), exitMemBudget},
-		{fmt.Errorf("wrap: %w", external.ErrSpillBudget), exitSpillBudget},
+		{fmt.Errorf("wrap: %w", runs.ErrSpillBudget), exitSpillBudget},
 		{fmt.Errorf("wrap: %w", context.DeadlineExceeded), exitDeadline},
 	}
 	for _, c := range cases {
@@ -220,10 +220,24 @@ func TestCLISpillBudgetExitCode(t *testing.T) {
 	}
 }
 
+// TestCLISpillWithoutBudgetRunsOutOfCore: -spill without -budget sends
+// every level-0 bucket through disk and succeeds with the verified result.
+func TestCLISpillWithoutBudgetRunsOutOfCore(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-n", "200000", "-k", "50000", "-workers", "2", "-spill", "-verify")
+	cmd.Env = append(os.Environ(), "AGGRUN_BE_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("%v: %s", err, out)
+	}
+	if !strings.Contains(string(out), "spilled ") || !strings.Contains(string(out), " 0 level-0 buckets resident") {
+		t.Fatalf("want every level-0 bucket spilled, got:\n%s", out)
+	}
+}
+
 func TestCLIUsageExitCodes(t *testing.T) {
 	for _, args := range [][]string{
-		{"-spill"},                         // -spill without -budget
 		{"-spill-budget", "1024"},          // -spill-budget without -spill
+		{"-routine", "auto"},               // a deleted flag is an unknown flag
 		{"-not-a-flag"},                    // unknown flag (package flag)
 		{"-budget", "zero point five MiB"}, // unparsable value (package flag)
 	} {
@@ -237,7 +251,6 @@ func TestCLIUsageExitCodes(t *testing.T) {
 func TestCLIBadFlagsExitCleanly(t *testing.T) {
 	for _, args := range [][]string{
 		{"-strategy", "bogus"},
-		{"-routine", "global"},
 		{"-dist", "not-a-distribution"},
 		{"-in", "/definitely/missing/file", "-format", "binary"},
 		{"-in", "/dev/null", "-format", "bogus"},

@@ -2,23 +2,26 @@ package cacheagg
 
 // Out-of-core aggregation: the disk level of the external memory model,
 // run by the same engine as Aggregate through its spill tier. See
-// internal/external for the algorithm (early aggregation in memory →
-// largest buckets spilled to checksummed files → spilled buckets read back
-// and recursed on by hash digit) and docs/ROBUSTNESS.md for the failure
-// model and the spill-file format.
+// internal/core's spill.go for the algorithm (early aggregation in memory
+// → largest buckets spilled to checksummed files → spilled buckets read
+// back and recursed on by hash digit) and docs/ROBUSTNESS.md for the
+// failure model and the spill-file format.
 
 import (
 	"context"
 	"fmt"
 
 	"cacheagg/internal/core"
-	"cacheagg/internal/external"
+	"cacheagg/internal/memgov"
 )
 
 // ExternalOptions tunes an out-of-core aggregation.
 type ExternalOptions struct {
 	// MemoryBudgetRows is accepted for compatibility and sizes nothing:
 	// the engine spills by bytes. Negative values are rejected.
+	//
+	// Deprecated: it has no effect and will be removed; use
+	// MemoryBudgetBytes.
 	MemoryBudgetRows int
 	// MemoryBudgetBytes caps the total bytes of in-memory state, enforced
 	// by a byte-accurate governor. It sizes workers and caches; buckets of
@@ -39,12 +42,17 @@ type ExternalOptions struct {
 	// MergeWorkers is accepted for compatibility and sizes nothing:
 	// Options.Workers is the parallelism of every phase, reading spilled
 	// buckets back included. Negative values are rejected.
+	//
+	// Deprecated: it has no effect and will be removed; use
+	// Options.Workers.
 	MergeWorkers int
 }
 
 // ExternalStats describes the spill behaviour of an out-of-core run.
 type ExternalStats struct {
 	// Chunks is always 1: the input is consumed in one pass.
+	//
+	// Deprecated: it is a constant and will be removed.
 	Chunks int
 	// SpilledRows and SpilledBytes count the partial-group records that
 	// went through disk.
@@ -69,8 +77,12 @@ type ExternalStats struct {
 	// level-0 bucket without a byte budget).
 	EvictedPartitions int
 	// ChunkRetries is always 0.
+	//
+	// Deprecated: it is a constant and will be removed.
 	ChunkRetries int
 	// PrefetchedPartitions is always 0.
+	//
+	// Deprecated: it is a constant and will be removed.
 	PrefetchedPartitions int
 }
 
@@ -112,34 +124,38 @@ func AggregateExternalContext(ctx context.Context, in Input, opt Options, ext Ex
 	if err != nil {
 		return nil, err
 	}
-	if ext.MemoryBudgetRows < 0 {
-		return nil, fmt.Errorf("cacheagg: MemoryBudgetRows is negative (%d); use 0 for the default", ext.MemoryBudgetRows)
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"MemoryBudgetRows", int64(ext.MemoryBudgetRows)},
+		{"MemoryBudgetBytes", ext.MemoryBudgetBytes},
+		{"MaxSpillBytes", ext.MaxSpillBytes},
+		{"MergeWorkers", int64(ext.MergeWorkers)},
+	} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("cacheagg: %s is negative (%d); use 0 for the default", f.name, f.v)
+		}
 	}
-	cfg := external.Config{
-		MemoryBudgetBytes: ext.MemoryBudgetBytes,
-		TempDir:           ext.TempDir,
-		MaxSpillBytes:     ext.MaxSpillBytes,
-		MergeWorkers:      ext.MergeWorkers,
-		Core: core.Config{
-			Strategy:   opt.Strategy.inner,
-			Workers:    opt.Workers,
-			CacheBytes: opt.CacheBytes,
-		},
-	}
-	if t := opt.Tracer; t != nil {
-		cfg.Core.Tracer = t.rec
-	}
-	res, err := external.AggregateContext(ctx, cfg, &core.Input{
-		Keys:    in.GroupBy,
-		AggCols: in.Columns,
-		Specs:   specs,
-	})
+	gov := memgov.New(ext.MemoryBudgetBytes)
+	res, err := aggregate(ctx, in, specs, opt, gov, &core.Spill{Dir: ext.TempDir, MaxSpillBytes: ext.MaxSpillBytes})
 	if err != nil {
 		return nil, err
 	}
+	sp := res.states.Spill
 	return &ExternalResult{
-		Groups: res.Keys,
+		Groups: res.Groups,
 		Aggs:   res.Aggs,
-		Stats:  ExternalStats(res.Stats),
+		Stats: ExternalStats{
+			Chunks:             1,
+			SpilledRows:        sp.Rows,
+			SpilledBytes:       sp.Bytes,
+			MergeLevels:        sp.DeepestRead,
+			CleanupFailures:    sp.CleanupFailures,
+			SpillRetries:       sp.Retries,
+			PeakReservedBytes:  gov.HighWater(),
+			ResidentPartitions: sp.ResidentRoots,
+			EvictedPartitions:  sp.Buckets,
+		},
 	}, nil
 }

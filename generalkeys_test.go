@@ -99,15 +99,27 @@ var keyShapes = []keyShape{
 	}},
 }
 
+// generalSpillBudget makes every run of the differential test spill: above
+// the floor of its worker machinery (1.5 MiB fails some shapes) and below
+// the working set of 20000 rows over 2000 keys (2.5 MiB leaves some in
+// memory).
+const generalSpillBudget = 2 << 20
+
 // TestAggregateGeneralDifferentialOracle is the acceptance gate for the
 // general-key layer: for string, composite and NULL-bearing keys, across
-// distributions, worker counts and both forced execution routines, every
-// decoded group's aggregates must be bit-identical to the map-keyed
-// scalar oracle. Run under -race in CI.
+// distributions, worker counts, in memory and spilled, every decoded
+// group's aggregates must be bit-identical to the map-keyed scalar oracle.
+// Run under -race in CI.
 func TestAggregateGeneralDifferentialOracle(t *testing.T) {
 	const n = 20000
 	dists := []datagen.Dist{datagen.Uniform, datagen.Zipf, datagen.HeavyHitter, datagen.Sequential}
-	routines := []Routine{RoutinePartitioned, RoutineSortSpill}
+	// Each mode keeps the name of the routine it once forced: "partitioned"
+	// runs in memory, "sort-spill" under a budget small enough that the
+	// run spills.
+	modes := []struct {
+		name   string
+		budget int64
+	}{{"partitioned", 0}, {"sort-spill", generalSpillBudget}}
 	aggs := []AggSpec{
 		{Func: Count},
 		{Func: Sum, Col: 0},
@@ -124,17 +136,20 @@ func TestAggregateGeneralDifferentialOracle(t *testing.T) {
 				vals[i] = int64(i%1000) - 500
 			}
 			want := oracleAggregate(gcols, vals)
-			for _, routine := range routines {
+			for _, mode := range modes {
 				for _, workers := range []int{1, 4} {
-					name := fmt.Sprintf("%s/%s/%s/w%d", shape.name, dist, routine, workers)
+					name := fmt.Sprintf("%s/%s/%s/w%d", shape.name, dist, mode.name, workers)
 					t.Run(name, func(t *testing.T) {
 						res, err := AggregateGeneral(GeneralInput{
 							GroupBy:    gcols,
 							Columns:    [][]int64{vals},
 							Aggregates: aggs,
-						}, Options{Routine: routine, Workers: workers})
+						}, Options{MemoryBudgetBytes: mode.budget, Workers: workers})
 						if err != nil {
 							t.Fatal(err)
+						}
+						if res.Stats.DegradedToExternal != (mode.budget > 0) {
+							t.Fatalf("DegradedToExternal = %v under budget %d", res.Stats.DegradedToExternal, mode.budget)
 						}
 						if res.Len() != len(want) {
 							t.Fatalf("%d groups, oracle has %d", res.Len(), len(want))

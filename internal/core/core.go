@@ -99,18 +99,16 @@ type Config struct {
 	// the bucket's task runs; it fails typed only when nothing is left to
 	// spill and the machinery alone exceeds the budget. With a byte budget
 	// the run is first sized to it (fewer workers, smaller caches; see
-	// sizeForSpill). RoutineSortSpill spills every level-0 bucket at the
-	// end of intake. A run that spilled returns its groups in total hash
-	// order.
+	// sizeForSpill). Without a byte budget (a nil governor or one whose
+	// Budget is 0) nothing would ever press the run to spill, so every
+	// non-empty level-0 bucket goes to the spill target at the end of
+	// intake. A run that spilled returns its groups in total hash order.
 	Spill *Spill
 	// Tracer, when non-nil, receives execution events (strategy switches,
 	// table splits/emits) and per-phase timings. The absent-tracer fast
 	// path is one nil-check per block of rows; leave nil (the untyped nil
 	// interface, not a typed nil pointer) when not observing.
 	Tracer trace.Tracer
-	// Routine overrides the routine selection (see Routine). The zero
-	// value, RoutineAuto, runs the partitioned executor.
-	Routine Routine
 }
 
 func (c Config) withDefaults() Config {
@@ -215,9 +213,6 @@ type Stats struct {
 	Tasks int64
 	// Passes is the deepest level that processed any rows, plus one.
 	Passes int
-
-	// Routine is the execution routine the run committed to.
-	Routine Routine
 }
 
 func (s *Stats) merge(o *workerStats) {
@@ -334,9 +329,10 @@ func DistinctContext(ctx context.Context, cfg Config, keys []uint64) (*Result, e
 // into its prefix-ordered range of a result allocated at exact size: one
 // pool task per chunk, run inline when the pool has one worker or there is
 // at most one chunk. A task gives its chunk's columns to the free list of
-// the worker running it. A run that spilled (or was forced to) orders the
-// rows of each chunk by hash too, so its result is in total hash order. A
-// cancelled context returns ctx.Err().
+// the worker running it. A run that spilled (or, without a byte budget,
+// was set to spill everything) orders the rows of each chunk by hash too,
+// so its result is in total hash order. A cancelled context returns
+// ctx.Err().
 func (e *exec) assemble(ctx context.Context) (*Result, error) {
 	// The pool has quiesced: the spill counters need no lock.
 	sortSpill := e.spill != nil && (e.spill.forced || e.spill.stats.Buckets > 0)
@@ -391,10 +387,6 @@ func (e *exec) assemble(ctx context.Context) (*Result, error) {
 				res.Stats.Passes = lvl + 1
 				break
 			}
-		}
-		res.Stats.Routine = RoutinePartitioned
-		if sortSpill {
-			res.Stats.Routine = RoutineSortSpill
 		}
 	}
 	return res, nil

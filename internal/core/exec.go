@@ -225,15 +225,6 @@ func newExec(cfg Config, in *Input) (*exec, error) {
 	if !cfg.CarryHashes {
 		e.interRow -= 8
 	}
-	// A forced sort-spill without a spill target refuses the run with the
-	// typed budget error before anything is reserved. Every other value,
-	// an out-of-range one included, runs the partitioned executor.
-	if cfg.Routine == RoutineSortSpill && cfg.Spill == nil {
-		if e.tr != nil {
-			e.tr.Emit(trace.KindRoutineSelect, 0, 0, int64(RoutineSortSpill), 0)
-		}
-		return nil, fmt.Errorf("core: sort-spill routine forced without a spill target: %w", ErrMemoryBudget)
-	}
 	e.pool = sched.NewPool(cfg.Workers)
 	e.workers = make([]workerState, e.pool.Workers())
 	e.kits = kitKey{
@@ -296,7 +287,9 @@ func newExec(cfg Config, in *Input) (*exec, error) {
 		ws.mem = e.gov.NewCache(0)
 	}
 	if cfg.Spill != nil {
-		e.spill = newSpiller(*cfg.Spill, e.words, cfg.Routine == RoutineSortSpill, e.tr)
+		// Without a byte budget nothing would ever press the run to spill:
+		// every level-0 bucket goes through the spill target.
+		e.spill = newSpiller(*cfg.Spill, e.words, e.gov.Budget() <= 0, e.tr)
 	}
 	if e.tr != nil && e.gov != nil {
 		// Sample the ledger's high water into the trace: every 64th of the
@@ -402,14 +395,6 @@ func (e *exec) checkBudget(ctx *sched.Ctx, ws *workerState, busy *runs.Bucket) b
 // A cancelled context or a panicking task aborts the run and is returned
 // as the error; the partially built state is simply discarded.
 func (e *exec) run(ctx context.Context) error {
-	if e.tr != nil {
-		// The run's committed routine.
-		rt := RoutinePartitioned
-		if e.spill != nil && e.spill.forced {
-			rt = RoutineSortSpill
-		}
-		e.tr.Emit(trace.KindRoutineSelect, 0, 0, int64(rt), 0)
-	}
 	// Phase A — intake: split the input into runs (Algorithm 2, line 5).
 	e.morsels = sched.NewMorsels(len(e.in.Keys), e.cfg.MorselRows)
 	nWorkers := e.pool.Workers()

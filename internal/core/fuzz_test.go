@@ -7,10 +7,10 @@ package core
 
 import (
 	"encoding/binary"
-	"errors"
 	"testing"
 
 	"cacheagg/internal/agg"
+	"cacheagg/internal/memgov"
 )
 
 // decodeKeys derives a key stream from fuzz bytes: each byte is a key, so
@@ -81,16 +81,17 @@ func FuzzAggregateMatchesReference(f *testing.F) {
 	})
 }
 
-// FuzzRoutineSelection drives every routine override, one out-of-range
-// value included. A forced sort-spill fails fast with ErrMemoryBudget; an
-// out-of-range override is treated as auto; auto and partitioned commit to
-// the partitioned routine and return exactly the reference answer.
+// FuzzRoutineSelection drives the three configurations the spill rule is
+// derived from: no spill target (never spills), a spill target without a
+// byte budget (every non-empty level-0 bucket spills) and a spill target
+// with a generous budget (spills nothing). Each returns exactly the
+// reference answer; there is no routine to choose.
 func FuzzRoutineSelection(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 1, 2, 1, 9, 9}, uint8(0))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}, uint8(2))
 	f.Add([]byte{7, 7, 7, 7, 1, 2, 3, 4}, uint8(3))
 	f.Add([]byte{200, 100, 50, 25, 12, 6, 3, 1}, uint8(1))
-	f.Fuzz(func(t *testing.T, data []byte, routineByte uint8) {
+	f.Fuzz(func(t *testing.T, data []byte, modeByte uint8) {
 		if len(data) < 8 || len(data) > 1<<14 {
 			return
 		}
@@ -110,29 +111,30 @@ func FuzzRoutineSelection(f *testing.F) {
 		}
 		cfg := Config{
 			Strategy:     DefaultAdaptive(),
-			Workers:      1 + int(routineByte>>4)%4,
+			Workers:      1 + int(modeByte>>4)%4,
 			CacheBytes:   8 << 10,
 			MorselRows:   64,
 			ChunkRows:    32,
 			CollectStats: true,
-			Routine:      Routine(routineByte % 4), // includes one out-of-range value
+		}
+		mode := modeByte % 3
+		if mode > 0 {
+			cfg.Spill = &Spill{Dir: t.TempDir()}
+		}
+		if mode == 2 {
+			cfg.Governor = memgov.New(64 << 20)
 		}
 		res, err := Aggregate(cfg, in)
-		if cfg.Routine == RoutineSortSpill {
-			if !errors.Is(err, ErrMemoryBudget) {
-				t.Fatalf("forced sort-spill: err = %v, want ErrMemoryBudget", err)
-			}
-			return // fail-fast contract: typed, immediate, no result
-		}
 		if err != nil {
-			t.Fatalf("routine %v: %v", cfg.Routine, err)
+			t.Fatalf("mode %d: %v", mode, err)
 		}
-		if res.Stats.Routine != RoutinePartitioned {
-			t.Fatalf("routine %v: committed to %v, want partitioned", cfg.Routine, res.Stats.Routine)
+		if sp := res.Spill; mode == 1 && (sp.ResidentRoots != 0 || sp.Buckets == 0) ||
+			mode != 1 && sp.Buckets != 0 {
+			t.Fatalf("mode %d: spill stats %+v", mode, sp)
 		}
 		want := refAggregate(in)
 		if res.Groups() != len(want) {
-			t.Fatalf("routine %v: %d groups, want %d", cfg.Routine, res.Groups(), len(want))
+			t.Fatalf("mode %d: %d groups, want %d", mode, res.Groups(), len(want))
 		}
 		for r := 0; r < res.Groups(); r++ {
 			wantRow, ok := want[res.Keys[r]]
@@ -141,8 +143,8 @@ func FuzzRoutineSelection(f *testing.F) {
 			}
 			for si := range in.Specs {
 				if res.Aggs[si][r] != wantRow[si] {
-					t.Fatalf("routine %v: key %d spec %v: %d != %d",
-						cfg.Routine, res.Keys[r], in.Specs[si], res.Aggs[si][r], wantRow[si])
+					t.Fatalf("mode %d: key %d spec %v: %d != %d",
+						mode, res.Keys[r], in.Specs[si], res.Aggs[si][r], wantRow[si])
 				}
 			}
 		}

@@ -111,7 +111,7 @@ type spiller struct {
 	cfg      Spill
 	fs       *faultfs.Retry
 	rowBytes int64 // bytes of one record: key and state words
-	forced   bool  // RoutineSortSpill: every level-0 bucket goes to disk
+	forced   bool  // no byte budget: every level-0 bucket goes to disk
 
 	// machinery counts the leaf and grown tables reserved beyond the fixed
 	// machinery; with it, the floor no spill can free.
@@ -280,9 +280,9 @@ func (e *exec) relieve(ctx *sched.Ctx, ws *workerState, busy *runs.Bucket) bool 
 	return true
 }
 
-// spillRoots runs between intake and recursion, on one goroutine: a forced
-// sort-spill writes every level-0 bucket to disk, any other run spills them
-// largest first until the ledger is back under budget.
+// spillRoots runs between intake and recursion, on one goroutine: a run
+// without a byte budget writes every level-0 bucket to disk, a budgeted run
+// spills them largest first until the ledger is back under budget.
 func (e *exec) spillRoots() error {
 	for w := range e.workers {
 		e.workers[w].mem.Flush()

@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"testing"
 
@@ -77,10 +78,10 @@ func checkOracle(t *testing.T, label string, res *Result, want map[uint64]*spill
 }
 
 // TestSpillBudgetSweep runs budgets from just above the machinery to
-// roomy, and the forced sort-spill, at one and two workers (the latter
-// carrying hashes in its runs, which spill files drop): every result
-// equals the map oracle, and every run that spilled says so, is in total
-// hash order and drains its ledger.
+// roomy, and no byte budget at all (every level-0 bucket spills), at one
+// and two workers (the latter carrying hashes in its runs, which spill
+// files drop): every result equals the map oracle, and every run that
+// spilled says so, is in total hash order and drains its ledger.
 func TestSpillBudgetSweep(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	for _, dist := range []datagen.Dist{datagen.Uniform, datagen.Zipf} {
@@ -90,20 +91,11 @@ func TestSpillBudgetSweep(t *testing.T) {
 			base := Config{Workers: workers, CacheBytes: 64 << 10, CollectStats: true, CarryHashes: workers == 2}
 			fixed, _ := Footprint(base, 6)
 			spilled := 0
-			for _, run := range []struct {
-				budget  int64
-				routine Routine
-			}{
-				{fixed + 512<<10, RoutineAuto},
-				{5 << 19, RoutineAuto},
-				{64 << 20, RoutineAuto},
-				{64 << 20, RoutineSortSpill},
-			} {
+			for _, budget := range []int64{fixed + 512<<10, 5 << 19, 64 << 20, 0} {
 				cfg := base
-				cfg.Governor = memgov.New(run.budget)
+				cfg.Governor = memgov.New(budget)
 				cfg.Spill = &Spill{Dir: t.TempDir()}
-				cfg.Routine = run.routine
-				label := fmt.Sprintf("%v/w%d/%d/%v", dist, workers, run.budget, run.routine)
+				label := fmt.Sprintf("%v/w%d/%d", dist, workers, budget)
 				res, err := Aggregate(cfg, in)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
@@ -113,9 +105,8 @@ func TestSpillBudgetSweep(t *testing.T) {
 					continue
 				}
 				spilled++
-				if res.Stats.Routine != RoutineSortSpill || res.Spill.Rows == 0 {
-					t.Fatalf("%s: spilled %d buckets, routine %v, %d rows", label,
-						res.Spill.Buckets, res.Stats.Routine, res.Spill.Rows)
+				if res.Spill.Rows == 0 {
+					t.Fatalf("%s: spilled %d buckets of 0 rows", label, res.Spill.Buckets)
 				}
 				for i := 1; i < len(res.Hashes); i++ {
 					if res.Hashes[i] <= res.Hashes[i-1] {
@@ -133,12 +124,12 @@ func TestSpillBudgetSweep(t *testing.T) {
 	}
 }
 
-// TestSpillSortSpillForced: RoutineSortSpill with a spill target sends
-// every level-0 bucket through disk, even with no budget at all.
+// TestSpillSortSpillForced: a spill target without a byte budget sends
+// every level-0 bucket through disk once.
 func TestSpillSortSpillForced(t *testing.T) {
 	in := spillInput(datagen.Uniform, 30000, 5000)
 	res, err := Aggregate(Config{
-		Workers: 2, CacheBytes: 64 << 10, Routine: RoutineSortSpill, CollectStats: true,
+		Workers: 2, CacheBytes: 64 << 10, CollectStats: true,
 		Governor: memgov.New(0), Spill: &Spill{Dir: t.TempDir()},
 	}, in)
 	if err != nil {
@@ -147,6 +138,88 @@ func TestSpillSortSpillForced(t *testing.T) {
 	checkOracle(t, "forced", res, spillOracle(in))
 	if res.Spill.ResidentRoots != 0 || res.Spill.Buckets != 256 || res.Spill.DeepestRead != 1 {
 		t.Fatalf("spill stats %+v: want every level-0 bucket spilled once and read at level 1", res.Spill)
+	}
+}
+
+// TestSpillDerivedFromBudget pins the rule that decides whether a run goes
+// through disk, which is derived from its inputs rather than chosen: a
+// spill target without a byte budget (nil governor or a zero budget)
+// spills every non-empty level-0 bucket, a spill target with a generous
+// budget spills nothing, and no spill target never spills. Each run is
+// compared key by key with an in-memory run, the float bits of AVG
+// included, at one and two workers.
+func TestSpillDerivedFromBudget(t *testing.T) {
+	for _, dist := range []datagen.Dist{datagen.Uniform, datagen.Zipf} {
+		in := spillInput(dist, 30000, 3000)
+		for _, workers := range []int{1, 2} {
+			base := Config{Workers: workers, CacheBytes: 64 << 10}
+			ref, err := Aggregate(base, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, run := range []struct {
+				name   string
+				gov    *memgov.Governor
+				target bool
+				spills bool
+			}{
+				{"target, nil governor", nil, true, true},
+				{"target, zero budget", memgov.New(0), true, true},
+				{"target, generous budget", memgov.New(256 << 20), true, false},
+				{"no target, zero budget", memgov.New(0), false, false},
+				{"no target, generous budget", memgov.New(256 << 20), false, false},
+			} {
+				label := fmt.Sprintf("%v/w%d/%s", dist, workers, run.name)
+				cfg := base
+				cfg.Governor = run.gov
+				if run.target {
+					cfg.Spill = &Spill{Dir: t.TempDir()}
+				}
+				res, err := Aggregate(cfg, in)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				sameGroups(t, label, res, ref)
+				sp := res.Spill
+				if !run.spills {
+					if sp.Buckets != 0 || sp.Rows != 0 {
+						t.Fatalf("%s: spilled %d buckets, %d rows; want none", label, sp.Buckets, sp.Rows)
+					}
+					continue
+				}
+				if sp.ResidentRoots != 0 || sp.Buckets < 1 || sp.Rows < int64(res.Groups()) {
+					t.Fatalf("%s: spill stats %+v; want every non-empty level-0 bucket spilled", label, sp)
+				}
+			}
+		}
+	}
+}
+
+// sameGroups compares res with ref key by key: hash, every integer
+// aggregate and the float bits of every float.
+func sameGroups(t *testing.T, label string, res, ref *Result) {
+	t.Helper()
+	if res.Groups() != ref.Groups() {
+		t.Fatalf("%s: %d groups, want %d", label, res.Groups(), ref.Groups())
+	}
+	row := make(map[uint64]int, ref.Groups())
+	for r, k := range ref.Keys {
+		row[k] = r
+	}
+	for r, k := range res.Keys {
+		q, ok := row[k]
+		if !ok {
+			t.Fatalf("%s: phantom key %d", label, k)
+		}
+		if res.Hashes[r] != ref.Hashes[q] {
+			t.Fatalf("%s: key %d: hash %#x, want %#x", label, k, res.Hashes[r], ref.Hashes[q])
+		}
+		for a := range ref.Aggs {
+			if res.Aggs[a][r] != ref.Aggs[a][q] || math.Float64bits(res.Float(a, r)) != math.Float64bits(ref.Float(a, q)) {
+				t.Fatalf("%s: key %d spec %d: %d/%v, want %d/%v", label, k, a,
+					res.Aggs[a][r], res.Float(a, r), ref.Aggs[a][q], ref.Float(a, q))
+			}
+		}
 	}
 }
 
@@ -186,15 +259,16 @@ func (c cancelOnOpen) Open(name string) (faultfs.File, error) {
 	return c.FS.Open(name)
 }
 
-// spilledRun is a forced sort-spill whose level-0 buckets outgrow a leaf,
-// so every one of them is read back block by block in phase B.
+// spilledRun spills every level-0 bucket (no byte budget), and the buckets
+// outgrow a leaf, so every one of them is read back block by block in
+// phase B.
 func spilledRun(ctx context.Context, dir string, fs faultfs.FS) error {
 	keys := make([]uint64, 600000)
 	for i := range keys {
 		keys[i] = uint64(i)
 	}
 	_, err := AggregateContext(ctx, Config{
-		Workers: 2, CacheBytes: 32 << 10, Routine: RoutineSortSpill,
+		Workers: 2, CacheBytes: 32 << 10,
 		Governor: memgov.New(0), Spill: &Spill{Dir: dir, FS: fs},
 	}, &Input{Keys: keys})
 	return err
@@ -265,7 +339,7 @@ func TestSpillReadBackFaults(t *testing.T) {
 		keys[i] = uint64(i)
 	}
 	res, err := Aggregate(Config{
-		Workers: 2, Routine: RoutineSortSpill, Governor: memgov.New(0), Spill: &Spill{Dir: t.TempDir(), FS: inj},
+		Workers: 2, Governor: memgov.New(0), Spill: &Spill{Dir: t.TempDir(), FS: inj},
 	}, &Input{Keys: keys})
 	if err != nil || res.Spill.CleanupFailures != 1 || res.Groups() != len(keys) {
 		t.Fatalf("remove fault: err %v, %d cleanup failures, %d groups", err, res.Spill.CleanupFailures, res.Groups())
@@ -281,7 +355,7 @@ func TestSpillCorruptReadBackTyped(t *testing.T) {
 		keys[i] = uint64(i)
 	}
 	_, err := Aggregate(Config{
-		Workers: 1, Routine: RoutineSortSpill, Governor: memgov.New(0),
+		Workers: 1, Governor: memgov.New(0),
 		Spill: &Spill{Dir: dir, FS: corruptOnOpen{faultfs.OS()}},
 	}, &Input{Keys: keys})
 	if !errors.Is(err, runs.ErrCorruptSpill) {

@@ -118,12 +118,6 @@ type Pool struct {
 	deques  []deque
 	pending atomic.Int64
 
-	// OnSteal, when non-nil, is invoked every time worker thief takes a
-	// task from worker victim's deque instead of its own. Set it before
-	// Run/RunContext (goroutine creation publishes it to the workers); it
-	// must be cheap and safe for concurrent calls.
-	OnSteal func(thief, victim int)
-
 	// Per-run teardown state, reset at the start of every Run.
 	aborted atomic.Bool
 	errMu   sync.Mutex
@@ -244,9 +238,6 @@ func (p *Pool) work(w int) {
 					continue
 				}
 				t, ok = p.deques[v].steal()
-				if ok && p.OnSteal != nil {
-					p.OnSteal(w, v)
-				}
 			}
 		}
 		if ok {

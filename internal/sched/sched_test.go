@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"cacheagg/internal/testutil"
 )
@@ -368,42 +367,5 @@ func TestRunContextNoGoroutineLeak(t *testing.T) {
 			}
 		})
 		cancel()
-	}
-}
-
-// TestOnStealObservesSteals floods worker 0's deque with slow tasks so the
-// other workers must steal to participate, and checks the observer fires
-// with sane indices. 64 tasks of ~1ms on 4 workers make a steal-free
-// schedule practically impossible.
-func TestOnStealObservesSteals(t *testing.T) {
-	p := NewPool(4)
-	var steals atomic.Int32
-	var bad atomic.Int32
-	p.OnSteal = func(thief, victim int) {
-		steals.Add(1)
-		if thief < 0 || thief >= 4 || victim < 0 || victim >= 4 || thief == victim {
-			bad.Add(1)
-		}
-	}
-	var ran atomic.Int32
-	err := p.Run(func(c *Ctx) {
-		for i := 0; i < 64; i++ {
-			c.Spawn(func(*Ctx) {
-				time.Sleep(time.Millisecond)
-				ran.Add(1)
-			})
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ran.Load() != 64 {
-		t.Fatalf("%d tasks ran, want 64", ran.Load())
-	}
-	if steals.Load() == 0 {
-		t.Fatal("no steals observed for a 64-task single-producer run on 4 workers")
-	}
-	if bad.Load() != 0 {
-		t.Fatalf("%d steal callbacks had invalid thief/victim indices", bad.Load())
 	}
 }

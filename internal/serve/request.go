@@ -101,21 +101,18 @@ type Request struct {
 	DeadlineMillis int64 `json:"deadline_ms,omitempty"`
 	// NoCache bypasses the result cache (read and fill).
 	NoCache bool `json:"no_cache,omitempty"`
-	// Routine overrides the execution-routine selection:
-	// auto | partitioned | sort-spill ("" = auto).
+	// Routine is accepted for compatibility and ignored: there is one
+	// engine and nothing to choose. It must still be one of
+	// auto | partitioned | sort-spill (or "").
 	Routine string `json:"routine,omitempty"`
 }
 
-func parseRoutine(s string) (cacheagg.Routine, error) {
+func checkRoutine(s string) error {
 	switch s {
-	case "", "auto":
-		return cacheagg.RoutineAuto, nil
-	case "partitioned":
-		return cacheagg.RoutinePartitioned, nil
-	case "sort-spill":
-		return cacheagg.RoutineSortSpill, nil
+	case "", "auto", "partitioned", "sort-spill":
+		return nil
 	default:
-		return 0, fmt.Errorf("unknown routine %q (auto | partitioned | sort-spill)", s)
+		return fmt.Errorf("unknown routine %q (auto | partitioned | sort-spill)", s)
 	}
 }
 
@@ -210,7 +207,7 @@ func (r *Request) validate(lim Limits) error {
 	if _, err := parsePriority(r.Priority); err != nil {
 		return errf(ErrBadRequest, nil, "%v", err)
 	}
-	if _, err := parseRoutine(r.Routine); err != nil {
+	if err := checkRoutine(r.Routine); err != nil {
 		return errf(ErrBadRequest, nil, "%v", err)
 	}
 	if r.DeadlineMillis < 0 {
@@ -243,10 +240,4 @@ func (r *Request) aggSpecs() []cacheagg.AggSpec {
 func (r *Request) priority() Priority {
 	p, _ := parsePriority(r.Priority) // validated in DecodeRequest
 	return p
-}
-
-// routine returns the validated routine override.
-func (r *Request) routine() cacheagg.Routine {
-	rt, _ := parseRoutine(r.Routine) // validated in DecodeRequest
-	return rt
 }

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -223,43 +224,49 @@ func TestTypedRequestRejections(t *testing.T) {
 	}
 }
 
-// TestRoutineOverride: every routine override returns identical rows (the
-// routines are bit-identical by contract), and a forced routine gets its
-// own cache identity — pinning a routine to measure it must actually run
-// it, not be served another routine's cached result.
+// TestRoutineOverride: the "routine" field is accepted and ignored. Every
+// accepted value returns a body byte-identical to the query without it,
+// and is the same cache identity: after one fill, each repeat is a hit.
 func TestRoutineOverride(t *testing.T) {
-	_, ts := newTestServer(t, Config{ResultCacheBytes: 1 << 20})
-	base := `{"dataset":"events","aggregates":[{"func":"sum","col":0}]}`
-	h, autoRows := parseResponse(t, postQuery(t, ts.URL, base))
-	if h["cache"] != "miss" {
-		t.Fatalf("first auto query: cache = %v", h["cache"])
-	}
-	// Key-indexed identity: the routines promise the same group → aggregate
-	// mapping, not the same intra-bucket emission order.
-	want := map[uint64]int64{}
-	for _, r := range autoRows {
-		want[r.G] = r.A[0]
-	}
-	for _, rt := range []string{"partitioned", "sort-spill"} {
-		q := `{"dataset":"events","routine":"` + rt + `","aggregates":[{"func":"sum","col":0}]}`
-		h, rows := parseResponse(t, postQuery(t, ts.URL, q))
-		if h["cache"] != "miss" {
-			t.Fatalf("forced %s: cache = %v, want miss (own cache identity)", rt, h["cache"])
+	_, ts := newTestServer(t, Config{ResultCacheBytes: 1 << 20, QueryWorkers: 1})
+	query := func(routine string, noCache bool) (cache string, body []byte) {
+		t.Helper()
+		q := `{"dataset":"events","aggregates":[{"func":"sum","col":0}]`
+		if routine != "" {
+			q += `,"routine":"` + routine + `"`
 		}
-		if len(rows) != len(want) {
-			t.Fatalf("forced %s: %d rows, auto had %d", rt, len(rows), len(want))
+		if noCache {
+			q += `,"no_cache":true`
 		}
-		for _, r := range rows {
-			sum, ok := want[r.G]
-			if !ok || r.A[0] != sum {
-				t.Fatalf("forced %s: group %d = %d differs from auto result", rt, r.G, r.A[0])
-			}
+		resp := postQuery(t, ts.URL, q+`}`)
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("routine %q: status %d, %v", routine, resp.StatusCode, err)
+		}
+		var h struct{ Cache string }
+		header, rest, _ := bytes.Cut(b, []byte("\n"))
+		if err := json.Unmarshal(header, &h); err != nil {
+			t.Fatalf("routine %q: header %q: %v", routine, header, err)
+		}
+		return h.Cache, rest
+	}
+	routines := []string{"", "auto", "partitioned", "sort-spill"}
+	_, want := query("", true)
+	for _, rt := range routines {
+		if _, body := query(rt, true); !bytes.Equal(body, want) {
+			t.Fatalf("routine %q: body differs from the query without a routine", rt)
 		}
 	}
-	// An explicit "auto" is the default identity: it must hit the cache.
-	q := `{"dataset":"events","routine":"auto","aggregates":[{"func":"sum","col":0}]}`
-	if h, _ := parseResponse(t, postQuery(t, ts.URL, q)); h["cache"] != "hit" {
-		t.Fatalf("explicit auto: cache = %v, want hit", h["cache"])
+	if cache, _ := query("", false); cache != "miss" {
+		t.Fatalf("first cached query: cache = %q, want miss", cache)
+	}
+	for _, rt := range routines {
+		cache, body := query(rt, false)
+		if cache != "hit" || !bytes.Equal(body, want) {
+			t.Fatalf("routine %q repeated: cache = %q, body equal %v; want a hit with the same body",
+				rt, cache, bytes.Equal(body, want))
+		}
 	}
 }
 

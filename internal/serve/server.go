@@ -23,7 +23,7 @@ import (
 	"time"
 
 	"cacheagg"
-	"cacheagg/internal/external"
+	"cacheagg/internal/runs"
 )
 
 // Config assembles a Server. Registry is required; everything else
@@ -344,7 +344,6 @@ func (s *Server) admitAndRun(ctx context.Context, req *Request, input cacheagg.I
 		Workers:    s.cfg.QueryWorkers,
 		CacheBytes: s.cfg.QueryCacheBytes,
 		Tracer:     s.cfg.Tracer,
-		Routine:    req.routine(),
 	}
 	if s.ctrl.Ledger().Budget() > 0 {
 		// The grant is enforced byte-accurately by the query's own
@@ -417,18 +416,11 @@ func (s *Server) resolveInput(req *Request) (cacheagg.Input, *Dataset, error) {
 
 // canonicalKey is the result-cache identity of a query: the input's
 // identity plus the aggregate list. Budgets, workers, priorities and
-// deadlines are deliberately absent — they cannot change the result.
-// A forced routine is included even though every routine produces the
-// same rows: an operator pinning a routine (usually to measure it) must
-// actually run it, not be handed another routine's cached result.
+// deadlines (and the ignored routine) are deliberately absent — they
+// cannot change the result.
 func canonicalKey(req *Request, in cacheagg.Input) string {
 	var b strings.Builder
 	b.WriteString("v1\x00")
-	if rt := req.routine(); rt != cacheagg.RoutineAuto {
-		b.WriteString("r\x00")
-		b.WriteString(rt.String())
-		b.WriteByte('\x00')
-	}
 	if req.Dataset != "" {
 		b.WriteString("d\x00")
 		b.WriteString(req.Dataset)
@@ -555,7 +547,7 @@ func (s *Server) mapExecErr(ctx context.Context, err error) error {
 		return withRetry(errf(ErrBudgetUnavailable, err,
 			"grant too small for execution: %v", err), s.ctrl.cfg.RetryHint)
 	}
-	if errors.Is(err, external.ErrSpillBudget) {
+	if errors.Is(err, runs.ErrSpillBudget) {
 		s.metrics.InternalErrors.Add(1)
 		return errf(ErrInternal, err, "spill budget exhausted: %v", err)
 	}

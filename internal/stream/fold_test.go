@@ -10,7 +10,7 @@ import (
 
 	"cacheagg/internal/agg"
 	"cacheagg/internal/datagen"
-	"cacheagg/internal/external"
+	"cacheagg/internal/runs"
 	"cacheagg/internal/testutil"
 )
 
@@ -55,10 +55,9 @@ func foldShapes(rng *rand.Rand, n int) []foldShape {
 	}
 }
 
-// epochOracle folds rows [lo, hi) of the input under the decomposed plan,
-// one state row per key.
-func epochOracle(p *external.Plan, keys []uint64, cols [][]int64, lo, hi int) map[uint64][]uint64 {
-	lay := agg.NewLayout(p.Dec)
+// epochOracle folds rows [lo, hi) of the input under the layout, one state
+// row per key.
+func epochOracle(lay *agg.Layout, keys []uint64, cols [][]int64, lo, hi int) map[uint64][]uint64 {
 	groups := make(map[uint64][]uint64)
 	for r := lo; r < hi; r++ {
 		values := func(c int) int64 { return cols[c][r] }
@@ -80,10 +79,10 @@ func epochOracle(p *external.Plan, keys []uint64, cols [][]int64, lo, hi int) ma
 // many. It returns the rows covered.
 func checkEpochs(t *testing.T, a *Aggregator, keys []uint64, cols [][]int64) int {
 	t.Helper()
-	width := a.plan.Width()
+	width := a.layout.Words
 	lo := 0
 	for _, e := range a.man.Epochs {
-		ekeys, ecols, err := external.ReadBlockFile(a.fs, filepath.Join(a.dir, epochFileName(e.Seq)), "checkpoint", width)
+		ekeys, ecols, err := runs.ReadBlockFile(a.fs, filepath.Join(a.dir, epochFileName(e.Seq)), "checkpoint", width)
 		if err != nil {
 			t.Fatalf("epoch %d: %v", e.Seq, err)
 		}
@@ -91,7 +90,7 @@ func checkEpochs(t *testing.T, a *Aggregator, keys []uint64, cols [][]int64) int
 		for _, c := range ecols[0] {
 			rows += int(c)
 		}
-		want := epochOracle(a.plan, keys, cols, lo, lo+rows)
+		want := epochOracle(a.layout, keys, cols, lo, lo+rows)
 		if e.Records != uint64(len(want)) || len(ekeys) != len(want) {
 			t.Fatalf("epoch %d (rows %d..%d): manifest records %d, file %d, want %d distinct keys",
 				e.Seq, lo, lo+rows, e.Records, len(ekeys), len(want))

@@ -16,7 +16,7 @@ import (
 	"strings"
 
 	"cacheagg/internal/agg"
-	"cacheagg/internal/external"
+	"cacheagg/internal/runs"
 	"cacheagg/internal/trace"
 )
 
@@ -62,7 +62,7 @@ func Resume(opts Options) (*Aggregator, error) {
 			ErrSpecMismatch, opts.Specs, man.Specs)
 	}
 	a.specs = man.Specs
-	a.plan = external.BuildPlan(man.Specs)
+	a.layout = agg.NewLayout(man.Specs)
 	a.man = man
 	if n := len(man.Epochs); n > 0 {
 		a.epoch = man.Epochs[n-1].Seq
@@ -109,10 +109,10 @@ func Resume(opts Options) (*Aggregator, error) {
 
 	// Validate every committed epoch eagerly: a Resume that succeeds
 	// promises every later Snapshot can read its history.
-	width := a.plan.Width()
+	width := a.layout.Words
 	for _, e := range man.Epochs {
 		path := filepath.Join(a.dir, epochFileName(e.Seq))
-		keys, _, err := external.ReadBlockFile(a.fs, path, "checkpoint", width)
+		keys, _, err := runs.ReadBlockFile(a.fs, path, "checkpoint", width)
 		if err != nil {
 			return nil, fmt.Errorf("%w: epoch %d: %w", ErrCorruptCheckpoint, e.Seq, err)
 		}

@@ -6,7 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"cacheagg/internal/external"
+	"cacheagg/internal/agg"
 	"cacheagg/internal/testutil"
 )
 
@@ -64,7 +64,7 @@ func keyRange(lo, n int) []uint64 {
 func TestSnapshotMergeMatchesOracle(t *testing.T) {
 	defer testutil.VerifyNoLeaks(t)
 	const epochs, epochKeys = 5, 256
-	width := external.BuildPlan(allSpecs).Width()
+	width := agg.NewLayout(allSpecs).Words
 	budget := int64(epochKeys*(8+8*width)) - 1
 	histories := []struct {
 		name  string
@@ -173,6 +173,34 @@ func TestSnapshotMergeMatchesOracle(t *testing.T) {
 					t.Fatalf("ledger holds %d bytes after Finish", g)
 				}
 			})
+		}
+	}
+}
+
+// TestFinalizeFillsEveryColumn: finalize turns AVG's (sum, count) words
+// into its quotients — 0 on a zero count — and widens every other spec
+// into its float column.
+func TestFinalizeFillsEveryColumn(t *testing.T) {
+	lay := agg.NewLayout([]agg.Spec{{Kind: agg.Count}, {Kind: agg.Avg, Col: 0}, {Kind: agg.Min, Col: 0}})
+	states := [][]uint64{
+		{3, 1},                 // COUNT
+		{7, uint64(1<<64 - 5)}, // AVG sum: 7, -5
+		{2, 0},                 // AVG count
+		{uint64(1<<64 - 9), 4}, // MIN: -9, 4
+	}
+	var res Result
+	finalize(lay, []uint64{10, 20}, []uint64{1, 2}, states, &res)
+	wantI := [][]int64{{3, 1}, {3, 0}, {-9, 4}}
+	wantF := [][]float64{{3, 1}, {3.5, 0}, {-9, 4}}
+	for c := range wantI {
+		if len(res.Aggs[c]) != 2 || len(res.AggsFloat[c]) != 2 {
+			t.Fatalf("spec %d: %d ints, %d floats, want 2", c, len(res.Aggs[c]), len(res.AggsFloat[c]))
+		}
+		for g := range wantI[c] {
+			if res.Aggs[c][g] != wantI[c][g] || res.AggsFloat[c][g] != wantF[c][g] {
+				t.Fatalf("spec %d row %d: %d/%v, want %d/%v",
+					c, g, res.Aggs[c][g], res.AggsFloat[c][g], wantI[c][g], wantF[c][g])
+			}
 		}
 	}
 }

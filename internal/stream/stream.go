@@ -6,7 +6,7 @@
 // kernels) whose exact footprint is on the memory ledger, with runs of
 // equal adjacent keys pre-folded before the table — and periodically seals
 // the accumulator into an epoch
-// checkpoint — partial aggregation state written through the external
+// checkpoint — partial aggregation state written through the runs
 // package's CRC-checked block codec, committed by an atomically-renamed,
 // checksummed manifest. Resume reconstructs the stream from its checkpoint
 // directory after a crash: epochs the manifest never committed are rolled
@@ -55,16 +55,16 @@ import (
 	"time"
 
 	"cacheagg/internal/agg"
-	"cacheagg/internal/external"
 	"cacheagg/internal/faultfs"
 	"cacheagg/internal/hashfn"
 	"cacheagg/internal/hashtable"
 	"cacheagg/internal/memgov"
+	"cacheagg/internal/runs"
 	"cacheagg/internal/trace"
 )
 
 // Typed sentinels. Every failure mode of the streaming path wraps one of
-// these (or context/memgov/external sentinels), so callers can dispatch
+// these (or context/memgov/runs sentinels), so callers can dispatch
 // without string matching.
 var (
 	// ErrBackpressure is wrapped by *BackpressureError when TryPush finds
@@ -224,8 +224,8 @@ func (r *Result) Groups() int { return len(r.Keys) }
 // in one total order by a single consumer goroutine.
 type Aggregator struct {
 	opts   Options
-	plan   *external.Plan
-	kern   *agg.Kernels // the decomposed plan's batch kernels
+	layout *agg.Layout  // the specs' state words: AVG is (sum, count)
+	kern   *agg.Kernels // the layout's batch kernels
 	specs  []agg.Spec
 	fs     faultfs.FS // retry-wrapped
 	gov    *memgov.Governor
@@ -385,14 +385,14 @@ func newAggregator(opts Options) (*Aggregator, error) {
 		done:   make(chan struct{}),
 	}
 	if opts.Specs != nil {
-		a.plan = external.BuildPlan(opts.Specs)
+		a.layout = agg.NewLayout(opts.Specs)
 	}
 	return a, nil
 }
 
-// start finalizes the plan-dependent state and launches the consumer.
+// start finalizes the layout-dependent state and launches the consumer.
 func (a *Aggregator) start() {
-	a.kern = agg.NewLayout(a.plan.Dec).Kernels()
+	a.kern = a.layout.Kernels()
 	a.statMu.Lock()
 	a.prog.Epoch = a.epoch
 	a.prog.RowsDurable = a.man.RowsDurable
@@ -482,7 +482,7 @@ func (a *Aggregator) endEpoch() {
 // reserves it with the governor; releaseScratch returns the reservation.
 func (a *Aggregator) emitScratch(n int) int64 {
 	acc := &a.acc
-	width := a.plan.Width()
+	width := a.layout.Words
 	if cap(acc.outKeys) < n {
 		acc.outHashes = make([]uint64, n)
 		acc.outKeys = make([]uint64, n)
@@ -555,7 +555,7 @@ func (a *Aggregator) push(ctx context.Context, b Block, wait bool) error {
 	if err := a.loadErr(); err != nil {
 		return err
 	}
-	bytes := blockBytes(b) + foldBytes(b.Rows(), a.plan.Width())
+	bytes := blockBytes(b) + foldBytes(b.Rows(), a.layout.Words)
 	if budget := a.gov.Budget(); budget > 0 && bytes > budget {
 		return a.gov.BudgetError("stream: ingest block", bytes)
 	}
@@ -752,7 +752,7 @@ func (a *Aggregator) run() {
 func (a *Aggregator) fold(b Block) {
 	acc := &a.acc
 	n := len(b.Keys)
-	width := a.plan.Width()
+	width := a.layout.Words
 	if acc.tab == nil {
 		acc.tab = newAccumTable(width, hashtable.MinBlockRows)
 		a.gov.Reserve(acc.tab.FootprintBytes())
@@ -891,7 +891,7 @@ func (a *Aggregator) seal() error {
 	}
 	seq := a.epoch + 1
 	path := filepath.Join(a.dir, epochFileName(seq))
-	w, err := external.NewBlockWriter(a.fs, path, "checkpoint", a.plan.Width())
+	w, err := runs.NewBlockWriter(a.fs, path, "checkpoint", a.layout.Words)
 	if err != nil {
 		return fmt.Errorf("stream: seal epoch %d: %w", seq, err)
 	}
@@ -1058,7 +1058,7 @@ func (a *Aggregator) snapshot(window int) (*Result, error) {
 		return res, nil
 	}
 
-	width := a.plan.Width()
+	width := a.layout.Words
 	tab := newAccumTable(width, 2*largest)
 	a.gov.Reserve(tab.FootprintBytes())
 	defer func() { a.gov.Release(tab.FootprintBytes()) }()
@@ -1084,7 +1084,7 @@ func (a *Aggregator) snapshot(window int) (*Result, error) {
 		parts[w] = make([]uint64, groups)
 	}
 	tab.EmitColumns(hashes, keys, parts)
-	finalize(a.plan, keys, hashes, parts, res)
+	finalize(a.layout, keys, hashes, parts, res)
 	sortResult(res)
 	return res, nil
 }
@@ -1096,7 +1096,7 @@ func (a *Aggregator) mergeEpoch(tab *hashtable.Table, e epochEntry) (*hashtable.
 	a.gov.Reserve(e.Bytes)
 	defer a.gov.Release(e.Bytes)
 	path := filepath.Join(a.dir, epochFileName(e.Seq))
-	keys, states, err := external.ReadBlockFile(a.fs, path, "checkpoint", a.plan.Width())
+	keys, states, err := runs.ReadBlockFile(a.fs, path, "checkpoint", a.layout.Words)
 	if err != nil {
 		return tab, fmt.Errorf("%w: epoch %d: %w", ErrCorruptCheckpoint, e.Seq, err)
 	}
@@ -1109,18 +1109,26 @@ func (a *Aggregator) mergeEpoch(tab *hashtable.Table, e epochEntry) (*hashtable.
 	return a.insertStates(tab, hashes, keys, states), nil
 }
 
-// finalize turns merged decomposed partials into the original specs'
-// results (external.Plan.AppendFinalized); hashes are the groups' hashes
-// as the merge table emitted them.
-func finalize(p *external.Plan, keys, hashes []uint64, parts [][]uint64, res *Result) {
+// finalize turns merged state columns into the specs' results, as
+// core's finalizeChunk does, and fills every float column: AVG's exact
+// quotient, every other spec widened. hashes are the groups' hashes as
+// the merge table emitted them.
+func finalize(lay *agg.Layout, keys, hashes []uint64, states [][]uint64, res *Result) {
+	n := len(keys)
 	res.Keys, res.Hashes = keys, hashes
-	res.Aggs = make([][]int64, len(p.Orig))
-	res.AggsFloat = make([][]float64, len(p.Orig))
-	for si := range p.Orig {
-		res.Aggs[si] = make([]int64, 0, len(keys))
-		res.AggsFloat[si] = make([]float64, 0, len(keys))
+	res.Aggs = make([][]int64, len(lay.Specs))
+	res.AggsFloat = make([][]float64, len(lay.Specs))
+	for si, sp := range lay.Specs {
+		ints, floats := make([]int64, n), make([]float64, n)
+		off := lay.Offsets[si]
+		sp.Kind.FinalizeColumn(ints, floats, states[off:off+sp.Kind.Width()])
+		if sp.Kind != agg.Avg {
+			for g, v := range ints {
+				floats[g] = float64(v)
+			}
+		}
+		res.Aggs[si], res.AggsFloat[si] = ints, floats
 	}
-	p.AppendFinalized(res.Aggs, res.AggsFloat, parts, len(keys))
 }
 
 // sortResult orders the result by (hash, key): the canonical order that

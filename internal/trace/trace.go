@@ -124,10 +124,6 @@ const (
 	// because the ingest queue or memory budget was full. Part = queue
 	// length at refusal, Value = 1.
 	KindBackpressure
-	// KindRoutineSelect: the run committed to an execution routine.
-	// Emitted exactly once per run (worker 0). Part = the chosen
-	// core.Routine as an int64, Value = 0.
-	KindRoutineSelect
 	// KindInternGrow: a shard of the key-interning dictionary grew its
 	// open-addressed index and republished it (an epoch boundary for
 	// lock-free readers of that shard). Part = shard number,
@@ -135,7 +131,7 @@ const (
 	KindInternGrow
 
 	// NumKinds is the number of kinds; valid Kind values are < NumKinds.
-	NumKinds = 15
+	NumKinds = 14
 )
 
 var kindNames = [NumKinds]string{
@@ -144,7 +140,7 @@ var kindNames = [NumKinds]string{
 	"merge-start", "merge-finish",
 	"gov-high-water",
 	"epoch-seal", "checkpoint-write", "recover", "backpressure",
-	"routine-select", "intern-grow",
+	"intern-grow",
 }
 
 func (k Kind) String() string {

@@ -45,7 +45,7 @@ type TraceEvent struct {
 	// Kind names the event: "strategy-switch", "table-split", "table-emit",
 	// "spill-write", "spill-read", "spill-retry", "merge-start",
 	// "merge-finish", "gov-high-water", "epoch-seal", "checkpoint-write",
-	// "recover", "backpressure", "routine-select" or "intern-grow".
+	// "recover", "backpressure" or "intern-grow".
 	Kind string `json:"kind"`
 	// Worker is the emitting worker's index (0 when not worker-scoped).
 	Worker int `json:"worker"`
