@@ -44,6 +44,7 @@ import (
 	"cacheagg/internal/hashfn"
 	"cacheagg/internal/hashtable"
 	"cacheagg/internal/partition"
+	"cacheagg/internal/sched"
 	"cacheagg/internal/sortagg"
 	"cacheagg/internal/xrand"
 )
@@ -342,6 +343,36 @@ func fig4And5Cases() []figCase {
 
 func BenchmarkFig4And5Strategies(b *testing.B) { benchFig(b, fig4And5Cases()) }
 func TestFig4And5StrategiesSmoke(t *testing.T) { smokeFig(t, fig4And5Cases()) }
+
+// TestFig4OnePass pins Figure 4(a)'s one pass: HASHINGONLY and ADAPTIVE
+// over K below the fill limit of the cache-sized table make one pass that
+// splits no table, switches never and emits the intake table directly;
+// above the limit they recurse. Four morsels, so two workers both take
+// rows.
+func TestFig4OnePass(t *testing.T) {
+	const n = 4 * sched.DefaultGrain
+	limit := int(float64(hashtable.CapacityForCache(benchCache, 0)) * hashtable.DefaultMaxFill)
+	for _, s := range []namedStrategy{{"HashingOnly", core.HashingOnly()}, {"Adaptive", core.DefaultAdaptive()}} {
+		for _, w := range []int{1, 2} {
+			for _, k := range []int{8, 10, 12, 14, 16} {
+				res, err := core.Distinct(opCfg(s.s, w, true), keysAt(uniform(k), n))
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := res.Stats
+				label := fmt.Sprintf("%s/w%d/K=2^%d (%d groups, limit %d)", s.name, w, k, res.Groups(), limit)
+				if res.Groups() < limit {
+					if st.Passes != 1 || st.TablesEmitted != 0 || st.Switches != 0 || st.DirectEmits != 1 {
+						t.Errorf("%s: passes %d, tables emitted %d, switches %d, direct emits %d; want 1, 0, 0, 1",
+							label, st.Passes, st.TablesEmitted, st.Switches, st.DirectEmits)
+					}
+				} else if st.Passes < 2 {
+					t.Errorf("%s: %d passes, want at least 2", label, st.Passes)
+				}
+			}
+		}
+	}
+}
 
 // --- Figure 6: worker scaling. Element Time is per core, so a flat
 // ns/elem over P is linear speedup. ---

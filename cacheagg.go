@@ -224,7 +224,8 @@ type Stats struct {
 	MeanAlpha float64
 	// Switches counts strategy mode changes.
 	Switches int64
-	// DirectEmits counts buckets finalized by one fused hashing pass.
+	// DirectEmits counts buckets finalized by one fused hashing pass,
+	// including the intake's when its tables hold every group.
 	DirectEmits int64
 
 	// Planned is always false.

@@ -105,7 +105,8 @@ func (r *ExternalResult) Len() int { return len(r.Groups) }
 // when the budget demands it, without one every level-0 bucket. The
 // operator (configured by opt) runs every level, so all of its adaptivity
 // applies to the spilled buckets too. A run that spilled returns its
-// groups in total hash order.
+// groups in total hash order. The call's budget is ext.MemoryBudgetBytes:
+// a non-zero opt.MemoryBudgetBytes is rejected rather than ignored.
 //
 // Spill files are checksummed: a truncated or bit-flipped file is detected
 // and reported as a "corrupt spill file" error rather than silently
@@ -123,6 +124,13 @@ func AggregateExternalContext(ctx context.Context, in Input, opt Options, ext Ex
 	specs, err := aggSpecs(in.Aggregates)
 	if err != nil {
 		return nil, err
+	}
+	switch b := opt.MemoryBudgetBytes; {
+	case b < 0:
+		return nil, fmt.Errorf("cacheagg: negative MemoryBudgetBytes %d", b)
+	case b > 0:
+		return nil, fmt.Errorf("cacheagg: Options.MemoryBudgetBytes is %d, but AggregateExternal takes "+
+			"its budget from ExternalOptions.MemoryBudgetBytes; leave Options.MemoryBudgetBytes 0", b)
 	}
 	for _, f := range []struct {
 		name string

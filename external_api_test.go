@@ -1,6 +1,7 @@
 package cacheagg
 
 import (
+	"strings"
 	"testing"
 
 	"cacheagg/internal/datagen"
@@ -72,5 +73,32 @@ func TestAggregateExternalEmpty(t *testing.T) {
 	}
 	if res.Len() != 0 {
 		t.Fatal("empty input should give no groups")
+	}
+}
+
+// TestAggregateExternalRejectsOptionsBudget: the call's budget is
+// ExternalOptions.MemoryBudgetBytes, so a budget in Options is an error,
+// not silently ignored; a negative one fails as it does for Aggregate.
+func TestAggregateExternalRejectsOptionsBudget(t *testing.T) {
+	in := Input{GroupBy: []uint64{1, 2, 1}, Aggregates: []AggSpec{{Func: Count}}}
+	for _, tc := range []struct {
+		budget int64
+		want   string
+	}{
+		{-5, "negative MemoryBudgetBytes -5"},
+		{1 << 30, "ExternalOptions.MemoryBudgetBytes"},
+	} {
+		opt := opts()
+		opt.MemoryBudgetBytes = tc.budget
+		res, err := AggregateExternal(in, opt, ExternalOptions{TempDir: t.TempDir()})
+		if err == nil || res != nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("budget %d: result %v, error %v; want an error naming %q", tc.budget, res != nil, err, tc.want)
+		}
+		if tc.budget < 0 {
+			_, aggErr := Aggregate(in, opt)
+			if aggErr == nil || aggErr.Error() != err.Error() {
+				t.Fatalf("budget %d: Aggregate says %v, AggregateExternal %v", tc.budget, aggErr, err)
+			}
+		}
 	}
 }

@@ -145,11 +145,12 @@ func TestFootprintMatchesReservation(t *testing.T) {
 		{9, []agg.Spec{{Kind: agg.Count}, {Kind: agg.Sum}, {Kind: agg.Min}, {Kind: agg.Max},
 			{Kind: agg.Avg}, {Kind: agg.Avg}, {Kind: agg.Sum}}},
 	}
+	// Four morsels, so the pool is as wide as asked for.
 	keys, cols := budgetInput(1000, 100)
 	for _, wd := range widths {
 		for _, cache := range []int{64 << 10, 1 << 20, 4 << 20} {
 			for workers := 1; workers <= 4; workers++ {
-				cfg := Config{Workers: workers, CacheBytes: cache, Governor: memgov.New(0)}.withDefaults()
+				cfg := Config{Workers: workers, CacheBytes: cache, MorselRows: 250, Governor: memgov.New(0)}.withDefaults()
 				e, err := newExec(cfg, &Input{Keys: keys, AggCols: cols, Specs: wd.specs})
 				if err != nil {
 					t.Fatal(err)

@@ -6,12 +6,18 @@
 // Execution outline (Algorithm 2 of the paper):
 //
 //  1. Intake: the input columns are consumed morsel-wise by all workers in
-//     parallel (work stealing over an atomic morsel counter). Each worker
-//     runs the strategy's per-run decision loop, producing level-0 runs
-//     grouped into 256 buckets by the most significant hash digit. Rows get
-//     their 64-bit MurmurHash2 digest here, carried through all later
-//     levels, and their aggregate states are initialized (so all deeper
-//     merges uniformly use super-aggregate functions).
+//     parallel (work stealing over an atomic morsel counter; the pool is
+//     only as wide as there are morsels). Each worker runs the strategy's
+//     per-run decision loop into a hash table sized to the input, producing
+//     level-0 runs grouped into 256 buckets by the most significant hash
+//     digit. Rows get their 64-bit MurmurHash2 digest here, carried through
+//     all later levels, and their aggregate states are initialized (so all
+//     deeper merges uniformly use super-aggregate functions). When no
+//     worker split a table or scattered a row, and the run has no spill
+//     target, the intake tables hold the final aggregates: they are
+//     emitted directly, through the largest one when several workers took
+//     rows and their union provably fits it — the fused final pass of
+//     Section 2.1 at intake — and there is no step 2.
 //  2. Recursion: every non-empty bucket becomes an independent task for the
 //     work-stealing pool. A task processes its bucket's runs at level d —
 //     again choosing HASHING or PARTITIONING per run — and either emits the
@@ -136,8 +142,10 @@ type Input struct {
 }
 
 // Validate checks the structural invariants of the input.
-func (in *Input) Validate() error {
-	lay := agg.NewLayout(in.Specs)
+func (in *Input) Validate() error { return in.validate(agg.NewLayout(in.Specs)) }
+
+// validate is Validate against the input's layout, built once per run.
+func (in *Input) validate(lay *agg.Layout) error {
 	if maxCol := lay.MaxInputCol(); maxCol >= len(in.AggCols) {
 		return fmt.Errorf("core: spec references input column %d but only %d columns given",
 			maxCol, len(in.AggCols))
@@ -207,7 +215,8 @@ type Stats struct {
 	AlphaSum float64
 	// Switches counts strategy mode changes.
 	Switches int64
-	// DirectEmits counts buckets finalized by a single fused hashing pass.
+	// DirectEmits counts buckets finalized by a single fused hashing pass,
+	// including the intake's when its tables hold every group.
 	DirectEmits int64
 	// Tasks counts bucket tasks executed (including intake tasks).
 	Tasks int64
@@ -285,13 +294,11 @@ func AggregateContext(ctx context.Context, cfg Config, in *Input) (res *Result, 
 			res, err = nil, fmt.Errorf("core: aggregation panicked: %v", r)
 		}
 	}()
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
+	// newExec validates the input against the layout it builds.
 	e, err := newExec(cfg, in)
 	if err != nil {
 		return nil, err
@@ -352,19 +359,21 @@ func (e *exec) assemble(ctx context.Context) (*Result, error) {
 			res.AggsFloat[si] = make([]float64, n)
 		}
 	}
-	offs := make([]int, len(chunks))
-	for i, off := 0, 0; i < len(chunks); i++ {
-		offs[i] = off
-		off += len(chunks[i].keys)
-	}
 	if e.pool.Workers() == 1 || len(chunks) <= 1 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		off := 0
 		for i := range chunks {
-			e.finalizeChunk(e.workers[0].free, res, &chunks[i], offs[i], sortSpill)
+			e.finalizeChunk(e.workers[0].free, res, &chunks[i], off, sortSpill)
+			off += len(chunks[i].keys)
 		}
 	} else if err := e.pool.RunContext(ctx, func(ctx *sched.Ctx) {
+		offs := make([]int, len(chunks))
+		for i, off := 0, 0; i < len(chunks); i++ {
+			offs[i] = off
+			off += len(chunks[i].keys)
+		}
 		// Each task claims the next chunk, so one closure serves them all.
 		var next atomic.Int64
 		task := func(c *sched.Ctx) {

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -61,15 +62,15 @@ func workerBytes(tableRows, words int) int64 {
 
 // exec holds one execution's shared state.
 type exec struct {
-	cfg     Config
-	in      *Input
-	layout  *agg.Layout
-	wordOps []agg.WordOp
-	kern    *agg.Kernels // batch kernels, resolved once per run
-	words   int
+	cfg    Config
+	in     *Input
+	layout *agg.Layout
+	kern   *agg.Kernels // batch kernels, resolved once per run
+	words  int
 
-	cacheRows int // capacity of a cache-sized table
-	finalRows int // its fill limit: the leaf threshold of the recursion
+	cacheRows  int // capacity of a cache-sized table
+	finalRows  int // its fill limit: the leaf threshold of the recursion
+	intakeRows int // logical capacity of the intake tables (intakeCapacity)
 
 	// Memory governance: interRow is the byte cost of one materialized
 	// intermediate-run row, chunkRow of one output-chunk row. gov is nil
@@ -90,8 +91,10 @@ type exec struct {
 	workers []workerState
 	kits    kitKey // pool key of this execution's worker kits
 
+	// root holds the level-0 buckets, made by the first intake that
+	// publishes rows (a run whose intake tables hold every group has none).
 	rootMu sync.Mutex
-	root   [hashfn.Fanout]runs.Bucket
+	root   []runs.Bucket
 
 	out collector
 }
@@ -127,10 +130,17 @@ type workerState struct {
 	stateViews   [][]uint64    // reusable column-view scratch
 	rowScratch   []uint64      // one packed state row
 	local        []runs.Bucket // intake's level-0 buckets, empty between runs
+	// intakeSplit says the worker's intake put rows into its level-0
+	// buckets: it split a table or scattered a row, or the run may spill.
+	// Until then its table holds everything it consumed, for finishIntake.
+	intakeSplit bool
 
 	// mem is the worker's reservation cache against the shared governor
-	// (nil-safe no-op when no governor is configured).
+	// (nil, a no-op, when no governor is configured).
 	mem *memgov.Cache
+	// kit is the pooled kit the machinery above came from, if any; recycle
+	// hands the machinery back in it.
+	kit *workerKit
 
 	// The spill tier's per-worker state. owned is the bucket set the worker
 	// may spill: its intake-local buckets, or the sub-buckets of the
@@ -150,7 +160,8 @@ type workerState struct {
 }
 
 // workerKit is the allocation-heavy part of one worker's machinery — the
-// cache-sized table alone is ~1 MiB of zeroed memory — recycled across
+// cache-sized table alone is 2–4 MiB of zeroed memory at the default cache,
+// depending on the state width — recycled across
 // executions through a config-keyed pool. A kit is returned to the pool
 // only after a cleanly completed run (never on error, cancellation, or
 // panic), at which point nothing escapes the execution that references it:
@@ -191,8 +202,24 @@ func kitPool(key kitKey) *sync.Pool {
 	return p.(*sync.Pool)
 }
 
+// intakeCapacity is the logical capacity of an intake table over n input
+// rows: n rows hold at most n groups, so the smallest table whose fill limit
+// holds n rows never fills by count, and emitting it scans slots in
+// proportion to the input, not to the cache. At least minTableRows, at most
+// cacheRows.
+func intakeCapacity(n int, maxFill float64, cacheRows int) int {
+	c := minTableRows
+	for c < cacheRows && int(float64(c)*min(maxFill, 1)) < n {
+		c <<= 1
+	}
+	return c
+}
+
 func newExec(cfg Config, in *Input) (*exec, error) {
 	lay := agg.NewLayout(in.Specs)
+	if err := in.validate(lay); err != nil {
+		return nil, err
+	}
 	if cfg.Spill != nil {
 		if cfg.Governor == nil {
 			cfg.Governor = memgov.New(0) // a spill tier keeps the ledger
@@ -201,16 +228,16 @@ func newExec(cfg Config, in *Input) (*exec, error) {
 		}
 	}
 	e := &exec{
-		cfg:     cfg,
-		in:      in,
-		layout:  lay,
-		wordOps: lay.WordOps(),
-		kern:    lay.Kernels(),
-		words:   lay.Words,
-		gov:     cfg.Governor,
-		tr:      cfg.Tracer,
+		cfg:    cfg,
+		in:     in,
+		layout: lay,
+		kern:   lay.Kernels(),
+		words:  lay.Words,
+		gov:    cfg.Governor,
+		tr:     cfg.Tracer,
 	}
 	e.cacheRows = cacheRows(cfg.CacheBytes, e.words)
+	e.intakeRows = intakeCapacity(len(in.Keys), cfg.MaxFill, e.cacheRows)
 	// The leaf threshold: the fused final pass may fill its table up to
 	// half (vs the routine tables' 25 %) — the paper's "factor B more
 	// partitions" optimization, bounded at 50 % to keep probing cheap.
@@ -225,7 +252,17 @@ func newExec(cfg Config, in *Input) (*exec, error) {
 	if !cfg.CarryHashes {
 		e.interRow -= 8
 	}
-	e.pool = sched.NewPool(cfg.Workers)
+	// The pool is only as wide as the intake's morsels: a worker without a
+	// morsel would only add machinery to reserve and a goroutine to start.
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	grain := cfg.MorselRows
+	if grain <= 0 {
+		grain = sched.DefaultGrain
+	}
+	e.pool = sched.NewPool(max(min(workers, (len(in.Keys)+grain-1)/grain), 1))
 	e.workers = make([]workerState, e.pool.Workers())
 	e.kits = kitKey{
 		cacheRows: e.cacheRows,
@@ -239,6 +276,7 @@ func newExec(cfg Config, in *Input) (*exec, error) {
 		ws := &e.workers[w]
 		ws.id = w
 		if k, _ := kp.Get().(*workerKit); k != nil {
+			ws.kit = k
 			ws.table = k.table
 			ws.finalTables = k.finalTables
 			ws.grownTables = k.grownTables
@@ -284,7 +322,9 @@ func newExec(cfg Config, in *Input) (*exec, error) {
 			ws.rowScratch = make([]uint64, e.words)
 			ws.local = make([]runs.Bucket, hashfn.Fanout)
 		}
-		ws.mem = e.gov.NewCache(0)
+		if e.gov != nil {
+			ws.mem = e.gov.NewCache(0)
+		}
 	}
 	if cfg.Spill != nil {
 		// Without a byte budget nothing would ever press the run to spill:
@@ -323,8 +363,9 @@ func newExec(cfg Config, in *Input) (*exec, error) {
 func (e *exec) recycle() {
 	kp := kitPool(e.kits)
 	// Runs and output chunks went back to whichever worker consumed them;
-	// even the free lists out and trim them to their recent demand.
-	lists := make([]*runs.Free, 0, len(e.workers))
+	// even the free lists out and trim them to their recent demand. (A
+	// constant capacity keeps the slice on the stack up to 8 workers.)
+	lists := make([]*runs.Free, 0, 8)
 	for w := range e.workers {
 		if ws := &e.workers[w]; ws.table != nil {
 			lists = append(lists, ws.free)
@@ -336,7 +377,11 @@ func (e *exec) recycle() {
 		if ws.table == nil {
 			continue
 		}
-		kp.Put(&workerKit{
+		k := ws.kit
+		if k == nil {
+			k = new(workerKit)
+		}
+		*k = workerKit{
 			table:        ws.table,
 			finalTables:  ws.finalTables,
 			grownTables:  ws.grownTables,
@@ -347,8 +392,9 @@ func (e *exec) recycle() {
 			stateViews:   ws.stateViews,
 			rowScratch:   ws.rowScratch,
 			local:        ws.local,
-		})
-		ws.table = nil
+		}
+		kp.Put(k)
+		ws.kit, ws.table = nil, nil
 	}
 }
 
@@ -398,6 +444,14 @@ func (e *exec) run(ctx context.Context) error {
 	// Phase A — intake: split the input into runs (Algorithm 2, line 5).
 	e.morsels = sched.NewMorsels(len(e.in.Keys), e.cfg.MorselRows)
 	nWorkers := e.pool.Workers()
+	for w := range e.workers {
+		ws := &e.workers[w]
+		ws.table.ResetCapacity(e.intakeRows)
+		ws.table.SetLevel(0)
+		// A spilling run keeps no intake table: its buckets must reach the
+		// spill tier, and its result total hash order.
+		ws.intakeSplit = e.spill != nil
+	}
 	t0 := e.stamp()
 	if err := e.pool.RunContext(ctx, func(ctx *sched.Ctx) {
 		// One intake task per worker; morsel stealing balances them.
@@ -409,6 +463,7 @@ func (e *exec) run(ctx context.Context) error {
 		return err
 	}
 	e.lap(t0, trace.PhaseIntake)
+	e.finishIntake()
 	if e.spill != nil {
 		if err := e.spillRoots(); err != nil {
 			return err
@@ -418,15 +473,21 @@ func (e *exec) run(ctx context.Context) error {
 			defer e.lap(e.stamp(), trace.PhaseMerge)
 		}
 	}
+	return e.recurse(ctx)
+}
 
-	// Phase B — recursion into the buckets (Algorithm 2, line 8), spawned
-	// largest-first. Task spawn order is the partition assignment of the
-	// work-stealing pool: under skew, digit order could queue the hottest
-	// bucket behind hundreds of small ones and leave its (deep, serial
-	// at the root) recursion to finish alone after everything else —
-	// largest-first bounds the makespan by starting the big buckets while
-	// the small ones backfill the idle workers. Output order is
-	// unaffected: assemble sorts chunks by hash prefix.
+// recurse is phase B: recursion into the root buckets (Algorithm 2, line
+// 8), spawned largest-first; a run without root rows has no phase B. Task
+// spawn order is the partition assignment of the work-stealing pool: under
+// skew, digit order could queue the hottest bucket behind hundreds of small
+// ones and leave its (deep, serial at the root) recursion to finish alone
+// after everything else — largest-first bounds the makespan by starting the
+// big buckets while the small ones backfill the idle workers. Output order
+// is unaffected: assemble sorts chunks by hash prefix.
+func (e *exec) recurse(ctx context.Context) error {
+	if !slices.ContainsFunc(e.root, func(b runs.Bucket) bool { return b.Rows() > 0 }) {
+		return nil
+	}
 	return e.pool.RunContext(ctx, func(ctx *sched.Ctx) {
 		type rootTask struct{ d, rows int }
 		order := make([]rootTask, 0, hashfn.Fanout)
@@ -460,9 +521,9 @@ func (e *exec) intake(ctx *sched.Ctx) {
 	ws := &e.workers[ctx.Worker]
 	ws.stats.tasks++
 	st := e.cfg.Strategy.NewState(0, e.cacheRows)
+	// run sized and emptied the table: a worker that runs a second intake
+	// task keeps filling it.
 	table := ws.table
-	table.Reset()
-	table.SetLevel(0)
 	scat := ws.scat
 	scat.Reset(0)
 	local := ws.local
@@ -492,6 +553,7 @@ func (e *exec) intake(ctx *sched.Ctx) {
 					blk := min(hi-i, scratchRows)
 					t0 := e.stamp()
 					e.scatterRaw(ws, scat, keys, cols, i, i+blk)
+					ws.intakeSplit = true
 					e.lap(t0, trace.PhaseScatter)
 					st.OnPartitioned(blk)
 					ws.stats.partitionedRows += int64(blk)
@@ -504,16 +566,15 @@ func (e *exec) intake(ctx *sched.Ctx) {
 		})
 	}
 
+	if !ws.intakeSplit {
+		// The table absorbed everything the worker consumed: it stays whole
+		// for finishIntake, and the local buckets are empty.
+		return
+	}
 	// Flush residual state into the local buckets.
 	e.timed(ws, 0, func() {
 		t0 := e.stamp()
-		if table.Len() > 0 {
-			ws.mem.Reserve(int64(table.Len()) * e.interRow)
-			splits := table.SplitRuns()
-			for d, r := range splits {
-				local[d].Add(r)
-			}
-		}
+		e.splitTable(ws, table, local)
 		scat.Flush()
 		views := make([]*runs.Bucket, hashfn.Fanout)
 		for d := range local {
@@ -526,11 +587,135 @@ func (e *exec) intake(ctx *sched.Ctx) {
 	// Publish into the shared root buckets (the only intake-side
 	// synchronization, once per worker).
 	e.rootMu.Lock()
+	root := e.rootBuckets()
 	for d := range local {
-		e.root[d].AddAll(&local[d])
+		root[d].AddAll(&local[d])
 	}
 	e.rootMu.Unlock()
 	clear(local)
+}
+
+// splitTable splits a non-empty table into one run per digit, added to
+// the matching bucket of into, and reserves the runs' rows.
+func (e *exec) splitTable(ws *workerState, table *hashtable.Table, into []runs.Bucket) {
+	if table.Len() == 0 {
+		return
+	}
+	ws.mem.Reserve(int64(table.Len()) * e.interRow)
+	for d, r := range table.SplitRuns() {
+		into[d].Add(r)
+	}
+}
+
+// rootBuckets returns the level-0 buckets, making them on first use. The
+// caller holds rootMu or runs alone.
+func (e *exec) rootBuckets() []runs.Bucket {
+	if e.root == nil {
+		e.root = make([]runs.Bucket, hashfn.Fanout)
+	}
+	return e.root
+}
+
+// finishIntake is the fused final pass of intake (Section 2.1): when no
+// worker's intake split a table or scattered a row, the intake tables hold
+// the final state of every group, and they are emitted straight into the
+// result. One engaged worker emits its table; several absorb their tables
+// into the largest one when a pre-check shows the union cannot overflow it,
+// and emit that. Otherwise every table still holding rows is split into the
+// root buckets, as its worker's own flush would have done. It runs on one
+// goroutine, after the intake pool has quiesced; a worker whose intake
+// split has flushed its table already, so only kept tables hold rows.
+func (e *exec) finishIntake() {
+	var target *workerState
+	engaged, pure := 0, true
+	for w := range e.workers {
+		ws := &e.workers[w]
+		pure = pure && !ws.intakeSplit
+		if n := ws.table.Len(); n > 0 {
+			engaged++
+			if target == nil || n > target.table.Len() {
+				target = ws
+			}
+		}
+	}
+	if engaged == 0 {
+		return
+	}
+	if pure && (engaged == 1 || e.absorbIntake(target)) {
+		e.timed(target, 0, func() { e.emitTable(target, target.table, 0, 0) })
+		target.stats.directEmits++
+		return
+	}
+	for w := range e.workers {
+		ws := &e.workers[w]
+		if ws.table.Len() == 0 {
+			continue
+		}
+		e.timed(ws, 0, func() {
+			t0 := e.stamp()
+			e.splitTable(ws, ws.table, e.rootBuckets())
+			e.lap(t0, trace.PhaseSplit)
+		})
+	}
+}
+
+// absorbIntake merges every other intake table into target's through their
+// emitted columns, whose hashes are carried, and reports true; it leaves
+// every table as it was and reports false when the union might not fit
+// target. The pre-check bounds the union by the sum of the tables, in rows
+// against target's fill limit and per block against the block's slots, so
+// the merge cannot fail halfway.
+func (e *exec) absorbIntake(target *workerState) bool {
+	blockRows := target.table.CapacityRows() / hashfn.Fanout
+	var occ [hashfn.Fanout]int
+	total := 0
+	emitted := make([]runs.Run, len(e.workers))
+	for w := range e.workers {
+		ws, r := &e.workers[w], &emitted[w]
+		n := ws.table.Len()
+		if n == 0 {
+			continue
+		}
+		total += n
+		e.timed(ws, 0, func() {
+			t0 := e.stamp()
+			r.Hashes, r.Keys, r.States = ws.free.Col(n), ws.free.Col(n), make([][]uint64, e.words)
+			for i := range r.States {
+				r.States[i] = ws.free.Col(n)
+			}
+			ws.table.EmitColumns(r.Hashes, r.Keys, r.States)
+			for _, h := range r.Hashes {
+				occ[hashfn.Digit(h, 0)]++
+			}
+			e.lap(t0, trace.PhaseSplit)
+		})
+	}
+	fits := total <= target.table.MaxRows()
+	for _, n := range occ {
+		fits = fits && n <= blockRows
+	}
+	e.timed(target, 0, func() {
+		t0 := e.stamp()
+		for w := range e.workers {
+			ws, r := &e.workers[w], &emitted[w]
+			if r.Keys == nil {
+				continue
+			}
+			if fits && ws != target {
+				if !e.absorbRun(target, target.table, r) {
+					panic("core: intake absorb overflowed")
+				}
+				ws.table.Reset()
+			}
+			ws.free.Put(r.Hashes)
+			ws.free.Put(r.Keys)
+			for _, col := range r.States {
+				ws.free.Put(col)
+			}
+		}
+		e.lap(t0, trace.PhaseTableBuild)
+	})
+	return fits
 }
 
 // hashRaw inserts raw input rows [i, hi) into the table until the table
@@ -563,11 +748,8 @@ func (e *exec) hashRaw(ws *workerState, st StrategyState, table *hashtable.Table
 			alpha := table.Alpha()
 			ws.stats.tablesEmitted++
 			ws.stats.alphaSum += alpha
-			ws.mem.Reserve(int64(table.Len()) * e.interRow)
-			splits := table.SplitRuns()
-			for d, r := range splits {
-				local[d].Add(r)
-			}
+			ws.intakeSplit = true
+			e.splitTable(ws, table, local)
 			if e.tr != nil {
 				e.tr.Emit(trace.KindTableSplit, ws.id, 0, -1, alpha)
 			}
@@ -598,7 +780,7 @@ func (e *exec) scatterRaw(ws *workerState, scat *partition.Scatterer,
 	n := hi - lo
 	hs := ws.hashScratch[:n]
 	hashfn.HashBatch(keys[lo:hi], hs)
-	for w, op := range e.wordOps {
+	for w, op := range e.kern.Ops {
 		dst := ws.stateScratch[w][:n]
 		if op.Src == agg.SrcOne {
 			for j := range dst {
@@ -730,7 +912,7 @@ func (e *exec) doBucket(ctx *sched.Ctx, ws *workerState, b *runs.Bucket, level i
 	}
 
 	table := ws.table
-	table.Reset()
+	table.ResetCapacity(e.cacheRows)
 	table.SetLevel(level)
 	scat := ws.scat
 	scat.Reset(level)
@@ -795,13 +977,7 @@ func (e *exec) doBucket(ctx *sched.Ctx, ws *workerState, b *runs.Bucket, level i
 	}
 
 	t0 := e.stamp()
-	if table.Len() > 0 {
-		ws.mem.Reserve(int64(table.Len()) * e.interRow)
-		splits := table.SplitRuns()
-		for d, r := range splits {
-			sub[d].Add(r)
-		}
-	}
+	e.splitTable(ws, table, sub)
 	if usedScatter {
 		views := make([]*runs.Bucket, hashfn.Fanout)
 		for d := range sub {
@@ -859,11 +1035,7 @@ func (e *exec) hashRun(ws *workerState, st StrategyState, table *hashtable.Table
 			alpha := table.Alpha()
 			ws.stats.tablesEmitted++
 			ws.stats.alphaSum += alpha
-			ws.mem.Reserve(int64(table.Len()) * e.interRow)
-			splits := table.SplitRuns()
-			for d, run := range splits {
-				sub[d].Add(run)
-			}
+			e.splitTable(ws, table, sub)
 			if e.tr != nil {
 				e.tr.Emit(trace.KindTableSplit, ws.id, level, int64(prefix), alpha)
 			}

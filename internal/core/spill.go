@@ -288,7 +288,7 @@ func (e *exec) spillRoots() error {
 		e.workers[w].mem.Flush()
 	}
 	if e.spill.forced || e.gov.OverBudget() {
-		if err := e.spillLargest(&e.workers[0], e.root[:], nil, e.spill.forced); err != nil {
+		if err := e.spillLargest(&e.workers[0], e.root, nil, e.spill.forced); err != nil {
 			return err
 		}
 	}

@@ -179,7 +179,10 @@ func Adaptive(alpha0 float64, c int) Strategy {
 }
 
 // DefaultAdaptive returns Adaptive with the paper's constants.
-func DefaultAdaptive() Strategy { return Adaptive(DefaultAlpha0, DefaultC) }
+func DefaultAdaptive() Strategy { return defaultAdaptive }
+
+// defaultAdaptive is DefaultAdaptive's value, boxed once rather than per run.
+var defaultAdaptive Strategy = adaptive{alpha0: DefaultAlpha0, c: DefaultC}
 
 func (s adaptive) Name() string {
 	return fmt.Sprintf("Adaptive(α₀=%g, c=%d)", s.alpha0, s.c)

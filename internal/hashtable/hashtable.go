@@ -73,7 +73,8 @@ type Table struct {
 	level     int
 	words     int
 	maxRows   int
-	shift     uint // digit shift for this level
+	fill      float64 // fill rate: maxRows per slot
+	shift     uint    // digit shift for this level
 
 	rows      int
 	rowsIn    int
@@ -133,6 +134,7 @@ func New(cfg Config) *Table {
 		level:     cfg.Level,
 		words:     cfg.Words,
 		maxRows:   maxRows,
+		fill:      fill,
 		omitInRun: cfg.OmitHashesInRuns,
 		shift:     uint(64 - 8*(cfg.Level+1)),
 		hashes:    make([]uint64, capRows),
@@ -148,14 +150,37 @@ func New(cfg Config) *Table {
 	return t
 }
 
-// CapacityRows returns the total slot count (after rounding).
+// CapacityRows returns the total slot count (after rounding): the logical
+// capacity set by ResetCapacity, at most the allocated one.
 func (t *Table) CapacityRows() int { return t.capRows }
 
 // FootprintBytes returns the heap footprint of the table's backing arrays
 // (hash, key, and version columns plus one column per state word), for
-// registration with the memory governor.
+// registration with the memory governor. It counts the allocated slots,
+// whatever the logical capacity.
 func (t *Table) FootprintBytes() int64 {
-	return int64(t.capRows) * int64(SlotBytes(t.words))
+	return int64(cap(t.version)) * int64(SlotBytes(t.words))
+}
+
+// ResetCapacity empties the table and sets its logical capacity to rows,
+// rounded as New rounds it and capped at the allocated capacity. The first
+// slots of every column are reused and nothing is allocated; blocks, fill
+// rate, level and width are kept, and every scan stops at the logical end.
+// A table sized to a small input keeps its emit scan proportional to that
+// input rather than to the cache.
+func (t *Table) ResetCapacity(rows int) {
+	c := min(max(ceilPow2(rows), t.blocks*MinBlockRows), cap(t.version))
+	t.capRows = c
+	t.blockRows = c / t.blocks
+	t.blockMask = uint64(t.blockRows - 1)
+	t.maxRows = max(int(float64(c)*t.fill), 1)
+	t.hashes = t.hashes[:c]
+	t.keys = t.keys[:c]
+	t.version = t.version[:c]
+	for w := range t.states {
+		t.states[w] = t.states[w][:c]
+	}
+	t.Reset()
 }
 
 // SetLevel re-targets an empty table to a different recursion level, so a
@@ -185,14 +210,11 @@ func (t *Table) RowsIn() int { return t.rowsIn }
 func (t *Table) Level() int { return t.level }
 
 // Alpha returns the reduction factor α = rowsIn / rowsOut observed so far.
-// An empty table has α = +Inf by convention (nothing disproves locality yet);
-// the strategy only consults α on non-empty tables.
+// An empty table has α = 1 by convention; the strategy only consults α on
+// non-empty tables.
 func (t *Table) Alpha() float64 {
 	if t.rows == 0 {
-		if t.rowsIn == 0 {
-			return 1
-		}
-		return 1 // unreachable: rowsIn>0 implies rows>0
+		return 1
 	}
 	return float64(t.rowsIn) / float64(t.rows)
 }
@@ -669,6 +691,7 @@ func (t *Table) Double() *Table {
 		OmitHashesInRuns: t.omitInRun,
 	})
 	nt.maxRows = 2 * t.maxRows // the same fill rate
+	nt.fill = t.fill
 	m := int(nt.blockMask)
 	for s, v := range t.version {
 		if v != t.epoch {
@@ -704,9 +727,10 @@ func (t *Table) Reset() {
 	t.rowsIn = 0
 	t.epoch++
 	if t.epoch == 0 { // wrapped: versions may alias, clear for real
-		for i := range t.version {
-			t.version[i] = 0
-		}
+		// The whole allocation, not only the logical capacity: a stale
+		// version past the logical end would alias a later epoch once
+		// ResetCapacity grows the table again.
+		clear(t.version[:cap(t.version)])
 		t.epoch = 1
 	}
 }

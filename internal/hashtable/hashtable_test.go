@@ -570,3 +570,55 @@ func emitAll(t *Table) (hashes, keys []uint64, states [][]uint64) {
 	t.EmitColumns(hashes, keys, states)
 	return hashes, keys, states
 }
+
+// TestResetCapacityShrinkGrow: the logical capacity follows ResetCapacity
+// within the allocation and scans stop at the logical end; stale versions
+// past it never show as occupied, also when the epoch wraps while the table
+// is small: rows written all over the allocation at epoch 2, a shrink, the
+// Resets that wrap the epoch, and a grow back to epoch 2.
+func TestResetCapacityShrinkGrow(t *testing.T) {
+	ops := agg.NewLayout([]agg.Spec{{Kind: agg.Count}}).WordOps()
+	// fill inserts keys [from, from+n) and counts the rows a scan visits.
+	fill := func(tb *Table, from, n uint64) int {
+		t.Helper()
+		for k := from; k < from+n; k++ {
+			if !tb.InsertRawCols(hashfn.Murmur2(k), k, nil, 0, ops) {
+				t.Fatalf("insert of key %d failed at capacity %d", k, tb.CapacityRows())
+			}
+		}
+		seen := 0
+		tb.Emit(func(uint64, uint64, []uint64) { seen++ })
+		return seen
+	}
+	for resets := 250; resets <= 258; resets++ {
+		tb := New(Config{CapacityRows: 4096, Blocks: 16, Words: 1})
+		footprint, full := tb.FootprintBytes(), tb.MaxRows()
+		tb.Reset()
+		fill(tb, 1<<20, 900)
+		tb.ResetCapacity(300)
+		if tb.CapacityRows() != 512 || tb.MaxRows() != full/8 || tb.FootprintBytes() != footprint {
+			t.Fatalf("shrunk table: capacity %d, fill limit %d, footprint %d",
+				tb.CapacityRows(), tb.MaxRows(), tb.FootprintBytes())
+		}
+		if got := fill(tb, 0, 10); got != 10 {
+			t.Fatalf("small table visits %d rows, want 10", got)
+		}
+		for range resets {
+			tb.Reset()
+		}
+		tb.ResetCapacity(4096)
+		if tb.CapacityRows() != 4096 || tb.MaxRows() != full || tb.Len() != 0 {
+			t.Fatalf("grown table: capacity %d, fill limit %d, %d rows", tb.CapacityRows(), tb.MaxRows(), tb.Len())
+		}
+		if got := fill(tb, 1<<30, 1); got != 1 {
+			t.Fatalf("%d resets: grown table visits %d rows, want 1", resets, got)
+		}
+	}
+	tb := New(Config{CapacityRows: 4096, Blocks: 16, Words: 1})
+	if tb.ResetCapacity(1 << 20); tb.CapacityRows() != 4096 {
+		t.Fatalf("capacity %d beyond the allocation", tb.CapacityRows())
+	}
+	if avg := testing.AllocsPerRun(10, func() { tb.ResetCapacity(1000) }); avg != 0 {
+		t.Fatalf("ResetCapacity allocates %.0f times", avg)
+	}
+}

@@ -141,9 +141,10 @@ func (p *Pool) push(worker int, t Task) {
 }
 
 // Run executes root and everything it transitively spawns, returning when
-// all tasks have completed. It blocks the caller; the caller's goroutine
-// does not itself execute tasks. The returned error is the first task
-// panic, converted, or nil.
+// all tasks have completed. It blocks the caller. A one-worker pool runs
+// the tasks on the caller's goroutine; a wider pool runs them on one
+// goroutine per worker, and the caller's goroutine only waits. The returned
+// error is the first task panic, converted, or nil.
 func (p *Pool) Run(root Task) error { return p.RunContext(context.Background(), root) }
 
 // RunContext is Run with cancellation: when ctx is cancelled the run is
@@ -163,32 +164,39 @@ func (p *Pool) RunContext(ctx context.Context, root Task) error {
 
 	// Watch for cancellation without polling ctx on the hot path: the
 	// watcher flips the aborted flag that workers already check per task.
-	stop := make(chan struct{})
-	var watch sync.WaitGroup
-	if ctx.Done() != nil {
+	if done := ctx.Done(); done != nil {
+		stop := make(chan struct{})
+		var watch sync.WaitGroup
 		watch.Add(1)
 		go func() {
 			defer watch.Done()
 			select {
-			case <-ctx.Done():
+			case <-done:
 				p.aborted.Store(true)
 			case <-stop:
 			}
 		}()
+		defer func() {
+			close(stop)
+			watch.Wait()
+		}()
 	}
 
 	p.push(0, root)
-	var wg sync.WaitGroup
-	wg.Add(p.workers)
-	for w := 0; w < p.workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			p.work(w)
-		}(w)
+	if p.workers == 1 {
+		// Nothing to steal from or for: the caller is the worker.
+		p.work(0)
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(p.workers)
+		for w := 0; w < p.workers; w++ {
+			go func(w int) {
+				defer wg.Done()
+				p.work(w)
+			}(w)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
-	close(stop)
-	watch.Wait()
 
 	p.errMu.Lock()
 	err := p.err
@@ -225,11 +233,14 @@ func (p *Pool) runTask(ctx *Ctx, t Task) {
 
 func (p *Pool) work(w int) {
 	ctx := &Ctx{Worker: w, pool: p}
-	rng := xrand.NewXoshiro256(uint64(w) + 12345)
+	var rng *xrand.Xoshiro256 // victim picker, made on first steal attempt
 	idleSpins := 0
 	for {
 		t, ok := p.deques[w].pop()
-		if !ok {
+		if !ok && p.workers > 1 {
+			if rng == nil {
+				rng = xrand.NewXoshiro256(uint64(w) + 12345)
+			}
 			// Try to steal from a random victim, then scan all.
 			victim := rng.Intn(p.workers)
 			for i := 0; i < p.workers && !ok; i++ {

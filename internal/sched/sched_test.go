@@ -206,6 +206,53 @@ func TestPoolSingleWorker(t *testing.T) {
 	}
 }
 
+// goid returns the current goroutine's id, parsed from its stack header.
+func goid() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return strings.Fields(string(buf))[1]
+}
+
+// TestPoolSingleWorkerRunsOnCaller: a one-worker pool runs every task on
+// the caller's goroutine, still contains a task panic, and still drains
+// the rest of the run when the context is cancelled.
+func TestPoolSingleWorkerRunsOnCaller(t *testing.T) {
+	p := NewPool(1)
+	caller := goid()
+	var ids []string
+	if err := p.Run(func(ctx *Ctx) {
+		ids = append(ids, goid())
+		ctx.Spawn(func(*Ctx) { ids = append(ids, goid()) })
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) != 2 || ids[0] != caller || ids[1] != caller {
+		t.Fatalf("tasks ran on goroutines %v, caller is %s", ids, caller)
+	}
+
+	err := p.Run(func(ctx *Ctx) {
+		ctx.Spawn(func(*Ctx) { panic("boom") })
+	})
+	if err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("panic not contained: %v", err)
+	}
+
+	cctx, cancel := context.WithCancel(context.Background())
+	var ran atomic.Int64
+	err = p.RunContext(cctx, func(ctx *Ctx) {
+		cancel()
+		for !ctx.Aborted() { // the watcher goroutine flips the flag
+			runtime.Gosched()
+		}
+		for range 10 {
+			ctx.Spawn(func(*Ctx) { ran.Add(1) })
+		}
+	})
+	if !errors.Is(err, context.Canceled) || ran.Load() != 0 {
+		t.Fatalf("cancelled run: err %v, %d spawned tasks ran", err, ran.Load())
+	}
+}
+
 func BenchmarkSpawnAndRun(b *testing.B) {
 	p := NewPool(0)
 	b.ResetTimer()
