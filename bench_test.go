@@ -44,6 +44,7 @@ import (
 	"cacheagg/internal/hashfn"
 	"cacheagg/internal/hashtable"
 	"cacheagg/internal/partition"
+	"cacheagg/internal/runs"
 	"cacheagg/internal/sched"
 	"cacheagg/internal/sortagg"
 	"cacheagg/internal/xrand"
@@ -236,8 +237,9 @@ func BenchmarkFig1CacheSim(b *testing.B) { benchFig(b, fig1Cases()) }
 func TestFig1CacheSimSmoke(t *testing.T) { smokeFig(t, fig1Cases()) }
 
 // --- Figure 3: each tuning step of the partitioning routine, on uniform
-// random keys. Every variant moves a hash and a key per row, except map,
-// which moves one column through a precomputed mapping vector. ---
+// random keys. Every variant moves 16 bytes per row — the key and an
+// 8-byte payload (the key again, or overalloc's hash) — except map, which
+// moves one column through a precomputed mapping vector. ---
 
 func fig3Cases() []figCase {
 	variant := func(name string, rowBytes int, mk func(keys []uint64) func()) figCase {
@@ -261,16 +263,20 @@ func fig3Cases() []figCase {
 				for i, k := range keys {
 					hs[i] = h.f(k)
 				}
-				partition.NaiveScatter(0, 0, hs, keys, nil)
+				partition.NaiveScatter(0, 1, hs, keys, [][]uint64{keys})
 			}
 		}))
 	}
+	// swc hashes and scatters one row at a time.
 	for _, h := range digits {
 		cases = append(cases, variant("swc/"+h.name, 16, func(keys []uint64) func() {
 			return func() {
-				s := partition.New(partition.Config{Level: 0})
-				for _, k := range keys {
-					s.Add(h.f(k), k, nil)
+				s := partition.New(partition.Config{Level: 0, Words: 1})
+				var hs [1]uint64
+				st := [][]uint64{nil}
+				for i, k := range keys {
+					hs[0], st[0] = h.f(k), keys[i:i+1]
+					s.Scatter(hs[:], st[0], st)
 				}
 				s.Flush()
 			}
@@ -291,8 +297,9 @@ func fig3Cases() []figCase {
 	return append(cases,
 		variant("swc+oo/two-level", 16, func(keys []uint64) func() {
 			return func() {
-				s := partition.New(partition.Config{Level: 0})
-				unrolled(keys, func(hs, keys []uint64) { s.Scatter(hs, keys, nil) })
+				s := partition.New(partition.Config{Level: 0, Words: 1})
+				st := [][]uint64{nil}
+				unrolled(keys, func(hs, keys []uint64) { st[0] = keys; s.Scatter(hs, keys, st) })
 				s.Flush()
 			}
 		}),
@@ -672,10 +679,13 @@ func TestTblColumnarSmoke(t *testing.T) { smokeFig(t, columnarCases()) }
 // --- Ablation: hash storage in runs. The paper's runs hold only keys and
 // recompute the hash every pass; carrying it trades ~1 ns of MurmurHash2
 // per row per pass against 8 bytes of memory traffic per row per pass in
-// each direction. ---
+// each direction. The operator keeps only the paper's layout, so the
+// ablation replays one recursion pass at layer level: scatter the rows by
+// their level-0 digit into runs, then merge each partition's runs into a
+// level-1 table. recompute re-hashes the keys at the merge; carry moves the
+// hash along as one more run column and merges through it. ---
 
 func ablationCases() []figCase {
-	p := runtime.GOMAXPROCS(0)
 	var cases []figCase
 	for _, k := range []int{10, 16, 19} {
 		for _, carry := range []bool{false, true} {
@@ -683,12 +693,58 @@ func ablationCases() []figCase {
 			if carry {
 				name = "carry"
 			}
-			cfg := opCfg(core.DefaultAdaptive(), p, false)
-			cfg.CarryHashes = carry
-			cases = append(cases, distinctCase(fmt.Sprintf("%s/K=2^%d", name, k), uniform(k), cfg))
+			cases = append(cases, figCase{name: fmt.Sprintf("%s/K=2^%d", name, k),
+				setup: func(tb testing.TB, n int) (func() figOut, []uint64) {
+					keys := keysAt(uniform(k), n)
+					return hashStoragePass(tb, keys, carry), keys
+				}})
 		}
 	}
 	return cases
+}
+
+// hashStoragePass returns one recursion pass over keys in the chosen run
+// layout, reporting the groups the level-1 tables found.
+func hashStoragePass(tb testing.TB, keys []uint64, carry bool) func() figOut {
+	hs := make([]uint64, len(keys))
+	hashfn.HashBatch(keys, hs)
+	var states [][]uint64 // the run columns beside the key
+	if carry {
+		states = [][]uint64{hs}
+	}
+	free := &runs.Free{}
+	scat := partition.New(partition.Config{Words: len(states), Free: free})
+	// Room for twice an average partition's rows at the table's fill limit.
+	table := hashtable.New(hashtable.Config{
+		CapacityRows: 8*len(keys)/hashfn.Fanout + 1024,
+		Blocks:       1,
+		MaxFill:      0.5,
+		Level:        1,
+	})
+	kern := agg.NewLayout(nil).Kernels()
+	scratch := make([]uint64, runs.DefaultChunkRows)
+	return func() figOut {
+		scat.Reset(0)
+		scat.Scatter(hs, keys, states)
+		groups := 0
+		for _, part := range scat.Seal() {
+			for _, r := range part {
+				h := scratch[:r.Len()]
+				if carry {
+					h = r.States[0]
+				} else {
+					hashfn.HashBatch(r.Keys, h)
+				}
+				if m := table.InsertStateBatch(h, r.Keys, nil, 0, kern); m < r.Len() {
+					tb.Fatalf("level-1 table full after %d of %d rows", m, r.Len())
+				}
+				free.Recycle(r)
+			}
+			groups += table.Len()
+			table.Reset()
+		}
+		return figOut{groups: groups}
+	}
 }
 
 func BenchmarkAblationHashStorage(b *testing.B) { benchFig(b, ablationCases()) }

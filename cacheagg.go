@@ -177,7 +177,9 @@ type Options struct {
 	//
 	// Deprecated: it has no effect and will be removed.
 	EnablePlan bool
-	// CollectStats enables execution statistics on the result.
+	// CollectStats adds the per-level breakdown (Stats.LevelNanos and
+	// Stats.LevelRows) to the result; the counts of Stats are filled
+	// either way.
 	CollectStats bool
 	// Tracer, when non-nil, records execution events (strategy switches,
 	// table splits, spill and merge traffic, memory high-water samples)
@@ -210,9 +212,11 @@ var ErrMemoryBudget = core.ErrMemoryBudget
 type Stats struct {
 	// Passes is the number of recursion levels that processed rows.
 	Passes int
-	// LevelNanos is total worker time per level (index = level).
+	// LevelNanos is total worker time per level (index = level); nil
+	// unless Options.CollectStats was set.
 	LevelNanos []int64
-	// LevelRows is rows processed per level.
+	// LevelRows is rows processed per level; nil unless
+	// Options.CollectStats was set.
 	LevelRows []int64
 	// HashedRows is the number of rows routed through the HASHING routine.
 	HashedRows int64
@@ -280,7 +284,8 @@ type Result struct {
 	// Aggs holds one output column per requested Aggregate (Avg rows are
 	// truncated toward zero; see Float).
 	Aggs [][]int64
-	// Stats is populated when Options.CollectStats was set.
+	// Stats describes the execution: its counts always, its per-level
+	// slices only when Options.CollectStats was set.
 	Stats Stats
 	// Phases is the per-phase time breakdown of this call, populated when
 	// Options.Tracer was set. See the Phases type for the wall-time vs
@@ -395,21 +400,21 @@ func aggregate(ctx context.Context, in Input, specs []agg.Spec, opt Options, gov
 		hashes: cres.Hashes,
 		states: cres,
 	}
+	st := cres.Stats
+	res.Stats = Stats{
+		Passes:          st.Passes,
+		HashedRows:      st.HashedRows,
+		PartitionedRows: st.PartitionedRows,
+		TablesEmitted:   st.TablesEmitted,
+		Switches:        st.Switches,
+		DirectEmits:     st.DirectEmits,
+	}
+	if st.TablesEmitted > 0 {
+		res.Stats.MeanAlpha = st.AlphaSum / float64(st.TablesEmitted)
+	}
 	if opt.CollectStats {
-		st := cres.Stats
-		res.Stats = Stats{
-			Passes:          st.Passes,
-			LevelNanos:      append([]int64(nil), st.LevelNanos[:st.Passes]...),
-			LevelRows:       append([]int64(nil), st.LevelRows[:st.Passes]...),
-			HashedRows:      st.HashedRows,
-			PartitionedRows: st.PartitionedRows,
-			TablesEmitted:   st.TablesEmitted,
-			Switches:        st.Switches,
-			DirectEmits:     st.DirectEmits,
-		}
-		if st.TablesEmitted > 0 {
-			res.Stats.MeanAlpha = st.AlphaSum / float64(st.TablesEmitted)
-		}
+		res.Stats.LevelNanos = append([]int64(nil), st.LevelNanos[:st.Passes]...)
+		res.Stats.LevelRows = append([]int64(nil), st.LevelRows[:st.Passes]...)
 	}
 	if gov != nil {
 		res.Stats.PeakReservedBytes = gov.HighWater()

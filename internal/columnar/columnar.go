@@ -218,9 +218,9 @@ func ApplyMappingSWC(mapping []uint8, col []uint64) [][]*runs.Run {
 			return
 		}
 		base := p * swcBufRows
-		// The value stream rides in the writer's hash column; the key and
-		// state columns are unused for a bare column move.
-		writers[p].AppendBlock(buf[base:base+n], buf[base:base+n], nil, 0, n)
+		// The value stream rides in the writer's key column; a bare
+		// column move has no state columns.
+		writers[p].AppendBlock(buf[base:base+n], nil, 0, n)
 		bufLen[p] = 0
 	}
 	for i, d := range mapping {

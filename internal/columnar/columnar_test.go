@@ -158,7 +158,7 @@ func TestApplyMappingNaiveAndSWCAgree(t *testing.T) {
 	for p := 0; p < hashfn.Fanout; p++ {
 		var flat []uint64
 		for _, r := range swc[p] {
-			flat = append(flat, r.Hashes...)
+			flat = append(flat, r.Keys...)
 		}
 		if len(flat) != len(naive[p]) || len(flat) != counts[p] {
 			t.Fatalf("partition %d: %d vs %d vs count %d", p, len(flat), len(naive[p]), counts[p])

@@ -174,7 +174,7 @@ func TestFootprintMatchesReservation(t *testing.T) {
 					for _, c := range ws.stateScratch {
 						live += 8 * int64(cap(c))
 					}
-					live += int64(hashfn.Fanout * partition.DefaultBufRows * 8 * (2 + wd.words))
+					live += int64(hashfn.Fanout * partition.DefaultBufRows * 8 * (1 + wd.words))
 				}
 				if live != e.fixedBytes {
 					t.Errorf("words %d cache %d workers %d: live machinery %d, reserved %d",

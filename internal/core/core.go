@@ -10,11 +10,12 @@
 //     only as wide as there are morsels). Each worker runs the strategy's
 //     per-run decision loop into a hash table sized to the input, producing
 //     level-0 runs grouped into 256 buckets by the most significant hash
-//     digit. Rows get their 64-bit MurmurHash2 digest here, carried through
-//     all later levels, and their aggregate states are initialized (so all
-//     deeper merges uniformly use super-aggregate functions). When no
-//     worker split a table or scattered a row, and the run has no spill
-//     target, the intake tables hold the final aggregates: they are
+//     digit. Rows get their 64-bit MurmurHash2 digest here — every later
+//     pass recomputes it from the key, as runs hold only keys and states —
+//     and their aggregate states are initialized (so all deeper merges
+//     uniformly use super-aggregate functions). When no worker split a
+//     table or scattered a row, and the run has no spill target, the
+//     intake tables hold the final aggregates: they are
 //     emitted directly, through the largest one when several workers took
 //     rows and their union provably fits it — the fused final pass of
 //     Section 2.1 at intake — and there is no step 2.
@@ -45,7 +46,6 @@ import (
 
 	"cacheagg/internal/agg"
 	"cacheagg/internal/hashfn"
-	"cacheagg/internal/hashtable"
 	"cacheagg/internal/memgov"
 	"cacheagg/internal/runs"
 	"cacheagg/internal/sched"
@@ -72,23 +72,15 @@ type Config struct {
 	// CacheBytes is the per-worker cache budget that sizes hash tables
 	// (and thereby all recursion thresholds); 0 selects DefaultCacheBytes.
 	CacheBytes int
-	// MaxFill is the hash-table fill limit; 0 selects the paper's 0.25.
-	MaxFill float64
 	// ChunkRows is the run chunk size; 0 selects runs.DefaultChunkRows.
 	ChunkRows int
 	// MorselRows is the intake work-stealing grain; 0 selects
 	// sched.DefaultGrain.
 	MorselRows int
-	// CollectStats enables per-level timing and decision statistics
-	// (small overhead; benchmarks that only need totals leave it off).
+	// CollectStats times every level into Stats.LevelNanos (a clock read
+	// per morsel and per bucket). The counts of Stats are filled either
+	// way.
 	CollectStats bool
-	// CarryHashes stores the 64-bit hash of every row in the intermediate
-	// runs instead of recomputing it from the key at every pass. The
-	// paper's layout is recompute (the default, false): MurmurHash2 costs
-	// about a nanosecond while a carried hash costs 8 bytes of memory
-	// traffic per row per pass in each direction. Carrying is kept as an
-	// ablation switch for the hash-storage design choice.
-	CarryHashes bool
 	// Governor, when non-nil, is the memory accountant the execution
 	// registers its footprint with: worker machinery at start, and
 	// materialized intermediate runs as they are produced (released when
@@ -123,9 +115,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheBytes <= 0 {
 		c.CacheBytes = DefaultCacheBytes
-	}
-	if c.MaxFill <= 0 {
-		c.MaxFill = hashtable.DefaultMaxFill
 	}
 	return c
 }
@@ -173,7 +162,8 @@ type Result struct {
 	// for every other spec, whose float value is its Aggs value widened;
 	// read floats through Float.
 	AggsFloat [][]float64
-	// Stats holds execution statistics (populated when CollectStats).
+	// Stats holds execution statistics: LevelNanos only with
+	// CollectStats, every count always.
 	Stats Stats
 	// Spill reports the spill tier's work (populated with Config.Spill).
 	Spill SpillStats
@@ -200,7 +190,8 @@ const MaxPasses = hashfn.MaxLevels + 1
 // through each routine, tables emitted with their reduction factors, and
 // strategy switches (Figure 9's solid markers).
 type Stats struct {
-	// LevelNanos is the total worker time spent processing each level.
+	// LevelNanos is the total worker time spent processing each level;
+	// zero unless Config.CollectStats is set.
 	LevelNanos [MaxPasses]int64
 	// LevelRows counts rows processed (moved or aggregated) per level.
 	LevelRows [MaxPasses]int64
@@ -386,16 +377,13 @@ func (e *exec) assemble(ctx context.Context) (*Result, error) {
 	}); err != nil {
 		return nil, err
 	}
-	// Merge stats.
-	if e.cfg.CollectStats {
-		for w := range e.workers {
-			res.Stats.merge(&e.workers[w].stats)
-		}
-		for lvl := MaxPasses - 1; lvl >= 0; lvl-- {
-			if res.Stats.LevelRows[lvl] > 0 {
-				res.Stats.Passes = lvl + 1
-				break
-			}
+	for w := range e.workers {
+		res.Stats.merge(&e.workers[w].stats)
+	}
+	for lvl := MaxPasses - 1; lvl >= 0; lvl-- {
+		if res.Stats.LevelRows[lvl] > 0 {
+			res.Stats.Passes = lvl + 1
+			break
 		}
 	}
 	return res, nil

@@ -7,6 +7,7 @@ import (
 
 	"cacheagg/internal/agg"
 	"cacheagg/internal/datagen"
+	"cacheagg/internal/hashfn"
 	"cacheagg/internal/xrand"
 )
 
@@ -485,9 +486,10 @@ func TestModeString(t *testing.T) {
 	}
 }
 
-// TestCarryHashesModeMatchesRecompute: the ablation switch must not change
-// any result, only the intermediate layout.
-func TestCarryHashesModeMatchesRecompute(t *testing.T) {
+// TestResultHashesAreRecomputed: runs hold keys and states only, so every
+// pass re-derives a row's hash from its key; each output row's hash must be
+// exactly its key's Murmur2, under every strategy, and the result exact.
+func TestResultHashesAreRecomputed(t *testing.T) {
 	keys := datagen.Generate(datagen.Spec{Dist: datagen.MovingCluster, N: 80000, K: 40000, Seed: 23})
 	vals := make([]int64, len(keys))
 	for i := range vals {
@@ -499,22 +501,17 @@ func TestCarryHashesModeMatchesRecompute(t *testing.T) {
 		Specs:   []agg.Spec{{Kind: agg.Count}, {Kind: agg.Sum, Col: 0}},
 	}
 	for _, s := range allStrategies() {
-		cfgA := smallCfg(s)
-		cfgB := smallCfg(s)
-		cfgB.CarryHashes = true
-		a, err := Aggregate(cfgA, in)
+		res, err := Aggregate(smallCfg(s), in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Aggregate(cfgB, in)
-		if err != nil {
-			t.Fatal(err)
+		for i, k := range res.Keys {
+			if res.Hashes[i] != hashfn.Murmur2(k) {
+				t.Fatalf("%s: row %d: key %d carries hash %#x, want %#x",
+					s.Name(), i, k, res.Hashes[i], hashfn.Murmur2(k))
+			}
 		}
-		if a.Groups() != b.Groups() {
-			t.Fatalf("%s: %d vs %d groups", s.Name(), a.Groups(), b.Groups())
-		}
-		checkResult(t, a, in)
-		checkResult(t, b, in)
+		checkResult(t, res, in)
 	}
 }
 

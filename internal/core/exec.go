@@ -48,16 +48,23 @@ func cacheRows(cacheBytes, words int) int {
 // chunkRowBytes is one output-chunk row: hash, key and state words.
 func chunkRowBytes(words int) int64 { return int64(8 * (2 + words)) }
 
+// runRowBytes is one intermediate-run row: key and state words.
+func runRowBytes(words int) int64 { return int64(8 * (1 + words)) }
+
 // workerBytes is one worker's fixed machinery: a table of tableRows slots,
 // the intake scratch blocks (hashes and states), the packed-row scratch
-// and the scatterer's §4.2 write-combining buffers (DefaultBufRows chunk
-// rows per partition).
+// and the scatterer's write-combining buffers.
 func workerBytes(tableRows, words int) int64 {
 	b := int64(tableRows) * int64(hashtable.SlotBytes(words))
 	b += int64(scratchRows * 8 * (1 + words)) // hashScratch + stateScratch
 	b += int64(8 * words)                     // rowScratch
-	b += int64(hashfn.Fanout*partition.DefaultBufRows) * chunkRowBytes(words)
-	return b
+	return b + swcBytes(words)
+}
+
+// swcBytes is the scatterer's §4.2 write-combining buffers: DefaultBufRows
+// run rows per partition.
+func swcBytes(words int) int64 {
+	return int64(hashfn.Fanout*partition.DefaultBufRows) * runRowBytes(words)
 }
 
 // exec holds one execution's shared state.
@@ -185,8 +192,6 @@ type workerKit struct {
 type kitKey struct {
 	cacheRows int
 	words     int
-	maxFill   float64
-	carry     bool
 	chunkRows int
 }
 
@@ -207,9 +212,9 @@ func kitPool(key kitKey) *sync.Pool {
 // holds n rows never fills by count, and emitting it scans slots in
 // proportion to the input, not to the cache. At least minTableRows, at most
 // cacheRows.
-func intakeCapacity(n int, maxFill float64, cacheRows int) int {
+func intakeCapacity(n, cacheRows int) int {
 	c := minTableRows
-	for c < cacheRows && int(float64(c)*min(maxFill, 1)) < n {
+	for c < cacheRows && int(float64(c)*hashtable.DefaultMaxFill) < n {
 		c <<= 1
 	}
 	return c
@@ -237,7 +242,7 @@ func newExec(cfg Config, in *Input) (*exec, error) {
 		tr:     cfg.Tracer,
 	}
 	e.cacheRows = cacheRows(cfg.CacheBytes, e.words)
-	e.intakeRows = intakeCapacity(len(in.Keys), cfg.MaxFill, e.cacheRows)
+	e.intakeRows = intakeCapacity(len(in.Keys), e.cacheRows)
 	// The leaf threshold: the fused final pass may fill its table up to
 	// half (vs the routine tables' 25 %) — the paper's "factor B more
 	// partitions" optimization, bounded at 50 % to keep probing cheap.
@@ -245,13 +250,8 @@ func newExec(cfg Config, in *Input) (*exec, error) {
 	if e.finalRows < 1 {
 		e.finalRows = 1
 	}
-	// An intermediate-run row is an output-chunk row without the hash,
-	// unless runs carry hashes.
 	e.chunkRow = chunkRowBytes(e.words)
-	e.interRow = e.chunkRow
-	if !cfg.CarryHashes {
-		e.interRow -= 8
-	}
+	e.interRow = runRowBytes(e.words)
 	// The pool is only as wide as the intake's morsels: a worker without a
 	// morsel would only add machinery to reserve and a goroutine to start.
 	workers := cfg.Workers
@@ -264,13 +264,7 @@ func newExec(cfg Config, in *Input) (*exec, error) {
 	}
 	e.pool = sched.NewPool(max(min(workers, (len(in.Keys)+grain-1)/grain), 1))
 	e.workers = make([]workerState, e.pool.Workers())
-	e.kits = kitKey{
-		cacheRows: e.cacheRows,
-		words:     e.words,
-		maxFill:   cfg.MaxFill,
-		carry:     cfg.CarryHashes,
-		chunkRows: cfg.ChunkRows,
-	}
+	e.kits = kitKey{cacheRows: e.cacheRows, words: e.words, chunkRows: cfg.ChunkRows}
 	kp := kitPool(e.kits)
 	for w := range e.workers {
 		ws := &e.workers[w]
@@ -297,21 +291,18 @@ func newExec(cfg Config, in *Input) (*exec, error) {
 			}
 		} else {
 			ws.table = hashtable.New(hashtable.Config{
-				CapacityRows:     e.cacheRows,
-				Blocks:           hashfn.Fanout,
-				MaxFill:          cfg.MaxFill,
-				Words:            e.words,
-				OmitHashesInRuns: !cfg.CarryHashes,
+				CapacityRows: e.cacheRows,
+				Blocks:       hashfn.Fanout,
+				Words:        e.words,
 			})
 			ws.finalTables = make(map[int]*hashtable.Table)
 			ws.grownTables = make(map[int]*hashtable.Table)
 			ws.free = &runs.Free{}
 			ws.scat = partition.New(partition.Config{
-				Level:      0,
-				Words:      e.words,
-				ChunkRows:  cfg.ChunkRows,
-				DropHashes: !cfg.CarryHashes,
-				Free:       ws.free,
+				Level:     0,
+				Words:     e.words,
+				ChunkRows: cfg.ChunkRows,
+				Free:      ws.free,
 			})
 			ws.hashScratch = make([]uint64, scratchRows)
 			ws.stateScratch = make([][]uint64, e.words)
@@ -660,7 +651,7 @@ func (e *exec) finishIntake() {
 }
 
 // absorbIntake merges every other intake table into target's through their
-// emitted columns, whose hashes are carried, and reports true; it leaves
+// emitted columns, hashes included, and reports true; it leaves
 // every table as it was and reports false when the union might not fit
 // target. The pre-check bounds the union by the sum of the tables, in rows
 // against target's fill limit and per block against the block's slots, so
@@ -669,7 +660,11 @@ func (e *exec) absorbIntake(target *workerState) bool {
 	blockRows := target.table.CapacityRows() / hashfn.Fanout
 	var occ [hashfn.Fanout]int
 	total := 0
-	emitted := make([]runs.Run, len(e.workers))
+	type columns struct {
+		hashes []uint64
+		runs.Run
+	}
+	emitted := make([]columns, len(e.workers))
 	for w := range e.workers {
 		ws, r := &e.workers[w], &emitted[w]
 		n := ws.table.Len()
@@ -679,12 +674,12 @@ func (e *exec) absorbIntake(target *workerState) bool {
 		total += n
 		e.timed(ws, 0, func() {
 			t0 := e.stamp()
-			r.Hashes, r.Keys, r.States = ws.free.Col(n), ws.free.Col(n), make([][]uint64, e.words)
+			r.hashes, r.Keys, r.States = ws.free.Col(n), ws.free.Col(n), make([][]uint64, e.words)
 			for i := range r.States {
 				r.States[i] = ws.free.Col(n)
 			}
-			ws.table.EmitColumns(r.Hashes, r.Keys, r.States)
-			for _, h := range r.Hashes {
+			ws.table.EmitColumns(r.hashes, r.Keys, r.States)
+			for _, h := range r.hashes {
 				occ[hashfn.Digit(h, 0)]++
 			}
 			e.lap(t0, trace.PhaseSplit)
@@ -702,12 +697,14 @@ func (e *exec) absorbIntake(target *workerState) bool {
 				continue
 			}
 			if fits && ws != target {
-				if !e.absorbRun(target, target.table, r) {
+				m := target.table.InsertStateBatch(r.hashes, r.Keys, r.States, 0, e.kern)
+				target.stats.hashedRows += int64(m)
+				if m < r.Len() {
 					panic("core: intake absorb overflowed")
 				}
 				ws.table.Reset()
 			}
-			ws.free.Put(r.Hashes)
+			ws.free.Put(r.hashes)
 			ws.free.Put(r.Keys)
 			for _, col := range r.States {
 				ws.free.Put(col)
@@ -932,13 +929,8 @@ func (e *exec) doBucket(ctx *sched.Ctx, ws *workerState, b *runs.Bucket, level i
 			case ModePartition:
 				blk := min(r.Len()-i, scratchRows)
 				t0 := e.stamp()
-				hs := r.Hashes
-				if hs == nil {
-					hs = ws.hashScratch[:blk]
-					hashfn.HashBatch(r.Keys[i:i+blk], hs)
-				} else {
-					hs = hs[i : i+blk]
-				}
+				hs := ws.hashScratch[:blk]
+				hashfn.HashBatch(r.Keys[i:i+blk], hs)
 				scat.Scatter(hs, r.Keys[i:i+blk], ws.sliceStates(r.States, i, i+blk))
 				e.lap(t0, trace.PhaseScatter)
 				st.OnPartitioned(blk)
@@ -1001,24 +993,18 @@ func (e *exec) doBucket(ctx *sched.Ctx, ws *workerState, b *runs.Bucket, level i
 // the run ends. On fill it splits the table into sub and informs the
 // strategy; emitted reports whether a split happened.
 //
-// Like hashRaw, the loop is batch-at-a-time: carried hashes are consumed as
-// block slices, recomputed hashes are materialized morsel-wide, and rows are
-// absorbed through the software-pipelined batch merge.
+// Like hashRaw, the loop is batch-at-a-time: a block's hashes are
+// recomputed from its keys morsel-wide, and rows are absorbed through the
+// software-pipelined batch merge.
 func (e *exec) hashRun(ws *workerState, st StrategyState, table *hashtable.Table,
 	r *runs.Run, start int, sub []runs.Bucket, level int, prefix uint64) (next int, emitted bool) {
-	carried := r.Hashes != nil
 	i := start
 	n := r.Len()
 	t0 := e.stamp()
 	for i < n {
 		blk := min(n-i, scratchRows)
-		var hs []uint64
-		if carried {
-			hs = r.Hashes[i : i+blk]
-		} else {
-			hs = ws.hashScratch[:blk]
-			hashfn.HashBatch(r.Keys[i:i+blk], hs)
-		}
+		hs := ws.hashScratch[:blk]
+		hashfn.HashBatch(r.Keys[i:i+blk], hs)
 		done := 0
 		for done < blk {
 			m := table.InsertStateBatch(hs[done:blk], r.Keys[i+done:i+blk], r.States, i+done, e.kern)
@@ -1092,17 +1078,11 @@ func (e *exec) finalizeLeaf(ctx *sched.Ctx, ws *workerState, b *runs.Bucket, lev
 // absorbRun feeds an entire run through the batch merge path into table,
 // reporting false if the table cannot hold it.
 func (e *exec) absorbRun(ws *workerState, table *hashtable.Table, r *runs.Run) bool {
-	carried := r.Hashes != nil
 	n := r.Len()
 	for i := 0; i < n; {
 		blk := min(n-i, scratchRows)
-		var hs []uint64
-		if carried {
-			hs = r.Hashes[i : i+blk]
-		} else {
-			hs = ws.hashScratch[:blk]
-			hashfn.HashBatch(r.Keys[i:i+blk], hs)
-		}
+		hs := ws.hashScratch[:blk]
+		hashfn.HashBatch(r.Keys[i:i+blk], hs)
 		m := table.InsertStateBatch(hs, r.Keys[i:i+blk], r.States, i, e.kern)
 		ws.stats.hashedRows += int64(m)
 		if m < blk {

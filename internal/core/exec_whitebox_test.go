@@ -1,17 +1,20 @@
 package core
 
 // White-box tests for engine paths that are hard to reach through the
-// public surface: forced finalization at hash-digit exhaustion (64-bit
-// collisions), the leaf fallback on block overflow, direct table emission,
-// and chunk ordering.
+// public surface: forced finalization at hash-digit exhaustion, a leaf
+// whose keys share one probe start, direct table emission, and chunk
+// ordering. Runs hold keys only, so each test reaches its path with real
+// keys found by searching their Murmur2 hashes.
 
 import (
 	"context"
-	"sort"
+	"math"
+	"runtime"
 	"testing"
 
 	"cacheagg/internal/agg"
 	"cacheagg/internal/hashfn"
+	"cacheagg/internal/partition"
 	"cacheagg/internal/runs"
 	"cacheagg/internal/sched"
 )
@@ -42,29 +45,38 @@ func assembled(t *testing.T, e *exec) *Result {
 	return res
 }
 
+// keysWhere returns the n smallest keys whose Murmur2 hash satisfies pred.
+func keysWhere(n int, pred func(h uint64) bool) []uint64 {
+	var keys []uint64
+	for k := uint64(0); len(keys) < n; k++ {
+		if pred(hashfn.Murmur2(k)) {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
 // runBucketTask drives processBucket through the pool like the engine does.
 func runBucketTask(e *exec, b *runs.Bucket, level int, prefix uint64) {
 	e.pool.Run(func(ctx *sched.Ctx) { e.processBucket(ctx, b, level, prefix) })
 }
 
 func TestForcedFinalizationAtMaxLevels(t *testing.T) {
-	// A bucket processed at MaxLevels must finalize even though all rows
-	// share every hash digit — the 64-bit collision case. Build rows with
-	// IDENTICAL hashes but distinct keys.
+	// A bucket processed at MaxLevels has no hash digit left to partition
+	// by: it must finalize in one grown table. The rows share the top
+	// digit, as a real bucket's rows share their prefix.
 	e := mkExec(nil, nil, nil)
-	const sameHash = uint64(0xDEADBEEFCAFEF00D)
-	r := &runs.Run{States: [][]uint64{}}
 	const n = 100
-	for k := uint64(0); k < n; k++ {
-		r.Hashes = append(r.Hashes, sameHash)
-		r.Keys = append(r.Keys, k)
+	r := &runs.Run{
+		Keys:   keysWhere(n, func(h uint64) bool { return hashfn.Digit(h, 0) == 0x5A }),
+		States: [][]uint64{},
 	}
 	var b runs.Bucket
 	b.Add(r)
 	runBucketTask(e, &b, hashfn.MaxLevels, 0)
 	res := assembled(t, e)
 	if res.Groups() != n {
-		t.Fatalf("collision bucket produced %d groups, want %d", res.Groups(), n)
+		t.Fatalf("MaxLevels bucket produced %d groups, want %d", res.Groups(), n)
 	}
 	seen := map[uint64]bool{}
 	for _, k := range res.Keys {
@@ -76,13 +88,11 @@ func TestForcedFinalizationAtMaxLevels(t *testing.T) {
 }
 
 func TestForcedFinalizationMergesDuplicates(t *testing.T) {
-	// Same-hash rows with REPEATED keys must merge their states.
+	// Rows with repeated keys must merge their states.
 	specs := []agg.Spec{{Kind: agg.Count}}
 	e := mkExec(specs, nil, nil)
-	const sameHash = uint64(42)
 	r := &runs.Run{States: [][]uint64{{}}}
 	for i := 0; i < 30; i++ {
-		r.Hashes = append(r.Hashes, sameHash)
 		r.Keys = append(r.Keys, uint64(i%3))
 		r.States[0] = append(r.States[0], 1) // COUNT partial of 1
 	}
@@ -101,23 +111,20 @@ func TestForcedFinalizationMergesDuplicates(t *testing.T) {
 }
 
 func TestLeafBlockOverflowFallsBackToGrownTable(t *testing.T) {
-	// Craft a leaf-sized bucket whose rows all land in ONE block of a
-	// blocked table (identical digit at every level ⇒ same block), with
-	// more rows than a single block of one holds. The leaf table is
-	// unblocked with room for twice the rows, so finalizeLeaf must still
-	// hold them all.
+	// A leaf-sized bucket whose rows all start probing at ONE slot, with
+	// more rows than a block of a cache-sized table holds: the leaf table
+	// is unblocked with room for four times the rows, so finalizeLeaf must
+	// hold them all along one long probe chain.
 	e := mkExec(nil, nil, nil)
 	if e.finalRows < 300 {
 		t.Skip("cache too small for this scenario")
 	}
-	r := &runs.Run{States: [][]uint64{}}
-	// All hashes share every 8-bit digit (hash = repeated byte pattern)
-	// but differ in nothing else — identical full hash, distinct keys, so
-	// every insert probes the same block.
+	// Hashes sharing their low 12 bits share the probe start of every
+	// table of up to 4096 slots; the 300 rows' leaf table has 2048.
 	const n = 300 // more than blockRows = capRows/256 for a 32 KiB table
-	for k := uint64(0); k < n; k++ {
-		r.Hashes = append(r.Hashes, 0x1111111111111111)
-		r.Keys = append(r.Keys, k)
+	r := &runs.Run{
+		Keys:   keysWhere(n, func(h uint64) bool { return h&0xFFF == 0x2A5 }),
+		States: [][]uint64{},
 	}
 	var b runs.Bucket
 	b.Add(r)
@@ -127,7 +134,7 @@ func TestLeafBlockOverflowFallsBackToGrownTable(t *testing.T) {
 	runBucketTask(e, &b, 1, 0)
 	res := assembled(t, e)
 	if res.Groups() != n {
-		t.Fatalf("block-overflow fallback lost groups: %d, want %d", res.Groups(), n)
+		t.Fatalf("long probe chain lost groups: %d, want %d", res.Groups(), n)
 	}
 }
 
@@ -136,12 +143,10 @@ func TestEmitTableChunkOrdering(t *testing.T) {
 	// buckets in reverse prefix order and check the assembled output is
 	// still ordered.
 	e := mkExec(nil, nil, nil)
-	mkBucket := func(digit uint64) *runs.Bucket {
-		r := &runs.Run{States: [][]uint64{}}
-		for i := uint64(0); i < 50; i++ {
-			h := digit<<56 | i<<8 // digit-0 fixed, spread below
-			r.Hashes = append(r.Hashes, h)
-			r.Keys = append(r.Keys, digit*1000+i)
+	mkBucket := func(digit int) *runs.Bucket {
+		r := &runs.Run{
+			Keys:   keysWhere(50, func(h uint64) bool { return hashfn.Digit(h, 0) == digit }),
+			States: [][]uint64{},
 		}
 		var b runs.Bucket
 		b.Add(r)
@@ -154,12 +159,14 @@ func TestEmitTableChunkOrdering(t *testing.T) {
 	if res.Groups() != 100 {
 		t.Fatalf("groups = %d", res.Groups())
 	}
-	if !sort.SliceIsSorted(res.Hashes, func(i, j int) bool { return res.Hashes[i] < res.Hashes[j] }) {
-		// Digit-level ordering is the guarantee.
-		for i := 1; i < len(res.Hashes); i++ {
-			if res.Hashes[i]>>56 < res.Hashes[i-1]>>56 {
-				t.Fatalf("prefix order violated at %d", i)
-			}
+	// Digit-level ordering is the guarantee: the digit-2 bucket first.
+	for i, h := range res.Hashes {
+		want := 2
+		if i >= 50 {
+			want = 9
+		}
+		if d := hashfn.Digit(h, 0); d != want || h != hashfn.Murmur2(res.Keys[i]) {
+			t.Fatalf("row %d: key %d, hash %#x (top digit %d), want top digit %d", i, res.Keys[i], h, d, want)
 		}
 	}
 }
@@ -174,9 +181,7 @@ func TestDirectEmitOnLowCardinalityBucket(t *testing.T) {
 		t.Skipf("finalRows %d too large", e.finalRows)
 	}
 	for i := 0; i < n; i++ {
-		k := uint64(i % 7)
-		r.Hashes = append(r.Hashes, hashfn.Murmur2(k))
-		r.Keys = append(r.Keys, k)
+		r.Keys = append(r.Keys, uint64(i%7))
 	}
 	var b runs.Bucket
 	b.Add(r)
@@ -248,6 +253,31 @@ func TestScattererAndTableReuseAcrossRuns(t *testing.T) {
 		}
 		if res.Groups() != 2000 {
 			t.Fatalf("round %d: groups = %d", round, res.Groups())
+		}
+	}
+}
+
+// TestScattererAllocMatchesWorkerBytes: the write-combining term of
+// workerBytes (swcBytes) is what partition.New really allocates, so the
+// governor's ledger follows the scatter buffers' layout. The slack covers
+// the scatterer's bookkeeping (256 writers, buffer lengths, column views):
+// at most 32 KiB, against 128 KiB per buffered column.
+func TestScattererAllocMatchesWorkerBytes(t *testing.T) {
+	const slack = 32 << 10
+	for words := 0; words <= 5; words++ {
+		term := swcBytes(words)
+		alloc := int64(math.MaxInt64)
+		for range 5 { // the least of a few tries: other goroutines allocate too
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			s := partition.New(partition.Config{Words: words})
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(s)
+			alloc = min(alloc, int64(after.TotalAlloc-before.TotalAlloc))
+		}
+		if alloc < term || alloc > term+slack {
+			t.Errorf("words %d: partition.New allocated %d bytes, workerBytes charges %d (slack %d)",
+				words, alloc, term, slack)
 		}
 	}
 }

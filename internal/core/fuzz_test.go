@@ -51,16 +51,21 @@ func FuzzAggregateMatchesReference(f *testing.F) {
 		strategies := allStrategies()
 		s := strategies[int(mode)%len(strategies)]
 		cfg := Config{
-			Strategy:    s,
-			Workers:     1 + int(mode>>4)%3,
-			CacheBytes:  8 << 10, // tiny: maximum recursion stress
-			MorselRows:  64,
-			ChunkRows:   32,
-			CarryHashes: mode&1 == 1,
+			Strategy:     s,
+			Workers:      1 + int(mode>>4)%3,
+			CacheBytes:   8 << 10, // tiny: maximum recursion stress
+			MorselRows:   64,
+			ChunkRows:    32,
+			CollectStats: mode&1 == 1,
 		}
 		res, err := Aggregate(cfg, in)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// Every intake row is hashed or partitioned, with or without
+		// CollectStats; later passes only add to the counts.
+		if st := res.Stats; st.HashedRows+st.PartitionedRows < int64(len(keys)) || st.Passes < 1 {
+			t.Fatalf("%s: stats %+v for %d rows", s.Name(), st, len(keys))
 		}
 		want := refAggregate(in)
 		if res.Groups() != len(want) {

@@ -68,7 +68,7 @@ func checkPrefixOrder(t *testing.T, label string, res *Result) {
 // contract specs at the default cache.
 func intakeLimit(n int) int {
 	words := agg.NewLayout(contractSpecs).Words
-	c := intakeCapacity(n, hashtable.DefaultMaxFill, cacheRows(DefaultCacheBytes, words))
+	c := intakeCapacity(n, cacheRows(DefaultCacheBytes, words))
 	return int(float64(c) * hashtable.DefaultMaxFill)
 }
 
@@ -282,7 +282,7 @@ func TestIntakeCapacity(t *testing.T) {
 		{cache/4 + 1, cache},
 		{1 << 30, cache},
 	} {
-		if got := intakeCapacity(tc.n, 0.25, cache); got != tc.want {
+		if got := intakeCapacity(tc.n, cache); got != tc.want {
 			t.Errorf("intakeCapacity(%d) = %d, want %d", tc.n, got, tc.want)
 		}
 	}

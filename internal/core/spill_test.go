@@ -79,8 +79,7 @@ func checkOracle(t *testing.T, label string, res *Result, want map[uint64]*spill
 
 // TestSpillBudgetSweep runs budgets from just above the machinery to
 // roomy, and no byte budget at all (every level-0 bucket spills), at one
-// and two workers (the latter carrying hashes in its runs, which spill
-// files drop): every result equals the map oracle, and every run that
+// and two workers: every result equals the map oracle, and every run that
 // spilled says so, is in total hash order and drains its ledger.
 func TestSpillBudgetSweep(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
@@ -88,7 +87,7 @@ func TestSpillBudgetSweep(t *testing.T) {
 		in := spillInput(dist, 40000, 20000)
 		want := spillOracle(in)
 		for _, workers := range []int{1, 2} {
-			base := Config{Workers: workers, CacheBytes: 64 << 10, CollectStats: true, CarryHashes: workers == 2}
+			base := Config{Workers: workers, CacheBytes: 64 << 10, CollectStats: true}
 			fixed, _ := Footprint(base, 6)
 			spilled := 0
 			for _, budget := range []int64{fixed + 512<<10, 5 << 19, 64 << 20, 0} {
@@ -225,7 +224,7 @@ func sameGroups(t *testing.T, label string, res, ref *Result) {
 
 // TestSpillSizingFromBudget pins the sizing rule to Footprint. In the
 // shape of an external run at 3 MiB (width 5, 64 KiB cache) one worker's
-// machinery — its SWC buffers alone are 917 504 bytes — leaves room for a
+// machinery — its SWC buffers alone are 786 432 bytes — leaves room for a
 // single worker whatever was asked for, and the cache stays as given. A
 // roomier budget caps the workers at budget / (3·fixed) and the cache at
 // an eighth of the budget per worker.
@@ -239,7 +238,7 @@ func TestSpillSizingFromBudget(t *testing.T) {
 	}
 	fixed, _ := Footprint(Config{CacheBytes: minSpillCacheBytes}, 1)
 	c := sizeForSpill(Config{Workers: 16, CacheBytes: DefaultCacheBytes}, 1, 16<<20)
-	if want := int((16 << 20) / (3 * fixed)); c.Workers != want || want != 10 {
+	if want := int((16 << 20) / (3 * fixed)); c.Workers != want || want != 14 {
 		t.Errorf("16 MiB at width 1: %d workers, want %d (fixed %d)", c.Workers, want, fixed)
 	}
 	if want := (16 << 20) / (8 * c.Workers); c.CacheBytes != want {

@@ -501,10 +501,11 @@ func (t *Table) grow() {
 // digit (index = top hash digit; empty digits are nil). Rows appear in
 // block slot order — no intra-block ordering is promised. The caller must
 // guarantee quiescence (no concurrent inserts); the core drains after the
-// intake pool has joined. carryHashes attaches the stored hash column.
+// intake pool has joined. Like every run, a drained one holds keys and
+// states, not hashes.
 //
 // Draining does not reset the table; pair with Reset for reuse.
-func (t *Table) DrainRuns(carryHashes bool) [hashfn.Fanout]*runs.Run {
+func (t *Table) DrainRuns() [hashfn.Fanout]*runs.Run {
 	var out [hashfn.Fanout]*runs.Run
 	for d := 0; d < hashfn.Fanout; d++ {
 		lo := d * t.blockRows
@@ -519,15 +520,11 @@ func (t *Table) DrainRuns(carryHashes bool) [hashfn.Fanout]*runs.Run {
 			continue
 		}
 		r := &runs.Run{
-			Keys:       make([]uint64, 0, n),
-			States:     make([][]uint64, t.words),
-			Aggregated: true,
+			Keys:   make([]uint64, 0, n),
+			States: make([][]uint64, t.words),
 		}
 		for w := range r.States {
 			r.States[w] = make([]uint64, 0, n)
-		}
-		if carryHashes {
-			r.Hashes = make([]uint64, 0, n)
 		}
 		for s := lo; s < hi; s++ {
 			if !t.live(t.meta[s]) {
@@ -536,9 +533,6 @@ func (t *Table) DrainRuns(carryHashes bool) [hashfn.Fanout]*runs.Run {
 			r.Keys = append(r.Keys, t.keys[s])
 			for w := range r.States {
 				r.States[w] = append(r.States[w], t.states[w][s])
-			}
-			if carryHashes {
-				r.Hashes = append(r.Hashes, t.hashes[s])
 			}
 		}
 		out[d] = r

@@ -119,14 +119,6 @@ func requireEqualRuns(t *testing.T, want, got [][]*runs.Run) {
 					t.Fatalf("split %d block %d row %d: key %d vs %d", s, b, i, w.Keys[i], g.Keys[i])
 				}
 			}
-			if (w.Hashes == nil) != (g.Hashes == nil) {
-				t.Fatalf("split %d block %d: hash column presence differs", s, b)
-			}
-			for i := range w.Hashes {
-				if w.Hashes[i] != g.Hashes[i] {
-					t.Fatalf("split %d block %d row %d: hash mismatch", s, b, i)
-				}
-			}
 			if len(w.States) != len(g.States) {
 				t.Fatalf("split %d block %d: %d state words vs %d", s, b, len(w.States), len(g.States))
 			}
@@ -242,6 +234,60 @@ func TestBatchedInsertStateEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestBatchSameHashKeepsKeysApart: under one forced hash — every row in
+// the same block at the same probe start — the batch inserts still compare
+// keys: distinct keys get slots of their own and equal keys merge. Murmur2
+// is a bijection on uint64 keys, so the operator never hands the table two
+// keys with one hash; the table must not rely on that.
+func TestBatchSameHashKeepsKeysApart(t *testing.T) {
+	lay := agg.NewLayout([]agg.Spec{{Kind: agg.Count}, {Kind: agg.Sum, Col: 0}})
+	kern := lay.Kernels()
+	const distinct, n = 5, 60
+	const forced = uint64(0xDEADBEEFCAFEF00D)
+	keys := make([]uint64, n)
+	vals := make([]int64, n)
+	hs := make([]uint64, n)
+	want := map[uint64][2]uint64{} // key → (count, sum)
+	for i := range keys {
+		keys[i] = uint64(i%distinct) * 1000003
+		vals[i] = int64(i)
+		hs[i] = forced
+		w := want[keys[i]]
+		want[keys[i]] = [2]uint64{w[0] + 1, w[1] + uint64(i)}
+	}
+	cfg := Config{CapacityRows: 2048, Blocks: 16, Words: lay.Words}
+	check := func(label string, tb *Table, times uint64) {
+		t.Helper()
+		if tb.Len() != distinct {
+			t.Fatalf("%s: %d groups, want %d", label, tb.Len(), distinct)
+		}
+		for k, w := range want {
+			st, ok := tb.Lookup(forced, k)
+			if !ok || st[0] != times*w[0] || st[1] != times*w[1] {
+				t.Fatalf("%s: key %d holds %v (found %v), want count %d sum %d",
+					label, k, st, ok, times*w[0], times*w[1])
+			}
+		}
+	}
+	raw := New(cfg)
+	if m := raw.InsertRawBatch(hs, keys, [][]int64{vals}, 0, kern); m != n {
+		t.Fatalf("InsertRawBatch absorbed %d of %d rows", m, n)
+	}
+	check("raw", raw, 1)
+
+	// Merge the raw table's emitted states twice: every state doubles.
+	eh, ek := make([]uint64, distinct), make([]uint64, distinct)
+	es := [][]uint64{make([]uint64, distinct), make([]uint64, distinct)}
+	raw.EmitColumns(eh, ek, es)
+	merged := New(cfg)
+	for range 2 {
+		if m := merged.InsertStateBatch(eh, ek, es, 0, kern); m != distinct {
+			t.Fatalf("InsertStateBatch absorbed %d of %d rows", m, distinct)
+		}
+	}
+	check("state", merged, 2)
 }
 
 // TestEmitColumnsMatchesEmit checks the batched output gather against the

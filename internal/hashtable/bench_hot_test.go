@@ -28,10 +28,9 @@ const (
 
 func hotBenchTable(words int) *Table {
 	return New(Config{
-		CapacityRows:     CapacityForCache(hotCache, words),
-		Blocks:           hashfn.Fanout,
-		Words:            words,
-		OmitHashesInRuns: true,
+		CapacityRows: CapacityForCache(hotCache, words),
+		Blocks:       hashfn.Fanout,
+		Words:        words,
 	})
 }
 

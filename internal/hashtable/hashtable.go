@@ -57,11 +57,6 @@ type Config struct {
 	// Level is the recursion level; an entry's block is the radix digit of
 	// its hash at this level.
 	Level int
-	// OmitHashesInRuns drops the hash column from the runs produced by
-	// SplitRuns (the paper's layout: downstream passes recompute hashes
-	// from the keys). The table always stores hashes internally for
-	// probing either way.
-	OmitHashesInRuns bool
 }
 
 // Table is a block-structured linear-probing hash table.
@@ -76,9 +71,8 @@ type Table struct {
 	fill      float64 // fill rate: maxRows per slot
 	shift     uint    // digit shift for this level
 
-	rows      int
-	rowsIn    int
-	omitInRun bool
+	rows   int
+	rowsIn int
 
 	hashes  []uint64
 	keys    []uint64
@@ -135,7 +129,6 @@ func New(cfg Config) *Table {
 		words:     cfg.Words,
 		maxRows:   maxRows,
 		fill:      fill,
-		omitInRun: cfg.OmitHashesInRuns,
 		shift:     uint(64 - 8*(cfg.Level+1)),
 		hashes:    make([]uint64, capRows),
 		keys:      make([]uint64, capRows),
@@ -465,7 +458,7 @@ func (t *Table) Lookup(h, key uint64) ([]uint64, bool) {
 //
 // The compaction is batched and arena-allocated: one scan collects the
 // occupied slot indices of every block (recording per-block boundaries),
-// each column (hashes, keys, state words) is then gathered into a single
+// each column (keys, state words) is then gathered into a single
 // slab with one tight monomorphic copy loop, and the per-block runs are
 // carved out of the slabs as sub-slices. A split therefore costs a handful
 // of allocations instead of a few per non-empty block, which at high group
@@ -480,8 +473,8 @@ func (t *Table) SplitRuns() []*runs.Run {
 	version, keysCol, epoch := t.version, t.keys, t.epoch
 	blockRows := t.blockRows
 	// The occupancy scan gathers the key column as it goes; the slot list is
-	// only materialized when further columns need it for their own gathers.
-	needIdx := !t.omitInRun || t.words > 0
+	// only materialized when state columns need it for their own gathers.
+	needIdx := t.words > 0
 	var idx []int32
 	if needIdx {
 		idx = t.slotScratch(t.rows)
@@ -515,13 +508,6 @@ func (t *Table) SplitRuns() []*runs.Run {
 		occ = idx[:pos]
 	}
 
-	var hashSlab []uint64
-	if !t.omitInRun {
-		hashSlab = make([]uint64, pos)
-		for j, s := range occ {
-			hashSlab[j] = t.hashes[s]
-		}
-	}
 	stateSlabs := make([][]uint64, t.words)
 	for w := 0; w < t.words; w++ {
 		col := make([]uint64, pos)
@@ -552,10 +538,6 @@ func (t *Table) SplitRuns() []*runs.Run {
 		r := &runSlab[ri]
 		r.Keys = keySlab[lo:hi:hi]
 		r.States = viewSlab[ri*t.words : (ri+1)*t.words : (ri+1)*t.words]
-		r.Aggregated = true
-		if hashSlab != nil {
-			r.Hashes = hashSlab[lo:hi:hi]
-		}
 		for w := 0; w < t.words; w++ {
 			r.States[w] = stateSlabs[w][lo:hi:hi]
 		}
@@ -591,12 +573,8 @@ func (t *Table) splitRunsSlow() []*runs.Run {
 			continue
 		}
 		r := &runs.Run{
-			Keys:       make([]uint64, 0, n),
-			States:     make([][]uint64, t.words),
-			Aggregated: true,
-		}
-		if !t.omitInRun {
-			r.Hashes = make([]uint64, 0, n)
+			Keys:   make([]uint64, 0, n),
+			States: make([][]uint64, t.words),
 		}
 		for w := range r.States {
 			r.States[w] = make([]uint64, 0, n)
@@ -605,9 +583,6 @@ func (t *Table) splitRunsSlow() []*runs.Run {
 			s := base + i
 			if t.version[s] != t.epoch {
 				continue
-			}
-			if !t.omitInRun {
-				r.Hashes = append(r.Hashes, t.hashes[s])
 			}
 			r.Keys = append(r.Keys, t.keys[s])
 			for w := 0; w < t.words; w++ {
@@ -675,7 +650,7 @@ func (t *Table) EmitColumns(hashes, keys []uint64, states [][]uint64) {
 }
 
 // Double returns a table of twice t's capacity — same blocks, fill rate,
-// level, width and run layout — holding every row of t; t is left
+// level and width — holding every row of t; t is left
 // unchanged. Rows move in slot order, each to the first free slot of its
 // probe sequence in the new table: the keys are distinct, so no key is
 // compared and no state merged, and the result is the table that
@@ -684,11 +659,10 @@ func (t *Table) EmitColumns(hashes, keys []uint64, states [][]uint64) {
 // and panics.
 func (t *Table) Double() *Table {
 	nt := New(Config{
-		CapacityRows:     2 * t.capRows,
-		Blocks:           t.blocks,
-		Words:            t.words,
-		Level:            t.level,
-		OmitHashesInRuns: t.omitInRun,
+		CapacityRows: 2 * t.capRows,
+		Blocks:       t.blocks,
+		Words:        t.words,
+		Level:        t.level,
 	})
 	nt.maxRows = 2 * t.maxRows // the same fill rate
 	nt.fill = t.fill

@@ -197,19 +197,15 @@ func TestSplitRunsPartitionsByDigit(t *testing.T) {
 		if r == nil {
 			continue
 		}
-		if !r.Aggregated {
-			t.Fatal("split runs must be aggregated")
-		}
 		if err := r.Validate(1); err != nil {
 			t.Fatal(err)
 		}
 		for i := range r.Keys {
-			// Every row must be in the block matching its level-0 digit
-			// (here: top 4 bits of 16-block table → digit = top log2(16) bits?
-			// No: block index is the radix-256 digit masked to 16 blocks).
-			d := int(r.Hashes[i] >> 56 & 15)
-			if d != digit {
-				t.Fatalf("hash %#x in block %d, digit %d", r.Hashes[i], digit, d)
+			// Every row must be in the block matching its level-0 digit,
+			// masked to the table's 16 blocks.
+			h := hashfn.Murmur2(r.Keys[i])
+			if d := int(h >> 56 & 15); d != digit {
+				t.Fatalf("hash %#x in block %d, digit %d", h, digit, d)
 			}
 			if _, dup := got[r.Keys[i]]; dup {
 				t.Fatalf("key %d duplicated across split", r.Keys[i])
@@ -392,25 +388,33 @@ func BenchmarkInsertInCache(b *testing.B) {
 	}
 }
 
-func TestOmitHashesInRuns(t *testing.T) {
-	tb := New(Config{CapacityRows: 4096, Blocks: 16, OmitHashesInRuns: true})
+// TestSplitRunsRehashToTheirBlock: split runs hold keys and no hashes, and
+// the hash recomputed from each key puts it back in the block it was split
+// from, at the table's level.
+func TestSplitRunsRehashToTheirBlock(t *testing.T) {
+	tb := New(Config{CapacityRows: 4096, Blocks: 16, Level: 1})
 	for i := uint64(0); i < 100; i++ {
 		if !tb.InsertState(hashfn.Murmur2(i), i, nil, nil) {
 			t.Fatal("insert failed")
 		}
 	}
-	total := 0
-	for _, r := range tb.SplitRuns() {
+	seen := map[uint64]bool{}
+	for block, r := range tb.SplitRuns() {
 		if r == nil {
 			continue
 		}
-		if r.Hashes != nil {
-			t.Fatal("split run still has hashes despite OmitHashesInRuns")
+		if err := r.Validate(0); err != nil {
+			t.Fatal(err)
 		}
-		total += r.Len()
+		for _, k := range r.Keys {
+			if d := hashfn.Digit(hashfn.Murmur2(k), 1) & 15; d != block || seen[k] {
+				t.Fatalf("key %d split into block %d, recomputed digit %d, seen before %v", k, block, d, seen[k])
+			}
+			seen[k] = true
+		}
 	}
-	if total != 100 {
-		t.Fatalf("split %d rows", total)
+	if len(seen) != 100 {
+		t.Fatalf("split %d keys, want 100", len(seen))
 	}
 }
 
@@ -470,7 +474,7 @@ func TestDoubleGrowsWithoutLoss(t *testing.T) {
 	kern := lay.Kernels()
 	for _, cfg := range []Config{
 		{Blocks: 1, MaxFill: 0.5},
-		{Blocks: 4, MaxFill: 0.25, Level: 1, OmitHashesInRuns: true},
+		{Blocks: 4, MaxFill: 0.25, Level: 1},
 	} {
 		cfg.Words = lay.Words
 		cfg.CapacityRows = cfg.Blocks * MinBlockRows

@@ -42,11 +42,10 @@ type Config struct {
 	BufRows int
 	// ChunkRows is the chunk size of the output writers (0 → default).
 	ChunkRows int
-	// DropHashes discards the hash column on output: the produced runs
-	// hold only keys and states, and downstream passes recompute hashes
-	// from the keys (the paper's layout; saves 8 bytes of traffic per row
-	// in both directions). Digits are still taken from the hashes passed
-	// to Scatter, which callers compute block-wise anyway.
+	// DropHashes is ignored: runs hold only keys and states, whatever it
+	// says.
+	//
+	// Deprecated: runs never carry hashes; the field has no effect.
 	DropHashes bool
 	// Free is the column free list the output writers cut their chunks
 	// from (nil allocates fresh columns). It must belong to the goroutine
@@ -63,8 +62,8 @@ type Scatterer struct {
 	bufRows int
 
 	// SWC buffers, contiguous per column: partition p occupies
-	// [p*bufRows, (p+1)*bufRows).
-	bufHash  []uint64
+	// [p*bufRows, (p+1)*bufRows). Only keys and states are buffered: the
+	// hashes passed to Scatter give the digit and are not kept.
 	bufKey   []uint64
 	bufState [][]uint64
 	bufLen   []int
@@ -72,9 +71,8 @@ type Scatterer struct {
 	// flushViews is a reusable [words][]uint64 scratch for AppendBlock.
 	flushViews [][]uint64
 
-	writers    []*runs.Writer
-	rows       int
-	dropHashes bool
+	writers []*runs.Writer
+	rows    int
 }
 
 // New creates a Scatterer.
@@ -94,19 +92,17 @@ func New(cfg Config) *Scatterer {
 		shift:      uint(64 - hashfn.DigitBits*(cfg.Level+1)),
 		words:      cfg.Words,
 		bufRows:    bufRows,
-		bufHash:    make([]uint64, hashfn.Fanout*bufRows),
 		bufKey:     make([]uint64, hashfn.Fanout*bufRows),
 		bufState:   make([][]uint64, cfg.Words),
 		bufLen:     make([]int, hashfn.Fanout),
 		flushViews: make([][]uint64, cfg.Words),
 		writers:    make([]*runs.Writer, hashfn.Fanout),
-		dropHashes: cfg.DropHashes,
 	}
 	for w := range s.bufState {
 		s.bufState[w] = make([]uint64, hashfn.Fanout*bufRows)
 	}
 	for p := range s.writers {
-		s.writers[p] = runs.NewWriterFree(cfg.ChunkRows, cfg.Words, cfg.DropHashes, cfg.Free)
+		s.writers[p] = runs.NewWriterFree(cfg.ChunkRows, cfg.Words, cfg.Free)
 	}
 	return s
 }
@@ -148,23 +144,8 @@ func (s *Scatterer) flushPartition(p int) {
 	for w := 0; w < s.words; w++ {
 		s.flushViews[w] = s.bufState[w][base : base+n]
 	}
-	s.writers[p].AppendBlock(s.bufHash[base:base+n], s.bufKey[base:base+n], s.flushViews, 0, n)
+	s.writers[p].AppendBlock(s.bufKey[base:base+n], s.flushViews, 0, n)
 	s.bufLen[p] = 0
-}
-
-// put places one row into its partition buffer, flushing first if full.
-func (s *Scatterer) put(p int, h, k uint64, states [][]uint64, i int) {
-	if s.bufLen[p] == s.bufRows {
-		s.flushPartition(p)
-	}
-	idx := p*s.bufRows + s.bufLen[p]
-	s.bufHash[idx] = h
-	s.bufKey[idx] = k
-	for w := 0; w < s.words; w++ {
-		s.bufState[w][idx] = states[w][i]
-	}
-	s.bufLen[p]++
-	s.rows++
 }
 
 // Scatter scatters all rows of the given columns. states must have exactly
@@ -190,13 +171,10 @@ func (s *Scatterer) Scatter(hashes, keys []uint64, states [][]uint64) {
 	}
 }
 
-// scatter0 is the words=0 (DISTINCT) specialization. When the writers drop
-// hashes (the paper's run layout) the hash column is never read back out of
-// the SWC buffers — AppendBlock discards it — so its stores are skipped too.
+// scatter0 is the words=0 (DISTINCT) specialization.
 func (s *Scatterer) scatter0(hashes, keys []uint64) {
-	bufHash, bufKey, bufLen := s.bufHash, s.bufKey, s.bufLen
+	bufKey, bufLen := s.bufKey, s.bufLen
 	shift, bufRows := s.shift, s.bufRows
-	drop := s.dropHashes
 	var digits [unroll]int
 	n := len(hashes)
 	i := 0
@@ -213,9 +191,6 @@ func (s *Scatterer) scatter0(hashes, keys []uint64) {
 				l = 0
 			}
 			idx := p*bufRows + l
-			if !drop {
-				bufHash[idx] = hashes[i+j]
-			}
 			bufKey[idx] = keys[i+j]
 			bufLen[p] = l + 1
 		}
@@ -228,9 +203,6 @@ func (s *Scatterer) scatter0(hashes, keys []uint64) {
 			l = 0
 		}
 		idx := p*bufRows + l
-		if !drop {
-			bufHash[idx] = hashes[i]
-		}
 		bufKey[idx] = keys[i]
 		bufLen[p] = l + 1
 	}
@@ -239,10 +211,9 @@ func (s *Scatterer) scatter0(hashes, keys []uint64) {
 
 // scatter1 is the words=1 (single aggregate state word) specialization.
 func (s *Scatterer) scatter1(hashes, keys, st0 []uint64) {
-	bufHash, bufKey, bufLen := s.bufHash, s.bufKey, s.bufLen
+	bufKey, bufLen := s.bufKey, s.bufLen
 	bufSt := s.bufState[0]
 	shift, bufRows := s.shift, s.bufRows
-	drop := s.dropHashes
 	var digits [unroll]int
 	n := len(hashes)
 	i := 0
@@ -259,9 +230,6 @@ func (s *Scatterer) scatter1(hashes, keys, st0 []uint64) {
 				l = 0
 			}
 			idx := p*bufRows + l
-			if !drop {
-				bufHash[idx] = hashes[i+j]
-			}
 			bufKey[idx] = keys[i+j]
 			bufSt[idx] = st0[i+j]
 			bufLen[p] = l + 1
@@ -275,9 +243,6 @@ func (s *Scatterer) scatter1(hashes, keys, st0 []uint64) {
 			l = 0
 		}
 		idx := p*bufRows + l
-		if !drop {
-			bufHash[idx] = hashes[i]
-		}
 		bufKey[idx] = keys[i]
 		bufSt[idx] = st0[i]
 		bufLen[p] = l + 1
@@ -289,10 +254,9 @@ func (s *Scatterer) scatter1(hashes, keys, st0 []uint64) {
 // locals and batched accounting as the specializations (only the per-word
 // state copy stays a loop).
 func (s *Scatterer) scatterN(hashes, keys []uint64, states [][]uint64) {
-	bufHash, bufKey, bufLen := s.bufHash, s.bufKey, s.bufLen
+	bufKey, bufLen := s.bufKey, s.bufLen
 	bufState := s.bufState
 	shift, bufRows := s.shift, s.bufRows
-	drop := s.dropHashes
 	words := s.words
 	var digits [unroll]int
 	n := len(hashes)
@@ -310,9 +274,6 @@ func (s *Scatterer) scatterN(hashes, keys []uint64, states [][]uint64) {
 				l = 0
 			}
 			idx := p*bufRows + l
-			if !drop {
-				bufHash[idx] = hashes[i+j]
-			}
 			bufKey[idx] = keys[i+j]
 			for w := 0; w < words; w++ {
 				bufState[w][idx] = states[w][i+j]
@@ -328,9 +289,6 @@ func (s *Scatterer) scatterN(hashes, keys []uint64, states [][]uint64) {
 			l = 0
 		}
 		idx := p*bufRows + l
-		if !drop {
-			bufHash[idx] = hashes[i]
-		}
 		bufKey[idx] = keys[i]
 		for w := 0; w < words; w++ {
 			bufState[w][idx] = states[w][i]
@@ -338,27 +296,6 @@ func (s *Scatterer) scatterN(hashes, keys []uint64, states [][]uint64) {
 		bufLen[p] = l + 1
 	}
 	s.rows += n
-}
-
-// ScatterRun scatters one run.
-func (s *Scatterer) ScatterRun(r *runs.Run) {
-	s.Scatter(r.Hashes, r.Keys, r.States)
-}
-
-// Add scatters a single row given its packed state vector.
-func (s *Scatterer) Add(h, k uint64, state []uint64) {
-	p := int(h >> s.shift & (hashfn.Fanout - 1))
-	if s.bufLen[p] == s.bufRows {
-		s.flushPartition(p)
-	}
-	idx := p*s.bufRows + s.bufLen[p]
-	s.bufHash[idx] = h
-	s.bufKey[idx] = k
-	for w := 0; w < s.words; w++ {
-		s.bufState[w][idx] = state[w]
-	}
-	s.bufLen[p]++
-	s.rows++
 }
 
 // Flush drains all partition buffers into the writers.
@@ -408,7 +345,7 @@ func NaiveScatter(level, words int, hashes, keys []uint64, states [][]uint64) []
 		for w := 0; w < words; w++ {
 			state[w] = states[w][i]
 		}
-		writers[p].Append(hashes[i], keys[i], state)
+		writers[p].Append(keys[i], state)
 	}
 	out := make([][]*runs.Run, hashfn.Fanout)
 	for p, w := range writers {

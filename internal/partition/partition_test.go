@@ -41,11 +41,12 @@ func collect(t *testing.T, byDigit [][]*runs.Run, level, words int) (map[rowID]i
 			if err := r.Validate(words); err != nil {
 				t.Fatal(err)
 			}
-			for i := range r.Keys {
-				if got := hashfn.Digit(r.Hashes[i], level); got != digit {
+			for i, k := range r.Keys {
+				h := hashfn.Murmur2(k) // runs hold keys; the hash is recomputed
+				if got := hashfn.Digit(h, level); got != digit {
 					t.Fatalf("row with digit %d landed in partition %d", got, digit)
 				}
-				id := rowID{h: r.Hashes[i], k: r.Keys[i]}
+				id := rowID{h: h, k: k}
 				if words > 0 {
 					id.s0 = r.States[0][i]
 				}
@@ -122,32 +123,6 @@ func TestScatterLevelSelectsDigit(t *testing.T) {
 	}
 }
 
-func TestScatterRunAndAdd(t *testing.T) {
-	hashes, keys, states := genRows(3, 100, 1)
-	r := &runs.Run{Hashes: hashes, Keys: keys, States: states}
-
-	a := New(Config{Level: 0, Words: 1})
-	a.ScatterRun(r)
-
-	b := New(Config{Level: 0, Words: 1})
-	st := make([]uint64, 1)
-	for i := range hashes {
-		st[0] = states[0][i]
-		b.Add(hashes[i], keys[i], st)
-	}
-
-	ga, na := collect(t, a.Seal(), 0, 1)
-	gb, nb := collect(t, b.Seal(), 0, 1)
-	if na != nb || na != 100 {
-		t.Fatalf("row counts differ: %d vs %d", na, nb)
-	}
-	for id, c := range ga {
-		if gb[id] != c {
-			t.Fatalf("Add and Scatter disagree on %+v", id)
-		}
-	}
-}
-
 func TestSealIntoBuckets(t *testing.T) {
 	hashes, keys, _ := genRows(4, 3000, 0)
 	s := New(Config{Level: 0})
@@ -214,12 +189,12 @@ func TestNaiveMatchesTuned(t *testing.T) {
 			var tu, na []rowID
 			for _, r := range tuned[p] {
 				for i := range r.Keys {
-					tu = append(tu, rowID{r.Hashes[i], r.Keys[i], r.States[0][i]})
+					tu = append(tu, rowID{k: r.Keys[i], s0: r.States[0][i]})
 				}
 			}
 			for _, r := range naive[p] {
 				for i := range r.Keys {
-					na = append(na, rowID{r.Hashes[i], r.Keys[i], r.States[0][i]})
+					na = append(na, rowID{k: r.Keys[i], s0: r.States[0][i]})
 				}
 			}
 			if len(tu) != len(na) {
@@ -251,7 +226,7 @@ func TestEmptyScatter(t *testing.T) {
 func BenchmarkScatterSWC(b *testing.B) {
 	const n = 1 << 16
 	hashes, keys, _ := genRows(1, n, 0)
-	b.SetBytes(n * 16)
+	b.SetBytes(n * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := New(Config{Level: 0})
@@ -263,58 +238,10 @@ func BenchmarkScatterSWC(b *testing.B) {
 func BenchmarkScatterNaive(b *testing.B) {
 	const n = 1 << 16
 	hashes, keys, _ := genRows(1, n, 0)
-	b.SetBytes(n * 16)
+	b.SetBytes(n * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		NaiveScatter(0, 0, hashes, keys, nil)
-	}
-}
-
-func TestDropHashesProducesNilHashColumn(t *testing.T) {
-	hashes, keys, states := genRows(11, 2000, 1)
-	s := New(Config{Level: 0, Words: 1, DropHashes: true})
-	s.Scatter(hashes, keys, states)
-	total := 0
-	for digit, rs := range s.Seal() {
-		for _, r := range rs {
-			if r.Hashes != nil {
-				t.Fatal("DropHashes run still has a hash column")
-			}
-			if err := r.Validate(1); err != nil {
-				t.Fatal(err)
-			}
-			// Digit correctness must hold via recomputation.
-			for i := range r.Keys {
-				if hashfn.Digit(hashfn.Murmur2(r.Keys[i]), 0) != digit {
-					t.Fatalf("key %d in wrong partition %d", r.Keys[i], digit)
-				}
-			}
-			total += r.Len()
-		}
-	}
-	if total != 2000 {
-		t.Fatalf("scattered %d rows", total)
-	}
-}
-
-func TestDropHashesSurvivesReset(t *testing.T) {
-	_, keys, _ := genRows(12, 100, 0)
-	hashes := make([]uint64, len(keys))
-	for i, k := range keys {
-		hashes[i] = hashfn.Murmur2(k)
-	}
-	s := New(Config{Level: 0, DropHashes: true})
-	s.Scatter(hashes, keys, nil)
-	s.Flush()
-	s.Seal()
-	s.Reset(1)
-	s.Scatter(hashes, keys, nil)
-	for _, rs := range s.Seal() {
-		for _, r := range rs {
-			if r.Hashes != nil {
-				t.Fatal("DropHashes lost across Reset")
-			}
-		}
 	}
 }
 

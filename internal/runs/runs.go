@@ -14,11 +14,9 @@
 // recursion levels and executions.
 //
 // A Run holds decomposed (columnar) row storage: the grouping key of each
-// row, one state column per aggregate state word, and — optionally — the
-// 64-bit hash of the key. By default the engine follows the paper and does
-// NOT store hashes (recomputing MurmurHash2 each pass is far cheaper than
-// moving 8 extra bytes per row per pass); carrying them is an ablation
-// option.
+// row and one state column per aggregate state word. Like the paper's runs
+// it stores no hashes: every pass recomputes MurmurHash2 from the key,
+// which costs less than moving 8 more bytes per row per pass.
 package runs
 
 import (
@@ -40,23 +38,13 @@ const firstChunkRows = 64
 // All rows in a Run share the same bucket path (hash prefix) of the
 // recursion level that produced it.
 type Run struct {
-	// Hashes is the optional stored hash column. The paper's runs hold
-	// only the rows themselves — hashes are recomputed from the key at
-	// every pass (MurmurHash2 costs ~1 ns while a stored hash costs 8
-	// bytes of memory traffic per row per pass) — so in the default
-	// engine configuration this column is nil. Carrying hashes is an
-	// ablation option (core.Config.CarryHashes).
-	Hashes []uint64
-	Keys   []uint64
+	// Keys is the grouping key of each row; a pass recomputes the row's
+	// hash from it.
+	Keys []uint64
 	// States holds the packed aggregate state columns: States[w][i] is
 	// state word w of row i. len(States) is the layout's word count and is
 	// zero for DISTINCT-style queries.
 	States [][]uint64
-	// Aggregated marks a run in which every key occurs at most once (the
-	// run was produced by a hash-table split). Purely informational for
-	// strategies and diagnostics; state semantics are uniform because rows
-	// carry initialized aggregate states from intake on.
-	Aggregated bool
 
 	// owned marks a run whose columns a Writer cut for it alone; only such
 	// runs may be handed back to a Free list.
@@ -70,9 +58,6 @@ func (r *Run) Len() int { return len(r.Keys) }
 // equal length. It returns an error rather than panicking so tests can use
 // it on adversarial inputs.
 func (r *Run) Validate(words int) error {
-	if r.Hashes != nil && len(r.Hashes) != len(r.Keys) {
-		return fmt.Errorf("runs: %d hashes but %d keys", len(r.Hashes), len(r.Keys))
-	}
 	if len(r.States) != words {
 		return fmt.Errorf("runs: %d state columns, want %d", len(r.States), words)
 	}
@@ -96,8 +81,7 @@ type Bucket struct {
 }
 
 // Spilled is a run one storage level down: its keys and state columns
-// written to a block file (see BlockWriter); hashes are recomputed when it
-// is read back.
+// written to a block file (see BlockWriter), in the same layout as a Run.
 type Spilled struct {
 	Path string
 	Rows int
@@ -137,51 +121,37 @@ func (b *Bucket) AddAll(other *Bucket) {
 	b.Spilled = append(b.Spilled, other.Spilled...)
 }
 
-// AllAggregated reports whether every run in the bucket is aggregated.
-func (b *Bucket) AllAggregated() bool {
-	for _, r := range b.Runs {
-		if !r.Aggregated {
-			return false
-		}
-	}
-	return true
-}
-
 // Writer accumulates rows for one output partition in chunks: the two-level
 // list-of-arrays structure. Chunk capacities grow geometrically from
 // firstChunkRows to the chunk size. The zero value is not usable; create
 // Writers with NewWriter.
 type Writer struct {
-	chunkRows  int
-	words      int
-	dropHashes bool
-	free       *Free
-	next       int // capacity of the next chunk; 0 = firstChunkRows
-	cur        *Run
-	sealed     []*Run
-	rows       int
+	chunkRows int
+	words     int
+	free      *Free
+	next      int // capacity of the next chunk; 0 = firstChunkRows
+	cur       *Run
+	sealed    []*Run
+	rows      int
 }
 
 // NewWriter returns a Writer producing chunks of at most chunkRows rows with
 // words aggregate state columns. chunkRows <= 0 selects DefaultChunkRows.
 func NewWriter(chunkRows, words int) *Writer {
-	return NewWriterFree(chunkRows, words, false, nil)
+	return NewWriterFree(chunkRows, words, nil)
 }
 
-// NewWriterFree is NewWriter with control over the hash column and over
-// where chunk columns come from. When dropHashes is set, appended hash
-// values are discarded and the produced runs have a nil hash column (the
-// paper's recompute-per-pass layout). Chunk columns are cut from free (nil
-// allocates fresh ones), from whichever goroutine appends, so free must
-// belong to that goroutine alone.
-func NewWriterFree(chunkRows, words int, dropHashes bool, free *Free) *Writer {
+// NewWriterFree is NewWriter with control over where chunk columns come
+// from: they are cut from free (nil allocates fresh ones), from whichever
+// goroutine appends, so free must belong to that goroutine alone.
+func NewWriterFree(chunkRows, words int, free *Free) *Writer {
 	if chunkRows <= 0 {
 		chunkRows = DefaultChunkRows
 	}
 	if words < 0 {
 		panic("runs: negative state word count")
 	}
-	return &Writer{chunkRows: chunkRows, words: words, dropHashes: dropHashes, free: free}
+	return &Writer{chunkRows: chunkRows, words: words, free: free}
 }
 
 // Rows returns the total number of rows appended so far.
@@ -205,13 +175,10 @@ func (w *Writer) grow() {
 	}
 	w.next = min(2*c, w.chunkRows)
 	r := &Run{
-		Keys:  w.free.Col(c)[:0:c],
-		owned: true,
+		Keys:   w.free.Col(c)[:0:c],
+		States: make([][]uint64, w.words),
+		owned:  true,
 	}
-	if !w.dropHashes {
-		r.Hashes = w.free.Col(c)[:0:c]
-	}
-	r.States = make([][]uint64, w.words)
 	for i := range r.States {
 		r.States[i] = w.free.Col(c)[:0:c]
 	}
@@ -220,14 +187,11 @@ func (w *Writer) grow() {
 
 // Append adds one row. state must have length words (ignored when words is
 // zero).
-func (w *Writer) Append(hash, key uint64, state []uint64) {
+func (w *Writer) Append(key uint64, state []uint64) {
 	if w.cur == nil {
 		w.grow()
 	}
 	r := w.cur
-	if !w.dropHashes {
-		r.Hashes = append(r.Hashes, hash)
-	}
 	r.Keys = append(r.Keys, key)
 	for i := 0; i < w.words; i++ {
 		r.States[i] = append(r.States[i], state[i])
@@ -242,16 +206,13 @@ func (w *Writer) Append(hash, key uint64, state []uint64) {
 // AppendBlock bulk-copies rows [from, to) of the given columns. This is the
 // flush path of the software-write-combining buffers: one copy per column
 // instead of per-row appends.
-func (w *Writer) AppendBlock(hashes, keys []uint64, states [][]uint64, from, to int) {
+func (w *Writer) AppendBlock(keys []uint64, states [][]uint64, from, to int) {
 	for from < to {
 		if w.cur == nil {
 			w.grow()
 		}
 		r := w.cur
 		n := min(to-from, cap(r.Keys)-len(r.Keys))
-		if !w.dropHashes {
-			r.Hashes = append(r.Hashes, hashes[from:from+n]...)
-		}
 		r.Keys = append(r.Keys, keys[from:from+n]...)
 		for i := 0; i < w.words; i++ {
 			r.States[i] = append(r.States[i], states[i][from:from+n]...)
@@ -282,45 +243,6 @@ func (w *Writer) SealInto(b *Bucket) {
 	for _, r := range w.Seal() {
 		b.Add(r)
 	}
-}
-
-// Concat merges all runs of a bucket into one contiguous run. It is used by
-// tests and by finalization paths that need a single dense fragment.
-func Concat(b *Bucket, words int) *Run {
-	n := b.Rows()
-	out := &Run{
-		Hashes: make([]uint64, 0, n),
-		Keys:   make([]uint64, 0, n),
-		States: make([][]uint64, words),
-	}
-	for i := range out.States {
-		out.States[i] = make([]uint64, 0, n)
-	}
-	agg := true
-	carry := true
-	for _, r := range b.Runs {
-		if r.Hashes == nil {
-			carry = false
-		}
-	}
-	for _, r := range b.Runs {
-		if carry {
-			out.Hashes = append(out.Hashes, r.Hashes...)
-		}
-		out.Keys = append(out.Keys, r.Keys...)
-		for i := 0; i < words; i++ {
-			out.States[i] = append(out.States[i], r.States[i]...)
-		}
-		agg = agg && r.Aggregated
-	}
-	if !carry {
-		out.Hashes = nil
-	}
-	// A concatenation of aggregated runs is NOT aggregated in general
-	// (the same key may occur in several source runs), except when there is
-	// at most one source run.
-	out.Aggregated = agg && len(b.Runs) <= 1
-	return out
 }
 
 // maxFreeClass is the largest size class a Free keeps: columns of up to
@@ -428,7 +350,6 @@ func (f *Free) Recycle(r *Run) {
 	if f == nil || !r.owned {
 		return
 	}
-	f.Put(r.Hashes)
 	f.Put(r.Keys)
 	for _, col := range r.States {
 		f.Put(col)

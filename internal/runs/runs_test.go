@@ -10,7 +10,7 @@ import (
 func TestWriterSingleChunk(t *testing.T) {
 	w := NewWriter(10, 2)
 	for i := 0; i < 5; i++ {
-		w.Append(uint64(i*100), uint64(i), []uint64{uint64(i), uint64(i * 2)})
+		w.Append(uint64(i), []uint64{uint64(i), uint64(i * 2)})
 	}
 	if w.Rows() != 5 {
 		t.Fatalf("Rows = %d, want 5", w.Rows())
@@ -24,9 +24,8 @@ func TestWriterSingleChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if r.Hashes[i] != uint64(i*100) || r.Keys[i] != uint64(i) ||
-			r.States[0][i] != uint64(i) || r.States[1][i] != uint64(i*2) {
-			t.Fatalf("row %d corrupted: %v %v %v", i, r.Hashes[i], r.Keys[i], r.States)
+		if r.Keys[i] != uint64(i) || r.States[0][i] != uint64(i) || r.States[1][i] != uint64(i*2) {
+			t.Fatalf("row %d corrupted: %v %v", i, r.Keys[i], r.States)
 		}
 	}
 }
@@ -34,7 +33,7 @@ func TestWriterSingleChunk(t *testing.T) {
 func TestWriterChunking(t *testing.T) {
 	w := NewWriter(4, 0)
 	for i := 0; i < 11; i++ {
-		w.Append(uint64(i), uint64(i), nil)
+		w.Append(uint64(i), nil)
 	}
 	rs := w.Seal()
 	if len(rs) != 3 {
@@ -57,7 +56,7 @@ func TestWriterChunking(t *testing.T) {
 
 func TestWriterSealTwice(t *testing.T) {
 	w := NewWriter(4, 0)
-	w.Append(1, 1, nil)
+	w.Append(1, nil)
 	first := w.Seal()
 	if len(first) != 1 {
 		t.Fatalf("first seal: %d runs", len(first))
@@ -67,7 +66,7 @@ func TestWriterSealTwice(t *testing.T) {
 		t.Fatalf("second seal should be empty, got %d runs", len(second))
 	}
 	// Writer remains usable.
-	w.Append(2, 2, nil)
+	w.Append(2, nil)
 	third := w.Seal()
 	if len(third) != 1 || third[0].Keys[0] != 2 {
 		t.Fatalf("writer unusable after seal: %v", third)
@@ -92,21 +91,19 @@ func TestWriterNegativeWordsPanics(t *testing.T) {
 
 func TestAppendBlockCrossesChunks(t *testing.T) {
 	const n = 100
-	hashes := make([]uint64, n)
 	keys := make([]uint64, n)
 	st := [][]uint64{make([]uint64, n)}
 	for i := 0; i < n; i++ {
-		hashes[i] = uint64(i) << 32
 		keys[i] = uint64(i)
 		st[0][i] = uint64(i * 3)
 	}
 	// The free list hands out power-of-two columns; a chunk cut from one
 	// must still stop at the deliberately awkward chunk size.
 	for _, free := range []*Free{nil, {}} {
-		w := NewWriterFree(7, 1, false, free)
-		w.AppendBlock(hashes, keys, st, 0, 60)
-		w.AppendBlock(hashes, keys, st, 60, 60) // empty range is a no-op
-		w.AppendBlock(hashes, keys, st, 60, n)
+		w := NewWriterFree(7, 1, free)
+		w.AppendBlock(keys, st, 0, 60)
+		w.AppendBlock(keys, st, 60, 60) // empty range is a no-op
+		w.AppendBlock(keys, st, 60, n)
 		if w.Rows() != n {
 			t.Fatalf("Rows = %d, want %d", w.Rows(), n)
 		}
@@ -117,12 +114,12 @@ func TestAppendBlockCrossesChunks(t *testing.T) {
 				t.Fatalf("run %d has %d rows, chunk size is 7", i, r.Len())
 			}
 		}
-		got := Concat(&b, 1)
+		got := flatten(&b, 1)
 		if got.Len() != n {
-			t.Fatalf("concat %d rows, want %d", got.Len(), n)
+			t.Fatalf("sealed %d rows, want %d", got.Len(), n)
 		}
 		for i := 0; i < n; i++ {
-			if got.Hashes[i] != hashes[i] || got.Keys[i] != keys[i] || got.States[0][i] != st[0][i] {
+			if got.Keys[i] != keys[i] || got.States[0][i] != st[0][i] {
 				t.Fatalf("row %d corrupted", i)
 			}
 		}
@@ -139,8 +136,8 @@ func TestWriterChunkGrowth(t *testing.T) {
 	}
 	keys := make([]uint64, total)
 	st := [][]uint64{make([]uint64, total)}
-	w := NewWriterFree(DefaultChunkRows, 1, true, &Free{})
-	w.AppendBlock(nil, keys, st, 0, total)
+	w := NewWriterFree(DefaultChunkRows, 1, &Free{})
+	w.AppendBlock(keys, st, 0, total)
 	rs := w.Seal()
 	if len(rs) != len(want) {
 		t.Fatalf("got %d chunks, want %d", len(rs), len(want))
@@ -157,13 +154,13 @@ func TestWriterChunkGrowth(t *testing.T) {
 func TestWriterReset(t *testing.T) {
 	w := NewWriter(0, 1)
 	for i := 0; i < 300; i++ {
-		w.Append(uint64(i), uint64(i), []uint64{1})
+		w.Append(uint64(i), []uint64{1})
 	}
 	w.Reset()
 	if w.Rows() != 0 || len(w.Seal()) != 0 {
 		t.Fatal("reset writer is not empty")
 	}
-	w.Append(5, 6, []uint64{7})
+	w.Append(6, []uint64{7})
 	rs := w.Seal()
 	if len(rs) != 1 || rs[0].Len() != 1 || rs[0].Keys[0] != 6 || rs[0].States[0][0] != 7 {
 		t.Fatalf("writer unusable after Reset: %+v", rs)
@@ -177,16 +174,16 @@ func TestWriterReset(t *testing.T) {
 // columns are cut again by the next writer on the same list.
 func TestRecycleReusesWriterColumns(t *testing.T) {
 	free := &Free{}
-	w := NewWriterFree(0, 1, true, free)
-	w.Append(0, 1, []uint64{2})
+	w := NewWriterFree(0, 1, free)
+	w.Append(1, []uint64{2})
 	r := w.Seal()[0]
 	backing := &r.Keys[:1][0]
 	free.Recycle(r)
 	if r.Len() != 0 || r.States != nil {
 		t.Fatal("recycled run still holds its columns")
 	}
-	w2 := NewWriterFree(0, 1, true, free)
-	w2.Append(0, 3, []uint64{4})
+	w2 := NewWriterFree(0, 1, free)
+	w2.Append(3, []uint64{4})
 	r2 := w2.Seal()[0]
 	if p := &r2.States[0][:1][0]; p != backing && &r2.Keys[:1][0] != backing {
 		t.Fatal("the next writer did not reuse the recycled column")
@@ -201,9 +198,9 @@ func TestRecycleReusesWriterColumns(t *testing.T) {
 func TestRecycleForeignRunIsNoop(t *testing.T) {
 	free := &Free{}
 	slab := []uint64{1, 2, 3, 4}
-	r := &Run{Keys: slab[:2], States: [][]uint64{slab[2:]}, Aggregated: true}
+	r := &Run{Keys: slab[:2], States: [][]uint64{slab[2:]}}
 	free.Recycle(r)
-	if r.Len() != 2 || len(r.States) != 1 || !r.Aggregated {
+	if r.Len() != 2 || len(r.States) != 1 {
 		t.Fatal("Recycle changed a run it does not own")
 	}
 	if col := free.Col(2); &col[0] == &slab[0] || &col[0] == &slab[2] {
@@ -219,8 +216,8 @@ func TestNilFree(t *testing.T) {
 		t.Fatalf("len = %d, want 5", len(col))
 	}
 	free.Put(col)
-	w := NewWriterFree(0, 2, false, free)
-	w.Append(1, 2, []uint64{3, 4})
+	w := NewWriterFree(0, 2, free)
+	w.Append(2, []uint64{3, 4})
 	r := w.Seal()[0]
 	free.Recycle(r)
 	if r.Len() != 1 || r.States[1][0] != 4 {
@@ -268,11 +265,9 @@ func TestWriterPreservesMultiset(t *testing.T) {
 	f := func(seed uint64, nSmall uint8) bool {
 		n := int(nSmall)%200 + 1
 		rng := xrand.NewXoshiro256(seed)
-		hashes := make([]uint64, n)
 		keys := make([]uint64, n)
 		st := [][]uint64{make([]uint64, n), make([]uint64, n)}
 		for i := 0; i < n; i++ {
-			hashes[i] = rng.Next()
 			keys[i] = rng.Next()
 			st[0][i] = rng.Next()
 			st[1][i] = rng.Next()
@@ -281,11 +276,11 @@ func TestWriterPreservesMultiset(t *testing.T) {
 		i := 0
 		for i < n {
 			if rng.Intn(2) == 0 {
-				w.Append(hashes[i], keys[i], []uint64{st[0][i], st[1][i]})
+				w.Append(keys[i], []uint64{st[0][i], st[1][i]})
 				i++
 			} else {
 				blk := 1 + rng.Intn(n-i)
-				w.AppendBlock(hashes, keys, st, i, i+blk)
+				w.AppendBlock(keys, st, i, i+blk)
 				i += blk
 			}
 		}
@@ -296,13 +291,12 @@ func TestWriterPreservesMultiset(t *testing.T) {
 				return false
 			}
 		}
-		got := Concat(&b, 2)
+		got := flatten(&b, 2)
 		if got.Len() != n {
 			return false
 		}
 		for i := 0; i < n; i++ {
-			if got.Hashes[i] != hashes[i] || got.Keys[i] != keys[i] ||
-				got.States[0][i] != st[0][i] || got.States[1][i] != st[1][i] {
+			if got.Keys[i] != keys[i] || got.States[0][i] != st[0][i] || got.States[1][i] != st[1][i] {
 				return false
 			}
 		}
@@ -314,19 +308,15 @@ func TestWriterPreservesMultiset(t *testing.T) {
 }
 
 func TestRunValidate(t *testing.T) {
-	good := &Run{Hashes: []uint64{1}, Keys: []uint64{2}, States: [][]uint64{{3}}}
+	good := &Run{Keys: []uint64{2}, States: [][]uint64{{3}}}
 	if err := good.Validate(1); err != nil {
 		t.Fatalf("unexpected error: %v", err)
 	}
-	badHash := &Run{Hashes: []uint64{1, 2}, Keys: []uint64{2}, States: [][]uint64{}}
-	if err := badHash.Validate(0); err == nil {
-		t.Fatal("expected hash/key mismatch error")
-	}
-	badWords := &Run{Hashes: []uint64{1}, Keys: []uint64{2}, States: [][]uint64{}}
+	badWords := &Run{Keys: []uint64{2}, States: [][]uint64{}}
 	if err := badWords.Validate(1); err == nil {
 		t.Fatal("expected word count error")
 	}
-	badCol := &Run{Hashes: []uint64{1}, Keys: []uint64{2}, States: [][]uint64{{3, 4}}}
+	badCol := &Run{Keys: []uint64{2}, States: [][]uint64{{3, 4}}}
 	if err := badCol.Validate(1); err == nil {
 		t.Fatal("expected column length error")
 	}
@@ -336,8 +326,8 @@ func TestBucketRowsAndAdd(t *testing.T) {
 	var b Bucket
 	b.Add(nil)
 	b.Add(&Run{}) // empty, dropped
-	b.Add(&Run{Hashes: []uint64{1}, Keys: []uint64{1}, States: [][]uint64{}})
-	b.Add(&Run{Hashes: []uint64{1, 2}, Keys: []uint64{1, 2}, States: [][]uint64{}})
+	b.Add(&Run{Keys: []uint64{1}, States: [][]uint64{}})
+	b.Add(&Run{Keys: []uint64{1, 2}, States: [][]uint64{}})
 	if len(b.Runs) != 2 {
 		t.Fatalf("Runs = %d, want 2", len(b.Runs))
 	}
@@ -348,54 +338,11 @@ func TestBucketRowsAndAdd(t *testing.T) {
 
 func TestBucketAddAll(t *testing.T) {
 	var a, b Bucket
-	a.Add(&Run{Hashes: []uint64{1}, Keys: []uint64{1}, States: [][]uint64{}})
-	b.Add(&Run{Hashes: []uint64{2}, Keys: []uint64{2}, States: [][]uint64{}})
+	a.Add(&Run{Keys: []uint64{1}, States: [][]uint64{}})
+	b.Add(&Run{Keys: []uint64{2}, States: [][]uint64{}})
 	a.AddAll(&b)
 	if a.Rows() != 2 {
 		t.Fatalf("Rows = %d, want 2", a.Rows())
-	}
-}
-
-func TestBucketAllAggregated(t *testing.T) {
-	var b Bucket
-	if !b.AllAggregated() {
-		t.Fatal("empty bucket should report aggregated")
-	}
-	b.Add(&Run{Hashes: []uint64{1}, Keys: []uint64{1}, States: [][]uint64{}, Aggregated: true})
-	if !b.AllAggregated() {
-		t.Fatal("single aggregated run")
-	}
-	b.Add(&Run{Hashes: []uint64{2}, Keys: []uint64{2}, States: [][]uint64{}})
-	if b.AllAggregated() {
-		t.Fatal("mixed bucket should not report aggregated")
-	}
-}
-
-func TestConcatAggregatedFlag(t *testing.T) {
-	mk := func(k uint64, aggr bool) *Run {
-		return &Run{Hashes: []uint64{k}, Keys: []uint64{k}, States: [][]uint64{}, Aggregated: aggr}
-	}
-	var one Bucket
-	one.Add(mk(1, true))
-	if !Concat(&one, 0).Aggregated {
-		t.Fatal("single aggregated run should stay aggregated")
-	}
-	var two Bucket
-	two.Add(mk(1, true))
-	two.Add(mk(1, true))
-	if Concat(&two, 0).Aggregated {
-		t.Fatal("two aggregated runs may share keys; concat must not be aggregated")
-	}
-}
-
-func TestConcatEmpty(t *testing.T) {
-	var b Bucket
-	r := Concat(&b, 3)
-	if r.Len() != 0 {
-		t.Fatalf("Len = %d", r.Len())
-	}
-	if err := r.Validate(3); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -404,58 +351,30 @@ func BenchmarkAppend(b *testing.B) {
 	st := []uint64{7}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		w.Append(uint64(i), uint64(i), st)
+		w.Append(uint64(i), st)
 	}
 }
 
 func BenchmarkAppendBlock64(b *testing.B) {
 	const blk = 64
-	hashes := make([]uint64, blk)
 	keys := make([]uint64, blk)
 	st := [][]uint64{make([]uint64, blk)}
 	w := NewWriter(DefaultChunkRows, 1)
-	b.SetBytes(blk * 24)
+	b.SetBytes(blk * 16)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		w.AppendBlock(hashes, keys, st, 0, blk)
+		w.AppendBlock(keys, st, 0, blk)
 	}
 }
 
-func TestNewWriterDrop(t *testing.T) {
-	w := NewWriterFree(4, 1, true, nil)
-	w.Append(123, 7, []uint64{9})
-	// AppendBlock with a nil hash column must be legal in drop mode.
-	w.AppendBlock(nil, []uint64{8, 9}, [][]uint64{{1, 2}}, 0, 2)
-	rs := w.Seal()
-	total := 0
-	for _, r := range rs {
-		if r.Hashes != nil {
-			t.Fatal("drop writer produced a hash column")
+// flatten concatenates the in-memory runs of b into one run, in order.
+func flatten(b *Bucket, words int) *Run {
+	out := &Run{States: make([][]uint64, words)}
+	for _, r := range b.Runs {
+		out.Keys = append(out.Keys, r.Keys...)
+		for w := range out.States {
+			out.States[w] = append(out.States[w], r.States[w]...)
 		}
-		if err := r.Validate(1); err != nil {
-			t.Fatal(err)
-		}
-		total += r.Len()
 	}
-	if total != 3 {
-		t.Fatalf("rows = %d", total)
-	}
-}
-
-func TestConcatMixedHashCarry(t *testing.T) {
-	// Concatenating a carried and a dropped run must drop hashes (the
-	// lowest common denominator) rather than produce ragged columns.
-	var b Bucket
-	b.Add(&Run{Hashes: []uint64{1}, Keys: []uint64{1}, States: [][]uint64{}})
-	b.Add(&Run{Keys: []uint64{2}, States: [][]uint64{}})
-	r := Concat(&b, 0)
-	if r.Hashes != nil {
-		t.Fatal("mixed concat should drop hashes")
-	}
-	if r.Len() != 2 {
-		t.Fatalf("rows = %d", r.Len())
-	}
-	if err := r.Validate(0); err != nil {
-		t.Fatal(err)
-	}
+	return out
 }
