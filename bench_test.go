@@ -598,8 +598,8 @@ func insertCases() []figCase {
 			})
 			return func() figOut {
 				ht.Reset()
-				for i, key := range keys {
-					if !ht.InsertState(hs[i], key, nil, nil) {
+				for i := range keys {
+					if !ht.InsertState(hs[i], nil, nil) {
 						ht.Reset()
 					}
 				}
@@ -677,40 +677,46 @@ func BenchmarkTblColumnar(b *testing.B) { benchFig(b, columnarCases()) }
 func TestTblColumnarSmoke(t *testing.T) { smokeFig(t, columnarCases()) }
 
 // --- Ablation: hash storage in runs. The paper's runs hold only keys and
-// recompute the hash every pass; carrying it trades ~1 ns of MurmurHash2
-// per row per pass against 8 bytes of memory traffic per row per pass in
-// each direction. The operator keeps only the paper's layout, so the
-// ablation replays one recursion pass at layer level: scatter the rows by
-// their level-0 digit into runs, then merge each partition's runs into a
-// level-1 table. recompute re-hashes the keys at the merge; carry moves the
-// hash along as one more run column and merges through it. ---
+// recompute the hash every pass; carrying it beside the key trades ~1 ns of
+// MurmurHash2 per row per pass against 8 bytes of memory traffic per row
+// per pass in each direction. Murmur2 on a uint64 is a bijection, so the
+// hash can also replace the key. The ablation replays one recursion pass
+// at layer level: scatter the rows by their level-0 digit into runs, then
+// merge each partition's runs into a level-1 table, which compares hashes
+// only. recompute runs hold keys and re-hash them at the merge; carry runs
+// hold keys and the hash as one more column, and merge through it; hashkey
+// runs hold the hash in the key column, the operator's layout, and merge
+// with no re-hash. ---
+
+// hashLayouts are the run layouts of the hash-storage ablation.
+var hashLayouts = []string{"recompute", "carry", "hashkey"}
 
 func ablationCases() []figCase {
 	var cases []figCase
 	for _, k := range []int{10, 16, 19} {
-		for _, carry := range []bool{false, true} {
-			name := "recompute"
-			if carry {
-				name = "carry"
-			}
-			cases = append(cases, figCase{name: fmt.Sprintf("%s/K=2^%d", name, k),
+		for _, layout := range hashLayouts {
+			cases = append(cases, figCase{name: fmt.Sprintf("%s/K=2^%d", layout, k),
 				setup: func(tb testing.TB, n int) (func() figOut, []uint64) {
 					keys := keysAt(uniform(k), n)
-					return hashStoragePass(tb, keys, carry), keys
+					return hashStoragePass(tb, keys, layout), keys
 				}})
 		}
 	}
 	return cases
 }
 
-// hashStoragePass returns one recursion pass over keys in the chosen run
+// hashStoragePass returns one recursion pass over keys in the named run
 // layout, reporting the groups the level-1 tables found.
-func hashStoragePass(tb testing.TB, keys []uint64, carry bool) func() figOut {
+func hashStoragePass(tb testing.TB, keys []uint64, layout string) func() figOut {
 	hs := make([]uint64, len(keys))
 	hashfn.HashBatch(keys, hs)
 	var states [][]uint64 // the run columns beside the key
-	if carry {
+	col := keys           // the run's key column
+	switch layout {
+	case "carry":
 		states = [][]uint64{hs}
+	case "hashkey":
+		col = hs
 	}
 	free := &runs.Free{}
 	scat := partition.New(partition.Config{Words: len(states), Free: free})
@@ -725,17 +731,21 @@ func hashStoragePass(tb testing.TB, keys []uint64, carry bool) func() figOut {
 	scratch := make([]uint64, runs.DefaultChunkRows)
 	return func() figOut {
 		scat.Reset(0)
-		scat.Scatter(hs, keys, states)
+		scat.Scatter(hs, col, states)
 		groups := 0
 		for _, part := range scat.Seal() {
 			for _, r := range part {
-				h := scratch[:r.Len()]
-				if carry {
-					h = r.States[0]
-				} else {
+				var h []uint64
+				switch layout {
+				case "recompute":
+					h = scratch[:r.Len()]
 					hashfn.HashBatch(r.Keys, h)
+				case "carry":
+					h = r.States[0]
+				case "hashkey":
+					h = r.Keys
 				}
-				if m := table.InsertStateBatch(h, r.Keys, nil, 0, kern); m < r.Len() {
+				if m := table.InsertStateBatch(h, nil, nil, 0, kern); m < r.Len() {
 					tb.Fatalf("level-1 table full after %d of %d rows", m, r.Len())
 				}
 				free.Recycle(r)

@@ -46,7 +46,7 @@ func drainInsertScalar(tb *hashtable.Table, keys []uint64, cols [][]int64, ops [
 	splits := 0
 	for i := 0; i < len(keys); {
 		h := hashfn.Murmur2(keys[i])
-		if !tb.InsertRawCols(h, keys[i], cols, i, ops) {
+		if !tb.InsertRawCols(h, cols, i, ops) {
 			tb.SplitRuns()
 			splits++
 			continue

@@ -10,10 +10,11 @@
 //     only as wide as there are morsels). Each worker runs the strategy's
 //     per-run decision loop into a hash table sized to the input, producing
 //     level-0 runs grouped into 256 buckets by the most significant hash
-//     digit. Rows get their 64-bit MurmurHash2 digest here — every later
-//     pass recomputes it from the key, as runs hold only keys and states —
-//     and their aggregate states are initialized (so all deeper merges
-//     uniformly use super-aggregate functions). When no worker split a
+//     digit. Rows get their 64-bit MurmurHash2 digest here, once — tables
+//     and runs keep the hash in place of the key (Murmur2 on a uint64 is
+//     a bijection), later passes read it from the run, and emitting a
+//     group recovers its key — and their aggregate states are initialized
+//     (so all deeper merges uniformly use super-aggregate functions). When no worker split a
 //     table or scattered a row, and the run has no spill target, the
 //     intake tables hold the final aggregates: they are
 //     emitted directly, through the largest one when several workers took

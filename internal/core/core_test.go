@@ -486,9 +486,10 @@ func TestModeString(t *testing.T) {
 	}
 }
 
-// TestResultHashesAreRecomputed: runs hold keys and states only, so every
-// pass re-derives a row's hash from its key; each output row's hash must be
-// exactly its key's Murmur2, under every strategy, and the result exact.
+// TestResultHashesAreRecomputed: runs carry the hash in place of the key
+// and emitting a group recovers its key from it; each output row's hash
+// must be exactly its key's Murmur2, under every strategy, and the result
+// exact.
 func TestResultHashesAreRecomputed(t *testing.T) {
 	keys := datagen.Generate(datagen.Spec{Dist: datagen.MovingCluster, N: 80000, K: 40000, Seed: 23})
 	vals := make([]int64, len(keys))

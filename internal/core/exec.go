@@ -48,7 +48,7 @@ func cacheRows(cacheBytes, words int) int {
 // chunkRowBytes is one output-chunk row: hash, key and state words.
 func chunkRowBytes(words int) int64 { return int64(8 * (2 + words)) }
 
-// runRowBytes is one intermediate-run row: key and state words.
+// runRowBytes is one intermediate-run row: hash and state words.
 func runRowBytes(words int) int64 { return int64(8 * (1 + words)) }
 
 // workerBytes is one worker's fixed machinery: a table of tableRows slots,
@@ -651,36 +651,36 @@ func (e *exec) finishIntake() {
 }
 
 // absorbIntake merges every other intake table into target's through their
-// emitted columns, hashes included, and reports true; it leaves
-// every table as it was and reports false when the union might not fit
-// target. The pre-check bounds the union by the sum of the tables, in rows
-// against target's fill limit and per block against the block's slots, so
-// the merge cannot fail halfway.
+// emitted hash and state columns, and reports true; it leaves every table
+// as it was and reports false when the union might not fit target. The
+// pre-check bounds the union by target's rows plus the other tables' rows
+// whose hash target lacks, in rows against target's fill limit and per
+// block against the block's slots, so the merge cannot fail halfway. The
+// bound is exact for two tables; beyond, it counts a group new to target
+// once per other table that holds it.
 func (e *exec) absorbIntake(target *workerState) bool {
 	blockRows := target.table.CapacityRows() / hashfn.Fanout
 	var occ [hashfn.Fanout]int
 	total := 0
-	type columns struct {
-		hashes []uint64
-		runs.Run
-	}
-	emitted := make([]columns, len(e.workers))
+	emitted := make([]runs.Run, len(e.workers))
 	for w := range e.workers {
 		ws, r := &e.workers[w], &emitted[w]
 		n := ws.table.Len()
 		if n == 0 {
 			continue
 		}
-		total += n
 		e.timed(ws, 0, func() {
 			t0 := e.stamp()
-			r.hashes, r.Keys, r.States = ws.free.Col(n), ws.free.Col(n), make([][]uint64, e.words)
+			r.Keys, r.States = ws.free.Col(n), make([][]uint64, e.words)
 			for i := range r.States {
 				r.States[i] = ws.free.Col(n)
 			}
-			ws.table.EmitColumns(r.hashes, r.Keys, r.States)
-			for _, h := range r.hashes {
-				occ[hashfn.Digit(h, 0)]++
+			ws.table.EmitColumns(r.Keys, nil, r.States)
+			for _, h := range r.Keys {
+				if ws == target || !target.table.Contains(h) {
+					occ[hashfn.Digit(h, 0)]++
+					total++
+				}
 			}
 			e.lap(t0, trace.PhaseSplit)
 		})
@@ -697,14 +697,13 @@ func (e *exec) absorbIntake(target *workerState) bool {
 				continue
 			}
 			if fits && ws != target {
-				m := target.table.InsertStateBatch(r.hashes, r.Keys, r.States, 0, e.kern)
+				m := target.table.InsertStateBatch(r.Keys, nil, r.States, 0, e.kern)
 				target.stats.hashedRows += int64(m)
 				if m < r.Len() {
 					panic("core: intake absorb overflowed")
 				}
 				ws.table.Reset()
 			}
-			ws.free.Put(r.hashes)
 			ws.free.Put(r.Keys)
 			for _, col := range r.States {
 				ws.free.Put(col)
@@ -733,7 +732,7 @@ func (e *exec) hashRaw(ws *workerState, st StrategyState, table *hashtable.Table
 		hashfn.HashBatch(keys[i:i+blk], hs)
 		done := 0
 		for done < blk {
-			n := table.InsertRawBatch(hs[done:blk], keys[i+done:i+blk], cols, i+done, e.kern)
+			n := table.InsertRawBatch(hs[done:blk], nil, cols, i+done, e.kern)
 			done += n
 			ws.stats.hashedRows += int64(n)
 			if done == blk {
@@ -770,8 +769,8 @@ func (e *exec) hashRaw(ws *workerState, st StrategyState, table *hashtable.Table
 }
 
 // scatterRaw hashes a block of raw rows, materializes their initial
-// aggregate states, and scatters them (the intake variant of the
-// PARTITIONING routine).
+// aggregate states, and scatters hashes and states (the intake variant of
+// the PARTITIONING routine).
 func (e *exec) scatterRaw(ws *workerState, scat *partition.Scatterer,
 	keys []uint64, cols [][]int64, lo, hi int) {
 	n := hi - lo
@@ -791,7 +790,7 @@ func (e *exec) scatterRaw(ws *workerState, scat *partition.Scatterer,
 		}
 	}
 	views := ws.sliceStates(ws.stateScratch, 0, n)
-	scat.Scatter(hs, keys[lo:hi], views)
+	scat.Scatter(hs, hs, views)
 	ws.mem.Reserve(int64(n) * e.interRow)
 }
 
@@ -882,11 +881,11 @@ func (e *exec) processBucket(ctx *sched.Ctx, b *runs.Bucket, level int, prefix u
 func (e *exec) doBucket(ctx *sched.Ctx, ws *workerState, b *runs.Bucket, level int, prefix uint64) []child {
 	n := b.Rows()
 
-	// Out of hash digits: all rows share the full 64-bit hash. Finalize
-	// with a table sized to the bucket (a 64-bit collision bucket is
-	// tiny). The level is passed through unclamped so the chunk sort key
-	// keeps the full 64-bit prefix; finalizeGrown clamps the table level
-	// itself.
+	// Out of hash digits: all rows share the full 64-bit hash, which is
+	// the group, so the bucket holds one key. Finalize with a table sized
+	// to the bucket. The level is passed through unclamped so the chunk
+	// sort key keeps the full 64-bit prefix; finalizeGrown clamps the
+	// table level itself.
 	if level >= hashfn.MaxLevels {
 		e.finalizeGrown(ctx, ws, b, prefix, level)
 		return nil
@@ -929,9 +928,8 @@ func (e *exec) doBucket(ctx *sched.Ctx, ws *workerState, b *runs.Bucket, level i
 			case ModePartition:
 				blk := min(r.Len()-i, scratchRows)
 				t0 := e.stamp()
-				hs := ws.hashScratch[:blk]
-				hashfn.HashBatch(r.Keys[i:i+blk], hs)
-				scat.Scatter(hs, r.Keys[i:i+blk], ws.sliceStates(r.States, i, i+blk))
+				hs := r.Keys[i : i+blk] // the run carries the hash
+				scat.Scatter(hs, hs, ws.sliceStates(r.States, i, i+blk))
 				e.lap(t0, trace.PhaseScatter)
 				st.OnPartitioned(blk)
 				ws.stats.partitionedRows += int64(blk)
@@ -993,9 +991,8 @@ func (e *exec) doBucket(ctx *sched.Ctx, ws *workerState, b *runs.Bucket, level i
 // the run ends. On fill it splits the table into sub and informs the
 // strategy; emitted reports whether a split happened.
 //
-// Like hashRaw, the loop is batch-at-a-time: a block's hashes are
-// recomputed from its keys morsel-wide, and rows are absorbed through the
-// software-pipelined batch merge.
+// Like hashRaw, the loop is batch-at-a-time: the run carries its hashes,
+// and rows are absorbed through the software-pipelined batch merge.
 func (e *exec) hashRun(ws *workerState, st StrategyState, table *hashtable.Table,
 	r *runs.Run, start int, sub []runs.Bucket, level int, prefix uint64) (next int, emitted bool) {
 	i := start
@@ -1003,11 +1000,10 @@ func (e *exec) hashRun(ws *workerState, st StrategyState, table *hashtable.Table
 	t0 := e.stamp()
 	for i < n {
 		blk := min(n-i, scratchRows)
-		hs := ws.hashScratch[:blk]
-		hashfn.HashBatch(r.Keys[i:i+blk], hs)
+		hs := r.Keys[i : i+blk]
 		done := 0
 		for done < blk {
-			m := table.InsertStateBatch(hs[done:blk], r.Keys[i+done:i+blk], r.States, i+done, e.kern)
+			m := table.InsertStateBatch(hs[done:], nil, r.States, i+done, e.kern)
 			done += m
 			ws.stats.hashedRows += int64(m)
 			if done == blk {
@@ -1075,15 +1071,13 @@ func (e *exec) finalizeLeaf(ctx *sched.Ctx, ws *workerState, b *runs.Bucket, lev
 	e.finalize(ctx, ws, b, e.leafTable(ws, b.Rows(), level), prefix, level)
 }
 
-// absorbRun feeds an entire run through the batch merge path into table,
-// reporting false if the table cannot hold it.
+// absorbRun feeds an entire run, hashes carried, through the batch merge
+// path into table, reporting false if the table cannot hold it.
 func (e *exec) absorbRun(ws *workerState, table *hashtable.Table, r *runs.Run) bool {
 	n := r.Len()
 	for i := 0; i < n; {
 		blk := min(n-i, scratchRows)
-		hs := ws.hashScratch[:blk]
-		hashfn.HashBatch(r.Keys[i:i+blk], hs)
-		m := table.InsertStateBatch(hs, r.Keys[i:i+blk], r.States, i, e.kern)
+		m := table.InsertStateBatch(r.Keys[i:i+blk], nil, r.States, i, e.kern)
 		ws.stats.hashedRows += int64(m)
 		if m < blk {
 			return false
@@ -1096,7 +1090,7 @@ func (e *exec) absorbRun(ws *workerState, table *hashtable.Table, r *runs.Run) b
 // finalizeGrown aggregates a bucket with a single hashing pass whose
 // unblocked table is sized to the bucket's row count, growing beyond the
 // cache budget if necessary. Used for fixed-pass strategies (ModeFinal)
-// and for 64-bit hash-collision buckets.
+// and for buckets past the last digit, which hold one key each.
 func (e *exec) finalizeGrown(ctx *sched.Ctx, ws *workerState, b *runs.Bucket, prefix uint64, level int) {
 	n := b.Rows()
 	capRows := 64
@@ -1156,7 +1150,8 @@ func (e *exec) finalize(ctx *sched.Ctx, ws *workerState, b *runs.Bucket, table *
 // emitTable converts the table's contents into an output chunk tagged with
 // the bucket's prefix and hands it to the collector. Rows are emitted in
 // block order, i.e. ordered by the next hash digit — concatenating all
-// chunks in prefix order yields the hash-ordered result. The chunk's columns
+// chunks in prefix order yields the hash-ordered result. Keys are
+// recovered from the hashes here, once per group. The chunk's columns
 // come from the worker's free list; assemble gives them to the list of
 // the worker that finalizes the chunk.
 func (e *exec) emitTable(ws *workerState, table *hashtable.Table, prefix uint64, level int) {

@@ -3,8 +3,9 @@ package core
 // White-box tests for engine paths that are hard to reach through the
 // public surface: forced finalization at hash-digit exhaustion, a leaf
 // whose keys share one probe start, direct table emission, and chunk
-// ordering. Runs hold keys only, so each test reaches its path with real
-// keys found by searching their Murmur2 hashes.
+// ordering. Runs carry the hash, so each test builds its runs from the
+// hashes of real keys found by searching Murmur2, and the emitted keys are
+// those keys recovered.
 
 import (
 	"context"
@@ -45,15 +46,16 @@ func assembled(t *testing.T, e *exec) *Result {
 	return res
 }
 
-// keysWhere returns the n smallest keys whose Murmur2 hash satisfies pred.
-func keysWhere(n int, pred func(h uint64) bool) []uint64 {
-	var keys []uint64
-	for k := uint64(0); len(keys) < n; k++ {
-		if pred(hashfn.Murmur2(k)) {
-			keys = append(keys, k)
+// hashesWhere returns the Murmur2 hashes of the n smallest keys whose
+// hash satisfies pred: a run column as the engine carries it.
+func hashesWhere(n int, pred func(h uint64) bool) []uint64 {
+	var hashes []uint64
+	for k := uint64(0); len(hashes) < n; k++ {
+		if h := hashfn.Murmur2(k); pred(h) {
+			hashes = append(hashes, h)
 		}
 	}
-	return keys
+	return hashes
 }
 
 // runBucketTask drives processBucket through the pool like the engine does.
@@ -68,7 +70,7 @@ func TestForcedFinalizationAtMaxLevels(t *testing.T) {
 	e := mkExec(nil, nil, nil)
 	const n = 100
 	r := &runs.Run{
-		Keys:   keysWhere(n, func(h uint64) bool { return hashfn.Digit(h, 0) == 0x5A }),
+		Keys:   hashesWhere(n, func(h uint64) bool { return hashfn.Digit(h, 0) == 0x5A }),
 		States: [][]uint64{},
 	}
 	var b runs.Bucket
@@ -79,9 +81,9 @@ func TestForcedFinalizationAtMaxLevels(t *testing.T) {
 		t.Fatalf("MaxLevels bucket produced %d groups, want %d", res.Groups(), n)
 	}
 	seen := map[uint64]bool{}
-	for _, k := range res.Keys {
-		if seen[k] {
-			t.Fatalf("duplicate key %d", k)
+	for i, k := range res.Keys {
+		if seen[k] || hashfn.Murmur2(k) != res.Hashes[i] || hashfn.Digit(res.Hashes[i], 0) != 0x5A {
+			t.Fatalf("row %d: key %d, hash %#x, seen before %v", i, k, res.Hashes[i], seen[k])
 		}
 		seen[k] = true
 	}
@@ -93,7 +95,7 @@ func TestForcedFinalizationMergesDuplicates(t *testing.T) {
 	e := mkExec(specs, nil, nil)
 	r := &runs.Run{States: [][]uint64{{}}}
 	for i := 0; i < 30; i++ {
-		r.Keys = append(r.Keys, uint64(i%3))
+		r.Keys = append(r.Keys, hashfn.Murmur2(uint64(i%3)))
 		r.States[0] = append(r.States[0], 1) // COUNT partial of 1
 	}
 	var b runs.Bucket
@@ -104,7 +106,7 @@ func TestForcedFinalizationMergesDuplicates(t *testing.T) {
 		t.Fatalf("got %d groups, want 3", res.Groups())
 	}
 	for i := range res.Keys {
-		if res.Aggs[0][i] != 10 {
+		if res.Aggs[0][i] != 10 || res.Keys[i] > 2 {
 			t.Fatalf("key %d count %d, want 10", res.Keys[i], res.Aggs[0][i])
 		}
 	}
@@ -123,7 +125,7 @@ func TestLeafBlockOverflowFallsBackToGrownTable(t *testing.T) {
 	// table of up to 4096 slots; the 300 rows' leaf table has 2048.
 	const n = 300 // more than blockRows = capRows/256 for a 32 KiB table
 	r := &runs.Run{
-		Keys:   keysWhere(n, func(h uint64) bool { return h&0xFFF == 0x2A5 }),
+		Keys:   hashesWhere(n, func(h uint64) bool { return h&0xFFF == 0x2A5 }),
 		States: [][]uint64{},
 	}
 	var b runs.Bucket
@@ -145,7 +147,7 @@ func TestEmitTableChunkOrdering(t *testing.T) {
 	e := mkExec(nil, nil, nil)
 	mkBucket := func(digit int) *runs.Bucket {
 		r := &runs.Run{
-			Keys:   keysWhere(50, func(h uint64) bool { return hashfn.Digit(h, 0) == digit }),
+			Keys:   hashesWhere(50, func(h uint64) bool { return hashfn.Digit(h, 0) == digit }),
 			States: [][]uint64{},
 		}
 		var b runs.Bucket
@@ -181,7 +183,7 @@ func TestDirectEmitOnLowCardinalityBucket(t *testing.T) {
 		t.Skipf("finalRows %d too large", e.finalRows)
 	}
 	for i := 0; i < n; i++ {
-		r.Keys = append(r.Keys, uint64(i%7))
+		r.Keys = append(r.Keys, hashfn.Murmur2(uint64(i%7)))
 	}
 	var b runs.Bucket
 	b.Add(r)

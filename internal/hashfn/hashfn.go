@@ -92,6 +92,74 @@ func HashBatch(keys []uint64, out []uint64) {
 	}
 }
 
+// murmur2Inv is the multiplicative inverse of Murmur2's constant m modulo
+// 2^64: m·murmur2Inv = 1.
+const murmur2Inv uint64 = 0x5f7a0ea7e59b19bd
+
+// Murmur2Inverse returns the key whose Murmur2 is h. Murmur2 on one uint64
+// is a bijection — every step is an odd multiply, which inverts by the
+// inverse constant, an xor with the constant seed prefix, or a 47-bit
+// xorshift, which is its own inverse because 2·47 ≥ 64 — so the hash
+// carries exactly the information of the key, and the operator keeps the
+// hash alone until it emits a group.
+func Murmur2Inverse(h uint64) uint64 {
+	const m uint64 = 0xc6a4a7935bd1e995
+	const r = 47
+	var klen uint64 = 8
+	h ^= h >> r
+	h *= murmur2Inv
+	h ^= h >> r
+	h *= murmur2Inv
+	k := h ^ Murmur2Seed ^ (klen * m)
+	k *= murmur2Inv
+	k ^= k >> r
+	return k * murmur2Inv
+}
+
+// InverseBatch computes Murmur2Inverse of every hash into out, which must
+// be at least as long as hashes: the batched key recovery of the emit
+// path, written like HashBatch (four independent lanes per iteration, the
+// seed prefix hoisted out).
+func InverseBatch(hashes []uint64, out []uint64) {
+	const m uint64 = 0xc6a4a7935bd1e995
+	const r = 47
+	var klen uint64 = 8
+	h0 := Murmur2Seed ^ (klen * m)
+	_ = out[:len(hashes)] // one bounds check for the whole batch
+	i := 0
+	for ; i+4 <= len(hashes); i += 4 {
+		x0, x1, x2, x3 := hashes[i], hashes[i+1], hashes[i+2], hashes[i+3]
+		x0 ^= x0 >> r
+		x1 ^= x1 >> r
+		x2 ^= x2 >> r
+		x3 ^= x3 >> r
+		x0 *= murmur2Inv
+		x1 *= murmur2Inv
+		x2 *= murmur2Inv
+		x3 *= murmur2Inv
+		x0 ^= x0 >> r
+		x1 ^= x1 >> r
+		x2 ^= x2 >> r
+		x3 ^= x3 >> r
+		k0 := (x0*murmur2Inv ^ h0) * murmur2Inv
+		k1 := (x1*murmur2Inv ^ h0) * murmur2Inv
+		k2 := (x2*murmur2Inv ^ h0) * murmur2Inv
+		k3 := (x3*murmur2Inv ^ h0) * murmur2Inv
+		out[i] = (k0 ^ k0>>r) * murmur2Inv
+		out[i+1] = (k1 ^ k1>>r) * murmur2Inv
+		out[i+2] = (k2 ^ k2>>r) * murmur2Inv
+		out[i+3] = (k3 ^ k3>>r) * murmur2Inv
+	}
+	for ; i < len(hashes); i++ {
+		x := hashes[i]
+		x ^= x >> r
+		x *= murmur2Inv
+		x ^= x >> r
+		k := (x*murmur2Inv ^ h0) * murmur2Inv
+		out[i] = (k ^ k>>r) * murmur2Inv
+	}
+}
+
 // Murmur2WithSeed is Murmur2 with an explicit seed, used where independent
 // hash functions are needed (e.g. tests of collision behaviour).
 func Murmur2WithSeed(key, seed uint64) uint64 {

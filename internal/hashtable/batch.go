@@ -44,22 +44,22 @@ func (t *Table) slotScratch(n int) []int32 {
 	return t.batchSlots[:n]
 }
 
-// claimBatch assigns a slot to each of the n batch rows (hashes[j],
-// keys[j]), claiming fresh slots — initialized to the per-word identity —
-// for keys not yet present. It returns the number of rows claimed; a return
+// claimBatch assigns a slot to each of the n batch rows by its hash
+// hashes[j], claiming fresh slots — initialized to the per-word identity —
+// for groups not yet present. It returns the number of rows claimed; a return
 // m < n means row m hit the fill limit or an exhausted block (and rows
 // m..n-1 were not touched). rowsIn/rows accounting matches the scalar path
 // exactly (rowsIn is bumped once per absorbed row, merely batched).
-func (t *Table) claimBatch(hashes, keys []uint64, slots []int32, ops []agg.WordOp) int {
+func (t *Table) claimBatch(hashes []uint64, slots []int32, ops []agg.WordOp) int {
 	var s0 [pipelineWidth]int32
 	// Hoist the table columns into locals: the compiler cannot otherwise
 	// prove the receiver's fields stable across the stores below, and the
 	// reloads show up at this loop's per-row scale.
-	version, hs, ks := t.version, t.hashes, t.keys
+	version, hs := t.version, t.hashes
 	epoch := t.epoch
 	blockShift, blockHigh, blockMask := t.shift, uint64(t.blocks-1), t.blockMask
 	blockRows := t.blockRows
-	n := len(keys)
+	n := len(hashes)
 	j := 0
 	for j < n {
 		g := n - j
@@ -84,10 +84,10 @@ func (t *Table) claimBatch(hashes, keys []uint64, slots []int32, ops []agg.WordO
 		// group, so the common path touches only the pre-warmed line.
 	resolve:
 		for x := 0; x < g; x++ {
-			h, k := hashes[j+x], keys[j+x]
+			h := hashes[j+x]
 			s := int(s0[x])
 			if version[s] == epoch {
-				if hs[s] == h && ks[s] == k {
+				if hs[s] == h {
 					slots[j+x] = int32(s)
 					continue
 				}
@@ -104,7 +104,7 @@ func (t *Table) claimBatch(hashes, keys []uint64, slots []int32, ops []agg.WordO
 						free = s2
 						break
 					}
-					if hs[s2] == h && ks[s2] == k {
+					if hs[s2] == h {
 						slots[j+x] = int32(s2)
 						continue resolve
 					}
@@ -122,7 +122,6 @@ func (t *Table) claimBatch(hashes, keys []uint64, slots []int32, ops []agg.WordO
 			}
 			version[s] = epoch
 			hs[s] = h
-			ks[s] = k
 			for w := range ops {
 				t.states[w][s] = ops[w].Op.Identity()
 			}
@@ -135,18 +134,19 @@ func (t *Table) claimBatch(hashes, keys []uint64, slots []int32, ops []agg.WordO
 	return n
 }
 
-// InsertRawBatch inserts (or folds) a batch of raw input rows. hashes and
-// keys are batch-aligned (row j of the batch is hashes[j]/keys[j] and
-// corresponds to global row lo+j of the full input columns cols). It
-// returns the number of rows absorbed; a short count means the table is
-// full at the first unconsumed row and the caller must split and retry,
-// exactly like a false return from the scalar InsertRawCols.
+// InsertRawBatch inserts (or folds) a batch of raw input rows. Row j of the
+// batch is hashes[j] and corresponds to global row lo+j of the full input
+// columns cols. The hash is the group, so keys is unused: it stays in the
+// signature for callers that still pass their key column. It returns the
+// number of rows absorbed; a short count means the table is full at the
+// first unconsumed row and the caller must split and retry, exactly like a
+// false return from the scalar InsertRawCols.
 func (t *Table) InsertRawBatch(hashes, keys []uint64, cols [][]int64, lo int, kern *agg.Kernels) int {
 	if t.capRows > math.MaxInt32 {
-		return t.insertRawScalar(hashes, keys, cols, lo, kern.Ops)
+		return t.insertRawScalar(hashes, cols, lo, kern.Ops)
 	}
-	slots := t.slotScratch(len(keys))
-	m := t.claimBatch(hashes, keys, slots, kern.Ops)
+	slots := t.slotScratch(len(hashes))
+	m := t.claimBatch(hashes, slots, kern.Ops)
 	for w, fold := range kern.Fold {
 		if c := kern.Cols[w]; c >= 0 {
 			fold(t.states[w], slots[:m], cols[c][lo:lo+m])
@@ -158,15 +158,16 @@ func (t *Table) InsertRawBatch(hashes, keys []uint64, cols [][]int64, lo int, ke
 }
 
 // InsertStateBatch inserts (or merges) a batch of rows carrying partial
-// aggregate states. hashes and keys are batch-aligned; row j corresponds to
-// row lo+j of the column-decomposed states. Returns the number of rows
-// absorbed (short count ⇒ table full at the first unconsumed row).
+// aggregate states. Row j of the batch is hashes[j] and corresponds to row
+// lo+j of the column-decomposed states; keys is unused, as in
+// InsertRawBatch. Returns the number of rows absorbed (short count ⇒ table
+// full at the first unconsumed row).
 func (t *Table) InsertStateBatch(hashes, keys []uint64, states [][]uint64, lo int, kern *agg.Kernels) int {
 	if t.capRows > math.MaxInt32 {
-		return t.insertStateScalar(hashes, keys, states, lo, kern.Ops)
+		return t.insertStateScalar(hashes, states, lo, kern.Ops)
 	}
-	slots := t.slotScratch(len(keys))
-	m := t.claimBatch(hashes, keys, slots, kern.Ops)
+	slots := t.slotScratch(len(hashes))
+	m := t.claimBatch(hashes, slots, kern.Ops)
 	for w, merge := range kern.Merge {
 		merge(t.states[w], slots[:m], states[w][lo:lo+m])
 	}
@@ -176,20 +177,20 @@ func (t *Table) InsertStateBatch(hashes, keys []uint64, states [][]uint64, lo in
 // insertRawScalar is the row-at-a-time fallback of InsertRawBatch for
 // tables too large for int32 slot indices (beyond-cache grown tables on
 // enormous buckets).
-func (t *Table) insertRawScalar(hashes, keys []uint64, cols [][]int64, lo int, ops []agg.WordOp) int {
-	for j := range keys {
-		if !t.InsertRawCols(hashes[j], keys[j], cols, lo+j, ops) {
+func (t *Table) insertRawScalar(hashes []uint64, cols [][]int64, lo int, ops []agg.WordOp) int {
+	for j, h := range hashes {
+		if !t.InsertRawCols(h, cols, lo+j, ops) {
 			return j
 		}
 	}
-	return len(keys)
+	return len(hashes)
 }
 
-func (t *Table) insertStateScalar(hashes, keys []uint64, states [][]uint64, lo int, ops []agg.WordOp) int {
-	for j := range keys {
-		if !t.InsertStateCols(hashes[j], keys[j], states, lo+j, ops) {
+func (t *Table) insertStateScalar(hashes []uint64, states [][]uint64, lo int, ops []agg.WordOp) int {
+	for j, h := range hashes {
+		if !t.InsertStateCols(h, states, lo+j, ops) {
 			return j
 		}
 	}
-	return len(keys)
+	return len(hashes)
 }

@@ -47,7 +47,7 @@ func drainScalarRaw(tb *Table, keys []uint64, cols [][]int64, ops []agg.WordOp) 
 	var splits [][]*runs.Run
 	for i := 0; i < len(keys); {
 		h := hashfn.Murmur2(keys[i])
-		if !tb.InsertRawCols(h, keys[i], cols, i, ops) {
+		if !tb.InsertRawCols(h, cols, i, ops) {
 			splits = append(splits, tb.SplitRuns())
 			continue
 		}
@@ -197,7 +197,7 @@ func TestBatchedInsertStateEquivalence(t *testing.T) {
 			var wantRuns [][]*runs.Run
 			for i := 0; i < n; {
 				h := hashfn.Murmur2(keys[i])
-				if !ref.InsertStateCols(h, keys[i], states, i, ops) {
+				if !ref.InsertStateCols(h, states, i, ops) {
 					wantRuns = append(wantRuns, ref.SplitRuns())
 					continue
 				}
@@ -236,58 +236,59 @@ func TestBatchedInsertStateEquivalence(t *testing.T) {
 	}
 }
 
-// TestBatchSameHashKeepsKeysApart: under one forced hash — every row in
-// the same block at the same probe start — the batch inserts still compare
-// keys: distinct keys get slots of their own and equal keys merge. Murmur2
-// is a bijection on uint64 keys, so the operator never hands the table two
-// keys with one hash; the table must not rely on that.
-func TestBatchSameHashKeepsKeysApart(t *testing.T) {
+// TestHashIsTheGroup: the table compares hashes only. Rows under one
+// forced hash are one group whatever keys they come with, in both batch
+// inserts, and the group's emitted key is the hash's Murmur2 inverse. The
+// operator never hands the table two keys with one hash: Murmur2 is a
+// bijection on uint64 keys, so distinct keys get distinct hashes and
+// groups of their own.
+func TestHashIsTheGroup(t *testing.T) {
 	lay := agg.NewLayout([]agg.Spec{{Kind: agg.Count}, {Kind: agg.Sum, Col: 0}})
 	kern := lay.Kernels()
-	const distinct, n = 5, 60
+	const n = 60
 	const forced = uint64(0xDEADBEEFCAFEF00D)
 	keys := make([]uint64, n)
 	vals := make([]int64, n)
 	hs := make([]uint64, n)
-	want := map[uint64][2]uint64{} // key → (count, sum)
+	var sum uint64
 	for i := range keys {
-		keys[i] = uint64(i%distinct) * 1000003
+		keys[i] = uint64(i%5) * 1000003
 		vals[i] = int64(i)
 		hs[i] = forced
-		w := want[keys[i]]
-		want[keys[i]] = [2]uint64{w[0] + 1, w[1] + uint64(i)}
+		sum += uint64(i)
 	}
 	cfg := Config{CapacityRows: 2048, Blocks: 16, Words: lay.Words}
-	check := func(label string, tb *Table, times uint64) {
-		t.Helper()
-		if tb.Len() != distinct {
-			t.Fatalf("%s: %d groups, want %d", label, tb.Len(), distinct)
-		}
-		for k, w := range want {
-			st, ok := tb.Lookup(forced, k)
-			if !ok || st[0] != times*w[0] || st[1] != times*w[1] {
-				t.Fatalf("%s: key %d holds %v (found %v), want count %d sum %d",
-					label, k, st, ok, times*w[0], times*w[1])
-			}
-		}
-	}
 	raw := New(cfg)
 	if m := raw.InsertRawBatch(hs, keys, [][]int64{vals}, 0, kern); m != n {
 		t.Fatalf("InsertRawBatch absorbed %d of %d rows", m, n)
 	}
-	check("raw", raw, 1)
-
-	// Merge the raw table's emitted states twice: every state doubles.
-	eh, ek := make([]uint64, distinct), make([]uint64, distinct)
-	es := [][]uint64{make([]uint64, distinct), make([]uint64, distinct)}
+	if st, ok := raw.Lookup(forced); raw.Len() != 1 || !ok || st[0] != n || st[1] != sum {
+		t.Fatalf("raw: %d groups, forced hash holds %v (found %v), want count %d sum %d", raw.Len(), st, ok, n, sum)
+	}
+	eh, ek := make([]uint64, 1), make([]uint64, 1)
+	es := [][]uint64{make([]uint64, 1), make([]uint64, 1)}
 	raw.EmitColumns(eh, ek, es)
+	if eh[0] != forced || ek[0] != hashfn.Murmur2Inverse(forced) || hashfn.Murmur2(ek[0]) != forced {
+		t.Fatalf("emitted hash %#x key %#x, want %#x and its inverse", eh[0], ek[0], forced)
+	}
+
+	// Merging the emitted row twice, with no keys at all, doubles the state.
 	merged := New(cfg)
 	for range 2 {
-		if m := merged.InsertStateBatch(eh, ek, es, 0, kern); m != distinct {
-			t.Fatalf("InsertStateBatch absorbed %d of %d rows", m, distinct)
+		if m := merged.InsertStateBatch(eh, nil, es, 0, kern); m != 1 {
+			t.Fatalf("InsertStateBatch absorbed %d of 1 rows", m)
 		}
 	}
-	check("state", merged, 2)
+	if st, ok := merged.Lookup(forced); merged.Len() != 1 || !ok || st[0] != 2*n || st[1] != 2*sum {
+		t.Fatalf("merged: %d groups, forced hash holds %v (found %v)", merged.Len(), st, ok)
+	}
+
+	// The real hashes of the five keys keep them apart.
+	hashfn.HashBatch(keys, hs)
+	apart := New(cfg)
+	if m := apart.InsertRawBatch(hs, nil, [][]int64{vals}, 0, kern); m != n || apart.Len() != 5 {
+		t.Fatalf("real hashes: absorbed %d of %d rows into %d groups, want 5", m, n, apart.Len())
+	}
 }
 
 // TestEmitColumnsMatchesEmit checks the batched output gather against the
@@ -326,16 +327,20 @@ func TestEmitColumnsMatchesEmit(t *testing.T) {
 	gotK := make([]uint64, tb.Len())
 	gotS := [][]uint64{make([]uint64, tb.Len()), make([]uint64, tb.Len()), make([]uint64, tb.Len())}
 	tb.EmitColumns(gotH, gotK, gotS)
+	// A nil key column skips the recovery and leaves the rest unchanged.
+	nilH := make([]uint64, tb.Len())
+	nilS := [][]uint64{make([]uint64, tb.Len()), make([]uint64, tb.Len()), make([]uint64, tb.Len())}
+	tb.EmitColumns(nilH, nil, nilS)
 
 	if len(wantK) != tb.Len() {
 		t.Fatalf("emit visited %d rows, Len() = %d", len(wantK), tb.Len())
 	}
 	for i := range wantK {
-		if gotH[i] != wantH[i] || gotK[i] != wantK[i] {
+		if gotH[i] != wantH[i] || gotK[i] != wantK[i] || nilH[i] != wantH[i] || hashfn.Murmur2(gotK[i]) != gotH[i] {
 			t.Fatalf("row %d: hash/key mismatch", i)
 		}
 		for w := range wantS[i] {
-			if gotS[w][i] != wantS[i][w] {
+			if gotS[w][i] != wantS[i][w] || nilS[w][i] != wantS[i][w] {
 				t.Fatalf("row %d word %d: state mismatch", i, w)
 			}
 		}

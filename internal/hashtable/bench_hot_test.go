@@ -50,7 +50,7 @@ func BenchmarkHashingDrainScalar(b *testing.B) {
 				tb.Reset()
 				for i := 0; i < len(keys); {
 					h := hashfn.Murmur2(keys[i])
-					if !tb.InsertRawCols(h, keys[i], cols, i, ops) {
+					if !tb.InsertRawCols(h, cols, i, ops) {
 						tb.splitRunsSlow()
 						continue
 					}

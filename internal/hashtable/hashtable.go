@@ -19,6 +19,13 @@
 //     ADAPTIVE strategy can read the reduction factor α = rowsIn/rowsOut at
 //     split time (Section 5).
 //
+// The hash is the group. Keys are uint64 and Murmur2 on one uint64 is a
+// bijection, so a slot stores the 64-bit hash alone, probes compare that one
+// word, and the runs a split produces carry the hash in their Keys column.
+// Keys come back once per group, through hashfn.InverseBatch, when
+// EmitColumns is asked for them. Every hash a caller inserts must therefore
+// be hashfn.Murmur2 of its key.
+//
 // Occupancy uses epoch versioning so Reset is O(1) and tables can be reused
 // without re-zeroing cache-sized arrays.
 package hashtable
@@ -28,6 +35,7 @@ import (
 	"math"
 
 	"cacheagg/internal/agg"
+	"cacheagg/internal/hashfn"
 	"cacheagg/internal/runs"
 )
 
@@ -75,7 +83,6 @@ type Table struct {
 	rowsIn int
 
 	hashes  []uint64
-	keys    []uint64
 	states  [][]uint64
 	version []uint8
 	epoch   uint8
@@ -131,7 +138,6 @@ func New(cfg Config) *Table {
 		fill:      fill,
 		shift:     uint(64 - 8*(cfg.Level+1)),
 		hashes:    make([]uint64, capRows),
-		keys:      make([]uint64, capRows),
 		states:    make([][]uint64, cfg.Words),
 		version:   make([]uint8, capRows),
 		epoch:     1,
@@ -148,7 +154,7 @@ func New(cfg Config) *Table {
 func (t *Table) CapacityRows() int { return t.capRows }
 
 // FootprintBytes returns the heap footprint of the table's backing arrays
-// (hash, key, and version columns plus one column per state word), for
+// (hash and version columns plus one column per state word), for
 // registration with the memory governor. It counts the allocated slots,
 // whatever the logical capacity.
 func (t *Table) FootprintBytes() int64 {
@@ -168,7 +174,6 @@ func (t *Table) ResetCapacity(rows int) {
 	t.blockMask = uint64(t.blockRows - 1)
 	t.maxRows = max(int(float64(c)*t.fill), 1)
 	t.hashes = t.hashes[:c]
-	t.keys = t.keys[:c]
 	t.version = t.version[:c]
 	for w := range t.states {
 		t.states[w] = t.states[w][:c]
@@ -227,10 +232,10 @@ func (t *Table) probeStart(h uint64) int {
 	return int(h & t.blockMask)
 }
 
-// find locates key (with hash h) in its block. It returns the slot index
+// find locates the group of hash h in its block. It returns the slot index
 // and true if present; otherwise the first free slot and false, or -1 and
 // false if the block is completely full.
-func (t *Table) find(h, key uint64) (int, bool) {
+func (t *Table) find(h uint64) (int, bool) {
 	base := t.block(h) * t.blockRows
 	start := t.probeStart(h)
 	for i := 0; i < t.blockRows; i++ {
@@ -238,7 +243,7 @@ func (t *Table) find(h, key uint64) (int, bool) {
 		if t.version[s] != t.epoch {
 			return s, false
 		}
-		if t.hashes[s] == h && t.keys[s] == key {
+		if t.hashes[s] == h {
 			return s, true
 		}
 	}
@@ -249,8 +254,8 @@ func (t *Table) find(h, key uint64) (int, bool) {
 // state vector. It returns false — without modifying the table — if the
 // row is new and the table is full (fill limit reached or block exhausted);
 // the caller must then split the table and retry on a fresh one.
-func (t *Table) InsertState(h, key uint64, state []uint64, lay *agg.Layout) bool {
-	s, found := t.find(h, key)
+func (t *Table) InsertState(h uint64, state []uint64, lay *agg.Layout) bool {
+	s, found := t.find(h)
 	if found {
 		if lay != nil {
 			for i, sp := range lay.Specs {
@@ -268,7 +273,6 @@ func (t *Table) InsertState(h, key uint64, state []uint64, lay *agg.Layout) bool
 	}
 	t.version[s] = t.epoch
 	t.hashes[s] = h
-	t.keys[s] = key
 	for i := 0; i < t.words; i++ {
 		t.states[i][s] = state[i]
 	}
@@ -280,8 +284,8 @@ func (t *Table) InsertState(h, key uint64, state []uint64, lay *agg.Layout) bool
 // InsertRaw inserts (or folds) a raw input row whose aggregate inputs are
 // provided by values. It returns false, without modifying the table, when
 // the row is new and the table is full.
-func (t *Table) InsertRaw(h, key uint64, values func(col int) int64, lay *agg.Layout) bool {
-	s, found := t.find(h, key)
+func (t *Table) InsertRaw(h uint64, values func(col int) int64, lay *agg.Layout) bool {
+	s, found := t.find(h)
 	if found {
 		if lay != nil {
 			for i, sp := range lay.Specs {
@@ -301,7 +305,6 @@ func (t *Table) InsertRaw(h, key uint64, values func(col int) int64, lay *agg.La
 	}
 	t.version[s] = t.epoch
 	t.hashes[s] = h
-	t.keys[s] = key
 	if lay != nil {
 		for i, sp := range lay.Specs {
 			off := lay.Offsets[i]
@@ -380,8 +383,8 @@ func initColumns(k agg.Kind, cols [][]uint64, s int, v int64) {
 // layout's word operations. This is the columnar fast path of the engine:
 // no per-row state gathering. Returns false when the row is new and the
 // table is full.
-func (t *Table) InsertStateCols(h, key uint64, states [][]uint64, row int, ops []agg.WordOp) bool {
-	s, found := t.find(h, key)
+func (t *Table) InsertStateCols(h uint64, states [][]uint64, row int, ops []agg.WordOp) bool {
+	s, found := t.find(h)
 	if found {
 		for w := range ops {
 			t.states[w][s] = ops[w].Op.Apply(t.states[w][s], states[w][row])
@@ -394,7 +397,6 @@ func (t *Table) InsertStateCols(h, key uint64, states [][]uint64, row int, ops [
 	}
 	t.version[s] = t.epoch
 	t.hashes[s] = h
-	t.keys[s] = key
 	for w := range ops {
 		t.states[w][s] = states[w][row]
 	}
@@ -407,8 +409,8 @@ func (t *Table) InsertStateCols(h, key uint64, states [][]uint64, row int, ops [
 // layout's word operations (SrcOne words contribute 1, SrcCol words read
 // cols[op.Col][row]). Returns false when the row is new and the table is
 // full.
-func (t *Table) InsertRawCols(h, key uint64, cols [][]int64, row int, ops []agg.WordOp) bool {
-	s, found := t.find(h, key)
+func (t *Table) InsertRawCols(h uint64, cols [][]int64, row int, ops []agg.WordOp) bool {
+	s, found := t.find(h)
 	if found {
 		for w := range ops {
 			v := int64(1)
@@ -425,7 +427,6 @@ func (t *Table) InsertRawCols(h, key uint64, cols [][]int64, row int, ops []agg.
 	}
 	t.version[s] = t.epoch
 	t.hashes[s] = h
-	t.keys[s] = key
 	for w := range ops {
 		v := int64(1)
 		if ops[w].Src == agg.SrcCol {
@@ -438,10 +439,16 @@ func (t *Table) InsertRawCols(h, key uint64, cols [][]int64, row int, ops []agg.
 	return true
 }
 
-// Lookup returns a copy of the state vector stored for (h, key) and whether
-// the key is present. Intended for tests and small finalization paths.
-func (t *Table) Lookup(h, key uint64) ([]uint64, bool) {
-	s, found := t.find(h, key)
+// Contains reports whether the group of hash h is in the table.
+func (t *Table) Contains(h uint64) bool {
+	_, found := t.find(h)
+	return found
+}
+
+// Lookup returns a copy of the state vector stored for hash h and whether
+// its group is present. Intended for tests and small finalization paths.
+func (t *Table) Lookup(h uint64) ([]uint64, bool) {
+	s, found := t.find(h)
 	if !found {
 		return nil, false
 	}
@@ -454,11 +461,12 @@ func (t *Table) Lookup(h, key uint64) ([]uint64, bool) {
 
 // SplitRuns compacts every non-empty block into one aggregated run and
 // returns a slice indexed by block (= radix digit at the table's level);
-// empty blocks yield nil entries. The table is reset afterwards.
+// empty blocks yield nil entries. A run's Keys column holds the groups'
+// hashes. The table is reset afterwards.
 //
 // The compaction is batched and arena-allocated: one scan collects the
 // occupied slot indices of every block (recording per-block boundaries),
-// each column (keys, state words) is then gathered into a single
+// each column (hashes, state words) is then gathered into a single
 // slab with one tight monomorphic copy loop, and the per-block runs are
 // carved out of the slabs as sub-slices. A split therefore costs a handful
 // of allocations instead of a few per non-empty block, which at high group
@@ -469,10 +477,10 @@ func (t *Table) SplitRuns() []*runs.Run {
 	}
 	out := make([]*runs.Run, t.blocks)
 	off := t.offScratch(t.blocks + 1)
-	keySlab := make([]uint64, t.rows)
-	version, keysCol, epoch := t.version, t.keys, t.epoch
+	hashSlab := make([]uint64, t.rows)
+	version, hashCol, epoch := t.version, t.hashes, t.epoch
 	blockRows := t.blockRows
-	// The occupancy scan gathers the key column as it goes; the slot list is
+	// The occupancy scan gathers the hash column as it goes; the slot list is
 	// only materialized when state columns need it for their own gathers.
 	needIdx := t.words > 0
 	var idx []int32
@@ -489,14 +497,14 @@ func (t *Table) SplitRuns() []*runs.Run {
 				if v == epoch {
 					s := base + i
 					idx[pos] = int32(s)
-					keySlab[pos] = keysCol[s]
+					hashSlab[pos] = hashCol[s]
 					pos++
 				}
 			}
 		} else {
 			for i, v := range ver {
 				if v == epoch {
-					keySlab[pos] = keysCol[base+i]
+					hashSlab[pos] = hashCol[base+i]
 					pos++
 				}
 			}
@@ -536,7 +544,7 @@ func (t *Table) SplitRuns() []*runs.Run {
 			continue
 		}
 		r := &runSlab[ri]
-		r.Keys = keySlab[lo:hi:hi]
+		r.Keys = hashSlab[lo:hi:hi]
 		r.States = viewSlab[ri*t.words : (ri+1)*t.words : (ri+1)*t.words]
 		for w := 0; w < t.words; w++ {
 			r.States[w] = stateSlabs[w][lo:hi:hi]
@@ -584,7 +592,7 @@ func (t *Table) splitRunsSlow() []*runs.Run {
 			if t.version[s] != t.epoch {
 				continue
 			}
-			r.Keys = append(r.Keys, t.keys[s])
+			r.Keys = append(r.Keys, t.hashes[s])
 			for w := 0; w < t.words; w++ {
 				r.States[w] = append(r.States[w], t.states[w][s])
 			}
@@ -595,8 +603,9 @@ func (t *Table) splitRunsSlow() []*runs.Run {
 	return out
 }
 
-// Emit appends every occupied row to the provided callback in block order.
-// Unlike SplitRuns it does not reset the table.
+// Emit appends every occupied row to the provided callback in block order,
+// each with its key recovered from its hash. Unlike SplitRuns it does not
+// reset the table.
 func (t *Table) Emit(fn func(hash, key uint64, state []uint64)) {
 	scratch := make([]uint64, t.words)
 	for s := 0; s < t.capRows; s++ {
@@ -606,53 +615,56 @@ func (t *Table) Emit(fn func(hash, key uint64, state []uint64)) {
 		for w := 0; w < t.words; w++ {
 			scratch[w] = t.states[w][s]
 		}
-		fn(t.hashes[s], t.keys[s], scratch)
+		fn(t.hashes[s], hashfn.Murmur2Inverse(t.hashes[s]), scratch)
 	}
 }
 
 // EmitColumns gathers every occupied row into the provided column slices in
-// block order (the same order Emit visits). hashes and keys must have
-// length Len(); states must hold one length-Len() column per state word.
-// Like Emit it does not reset the table. This is the batched output path:
-// one occupancy scan, then one tight copy loop per column.
+// block order (the same order Emit visits). hashes must have length Len(),
+// and so must keys unless it is nil; states must hold one length-Len()
+// column per state word. Keys are recovered from the gathered hashes in
+// one batch, once per group; a nil keys slice skips the recovery. Like
+// Emit it does not reset the table. This is the batched output path: one
+// occupancy scan, then one tight copy loop per column.
 func (t *Table) EmitColumns(hashes, keys []uint64, states [][]uint64) {
 	if t.capRows > math.MaxInt32 {
 		j := 0
-		t.Emit(func(h, k uint64, st []uint64) {
-			hashes[j], keys[j] = h, k
+		t.Emit(func(h, _ uint64, st []uint64) {
+			hashes[j] = h
 			for w := range st {
 				states[w][j] = st[w]
 			}
 			j++
 		})
-		return
-	}
-	idx := t.slotScratch(t.rows)
-	version, epoch := t.version, t.epoch
-	hsCol, ksCol := t.hashes, t.keys
-	n := 0
-	for s, v := range version {
-		if v == epoch {
-			idx[n] = int32(s)
-			hashes[n] = hsCol[s]
-			keys[n] = ksCol[s]
-			n++
+	} else {
+		idx := t.slotScratch(t.rows)
+		version, epoch, hsCol := t.version, t.epoch, t.hashes
+		n := 0
+		for s, v := range version {
+			if v == epoch {
+				idx[n] = int32(s)
+				hashes[n] = hsCol[s]
+				n++
+			}
+		}
+		occ := idx[:n]
+		for w := 0; w < t.words; w++ {
+			src := t.states[w]
+			dst := states[w]
+			for j, s := range occ {
+				dst[j] = src[s]
+			}
 		}
 	}
-	occ := idx[:n]
-	for w := 0; w < t.words; w++ {
-		src := t.states[w]
-		dst := states[w]
-		for j, s := range occ {
-			dst[j] = src[s]
-		}
+	if keys != nil {
+		hashfn.InverseBatch(hashes[:t.rows], keys)
 	}
 }
 
 // Double returns a table of twice t's capacity — same blocks, fill rate,
 // level and width — holding every row of t; t is left
 // unchanged. Rows move in slot order, each to the first free slot of its
-// probe sequence in the new table: the keys are distinct, so no key is
+// probe sequence in the new table: the hashes are distinct, so no hash is
 // compared and no state merged, and the result is the table that
 // re-inserting t's emitted rows would build. Every block and the fill
 // limit at least double, so every row finds a slot; running out is a bug
@@ -685,7 +697,6 @@ func (t *Table) Double() *Table {
 		}
 		nt.version[d] = nt.epoch
 		nt.hashes[d] = h
-		nt.keys[d] = t.keys[s]
 		for w, col := range t.states {
 			nt.states[w][d] = col[s]
 		}
@@ -710,8 +721,9 @@ func (t *Table) Reset() {
 }
 
 // SlotBytes returns the per-slot memory footprint in bytes for a table with
-// the given number of state words: hash + key + states + version.
-func SlotBytes(words int) int { return 8 + 8 + 8*words + 1 }
+// the given number of state words: hash + states + version. The hash is the
+// group, so no key is stored.
+func SlotBytes(words int) int { return 8 + 8*words + 1 }
 
 // CapacityForCache returns the slot count of a table sized to occupy
 // roughly cacheBytes, for the given state width. The result is rounded

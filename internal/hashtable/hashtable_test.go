@@ -58,7 +58,7 @@ func TestInsertRawAndLookup(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		key := uint64(i % 10) // 10 groups, 10 rows each
 		h := hashfn.Murmur2(key)
-		if !tb.InsertRaw(h, key, vals(int64(i)), lay) {
+		if !tb.InsertRaw(h, vals(int64(i)), lay) {
 			t.Fatalf("unexpected full at row %d", i)
 		}
 	}
@@ -73,7 +73,7 @@ func TestInsertRawAndLookup(t *testing.T) {
 	}
 	// Group k received values k, k+10, ..., k+90: count 10, sum 10k+450.
 	for k := uint64(0); k < 10; k++ {
-		st, ok := tb.Lookup(hashfn.Murmur2(k), k)
+		st, ok := tb.Lookup(hashfn.Murmur2(k))
 		if !ok {
 			t.Fatalf("group %d missing", k)
 		}
@@ -81,8 +81,11 @@ func TestInsertRawAndLookup(t *testing.T) {
 			t.Fatalf("group %d state = %v", k, st)
 		}
 	}
-	if _, ok := tb.Lookup(hashfn.Murmur2(999), 999); ok {
+	if _, ok := tb.Lookup(hashfn.Murmur2(999)); ok || tb.Contains(hashfn.Murmur2(999)) {
 		t.Fatal("phantom key found")
+	}
+	if !tb.Contains(hashfn.Murmur2(3)) {
+		t.Fatal("Contains misses group 3")
 	}
 }
 
@@ -90,13 +93,13 @@ func TestInsertStateMergesSuperAggregate(t *testing.T) {
 	lay := agg.NewLayout([]agg.Spec{{Kind: agg.Count}})
 	tb := newSmall(lay.Words, 0)
 	h := hashfn.Murmur2(7)
-	if !tb.InsertState(h, 7, []uint64{3}, lay) {
+	if !tb.InsertState(h, []uint64{3}, lay) {
 		t.Fatal("insert failed")
 	}
-	if !tb.InsertState(h, 7, []uint64{4}, lay) {
+	if !tb.InsertState(h, []uint64{4}, lay) {
 		t.Fatal("merge failed")
 	}
-	st, _ := tb.Lookup(h, 7)
+	st, _ := tb.Lookup(h)
 	if st[0] != 7 {
 		t.Fatalf("COUNT super-aggregate gave %d, want 7", st[0])
 	}
@@ -111,7 +114,7 @@ func TestFillLimitReportsFull(t *testing.T) {
 	inserted := 0
 	for {
 		key := rng.Next()
-		if !tb.InsertState(hashfn.Murmur2(key), key, nil, nil) {
+		if !tb.InsertState(hashfn.Murmur2(key), nil, nil) {
 			break
 		}
 		inserted++
@@ -125,20 +128,20 @@ func TestFillLimitReportsFull(t *testing.T) {
 	if !tb.Full() {
 		t.Fatal("Full() should report true")
 	}
-	// Existing keys still merge fine when full.
-	// Re-insert the first key we can find via Emit.
-	var anyHash, anyKey uint64
+	// Existing groups still merge fine when full.
+	// Re-insert the first hash we can find via Emit.
+	var anyHash uint64
 	found := false
-	tb.Emit(func(h, k uint64, _ []uint64) {
+	tb.Emit(func(h, _ uint64, _ []uint64) {
 		if !found {
-			anyHash, anyKey = h, k
+			anyHash = h
 			found = true
 		}
 	})
 	if !found {
 		t.Fatal("no rows emitted")
 	}
-	if !tb.InsertState(anyHash, anyKey, nil, nil) {
+	if !tb.InsertState(anyHash, nil, nil) {
 		t.Fatal("merge into full table must still succeed for existing keys")
 	}
 }
@@ -151,7 +154,7 @@ func TestBlockExhaustionReportsFull(t *testing.T) {
 	var rejected bool
 	for i := 0; ; i++ {
 		h := uint64(i) // top digit 0 for small i → all in block 0
-		if !tb.InsertState(h, uint64(i), nil, nil) {
+		if !tb.InsertState(h, nil, nil) {
 			rejected = true
 			break
 		}
@@ -178,7 +181,7 @@ func TestSplitRunsPartitionsByDigit(t *testing.T) {
 		h := hashfn.Murmur2(k)
 		v := rng.Next() % 1000
 		rows = append(rows, row{h, k, v})
-		if !tb.InsertRaw(h, k, func(int) int64 { return int64(v) }, lay) {
+		if !tb.InsertRaw(h, func(int) int64 { return int64(v) }, lay) {
 			t.Fatalf("unexpected full at %d", i)
 		}
 	}
@@ -200,17 +203,17 @@ func TestSplitRunsPartitionsByDigit(t *testing.T) {
 		if err := r.Validate(1); err != nil {
 			t.Fatal(err)
 		}
-		for i := range r.Keys {
-			// Every row must be in the block matching its level-0 digit,
-			// masked to the table's 16 blocks.
-			h := hashfn.Murmur2(r.Keys[i])
+		for i, h := range r.Keys {
+			// Runs carry the hash. Every row must be in the block matching
+			// its level-0 digit, masked to the table's 16 blocks.
 			if d := int(h >> 56 & 15); d != digit {
 				t.Fatalf("hash %#x in block %d, digit %d", h, digit, d)
 			}
-			if _, dup := got[r.Keys[i]]; dup {
-				t.Fatalf("key %d duplicated across split", r.Keys[i])
+			k := hashfn.Murmur2Inverse(h)
+			if _, dup := got[k]; dup {
+				t.Fatalf("key %d duplicated across split", k)
 			}
-			got[r.Keys[i]] = int64(r.States[0][i])
+			got[k] = int64(r.States[0][i])
 			total++
 		}
 	}
@@ -232,7 +235,7 @@ func TestSplitRunsRespectsLevel(t *testing.T) {
 	// At level 1 the block must be derived from the SECOND radix digit.
 	tb := New(Config{CapacityRows: 4096, Blocks: 256, Words: 0, Level: 1})
 	h := uint64(0xAB_CD_000000000000) // digit0=0xAB, digit1=0xCD
-	if !tb.InsertState(h, 1, nil, nil) {
+	if !tb.InsertState(h, nil, nil) {
 		t.Fatal("insert failed")
 	}
 	splits := tb.SplitRuns()
@@ -249,17 +252,17 @@ func TestSplitRunsRespectsLevel(t *testing.T) {
 func TestResetEpoch(t *testing.T) {
 	tb := newSmall(0, 0)
 	for i := uint64(0); i < 100; i++ {
-		tb.InsertState(hashfn.Murmur2(i), i, nil, nil)
+		tb.InsertState(hashfn.Murmur2(i), nil, nil)
 	}
 	tb.Reset()
 	if tb.Len() != 0 {
 		t.Fatalf("Len after reset = %d", tb.Len())
 	}
-	if _, ok := tb.Lookup(hashfn.Murmur2(5), 5); ok {
+	if _, ok := tb.Lookup(hashfn.Murmur2(5)); ok {
 		t.Fatal("stale row visible after reset")
 	}
 	// Reuse works.
-	if !tb.InsertState(hashfn.Murmur2(5), 5, nil, nil) {
+	if !tb.InsertState(hashfn.Murmur2(5), nil, nil) {
 		t.Fatal("insert after reset failed")
 	}
 	if tb.Len() != 1 {
@@ -270,12 +273,12 @@ func TestResetEpoch(t *testing.T) {
 func TestResetEpochWrap(t *testing.T) {
 	tb := New(Config{CapacityRows: 64, Blocks: 16})
 	tb.epoch = ^uint8(0) // force wrap on next Reset
-	tb.InsertState(hashfn.Murmur2(1), 1, nil, nil)
+	tb.InsertState(hashfn.Murmur2(1), nil, nil)
 	tb.Reset()
 	if tb.epoch != 1 {
 		t.Fatalf("epoch after wrap = %d, want 1", tb.epoch)
 	}
-	if _, ok := tb.Lookup(hashfn.Murmur2(1), 1); ok {
+	if _, ok := tb.Lookup(hashfn.Murmur2(1)); ok {
 		t.Fatal("stale row visible after epoch wrap")
 	}
 }
@@ -296,7 +299,7 @@ func TestAgainstMapReference(t *testing.T) {
 				k := rng.Next() % 64
 				v := int64(rng.Next()%4001) - 2000
 				h := hashfn.Murmur2(k)
-				if !tb.InsertRaw(h, k, func(int) int64 { return v }, lay) {
+				if !tb.InsertRaw(h, func(int) int64 { return v }, lay) {
 					return false
 				}
 				if st, ok := ref[k]; ok {
@@ -338,10 +341,10 @@ func TestAgainstMapReference(t *testing.T) {
 func TestZeroHashKey(t *testing.T) {
 	// hash 0 / key 0 must be storable (no sentinel confusion).
 	tb := newSmall(0, 0)
-	if !tb.InsertState(0, 0, nil, nil) {
+	if !tb.InsertState(0, nil, nil) {
 		t.Fatal("insert of zero hash/key failed")
 	}
-	if _, ok := tb.Lookup(0, 0); !ok {
+	if _, ok := tb.Lookup(0); !ok {
 		t.Fatal("zero key not found")
 	}
 	if tb.Len() != 1 {
@@ -350,9 +353,9 @@ func TestZeroHashKey(t *testing.T) {
 }
 
 func TestCapacityForCache(t *testing.T) {
-	c := CapacityForCache(1<<20, 0) // 1 MiB, 20-byte slots → 52428 → pow2 down: 32768
-	if c != 32768 {
-		t.Fatalf("CapacityForCache = %d, want 32768", c)
+	c := CapacityForCache(1<<20, 0) // 1 MiB, 9-byte slots → 116508 → pow2 down: 65536
+	if c != 65536 {
+		t.Fatalf("CapacityForCache = %d, want 65536", c)
 	}
 	if CapacityForCache(1, 4) != 1 {
 		t.Fatal("tiny cache should clamp to 1")
@@ -364,7 +367,8 @@ func TestCapacityForCache(t *testing.T) {
 }
 
 func TestSlotBytes(t *testing.T) {
-	if SlotBytes(0) != 17 || SlotBytes(2) != 33 {
+	// hash + states + version: the hash is the group, so no key column.
+	if SlotBytes(0) != 9 || SlotBytes(2) != 25 {
 		t.Fatalf("SlotBytes wrong: %d %d", SlotBytes(0), SlotBytes(2))
 	}
 }
@@ -384,17 +388,17 @@ func BenchmarkInsertInCache(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j := i & (len(keys) - 1)
-		tb.InsertState(hs[j], keys[j], nil, nil)
+		tb.InsertState(hs[j], nil, nil)
 	}
 }
 
-// TestSplitRunsRehashToTheirBlock: split runs hold keys and no hashes, and
-// the hash recomputed from each key puts it back in the block it was split
-// from, at the table's level.
-func TestSplitRunsRehashToTheirBlock(t *testing.T) {
+// TestSplitRunsCarryTheHash: split runs hold each group's hash in their
+// Keys column, its digit at the table's level is the block the group was
+// split from, and it inverts to the inserted key.
+func TestSplitRunsCarryTheHash(t *testing.T) {
 	tb := New(Config{CapacityRows: 4096, Blocks: 16, Level: 1})
 	for i := uint64(0); i < 100; i++ {
-		if !tb.InsertState(hashfn.Murmur2(i), i, nil, nil) {
+		if !tb.InsertState(hashfn.Murmur2(i), nil, nil) {
 			t.Fatal("insert failed")
 		}
 	}
@@ -406,15 +410,16 @@ func TestSplitRunsRehashToTheirBlock(t *testing.T) {
 		if err := r.Validate(0); err != nil {
 			t.Fatal(err)
 		}
-		for _, k := range r.Keys {
-			if d := hashfn.Digit(hashfn.Murmur2(k), 1) & 15; d != block || seen[k] {
-				t.Fatalf("key %d split into block %d, recomputed digit %d, seen before %v", k, block, d, seen[k])
+		for _, h := range r.Keys {
+			k := hashfn.Murmur2Inverse(h)
+			if d := hashfn.Digit(h, 1) & 15; d != block || k >= 100 || seen[k] {
+				t.Fatalf("hash %#x (key %d) split into block %d, digit %d, seen before %v", h, k, block, d, seen[k])
 			}
 			seen[k] = true
 		}
 	}
 	if len(seen) != 100 {
-		t.Fatalf("split %d keys, want 100", len(seen))
+		t.Fatalf("split %d groups, want 100", len(seen))
 	}
 }
 
@@ -439,10 +444,10 @@ func TestInsertColsAgainstKindAPI(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		i := i
 		h := hashfn.Murmur2(keys[i])
-		if !a.InsertRawCols(h, keys[i], cols, i, ops) {
+		if !a.InsertRawCols(h, cols, i, ops) {
 			t.Fatal("a full")
 		}
-		if !b.InsertRaw(h, keys[i], func(c int) int64 { return cols[c][i] }, lay) {
+		if !b.InsertRaw(h, func(c int) int64 { return cols[c][i] }, lay) {
 			t.Fatal("b full")
 		}
 	}
@@ -450,7 +455,7 @@ func TestInsertColsAgainstKindAPI(t *testing.T) {
 		t.Fatalf("Len %d vs %d", a.Len(), b.Len())
 	}
 	b.Emit(func(h, k uint64, st []uint64) {
-		got, ok := a.Lookup(h, k)
+		got, ok := a.Lookup(h)
 		if !ok {
 			t.Fatalf("key %d missing in cols table", k)
 		}
@@ -551,7 +556,7 @@ func TestDoubleGrowsWithoutLoss(t *testing.T) {
 			t.Fatalf("blocks %d: %d groups, want %d", cfg.Blocks, tb.Len(), len(ref))
 		}
 		for k, want := range ref {
-			got, ok := tb.Lookup(hashfn.Murmur2(k), k)
+			got, ok := tb.Lookup(hashfn.Murmur2(k))
 			if !ok {
 				t.Fatalf("blocks %d: key %d lost", cfg.Blocks, k)
 			}
@@ -586,7 +591,7 @@ func TestResetCapacityShrinkGrow(t *testing.T) {
 	fill := func(tb *Table, from, n uint64) int {
 		t.Helper()
 		for k := from; k < from+n; k++ {
-			if !tb.InsertRawCols(hashfn.Murmur2(k), k, nil, 0, ops) {
+			if !tb.InsertRawCols(hashfn.Murmur2(k), nil, 0, ops) {
 				t.Fatalf("insert of key %d failed at capacity %d", k, tb.CapacityRows())
 			}
 		}

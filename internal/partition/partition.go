@@ -42,8 +42,8 @@ type Config struct {
 	BufRows int
 	// ChunkRows is the chunk size of the output writers (0 → default).
 	ChunkRows int
-	// DropHashes is ignored: runs hold only keys and states, whatever it
-	// says.
+	// DropHashes is ignored: runs hold one word per row (the keys
+	// argument of Scatter) and states, whatever it says.
 	//
 	// Deprecated: runs never carry hashes; the field has no effect.
 	DropHashes bool
@@ -62,8 +62,9 @@ type Scatterer struct {
 	bufRows int
 
 	// SWC buffers, contiguous per column: partition p occupies
-	// [p*bufRows, (p+1)*bufRows). Only keys and states are buffered: the
-	// hashes passed to Scatter give the digit and are not kept.
+	// [p*bufRows, (p+1)*bufRows). Only the keys argument of Scatter and
+	// the states are buffered: the hashes give the digit and are not kept.
+	// The operator passes its hashes as both, so its runs carry them.
 	bufKey   []uint64
 	bufState [][]uint64
 	bufLen   []int

@@ -13,10 +13,13 @@
 // list that consumed runs give back to, so the storage is reused across
 // recursion levels and executions.
 //
-// A Run holds decomposed (columnar) row storage: the grouping key of each
-// row and one state column per aggregate state word. Like the paper's runs
-// it stores no hashes: every pass recomputes MurmurHash2 from the key,
-// which costs less than moving 8 more bytes per row per pass.
+// A Run holds decomposed (columnar) row storage: one 64-bit word per row
+// in Keys and one state column per aggregate state word. Inside the
+// operator that word is the row's MurmurHash2, not its key: Murmur2 on a
+// uint64 is a bijection, so the hash carries the key, no pass re-hashes,
+// and the key comes back once per group when the operator emits it. Other
+// users of the package (the streaming checkpoint, the benchmark's replay)
+// store keys in the same column.
 package runs
 
 import (
@@ -38,8 +41,10 @@ const firstChunkRows = 64
 // All rows in a Run share the same bucket path (hash prefix) of the
 // recursion level that produced it.
 type Run struct {
-	// Keys is the grouping key of each row; a pass recomputes the row's
-	// hash from it.
+	// Keys is one word per row. The operator's runs (internal/core) hold
+	// each row's Murmur2 hash here and read its radix digits straight
+	// from it. The column keeps its name while the benchmark's replay
+	// reads it (ROADMAP item 2).
 	Keys []uint64
 	// States holds the packed aggregate state columns: States[w][i] is
 	// state word w of row i. len(States) is the layout's word count and is

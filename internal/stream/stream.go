@@ -785,7 +785,7 @@ func (a *Aggregator) fold(b Block) {
 		hashes := acc.hashes[:n]
 		hashfn.HashBatch(keys, hashes)
 		acc.tab = a.fill(acc.tab, n, func(t *hashtable.Table, i int) int {
-			return t.InsertRawBatch(hashes[i:], keys[i:], b.Cols, i, a.kern)
+			return t.InsertRawBatch(hashes[i:], nil, b.Cols, i, a.kern)
 		})
 	}
 	acc.rows += int64(n)
@@ -821,16 +821,17 @@ func (a *Aggregator) foldSegments(b Block, g int) {
 		}
 		fold(states[w], slots, vals)
 	}
-	keys, hashes := acc.segKeys[:g], acc.hashes[:g]
-	hashfn.HashBatch(keys, hashes)
-	acc.tab = a.insertStates(acc.tab, hashes, keys, states)
+	hashes := acc.hashes[:g]
+	hashfn.HashBatch(acc.segKeys[:g], hashes)
+	acc.tab = a.insertStates(acc.tab, hashes, states)
 }
 
-// insertStates merges the state rows of hashes, keys and states into tab
-// and returns the table that holds them.
-func (a *Aggregator) insertStates(tab *hashtable.Table, hashes, keys []uint64, states [][]uint64) *hashtable.Table {
-	return a.fill(tab, len(keys), func(t *hashtable.Table, i int) int {
-		return t.InsertStateBatch(hashes[i:], keys[i:], states, i, a.kern)
+// insertStates merges the state rows of hashes and states into tab and
+// returns the table that holds them. The hash is the group: the table
+// stores no key, and EmitColumns recovers the keys at seal and snapshot.
+func (a *Aggregator) insertStates(tab *hashtable.Table, hashes []uint64, states [][]uint64) *hashtable.Table {
+	return a.fill(tab, len(hashes), func(t *hashtable.Table, i int) int {
+		return t.InsertStateBatch(hashes[i:], nil, states, i, a.kern)
 	})
 }
 
@@ -1066,9 +1067,9 @@ func (a *Aggregator) snapshot(window int) (*Result, error) {
 	scratch := a.emitScratch(largest)
 	defer a.releaseScratch(scratch)
 	if live > 0 {
-		hashes, keys := a.acc.outHashes[:live], a.acc.outKeys[:live]
-		a.acc.tab.EmitColumns(hashes, keys, a.acc.outStates)
-		tab = a.insertStates(tab, hashes, keys, a.acc.outStates)
+		hashes := a.acc.outHashes[:live]
+		a.acc.tab.EmitColumns(hashes, nil, a.acc.outStates)
+		tab = a.insertStates(tab, hashes, a.acc.outStates)
 	}
 	for _, e := range epochs {
 		var err error
@@ -1106,7 +1107,7 @@ func (a *Aggregator) mergeEpoch(tab *hashtable.Table, e epochEntry) (*hashtable.
 	}
 	hashes := a.acc.outHashes[:len(keys)]
 	hashfn.HashBatch(keys, hashes)
-	return a.insertStates(tab, hashes, keys, states), nil
+	return a.insertStates(tab, hashes, states), nil
 }
 
 // finalize turns merged state columns into the specs' results, as
@@ -1131,9 +1132,10 @@ func finalize(lay *agg.Layout, keys, hashes []uint64, states [][]uint64, res *Re
 	}
 }
 
-// sortResult orders the result by (hash, key): the canonical order that
-// makes snapshots bit-identical across arrival orders, epoch splits and
-// crash/resume histories.
+// sortResult orders the result by hash, which is the group (Murmur2 on a
+// uint64 key is a bijection): the canonical order that makes snapshots
+// bit-identical across arrival orders, epoch splits and crash/resume
+// histories.
 func sortResult(res *Result) {
 	n := len(res.Keys)
 	perm := make([]int, n)
@@ -1141,10 +1143,7 @@ func sortResult(res *Result) {
 		perm[i] = i
 	}
 	slices.SortFunc(perm, func(i, j int) int {
-		if c := cmp.Compare(res.Hashes[i], res.Hashes[j]); c != 0 {
-			return c
-		}
-		return cmp.Compare(res.Keys[i], res.Keys[j])
+		return cmp.Compare(res.Hashes[i], res.Hashes[j])
 	})
 	keys := make([]uint64, n)
 	hashes := make([]uint64, n)
