@@ -14,11 +14,14 @@
 //     and runs keep the hash in place of the key (Murmur2 on a uint64 is
 //     a bijection), later passes read it from the run, and emitting a
 //     group recovers its key — and their aggregate states are initialized
-//     (so all deeper merges uniformly use super-aggregate functions). When no worker split a
-//     table or scattered a row, and the run has no spill target, the
-//     intake tables hold the final aggregates: they are
-//     emitted directly, through the largest one when several workers took
-//     rows and their union provably fits it — the fused final pass of
+//     (so all deeper merges uniformly use super-aggregate functions). One
+//     growth rule holds for every table: a short count below the cache
+//     size doubles the table, and only a cache-sized table that fills is a
+//     fill event, split into runs. When no worker split a table or
+//     scattered a row, and the run has no spill target, the intake tables
+//     hold the final aggregates: they are emitted directly, through the
+//     largest one when several workers took rows and merging the others
+//     into it never filled it at the cache size — the fused final pass of
 //     Section 2.1 at intake — and there is no step 2.
 //  2. Recursion: every non-empty bucket becomes an independent task for the
 //     work-stealing pool. A task processes its bucket's runs at level d —
@@ -200,7 +203,8 @@ type Stats struct {
 	// routine (intake and recursion combined).
 	HashedRows      int64
 	PartitionedRows int64
-	// TablesEmitted counts hash tables that filled up and were split.
+	// TablesEmitted counts cache-sized hash tables that filled up and were
+	// split; a smaller table that stops short grows instead.
 	TablesEmitted int64
 	// AlphaSum accumulates the reduction factors of emitted tables;
 	// AlphaSum/TablesEmitted is the mean observed α.

@@ -114,19 +114,11 @@ type workerState struct {
 	// id is the worker's pool index, stamped on emitted trace events.
 	id    int
 	table *hashtable.Table
-	// finalTables are reusable leaf-finalization tables, keyed by
-	// capacity: a leaf bucket of n rows gets the smallest power-of-two
-	// table ≥ 4n (capped at the cache size), so the post-aggregation
-	// emit scan touches ~4 slots per row instead of the whole
-	// cache-sized table for every small leaf.
-	finalTables map[int]*hashtable.Table
-	// grownTables are the finalizeGrown equivalent (fill 0.5, capacity
-	// keyed): fixed-pass strategies finalize every one of the 256 buckets
-	// through finalizeGrown, and a fresh table per bucket means zeroing
-	// hundreds of MB per run. Tables up to a few cache sizes are retained;
-	// genuinely oversized ones stay throwaway.
-	grownTables map[int]*hashtable.Table
-	scat        *partition.Scatterer
+	// final is the finalization table (finalTable), nil until the worker
+	// finalizes its first bucket; its allocation is retained across
+	// buckets up to four cache sizes.
+	final *hashtable.Table
+	scat  *partition.Scatterer
 	// free is the worker's column free list: the scatterer's writers and
 	// emitTable cut chunks from it, and consumed buckets and assembled
 	// output chunks give their columns back.
@@ -176,8 +168,7 @@ type workerState struct {
 // only columns of runs and chunks the execution has finished with.
 type workerKit struct {
 	table        *hashtable.Table
-	finalTables  map[int]*hashtable.Table
-	grownTables  map[int]*hashtable.Table
+	final        *hashtable.Table
 	scat         *partition.Scatterer
 	free         *runs.Free
 	hashScratch  []uint64
@@ -247,9 +238,6 @@ func newExec(cfg Config, in *Input) (*exec, error) {
 	// half (vs the routine tables' 25 %) — the paper's "factor B more
 	// partitions" optimization, bounded at 50 % to keep probing cheap.
 	e.finalRows = e.cacheRows / 2
-	if e.finalRows < 1 {
-		e.finalRows = 1
-	}
 	e.chunkRow = chunkRowBytes(e.words)
 	e.interRow = runRowBytes(e.words)
 	// The pool is only as wide as the intake's morsels: a worker without a
@@ -272,8 +260,7 @@ func newExec(cfg Config, in *Input) (*exec, error) {
 		if k, _ := kp.Get().(*workerKit); k != nil {
 			ws.kit = k
 			ws.table = k.table
-			ws.finalTables = k.finalTables
-			ws.grownTables = k.grownTables
+			ws.final = k.final
 			ws.scat = k.scat
 			ws.free = k.free
 			ws.hashScratch = k.hashScratch
@@ -282,12 +269,11 @@ func newExec(cfg Config, in *Input) (*exec, error) {
 			ws.rowScratch = k.rowScratch
 			ws.local = k.local
 			if e.gov != nil {
-				// Budgeted runs account retained leaf tables as they are
-				// (re)created; starting from empty maps keeps the up-front
+				// Budgeted runs account the finalization table as it is
+				// (re)allocated; starting without one keeps the up-front
 				// reservation — and thus the degradation behavior —
 				// identical to a fresh execution.
-				clear(ws.finalTables)
-				clear(ws.grownTables)
+				ws.final = nil
 			}
 		} else {
 			ws.table = hashtable.New(hashtable.Config{
@@ -295,8 +281,6 @@ func newExec(cfg Config, in *Input) (*exec, error) {
 				Blocks:       hashfn.Fanout,
 				Words:        e.words,
 			})
-			ws.finalTables = make(map[int]*hashtable.Table)
-			ws.grownTables = make(map[int]*hashtable.Table)
 			ws.free = &runs.Free{}
 			ws.scat = partition.New(partition.Config{
 				Level:     0,
@@ -374,8 +358,7 @@ func (e *exec) recycle() {
 		}
 		*k = workerKit{
 			table:        ws.table,
-			finalTables:  ws.finalTables,
-			grownTables:  ws.grownTables,
+			final:        ws.final,
 			scat:         ws.scat,
 			free:         ws.free,
 			hashScratch:  ws.hashScratch,
@@ -611,11 +594,12 @@ func (e *exec) rootBuckets() []runs.Bucket {
 // worker's intake split a table or scattered a row, the intake tables hold
 // the final state of every group, and they are emitted straight into the
 // result. One engaged worker emits its table; several absorb their tables
-// into the largest one when a pre-check shows the union cannot overflow it,
-// and emit that. Otherwise every table still holding rows is split into the
-// root buckets, as its worker's own flush would have done. It runs on one
-// goroutine, after the intake pool has quiesced; a worker whose intake
-// split has flushed its table already, so only kept tables hold rows.
+// into the largest one and emit that, unless the union filled a
+// cache-sized table. Otherwise every table still holding rows is split
+// into the root buckets, as its worker's own flush would have done. It
+// runs on one goroutine, after the intake pool has quiesced; a worker
+// whose intake split has flushed its table already, so only kept tables
+// hold rows.
 func (e *exec) finishIntake() {
 	var target *workerState
 	engaged, pure := 0, true
@@ -651,24 +635,20 @@ func (e *exec) finishIntake() {
 }
 
 // absorbIntake merges every other intake table into target's through their
-// emitted hash and state columns, and reports true; it leaves every table
-// as it was and reports false when the union might not fit target. The
-// pre-check bounds the union by target's rows plus the other tables' rows
-// whose hash target lacks, in rows against target's fill limit and per
-// block against the block's slots, so the merge cannot fail halfway. The
-// bound is exact for two tables; beyond, it counts a group new to target
-// once per other table that holds it.
+// emitted hash and state columns, emptying them, with the intake's growth
+// rule: a short count grows target while it is below the cache size, and
+// at the cache size splits it into the root buckets, after which the merge
+// continues into the emptied table. It reports whether target holds every
+// group, that is whether no split happened.
 func (e *exec) absorbIntake(target *workerState) bool {
-	blockRows := target.table.CapacityRows() / hashfn.Fanout
-	var occ [hashfn.Fanout]int
-	total := 0
-	emitted := make([]runs.Run, len(e.workers))
+	whole := true
 	for w := range e.workers {
-		ws, r := &e.workers[w], &emitted[w]
+		ws := &e.workers[w]
 		n := ws.table.Len()
-		if n == 0 {
+		if ws == target || n == 0 {
 			continue
 		}
+		var r runs.Run
 		e.timed(ws, 0, func() {
 			t0 := e.stamp()
 			r.Keys, r.States = ws.free.Col(n), make([][]uint64, e.words)
@@ -676,48 +656,38 @@ func (e *exec) absorbIntake(target *workerState) bool {
 				r.States[i] = ws.free.Col(n)
 			}
 			ws.table.EmitColumns(r.Keys, nil, r.States)
-			for _, h := range r.Keys {
-				if ws == target || !target.table.Contains(h) {
-					occ[hashfn.Digit(h, 0)]++
-					total++
-				}
-			}
+			ws.table.Reset()
 			e.lap(t0, trace.PhaseSplit)
 		})
-	}
-	fits := total <= target.table.MaxRows()
-	for _, n := range occ {
-		fits = fits && n <= blockRows
-	}
-	e.timed(target, 0, func() {
-		t0 := e.stamp()
-		for w := range e.workers {
-			ws, r := &e.workers[w], &emitted[w]
-			if r.Keys == nil {
-				continue
-			}
-			if fits && ws != target {
-				m := target.table.InsertStateBatch(r.Keys, nil, r.States, 0, e.kern)
+		e.timed(target, 0, func() {
+			t0 := e.stamp()
+			for i := 0; i < n; {
+				m := target.table.InsertStateBatch(r.Keys[i:], nil, r.States, i, e.kern)
 				target.stats.hashedRows += int64(m)
-				if m < r.Len() {
-					panic("core: intake absorb overflowed")
+				if i += m; i == n {
+					break
 				}
-				ws.table.Reset()
+				if target.table.CapacityRows() < e.cacheRows {
+					target.table.Grow() // in place: the allocation is cache-sized
+					continue
+				}
+				whole = false
+				e.splitTable(target, target.table, e.rootBuckets())
 			}
-			ws.free.Put(r.Keys)
-			for _, col := range r.States {
-				ws.free.Put(col)
-			}
+			e.lap(t0, trace.PhaseTableBuild)
+		})
+		ws.free.Put(r.Keys)
+		for _, col := range r.States {
+			ws.free.Put(col)
 		}
-		e.lap(t0, trace.PhaseTableBuild)
-	})
-	return fits
+	}
+	return whole
 }
 
-// hashRaw inserts raw input rows [i, hi) into the table until the table
-// fills or the range is exhausted; on fill it splits the table into the
-// local buckets and informs the strategy. Returns the index of the first
-// unconsumed row.
+// hashRaw inserts raw input rows [i, hi) into the table until a
+// cache-sized table fills (a smaller one that stops short grows) or the
+// range is exhausted; on fill it splits the table into the local buckets
+// and informs the strategy. Returns the index of the first unconsumed row.
 //
 // The loop is batch-at-a-time: a whole block's hashes are computed in one
 // morsel-wide kernel before any table access, then the block is absorbed by
@@ -738,7 +708,12 @@ func (e *exec) hashRaw(ws *workerState, st StrategyState, table *hashtable.Table
 			if done == blk {
 				break
 			}
-			// Table full at row i+done: split into the local buckets.
+			if table.CapacityRows() < e.cacheRows {
+				table.Grow() // in place: the allocation is cache-sized
+				continue
+			}
+			// Cache-sized table full at row i+done: split into the local
+			// buckets.
 			e.lap(t0, trace.PhaseTableBuild)
 			t0 = e.stamp()
 			alpha := table.Alpha()
@@ -881,29 +856,23 @@ func (e *exec) processBucket(ctx *sched.Ctx, b *runs.Bucket, level int, prefix u
 func (e *exec) doBucket(ctx *sched.Ctx, ws *workerState, b *runs.Bucket, level int, prefix uint64) []child {
 	n := b.Rows()
 
-	// Out of hash digits: all rows share the full 64-bit hash, which is
-	// the group, so the bucket holds one key. Finalize with a table sized
-	// to the bucket. The level is passed through unclamped so the chunk
-	// sort key keeps the full 64-bit prefix; finalizeGrown clamps the
-	// table level itself.
-	if level >= hashfn.MaxLevels {
-		e.finalizeGrown(ctx, ws, b, prefix, level)
-		return nil
-	}
-
 	// Leaf rule: a bucket whose rows fit one cache-sized table (at the
 	// relaxed leaf fill, the paper's fused final pass holding "a factor B
 	// more partitions") certainly has few enough groups for a single
-	// in-cache pass (groups ≤ rows), independent of the strategy.
-	if n <= e.finalRows {
-		e.finalizeLeaf(ctx, ws, b, level, prefix)
+	// in-cache pass (groups ≤ rows), independent of the strategy. So does
+	// a bucket out of hash digits: all its rows share the full 64-bit
+	// hash, which is the group, so it holds one key. The level is passed
+	// through unclamped so the chunk sort key keeps the full 64-bit
+	// prefix; finalTable clamps the table level itself.
+	if n <= e.finalRows || level >= hashfn.MaxLevels {
+		e.finalize(ctx, ws, b, prefix, level)
 		return nil
 	}
 
 	st := e.cfg.Strategy.NewState(level, e.cacheRows)
 	if st.NextMode() == ModeFinal {
 		// Fixed-pass strategy demands its single growing hashing pass.
-		e.finalizeGrown(ctx, ws, b, prefix, level)
+		e.finalize(ctx, ws, b, prefix, level)
 		return nil
 	}
 
@@ -1037,114 +1006,83 @@ func (e *exec) hashRun(ws *workerState, st StrategyState, table *hashtable.Table
 	return i, false
 }
 
-// leafTable returns a reusable worker-local table for finalizing a leaf
-// bucket of n rows: capacity = smallest power of two ≥ 4n, capped at the
-// cache size, unblocked (leaves never split), fill limit 0.55 — the fused
-// final pass "allows us to hold a factor B more partitions" (Section 2.1).
-func (e *exec) leafTable(ws *workerState, n, level int) *hashtable.Table {
+// finalTable returns the worker's finalization table, emptied and set to
+// level, for a bucket of n rows: unblocked (a final pass never splits) and
+// at most half full — the fused final pass "allows us to hold a factor B
+// more partitions" (Section 2.1). It starts at four slots per row, at
+// least 256 and at most the cache size, so the emit scan of a small
+// bucket touches few slots; absorbRun grows it when a bucket holds more
+// groups than that. The allocation is retained across buckets and
+// reallocated only when it is smaller than the start; its reservation
+// follows it.
+func (e *exec) finalTable(ws *workerState, n, level int) *hashtable.Table {
 	capRows := 256
 	for capRows < 4*n && capRows < e.cacheRows {
 		capRows <<= 1
 	}
-	t := ws.finalTables[capRows]
-	if t == nil {
-		t = hashtable.New(hashtable.Config{
-			CapacityRows: capRows,
-			Blocks:       1,
-			MaxFill:      0.55,
-			Words:        e.words,
-		})
-		ws.finalTables[capRows] = t
-		// Retained across leaves as worker machinery.
-		e.reserveMachinery(ws, t.FootprintBytes())
+	t := ws.final
+	if t != nil {
+		t.ResetCapacity(capRows)
 	}
-	t.Reset()
-	t.SetLevel(min(level, hashfn.MaxLevels-1))
-	return t
-}
-
-// finalizeLeaf aggregates a leaf bucket with one in-cache hashing pass and
-// emits the result. The table is sized to the bucket (emitting scans the
-// whole table, so a cache-sized table would waste a full scan on a 64-row
-// bucket).
-func (e *exec) finalizeLeaf(ctx *sched.Ctx, ws *workerState, b *runs.Bucket, level int, prefix uint64) {
-	e.finalize(ctx, ws, b, e.leafTable(ws, b.Rows(), level), prefix, level)
-}
-
-// absorbRun feeds an entire run, hashes carried, through the batch merge
-// path into table, reporting false if the table cannot hold it.
-func (e *exec) absorbRun(ws *workerState, table *hashtable.Table, r *runs.Run) bool {
-	n := r.Len()
-	for i := 0; i < n; {
-		blk := min(n-i, scratchRows)
-		m := table.InsertStateBatch(r.Keys[i:i+blk], nil, r.States, i, e.kern)
-		ws.stats.hashedRows += int64(m)
-		if m < blk {
-			return false
+	if t == nil || t.CapacityRows() < capRows {
+		if t != nil {
+			e.reserveMachinery(ws, -t.FootprintBytes())
 		}
-		i += blk
-	}
-	return true
-}
-
-// finalizeGrown aggregates a bucket with a single hashing pass whose
-// unblocked table is sized to the bucket's row count, growing beyond the
-// cache budget if necessary. Used for fixed-pass strategies (ModeFinal)
-// and for buckets past the last digit, which hold one key each.
-func (e *exec) finalizeGrown(ctx *sched.Ctx, ws *workerState, b *runs.Bucket, prefix uint64, level int) {
-	n := b.Rows()
-	capRows := 64
-	for capRows < 4*n {
-		capRows *= 2
-	}
-	table := ws.grownTables[capRows]
-	retained := table != nil
-	if table == nil {
-		table = hashtable.New(hashtable.Config{
+		t = hashtable.New(hashtable.Config{
 			CapacityRows: capRows,
 			Blocks:       1,
 			MaxFill:      0.5,
 			Words:        e.words,
 		})
-		e.reserveMachinery(ws, table.FootprintBytes())
-		if capRows <= 4*e.cacheRows {
-			// Retained across buckets as worker machinery.
-			ws.grownTables[capRows] = table
-			retained = true
-		}
+		ws.final = t
+		e.reserveMachinery(ws, t.FootprintBytes())
 	}
-	if !retained {
-		defer e.reserveMachinery(ws, -table.FootprintBytes())
-	}
-	table.Reset()
-	table.SetLevel(min(level, hashfn.MaxLevels-1))
-	e.finalize(ctx, ws, b, table, prefix, level)
+	t.SetLevel(min(level, hashfn.MaxLevels-1))
+	return t
 }
 
-// finalize is the fused final pass: it absorbs every run of b into table,
-// spilled ones read back block by block, and emits the table. Both callers
-// size the table so it cannot fill: an unblocked table whose fill limit is
-// at least the bucket's rows, hence its groups.
-func (e *exec) finalize(ctx *sched.Ctx, ws *workerState, b *runs.Bucket, table *hashtable.Table, prefix uint64, level int) {
-	t0 := e.stamp()
-	for _, r := range b.Runs {
-		if !e.absorbRun(ws, table, r) {
-			panic("core: finalization table overflowed")
+// absorbRun feeds an entire run, hashes carried, through the batch merge
+// path into the finalization table, which grows on a short count; the
+// growth is reserved as machinery.
+func (e *exec) absorbRun(ws *workerState, table *hashtable.Table, r *runs.Run) {
+	n := r.Len()
+	for i := 0; i < n; {
+		blk := min(n-i, scratchRows)
+		m := table.InsertStateBatch(r.Keys[i:i+blk], nil, r.States, i, e.kern)
+		ws.stats.hashedRows += int64(m)
+		if i += m; m < blk {
+			before := table.FootprintBytes()
+			table.Grow()
+			e.reserveMachinery(ws, table.FootprintBytes()-before)
 		}
 	}
+}
+
+// finalize is the fused final pass over a bucket: a leaf, a bucket of a
+// fixed-pass strategy's single growing pass (ModeFinal), or one past the
+// last digit, which holds one key. It absorbs every run of b into the
+// worker's finalization table, spilled ones read back block by block, and
+// emits the table. An allocation grown past four cache sizes is dropped
+// afterwards.
+func (e *exec) finalize(ctx *sched.Ctx, ws *workerState, b *runs.Bucket, prefix uint64, level int) {
+	table := e.finalTable(ws, b.Rows(), level)
+	absorb := func(r *runs.Run) bool { e.absorbRun(ws, table, r); return true }
+	t0 := e.stamp()
+	for _, r := range b.Runs {
+		absorb(r)
+	}
 	for _, s := range b.Spilled {
-		if !e.readBack(ctx, ws, level, s, func(r *runs.Run) bool {
-			if !e.absorbRun(ws, table, r) {
-				panic("core: finalization table overflowed")
-			}
-			return true
-		}) {
+		if !e.readBack(ctx, ws, level, s, absorb) {
 			return
 		}
 	}
 	e.lap(t0, trace.PhaseTableBuild)
 	e.emitTable(ws, table, prefix, level)
 	ws.stats.directEmits++
+	if table.CapacityRows() > 4*e.cacheRows {
+		e.reserveMachinery(ws, -table.FootprintBytes())
+		ws.final = nil
+	}
 }
 
 // emitTable converts the table's contents into an output chunk tagged with

@@ -2,8 +2,8 @@ package core
 
 // White-box tests for engine paths that are hard to reach through the
 // public surface: forced finalization at hash-digit exhaustion, a leaf
-// whose keys share one probe start, direct table emission, and chunk
-// ordering. Runs carry the hash, so each test builds its runs from the
+// whose keys share one probe start, the finalization table's size and
+// growth, direct table emission, and chunk ordering. Runs carry the hash, so each test builds its runs from the
 // hashes of real keys found by searching Murmur2, and the emitted keys are
 // those keys recovered.
 
@@ -15,6 +15,8 @@ import (
 
 	"cacheagg/internal/agg"
 	"cacheagg/internal/hashfn"
+	"cacheagg/internal/hashtable"
+	"cacheagg/internal/memgov"
 	"cacheagg/internal/partition"
 	"cacheagg/internal/runs"
 	"cacheagg/internal/sched"
@@ -65,7 +67,7 @@ func runBucketTask(e *exec, b *runs.Bucket, level int, prefix uint64) {
 
 func TestForcedFinalizationAtMaxLevels(t *testing.T) {
 	// A bucket processed at MaxLevels has no hash digit left to partition
-	// by: it must finalize in one grown table. The rows share the top
+	// by: it must finalize in the finalization table. The rows share the top
 	// digit, as a real bucket's rows share their prefix.
 	e := mkExec(nil, nil, nil)
 	const n = 100
@@ -112,11 +114,11 @@ func TestForcedFinalizationMergesDuplicates(t *testing.T) {
 	}
 }
 
-func TestLeafBlockOverflowFallsBackToGrownTable(t *testing.T) {
+func TestLeafHoldsOneLongProbeChain(t *testing.T) {
 	// A leaf-sized bucket whose rows all start probing at ONE slot, with
-	// more rows than a block of a cache-sized table holds: the leaf table
-	// is unblocked with room for four times the rows, so finalizeLeaf must
-	// hold them all along one long probe chain.
+	// more rows than a block of a cache-sized table holds: the
+	// finalization table is unblocked with room for four times the rows,
+	// so finalize must hold them all along one long probe chain.
 	e := mkExec(nil, nil, nil)
 	if e.finalRows < 300 {
 		t.Skip("cache too small for this scenario")
@@ -137,6 +139,69 @@ func TestLeafBlockOverflowFallsBackToGrownTable(t *testing.T) {
 	res := assembled(t, e)
 	if res.Groups() != n {
 		t.Fatalf("long probe chain lost groups: %d, want %d", res.Groups(), n)
+	}
+}
+
+// TestOneGroupBucketGetsASmallTable: a bucket past the last digit holds
+// one key however many rows it has, so it finalizes in a table that starts
+// at most cache-sized and never grows, not in one sized to its rows.
+func TestOneGroupBucketGetsASmallTable(t *testing.T) {
+	e := mkExec([]agg.Spec{{Kind: agg.Count}}, nil, nil)
+	const n = 1 << 16
+	r := &runs.Run{Keys: make([]uint64, n), States: [][]uint64{make([]uint64, n)}}
+	for i := range r.Keys {
+		r.Keys[i], r.States[0][i] = hashfn.Murmur2(42), 1
+	}
+	var b runs.Bucket
+	b.Add(r)
+	runBucketTask(e, &b, hashfn.MaxLevels, 0)
+	res := assembled(t, e)
+	if res.Groups() != 1 || res.Keys[0] != 42 || res.Aggs[0][0] != n {
+		t.Fatalf("got %d groups, first key %d count %d; want key 42 counted %d times",
+			res.Groups(), res.Keys[0], res.Aggs[0][0], n)
+	}
+	fin := e.workers[0].final
+	slots := fin.FootprintBytes() / int64(hashtable.SlotBytes(e.words))
+	if fin.CapacityRows() > e.cacheRows || slots > int64(e.cacheRows) {
+		t.Fatalf("one group finalized in %d slots of an allocation of %d, want at most %d",
+			fin.CapacityRows(), slots, e.cacheRows)
+	}
+}
+
+// TestFinalizationTableGrows: a fixed-pass strategy's single pass over a
+// bucket with more groups than half a cache-sized table grows the
+// finalization table past the cache size, loses no group, and keeps the
+// table's reservation equal to its allocation.
+func TestFinalizationTableGrows(t *testing.T) {
+	cfg := Config{
+		Strategy:   PartitionAlways(1),
+		Workers:    1,
+		CacheBytes: 32 << 10,
+		ChunkRows:  128,
+		Governor:   memgov.New(0),
+	}.withDefaults()
+	e, err := newExec(cfg, &Input{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 3 * e.cacheRows / 2
+	r := &runs.Run{Keys: hashesWhere(n, func(uint64) bool { return true }), States: [][]uint64{}}
+	var b runs.Bucket
+	b.Add(r)
+	runBucketTask(e, &b, 1, 0)
+	res := assembled(t, e)
+	if res.Groups() != n {
+		t.Fatalf("%d groups, want %d", res.Groups(), n)
+	}
+	ws := &e.workers[0]
+	if got, want := ws.final.CapacityRows(), 4*e.cacheRows; got != want {
+		t.Fatalf("finalization table of %d slots, want %d", got, want)
+	}
+	// The bucket's rows were never reserved, so the consumed bucket
+	// leaves its rows' release beside the table's reservation.
+	ws.mem.Flush()
+	if got, want := ws.mem.Net(), ws.final.FootprintBytes()-int64(n)*e.interRow; got != want {
+		t.Fatalf("worker reserved %d bytes, want the table's %d less the bucket's rows", got, want)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"cacheagg/internal/agg"
+	"cacheagg/internal/hashfn"
 	"cacheagg/internal/memgov"
 )
 
@@ -23,16 +24,42 @@ func decodeKeys(data []byte) []uint64 {
 	return keys
 }
 
+// decodePairs derives wider keys: each two bytes are a key, so up to
+// 65,536 groups.
+func decodePairs(data []byte) []uint64 {
+	keys := make([]uint64, (len(data)+1)/2)
+	for i, b := range data {
+		keys[i/2] |= uint64(b) << (8 * (i % 2))
+	}
+	return keys
+}
+
 func FuzzAggregateMatchesReference(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 1, 2, 1}, uint8(0))
 	f.Add([]byte{0, 0, 0, 0}, uint8(1))
 	f.Add([]byte{255}, uint8(2))
 	f.Add([]byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 9, 8, 7}, uint8(3))
+	// Twelve two-byte keys of one top hash digit overflow a block of the
+	// smallest intake table at the 1 MiB cache: HASHINGONLY grows it.
+	var sameDigit []byte
+	for k := uint64(0); len(sameDigit) < 24; k++ {
+		if hashfn.Digit(hashfn.Murmur2(k), 0) == 0 {
+			sameDigit = append(sameDigit, byte(k), byte(k>>8))
+		}
+	}
+	f.Add(sameDigit, uint8(24))
 	f.Fuzz(func(t *testing.T, data []byte, mode uint8) {
 		if len(data) == 0 || len(data) > 1<<14 {
 			return
 		}
-		keys := decodeKeys(data)
+		// Mode bit 3 selects a 1 MiB cache, whose intake tables start below
+		// the cache size and grow on a short count, with two bytes a key:
+		// enough groups to overflow a block and, at two or three workers,
+		// the fill limit of the absorb's cache-sized target.
+		keys, cacheBytes := decodeKeys(data), 8<<10 // tiny: maximum recursion stress
+		if mode&8 != 0 {
+			keys, cacheBytes = decodePairs(data), 1<<20
+		}
 		vals := make([]int64, len(keys))
 		for i := range vals {
 			vals[i] = int64(int8(data[i])) // reuse bytes as signed values
@@ -53,7 +80,7 @@ func FuzzAggregateMatchesReference(f *testing.F) {
 		cfg := Config{
 			Strategy:     s,
 			Workers:      1 + int(mode>>4)%3,
-			CacheBytes:   8 << 10, // tiny: maximum recursion stress
+			CacheBytes:   cacheBytes,
 			MorselRows:   64,
 			ChunkRows:    32,
 			CollectStats: mode&1 == 1,

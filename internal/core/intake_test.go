@@ -143,48 +143,62 @@ func TestIntakeDirectEmitEveryFamily(t *testing.T) {
 }
 
 // TestIntakeBlockOverflowFallsBack: keys that share a top hash digit
-// overflow one block of the intake table long before its fill limit, so
-// the worker that meets them splits its table and the run takes the
-// recursive path, whatever the other workers' intakes held.
+// overflow one block of the intake table long before its fill limit. Below
+// the cache size the short count grows the table, in the intake and in the
+// absorb, so the run stays one pass with one direct emit, whatever the
+// other workers' intakes held. A block overflow of a cache-sized table is a
+// fill event: the worker that meets it splits its table and the run takes
+// the recursive path.
 func TestIntakeBlockOverflowFallsBack(t *testing.T) {
-	// One morsel of 100 same-digit keys (the 4,096-row table has 64 slots
-	// per block), then three morsels of well-spread keys.
+	// One morsel of 100 same-digit keys, then three morsels of 300
+	// well-spread groups: 400 groups, under the fill limit of either
+	// table. At the default cache the intake table has 16,384 slots, 64 a
+	// block; at 64 KiB it is cache-sized, with 2,048 slots, 8 a block.
 	keys := digitKeys(100, 7, 0)
 	for len(keys) < 1024 {
 		keys = append(keys, keys[len(keys)%100])
 	}
-	keys = append(keys, cyclicKeys(3072, 500)...)
+	keys = append(keys, cyclicKeys(3072, 300)...)
 	in := keyedInput(keys, 3)
-	for _, w := range []int{1, 2, 3} {
-		label := fmt.Sprintf("w%d", w)
-		res, err := Aggregate(Config{Workers: w, MorselRows: 1024, CollectStats: true}, in)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		checkContract(t, label, res, in)
-		checkPrefixOrder(t, label, res)
-		if st := res.Stats; st.TablesEmitted == 0 || st.Passes < 2 {
-			t.Fatalf("%s: block overflow split %d tables over %d passes, want a fallback", label, st.TablesEmitted, st.Passes)
+	for _, cache := range []int{0, 64 << 10} {
+		for _, w := range []int{1, 2, 3} {
+			label := fmt.Sprintf("cache=%d/w%d", cache, w)
+			res, err := Aggregate(Config{Workers: w, MorselRows: 1024, CacheBytes: cache, CollectStats: true}, in)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			checkContract(t, label, res, in)
+			checkPrefixOrder(t, label, res)
+			st := res.Stats
+			if cache == 0 && (st.TablesEmitted != 0 || st.Passes != 1 || st.DirectEmits != 1) {
+				t.Fatalf("%s: split %d tables over %d passes with %d direct emits, want a grown table emitted directly",
+					label, st.TablesEmitted, st.Passes, st.DirectEmits)
+			}
+			if cache != 0 && (st.TablesEmitted == 0 || st.Passes < 2) {
+				t.Fatalf("%s: block overflow split %d tables over %d passes, want a fallback", label, st.TablesEmitted, st.Passes)
+			}
 		}
 	}
 }
 
-// TestIntakeAbsorbPreCheck drives finishIntake over two hand-filled intake
-// tables: one pair whose union fits is absorbed and emitted directly; a
-// pair that fits alone but not together, by rows or in one block, is
-// split into the root buckets and recursed on, with every table intact.
-func TestIntakeAbsorbPreCheck(t *testing.T) {
+// TestIntakeAbsorbGrowsOrSplits drives finishIntake over two hand-filled
+// intake tables. A union that fits is absorbed and emitted directly; so is
+// a union over one block of the smallest table, which grows the target. A
+// union over the fill limit of a cache-sized table splits the target into
+// the root buckets and is recursed on. Every result is exact.
+func TestIntakeAbsorbGrowsOrSplits(t *testing.T) {
 	lim := intakeLimit(1 << 14)
 	cases := []struct {
 		name   string
 		a, b   []uint64
 		absorb bool
+		grows  bool
 	}{
 		// b's groups are a subset of a's.
-		{"union fits", cyclicKeys(4000, 3000), cyclicKeys(4000, 1500), true},
-		{"union over the fill limit", cyclicKeys(lim-100, lim-100), rangeKeys(lim-100, 1<<40), false},
+		{"union fits", cyclicKeys(4000, 3000), cyclicKeys(4000, 1500), true, false},
 		// 6 + 6 keys of one digit in 2,048-slot tables of 8-slot blocks.
-		{"union over one block", digitKeys(6, 3, 0), digitKeys(6, 3, 1<<32), false},
+		{"union over one block", digitKeys(6, 3, 0), digitKeys(6, 3, 1<<32), true, true},
+		{"union over the cache-sized fill limit", cyclicKeys(lim-100, lim-100), rangeKeys(lim-100, 1<<40), false, false},
 	}
 	for _, tc := range cases {
 		keys := append(append([]uint64(nil), tc.a...), tc.b...)
@@ -196,6 +210,9 @@ func TestIntakeAbsorbPreCheck(t *testing.T) {
 		}
 		if len(e.workers) != 2 {
 			t.Fatalf("%s: %d workers, want 2", tc.name, len(e.workers))
+		}
+		if !tc.absorb && e.intakeRows != e.cacheRows {
+			t.Fatalf("%s: intake tables of %d slots, want cache-sized (%d)", tc.name, e.intakeRows, e.cacheRows)
 		}
 		for w, lo := range []int{0, len(tc.a)} {
 			hi := lo + len(tc.a)
@@ -215,6 +232,10 @@ func TestIntakeAbsorbPreCheck(t *testing.T) {
 		if got := len(e.out.chunks) == 1 && e.root == nil; got != tc.absorb {
 			t.Fatalf("%s: absorbed = %v (%d chunks), want %v", tc.name, got, len(e.out.chunks), tc.absorb)
 		}
+		grown := max(e.workers[0].table.CapacityRows(), e.workers[1].table.CapacityRows()) > e.intakeRows
+		if grown != tc.grows {
+			t.Fatalf("%s: target grew = %v, want %v", tc.name, grown, tc.grows)
+		}
 		if err := e.recurse(context.Background()); err != nil {
 			t.Fatal(err)
 		}
@@ -223,6 +244,37 @@ func TestIntakeAbsorbPreCheck(t *testing.T) {
 		checkPrefixOrder(t, tc.name, res)
 		if direct := e.workers[0].stats.directEmits + e.workers[1].stats.directEmits; tc.absorb && direct != 1 {
 			t.Fatalf("%s: %d direct emits, want 1", tc.name, direct)
+		}
+	}
+}
+
+// TestSmallDistinctInputsNeverFallBack: all-distinct inputs of a few
+// hundred rows get the smallest intake table, whose blocks have 8 slots,
+// and overflow one now and then. The table grows instead, so every one of
+// 2,000 seeded inputs at each size is one pass with no table split.
+func TestSmallDistinctInputsNeverFallBack(t *testing.T) {
+	specs := []agg.Spec{{Kind: agg.Count}}
+	for _, n := range []int{256, 400, 512, 768, 1024} {
+		rng := xrand.NewXoshiro256(uint64(n))
+		keys := make([]uint64, n)
+		for trial := range 2000 {
+			seen := make(map[uint64]bool, n)
+			for i := range keys {
+				k := rng.Next()
+				for seen[k] {
+					k = rng.Next()
+				}
+				seen[k] = true
+				keys[i] = k
+			}
+			res, err := Aggregate(Config{Workers: 1, CollectStats: true}, &Input{Keys: keys, Specs: specs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := res.Stats; res.Groups() != n || st.TablesEmitted != 0 || st.Passes != 1 {
+				t.Fatalf("n=%d trial %d: %d groups, %d tables split over %d passes, want %d, 0 and 1",
+					n, trial, res.Groups(), st.TablesEmitted, st.Passes, n)
+			}
 		}
 	}
 }

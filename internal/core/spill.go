@@ -113,7 +113,7 @@ type spiller struct {
 	rowBytes int64 // bytes of one record: key and state words
 	forced   bool  // no byte budget: every level-0 bucket goes to disk
 
-	// machinery counts the leaf and grown tables reserved beyond the fixed
+	// machinery counts the finalization tables reserved beyond the fixed
 	// machinery; with it, the floor no spill can free.
 	machinery atomic.Int64
 	disk      atomic.Int64 // bytes written, headers and footers included
@@ -211,7 +211,7 @@ func (s *spiller) result() SpillStats {
 
 // floorErr returns the typed failure of a run at the floor: still over
 // budget with the footprint no spill can free — the fixed worker machinery
-// and the leaf and grown tables — over it alone; nil otherwise.
+// and the finalization tables — over it alone; nil otherwise.
 func (e *exec) floorErr() error {
 	floor := e.fixedBytes + e.spill.machinery.Load()
 	if !e.gov.OverBudget() || floor <= e.gov.Budget() {
@@ -222,7 +222,7 @@ func (e *exec) floorErr() error {
 }
 
 // reserveMachinery accounts worker machinery beyond the fixed reservation
-// (leaf and grown tables), which counts towards the floor.
+// (the finalization tables), which counts towards the floor.
 func (e *exec) reserveMachinery(ws *workerState, n int64) {
 	ws.mem.Reserve(n)
 	if e.spill != nil {

@@ -10,11 +10,12 @@
 //   - Collisions are resolved by linear probing confined to the entry's
 //     block (1/fanout of the table). This keeps all rows of one radix digit
 //     in one contiguous range so SplitRuns is a per-block compaction.
-//   - The table never grows: when an insert cannot proceed (global fill
-//     limit reached, or the entry's block has no free slot), the insert
-//     reports failure and the caller splits the table into runs and starts
-//     a fresh one. This is the mechanism that bounds the working set to the
-//     cache.
+//   - An insert that cannot proceed (global fill limit reached, or the
+//     entry's block has no free slot) reports a short count and changes
+//     nothing. A table below the cache size then grows (Grow doubles it in
+//     place when its allocation allows); a cache-sized table is full, and
+//     the caller splits it into runs and starts afresh. Only that split
+//     bounds the working set to the cache, so only it is a fill event.
 //   - The table tracks how many input rows it absorbed (rowsIn) so the
 //     ADAPTIVE strategy can read the reduction factor α = rowsIn/rowsOut at
 //     split time (Section 5).
@@ -113,40 +114,31 @@ func New(cfg Config) *Table {
 	if cfg.Level < 0 || cfg.Level >= 8 {
 		panic(fmt.Sprintf("hashtable: level %d out of range", cfg.Level))
 	}
-	capRows := ceilPow2(cfg.CapacityRows)
-	if min := cfg.Blocks * MinBlockRows; capRows < min {
-		capRows = min
-	}
+	capRows := max(ceilPow2(cfg.CapacityRows), cfg.Blocks*MinBlockRows)
 	fill := cfg.MaxFill
 	if fill <= 0 {
 		fill = DefaultMaxFill
 	}
-	if fill > 1 {
-		fill = 1
-	}
-	maxRows := int(float64(capRows) * fill)
-	if maxRows < 1 {
-		maxRows = 1
-	}
 	t := &Table{
-		capRows:   capRows,
-		blockRows: capRows / cfg.Blocks,
-		blocks:    cfg.Blocks,
-		level:     cfg.Level,
-		words:     cfg.Words,
-		maxRows:   maxRows,
-		fill:      fill,
-		shift:     uint(64 - 8*(cfg.Level+1)),
-		hashes:    make([]uint64, capRows),
-		states:    make([][]uint64, cfg.Words),
-		version:   make([]uint8, capRows),
-		epoch:     1,
+		blocks: cfg.Blocks,
+		level:  cfg.Level,
+		words:  cfg.Words,
+		fill:   min(fill, 1),
+		shift:  uint(64 - 8*(cfg.Level+1)),
+		epoch:  1,
 	}
-	t.blockMask = uint64(t.blockRows - 1)
-	for i := range t.states {
-		t.states[i] = make([]uint64, capRows)
-	}
+	t.alloc(capRows)
+	t.setCapacity(capRows)
 	return t
+}
+
+// alloc gives the table fresh, zeroed columns of c slots.
+func (t *Table) alloc(c int) {
+	t.hashes, t.version = make([]uint64, c), make([]uint8, c)
+	t.states = make([][]uint64, t.words)
+	for w := range t.states {
+		t.states[w] = make([]uint64, c)
+	}
 }
 
 // CapacityRows returns the total slot count (after rounding): the logical
@@ -168,7 +160,13 @@ func (t *Table) FootprintBytes() int64 {
 // A table sized to a small input keeps its emit scan proportional to that
 // input rather than to the cache.
 func (t *Table) ResetCapacity(rows int) {
-	c := min(max(ceilPow2(rows), t.blocks*MinBlockRows), cap(t.version))
+	t.setCapacity(min(max(ceilPow2(rows), t.blocks*MinBlockRows), cap(t.version)))
+	t.Reset()
+}
+
+// setCapacity sets the logical capacity to c slots, a power of two within
+// the allocation, and the block size and fill limit that go with it.
+func (t *Table) setCapacity(c int) {
 	t.capRows = c
 	t.blockRows = c / t.blocks
 	t.blockMask = uint64(t.blockRows - 1)
@@ -178,7 +176,6 @@ func (t *Table) ResetCapacity(rows int) {
 	for w := range t.states {
 		t.states[w] = t.states[w][:c]
 	}
-	t.Reset()
 }
 
 // SetLevel re-targets an empty table to a different recursion level, so a
@@ -253,7 +250,7 @@ func (t *Table) find(h uint64) (int, bool) {
 // InsertState inserts (or merges) a row carrying an initialized aggregate
 // state vector. It returns false — without modifying the table — if the
 // row is new and the table is full (fill limit reached or block exhausted);
-// the caller must then split the table and retry on a fresh one.
+// the caller then grows or splits the table and retries.
 func (t *Table) InsertState(h uint64, state []uint64, lay *agg.Layout) bool {
 	s, found := t.find(h)
 	if found {
@@ -437,12 +434,6 @@ func (t *Table) InsertRawCols(h uint64, cols [][]int64, row int, ops []agg.WordO
 	t.rows++
 	t.rowsIn++
 	return true
-}
-
-// Contains reports whether the group of hash h is in the table.
-func (t *Table) Contains(h uint64) bool {
-	_, found := t.find(h)
-	return found
 }
 
 // Lookup returns a copy of the state vector stored for hash h and whether
@@ -661,48 +652,113 @@ func (t *Table) EmitColumns(hashes, keys []uint64, states [][]uint64) {
 	}
 }
 
-// Double returns a table of twice t's capacity — same blocks, fill rate,
-// level and width — holding every row of t; t is left
-// unchanged. Rows move in slot order, each to the first free slot of its
-// probe sequence in the new table: the hashes are distinct, so no hash is
-// compared and no state merged, and the result is the table that
-// re-inserting t's emitted rows would build. Every block and the fill
-// limit at least double, so every row finds a slot; running out is a bug
-// and panics.
-func (t *Table) Double() *Table {
-	nt := New(Config{
-		CapacityRows: 2 * t.capRows,
-		Blocks:       t.blocks,
-		Words:        t.words,
-		Level:        t.level,
-	})
-	nt.maxRows = 2 * t.maxRows // the same fill rate
-	nt.fill = t.fill
-	m := int(nt.blockMask)
-	for s, v := range t.version {
-		if v != t.epoch {
+// Grow doubles the table's capacity and keeps its rows, rowsIn, fill rate,
+// blocks, level and width. Rows move in slot order, each to the first free
+// slot of its probe sequence in the doubled table: the hashes are distinct,
+// so no hash is compared and no state merged, and the result is the table
+// that re-inserting the emitted rows builds. Every block and the fill limit
+// double, so every row finds a slot. When the allocation already holds
+// twice the capacity the rows move within it and nothing is allocated
+// beyond the slot scratch the batch inserts share; otherwise the doubled
+// columns are allocated, the rows move in one pass over the version
+// column, and FootprintBytes doubles.
+func (t *Table) Grow() {
+	c, blockRows := t.capRows, t.blockRows
+	if cap(t.version) >= 2*c {
+		t.setCapacity(2 * c)
+		t.moveInPlace(blockRows)
+		return
+	}
+	hashes, version, states, epoch := t.hashes, t.version, t.states, t.epoch
+	t.alloc(2 * c)
+	t.setCapacity(2 * c)
+	t.epoch = 1
+	nh, nv, ns, B := t.hashes, t.version, t.states, t.blockRows
+	m := B - 1
+	for s, v := range version {
+		if v != epoch {
 			continue
 		}
-		h := t.hashes[s]
-		base, off := nt.block(h)*nt.blockRows, nt.probeStart(h)
-		d := -1
-		for i := 0; i < nt.blockRows; i++ {
-			if s2 := base + (off+i)&m; nt.version[s2] != nt.epoch {
-				d = s2
-				break
-			}
+		h := hashes[s]
+		base := t.block(h) * B
+		d := base + int(h)&m
+		for nv[d] != 0 {
+			d = base + (d+1-base)&m
 		}
-		if d < 0 {
-			panic("hashtable: doubled table overflowed")
-		}
-		nt.version[d] = nt.epoch
-		nt.hashes[d] = h
-		for w, col := range t.states {
-			nt.states[w][d] = col[s]
+		nv[d], nh[d] = 1, h
+		for w, col := range states {
+			ns[w][d] = col[s]
 		}
 	}
-	nt.rows, nt.rowsIn = t.rows, t.rowsIn
-	return nt
+}
+
+// moveInPlace moves the rows of a table doubled within its allocation from
+// the layout of blocks of B slots to the doubled one. Blocks move from the
+// last to the first: doubled block b covers the slots of blocks 2b and
+// 2b+1, which have moved by then, so only block 0 lands on rows of its own
+// that have not moved yet. Each block moves in two passes. The first
+// claims every row's slot, in slot order, as re-insertion would, and keeps
+// it in the slot scratch; the second moves the rows there, and a row whose
+// slot still holds an unmoved row swaps with it and moves that row on.
+func (t *Table) moveInPlace(B int) {
+	version, hashes, states := t.version, t.hashes, t.states
+	if t.epoch > math.MaxUint8-2 {
+		// Renumber so the epoch and both marks above it fit a version.
+		all := version[:cap(version)]
+		for s, v := range all {
+			all[s] = 0
+			if v == t.epoch {
+				all[s] = 1
+			}
+		}
+		t.epoch = 1
+	}
+	// A slot at old holds a row not yet moved; one at moved holds a row in
+	// its final slot or is claimed for one; one at held holds a row not
+	// yet moved and is claimed for another. A slot moved out of drops to 0.
+	old, moved, held := t.epoch, t.epoch+1, t.epoch+2
+	m := 2*B - 1
+	dest := t.slotScratch(B)
+	for b := t.blocks - 1; b >= 0; b-- {
+		lo, base := b*B, 2*b*B
+		for s := lo; s < lo+B; s++ {
+			if version[s] != old && version[s] != held {
+				continue
+			}
+			d := base + int(hashes[s])&m
+			for version[d] == moved || version[d] == held {
+				d = base + (d+1-base)&m
+			}
+			dest[s-lo] = int32(d)
+			if version[d] == old {
+				version[d] = held
+			} else {
+				version[d] = moved
+			}
+		}
+		for s := lo; s < lo+B; s++ {
+			for version[s] == old || version[s] == held {
+				d := int(dest[s-lo])
+				if v := version[d]; d != s && v != old && v != held {
+					hashes[d] = hashes[s]
+					for _, col := range states {
+						col[d] = col[s]
+					}
+					version[d], version[s] = moved, 0
+					break
+				}
+				// d is s itself, or holds an unmoved row of this block:
+				// swap, and move that row on from s.
+				hashes[s], hashes[d] = hashes[d], hashes[s]
+				for _, col := range states {
+					col[s], col[d] = col[d], col[s]
+				}
+				version[d] = moved
+				dest[s-lo] = dest[d-lo]
+			}
+		}
+	}
+	t.epoch = moved
 }
 
 // Reset clears the table in O(1) via epoch bump (O(capacity) re-zeroing

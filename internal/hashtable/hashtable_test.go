@@ -1,6 +1,7 @@
 package hashtable
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -81,11 +82,8 @@ func TestInsertRawAndLookup(t *testing.T) {
 			t.Fatalf("group %d state = %v", k, st)
 		}
 	}
-	if _, ok := tb.Lookup(hashfn.Murmur2(999)); ok || tb.Contains(hashfn.Murmur2(999)) {
+	if _, ok := tb.Lookup(hashfn.Murmur2(999)); ok {
 		t.Fatal("phantom key found")
-	}
-	if !tb.Contains(hashfn.Murmur2(3)) {
-		t.Fatal("Contains misses group 3")
 	}
 }
 
@@ -467,11 +465,16 @@ func TestInsertColsAgainstKindAPI(t *testing.T) {
 	})
 }
 
-// TestDoubleGrowsWithoutLoss drives a table from its smallest legal size
-// through every doubling a fill stop forces, and checks each grown table
-// against a map reference: same groups, same states, same rowsIn, twice
-// the capacity and footprint, and the source table left untouched.
-func TestDoubleGrowsWithoutLoss(t *testing.T) {
+// TestGrowWithoutLoss drives a table from its smallest legal size through
+// every doubling a short count forces, along both of Grow's paths: in an
+// allocation of exactly its capacity, where Grow allocates the doubled
+// columns, and in a large allocation, where the rows move in place. The
+// large allocation holds stale rows past the logical end, and its epoch
+// starts near the wrap, so the moves also renumber the versions. Every
+// grown table is checked against the table that re-inserting its emitted
+// rows builds (same rows in the same slots), and the last one against a
+// map reference.
+func TestGrowWithoutLoss(t *testing.T) {
 	lay := agg.NewLayout([]agg.Spec{
 		{Kind: agg.Count}, {Kind: agg.Sum, Col: 0}, {Kind: agg.Min, Col: 0},
 		{Kind: agg.Max, Col: 0}, {Kind: agg.Avg, Col: 0},
@@ -480,90 +483,168 @@ func TestDoubleGrowsWithoutLoss(t *testing.T) {
 	for _, cfg := range []Config{
 		{Blocks: 1, MaxFill: 0.5},
 		{Blocks: 4, MaxFill: 0.25, Level: 1},
+		{Blocks: 256, MaxFill: 0.25},
 	} {
 		cfg.Words = lay.Words
-		cfg.CapacityRows = cfg.Blocks * MinBlockRows
-		tb := New(cfg)
-		rng := xrand.NewXoshiro256(uint64(cfg.Blocks))
-		const n = 5000
-		keys := make([]uint64, n)
-		vals := make([]int64, n)
-		for i := range keys {
-			keys[i] = rng.Next() % 1500
-			vals[i] = int64(rng.Next()%4001) - 2000
-		}
-		hashes := make([]uint64, n)
-		hashfn.HashBatch(keys, hashes)
-		cols := [][]int64{vals}
-		doublings := 0
-		for i := 0; i < n; {
-			i += tb.InsertRawBatch(hashes[i:], keys[i:], cols, i, kern)
-			if i == n {
-				break
+		floor := cfg.Blocks * MinBlockRows
+		for _, inPlace := range []bool{false, true} {
+			label := fmt.Sprintf("blocks %d in place %v", cfg.Blocks, inPlace)
+			cfg.CapacityRows = floor
+			if inPlace {
+				cfg.CapacityRows = 1 << 16
 			}
-			before, footprint, capRows := tb.Len(), tb.FootprintBytes(), tb.CapacityRows()
-			grown := tb.Double()
-			doublings++
-			if grown.CapacityRows() != 2*capRows || grown.FootprintBytes() != 2*footprint ||
-				grown.MaxRows() != 2*tb.MaxRows() {
-				t.Fatalf("blocks %d: doubled %d slots / %d B / fill %d into %d / %d / %d",
-					cfg.Blocks, capRows, footprint, tb.MaxRows(),
-					grown.CapacityRows(), grown.FootprintBytes(), grown.MaxRows())
-			}
-			// The moved table is the one re-inserting t's emitted rows
-			// builds: same rows in the same slots.
-			ref := New(cfg)
-			for ref.CapacityRows() < grown.CapacityRows() {
-				ref = ref.Double()
-			}
-			eh, ek, es := emitAll(tb)
-			if m := ref.InsertStateBatch(eh, ek, es, 0, kern); m != before {
-				t.Fatalf("blocks %d: reference re-insert absorbed %d of %d rows", cfg.Blocks, m, before)
-			}
-			gh, gk, gs := emitAll(grown)
-			rh, rk, rs := emitAll(ref)
-			for j := range gk {
-				if gh[j] != rh[j] || gk[j] != rk[j] {
-					t.Fatalf("blocks %d: row %d moved to a different slot than a re-insert puts it", cfg.Blocks, j)
+			tb := New(cfg)
+			if inPlace {
+				stale := 0
+				for k := uint64(1 << 40); stale < tb.MaxRows()/2; k++ {
+					if tb.InsertRawCols(hashfn.Murmur2(k), [][]int64{{0}}, 0, lay.WordOps()) {
+						stale++
+					}
 				}
-				for w := range gs {
-					if gs[w][j] != rs[w][j] {
-						t.Fatalf("blocks %d: row %d word %d differs from the re-insert", cfg.Blocks, j, w)
+				for range 250 {
+					tb.Reset()
+				}
+				tb.ResetCapacity(floor)
+			}
+			rng := xrand.NewXoshiro256(uint64(cfg.Blocks))
+			const n = 5000
+			keys := make([]uint64, n)
+			vals := make([]int64, n)
+			for i := range keys {
+				keys[i] = rng.Next() % 1500
+				vals[i] = int64(rng.Next()%4001) - 2000
+			}
+			hashes := make([]uint64, n)
+			hashfn.HashBatch(keys, hashes)
+			cols := [][]int64{vals}
+			grows := 0
+			for i := 0; i < n; {
+				i += tb.InsertRawBatch(hashes[i:], keys[i:], cols, i, kern)
+				if i == n {
+					break
+				}
+				before, footprint, capRows, limit := tb.Len(), tb.FootprintBytes(), tb.CapacityRows(), tb.MaxRows()
+				eh, ek, es := emitAll(tb)
+				tb.Grow()
+				grows++
+				wantFootprint := 2 * footprint
+				if inPlace {
+					wantFootprint = footprint
+				}
+				if tb.CapacityRows() != 2*capRows || tb.FootprintBytes() != wantFootprint || tb.MaxRows() != 2*limit {
+					t.Fatalf("%s: grew %d slots / %d B / fill %d into %d / %d / %d", label,
+						capRows, footprint, limit, tb.CapacityRows(), tb.FootprintBytes(), tb.MaxRows())
+				}
+				// The moved table is the one re-inserting the emitted rows
+				// builds: same rows in the same slots.
+				ref := New(Config{CapacityRows: 2 * capRows, Blocks: cfg.Blocks, MaxFill: cfg.MaxFill,
+					Words: cfg.Words, Level: cfg.Level})
+				if m := ref.InsertStateBatch(eh, ek, es, 0, kern); m != before {
+					t.Fatalf("%s: reference re-insert absorbed %d of %d rows", label, m, before)
+				}
+				gh, gk, gs := emitAll(tb)
+				rh, rk, rs := emitAll(ref)
+				for j := range gk {
+					if gh[j] != rh[j] || gk[j] != rk[j] {
+						t.Fatalf("%s: row %d moved to a different slot than a re-insert puts it", label, j)
+					}
+					for w := range gs {
+						if gs[w][j] != rs[w][j] {
+							t.Fatalf("%s: row %d word %d differs from the re-insert", label, j, w)
+						}
+					}
+				}
+				if tb.Len() != before || tb.RowsIn() != i {
+					t.Fatalf("%s: groups %d -> %d, rowsIn %d want %d", label, before, tb.Len(), tb.RowsIn(), i)
+				}
+			}
+			if grows < 2 {
+				t.Fatalf("%s: only %d doublings from the smallest table", label, grows)
+			}
+			ref := map[uint64][]uint64{}
+			for i, k := range keys {
+				st, ok := ref[k]
+				if !ok {
+					st = make([]uint64, lay.Words)
+					lay.InitRow(st, func(int) int64 { return vals[i] })
+					ref[k] = st
+					continue
+				}
+				lay.FoldRow(st, func(int) int64 { return vals[i] })
+			}
+			if tb.Len() != len(ref) {
+				t.Fatalf("%s: %d groups, want %d", label, tb.Len(), len(ref))
+			}
+			for k, want := range ref {
+				got, ok := tb.Lookup(hashfn.Murmur2(k))
+				if !ok {
+					t.Fatalf("%s: key %d lost", label, k)
+				}
+				for w := range want {
+					if got[w] != want[w] {
+						t.Fatalf("%s: key %d word %d = %d, want %d", label, k, w, got[w], want[w])
 					}
 				}
 			}
-			if grown.Len() != before || grown.RowsIn() != i || tb.Len() != before {
-				t.Fatalf("blocks %d: groups %d -> %d (source now %d), rowsIn %d want %d",
-					cfg.Blocks, before, grown.Len(), tb.Len(), grown.RowsIn(), i)
-			}
-			tb = grown
 		}
-		if doublings < 8 {
-			t.Fatalf("blocks %d: only %d doublings from the smallest table", cfg.Blocks, doublings)
-		}
-		ref := map[uint64][]uint64{}
-		for i, k := range keys {
-			st, ok := ref[k]
-			if !ok {
-				st = make([]uint64, lay.Words)
-				lay.InitRow(st, func(int) int64 { return vals[i] })
-				ref[k] = st
-				continue
-			}
-			lay.FoldRow(st, func(int) int64 { return vals[i] })
-		}
-		if tb.Len() != len(ref) {
-			t.Fatalf("blocks %d: %d groups, want %d", cfg.Blocks, tb.Len(), len(ref))
-		}
-		for k, want := range ref {
-			got, ok := tb.Lookup(hashfn.Murmur2(k))
-			if !ok {
-				t.Fatalf("blocks %d: key %d lost", cfg.Blocks, k)
-			}
-			for w := range want {
-				if got[w] != want[w] {
-					t.Fatalf("blocks %d: key %d word %d = %d, want %d", cfg.Blocks, k, w, got[w], want[w])
+	}
+}
+
+// TestGrowInPlaceAllocatesNothing: growing within the allocation moves the
+// rows and allocates nothing, for a blocked and an unblocked table.
+func TestGrowInPlaceAllocatesNothing(t *testing.T) {
+	ops := agg.NewLayout([]agg.Spec{{Kind: agg.Count}}).WordOps()
+	for _, blocks := range []int{1, 256} {
+		tb := New(Config{CapacityRows: 1 << 14, Blocks: blocks, Words: 1})
+		fill := func() {
+			tb.ResetCapacity(blocks * MinBlockRows)
+			for k := uint64(0); k < uint64(tb.MaxRows()); k++ {
+				for !tb.InsertRawCols(hashfn.Murmur2(k), nil, 0, ops) {
+					tb.Grow()
 				}
+			}
+			tb.Grow()
+		}
+		if avg := testing.AllocsPerRun(10, fill); avg != 0 {
+			t.Fatalf("blocks %d: in-place growth allocates %.0f times", blocks, avg)
+		}
+	}
+}
+
+// TestGrowInPlaceMatchesReallocation fills small tables up to a full block
+// (fill rate 1, so clusters wrap around their block's end), then grows one
+// copy in a large allocation and one in an exact one: both must hold the
+// same rows in the same slots. Wrapped clusters are where a row's slot in
+// the doubled block still holds a row that has not moved.
+func TestGrowInPlaceMatchesReallocation(t *testing.T) {
+	ops := agg.NewLayout([]agg.Spec{{Kind: agg.Sum, Col: 0}}).WordOps()
+	rng := xrand.NewXoshiro256(7)
+	for trial := range 300 {
+		blocks := []int{1, 4}[trial%2]
+		capRows := blocks * MinBlockRows << (trial / 2 % 3)
+		exact := New(Config{CapacityRows: capRows, Blocks: blocks, MaxFill: 1, Words: 1})
+		large := New(Config{CapacityRows: 4 * capRows, Blocks: blocks, MaxFill: 1, Words: 1})
+		large.ResetCapacity(capRows)
+		for {
+			h := hashfn.Murmur2(rng.Next())
+			cols := [][]int64{{int64(h >> 8)}}
+			if !exact.InsertRawCols(h, cols, 0, ops) {
+				break
+			}
+			large.InsertRawCols(h, cols, 0, ops)
+		}
+		exact.Grow()
+		large.Grow()
+		eh, _, es := emitAll(exact)
+		lh, _, ls := emitAll(large)
+		if exact.CapacityRows() != large.CapacityRows() || len(eh) != len(lh) {
+			t.Fatalf("trial %d: %d rows in %d slots vs %d rows in %d slots",
+				trial, len(eh), exact.CapacityRows(), len(lh), large.CapacityRows())
+		}
+		for j := range eh {
+			if eh[j] != lh[j] || es[0][j] != ls[0][j] {
+				t.Fatalf("trial %d (blocks %d, %d slots): row %d differs between the two growths",
+					trial, blocks, capRows, j)
 			}
 		}
 	}

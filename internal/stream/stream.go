@@ -784,8 +784,8 @@ func (a *Aggregator) fold(b Block) {
 	} else {
 		hashes := acc.hashes[:n]
 		hashfn.HashBatch(keys, hashes)
-		acc.tab = a.fill(acc.tab, n, func(t *hashtable.Table, i int) int {
-			return t.InsertRawBatch(hashes[i:], nil, b.Cols, i, a.kern)
+		a.fill(acc.tab, n, func(i int) int {
+			return acc.tab.InsertRawBatch(hashes[i:], nil, b.Cols, i, a.kern)
 		})
 	}
 	acc.rows += int64(n)
@@ -823,36 +823,35 @@ func (a *Aggregator) foldSegments(b Block, g int) {
 	}
 	hashes := acc.hashes[:g]
 	hashfn.HashBatch(acc.segKeys[:g], hashes)
-	acc.tab = a.insertStates(acc.tab, hashes, states)
+	a.insertStates(acc.tab, hashes, states)
 }
 
-// insertStates merges the state rows of hashes and states into tab and
-// returns the table that holds them. The hash is the group: the table
-// stores no key, and EmitColumns recovers the keys at seal and snapshot.
-func (a *Aggregator) insertStates(tab *hashtable.Table, hashes []uint64, states [][]uint64) *hashtable.Table {
-	return a.fill(tab, len(hashes), func(t *hashtable.Table, i int) int {
-		return t.InsertStateBatch(hashes[i:], nil, states, i, a.kern)
+// insertStates merges the state rows of hashes and states into tab. The
+// hash is the group: the table stores no key, and EmitColumns recovers the
+// keys at seal and snapshot.
+func (a *Aggregator) insertStates(tab *hashtable.Table, hashes []uint64, states [][]uint64) {
+	a.fill(tab, len(hashes), func(i int) int {
+		return tab.InsertStateBatch(hashes[i:], nil, states, i, a.kern)
 	})
 }
 
 // fill inserts rows [0, n) into tab through insert, which absorbs rows
-// from i on and returns how many it took, and returns the table that
-// holds them. When an insert stops short the table doubles: the doubled
-// table is reserved before it is filled and the old one released
-// afterwards. Like every fold and merge reservation this is
-// unconditional; a fold's budget is checked at the block boundary
-// (maybeSeal).
-func (a *Aggregator) fill(tab *hashtable.Table, n int, insert func(t *hashtable.Table, i int) int) *hashtable.Table {
+// from i on and returns how many it took. When an insert stops short the
+// table grows: the doubled columns are reserved before they are allocated
+// and the old ones released afterwards. Like every fold and merge
+// reservation this is unconditional; a fold's budget is checked at the
+// block boundary (maybeSeal).
+func (a *Aggregator) fill(tab *hashtable.Table, n int, insert func(i int) int) {
 	for i := 0; i < n; {
-		i += insert(tab, i)
-		if i < n {
-			old := tab
-			a.gov.Reserve(2 * old.FootprintBytes())
-			tab = old.Double()
-			a.gov.Release(old.FootprintBytes())
+		if i += insert(i); i < n {
+			old := tab.FootprintBytes()
+			a.gov.Reserve(2 * old)
+			tab.Grow()
+			// The old columns, or the whole reservation had Grow found
+			// room in the allocation.
+			a.gov.Release(3*old - tab.FootprintBytes())
 		}
 	}
-	return tab
 }
 
 // maybeSeal seals when the open epoch crossed the row threshold or the
@@ -1069,11 +1068,10 @@ func (a *Aggregator) snapshot(window int) (*Result, error) {
 	if live > 0 {
 		hashes := a.acc.outHashes[:live]
 		a.acc.tab.EmitColumns(hashes, nil, a.acc.outStates)
-		tab = a.insertStates(tab, hashes, a.acc.outStates)
+		a.insertStates(tab, hashes, a.acc.outStates)
 	}
 	for _, e := range epochs {
-		var err error
-		if tab, err = a.mergeEpoch(tab, e); err != nil {
+		if err := a.mergeEpoch(tab, e); err != nil {
 			return nil, err
 		}
 	}
@@ -1090,24 +1088,25 @@ func (a *Aggregator) snapshot(window int) (*Result, error) {
 	return res, nil
 }
 
-// mergeEpoch reads sealed epoch e, merges its partials into tab and
-// returns the table that holds them. The decoded columns are reserved with
-// the governor, at the file's size, while they are held.
-func (a *Aggregator) mergeEpoch(tab *hashtable.Table, e epochEntry) (*hashtable.Table, error) {
+// mergeEpoch reads sealed epoch e and merges its partials into tab. The
+// decoded columns are reserved with the governor, at the file's size,
+// while they are held.
+func (a *Aggregator) mergeEpoch(tab *hashtable.Table, e epochEntry) error {
 	a.gov.Reserve(e.Bytes)
 	defer a.gov.Release(e.Bytes)
 	path := filepath.Join(a.dir, epochFileName(e.Seq))
 	keys, states, err := runs.ReadBlockFile(a.fs, path, "checkpoint", a.layout.Words)
 	if err != nil {
-		return tab, fmt.Errorf("%w: epoch %d: %w", ErrCorruptCheckpoint, e.Seq, err)
+		return fmt.Errorf("%w: epoch %d: %w", ErrCorruptCheckpoint, e.Seq, err)
 	}
 	if uint64(len(keys)) != e.Records {
-		return tab, fmt.Errorf("%w: epoch %d holds %d records, manifest says %d",
+		return fmt.Errorf("%w: epoch %d holds %d records, manifest says %d",
 			ErrCorruptCheckpoint, e.Seq, len(keys), e.Records)
 	}
 	hashes := a.acc.outHashes[:len(keys)]
 	hashfn.HashBatch(keys, hashes)
-	return a.insertStates(tab, hashes, states), nil
+	a.insertStates(tab, hashes, states)
+	return nil
 }
 
 // finalize turns merged state columns into the specs' results, as

@@ -78,25 +78,29 @@ func BenchmarkAggregateSmall(b *testing.B) {
 	}
 }
 
-// TestAggregateSmallAllocs guards the allocation count of a small
-// one-worker call: with the fused final pass at intake it makes no split,
-// no buckets and no leaf tables, so what remains is the result and a fixed
-// handful of bookkeeping allocations, independent of the group count.
+// TestAggregateSmallAllocs guards the allocation count of a small call:
+// with the fused final pass at intake it makes no split, no buckets and no
+// finalization table, so what remains is the result and a fixed handful of
+// bookkeeping allocations, independent of the group count. Up to 16,384
+// rows the input is one morsel, so Workers 2 runs one worker too; its caps
+// are the 29–30 allocations BenchmarkAggregateSmall reads for it.
 func TestAggregateSmallAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector adds allocations and drops pooled kits")
 	}
 	for _, tc := range []struct {
-		rows int
-		max  float64
+		rows, workers int
+		max           float64
 	}{
-		{64, 30},
-		{1024, 40},
+		{64, 1, 30},
+		{1024, 1, 40},
+		{1024, 2, 30},
+		{16384, 2, 30},
 	} {
 		in := smallInput(tc.rows)
 		want := mapAggregate(in)
 		run := func() *Result {
-			res, err := Aggregate(in, Options{Workers: 1})
+			res, err := Aggregate(in, Options{Workers: tc.workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,7 +116,7 @@ func TestAggregateSmallAllocs(t *testing.T) {
 			}
 		}
 		if got := testing.AllocsPerRun(20, func() { run() }); got > tc.max {
-			t.Errorf("rows=%d: %.0f allocations per call, want at most %.0f", tc.rows, got, tc.max)
+			t.Errorf("rows=%d workers=%d: %.0f allocations per call, want at most %.0f", tc.rows, tc.workers, got, tc.max)
 		}
 	}
 }
