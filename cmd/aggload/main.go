@@ -443,7 +443,8 @@ func doRequest(httpc *http.Client, url string, req map[string]any) outcome {
 }
 
 // validateResult checks the JSONL success shape: a header line with a
-// group count, that many rows, and a done trailer agreeing on the count.
+// group count and, when the run spilled, mode "spill" (no other mode
+// exists), that many rows, and a done trailer agreeing on the count.
 func validateResult(resp *http.Response) error {
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
@@ -451,10 +452,14 @@ func validateResult(resp *http.Response) error {
 		return fmt.Errorf("empty body")
 	}
 	var hdr struct {
-		Groups *int `json:"groups"`
+		Groups *int    `json:"groups"`
+		Mode   *string `json:"mode"`
 	}
 	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil || hdr.Groups == nil {
 		return fmt.Errorf("bad header %q", sc.Text())
+	}
+	if hdr.Mode != nil && *hdr.Mode != "spill" {
+		return fmt.Errorf("header mode %q, want spill or none", *hdr.Mode)
 	}
 	rows, done := 0, false
 	for sc.Scan() {

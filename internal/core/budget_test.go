@@ -4,6 +4,7 @@ package core
 // over-budget abort, and the documented overshoot slack.
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -151,7 +152,7 @@ func TestFootprintMatchesReservation(t *testing.T) {
 		for _, cache := range []int{64 << 10, 1 << 20, 4 << 20} {
 			for workers := 1; workers <= 4; workers++ {
 				cfg := Config{Workers: workers, CacheBytes: cache, MorselRows: 250, Governor: memgov.New(0)}.withDefaults()
-				e, err := newExec(cfg, &Input{Keys: keys, AggCols: cols, Specs: wd.specs})
+				e, err := newExec(context.Background(), cfg, &Input{Keys: keys, AggCols: cols, Specs: wd.specs})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -295,7 +295,7 @@ func AggregateContext(ctx context.Context, cfg Config, in *Input) (res *Result, 
 	}
 	cfg = cfg.withDefaults()
 	// newExec validates the input against the layout it builds.
-	e, err := newExec(cfg, in)
+	e, err := newExec(ctx, cfg, in)
 	if err != nil {
 		return nil, err
 	}

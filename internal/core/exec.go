@@ -26,14 +26,40 @@ const scratchRows = 4096
 // Footprint returns the operator's memory terms for aggregate states of
 // the given word width under cfg (CacheBytes 0 selects the default):
 // fixed is the bytes of one worker's machinery and perRow the bytes of one
-// output-chunk row. A governed run reserves exactly Workers·fixed up
-// front; admission and the external path size themselves from the same
-// two numbers.
+// output-chunk row. A governed run reserves exactly fixed for each worker
+// of its pool up front (see Floor).
 func Footprint(cfg Config, words int) (fixed, perRow int64) {
 	if cfg.CacheBytes <= 0 {
 		cfg.CacheBytes = DefaultCacheBytes
 	}
 	return workerBytes(cacheRows(cfg.CacheBytes, words), words), chunkRowBytes(words)
+}
+
+// Floor returns the bytes a governed run of cfg over rows input rows,
+// with aggregate states of the given word width, reserves before it reads
+// the input: Footprint's fixed term for each worker of the pool it builds,
+// after the sizing a spill target under a byte budget applies. Serve
+// admission waits for it.
+func Floor(cfg Config, rows, words int) int64 {
+	cfg = cfg.withDefaults().sizedForSpill(words)
+	fixed, _ := Footprint(cfg, words)
+	return int64(poolWorkers(cfg, rows)) * fixed
+}
+
+// poolWorkers is the width of the pool a run of cfg builds over rows input
+// rows: the resolved worker count, but only as many workers as the intake
+// has morsels — a worker without a morsel would only add machinery to
+// reserve and a goroutine to start.
+func poolWorkers(cfg Config, rows int) int {
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	grain := cfg.MorselRows
+	if grain <= 0 {
+		grain = sched.DefaultGrain
+	}
+	return max(min(workers, (rows+grain-1)/grain), 1)
 }
 
 // minTableRows is the smallest worker table: each of the Fanout blocks
@@ -211,18 +237,15 @@ func intakeCapacity(n, cacheRows int) int {
 	return c
 }
 
-func newExec(cfg Config, in *Input) (*exec, error) {
+func newExec(ctx context.Context, cfg Config, in *Input) (*exec, error) {
 	lay := agg.NewLayout(in.Specs)
 	if err := in.validate(lay); err != nil {
 		return nil, err
 	}
-	if cfg.Spill != nil {
-		if cfg.Governor == nil {
-			cfg.Governor = memgov.New(0) // a spill tier keeps the ledger
-		} else if b := cfg.Governor.Budget(); b > 0 {
-			cfg = sizeForSpill(cfg, lay.Words, b)
-		}
+	if cfg.Spill != nil && cfg.Governor == nil {
+		cfg.Governor = memgov.New(0) // a spill tier keeps the ledger
 	}
+	cfg = cfg.sizedForSpill(lay.Words)
 	e := &exec{
 		cfg:    cfg,
 		in:     in,
@@ -240,18 +263,36 @@ func newExec(cfg Config, in *Input) (*exec, error) {
 	e.finalRows = e.cacheRows / 2
 	e.chunkRow = chunkRowBytes(e.words)
 	e.interRow = runRowBytes(e.words)
-	// The pool is only as wide as the intake's morsels: a worker without a
-	// morsel would only add machinery to reserve and a goroutine to start.
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	grain := cfg.MorselRows
-	if grain <= 0 {
-		grain = sched.DefaultGrain
-	}
-	e.pool = sched.NewPool(max(min(workers, (len(in.Keys)+grain-1)/grain), 1))
+	e.pool = sched.NewPool(poolWorkers(cfg, len(in.Keys)))
 	e.workers = make([]workerState, e.pool.Workers())
+	if e.tr != nil && e.gov != nil {
+		// Sample the ledger's high water into the trace: every 64th of the
+		// budget, at least 32 KiB apart, or every MiB without a budget.
+		grain := int64(1 << 20)
+		if b := e.gov.Budget(); b > 0 {
+			grain = max(b/64, 32<<10)
+		}
+		tr := e.tr
+		e.gov.SetHighWaterHook(grain, func(hw int64) {
+			tr.Emit(trace.KindGovHighWater, 0, 0, -1, float64(hw))
+		})
+	}
+	if e.gov != nil {
+		// Register the fixed per-worker machinery (workerBytes) before
+		// building it. If even that exceeds the budget, fail before
+		// touching the input: no spill can free it. Otherwise wait for
+		// room, holding none of it yet: a run's own governor is empty here
+		// and never waits, while a ledger shared with other runs has room
+		// again when they release.
+		fixed := int64(len(e.workers)) * workerBytes(e.cacheRows, e.words)
+		if b := e.gov.Budget(); b > 0 && fixed > b {
+			return nil, e.gov.BudgetError("core: per-worker machinery", fixed)
+		}
+		if err := e.gov.TryReserveOrWait(ctx, fixed); err != nil {
+			return nil, err
+		}
+		e.fixedBytes = fixed
+	}
 	e.kits = kitKey{cacheRows: e.cacheRows, words: e.words, chunkRows: cfg.ChunkRows}
 	kp := kitPool(e.kits)
 	for w := range e.workers {
@@ -305,28 +346,6 @@ func newExec(cfg Config, in *Input) (*exec, error) {
 		// Without a byte budget nothing would ever press the run to spill:
 		// every level-0 bucket goes through the spill target.
 		e.spill = newSpiller(*cfg.Spill, e.words, e.gov.Budget() <= 0, e.tr)
-	}
-	if e.tr != nil && e.gov != nil {
-		// Sample the ledger's high water into the trace: every 64th of the
-		// budget, at least 32 KiB apart, or every MiB without a budget.
-		grain := int64(1 << 20)
-		if b := e.gov.Budget(); b > 0 {
-			grain = max(b/64, 32<<10)
-		}
-		tr := e.tr
-		e.gov.SetHighWaterHook(grain, func(hw int64) {
-			tr.Emit(trace.KindGovHighWater, 0, 0, -1, float64(hw))
-		})
-	}
-	if e.gov != nil {
-		// Register the fixed per-worker machinery up front (workerBytes).
-		// If even that doesn't fit the budget, fail before touching the
-		// input: no spill can free it.
-		fixed := int64(len(e.workers)) * workerBytes(e.cacheRows, e.words)
-		if !e.gov.TryReserve(fixed) {
-			return nil, e.gov.BudgetError("core: per-worker machinery", fixed)
-		}
-		e.fixedBytes = fixed
 	}
 	return e, nil
 }

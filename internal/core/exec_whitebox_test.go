@@ -31,7 +31,7 @@ func mkExec(specs []agg.Spec, keys []uint64, cols [][]int64) *exec {
 		MorselRows: 1024,
 		ChunkRows:  128,
 	}.withDefaults()
-	e, err := newExec(cfg, &Input{Keys: keys, AggCols: cols, Specs: specs})
+	e, err := newExec(context.Background(), cfg, &Input{Keys: keys, AggCols: cols, Specs: specs})
 	if err != nil {
 		panic(err)
 	}
@@ -180,7 +180,7 @@ func TestFinalizationTableGrows(t *testing.T) {
 		ChunkRows:  128,
 		Governor:   memgov.New(0),
 	}.withDefaults()
-	e, err := newExec(cfg, &Input{})
+	e, err := newExec(context.Background(), cfg, &Input{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestCapacityFloor(t *testing.T) {
 	// Even an absurdly small cache budget must yield a usable table
 	// (capacity floor of fanout × MinBlockRows).
 	cfg := Config{CacheBytes: 64, Workers: 1}.withDefaults()
-	e, err := newExec(cfg, &Input{Keys: []uint64{1, 2, 3}})
+	e, err := newExec(context.Background(), cfg, &Input{Keys: []uint64{1, 2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -204,7 +204,7 @@ func TestIntakeAbsorbGrowsOrSplits(t *testing.T) {
 		keys := append(append([]uint64(nil), tc.a...), tc.b...)
 		in := keyedInput(keys, 9)
 		cfg := Config{Workers: 2, MorselRows: len(tc.a), CollectStats: true}.withDefaults()
-		e, err := newExec(cfg, in)
+		e, err := newExec(context.Background(), cfg, in)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -144,7 +144,7 @@ func TestFinalizeObservesCancellation(t *testing.T) {
 	in := contractInput(60000, 30000, 3)
 	for _, w := range []int{1, 4} {
 		cfg := Config{Workers: w, CacheBytes: 64 << 10}.withDefaults()
-		e, err := newExec(cfg, in)
+		e, err := newExec(context.Background(), cfg, in)
 		if err != nil {
 			t.Fatal(err)
 		}

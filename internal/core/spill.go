@@ -83,6 +83,17 @@ type SpillStats struct {
 // at any width its table is the operator's minimum.
 const minSpillCacheBytes = 32 << 10
 
+// sizedForSpill fits a run with a spill target under a byte budget to
+// that budget (sizeForSpill); any other config is returned as it is.
+func (cfg Config) sizedForSpill(words int) Config {
+	if cfg.Spill != nil && cfg.Governor != nil {
+		if b := cfg.Governor.Budget(); b > 0 {
+			return sizeForSpill(cfg, words, b)
+		}
+	}
+	return cfg
+}
+
 // sizeForSpill fits a spilling run to its byte budget: few enough workers
 // that their fixed machinery leaves two thirds of the budget to runs, and
 // an eighth of the budget per worker as cache. It only ever shrinks what

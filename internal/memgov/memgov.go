@@ -12,7 +12,8 @@
 //     budget, spills the largest bucket the worker owns — the
 //     dynamic-hybrid degradation of Jahangiri et al. — or, without a spill
 //     target, aborts with a typed error instead of blowing past the budget;
-//   - serve admission grants each query its budget with TryReserve.
+//   - serve admission waits with TryReserveOrWait for a query's floor, and
+//     the query's run then reserves on the same ledger as it grows.
 //
 // Accounting precision: reservations go through per-worker Caches that
 // batch small deltas into one shared atomic, so the hot path costs one
@@ -47,12 +48,12 @@ type Governor struct {
 	reserved atomic.Int64
 	high     atomic.Int64
 
-	// High-water sampling hook (see SetHighWaterHook). hookNext is the
-	// next high-water value at which the hook fires; advancing it by CAS
-	// makes each grain crossing fire exactly once across workers.
-	hook      func(highWater int64)
-	hookGrain int64
-	hookNext  atomic.Int64
+	// High-water sampling hook (see SetHighWaterHook), swapped as one
+	// value. hookNext is the next high-water value at which it fires;
+	// advancing it by CAS makes each grain crossing fire exactly once
+	// across workers.
+	hook     atomic.Pointer[highWaterHook]
+	hookNext atomic.Int64
 
 	// Blocking-reservation waiters (see TryReserveOrWait). nWaiters
 	// mirrors the queue length so the release hot path can skip the lock
@@ -60,6 +61,12 @@ type Governor struct {
 	waitMu   sync.Mutex
 	waiters  list.List // of *waiter, FIFO
 	nWaiters atomic.Int32
+}
+
+// highWaterHook is an installed high-water sampler and its grain.
+type highWaterHook struct {
+	f     func(highWater int64)
+	grain int64
 }
 
 // waiter is one goroutine parked in TryReserveOrWait. kick has capacity 1:
@@ -225,15 +232,15 @@ func (g *Governor) wake() {
 
 // SetHighWaterHook installs f to be called (at most once per grain bytes
 // of high-water growth) whenever the reservation high-water mark rises
-// past the next sampling threshold. grain <= 0 selects 1 MiB. Install
-// before sharing the governor across goroutines; f must be cheap and safe
-// for concurrent calls, and must not call back into the governor.
+// past the next sampling threshold. grain <= 0 selects 1 MiB. It may be
+// called while the governor is in use: the hook and its grain are swapped
+// as one value, and the latest call wins. f must be cheap and safe for
+// concurrent calls, and must not call back into the governor.
 func (g *Governor) SetHighWaterHook(grain int64, f func(highWater int64)) {
 	if grain <= 0 {
 		grain = 1 << 20
 	}
-	g.hook = f
-	g.hookGrain = grain
+	g.hook.Store(&highWaterHook{f: f, grain: grain})
 	g.hookNext.Store(0)
 }
 
@@ -247,7 +254,8 @@ func (g *Governor) bumpHigh(now int64) {
 			break
 		}
 	}
-	if g.hook == nil {
+	hook := g.hook.Load()
+	if hook == nil {
 		return
 	}
 	for {
@@ -256,9 +264,9 @@ func (g *Governor) bumpHigh(now int64) {
 			return
 		}
 		// Jump the threshold past now so one burst fires one sample.
-		step := ((now-next)/g.hookGrain + 1) * g.hookGrain
+		step := ((now-next)/hook.grain + 1) * hook.grain
 		if g.hookNext.CompareAndSwap(next, next+step) {
-			g.hook(now)
+			hook.f(now)
 			return
 		}
 	}

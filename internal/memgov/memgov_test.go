@@ -390,3 +390,48 @@ func TestCancelRacesGrant(t *testing.T) {
 		}
 	}
 }
+
+// TestSetHighWaterHookWhileShared installs hooks from 8 goroutines while
+// the same goroutines reserve and release on one governor, as traced runs
+// on a shared ledger do. Every hook that was installed sees the growth
+// after it, and under -race the detector reports nothing.
+func TestSetHighWaterHookWhileShared(t *testing.T) {
+	g := New(0)
+	const workers = 8
+	var fired [workers]atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if i%50 == 0 {
+					g.SetHighWaterHook(64, func(int64) { fired[w].Add(1) })
+				}
+				g.Reserve(16)
+				if i%2 == 1 {
+					g.Release(16)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	var total int64
+	for w := range fired {
+		total += fired[w].Load()
+	}
+	if total == 0 {
+		t.Fatal("no installed hook was ever called")
+	}
+	if got, want := g.Reserved(), int64(workers*100*16); got != want {
+		t.Fatalf("Reserved = %d, want %d", got, want)
+	}
+	// The last hook installed sees growth after it: one more reservation
+	// past the high water crosses its threshold.
+	var last atomic.Int64
+	g.SetHighWaterHook(64, func(hw int64) { last.Store(hw) })
+	g.Reserve(g.HighWater() - g.Reserved() + 1)
+	if last.Load() != g.HighWater() {
+		t.Fatalf("last hook saw %d, want the high water %d", last.Load(), g.HighWater())
+	}
+}

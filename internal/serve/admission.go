@@ -1,11 +1,13 @@
 package serve
 
-// Admission control: one global memgov ledger arbitrates memory between
-// concurrent queries. Every query reserves its estimated footprint up
-// front; a query that cannot reserve waits in a bounded FIFO queue with
-// per-class fairness, and instead of waiting forever it walks a
-// degradation ladder — full grant, shrunken grant, forced-external grant —
-// before giving up with a typed, Retry-After-stamped rejection.
+// Admission control: one memgov ledger per server is the budget every
+// running query reserves on. A query waits only for its floor — the fixed
+// machinery of the pool the operator will build (core.Floor) — in a
+// bounded FIFO queue with per-class fairness, and gives up after MaxWait
+// with a typed, Retry-After-stamped rejection. No estimate of its output
+// is made: the grant hands the floor to the run, which reserves its
+// machinery, tables and runs on the same ledger as they grow and, when
+// the ledger is over budget, spills its largest buckets instead.
 //
 // The state machine of one query (docs/SERVING.md has the diagram):
 //
@@ -16,18 +18,17 @@ package serve
 //	queued ── context cancelled/expired ──▶ cancelled | deadline
 //	  │ (FIFO with per-class fairness; head of line goes on)
 //	  ▼
-//	reserving ── full estimate within ShrinkAfter ──▶ admitted (full)
-//	  │ ├─ shrunken estimate within ExternalAfter ─▶ admitted (shrunk)
-//	  │ ├─ external floor within MaxWait ──────────▶ admitted (external)
-//	  │ └─ context cancelled/expired ──────────────▶ cancelled | deadline
+//	reserving ── floor above the budget ────▶ rejected (budget_unavailable)
+//	  │ ├─ floor not free within MaxWait ───▶ rejected (budget_unavailable,
+//	  │ │                                       Retry-After hinted)
+//	  │ └─ context cancelled/expired ───────▶ cancelled | deadline
 //	  ▼
-//	rejected (budget_unavailable, Retry-After hinted)
+//	admitted ── the floor is handed to the run on the same ledger
+//	  ▼
+//	running ── ledger over budget ──▶ spills its largest buckets (mode spill)
 //
-// The admission ledger is a *planning* ledger: it tracks grants, not live
-// bytes. Each admitted query enforces its own grant byte-accurately via
-// Options.MemoryBudgetBytes (its private governor), so the sum of grants
-// never exceeds the global budget and the ledger provably drains to zero
-// when the last query releases.
+// The ledger drains to zero when the last query returns: a grant is
+// released as its run starts, and the run releases everything it reserved.
 
 import (
 	"container/list"
@@ -39,43 +40,13 @@ import (
 	"cacheagg/internal/memgov"
 )
 
-// GrantMode says which rung of the degradation ladder admitted the query.
-type GrantMode int
-
-const (
-	// GrantFull is the full cost estimate: the query should run in
-	// memory.
-	GrantFull GrantMode = iota
-	// GrantShrunk is a reduced reservation: the query may degrade to the
-	// out-of-core path for part of its work.
-	GrantShrunk
-	// GrantExternal is the floor reservation: the query is forced
-	// through the out-of-core path (spilling to disk) so it completes
-	// under pressure instead of being rejected.
-	GrantExternal
-)
-
-// String names the mode for response headers and logs.
-func (m GrantMode) String() string {
-	switch m {
-	case GrantShrunk:
-		return "shrunk"
-	case GrantExternal:
-		return "external"
-	default:
-		return "full"
-	}
-}
-
-// Grant is an admitted query's budget reservation. Release must be called
-// exactly once when the query finishes (success or failure); it is
+// Grant is an admitted query's floor, reserved on the ledger. Release
+// hands it back: the server releases it as the query's run starts, and the
+// run reserves its own machinery on the same ledger. Release is
 // idempotent to make error paths easy.
 type Grant struct {
-	// Bytes is the reserved budget, to be enforced by the query's own
-	// governor (Options.MemoryBudgetBytes).
+	// Bytes is the reserved floor.
 	Bytes int64
-	// Mode is the ladder rung that admitted the query.
-	Mode GrantMode
 	// Queued reports that the query waited in the admission queue.
 	Queued bool
 	// WaitedFor is the time spent between Admit and the grant.
@@ -86,8 +57,7 @@ type Grant struct {
 	mu       sync.Mutex
 }
 
-// Release returns the reservation to the global ledger and hands the
-// admission slot to the next queued query.
+// Release returns the floor to the ledger.
 func (g *Grant) Release() {
 	if g == nil {
 		return
@@ -105,23 +75,14 @@ func (g *Grant) Release() {
 // AdmitConfig tunes the controller. The zero value selects the defaults.
 type AdmitConfig struct {
 	// BudgetBytes is the global memory budget shared by all concurrent
-	// queries. <= 0 means unlimited (admission always grants instantly;
-	// queueing and degradation never engage).
+	// queries. <= 0 means unlimited (admission always grants instantly,
+	// and queries run without a governor or a spill target).
 	BudgetBytes int64
 	// MaxQueue bounds the admission wait queue (default 64).
 	MaxQueue int
-	// ShrinkAfter is how long the head-of-line query waits for its full
-	// estimate before the ladder shrinks it (default 100 ms).
-	ShrinkAfter time.Duration
-	// ExternalAfter is how long it waits for the shrunken estimate
-	// before being forced external (default 250 ms).
-	ExternalAfter time.Duration
-	// MaxWait bounds the total budget wait of one query (default 5 s).
-	// A request deadline shorter than MaxWait wins.
+	// MaxWait bounds how long the head-of-line query waits for its floor
+	// (default 5 s). A request deadline shorter than MaxWait wins.
 	MaxWait time.Duration
-	// MinGrantBytes is the forced-external floor reservation — enough
-	// for the out-of-core path's fixed machinery (default 8 MiB).
-	MinGrantBytes int64
 	// RetryHint is the Retry-After stamped on typed rejections
 	// (default 1 s).
 	RetryHint time.Duration
@@ -131,17 +92,8 @@ func (c AdmitConfig) withDefaults() AdmitConfig {
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 64
 	}
-	if c.ShrinkAfter <= 0 {
-		c.ShrinkAfter = 100 * time.Millisecond
-	}
-	if c.ExternalAfter <= 0 {
-		c.ExternalAfter = 250 * time.Millisecond
-	}
 	if c.MaxWait <= 0 {
 		c.MaxWait = 5 * time.Second
-	}
-	if c.MinGrantBytes <= 0 {
-		c.MinGrantBytes = 8 << 20
 	}
 	if c.RetryHint <= 0 {
 		c.RetryHint = time.Second
@@ -185,7 +137,7 @@ func NewController(cfg AdmitConfig, m *Metrics) *Controller {
 	return c
 }
 
-// Ledger exposes the global reservation ledger (metrics, tests).
+// Ledger is the server's ledger: grants and the queries' runs reserve on it.
 func (c *Controller) Ledger() *memgov.Governor { return c.gov }
 
 // QueueLen returns the number of queries waiting for admission.
@@ -204,11 +156,11 @@ func (c *Controller) SetDraining() {
 	c.mu.Unlock()
 }
 
-// Admit reserves need bytes for a query of the given class, blocking in
-// the bounded FIFO queue and walking the degradation ladder as required.
-// It returns a Grant, or a typed *Error (queue full / shed / budget
-// unavailable / draining), or ctx's error when the caller's context ends
-// first.
+// Admit reserves a query's floor of need bytes for the given class,
+// blocking in the bounded FIFO queue and then, at the head of the line,
+// on the ledger for at most MaxWait. It returns a Grant, or a typed *Error
+// (queue full / shed / budget unavailable / draining), or ctx's error when
+// the caller's context ends first.
 func (c *Controller) Admit(ctx context.Context, class Priority, need int64) (*Grant, error) {
 	start := time.Now()
 	c.mu.Lock()
@@ -332,99 +284,47 @@ func (c *Controller) pickLocked() *admWaiter {
 	return nil
 }
 
-// reserve walks the degradation ladder while holding the reserving state;
-// the state transfers to the next waiter on every exit path.
+// reserve waits for the floor while holding the reserving state; the
+// state transfers to the next waiter on every exit path.
 func (c *Controller) reserve(ctx context.Context, need int64, queued bool, start time.Time) (*Grant, error) {
 	defer c.dispatchNext()
-	if need < c.cfg.MinGrantBytes {
-		need = c.cfg.MinGrantBytes
-	}
 	if b := c.gov.Budget(); b > 0 && need > b {
-		need = b // a query bigger than the machine still gets the machine
-	}
-	grant := func(bytes int64, mode GrantMode) (*Grant, error) {
-		g := &Grant{Bytes: bytes, Mode: mode, Queued: queued,
-			WaitedFor: time.Since(start), ctrl: c}
+		// No release can make room: refuse now, without a retry hint.
 		if c.metrics != nil {
-			c.metrics.Admitted.Add(1)
-			if queued {
-				c.metrics.QueuedAdmitted.Add(1)
-			}
-			switch mode {
-			case GrantShrunk:
-				c.metrics.DegradedShrunk.Add(1)
-			case GrantExternal:
-				c.metrics.DegradedExternal.Add(1)
-			}
+			c.metrics.RejectedBudget.Add(1)
 		}
-		return g, nil
+		return nil, errf(ErrBudgetUnavailable, nil,
+			"floor of %d bytes exceeds the %d-byte budget", need, b)
 	}
-	// Rung 0: the estimate fits right now.
-	if c.gov.TryReserve(need) {
-		return grant(need, GrantFull)
-	}
-	// Rung 1: wait briefly for the full estimate.
-	switch err := c.waitReserve(ctx, need, c.cfg.ShrinkAfter); {
-	case err == nil:
-		return grant(need, GrantFull)
-	case ctx.Err() != nil:
-		return nil, ctx.Err()
-	}
-	// Rung 2: shrink the grant — the query trades memory for spill I/O.
-	shrunk := max(need/2, c.cfg.MinGrantBytes)
-	if shrunk < need {
-		switch err := c.waitReserve(ctx, shrunk, c.cfg.ExternalAfter); {
-		case err == nil:
-			return grant(shrunk, GrantShrunk)
-		case ctx.Err() != nil:
+	wctx, cancel := context.WithTimeout(ctx, c.cfg.MaxWait)
+	err := c.gov.TryReserveOrWait(wctx, need)
+	cancel()
+	if err != nil {
+		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-	}
-	// Rung 3: the external floor — forced out-of-core execution.
-	if c.cfg.MinGrantBytes < need {
-		switch err := c.waitReserve(ctx, c.cfg.MinGrantBytes, c.cfg.MaxWait); {
-		case err == nil:
-			return grant(c.cfg.MinGrantBytes, GrantExternal)
-		case ctx.Err() != nil:
-			return nil, ctx.Err()
+		if c.metrics != nil {
+			c.metrics.RejectedBudget.Add(1)
 		}
-	} else {
-		// Already at the floor; give it the rest of the wait budget.
-		switch err := c.waitReserve(ctx, need, c.cfg.MaxWait); {
-		case err == nil:
-			return grant(need, GrantExternal)
-		case ctx.Err() != nil:
-			return nil, ctx.Err()
-		}
+		return nil, withRetry(errf(ErrBudgetUnavailable, nil,
+			"no room for a floor of %d bytes within %v (%d of %d reserved)",
+			need, c.cfg.MaxWait, c.gov.Reserved(), c.gov.Budget()),
+			c.cfg.RetryHint)
 	}
 	if c.metrics != nil {
-		c.metrics.RejectedBudget.Add(1)
+		c.metrics.Admitted.Add(1)
+		if queued {
+			c.metrics.QueuedAdmitted.Add(1)
+		}
 	}
-	return nil, withRetry(errf(ErrBudgetUnavailable, nil,
-		"no budget for %d bytes within %v (%d of %d reserved)",
-		c.cfg.MinGrantBytes, c.cfg.MaxWait, c.gov.Reserved(), c.gov.Budget()),
-		c.cfg.RetryHint)
+	return &Grant{Bytes: need, Queued: queued, WaitedFor: time.Since(start), ctrl: c}, nil
 }
 
-// waitReserve blocks on the ledger for up to bound (the caller's context
-// still wins). A nil return means the reservation was granted.
-func (c *Controller) waitReserve(ctx context.Context, n int64, bound time.Duration) error {
-	wctx, cancel := context.WithTimeout(ctx, bound)
-	defer cancel()
-	return c.gov.TryReserveOrWait(wctx, n)
-}
-
-// EstimateCost sizes a query's up-front reservation from its input: the
-// per-worker fixed machinery of the operator plus one output row per input
-// row, both from core.Footprint at aggWidth+1 state words (room for an AVG
-// decomposed into SUM and COUNT), and 1 MiB of slack. Deliberately a
-// planning number — the query's own byte-accurate governor enforces the
-// grant; the estimate only has to be the right order of magnitude for
-// admission to slot queries sensibly.
+// EstimateCost is the floor of a query over rows input rows with aggWidth
+// aggregates, run by workers workers (0 = GOMAXPROCS) at cacheBytes per
+// worker (0 = the operator default): core.Floor at aggWidth+1 state words,
+// room for one AVG, which is two. The server computes its queries' floors
+// from their exact layout.
 func EstimateCost(rows, aggWidth, workers, cacheBytes int) int64 {
-	if workers <= 0 {
-		workers = 1
-	}
-	fixed, perRow := core.Footprint(core.Config{CacheBytes: cacheBytes}, aggWidth+1)
-	return int64(workers)*fixed + int64(rows)*perRow + 1<<20
+	return core.Floor(core.Config{Workers: workers, CacheBytes: cacheBytes}, rows, aggWidth+1)
 }

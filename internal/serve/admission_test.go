@@ -7,17 +7,19 @@ import (
 	"testing"
 	"time"
 
+	"cacheagg/internal/core"
+	"cacheagg/internal/sched"
 	"cacheagg/internal/testutil"
 )
 
 func TestAdmitFastPathAndRelease(t *testing.T) {
-	c := NewController(AdmitConfig{BudgetBytes: 100 << 20, MinGrantBytes: 1 << 20}, nil)
+	c := NewController(AdmitConfig{BudgetBytes: 100 << 20}, nil)
 	g, err := c.Admit(context.Background(), PriorityNormal, 10<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Mode != GrantFull || g.Queued {
-		t.Fatalf("grant = %+v, want unqueued full", g)
+	if g.Queued {
+		t.Fatalf("grant = %+v, want unqueued", g)
 	}
 	if got := c.Ledger().Reserved(); got != 10<<20 {
 		t.Fatalf("ledger = %d, want %d", got, 10<<20)
@@ -29,70 +31,40 @@ func TestAdmitFastPathAndRelease(t *testing.T) {
 	}
 }
 
-func TestAdmitClampsOversizedEstimate(t *testing.T) {
-	c := NewController(AdmitConfig{BudgetBytes: 8 << 20, MinGrantBytes: 1 << 20}, nil)
-	g, err := c.Admit(context.Background(), PriorityNormal, 1<<40)
-	if err != nil {
-		t.Fatalf("a query bigger than the machine must still be admitted: %v", err)
-	}
-	defer g.Release()
-	if g.Bytes != 8<<20 {
-		t.Fatalf("grant = %d, want clamped to the 8 MiB budget", g.Bytes)
-	}
-}
-
-func TestDegradationLadder(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
+// TestAdmitRefusesFloorAboveBudget: a floor no release can make room for
+// is refused at once, with no retry hint, instead of waiting out an hour
+// of MaxWait; nothing is reserved or left waiting.
+func TestAdmitRefusesFloorAboveBudget(t *testing.T) {
 	m := &Metrics{}
-	c := NewController(AdmitConfig{
-		BudgetBytes:   10 << 20,
-		MinGrantBytes: 2 << 20,
-		ShrinkAfter:   20 * time.Millisecond,
-		ExternalAfter: 20 * time.Millisecond,
-		MaxWait:       time.Second,
-	}, m)
-	// First query takes 8 of 10 MiB and sits on it.
-	g1, err := c.Admit(context.Background(), PriorityNormal, 8<<20)
+	c := NewController(AdmitConfig{BudgetBytes: 8 << 20, MaxWait: time.Hour}, m)
+	g, err := c.Admit(context.Background(), PriorityNormal, 8<<20+1)
+	if err == nil {
+		g.Release()
+		t.Fatal("a floor above the budget must be refused")
+	}
+	var serr *Error
+	if !errors.As(err, &serr) || serr.Code != ErrBudgetUnavailable.Code || serr.RetryAfter != 0 {
+		t.Fatalf("err = %v, want budget_unavailable without a retry hint", err)
+	}
+	if m.RejectedBudget.Load() != 1 {
+		t.Fatalf("RejectedBudget = %d, want 1", m.RejectedBudget.Load())
+	}
+	if r, w := c.Ledger().Reserved(), c.Ledger().Waiting(); r != 0 || w != 0 {
+		t.Fatalf("ledger reserved %d with %d waiting, want 0 and 0", r, w)
+	}
+	// The reserving state was handed on: a floor that fits is admitted.
+	g, err = c.Admit(context.Background(), PriorityNormal, 8<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Second wants 8 MiB too: full (8) never fits, shrunken (4) never
-	// fits, the 2 MiB external floor does → forced external.
-	g2, err := c.Admit(context.Background(), PriorityNormal, 8<<20)
-	if err != nil {
-		t.Fatalf("ladder must admit at the external floor: %v", err)
-	}
-	if g2.Mode != GrantExternal || g2.Bytes != 2<<20 {
-		t.Fatalf("grant = mode %v bytes %d, want external 2 MiB", g2.Mode, g2.Bytes)
-	}
-	if m.DegradedExternal.Load() != 1 {
-		t.Fatalf("DegradedExternal = %d, want 1", m.DegradedExternal.Load())
-	}
-	// Third wants 7 MiB with 0 free: even the floor can't fit → typed
-	// budget rejection with a retry hint.
-	g3, err := c.Admit(contextWithTimeout(t, 300*time.Millisecond), PriorityNormal, 7<<20)
-	if err == nil {
-		g3.Release()
-		t.Fatal("admission with a full ledger must fail")
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want the caller deadline to end the wait", err)
-	}
-	g1.Release()
-	g2.Release()
-	if got := c.Ledger().Reserved(); got != 0 {
-		t.Fatalf("ledger = %d after all releases", got)
-	}
+	g.Release()
 }
 
 func TestBudgetUnavailableTyped(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	c := NewController(AdmitConfig{
-		BudgetBytes:   4 << 20,
-		MinGrantBytes: 2 << 20,
-		ShrinkAfter:   5 * time.Millisecond,
-		ExternalAfter: 5 * time.Millisecond,
-		MaxWait:       30 * time.Millisecond,
+		BudgetBytes: 4 << 20,
+		MaxWait:     30 * time.Millisecond,
 	}, nil)
 	g1, err := c.Admit(context.Background(), PriorityNormal, 4<<20)
 	if err != nil {
@@ -113,12 +85,9 @@ func TestQueueFullAndShed(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	m := &Metrics{}
 	c := NewController(AdmitConfig{
-		BudgetBytes:   4 << 20,
-		MinGrantBytes: 4 << 20,
-		MaxQueue:      2,
-		ShrinkAfter:   10 * time.Millisecond,
-		ExternalAfter: 10 * time.Millisecond,
-		MaxWait:       5 * time.Second,
+		BudgetBytes: 4 << 20,
+		MaxQueue:    2,
+		MaxWait:     5 * time.Second,
 	}, m)
 	// Saturate the budget so every following Admit parks.
 	hold, err := c.Admit(context.Background(), PriorityNormal, 4<<20)
@@ -190,9 +159,8 @@ func TestQueueFullAndShed(t *testing.T) {
 func TestQueuedWaiterHonorsCancellation(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	c := NewController(AdmitConfig{
-		BudgetBytes:   4 << 20,
-		MinGrantBytes: 4 << 20,
-		MaxWait:       10 * time.Second,
+		BudgetBytes: 4 << 20,
+		MaxWait:     10 * time.Second,
 	}, nil)
 	hold, err := c.Admit(context.Background(), PriorityNormal, 4<<20)
 	if err != nil {
@@ -237,21 +205,39 @@ func TestUnlimitedBudgetAdmitsInstantly(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer g.Release()
-		if g.Mode != GrantFull {
-			t.Fatalf("unlimited budget degraded to %v", g.Mode)
+		if g.Queued {
+			t.Fatal("unlimited budget queued a query")
 		}
 	}
 }
 
+// TestEstimateCostMonotone pins the floor's properties: one worker's
+// fixed machinery per worker of the pool core builds — no more workers
+// than the input has morsels — and no term that grows with the rows once
+// the pool is full, since the output is never estimated.
 func TestEstimateCostMonotone(t *testing.T) {
-	small := EstimateCost(1000, 1, 1, 64<<10)
-	big := EstimateCost(1<<20, 1, 1, 64<<10)
-	if small <= 0 || big <= small {
-		t.Fatalf("EstimateCost not monotone in rows: %d vs %d", small, big)
+	fixed := func(words, cache int) int64 {
+		f, _ := core.Footprint(core.Config{CacheBytes: cache}, words)
+		return f
 	}
-	wide := EstimateCost(1000, 8, 1, 64<<10)
-	if wide <= small {
-		t.Fatalf("EstimateCost not monotone in width: %d vs %d", wide, small)
+	const cache = 64 << 10
+	if got, want := EstimateCost(1000, 1, 1, cache), fixed(2, cache); got != want {
+		t.Fatalf("one worker's floor = %d, want its fixed machinery %d", got, want)
+	}
+	if small, big := EstimateCost(1000, 1, 1, cache), EstimateCost(1<<22, 1, 1, cache); big != small {
+		t.Fatalf("floor grows with the rows: %d at 1000 rows, %d at 2^22", small, big)
+	}
+	if got, want := EstimateCost(1000, 1, 4, cache), fixed(2, cache); got != want {
+		t.Fatalf("one-morsel floor at 4 workers = %d, want one worker's %d", got, want)
+	}
+	if got, want := EstimateCost(4*sched.DefaultGrain, 1, 4, cache), 4*fixed(2, cache); got != want {
+		t.Fatalf("four-morsel floor at 4 workers = %d, want %d", got, want)
+	}
+	if narrow, wide := EstimateCost(1000, 1, 1, cache), EstimateCost(1000, 8, 1, cache); wide <= narrow {
+		t.Fatalf("floor not monotone in width: %d vs %d", wide, narrow)
+	}
+	if small, big := EstimateCost(1000, 1, 1, cache), EstimateCost(1000, 1, 1, 1<<20); big <= small {
+		t.Fatalf("floor not monotone in cache: %d vs %d", big, small)
 	}
 }
 

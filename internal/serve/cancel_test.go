@@ -42,16 +42,13 @@ func TestCancellationHammer(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		Registry: reg,
 		Admission: AdmitConfig{
-			// Two concurrent grants and a deep queue: most of the hammer
-			// waits in the admission queue, and grants degrade to the
-			// spilling floor under pressure — so cancels land in every
-			// state: queued, reserving, building, spilling, merging.
-			BudgetBytes:   2 * est,
-			MaxQueue:      64,
-			ShrinkAfter:   10 * time.Millisecond,
-			ExternalAfter: 25 * time.Millisecond,
-			MaxWait:       10 * time.Second,
-			MinGrantBytes: 2 << 20,
+			// Two concurrent floors and a deep queue: most of the hammer
+			// waits in the admission queue, and running queries spill
+			// under pressure — so cancels land in every state: queued,
+			// reserving, building, spilling, merging.
+			BudgetBytes: 2 * est,
+			MaxQueue:    64,
+			MaxWait:     10 * time.Second,
 		},
 		QueryWorkers:    1,
 		QueryCacheBytes: 64 << 10,
@@ -164,9 +161,9 @@ func TestCancellationHammer(t *testing.T) {
 	if err := s.Drain(contextWithTimeout(t, 30*time.Second)); err != nil {
 		t.Fatalf("drain after hammer: %v", err)
 	}
-	t.Logf("hammer: admitted=%d queued=%d shrunk=%d external=%d succeeded=%d cancelled=%d deadline=%d queue_full=%d shed=%d",
+	t.Logf("hammer: admitted=%d queued=%d spilled=%d succeeded=%d cancelled=%d deadline=%d queue_full=%d shed=%d",
 		s.metrics.Admitted.Load(), s.metrics.QueuedAdmitted.Load(),
-		s.metrics.DegradedShrunk.Load(), s.metrics.DegradedExternal.Load(),
+		s.metrics.Spilled.Load(),
 		s.metrics.Succeeded.Load(), s.metrics.Cancelled.Load(),
 		s.metrics.DeadlineExpired.Load(), s.metrics.RejectedQueue.Load(),
 		s.metrics.Shed.Load())

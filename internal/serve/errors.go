@@ -5,15 +5,17 @@
 // Robustness is the headline, not throughput. The serving layer adds what
 // the library deliberately leaves to its caller:
 //
-//   - admission control driven by a memgov ledger — one global byte
-//     budget, per-query up-front reservations sized from a cost estimate,
-//     a bounded FIFO wait queue with per-class fairness, and typed
-//     rejections carrying Retry-After hints (admission.go);
-//   - graceful degradation under pressure — shrink the per-query budget,
-//     then force the out-of-core path, then shed the lowest-priority
-//     queued work — instead of failing (admission.go);
+//   - admission control driven by one memgov ledger — one global byte
+//     budget, a wait for each query's floor (the operator's fixed
+//     machinery, no output estimate), a bounded FIFO wait queue with
+//     per-class fairness, and typed rejections carrying Retry-After hints
+//     (admission.go);
+//   - graceful degradation under pressure — running queries share the
+//     ledger and spill their largest buckets when it is over budget, and
+//     the lowest-priority queued work is shed — instead of failing
+//     (admission.go, server.go);
 //   - per-request deadlines and client-disconnect cancellation threaded
-//     through AggregateContext end to end (server.go);
+//     through the operator end to end (server.go);
 //   - a byte-bounded LRU result cache with singleflight dedup of
 //     identical in-flight queries (cache.go);
 //   - panic containment per session, graceful drain on shutdown, and
@@ -78,8 +80,8 @@ var (
 	// ErrAdmissionQueueFull rejects a query because the bounded admission
 	// queue is at capacity and the query outranks nothing queued.
 	ErrAdmissionQueueFull = &Error{Code: "admission_queue_full", Status: http.StatusServiceUnavailable}
-	// ErrBudgetUnavailable rejects a query whose (already ladder-shrunken)
-	// reservation could not be satisfied before its wait bound.
+	// ErrBudgetUnavailable rejects a query whose floor exceeds the budget,
+	// or could not be reserved within MaxWait.
 	ErrBudgetUnavailable = &Error{Code: "budget_unavailable", Status: http.StatusServiceUnavailable}
 	// ErrShed rejects queued work evicted to make room for
 	// higher-priority arrivals under overload.

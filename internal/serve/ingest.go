@@ -328,8 +328,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 func (s *Server) ingestBegin(w http.ResponseWriter, req *ingestRequest) error {
 	specs := make([]cacheagg.AggSpec, len(req.Aggregates))
 	for i, a := range req.Aggregates {
-		f, _ := parseFunc(a.Func) // validated in decodeIngest
-		specs[i] = cacheagg.AggSpec{Func: f, Col: a.Col}
+		// Validated in decodeIngest; cacheagg.Func numbers the functions
+		// as agg.Kind does.
+		k, _ := parseFunc(a.Func)
+		specs[i] = cacheagg.AggSpec{Func: cacheagg.Func(k), Col: a.Col}
 	}
 	s.sessMu.Lock()
 	defer s.sessMu.Unlock()

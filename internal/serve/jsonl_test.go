@@ -18,6 +18,8 @@ import (
 	"time"
 
 	"cacheagg"
+	"cacheagg/internal/agg"
+	"cacheagg/internal/core"
 	"cacheagg/internal/testutil"
 )
 
@@ -226,12 +228,12 @@ func TestJSONLMatchesEncodingJSON(t *testing.T) {
 	}
 
 	t.Run("queries", func(t *testing.T) {
-		shapes := [][]cacheagg.AggSpec{
+		shapes := [][]agg.Spec{
 			nil,
-			{{Func: cacheagg.Count}},
-			{{Func: cacheagg.Count}, {Func: cacheagg.Sum, Col: 0}, {Func: cacheagg.Min, Col: 1}, {Func: cacheagg.Avg, Col: 1}},
-			{{Func: cacheagg.Sum, Col: 0}, {Func: cacheagg.Max, Col: 1}},
-			{{Func: cacheagg.Count}, {Func: cacheagg.Avg, Col: 0}},
+			{{Kind: agg.Count}},
+			{{Kind: agg.Count}, {Kind: agg.Sum, Col: 0}, {Kind: agg.Min, Col: 1}, {Kind: agg.Avg, Col: 1}},
+			{{Kind: agg.Sum, Col: 0}, {Kind: agg.Max, Col: 1}},
+			{{Kind: agg.Count}, {Kind: agg.Avg, Col: 0}},
 		}
 		for _, spec := range []string{"z=zipf:8192:1024:7", "u=uniform:4096:512", "s=strings:4096:512:3", "c=composite2:4096:512:5"} {
 			ds, err := ParseDatasetSpec(spec)
@@ -239,17 +241,17 @@ func TestJSONLMatchesEncodingJSON(t *testing.T) {
 				t.Fatal(err)
 			}
 			for si, specs := range shapes {
-				res, err := cacheagg.Aggregate(cacheagg.Input{GroupBy: ds.Keys, Columns: ds.Cols, Aggregates: specs}, cacheagg.Options{})
+				res, err := core.Aggregate(core.Config{}, &core.Input{Keys: ds.Keys, AggCols: ds.Cols, Specs: specs})
 				if err != nil {
 					t.Fatal(err)
 				}
 				withFloats := false
 				for _, sp := range specs {
-					withFloats = withFloats || sp.Func == cacheagg.Avg
+					withFloats = withFloats || sp.Kind == agg.Avg
 				}
-				r := &jsonlRows{groups: res.Groups, aggs: res.Aggs}
+				r := &jsonlRows{groups: res.Keys, aggs: res.Aggs}
 				if ds.GeneralKeys() {
-					if r.keys, err = ds.Interner.DecodeGroups(res.Groups, ds.KeyTypes); err != nil {
+					if r.keys, err = ds.Interner.DecodeGroups(res.Keys, ds.KeyTypes); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -272,13 +274,13 @@ func TestJSONLMatchesEncodingJSON(t *testing.T) {
 	t.Run("headers", func(t *testing.T) {
 		metas := []responseMeta{
 			{cache: "hit"},
-			{groups: 4096, cache: "miss", mode: "full"},
-			{groups: 17, cache: "miss", mode: "external", queued: true, waited: 212400 * time.Microsecond},
-			{groups: math.MaxInt32, cache: "shared", mode: "shrunk", queued: true},
+			{groups: 4096, cache: "miss", mode: "spill"},
+			{groups: 17, cache: "miss", mode: "spill", queued: true, waited: 212400 * time.Microsecond},
+			{groups: math.MaxInt32, cache: "shared", queued: true},
 			{groups: 1, cache: `<&>"`, mode: "\u2028", queued: true, waited: time.Nanosecond},
 		}
 		for i := 0; i < 200; i++ {
-			metas = append(metas, responseMeta{groups: rng.Int(), cache: "miss", mode: "full",
+			metas = append(metas, responseMeta{groups: rng.Int(), cache: "miss", mode: "spill",
 				queued: true, waited: time.Duration(rng.Int63n(int64(time.Hour)))})
 		}
 		for _, m := range metas {
@@ -398,13 +400,13 @@ func TestMarshalBodyAllocBytes(t *testing.T) {
 		keys[i] = uint64(i % k)
 		vals[i] = int64(i)
 	}
-	specs := []cacheagg.AggSpec{{Func: cacheagg.Count}, {Func: cacheagg.Sum, Col: 0}, {Func: cacheagg.Avg, Col: 0}}
-	res, err := cacheagg.Aggregate(cacheagg.Input{GroupBy: keys, Columns: [][]int64{vals}, Aggregates: specs}, cacheagg.Options{Workers: 1})
+	specs := []agg.Spec{{Kind: agg.Count}, {Kind: agg.Sum, Col: 0}, {Kind: agg.Avg, Col: 0}}
+	res, err := core.Aggregate(core.Config{Workers: 1}, &core.Input{Keys: keys, AggCols: [][]int64{vals}, Specs: specs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != k {
-		t.Fatalf("%d groups, want %d", res.Len(), k)
+	if res.Groups() != k {
+		t.Fatalf("%d groups, want %d", res.Groups(), k)
 	}
 	body, err := marshalBody(res, true, nil)
 	if err != nil {
@@ -460,12 +462,12 @@ func FuzzJSONLString(f *testing.F) {
 func BenchmarkMarshalBody(b *testing.B) {
 	shapes := []struct {
 		name  string
-		specs []cacheagg.AggSpec
+		specs []agg.Spec
 	}{
-		{"count", []cacheagg.AggSpec{{Func: cacheagg.Count}}},
-		{"std", []cacheagg.AggSpec{{Func: cacheagg.Count}, {Func: cacheagg.Sum, Col: 0}, {Func: cacheagg.Min, Col: 1}, {Func: cacheagg.Avg, Col: 1}}},
-		{"sum_max", []cacheagg.AggSpec{{Func: cacheagg.Sum, Col: 0}, {Func: cacheagg.Max, Col: 1}}},
-		{"count_avg", []cacheagg.AggSpec{{Func: cacheagg.Count}, {Func: cacheagg.Avg, Col: 0}}},
+		{"count", []agg.Spec{{Kind: agg.Count}}},
+		{"std", []agg.Spec{{Kind: agg.Count}, {Kind: agg.Sum, Col: 0}, {Kind: agg.Min, Col: 1}, {Kind: agg.Avg, Col: 1}}},
+		{"sum_max", []agg.Spec{{Kind: agg.Sum, Col: 0}, {Kind: agg.Max, Col: 1}}},
+		{"count_avg", []agg.Spec{{Kind: agg.Count}, {Kind: agg.Avg, Col: 0}}},
 	}
 	for _, spec := range []string{"zipf=zipf:262144:16384:8", "uniform=uniform:131072:4096:9", "strings=strings:131072:8192:10"} {
 		ds, err := ParseDatasetSpec(spec)
@@ -474,11 +476,11 @@ func BenchmarkMarshalBody(b *testing.B) {
 		}
 		for _, sh := range shapes {
 			b.Run(ds.Name+"/"+sh.name, func(b *testing.B) {
-				res, err := cacheagg.Aggregate(cacheagg.Input{GroupBy: ds.Keys, Columns: ds.Cols, Aggregates: sh.specs}, cacheagg.Options{Workers: 1})
+				res, err := core.Aggregate(core.Config{Workers: 1}, &core.Input{Keys: ds.Keys, AggCols: ds.Cols, Specs: sh.specs})
 				if err != nil {
 					b.Fatal(err)
 				}
-				withFloats := sh.specs[len(sh.specs)-1].Func == cacheagg.Avg
+				withFloats := sh.specs[len(sh.specs)-1].Kind == agg.Avg
 				body, err := marshalBody(res, withFloats, ds)
 				if err != nil {
 					b.Fatal(err)
@@ -491,7 +493,7 @@ func BenchmarkMarshalBody(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*res.Len()), "ns/group")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*res.Groups()), "ns/group")
 			})
 		}
 	}

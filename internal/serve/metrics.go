@@ -1,7 +1,7 @@
 package serve
 
-// Serve-layer metrics: lock-free counters for the admission/degradation/
-// cache taxonomy plus a log-bucketed latency histogram good enough for
+// Serve-layer metrics: lock-free counters for the admission/spill/cache
+// taxonomy plus a log-bucketed latency histogram good enough for
 // p50/p99 under concurrent writers. The /metrics endpoint merges a
 // Snapshot of these with the operator tracer's expvar snapshot.
 
@@ -19,7 +19,7 @@ const latBuckets = 48
 // atomics; read them through Snapshot.
 type Metrics struct {
 	// Admission outcomes.
-	Admitted        atomic.Int64 // granted a budget reservation (any rung)
+	Admitted        atomic.Int64 // granted its floor
 	QueuedAdmitted  atomic.Int64 // admitted after waiting in the queue
 	RejectedQueue   atomic.Int64 // ErrAdmissionQueueFull
 	RejectedBudget  atomic.Int64 // ErrBudgetUnavailable
@@ -31,9 +31,8 @@ type Metrics struct {
 	Panics          atomic.Int64 // contained session panics
 	InternalErrors  atomic.Int64 // other operator failures
 
-	// Degradation ladder rungs taken by admitted queries.
-	DegradedShrunk   atomic.Int64
-	DegradedExternal atomic.Int64
+	// Spilled counts queries whose run spilled to disk.
+	Spilled atomic.Int64
 
 	// Result cache.
 	CacheHits    atomic.Int64
@@ -44,7 +43,7 @@ type Metrics struct {
 
 	// Liveness.
 	Inflight  atomic.Int64 // sessions between decode and response
-	Running   atomic.Int64 // sessions holding a budget grant
+	Running   atomic.Int64 // sessions running the operator
 	Succeeded atomic.Int64
 
 	// Streaming ingest (/v1/ingest).
@@ -113,8 +112,7 @@ type MetricsSnapshot struct {
 	Panics          int64 `json:"panics"`
 	InternalErrors  int64 `json:"internal_errors"`
 
-	DegradedShrunk   int64 `json:"degraded_shrunk"`
-	DegradedExternal int64 `json:"degraded_external"`
+	Spilled int64 `json:"spilled"`
 
 	CacheHits    int64 `json:"cache_hits"`
 	CacheMisses  int64 `json:"cache_misses"`
@@ -158,8 +156,7 @@ func (m *Metrics) snapshot() MetricsSnapshot {
 		Panics:          m.Panics.Load(),
 		InternalErrors:  m.InternalErrors.Load(),
 
-		DegradedShrunk:   m.DegradedShrunk.Load(),
-		DegradedExternal: m.DegradedExternal.Load(),
+		Spilled: m.Spilled.Load(),
 
 		CacheHits:    m.CacheHits.Load(),
 		CacheMisses:  m.CacheMisses.Load(),

@@ -57,18 +57,15 @@ func TestOverloadDrill(t *testing.T) {
 	)
 	reg := testRegistry(t, rows)
 
-	// Size the global budget to fit ~4 concurrent queries of the widest
-	// shape, using the same estimator the server does.
+	// Size the global budget to fit the floors of ~4 concurrent queries
+	// of the widest shape.
 	est := EstimateCost(rows, 3, 1, 64<<10)
 	s, ts := newTestServer(t, Config{
 		Registry: reg,
 		Admission: AdmitConfig{
-			BudgetBytes:   4 * est,
-			MaxQueue:      8,
-			ShrinkAfter:   30 * time.Millisecond,
-			ExternalAfter: 60 * time.Millisecond,
-			MaxWait:       800 * time.Millisecond,
-			MinGrantBytes: 2 << 20,
+			BudgetBytes: 4 * est,
+			MaxQueue:    8,
+			MaxWait:     800 * time.Millisecond,
 		},
 		QueryWorkers:    1,
 		QueryCacheBytes: 64 << 10,
@@ -174,8 +171,8 @@ func TestOverloadDrill(t *testing.T) {
 // library result: the same group set, and for every group the exact same
 // aggregate bits (integer and, for AVG shapes, float). Row order is
 // compared keyed by group — the operator's documented identity between
-// in-memory (bucket-order) and degraded (total hash order) runs, which a
-// grant-degraded service response inherits. Float columns ride along only
+// in-memory (bucket-order) and spilled (total hash order) runs, which a
+// service response that spilled inherits. Float columns ride along only
 // for shapes containing an AVG (wantFloats).
 func checkBitIdentical(body io.Reader, want *cacheagg.Result, wantFloats bool) error {
 	idx := want.Index()

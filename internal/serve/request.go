@@ -14,7 +14,7 @@ import (
 	"io"
 	"strings"
 
-	"cacheagg"
+	"cacheagg/internal/agg"
 )
 
 // Priority is the admission class of a query. Higher classes are admitted
@@ -63,18 +63,19 @@ type AggRef struct {
 	Col int `json:"col,omitempty"`
 }
 
-func parseFunc(s string) (cacheagg.Func, error) {
+// parseFunc maps a wire function name to the operator's aggregate kind.
+func parseFunc(s string) (agg.Kind, error) {
 	switch s {
 	case "count":
-		return cacheagg.Count, nil
+		return agg.Count, nil
 	case "sum":
-		return cacheagg.Sum, nil
+		return agg.Sum, nil
 	case "min":
-		return cacheagg.Min, nil
+		return agg.Min, nil
 	case "max":
-		return cacheagg.Max, nil
+		return agg.Max, nil
 	case "avg":
-		return cacheagg.Avg, nil
+		return agg.Avg, nil
 	default:
 		return 0, fmt.Errorf("unknown aggregate func %q (count | sum | min | max | avg)", s)
 	}
@@ -227,11 +228,11 @@ func (r *Request) validate(lim Limits) error {
 // aggSpecs converts the wire aggregates to operator specs. Column bounds
 // against the actual input width are checked by the caller (the width of
 // a dataset is not known to the decoder).
-func (r *Request) aggSpecs() []cacheagg.AggSpec {
-	specs := make([]cacheagg.AggSpec, len(r.Aggregates))
+func (r *Request) aggSpecs() []agg.Spec {
+	specs := make([]agg.Spec, len(r.Aggregates))
 	for i, a := range r.Aggregates {
-		f, _ := parseFunc(a.Func) // validated in DecodeRequest
-		specs[i] = cacheagg.AggSpec{Func: f, Col: a.Col}
+		k, _ := parseFunc(a.Func) // validated in DecodeRequest
+		specs[i] = agg.Spec{Kind: k, Col: a.Col}
 	}
 	return specs
 }

@@ -3,7 +3,7 @@ package serve
 // The HTTP face of the service. One handler = one query session:
 //
 //	decode → resolve input → cache lookup → singleflight join →
-//	admission (queue + ladder) → AggregateContext under the grant →
+//	admission (queue, floor wait) → the operator on the server's ledger →
 //	marshal → cache fill → respond
 //
 // with the request context — carrying the client's deadline and
@@ -23,7 +23,10 @@ import (
 	"time"
 
 	"cacheagg"
+	"cacheagg/internal/agg"
+	"cacheagg/internal/core"
 	"cacheagg/internal/runs"
+	"cacheagg/internal/trace"
 )
 
 // Config assembles a Server. Registry is required; everything else
@@ -31,7 +34,7 @@ import (
 type Config struct {
 	// Registry is the set of hosted datasets.
 	Registry *Registry
-	// Admission tunes the admission controller (budget, queue, ladder).
+	// Admission tunes the admission controller (budget, queue, wait).
 	Admission AdmitConfig
 	// Limits bounds request decoding.
 	Limits Limits
@@ -79,6 +82,8 @@ type Server struct {
 	cache   *resultCache
 	metrics *Metrics
 	mux     *http.ServeMux
+	// tracer is Config.Tracer's recorder, nil without one.
+	tracer trace.Tracer
 
 	drainMu  sync.Mutex
 	draining bool
@@ -104,6 +109,9 @@ func NewServer(cfg Config) (*Server, error) {
 		metrics: m,
 		mux:     http.NewServeMux(),
 	}
+	if cfg.Tracer != nil {
+		s.tracer = trace.RecorderOf(cfg.Tracer)
+	}
 	s.mux.HandleFunc("/v1/aggregate", s.handleAggregate)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
@@ -124,7 +132,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Metrics exposes the counter set (tests, embedding).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// Ledger exposes the admission ledger (tests assert it drains to zero).
+// Ledger exposes the server's ledger (tests assert it drains to zero).
 func (s *Server) Ledger() interface{ Reserved() int64 } { return s.ctrl.Ledger() }
 
 // Drain gracefully shuts the service down: new work is rejected with a
@@ -243,7 +251,7 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	key := canonicalKey(req, input)
+	key := canonicalKey(req, &input)
 	if !req.NoCache {
 		if body, groups, ok := s.cache.get(key); ok {
 			s.metrics.CacheHits.Add(1)
@@ -252,7 +260,7 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	body, groups, meta, err := s.execute(ctx, req, input, ds, key)
+	body, groups, meta, err := s.execute(ctx, req, &input, ds, key)
 	if err != nil {
 		s.writeError(w, err)
 		s.observeOutcome(start)
@@ -262,8 +270,8 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		queued: meta.queued, waited: meta.waited}, body, start)
 }
 
-// sessionMeta carries the how-was-it-admitted story into the response
-// header line.
+// sessionMeta carries the how-was-it-run story into the response header
+// line: mode is "spill" when the run spilled, empty otherwise.
 type sessionMeta struct {
 	cache  string
 	mode   string
@@ -273,7 +281,7 @@ type sessionMeta struct {
 
 // execute resolves the singleflight, admission and operator stages of one
 // query. It returns the marshaled rows+trailer body.
-func (s *Server) execute(ctx context.Context, req *Request, input cacheagg.Input, ds *Dataset, key string) ([]byte, int, sessionMeta, error) {
+func (s *Server) execute(ctx context.Context, req *Request, in *core.Input, ds *Dataset, key string) ([]byte, int, sessionMeta, error) {
 	useCache := !req.NoCache && s.cache != nil
 	for {
 		var f *flight
@@ -300,14 +308,14 @@ func (s *Server) execute(ctx context.Context, req *Request, input cacheagg.Input
 				return nil, 0, sessionMeta{}, s.mapContextErr(ctx)
 			}
 		}
-		return s.leadFlight(ctx, req, input, ds, key, f, useCache)
+		return s.leadFlight(ctx, req, in, ds, key, f, useCache)
 	}
 }
 
 // leadFlight runs the leader side of a singleflight. The flight is
 // finished on every exit path — including a panic unwinding through this
 // frame — so followers can never hang on a dead leader.
-func (s *Server) leadFlight(ctx context.Context, req *Request, input cacheagg.Input, ds *Dataset, key string, f *flight, useCache bool) (body []byte, groups int, meta sessionMeta, err error) {
+func (s *Server) leadFlight(ctx context.Context, req *Request, in *core.Input, ds *Dataset, key string, f *flight, useCache bool) (body []byte, groups int, meta sessionMeta, err error) {
 	completed := false
 	if useCache {
 		defer func() {
@@ -316,7 +324,7 @@ func (s *Server) leadFlight(ctx context.Context, req *Request, input cacheagg.In
 			}
 		}()
 	}
-	body, groups, meta, err = s.admitAndRun(ctx, req, input, ds)
+	body, groups, meta, err = s.admitAndRun(ctx, req, in, ds)
 	if useCache {
 		s.cache.finish(key, f, body, groups, err == nil)
 		completed = true
@@ -325,33 +333,23 @@ func (s *Server) leadFlight(ctx context.Context, req *Request, input cacheagg.In
 }
 
 // admitAndRun is the admission + execution stage of a leader session.
-func (s *Server) admitAndRun(ctx context.Context, req *Request, input cacheagg.Input, ds *Dataset) ([]byte, int, sessionMeta, error) {
+func (s *Server) admitAndRun(ctx context.Context, req *Request, in *core.Input, ds *Dataset) ([]byte, int, sessionMeta, error) {
 	s.metrics.CacheMisses.Add(1)
-	est := EstimateCost(len(input.GroupBy), len(input.Aggregates),
-		s.cfg.QueryWorkers, s.cfg.QueryCacheBytes)
-	grant, err := s.ctrl.Admit(ctx, req.priority(), est)
+	cfg := s.runConfig()
+	floor := core.Floor(cfg, len(in.Keys), agg.NewLayout(in.Specs).Words)
+	grant, err := s.ctrl.Admit(ctx, req.priority(), floor)
 	if err != nil {
 		if ctxErr := s.mapContextErr(ctx); ctxErr != nil && !isServeError(err) {
 			return nil, 0, sessionMeta{}, ctxErr
 		}
 		return nil, 0, sessionMeta{}, err
 	}
-	defer grant.Release()
 	s.metrics.Running.Add(1)
 	defer s.metrics.Running.Add(-1)
-
-	opts := cacheagg.Options{
-		Workers:    s.cfg.QueryWorkers,
-		CacheBytes: s.cfg.QueryCacheBytes,
-		Tracer:     s.cfg.Tracer,
-	}
-	if s.ctrl.Ledger().Budget() > 0 {
-		// The grant is enforced byte-accurately by the query's own
-		// governor; GrantExternal rides the same mechanism (the run is
-		// sized to a floor-sized budget and spills inside the engine).
-		opts.MemoryBudgetBytes = grant.Bytes
-	}
-	res, err := runContained(ctx, input, opts)
+	// Hand the floor to the run, which reserves its machinery on the same
+	// ledger and waits there should another query take the room first.
+	grant.Release()
+	res, err := runContained(ctx, cfg, in)
 	if err != nil {
 		return nil, 0, sessionMeta{}, s.mapExecErr(ctx, err)
 	}
@@ -361,16 +359,30 @@ func (s *Server) admitAndRun(ctx context.Context, req *Request, input cacheagg.I
 		return nil, 0, sessionMeta{}, errf(ErrInternal, err, "marshaling result: %v", err)
 	}
 	s.metrics.Succeeded.Add(1)
-	meta := sessionMeta{cache: "miss", mode: grant.Mode.String(),
-		queued: grant.Queued, waited: grant.WaitedFor}
-	return body, res.Len(), meta, nil
+	meta := sessionMeta{cache: "miss", queued: grant.Queued, waited: grant.WaitedFor}
+	if res.Spill.Buckets > 0 {
+		s.metrics.Spilled.Add(1)
+		meta.mode = "spill"
+	}
+	return body, res.Groups(), meta, nil
+}
+
+// runConfig is the operator config of every query. On a budgeted server
+// the run reserves on the server's ledger and has a spill target in the
+// system temp directory: over budget, it spills its largest buckets.
+func (s *Server) runConfig() core.Config {
+	cfg := core.Config{Workers: s.cfg.QueryWorkers, CacheBytes: s.cfg.QueryCacheBytes, Tracer: s.tracer}
+	if gov := s.ctrl.Ledger(); gov.Budget() > 0 {
+		cfg.Governor, cfg.Spill = gov, &core.Spill{}
+	}
+	return cfg
 }
 
 // runContained shields the server from a poisoned query: a panic anywhere
 // in the operator call becomes a typed error. (The operator contains its
 // own worker panics already; this is the serve layer's belt to that
 // suspenders.)
-func runContained(ctx context.Context, in cacheagg.Input, opts cacheagg.Options) (res *cacheagg.Result, err error) {
+func runContained(ctx context.Context, cfg core.Config, in *core.Input) (res *core.Result, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			res, err = nil, errf(ErrPanic, nil, "contained panic in query execution: %v", rec)
@@ -379,7 +391,7 @@ func runContained(ctx context.Context, in cacheagg.Input, opts cacheagg.Options)
 	if testHookExecute != nil {
 		testHookExecute()
 	}
-	return cacheagg.AggregateContext(ctx, in, opts)
+	return core.AggregateContext(ctx, cfg, in)
 }
 
 // testHookExecute, when set, runs at the top of every query execution.
@@ -391,34 +403,34 @@ var testHookExecute func()
 // checking aggregate columns against the actual width. The resolved
 // dataset (nil for inline queries) rides along so the response stage can
 // decode general keys.
-func (s *Server) resolveInput(req *Request) (cacheagg.Input, *Dataset, error) {
+func (s *Server) resolveInput(req *Request) (core.Input, *Dataset, error) {
 	var keys []uint64
 	var cols [][]int64
 	var ds *Dataset
 	if req.Dataset != "" {
 		d, err := s.cfg.Registry.Lookup(req.Dataset)
 		if err != nil {
-			return cacheagg.Input{}, nil, err
+			return core.Input{}, nil, err
 		}
 		keys, cols, ds = d.Keys, d.Cols, d
 	} else {
 		keys, cols = req.Keys, req.Columns
 	}
 	for i, a := range req.Aggregates {
-		f, _ := parseFunc(a.Func)
-		if f != cacheagg.Count && a.Col >= len(cols) {
-			return cacheagg.Input{}, nil, errf(ErrBadRequest, nil,
+		k, _ := parseFunc(a.Func)
+		if k != agg.Count && a.Col >= len(cols) {
+			return core.Input{}, nil, errf(ErrBadRequest, nil,
 				"aggregate %d: column %d out of range (input has %d)", i, a.Col, len(cols))
 		}
 	}
-	return cacheagg.Input{GroupBy: keys, Columns: cols, Aggregates: req.aggSpecs()}, ds, nil
+	return core.Input{Keys: keys, AggCols: cols, Specs: req.aggSpecs()}, ds, nil
 }
 
 // canonicalKey is the result-cache identity of a query: the input's
 // identity plus the aggregate list. Budgets, workers, priorities and
 // deadlines (and the ignored routine) are deliberately absent — they
 // cannot change the result.
-func canonicalKey(req *Request, in cacheagg.Input) string {
+func canonicalKey(req *Request, in *core.Input) string {
 	var b strings.Builder
 	b.WriteString("v1\x00")
 	if req.Dataset != "" {
@@ -426,7 +438,7 @@ func canonicalKey(req *Request, in cacheagg.Input) string {
 		b.WriteString(req.Dataset)
 	} else {
 		b.WriteString("i\x00")
-		b.WriteString(strconv.Itoa(len(in.GroupBy)))
+		b.WriteString(strconv.Itoa(len(in.Keys)))
 		b.WriteByte('\x00')
 		b.WriteString(strconv.FormatUint(hashColumns(in), 16))
 	}
@@ -440,7 +452,7 @@ func canonicalKey(req *Request, in cacheagg.Input) string {
 }
 
 // hashColumns digests inline input so ad-hoc queries cache too.
-func hashColumns(in cacheagg.Input) uint64 {
+func hashColumns(in *core.Input) uint64 {
 	h := uint64(14695981039346656037)
 	mix := func(v uint64) {
 		var buf [8]byte
@@ -450,10 +462,10 @@ func hashColumns(in cacheagg.Input) uint64 {
 			h *= 1099511628211
 		}
 	}
-	for _, k := range in.GroupBy {
+	for _, k := range in.Keys {
 		mix(k)
 	}
-	for _, col := range in.Columns {
+	for _, col := range in.AggCols {
 		mix(uint64(len(col)))
 		for _, v := range col {
 			mix(uint64(v))
@@ -477,11 +489,11 @@ func hasAvg(req *Request) bool {
 // row additionally carries "k": the decoded original key values (one
 // array element per key column; NULL encodes as JSON null). "g" stays the
 // dense interned id — existing row parsers keep working unchanged.
-func marshalBody(res *cacheagg.Result, withFloats bool, ds *Dataset) ([]byte, error) {
-	rows := jsonlRows{groups: res.Groups, aggs: res.Aggs}
+func marshalBody(res *core.Result, withFloats bool, ds *Dataset) ([]byte, error) {
+	rows := jsonlRows{groups: res.Keys, aggs: res.Aggs}
 	if ds != nil && ds.GeneralKeys() {
 		var err error
-		rows.keys, err = ds.Interner.DecodeGroups(res.Groups, ds.KeyTypes)
+		rows.keys, err = ds.Interner.DecodeGroups(res.Keys, ds.KeyTypes)
 		if err != nil {
 			return nil, err
 		}
@@ -540,12 +552,11 @@ func (s *Server) mapExecErr(ctx context.Context, err error) error {
 	if errors.As(err, &serr) {
 		return serr // already typed (contained panic)
 	}
-	if errors.Is(err, cacheagg.ErrMemoryBudget) {
-		// The grant was too small even for the machinery no spill can
-		// free — a server sizing problem, retryable once pressure clears.
+	if errors.Is(err, core.ErrMemoryBudget) {
+		// The run's machinery alone outgrew the server's budget: no spill
+		// can free it, and no retry will fit it — a server sizing problem.
 		s.metrics.RejectedBudget.Add(1)
-		return withRetry(errf(ErrBudgetUnavailable, err,
-			"grant too small for execution: %v", err), s.ctrl.cfg.RetryHint)
+		return errf(ErrBudgetUnavailable, err, "query machinery exceeds the budget: %v", err)
 	}
 	if errors.Is(err, runs.ErrSpillBudget) {
 		s.metrics.InternalErrors.Add(1)

@@ -164,6 +164,11 @@ type Tracer interface {
 	AddPhase(p Phase, nanos int64)
 }
 
+// RecorderOf returns the recorder behind a tracer of the public cacheagg
+// package, which sets it when it is initialized: internal packages handed
+// a public tracer (serve's configuration) record into its recorder.
+var RecorderOf func(public any) *Recorder
+
 // Event is one decoded entry from the recorder's ring.
 type Event struct {
 	// Seq is the global emission sequence number (0-based).

@@ -28,6 +28,10 @@ type Tracer struct {
 	rec *trace.Recorder
 }
 
+func init() {
+	trace.RecorderOf = func(t any) *trace.Recorder { return t.(*Tracer).rec }
+}
+
 // NewTracer returns a Tracer whose event ring keeps the most recent
 // events (capacity rounds up to a power of two; capacity <= 0 selects the
 // default of 16384). Counters and phase times are exact regardless of
