@@ -239,7 +239,10 @@ func TestFig1CacheSimSmoke(t *testing.T) { smokeFig(t, fig1Cases()) }
 // --- Figure 3: each tuning step of the partitioning routine, on uniform
 // random keys. Every variant moves 16 bytes per row — the key and an
 // 8-byte payload (the key again, or overalloc's hash) — except map, which
-// moves one column through a precomputed mapping vector. ---
+// moves one column through a precomputed mapping vector. map is the model
+// of the operator's own scatter of rows with state words: partition.Scatter
+// computes a block's mapping vector once and applies it to the key column
+// and to every state column in turn. ---
 
 func fig3Cases() []figCase {
 	variant := func(name string, rowBytes int, mk func(keys []uint64) func()) figCase {

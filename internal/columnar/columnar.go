@@ -23,6 +23,7 @@ package columnar
 
 import (
 	"cacheagg/internal/hashfn"
+	"cacheagg/internal/partition"
 	"cacheagg/internal/runs"
 )
 
@@ -198,26 +199,24 @@ func ApplyMappingNaive(mapping []uint8, col []uint64) [][]uint64 {
 	return out
 }
 
-// swcBufRows mirrors the partition package's write-combining buffer size.
-const swcBufRows = 64
-
 // ApplyMappingSWC scatters a column into per-partition two-level outputs
 // through software-write-combining buffers — the `map` variant of
 // Figure 3: the access pattern of moving an aggregate column is identical
 // to partitioning the grouping column, so the same tuning applies.
 func ApplyMappingSWC(mapping []uint8, col []uint64) [][]*runs.Run {
+	const bufRows = partition.DefaultBufRows // the operator's buffer size
 	writers := make([]*runs.Writer, hashfn.Fanout)
 	for p := range writers {
 		writers[p] = runs.NewWriter(0, 0)
 	}
-	buf := make([]uint64, hashfn.Fanout*swcBufRows)
+	buf := make([]uint64, hashfn.Fanout*bufRows)
 	bufLen := make([]int, hashfn.Fanout)
 	flush := func(p int) {
 		n := bufLen[p]
 		if n == 0 {
 			return
 		}
-		base := p * swcBufRows
+		base := p * bufRows
 		// The value stream rides in the writer's key column; a bare
 		// column move has no state columns.
 		writers[p].AppendBlock(buf[base:base+n], nil, 0, n)
@@ -225,10 +224,10 @@ func ApplyMappingSWC(mapping []uint8, col []uint64) [][]*runs.Run {
 	}
 	for i, d := range mapping {
 		p := int(d)
-		if bufLen[p] == swcBufRows {
+		if bufLen[p] == bufRows {
 			flush(p)
 		}
-		buf[p*swcBufRows+bufLen[p]] = col[i]
+		buf[p*bufRows+bufLen[p]] = col[i]
 		bufLen[p]++
 	}
 	out := make([][]*runs.Run, hashfn.Fanout)

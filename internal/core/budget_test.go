@@ -172,10 +172,7 @@ func TestFootprintMatchesReservation(t *testing.T) {
 					ws := &e.workers[w]
 					live += ws.table.FootprintBytes()
 					live += 8 * int64(cap(ws.hashScratch)+cap(ws.rowScratch))
-					for _, c := range ws.stateScratch {
-						live += 8 * int64(cap(c))
-					}
-					live += int64(hashfn.Fanout * partition.DefaultBufRows * 8 * (1 + wd.words))
+					live += int64(hashfn.Fanout*partition.DefaultBufRows*8*(1+wd.words)) + partition.ScratchBytes
 				}
 				if live != e.fixedBytes {
 					t.Errorf("words %d cache %d workers %d: live machinery %d, reserved %d",

@@ -18,10 +18,11 @@ import (
 	"cacheagg/internal/trace"
 )
 
-// scratchRows is the block size of the intake loop: hashes and initial
-// aggregate states of up to this many rows are materialized at a time
-// before being handed to a routine. The block stays cache resident.
-const scratchRows = 4096
+// scratchRows is the block size of the intake loop: the hashes of up to
+// this many rows are materialized at a time before being handed to a
+// routine, one block of the scatterer's mapping vector. The block stays
+// cache resident.
+const scratchRows = partition.BlockRows
 
 // Footprint returns the operator's memory terms for aggregate states of
 // the given word width under cfg (CacheBytes 0 selects the default):
@@ -78,19 +79,18 @@ func chunkRowBytes(words int) int64 { return int64(8 * (2 + words)) }
 func runRowBytes(words int) int64 { return int64(8 * (1 + words)) }
 
 // workerBytes is one worker's fixed machinery: a table of tableRows slots,
-// the intake scratch blocks (hashes and states), the packed-row scratch
-// and the scatterer's write-combining buffers.
+// the intake's hash block, the packed-row scratch and the scatterer.
 func workerBytes(tableRows, words int) int64 {
 	b := int64(tableRows) * int64(hashtable.SlotBytes(words))
-	b += int64(scratchRows * 8 * (1 + words)) // hashScratch + stateScratch
-	b += int64(8 * words)                     // rowScratch
+	b += int64(scratchRows * 8) // hashScratch
+	b += int64(8 * words)       // rowScratch
 	return b + swcBytes(words)
 }
 
-// swcBytes is the scatterer's §4.2 write-combining buffers: DefaultBufRows
-// run rows per partition.
+// swcBytes is the scatterer: its §4.2 write-combining buffers,
+// DefaultBufRows run rows per partition, and its mapping-vector scratch.
 func swcBytes(words int) int64 {
-	return int64(hashfn.Fanout*partition.DefaultBufRows) * runRowBytes(words)
+	return int64(hashfn.Fanout*partition.DefaultBufRows)*runRowBytes(words) + partition.ScratchBytes
 }
 
 // exec holds one execution's shared state.
@@ -134,7 +134,7 @@ type exec struct {
 
 // workerState is the per-worker reusable machinery: one cache-sized hash
 // table, one scatterer (whose SWC buffers are reused across tasks), and the
-// intake scratch blocks. Tasks on one worker never interleave, so no
+// intake's hash block. Tasks on one worker never interleave, so no
 // locking is needed — the paper's share-nothing design.
 type workerState struct {
 	// id is the worker's pool index, stamped on emitted trace events.
@@ -150,11 +150,10 @@ type workerState struct {
 	// output chunks give their columns back.
 	free *runs.Free
 
-	hashScratch  []uint64
-	stateScratch [][]uint64    // words × scratchRows, for intake partitioning
-	stateViews   [][]uint64    // reusable column-view scratch
-	rowScratch   []uint64      // one packed state row
-	local        []runs.Bucket // intake's level-0 buckets, empty between runs
+	hashScratch []uint64
+	stateViews  [][]uint64    // reusable column-view scratch
+	rowScratch  []uint64      // one packed state row
+	local       []runs.Bucket // intake's level-0 buckets, empty between runs
 	// intakeSplit says the worker's intake put rows into its level-0
 	// buckets: it split a table or scattered a row, or the run may spill.
 	// Until then its table holds everything it consumed, for finishIntake.
@@ -193,15 +192,14 @@ type workerState struct {
 // results are materialized by copy in assemble, and the free list holds
 // only columns of runs and chunks the execution has finished with.
 type workerKit struct {
-	table        *hashtable.Table
-	final        *hashtable.Table
-	scat         *partition.Scatterer
-	free         *runs.Free
-	hashScratch  []uint64
-	stateScratch [][]uint64
-	stateViews   [][]uint64
-	rowScratch   []uint64
-	local        []runs.Bucket
+	table       *hashtable.Table
+	final       *hashtable.Table
+	scat        *partition.Scatterer
+	free        *runs.Free
+	hashScratch []uint64
+	stateViews  [][]uint64
+	rowScratch  []uint64
+	local       []runs.Bucket
 }
 
 // kitKey pins every size- or layout-relevant parameter of a kit; kits are
@@ -267,13 +265,15 @@ func newExec(ctx context.Context, cfg Config, in *Input) (*exec, error) {
 	e.workers = make([]workerState, e.pool.Workers())
 	if e.tr != nil && e.gov != nil {
 		// Sample the ledger's high water into the trace: every 64th of the
-		// budget, at least 32 KiB apart, or every MiB without a budget.
+		// budget, at least 32 KiB apart, or every MiB without a budget. A
+		// ledger shared by runs (a server's, an external run's chunks)
+		// keeps the hook its first traced run installed.
 		grain := int64(1 << 20)
 		if b := e.gov.Budget(); b > 0 {
 			grain = max(b/64, 32<<10)
 		}
 		tr := e.tr
-		e.gov.SetHighWaterHook(grain, func(hw int64) {
+		e.gov.InitHighWaterHook(grain, func(hw int64) {
 			tr.Emit(trace.KindGovHighWater, 0, 0, -1, float64(hw))
 		})
 	}
@@ -305,7 +305,6 @@ func newExec(ctx context.Context, cfg Config, in *Input) (*exec, error) {
 			ws.scat = k.scat
 			ws.free = k.free
 			ws.hashScratch = k.hashScratch
-			ws.stateScratch = k.stateScratch
 			ws.stateViews = k.stateViews
 			ws.rowScratch = k.rowScratch
 			ws.local = k.local
@@ -330,10 +329,6 @@ func newExec(ctx context.Context, cfg Config, in *Input) (*exec, error) {
 				Free:      ws.free,
 			})
 			ws.hashScratch = make([]uint64, scratchRows)
-			ws.stateScratch = make([][]uint64, e.words)
-			for i := range ws.stateScratch {
-				ws.stateScratch[i] = make([]uint64, scratchRows)
-			}
 			ws.stateViews = make([][]uint64, e.words)
 			ws.rowScratch = make([]uint64, e.words)
 			ws.local = make([]runs.Bucket, hashfn.Fanout)
@@ -376,15 +371,14 @@ func (e *exec) recycle() {
 			k = new(workerKit)
 		}
 		*k = workerKit{
-			table:        ws.table,
-			final:        ws.final,
-			scat:         ws.scat,
-			free:         ws.free,
-			hashScratch:  ws.hashScratch,
-			stateScratch: ws.stateScratch,
-			stateViews:   ws.stateViews,
-			rowScratch:   ws.rowScratch,
-			local:        ws.local,
+			table:       ws.table,
+			final:       ws.final,
+			scat:        ws.scat,
+			free:        ws.free,
+			hashScratch: ws.hashScratch,
+			stateViews:  ws.stateViews,
+			rowScratch:  ws.rowScratch,
+			local:       ws.local,
 		}
 		kp.Put(k)
 		ws.kit, ws.table = nil, nil
@@ -762,29 +756,15 @@ func (e *exec) hashRaw(ws *workerState, st StrategyState, table *hashtable.Table
 	return i
 }
 
-// scatterRaw hashes a block of raw rows, materializes their initial
-// aggregate states, and scatters hashes and states (the intake variant of
-// the PARTITIONING routine).
+// scatterRaw hashes a block of raw rows and scatters them, hashes as the
+// runs' key column, with their initial aggregate states read straight
+// from the input columns (the intake variant of the PARTITIONING routine).
 func (e *exec) scatterRaw(ws *workerState, scat *partition.Scatterer,
 	keys []uint64, cols [][]int64, lo, hi int) {
 	n := hi - lo
 	hs := ws.hashScratch[:n]
 	hashfn.HashBatch(keys[lo:hi], hs)
-	for w, op := range e.kern.Ops {
-		dst := ws.stateScratch[w][:n]
-		if op.Src == agg.SrcOne {
-			for j := range dst {
-				dst[j] = 1
-			}
-		} else {
-			src := cols[op.Col][lo:hi]
-			for j := range dst {
-				dst[j] = uint64(src[j])
-			}
-		}
-	}
-	views := ws.sliceStates(ws.stateScratch, 0, n)
-	scat.Scatter(hs, hs, views)
+	scat.ScatterRaw(hs, cols, e.kern.Cols, lo)
 	ws.mem.Reserve(int64(n) * e.interRow)
 }
 

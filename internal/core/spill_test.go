@@ -227,9 +227,10 @@ func sameGroups(t *testing.T, label string, res, ref *Result) {
 // machinery — its SWC buffers alone are 786 432 bytes — leaves room for a
 // single worker whatever was asked for, and the cache stays as given. A
 // roomier budget caps the workers at budget / (3·fixed) and the cache at
-// an eighth of the budget per worker: at width 1 fixed is 362 504 bytes
+// an eighth of the budget per worker: at width 1 fixed is 341 256 bytes
 // (the 2,048-slot floor table at 17-byte hash-only slots, 34 816 bytes,
-// plus scratch and SWC buffers), so 16 MiB holds 15 workers.
+// the 32 KiB hash block, and the scatterer's 256 KiB of SWC buffers and
+// 11 KiB of mapping scratch), so 16 MiB holds 16 workers.
 func TestSpillSizingFromBudget(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		c := sizeForSpill(Config{Workers: workers, CacheBytes: 64 << 10}, 5, 3<<20)
@@ -240,7 +241,7 @@ func TestSpillSizingFromBudget(t *testing.T) {
 	}
 	fixed, _ := Footprint(Config{CacheBytes: minSpillCacheBytes}, 1)
 	c := sizeForSpill(Config{Workers: 16, CacheBytes: DefaultCacheBytes}, 1, 16<<20)
-	if want := int((16 << 20) / (3 * fixed)); c.Workers != want || want != 15 || fixed != 362504 {
+	if want := int((16 << 20) / (3 * fixed)); c.Workers != want || want != 16 || fixed != 341256 {
 		t.Errorf("16 MiB at width 1: %d workers, want %d (fixed %d)", c.Workers, want, fixed)
 	}
 	if want := (16 << 20) / (8 * c.Workers); c.CacheBytes != want {

@@ -244,6 +244,19 @@ func (g *Governor) SetHighWaterHook(grain int64, f func(highWater int64)) {
 	g.hookNext.Store(0)
 }
 
+// InitHighWaterHook installs f as SetHighWaterHook does, unless a hook is
+// installed already, and reports whether it installed f. Runs that share
+// one governor call it at every start: the first installs the hook and
+// the others leave its threshold alone, so samples stay at grain
+// crossings instead of firing at each run's first reservation.
+func (g *Governor) InitHighWaterHook(grain int64, f func(highWater int64)) bool {
+	if grain <= 0 {
+		grain = 1 << 20
+	}
+	// Without a hook the threshold never moved from 0: no Store is due.
+	return g.hook.CompareAndSwap(nil, &highWaterHook{f: f, grain: grain})
+}
+
 func (g *Governor) bumpHigh(now int64) {
 	for {
 		h := g.high.Load()

@@ -435,3 +435,27 @@ func TestSetHighWaterHookWhileShared(t *testing.T) {
 		t.Fatalf("last hook saw %d, want the high water %d", last.Load(), g.HighWater())
 	}
 }
+
+// TestInitHighWaterHookInstallsOnce: the first InitHighWaterHook installs
+// its hook; later calls leave it and its threshold alone, so a reservation
+// below the reached high water fires nothing.
+func TestInitHighWaterHookInstallsOnce(t *testing.T) {
+	g := New(0)
+	var first, second atomic.Int64
+	if !g.InitHighWaterHook(100, func(int64) { first.Add(1) }) {
+		t.Fatal("first InitHighWaterHook did not install")
+	}
+	g.Reserve(250)
+	g.Release(250)
+	if g.InitHighWaterHook(100, func(int64) { second.Add(1) }) {
+		t.Fatal("second InitHighWaterHook replaced the hook")
+	}
+	g.Reserve(200)
+	if first.Load() != 1 || second.Load() != 0 {
+		t.Fatalf("samples: first hook %d, second %d; want 1, 0", first.Load(), second.Load())
+	}
+	g.Reserve(100) // high water 300 crosses the threshold at 300
+	if first.Load() != 2 {
+		t.Fatalf("first hook fired %d times after a crossing, want 2", first.Load())
+	}
+}

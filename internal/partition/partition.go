@@ -4,14 +4,15 @@
 // list-of-arrays output structure.
 //
 // Software write-combining (Intel's term, used by Balkesen et al. and
-// Wassenberg & Sanders) buffers one cache line worth of rows per partition
+// Wassenberg & Sanders) buffers a few cache lines of rows per partition
 // and flushes a full buffer with a single bulk copy. The original purpose —
 // avoiding read-before-write traffic and TLB misses from writing to 256
 // scattered pages — translates in Go to: per-row work touches only a small,
 // cache-resident buffer block, and the scattered destinations are touched
-// only by wide copies. The main loop is unrolled in blocks of 16 rows whose
-// digits are extracted before any buffer is touched, mirroring the paper's
-// out-of-order-execution unrolling ("oo", +24 % in Figure 3).
+// only by wide copies. Rows are moved a block at a time through a mapping
+// vector (Section 3.3): the digits of a block are computed once, and the
+// vector then moves each column in turn, so only one column's buffers are
+// in use at any moment however wide the aggregate state is.
 package partition
 
 import (
@@ -27,10 +28,19 @@ import (
 // amortizing Go's bounds checks over longer copies.
 const DefaultBufRows = 64
 
-// unroll is the block size of the digit-precomputation loop (the paper
-// unrolls "into blocks of 16 elements, which are first all hashed and then
-// all put into their partition buffers").
-const unroll = 16
+// MaxBufRows is the largest BufRows: a buffer slot of any partition must
+// fit the mapping vector's 16-bit entries.
+const MaxBufRows = 1 << 16 / hashfn.Fanout
+
+// BlockRows is the longest block of the mapping-vector kernel, the
+// length of its mapping vector: the operator's intake block.
+const BlockRows = 4096
+
+// ScratchBytes is what a Scatterer keeps beside its buffers and writers:
+// the mapping vector, 2 bytes a row, and 13 bytes per partition (buffer
+// length, block count and next free slot as int32, and one entry of the
+// list of partitions a block touches).
+const ScratchBytes = 2*BlockRows + 13*hashfn.Fanout
 
 // Config configures a Scatterer.
 type Config struct {
@@ -38,7 +48,8 @@ type Config struct {
 	Level int
 	// Words is the number of aggregate state columns to move along.
 	Words int
-	// BufRows is the SWC buffer capacity per partition (0 → DefaultBufRows).
+	// BufRows is the SWC buffer capacity per partition (0 → DefaultBufRows),
+	// at most MaxBufRows.
 	BufRows int
 	// ChunkRows is the chunk size of the output writers (0 → default).
 	ChunkRows int
@@ -62,12 +73,21 @@ type Scatterer struct {
 	bufRows int
 
 	// SWC buffers, contiguous per column: partition p occupies
-	// [p*bufRows, (p+1)*bufRows). Only the keys argument of Scatter and
-	// the states are buffered: the hashes give the digit and are not kept.
-	// The operator passes its hashes as both, so its runs carry them.
+	// [p*bufRows, (p+1)*bufRows) and holds bufLen[p] rows. Only the keys
+	// argument of Scatter and the states are buffered: the hashes give the
+	// digit and are not kept. The operator passes its hashes as both, so
+	// its runs carry them.
 	bufKey   []uint64
 	bufState [][]uint64
-	bufLen   []int
+	bufLen   [hashfn.Fanout]int32
+
+	// mapBlock's scratch: the mapping vector of a block (BlockRows
+	// slots), the block's rows per partition, each partition's next free
+	// slot, and the partitions the block touches.
+	pos     []uint16
+	counts  [hashfn.Fanout]int32
+	next    [hashfn.Fanout]int32
+	touched [hashfn.Fanout]uint8
 
 	// flushViews is a reusable [words][]uint64 scratch for AppendBlock.
 	flushViews [][]uint64
@@ -84,6 +104,9 @@ func New(cfg Config) *Scatterer {
 	if cfg.Words < 0 {
 		panic("partition: negative words")
 	}
+	if cfg.BufRows > MaxBufRows {
+		panic(fmt.Sprintf("partition: %d buffer rows, at most %d", cfg.BufRows, MaxBufRows))
+	}
 	bufRows := cfg.BufRows
 	if bufRows <= 0 {
 		bufRows = DefaultBufRows
@@ -95,7 +118,7 @@ func New(cfg Config) *Scatterer {
 		bufRows:    bufRows,
 		bufKey:     make([]uint64, hashfn.Fanout*bufRows),
 		bufState:   make([][]uint64, cfg.Words),
-		bufLen:     make([]int, hashfn.Fanout),
+		pos:        make([]uint16, BlockRows),
 		flushViews: make([][]uint64, cfg.Words),
 		writers:    make([]*runs.Writer, hashfn.Fanout),
 	}
@@ -137,7 +160,7 @@ func (s *Scatterer) Reset(level int) {
 }
 
 func (s *Scatterer) flushPartition(p int) {
-	n := s.bufLen[p]
+	n := int(s.bufLen[p])
 	if n == 0 {
 		return
 	}
@@ -149,151 +172,174 @@ func (s *Scatterer) flushPartition(p int) {
 	s.bufLen[p] = 0
 }
 
-// Scatter scatters all rows of the given columns. states must have exactly
-// the configured number of word columns (may be nil when words is 0).
+// Scatter scatters all rows of the given columns: row i goes to the
+// partition of hashes[i]'s digit, carrying keys[i] and states[w][i]. states
+// must have exactly the configured number of word columns (may be nil when
+// words is 0). Each partition receives its rows in input order.
 //
-// The loop is structured like the paper's tuned routine: digits of 16 rows
-// are extracted into a local block first, then the block is drained into
-// the partition buffers. The inner loop is dispatched once per call to a
-// monomorphic specialization for the common word counts (0 = DISTINCT,
-// 1 = single-aggregate), which keeps every buffer column in a register-
-// resident local instead of re-loading slice headers per row per word.
+// Rows with state words move one block at a time through the mapping
+// vector (mapBlock), which is then applied to the key column and to each
+// state column in turn (place). DISTINCT rows, a single column, take the
+// row-at-a-time loop scatter0.
 func (s *Scatterer) Scatter(hashes, keys []uint64, states [][]uint64) {
 	if len(hashes) != len(keys) {
 		panic("partition: column length mismatch")
 	}
-	switch s.words {
-	case 0:
+	if len(states) != s.words {
+		panic(fmt.Sprintf("partition: %d state columns, want %d", len(states), s.words))
+	}
+	if s.words == 0 {
 		s.scatter0(hashes, keys)
-	case 1:
-		s.scatter1(hashes, keys, states[0])
-	default:
-		s.scatterN(hashes, keys, states)
+		return
+	}
+	for i := 0; i < len(hashes); {
+		pos := s.mapBlock(hashes[i:])
+		n := len(pos)
+		place(pos, s.bufKey, keys[i:i+n])
+		for w, col := range states {
+			place(pos, s.bufState[w], col[i:i+n])
+		}
+		i += n
+	}
+	s.rows += len(hashes)
+}
+
+// ScatterRaw is Scatter for rows whose states are still raw input, as
+// the intake holds them: row i goes to the partition of hashes[i]'s
+// digit, carrying hashes[i] as its key, and its state word w is
+// cols[src[w]][lo+i], or the constant 1 where src[w] is -1 (the
+// convention of agg.Kernels.Cols). The input columns are read straight
+// into the buffers; no initial state is materialized.
+func (s *Scatterer) ScatterRaw(hashes []uint64, cols [][]int64, src []int, lo int) {
+	if len(src) != s.words {
+		panic(fmt.Sprintf("partition: %d state sources, want %d", len(src), s.words))
+	}
+	if s.words == 0 {
+		s.scatter0(hashes, hashes)
+		return
+	}
+	for i := 0; i < len(hashes); {
+		pos := s.mapBlock(hashes[i:])
+		n := len(pos)
+		place(pos, s.bufKey, hashes[i:i+n])
+		for w, c := range src {
+			if c < 0 {
+				placeOne(pos, s.bufState[w])
+			} else {
+				place(pos, s.bufState[w], cols[c][lo+i:lo+i+n])
+			}
+		}
+		i += n
+	}
+	s.rows += len(hashes)
+}
+
+// mapBlock maps a block of rows, a prefix of hashes of at most BlockRows
+// rows, to their buffer slots, and returns the block's mapping vector:
+// pos[i] is the slot of row i in every column's buffers. It runs two
+// passes over the block. The first extracts each row's digit and counts
+// the rows per partition; then every partition the block touches whose
+// buffer lacks room for its count is flushed. The second turns each digit
+// into the next free slot of its partition, so rows keep their input
+// order within a partition. The buffers' lengths then include the block,
+// which the caller must place into every column before the next call.
+//
+// A hot digit cuts the block: the first pass stops at the row that would
+// give one partition more rows than its whole buffer holds, so a flush
+// always makes room. Uniform digits run blocks to BlockRows; a single
+// digit cuts them at bufRows rows, where one flush per block is due
+// anyway. Only the touched partitions are visited between the passes, so
+// a short block costs no sweep over all of them.
+func (s *Scatterer) mapBlock(hashes []uint64) []uint16 {
+	pos := s.pos[:min(len(hashes), len(s.pos))]
+	hashes = hashes[:len(pos)]
+	counts, touched := &s.counts, &s.touched
+	nt := 0
+	shift, bufRows := s.shift, int32(s.bufRows)
+	for i, h := range hashes {
+		d := uint8(h >> shift)
+		c := counts[d]
+		if c == bufRows {
+			pos = pos[:i]
+			break
+		}
+		if c == 0 {
+			touched[nt] = d
+			nt++
+		}
+		counts[d] = c + 1
+		pos[i] = uint16(d)
+	}
+	next := &s.next
+	for _, d := range touched[:nt] {
+		l := s.bufLen[d]
+		if l+counts[d] > bufRows {
+			s.flushPartition(int(d))
+			l = 0
+		}
+		next[d] = int32(d)*bufRows + l
+		s.bufLen[d] = l + counts[d]
+		counts[d] = 0
+	}
+	for i, p := range pos {
+		d := uint8(p)
+		pos[i] = uint16(next[d])
+		next[d]++
+	}
+	return pos
+}
+
+// place moves one column of a mapped block, a key or state column or a
+// raw input column, into that column's buffers.
+func place[T uint64 | int64](pos []uint16, buf []uint64, col []T) {
+	col = col[:len(pos)]
+	for i, p := range pos {
+		buf[p] = uint64(col[i])
 	}
 }
 
-// scatter0 is the words=0 (DISTINCT) specialization.
+// placeOne is place for the constant 1 of a counting word.
+func placeOne(pos []uint16, buf []uint64) {
+	for _, p := range pos {
+		buf[p] = 1
+	}
+}
+
+// scatter0 is the DISTINCT scatter: with the key the only column, a
+// mapping vector saves nothing, and one pass that writes each row as its
+// digit is extracted is faster. The digits of 16 rows are extracted
+// before any buffer is touched, the paper's out-of-order unrolling.
 func (s *Scatterer) scatter0(hashes, keys []uint64) {
-	bufKey, bufLen := s.bufKey, s.bufLen
-	shift, bufRows := s.shift, s.bufRows
-	var digits [unroll]int
+	const unroll = 16
+	bufKey, bufLen := s.bufKey, &s.bufLen
+	shift, bufRows := s.shift, int32(s.bufRows)
+	var digits [unroll]uint8
 	n := len(hashes)
 	i := 0
 	for ; i+unroll <= n; i += unroll {
 		hs := hashes[i : i+unroll]
 		for j := 0; j < unroll; j++ {
-			digits[j] = int(hs[j] >> shift & (hashfn.Fanout - 1))
+			digits[j] = uint8(hs[j] >> shift)
 		}
 		for j := 0; j < unroll; j++ {
 			p := digits[j]
 			l := bufLen[p]
 			if l == bufRows {
-				s.flushPartition(p)
+				s.flushPartition(int(p))
 				l = 0
 			}
-			idx := p*bufRows + l
-			bufKey[idx] = keys[i+j]
+			bufKey[int32(p)*bufRows+l] = keys[i+j]
 			bufLen[p] = l + 1
 		}
 	}
 	for ; i < n; i++ {
-		p := int(hashes[i] >> shift & (hashfn.Fanout - 1))
+		p := uint8(hashes[i] >> shift)
 		l := bufLen[p]
 		if l == bufRows {
-			s.flushPartition(p)
+			s.flushPartition(int(p))
 			l = 0
 		}
-		idx := p*bufRows + l
-		bufKey[idx] = keys[i]
-		bufLen[p] = l + 1
-	}
-	s.rows += n
-}
-
-// scatter1 is the words=1 (single aggregate state word) specialization.
-func (s *Scatterer) scatter1(hashes, keys, st0 []uint64) {
-	bufKey, bufLen := s.bufKey, s.bufLen
-	bufSt := s.bufState[0]
-	shift, bufRows := s.shift, s.bufRows
-	var digits [unroll]int
-	n := len(hashes)
-	i := 0
-	for ; i+unroll <= n; i += unroll {
-		hs := hashes[i : i+unroll]
-		for j := 0; j < unroll; j++ {
-			digits[j] = int(hs[j] >> shift & (hashfn.Fanout - 1))
-		}
-		for j := 0; j < unroll; j++ {
-			p := digits[j]
-			l := bufLen[p]
-			if l == bufRows {
-				s.flushPartition(p)
-				l = 0
-			}
-			idx := p*bufRows + l
-			bufKey[idx] = keys[i+j]
-			bufSt[idx] = st0[i+j]
-			bufLen[p] = l + 1
-		}
-	}
-	for ; i < n; i++ {
-		p := int(hashes[i] >> shift & (hashfn.Fanout - 1))
-		l := bufLen[p]
-		if l == bufRows {
-			s.flushPartition(p)
-			l = 0
-		}
-		idx := p*bufRows + l
-		bufKey[idx] = keys[i]
-		bufSt[idx] = st0[i]
-		bufLen[p] = l + 1
-	}
-	s.rows += n
-}
-
-// scatterN is the general multi-word loop, with the same hoisted buffer
-// locals and batched accounting as the specializations (only the per-word
-// state copy stays a loop).
-func (s *Scatterer) scatterN(hashes, keys []uint64, states [][]uint64) {
-	bufKey, bufLen := s.bufKey, s.bufLen
-	bufState := s.bufState
-	shift, bufRows := s.shift, s.bufRows
-	words := s.words
-	var digits [unroll]int
-	n := len(hashes)
-	i := 0
-	for ; i+unroll <= n; i += unroll {
-		hs := hashes[i : i+unroll]
-		for j := 0; j < unroll; j++ {
-			digits[j] = int(hs[j] >> shift & (hashfn.Fanout - 1))
-		}
-		for j := 0; j < unroll; j++ {
-			p := digits[j]
-			l := bufLen[p]
-			if l == bufRows {
-				s.flushPartition(p)
-				l = 0
-			}
-			idx := p*bufRows + l
-			bufKey[idx] = keys[i+j]
-			for w := 0; w < words; w++ {
-				bufState[w][idx] = states[w][i+j]
-			}
-			bufLen[p] = l + 1
-		}
-	}
-	for ; i < n; i++ {
-		p := int(hashes[i] >> shift & (hashfn.Fanout - 1))
-		l := bufLen[p]
-		if l == bufRows {
-			s.flushPartition(p)
-			l = 0
-		}
-		idx := p*bufRows + l
-		bufKey[idx] = keys[i]
-		for w := 0; w < words; w++ {
-			bufState[w][idx] = states[w][i]
-		}
+		bufKey[int32(p)*bufRows+l] = keys[i]
 		bufLen[p] = l + 1
 	}
 	s.rows += n

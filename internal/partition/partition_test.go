@@ -162,7 +162,7 @@ func TestScatterMismatchedColumnsPanics(t *testing.T) {
 }
 
 func TestNewPanicsOnBadConfig(t *testing.T) {
-	for i, cfg := range []Config{{Level: -1}, {Level: hashfn.MaxLevels}, {Words: -1}} {
+	for i, cfg := range []Config{{Level: -1}, {Level: hashfn.MaxLevels}, {Words: -1}, {BufRows: MaxBufRows + 1}} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -220,28 +220,6 @@ func TestEmptyScatter(t *testing.T) {
 		if len(rs) != 0 {
 			t.Fatalf("partition %d has %d runs from empty input", p, len(rs))
 		}
-	}
-}
-
-func BenchmarkScatterSWC(b *testing.B) {
-	const n = 1 << 16
-	hashes, keys, _ := genRows(1, n, 0)
-	b.SetBytes(n * 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := New(Config{Level: 0})
-		s.Scatter(hashes, keys, nil)
-		s.Flush()
-	}
-}
-
-func BenchmarkScatterNaive(b *testing.B) {
-	const n = 1 << 16
-	hashes, keys, _ := genRows(1, n, 0)
-	b.SetBytes(n * 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		NaiveScatter(0, 0, hashes, keys, nil)
 	}
 }
 

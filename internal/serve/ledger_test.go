@@ -323,3 +323,40 @@ func TestTracedQueriesShareTheLedger(t *testing.T) {
 		t.Fatalf("ledger %d with %d running, want 0 and 0", r, run)
 	}
 }
+
+// TestTracedQueriesSampleGrainCrossings runs traced queries one after the
+// other on a budgeted server whose ledger stays far below its budget. The
+// tracer's high-water hook is installed once per ledger, so the samples
+// are the grain crossings of the ledger's high water — a few, however
+// many queries start — and not one more at every query's first
+// reservation.
+func TestTracedQueriesSampleGrainCrossings(t *testing.T) {
+	t.Setenv("TMPDIR", t.TempDir())
+	const budget, queries = 64 << 20, 24
+	tracer := cacheagg.NewTracer(0)
+	s, ts := newTestServer(t, Config{
+		Registry:        testRegistry(t, 1<<14),
+		Admission:       AdmitConfig{BudgetBytes: budget},
+		QueryWorkers:    1,
+		QueryCacheBytes: 64 << 10,
+		Tracer:          tracer,
+	})
+	for i := 0; i < queries; i++ {
+		resp := postQuery(t, ts.URL, `{"dataset":"events","no_cache":true,"aggregates":[{"func":"sum","col":0}]}`)
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("query %d: status %d", i, resp.StatusCode)
+		}
+	}
+	const grain = budget / 64 // the traced run's sampling grain
+	hw := s.ctrl.Ledger().HighWater()
+	if hw > queries*grain/2 {
+		t.Fatalf("ledger high water %d: the queries crossed too many grains to tell", hw)
+	}
+	n := tracer.Snapshot().Counts["gov-high-water"]
+	if n == 0 || n > hw/grain+1 {
+		t.Fatalf("%d queries recorded %d high-water samples; the high water %d crosses %d grains of %d",
+			queries, n, hw, hw/grain+1, grain)
+	}
+}
