@@ -237,12 +237,79 @@ func BenchmarkFig1CacheSim(b *testing.B) { benchFig(b, fig1Cases()) }
 func TestFig1CacheSimSmoke(t *testing.T) { smokeFig(t, fig1Cases()) }
 
 // --- Figure 3: each tuning step of the partitioning routine, on uniform
-// random keys. Every variant moves 16 bytes per row — the key and an
-// 8-byte payload (the key again, or overalloc's hash) — except map, which
-// moves one column through a precomputed mapping vector. map is the model
-// of the operator's own scatter of rows with state words: partition.Scatter
-// computes a block's mapping vector once and applies it to the key column
-// and to every state column in turn. ---
+// random keys, in the paper's order: naive, software write-combining
+// (swc), swc with out-of-order unrolling (oo) into the two-level output,
+// and the same into over-allocated flat outputs. Every step moves 16 bytes
+// per row, the key and an 8-byte payload (the key again), one row at a
+// time. map is the operator's own scatter as its intake drives it: each
+// block of partition.BlockRows keys is hashed with HashBatch and handed to
+// partition.Scatterer, which maps the block to buffer slots once and
+// applies the mapping vector to the key column and to one state column in
+// turn. ---
+
+// swcBuffers is the software write-combining step of Figure 3, one row at
+// a time: a row's key and payload go to its partition's buffer of a few
+// cache lines, and a full buffer moves to the partition's output in one
+// bulk copy through flush.
+type swcBuffers struct {
+	keys, vals []uint64 // partition p buffers [p*DefaultBufRows, (p+1)*DefaultBufRows)
+	n          [hashfn.Fanout]int
+	flush      func(p int, keys, vals []uint64)
+}
+
+func newSWC(flush func(p int, keys, vals []uint64)) *swcBuffers {
+	const size = hashfn.Fanout * partition.DefaultBufRows
+	return &swcBuffers{keys: make([]uint64, size), vals: make([]uint64, size), flush: flush}
+}
+
+// add buffers one row for partition p, flushing the buffer first if full.
+func (s *swcBuffers) add(p uint8, key, val uint64) {
+	const rows = partition.DefaultBufRows
+	l := s.n[p]
+	base := int(p) * rows
+	if l == rows {
+		s.flush(int(p), s.keys[base:base+rows], s.vals[base:base+rows])
+		l = 0
+	}
+	s.keys[base+l], s.vals[base+l] = key, val
+	s.n[p] = l + 1
+}
+
+// drain flushes every partition's buffered rows.
+func (s *swcBuffers) drain() {
+	for p, l := range s.n {
+		base := p * partition.DefaultBufRows
+		s.flush(p, s.keys[base:base+l], s.vals[base:base+l])
+		s.n[p] = 0
+	}
+}
+
+// twoLevel returns a flush into the operator's two-level output: one
+// chunked runs.Writer per partition.
+func twoLevel() func(p int, keys, vals []uint64) {
+	writers := make([]*runs.Writer, hashfn.Fanout)
+	for p := range writers {
+		writers[p] = runs.NewWriter(0, 1)
+	}
+	st := [][]uint64{nil}
+	return func(p int, keys, vals []uint64) {
+		st[0] = vals
+		writers[p].AppendBlock(keys, st, 0, len(keys))
+	}
+}
+
+// overalloc returns a flush into flat per-partition outputs, each
+// allocated up front at twice its expected share of n rows.
+func overalloc(n int) func(p int, keys, vals []uint64) {
+	outK, outV := make([][]uint64, hashfn.Fanout), make([][]uint64, hashfn.Fanout)
+	per := n/hashfn.Fanout*2 + 1024
+	for p := range outK {
+		outK[p], outV[p] = make([]uint64, 0, per), make([]uint64, 0, per)
+	}
+	return func(p int, keys, vals []uint64) {
+		outK[p], outV[p] = append(outK[p], keys...), append(outV[p], vals...)
+	}
+}
 
 func fig3Cases() []figCase {
 	variant := func(name string, rowBytes int, mk func(keys []uint64) func()) figCase {
@@ -270,61 +337,53 @@ func fig3Cases() []figCase {
 			}
 		}))
 	}
-	// swc hashes and scatters one row at a time.
+	// swc hashes and buffers one row at a time.
 	for _, h := range digits {
 		cases = append(cases, variant("swc/"+h.name, 16, func(keys []uint64) func() {
 			return func() {
-				s := partition.New(partition.Config{Level: 0, Words: 1})
-				var hs [1]uint64
-				st := [][]uint64{nil}
-				for i, k := range keys {
-					hs[0], st[0] = h.f(k), keys[i:i+1]
-					s.Scatter(hs[:], st[0], st)
+				s := newSWC(twoLevel())
+				for _, k := range keys {
+					s.add(uint8(h.f(k)>>56), k, k)
 				}
-				s.Flush()
+				s.drain()
 			}
 		}))
 	}
-	// oo hashes 16 rows ahead of their scatter (the paper's out-of-order
-	// unrolling; n is a multiple of 16); two-level is the production
-	// routine, overalloc writes into over-allocated flat outputs instead.
-	var hs [16]uint64
-	unrolled := func(keys []uint64, scatter func(hs, keys []uint64)) {
+	// oo hashes 16 rows ahead of their buffering (the paper's out-of-order
+	// unrolling; n is a multiple of 16). two-level is the operator's
+	// output structure, overalloc the flat outputs it replaces.
+	unrolled := func(keys []uint64, s *swcBuffers) {
+		var digits [16]uint8
 		for i := 0; i+16 <= len(keys); i += 16 {
-			for j := range hs {
-				hs[j] = hashfn.Murmur2(keys[i+j])
+			for j := range digits {
+				digits[j] = uint8(hashfn.Murmur2(keys[i+j]) >> 56)
 			}
-			scatter(hs[:], keys[i:i+16])
+			for j, p := range digits {
+				s.add(p, keys[i+j], keys[i+j])
+			}
 		}
+		s.drain()
 	}
 	return append(cases,
 		variant("swc+oo/two-level", 16, func(keys []uint64) func() {
+			return func() { unrolled(keys, newSWC(twoLevel())) }
+		}),
+		variant("swc+oo/overalloc", 16, func(keys []uint64) func() {
+			return func() { unrolled(keys, newSWC(overalloc(len(keys)))) }
+		}),
+		variant("map", 16, func(keys []uint64) func() {
+			hs := make([]uint64, partition.BlockRows)
 			return func() {
 				s := partition.New(partition.Config{Level: 0, Words: 1})
 				st := [][]uint64{nil}
-				unrolled(keys, func(hs, keys []uint64) { st[0] = keys; s.Scatter(hs, keys, st) })
+				for i := 0; i < len(keys); i += partition.BlockRows {
+					blk := keys[i:min(len(keys), i+partition.BlockRows)]
+					hashfn.HashBatch(blk, hs[:len(blk)])
+					st[0] = blk
+					s.Scatter(hs[:len(blk)], blk, st)
+				}
 				s.Flush()
 			}
-		}),
-		variant("swc+oo/overalloc", 16, func(keys []uint64) func() {
-			return func() {
-				outH, outK := make([][]uint64, hashfn.Fanout), make([][]uint64, hashfn.Fanout)
-				per := len(keys)/hashfn.Fanout*2 + 1024
-				for p := range outH {
-					outH[p], outK[p] = make([]uint64, 0, per), make([]uint64, 0, per)
-				}
-				unrolled(keys, func(hs, keys []uint64) {
-					for j, h := range hs {
-						p := h >> 56
-						outH[p], outK[p] = append(outH[p], h), append(outK[p], keys[j])
-					}
-				})
-			}
-		}),
-		// The moved column's values do not matter: map moves the keys.
-		variant("map", 8, func(keys []uint64) func() {
-			mapping, _ := columnar.PartitionMapping(keys, 0)
-			return func() { columnar.ApplyMappingSWC(mapping, keys) }
 		}),
 	)
 }
@@ -583,26 +642,27 @@ func fig11Cases() []figCase {
 func BenchmarkFig11C(b *testing.B) { benchFig(b, fig11Cases()) }
 func TestFig11CSmoke(t *testing.T) { smokeFig(t, fig11Cases()) }
 
-// --- Section 4.1: insertion into a cache-sized table; ns/elem is the cost
-// of one insert. ---
+// --- Section 4.1: insertion into a cache-sized table through the batch
+// insert at width 0, in blocks of the operator's intake size; ns/elem is
+// the cost of one insert. A block that stops short resets the table and
+// goes on from the first row it did not take. ---
 
 func insertCases() []figCase {
+	kern := agg.NewLayout(nil).Kernels()
 	var cases []figCase
 	for _, k := range []int{6, 10, 14} {
 		cases = append(cases, figCase{name: fmt.Sprintf("K=2^%d", k), setup: func(_ testing.TB, n int) (func() figOut, []uint64) {
-			keys := keysAt(uniform(k), n)
 			hs := make([]uint64, n)
-			for i, key := range keys {
-				hs[i] = hashfn.Murmur2(key)
-			}
+			hashfn.HashBatch(keysAt(uniform(k), n), hs)
 			ht := hashtable.New(hashtable.Config{
 				CapacityRows: hashtable.CapacityForCache(benchCache, 0),
 				Blocks:       hashfn.Fanout,
 			})
 			return func() figOut {
 				ht.Reset()
-				for i := range keys {
-					if !ht.InsertState(hs[i], nil, nil) {
+				for i := 0; i < n; {
+					hi := min(n, i+partition.BlockRows)
+					if i += ht.InsertStateBatch(hs[i:hi], nil, nil, i, kern); i < hi {
 						ht.Reset()
 					}
 				}

@@ -1,20 +1,14 @@
 package cacheagg
 
-// Hot-path kernel sweeps: scalar (row-at-a-time, reference) vs batched
-// (morsel-wide) versions of the aggregation inner loops, over uniform keys
-// at N=2^20. These are the benchmarks behind this repo's batching work:
+// Hot-path kernel sweeps over uniform keys at N=2^20: the aggregation
+// inner loops as the engine runs them (HashBatch + InsertRawBatch /
+// InsertStateBatch), and for hashing and folding also their row-at-a-time
+// reference (Murmur2 per row, Op.Apply per row) beside the batch kernel:
 //
 //	go test -run '^$' -bench Hashing -count 10 .
 //
 // prints ten lines per sub-benchmark; compare the median of the scalar
 // lines with the median of the batched lines of the same sweep.
-//
-// The scalar variants exercise exactly the code the engine used before the
-// batch kernels existed (Murmur2 per row, InsertRawCols/InsertStateCols per
-// row); the batched variants exercise what the engine runs now (HashBatch +
-// InsertRawBatch/InsertStateBatch). The differential tests in
-// internal/hashtable prove the two produce bit-identical tables, so the
-// comparison is purely about speed.
 
 import (
 	"fmt"
@@ -40,22 +34,6 @@ func hotTable(words int) *hashtable.Table {
 	})
 }
 
-// drainInsertScalar runs the pre-batching intake loop: hash and insert one
-// row at a time, splitting the table whenever it fills.
-func drainInsertScalar(tb *hashtable.Table, keys []uint64, cols [][]int64, ops []agg.WordOp) int {
-	splits := 0
-	for i := 0; i < len(keys); {
-		h := hashfn.Murmur2(keys[i])
-		if !tb.InsertRawCols(h, cols, i, ops) {
-			tb.SplitRuns()
-			splits++
-			continue
-		}
-		i++
-	}
-	return splits
-}
-
 // drainInsertBatched runs the batched intake loop: morsel-wide hashing,
 // then software-pipelined batch inserts.
 func drainInsertBatched(tb *hashtable.Table, keys []uint64, cols [][]int64, kern *agg.Kernels, hs []uint64) int {
@@ -78,10 +56,9 @@ func drainInsertBatched(tb *hashtable.Table, keys []uint64, cols [][]int64, kern
 }
 
 // BenchmarkHashingInsert sweeps the HASHING routine's insert loop — the
-// single hottest loop of the operator — over K, scalar vs batched.
+// single hottest loop of the operator — over K.
 func BenchmarkHashingInsert(b *testing.B) {
 	lay := agg.NewLayout([]agg.Spec{{Kind: agg.Sum, Col: 0}})
-	ops := lay.WordOps()
 	kern := lay.Kernels()
 	rng := xrand.NewXoshiro256(7)
 	vals := make([]int64, benchN)
@@ -92,16 +69,6 @@ func BenchmarkHashingInsert(b *testing.B) {
 	hs := make([]uint64, 4096)
 	for _, kExp := range hotKs {
 		keys := benchKeys(b, datagen.Uniform, 1<<uint(kExp))
-		b.Run(fmt.Sprintf("scalar/K=2^%d", kExp), func(b *testing.B) {
-			tb := hotTable(lay.Words)
-			b.SetBytes(benchN * 16)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tb.Reset()
-				drainInsertScalar(tb, keys, cols, ops)
-			}
-		})
 		b.Run(fmt.Sprintf("batched/K=2^%d", kExp), func(b *testing.B) {
 			tb := hotTable(lay.Words)
 			b.SetBytes(benchN * 16)

@@ -272,14 +272,6 @@ func (l *Layout) FoldRow(states []uint64, values func(col int) int64) {
 	}
 }
 
-// MergeRow merges the packed partial state vector src into dst.
-func (l *Layout) MergeRow(dst, src []uint64) {
-	for i, s := range l.Specs {
-		off := l.Offsets[i]
-		s.Kind.Merge(dst[off:off+s.Kind.Width()], src[off:off+s.Kind.Width()])
-	}
-}
-
 // FinalizeRow converts a packed state vector into one int64 result per spec,
 // appending to out and returning the extended slice.
 func (l *Layout) FinalizeRow(states []uint64, out []int64) []int64 {

@@ -392,19 +392,6 @@ func TestLayoutRowRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLayoutMergeRow(t *testing.T) {
-	l := NewLayout([]Spec{{Kind: Count}, {Kind: Sum, Col: 0}})
-	a := make([]uint64, l.Words)
-	b := make([]uint64, l.Words)
-	l.InitRow(a, func(int) int64 { return 7 })
-	l.InitRow(b, func(int) int64 { return 5 })
-	l.MergeRow(a, b)
-	got := l.FinalizeRow(a, nil)
-	if got[0] != 2 || got[1] != 12 {
-		t.Fatalf("merged = %v, want [2 12]", got)
-	}
-}
-
 func BenchmarkFoldSum(b *testing.B) {
 	s := make([]uint64, 1)
 	Sum.Init(s, 0)

@@ -124,18 +124,11 @@ func (o Op) ColumnMerger() ColumnMerger {
 	}
 }
 
-// FoldColumn is the generic (dispatch-per-call) batch fold, the reference
-// for the monomorphic kernels above: for each j it folds values[j] — or 1
-// for SrcOne words — into states[slots[j]] with the word's operation.
-func (w WordOp) FoldColumn(states []uint64, slots []int32, values []int64) {
-	w.ColumnFolder()(states, slots, values)
-}
-
 // Kernels bundles the pre-selected batch kernels of a layout: one fold and
 // one merge kernel per state word, resolved once per run. Word w of a raw
 // input row reads Cols[w] (-1 for counting words, whose folder ignores it).
-// Ops keeps the underlying word descriptions for scalar fallbacks and slot
-// initialization.
+// Ops keeps the underlying word descriptions, whose identities initialize
+// freshly claimed slots.
 type Kernels struct {
 	Fold  []ColumnFolder
 	Merge []ColumnMerger

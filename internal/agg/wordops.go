@@ -76,15 +76,6 @@ type WordOp struct {
 	Col int
 }
 
-// RawValue returns the contribution of a raw input row to this word, where
-// value(c) reads the row's input column c.
-func (w WordOp) RawValue(value func(col int) int64) int64 {
-	if w.Src == SrcOne {
-		return 1
-	}
-	return value(w.Col)
-}
-
 // WordOps decomposes the layout into one WordOp per state word, in packed
 // state order.
 func (l *Layout) WordOps() []WordOp {
@@ -108,15 +99,4 @@ func (l *Layout) WordOps() []WordOp {
 		}
 	}
 	return ops
-}
-
-// Identities returns the per-word identity vector of the layout, i.e. the
-// state of a group no row has contributed to yet.
-func (l *Layout) Identities() []uint64 {
-	ops := l.WordOps()
-	id := make([]uint64, len(ops))
-	for i, o := range ops {
-		id[i] = o.Op.Identity()
-	}
-	return id
 }

@@ -79,16 +79,6 @@ func TestWordOpsStructure(t *testing.T) {
 	}
 }
 
-func TestWordOpRawValue(t *testing.T) {
-	vals := func(col int) int64 { return int64(col) * 10 }
-	if (WordOp{Op: OpAdd, Src: SrcOne}).RawValue(vals) != 1 {
-		t.Fatal("SrcOne should contribute 1")
-	}
-	if (WordOp{Op: OpAdd, Src: SrcCol, Col: 4}).RawValue(vals) != 40 {
-		t.Fatal("SrcCol should read the column")
-	}
-}
-
 // TestWordOpsEquivalentToKindOps: folding raw rows through per-word ops
 // starting from identities must match Init+Fold through the Kind API, and
 // merging through per-word ops must match Kind.Merge. This proves the
@@ -115,11 +105,17 @@ func TestWordOpsEquivalentToKindOps(t *testing.T) {
 		}
 
 		// Word-op route: start from identities, fold every row.
-		got := l.Identities()
+		got := make([]uint64, len(ops))
+		for w, op := range ops {
+			got[w] = op.Op.Identity()
+		}
 		for _, r := range rows {
-			r := r
 			for w, op := range ops {
-				got[w] = op.Op.Apply(got[w], uint64(op.RawValue(func(c int) int64 { return r[c] })))
+				v := int64(1)
+				if op.Src == SrcCol {
+					v = r[op.Col]
+				}
+				got[w] = op.Op.Apply(got[w], uint64(v))
 			}
 		}
 		for w := range ref {
@@ -128,10 +124,12 @@ func TestWordOpsEquivalentToKindOps(t *testing.T) {
 			}
 		}
 
-		// Word-op merge must equal MergeRow.
+		// Word-op merge must equal Kind.Merge.
 		a := append([]uint64(nil), ref...)
-		b := append([]uint64(nil), got...)
-		l.MergeRow(a, b)
+		for i, s := range l.Specs {
+			off, wd := l.Offsets[i], s.Kind.Width()
+			s.Kind.Merge(a[off:off+wd], got[off:off+wd])
+		}
 		for w, op := range ops {
 			m := op.Op.Apply(ref[w], got[w])
 			if m != a[w] {

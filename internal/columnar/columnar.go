@@ -1,6 +1,5 @@
 // Package columnar implements the three column-wise processing models the
-// paper contrasts in Section 3.3 (Figure 2), plus the mapping-vector
-// machinery used by the operator's column-store integration:
+// paper contrasts in Section 3.3 (Figure 2):
 //
 //   - Row-at-a-time: all columns of a row are touched together. Known to
 //     prevent tight loops and to shrink the effective cache (a "row" of all
@@ -14,18 +13,12 @@
 //     and applied one cache-sized block at a time, never materialized to
 //     memory — the model the paper adopts inside its operator.
 //
-// The partition-mapping helpers at the bottom implement the aggregate-
-// column movement of the operator itself (the `map` bar of Figure 3):
-// while producing a run of the grouping column, the routines emit a
-// per-run mapping vector of destination partitions, which is then applied
-// to the corresponding fragment of every aggregate column.
+// The operator's own form of the mapping vector, destination partitions
+// instead of group indices, is partition.Scatterer's block kernel (the
+// `map` bar of Figure 3).
 package columnar
 
-import (
-	"cacheagg/internal/hashfn"
-	"cacheagg/internal/partition"
-	"cacheagg/internal/runs"
-)
+import "cacheagg/internal/hashfn"
 
 // GroupMapping is the output of the MonetDB-style first operator: the
 // distinct groups in first-appearance order and, for every input row, the
@@ -168,72 +161,4 @@ func SumBlockWise(keys []uint64, vals []int64, blockRows int) ([]uint64, []int64
 		}
 	}
 	return groups, sums
-}
-
-// ---------------------------------------------------------------------------
-// Partition mapping: the operator-internal form of Figure 2, where the
-// mapping vector holds destination partitions (one byte per row, fan-out
-// 256) instead of group indices.
-
-// PartitionMapping computes the destination partition (hash digit at the
-// given level) of every key and the per-partition row counts.
-func PartitionMapping(keys []uint64, level int) (mapping []uint8, counts []int) {
-	mapping = make([]uint8, len(keys))
-	counts = make([]int, hashfn.Fanout)
-	shift := uint(64 - hashfn.DigitBits*(level+1))
-	for i, k := range keys {
-		d := uint8(hashfn.Murmur2(k) >> shift & (hashfn.Fanout - 1))
-		mapping[i] = d
-		counts[d]++
-	}
-	return mapping, counts
-}
-
-// ApplyMappingNaive scatters a column into per-partition outputs one
-// element at a time (the untuned baseline).
-func ApplyMappingNaive(mapping []uint8, col []uint64) [][]uint64 {
-	out := make([][]uint64, hashfn.Fanout)
-	for i, d := range mapping {
-		out[d] = append(out[d], col[i])
-	}
-	return out
-}
-
-// ApplyMappingSWC scatters a column into per-partition two-level outputs
-// through software-write-combining buffers — the `map` variant of
-// Figure 3: the access pattern of moving an aggregate column is identical
-// to partitioning the grouping column, so the same tuning applies.
-func ApplyMappingSWC(mapping []uint8, col []uint64) [][]*runs.Run {
-	const bufRows = partition.DefaultBufRows // the operator's buffer size
-	writers := make([]*runs.Writer, hashfn.Fanout)
-	for p := range writers {
-		writers[p] = runs.NewWriter(0, 0)
-	}
-	buf := make([]uint64, hashfn.Fanout*bufRows)
-	bufLen := make([]int, hashfn.Fanout)
-	flush := func(p int) {
-		n := bufLen[p]
-		if n == 0 {
-			return
-		}
-		base := p * bufRows
-		// The value stream rides in the writer's key column; a bare
-		// column move has no state columns.
-		writers[p].AppendBlock(buf[base:base+n], nil, 0, n)
-		bufLen[p] = 0
-	}
-	for i, d := range mapping {
-		p := int(d)
-		if bufLen[p] == bufRows {
-			flush(p)
-		}
-		buf[p*bufRows+bufLen[p]] = col[i]
-		bufLen[p]++
-	}
-	out := make([][]*runs.Run, hashfn.Fanout)
-	for p := range writers {
-		flush(p)
-		out[p] = writers[p].Seal()
-	}
-	return out
 }

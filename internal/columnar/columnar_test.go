@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"cacheagg/internal/datagen"
-	"cacheagg/internal/hashfn"
 	"cacheagg/internal/xrand"
 )
 
@@ -121,53 +120,6 @@ func TestQuickModelsEquivalent(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPartitionMapping(t *testing.T) {
-	keys, _ := genKV(3, 10000, 5000)
-	mapping, counts := PartitionMapping(keys, 0)
-	if len(mapping) != len(keys) {
-		t.Fatal("length mismatch")
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != len(keys) {
-		t.Fatalf("counts sum to %d", total)
-	}
-	for i, k := range keys {
-		want := uint8(hashfn.Digit(hashfn.Murmur2(k), 0))
-		if mapping[i] != want {
-			t.Fatalf("row %d: digit %d, want %d", i, mapping[i], want)
-		}
-	}
-}
-
-func TestApplyMappingNaiveAndSWCAgree(t *testing.T) {
-	keys, _ := genKV(4, 20000, 10000)
-	col := make([]uint64, len(keys))
-	rng := xrand.NewXoshiro256(9)
-	for i := range col {
-		col[i] = rng.Next()
-	}
-	mapping, counts := PartitionMapping(keys, 0)
-	naive := ApplyMappingNaive(mapping, col)
-	swc := ApplyMappingSWC(mapping, col)
-	for p := 0; p < hashfn.Fanout; p++ {
-		var flat []uint64
-		for _, r := range swc[p] {
-			flat = append(flat, r.Keys...)
-		}
-		if len(flat) != len(naive[p]) || len(flat) != counts[p] {
-			t.Fatalf("partition %d: %d vs %d vs count %d", p, len(flat), len(naive[p]), counts[p])
-		}
-		for i := range flat {
-			if flat[i] != naive[p][i] {
-				t.Fatalf("partition %d row %d differs", p, i)
-			}
-		}
 	}
 }
 

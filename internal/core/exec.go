@@ -978,8 +978,8 @@ func (e *exec) hashRun(ws *workerState, st StrategyState, table *hashtable.Table
 				break
 			}
 			// Table full at row i+done: split and hand control back to the
-			// caller's decision loop (matching the scalar path, which
-			// returns after every emit).
+			// caller's decision loop, which consults the strategy after
+			// every emit.
 			e.lap(t0, trace.PhaseTableBuild)
 			t0 = e.stamp()
 			alpha := table.Alpha()
@@ -1042,8 +1042,9 @@ func (e *exec) finalTable(ws *workerState, n, level int) *hashtable.Table {
 
 // absorbRun feeds an entire run, hashes carried, through the batch merge
 // path into the finalization table, which grows on a short count; the
-// growth is reserved as machinery.
-func (e *exec) absorbRun(ws *workerState, table *hashtable.Table, r *runs.Run) {
+// growth is reserved as machinery. A table at hashtable.MaxSlots cannot
+// grow: the run fails with ErrMemoryBudget and absorbRun returns false.
+func (e *exec) absorbRun(ctx *sched.Ctx, ws *workerState, table *hashtable.Table, r *runs.Run) bool {
 	n := r.Len()
 	for i := 0; i < n; {
 		blk := min(n-i, scratchRows)
@@ -1051,10 +1052,15 @@ func (e *exec) absorbRun(ws *workerState, table *hashtable.Table, r *runs.Run) {
 		ws.stats.hashedRows += int64(m)
 		if i += m; m < blk {
 			before := table.FootprintBytes()
-			table.Grow()
+			if !table.Grow() {
+				ctx.Fail(fmt.Errorf("core: finalization table of %d groups at its cap of %d slots: %w",
+					table.Len(), table.CapacityRows(), ErrMemoryBudget))
+				return false
+			}
 			e.reserveMachinery(ws, table.FootprintBytes()-before)
 		}
 	}
+	return true
 }
 
 // finalize is the fused final pass over a bucket: a leaf, a bucket of a
@@ -1065,10 +1071,12 @@ func (e *exec) absorbRun(ws *workerState, table *hashtable.Table, r *runs.Run) {
 // afterwards.
 func (e *exec) finalize(ctx *sched.Ctx, ws *workerState, b *runs.Bucket, prefix uint64, level int) {
 	table := e.finalTable(ws, b.Rows(), level)
-	absorb := func(r *runs.Run) bool { e.absorbRun(ws, table, r); return true }
+	absorb := func(r *runs.Run) bool { return e.absorbRun(ctx, ws, table, r) }
 	t0 := e.stamp()
 	for _, r := range b.Runs {
-		absorb(r)
+		if !absorb(r) {
+			return
+		}
 	}
 	for _, s := range b.Spilled {
 		if !e.readBack(ctx, ws, level, s, absorb) {

@@ -3,15 +3,19 @@ package core
 // White-box tests for engine paths that are hard to reach through the
 // public surface: forced finalization at hash-digit exhaustion, a leaf
 // whose keys share one probe start, the finalization table's size and
-// growth, direct table emission, and chunk ordering. Runs carry the hash, so each test builds its runs from the
+// growth and its refusal at the cap, direct table emission, and chunk
+// ordering. Runs carry the hash, so each test builds its runs from the
 // hashes of real keys found by searching Murmur2, and the emitted keys are
 // those keys recovered.
 
 import (
 	"context"
+	"errors"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"cacheagg/internal/agg"
 	"cacheagg/internal/hashfn"
@@ -202,6 +206,29 @@ func TestFinalizationTableGrows(t *testing.T) {
 	ws.mem.Flush()
 	if got, want := ws.mem.Net(), ws.final.FootprintBytes()-int64(n)*e.interRow; got != want {
 		t.Fatalf("worker reserved %d bytes, want the table's %d less the bucket's rows", got, want)
+	}
+}
+
+// TestFinalizationTableAtTheCapFailsTyped: a finalization table at
+// hashtable.MaxSlots that stops short cannot grow, and the run fails with
+// ErrMemoryBudget rather than a panic. The test sets the table's logical
+// capacity field to the cap in place of a 2^31-slot allocation; Grow
+// refuses on that field alone.
+func TestFinalizationTableAtTheCapFailsTyped(t *testing.T) {
+	e := mkExec(nil, nil, nil)
+	ws := &e.workers[0]
+	table := e.finalTable(ws, 1, 1)
+	capRows := reflect.ValueOf(table).Elem().FieldByName("capRows")
+	*(*int)(unsafe.Pointer(capRows.UnsafeAddr())) = hashtable.MaxSlots
+	r := &runs.Run{Keys: hashesWhere(table.MaxRows()+1, func(uint64) bool { return true }), States: [][]uint64{}}
+	var absorbed bool
+	err := e.pool.Run(func(ctx *sched.Ctx) { absorbed = e.absorbRun(ctx, ws, table, r) })
+	if absorbed || !errors.Is(err, ErrMemoryBudget) {
+		t.Fatalf("absorb at the cap: absorbed %v, error %v; want a failure wrapping ErrMemoryBudget", absorbed, err)
+	}
+	if table.Len() != table.MaxRows() || table.CapacityRows() != hashtable.MaxSlots {
+		t.Fatalf("refused table holds %d groups in %d slots, want %d in %d",
+			table.Len(), table.CapacityRows(), table.MaxRows(), hashtable.MaxSlots)
 	}
 }
 

@@ -1,11 +1,11 @@
 package hashtable
 
-// Batch (morsel-wide) insert path.
+// Batch (morsel-wide) insert path: the only way rows enter a table.
 //
-// The scalar inserts (InsertRawCols / InsertStateCols) process one row at a
-// time: every probe is a dependent cache miss, and every state word pays a
-// dynamic dispatch through agg.Op.Apply. The batch path restructures the
-// same work into three phases over a whole batch of rows:
+// Probing row by row makes every probe a dependent cache miss, and folding
+// state words row by row pays a dynamic dispatch through agg.Op.Apply per
+// word. The batch inserts restructure that work into two phases over a
+// whole batch of rows:
 //
 //  1. Claim — locate (or claim) the slot of every row. The probe loop is
 //     software-pipelined: the first probe line of a group of pipelineWidth
@@ -17,18 +17,14 @@ package hashtable
 //
 // New rows are initialized to the word's identity during the claim and then
 // folded like every other row — identity ⊕ v is bitwise v for all supported
-// operations, so the batch path produces bit-identical tables to the scalar
-// path (the differential tests insert the same rows through both and compare
-// the split runs verbatim). The row-consumption semantics also match: the
-// batch stops at the first row that does not fit (fill limit or exhausted
-// block) and reports how many rows it absorbed; rows before the failing one
-// are fully applied, the failing row and everything after it not at all.
+// operations, so a group's state is bit-identical to agg.Kind's Init
+// followed by Fold (or Merge) over its rows, which the differential tests
+// check against a Go map folded through that reference. A batch stops at
+// the first row that does not fit (fill limit or exhausted block) and
+// reports how many rows it absorbed; rows before the failing one are fully
+// applied, the failing row and everything after it not at all.
 
-import (
-	"math"
-
-	"cacheagg/internal/agg"
-)
+import "cacheagg/internal/agg"
 
 // pipelineWidth is the number of probes kept in flight by the claim loop.
 // Eight independent loads comfortably cover the handful of line-fill
@@ -48,8 +44,7 @@ func (t *Table) slotScratch(n int) []int32 {
 // hashes[j], claiming fresh slots — initialized to the per-word identity —
 // for groups not yet present. It returns the number of rows claimed; a return
 // m < n means row m hit the fill limit or an exhausted block (and rows
-// m..n-1 were not touched). rowsIn/rows accounting matches the scalar path
-// exactly (rowsIn is bumped once per absorbed row, merely batched).
+// m..n-1 were not touched). rowsIn counts the m absorbed rows.
 func (t *Table) claimBatch(hashes []uint64, slots []int32, ops []agg.WordOp) int {
 	var s0 [pipelineWidth]int32
 	// Hoist the table columns into locals: the compiler cannot otherwise
@@ -70,7 +65,10 @@ func (t *Table) claimBatch(hashes []uint64, slots []int32, ops []agg.WordOp) int
 		// the group and touch its version word. The loads are independent,
 		// so outstanding misses overlap instead of serializing; the
 		// resolution stage then probes cache-warm lines. The sum keeps the
-		// loads observable (no dead-code elimination).
+		// loads observable (no dead-code elimination). The slot within the
+		// block comes from the hash's low bits, which no recursion level
+		// consumes (digits come from the top), so in-block placement stays
+		// independent of the partitioning digits.
 		warm := uint32(0)
 		for x := 0; x < g; x++ {
 			h := hashes[j+x]
@@ -92,8 +90,7 @@ func (t *Table) claimBatch(hashes []uint64, slots []int32, ops []agg.WordOp) int
 					continue
 				}
 				// Home slot holds a different group: continue the linear
-				// probe in-block from the next offset (same order as find,
-				// which would redundantly re-check the home slot).
+				// probe in-block from the next offset.
 				m := int(blockMask)
 				off := int(h) & m
 				base := s - off
@@ -139,12 +136,9 @@ func (t *Table) claimBatch(hashes []uint64, slots []int32, ops []agg.WordOp) int
 // columns cols. The hash is the group, so keys is unused: it stays in the
 // signature for callers that still pass their key column. It returns the
 // number of rows absorbed; a short count means the table is full at the
-// first unconsumed row and the caller must split and retry, exactly like a
-// false return from the scalar InsertRawCols.
+// first unconsumed row, and the caller grows or splits the table and
+// retries from there.
 func (t *Table) InsertRawBatch(hashes, keys []uint64, cols [][]int64, lo int, kern *agg.Kernels) int {
-	if t.capRows > math.MaxInt32 {
-		return t.insertRawScalar(hashes, cols, lo, kern.Ops)
-	}
 	slots := t.slotScratch(len(hashes))
 	m := t.claimBatch(hashes, slots, kern.Ops)
 	for w, fold := range kern.Fold {
@@ -163,34 +157,10 @@ func (t *Table) InsertRawBatch(hashes, keys []uint64, cols [][]int64, lo int, ke
 // InsertRawBatch. Returns the number of rows absorbed (short count ⇒ table
 // full at the first unconsumed row).
 func (t *Table) InsertStateBatch(hashes, keys []uint64, states [][]uint64, lo int, kern *agg.Kernels) int {
-	if t.capRows > math.MaxInt32 {
-		return t.insertStateScalar(hashes, states, lo, kern.Ops)
-	}
 	slots := t.slotScratch(len(hashes))
 	m := t.claimBatch(hashes, slots, kern.Ops)
 	for w, merge := range kern.Merge {
 		merge(t.states[w], slots[:m], states[w][lo:lo+m])
 	}
 	return m
-}
-
-// insertRawScalar is the row-at-a-time fallback of InsertRawBatch for
-// tables too large for int32 slot indices (beyond-cache grown tables on
-// enormous buckets).
-func (t *Table) insertRawScalar(hashes []uint64, cols [][]int64, lo int, ops []agg.WordOp) int {
-	for j, h := range hashes {
-		if !t.InsertRawCols(h, cols, lo+j, ops) {
-			return j
-		}
-	}
-	return len(hashes)
-}
-
-func (t *Table) insertStateScalar(hashes []uint64, states [][]uint64, lo int, ops []agg.WordOp) int {
-	for j, h := range hashes {
-		if !t.InsertStateCols(h, states, lo+j, ops) {
-			return j
-		}
-	}
-	return len(hashes)
 }

@@ -1,11 +1,15 @@
 package hashtable
 
-// Differential tests of the batched insert path against the scalar path.
-// The scalar inserts (InsertRawCols / InsertStateCols) are the reference
-// oracle: the batched path must produce bit-identical tables — same slots,
-// same states, same rowsIn/rows accounting, and therefore byte-identical
-// SplitRuns output — for every aggregate kind, input distribution, and
-// batch-size pattern (including the degenerate sizes 0, 1, width-1, width).
+// Differential tests of the batch kernels against a reference model: a Go
+// map from hash to packed state, folded through agg's row-at-a-time
+// reference (Layout.InitRow/FoldRow for raw rows, Kind.Merge for partial
+// states). The model also knows when an insert must stop short, so every
+// batch must absorb exactly the rows the model takes, keep the same group
+// and row counts, and every split must hand back the model's groups, each
+// in the run of its block — for every aggregate kind, input distribution,
+// batch-size pattern (including the sizes 0, 1, width-1 and width at the
+// pipelined claim loop's group edges), and reaction to a short count:
+// split, grow into new columns, or grow within the allocation.
 
 import (
 	"fmt"
@@ -40,98 +44,220 @@ func diffTable(words int) *Table {
 	return New(Config{CapacityRows: 4096, Blocks: 256, Words: words})
 }
 
-// drainScalarRaw inserts every row one at a time, collecting the runs of
-// every split forced by the fill limit, and finally the runs of the
-// remaining rows.
-func drainScalarRaw(tb *Table, keys []uint64, cols [][]int64, ops []agg.WordOp) [][]*runs.Run {
-	var splits [][]*runs.Run
-	for i := 0; i < len(keys); {
-		h := hashfn.Murmur2(keys[i])
-		if !tb.InsertRawCols(h, cols, i, ops) {
-			splits = append(splits, tb.SplitRuns())
+// onShort is what a drain does when a batch stops short.
+type onShort int
+
+const (
+	split       onShort = iota // split the table into runs
+	grow                       // grow into newly allocated columns
+	growInPlace                // grow within a larger allocation
+)
+
+// growCap is the capacity up to which a growing drain grows; past it, it
+// splits.
+const growCap = 1 << 15
+
+func (m onShort) String() string { return [...]string{"split", "grow", "grow in place"}[m] }
+
+// drainTable returns diffTable's table for a drain that reacts with m.
+func drainTable(words int, m onShort) *Table {
+	if m != growInPlace {
+		return diffTable(words)
+	}
+	tb := New(Config{CapacityRows: growCap, Blocks: 256, Words: words})
+	tb.ResetCapacity(4096)
+	return tb
+}
+
+// refTable models a Table with the reference aggregation. Linear probing
+// inside a block finds a free slot exactly when the block holds fewer
+// groups than slots, so counting the groups of each block models block
+// exhaustion without modelling slots; the fill limit caps the groups.
+type refTable struct {
+	lay       *agg.Layout
+	shift     uint
+	blocks    int
+	blockRows int
+	maxRows   int
+	rowsIn    int
+	groups    map[uint64][]uint64
+	perBlock  []int
+}
+
+// newRef models an empty table of tb's geometry: blocks, level, slots per
+// block and fill limit.
+func newRef(tb *Table, lay *agg.Layout) *refTable {
+	return &refTable{
+		lay: lay, shift: tb.shift, blocks: tb.blocks, blockRows: tb.blockRows, maxRows: tb.maxRows,
+		groups: map[uint64][]uint64{}, perBlock: make([]int, tb.blocks),
+	}
+}
+
+func (r *refTable) block(h uint64) int { return int(h >> r.shift & uint64(r.blocks-1)) }
+
+// group returns the state of h's group and whether it was just created, or
+// nil when h is a new group the table has no room for.
+func (r *refTable) group(h uint64) ([]uint64, bool) {
+	if st, ok := r.groups[h]; ok {
+		return st, false
+	}
+	b := r.block(h)
+	if len(r.groups) >= r.maxRows || r.perBlock[b] == r.blockRows {
+		return nil, false
+	}
+	st := make([]uint64, r.lay.Words)
+	r.groups[h] = st
+	r.perBlock[b]++
+	return st, true
+}
+
+// insertRaw folds raw input row row of cols into h's group.
+func (r *refTable) insertRaw(h uint64, cols [][]int64, row int) bool {
+	st, fresh := r.group(h)
+	if st == nil {
+		return false
+	}
+	val := func(c int) int64 { return cols[c][row] }
+	if fresh {
+		r.lay.InitRow(st, val)
+	} else {
+		r.lay.FoldRow(st, val)
+	}
+	r.rowsIn++
+	return true
+}
+
+// insertState merges partial-state row row of states into h's group.
+func (r *refTable) insertState(h uint64, states [][]uint64, row int) bool {
+	st, fresh := r.group(h)
+	if st == nil {
+		return false
+	}
+	src := make([]uint64, len(st))
+	for w := range src {
+		src[w] = states[w][row]
+	}
+	if fresh {
+		copy(st, src)
+	} else {
+		mergeRow(r.lay, st, src)
+	}
+	r.rowsIn++
+	return true
+}
+
+// mergeRow merges packed state src into dst through each spec's Kind.Merge.
+func mergeRow(lay *agg.Layout, dst, src []uint64) {
+	for i, s := range lay.Specs {
+		off, w := lay.Offsets[i], s.Kind.Width()
+		s.Kind.Merge(dst[off:off+w], src[off:off+w])
+	}
+}
+
+// grow doubles every block and the fill limit, as Grow does.
+func (r *refTable) grow() {
+	r.blockRows *= 2
+	r.maxRows *= 2
+}
+
+// requireCounts checks tb's groups, absorbed rows and fill limit against r.
+func (r *refTable) requireCounts(t *testing.T, tb *Table) {
+	t.Helper()
+	if tb.Len() != len(r.groups) || tb.RowsIn() != r.rowsIn || tb.MaxRows() != r.maxRows {
+		t.Fatalf("table holds %d groups of %d rows, fill limit %d; reference %d of %d, limit %d",
+			tb.Len(), tb.RowsIn(), tb.MaxRows(), len(r.groups), r.rowsIn, r.maxRows)
+	}
+}
+
+// requireSplit checks the runs of a split against r's groups, each in the
+// run of its block, and empties r as the split empties the table.
+func (r *refTable) requireSplit(t *testing.T, split []*runs.Run) {
+	t.Helper()
+	if len(split) != r.blocks {
+		t.Fatalf("split into %d runs, want one per block (%d)", len(split), r.blocks)
+	}
+	seen := 0
+	for b, run := range split {
+		if run == nil {
 			continue
 		}
-		i++
-	}
-	splits = append(splits, tb.SplitRuns())
-	return splits
-}
-
-// drainBatchedRaw inserts the same rows through the batch path, cycling
-// through the given batch sizes (0 entries exercise the empty batch and are
-// skipped for progress).
-func drainBatchedRaw(tb *Table, keys []uint64, cols [][]int64, kern *agg.Kernels, sizes []int) [][]*runs.Run {
-	var splits [][]*runs.Run
-	hs := make([]uint64, len(keys)+1)
-	si := 0
-	for i := 0; i < len(keys); {
-		blk := sizes[si%len(sizes)]
-		si++
-		if blk > len(keys)-i {
-			blk = len(keys) - i
+		if err := run.Validate(r.lay.Words); err != nil {
+			t.Fatal(err)
 		}
-		hashfn.HashBatch(keys[i:i+blk], hs[:blk])
-		done := 0
-		for done < blk {
-			n := tb.InsertRawBatch(hs[done:blk], keys[i+done:i+blk], cols, i+done, kern)
-			done += n
-			if done < blk {
-				splits = append(splits, tb.SplitRuns())
+		for i, h := range run.Keys {
+			want, ok := r.groups[h]
+			if !ok || r.block(h) != b {
+				t.Fatalf("hash %#x in the run of block %d: block %d, in the reference %v", h, b, r.block(h), ok)
 			}
+			for w := range want {
+				if run.States[w][i] != want[w] {
+					t.Fatalf("hash %#x word %d: state %#x, reference %#x", h, w, run.States[w][i], want[w])
+				}
+			}
+			seen++
 		}
-		i += blk
-		if blk == 0 {
-			// Empty batch must be a no-op; make progress via a one-row batch.
-			hashfn.HashBatch(keys[i:i+1], hs[:1])
-			if tb.InsertRawBatch(hs[:1], keys[i:i+1], cols, i, kern) != 1 {
-				splits = append(splits, tb.SplitRuns())
-			} else {
-				i++
-			}
+		if run.Len() == 0 {
+			t.Fatalf("block %d split into an empty run", b)
 		}
 	}
-	splits = append(splits, tb.SplitRuns())
-	return splits
+	if seen != len(r.groups) {
+		t.Fatalf("split %d groups, reference holds %d", seen, len(r.groups))
+	}
+	clear(r.groups)
+	clear(r.perBlock)
+	r.rowsIn = 0
 }
 
-func requireEqualRuns(t *testing.T, want, got [][]*runs.Run) {
+// drain feeds the rows of keys through batch in batches of the cycled
+// sizes, and the same rows one at a time through the reference's one.
+// Every batch must absorb exactly the rows the reference takes. On a short
+// count the table grows or splits as m says and the batch resumes at the
+// first row it did not take; every split, and the final one, must hand
+// back the reference's groups.
+func drain(t *testing.T, tb *Table, ref *refTable, keys []uint64, sizes []int, m onShort,
+	batch func(hs []uint64, lo int) int, one func(h uint64, row int) bool) {
 	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("split count: scalar %d, batched %d", len(want), len(got))
-	}
-	for s := range want {
-		if len(want[s]) != len(got[s]) {
-			t.Fatalf("split %d: block count %d vs %d", s, len(want[s]), len(got[s]))
-		}
-		for b := range want[s] {
-			w, g := want[s][b], got[s][b]
-			if (w == nil) != (g == nil) {
-				t.Fatalf("split %d block %d: nil mismatch (scalar %v, batched %v)", s, b, w != nil, g != nil)
+	hs := make([]uint64, len(keys))
+	hashfn.HashBatch(keys, hs)
+	for i, si := 0, 0; i < len(keys); si++ {
+		blk := min(sizes[si%len(sizes)], len(keys)-i)
+		for done := 0; ; {
+			want := done
+			for want < blk && one(hs[i+want], i+want) {
+				want++
 			}
-			if w == nil {
+			if got := done + batch(hs[i+done:i+blk], i+done); got != want {
+				t.Fatalf("%v: batch of rows %d..%d absorbed up to row %d, reference up to %d",
+					m, i+done, i+blk, i+got, i+want)
+			}
+			ref.requireCounts(t, tb)
+			if done = want; done == blk {
+				break
+			}
+			if m != split && tb.CapacityRows() < growCap {
+				if !tb.Grow() {
+					t.Fatalf("%v: Grow refused at %d slots", m, tb.CapacityRows())
+				}
+				ref.grow()
+				ref.requireCounts(t, tb)
 				continue
 			}
-			if w.Len() != g.Len() {
-				t.Fatalf("split %d block %d: %d rows vs %d", s, b, w.Len(), g.Len())
-			}
-			for i := 0; i < w.Len(); i++ {
-				if w.Keys[i] != g.Keys[i] {
-					t.Fatalf("split %d block %d row %d: key %d vs %d", s, b, i, w.Keys[i], g.Keys[i])
-				}
-			}
-			if len(w.States) != len(g.States) {
-				t.Fatalf("split %d block %d: %d state words vs %d", s, b, len(w.States), len(g.States))
-			}
-			for wd := range w.States {
-				for i := range w.States[wd] {
-					if w.States[wd][i] != g.States[wd][i] {
-						t.Fatalf("split %d block %d word %d row %d: state %#x vs %#x",
-							s, b, wd, i, w.States[wd][i], g.States[wd][i])
-					}
-				}
-			}
+			ref.requireSplit(t, tb.SplitRuns())
 		}
+		i += blk
 	}
+	ref.requireSplit(t, tb.SplitRuns())
+}
+
+// drainRaw drains raw input rows through InsertRawBatch.
+func drainRaw(t *testing.T, lay *agg.Layout, keys []uint64, cols [][]int64, sizes []int, m onShort) {
+	t.Helper()
+	tb := drainTable(lay.Words, m)
+	ref := newRef(tb, lay)
+	kern := lay.Kernels()
+	drain(t, tb, ref, keys, sizes, m,
+		func(hs []uint64, lo int) int { return tb.InsertRawBatch(hs, keys[lo:], cols, lo, kern) },
+		func(h uint64, row int) bool { return ref.insertRaw(h, cols, row) })
 }
 
 // batchSizePatterns are the batch-size schedules the differential tests
@@ -160,13 +286,10 @@ func TestBatchedInsertRawEquivalence(t *testing.T) {
 					cols[0][i] = int64(rng.Next()) >> 32
 					cols[1][i] = -int64(rng.Next() % 5000)
 				}
-				ops, kern := lay.WordOps(), lay.Kernels()
-				ref := diffTable(lay.Words)
-				wantRuns := drainScalarRaw(ref, keys, cols, ops)
 				for _, sizes := range batchSizePatterns {
-					tb := diffTable(lay.Words)
-					gotRuns := drainBatchedRaw(tb, keys, cols, kern, sizes)
-					requireEqualRuns(t, wantRuns, gotRuns)
+					for _, m := range []onShort{split, grow, growInPlace} {
+						drainRaw(t, lay, keys, cols, sizes, m)
+					}
 				}
 			})
 		}
@@ -174,7 +297,7 @@ func TestBatchedInsertRawEquivalence(t *testing.T) {
 }
 
 // TestBatchedInsertStateEquivalence checks the state-merge batch path (the
-// run-absorption side of the engine) against InsertStateCols.
+// run-absorption side of the engine) against Kind.Merge.
 func TestBatchedInsertStateEquivalence(t *testing.T) {
 	const n = 5000
 	for name, lay := range diffLayouts() {
@@ -191,46 +314,15 @@ func TestBatchedInsertStateEquivalence(t *testing.T) {
 					states[w][i] = rng.Next()
 				}
 			}
-			ops, kern := lay.WordOps(), lay.Kernels()
-
-			ref := diffTable(lay.Words)
-			var wantRuns [][]*runs.Run
-			for i := 0; i < n; {
-				h := hashfn.Murmur2(keys[i])
-				if !ref.InsertStateCols(h, states, i, ops) {
-					wantRuns = append(wantRuns, ref.SplitRuns())
-					continue
-				}
-				i++
-			}
-			wantRuns = append(wantRuns, ref.SplitRuns())
-
+			kern := lay.Kernels()
 			for _, sizes := range batchSizePatterns {
-				tb := diffTable(lay.Words)
-				hs := make([]uint64, n)
-				var gotRuns [][]*runs.Run
-				si := 0
-				for i := 0; i < n; {
-					blk := sizes[si%len(sizes)]
-					si++
-					if blk == 0 || blk > n-i {
-						if blk = n - i; blk > 64 {
-							blk = 64
-						}
-					}
-					hashfn.HashBatch(keys[i:i+blk], hs[:blk])
-					done := 0
-					for done < blk {
-						m := tb.InsertStateBatch(hs[done:blk], keys[i+done:i+blk], states, i+done, kern)
-						done += m
-						if done < blk {
-							gotRuns = append(gotRuns, tb.SplitRuns())
-						}
-					}
-					i += blk
+				for _, m := range []onShort{split, grow, growInPlace} {
+					tb := drainTable(lay.Words, m)
+					ref := newRef(tb, lay)
+					drain(t, tb, ref, keys, sizes, m,
+						func(hs []uint64, lo int) int { return tb.InsertStateBatch(hs, nil, states, lo, kern) },
+						func(h uint64, row int) bool { return ref.insertState(h, states, row) })
 				}
-				gotRuns = append(gotRuns, tb.SplitRuns())
-				requireEqualRuns(t, wantRuns, gotRuns)
 			}
 		})
 	}
@@ -262,7 +354,7 @@ func TestHashIsTheGroup(t *testing.T) {
 	if m := raw.InsertRawBatch(hs, keys, [][]int64{vals}, 0, kern); m != n {
 		t.Fatalf("InsertRawBatch absorbed %d of %d rows", m, n)
 	}
-	if st, ok := raw.Lookup(forced); raw.Len() != 1 || !ok || st[0] != n || st[1] != sum {
+	if st, ok := lookup(raw, forced); raw.Len() != 1 || !ok || st[0] != n || st[1] != sum {
 		t.Fatalf("raw: %d groups, forced hash holds %v (found %v), want count %d sum %d", raw.Len(), st, ok, n, sum)
 	}
 	eh, ek := make([]uint64, 1), make([]uint64, 1)
@@ -279,7 +371,7 @@ func TestHashIsTheGroup(t *testing.T) {
 			t.Fatalf("InsertStateBatch absorbed %d of 1 rows", m)
 		}
 	}
-	if st, ok := merged.Lookup(forced); merged.Len() != 1 || !ok || st[0] != 2*n || st[1] != 2*sum {
+	if st, ok := lookup(merged, forced); merged.Len() != 1 || !ok || st[0] != 2*n || st[1] != 2*sum {
 		t.Fatalf("merged: %d groups, forced hash holds %v (found %v)", merged.Len(), st, ok)
 	}
 
@@ -291,8 +383,9 @@ func TestHashIsTheGroup(t *testing.T) {
 	}
 }
 
-// TestEmitColumnsMatchesEmit checks the batched output gather against the
-// row-at-a-time Emit callback order.
+// TestEmitColumnsMatchesEmit checks the batched output gather against a
+// walk of the slots in order, emitting each occupied one (the reference
+// order: blocks in order), and the emitted rows against the map reference.
 func TestEmitColumnsMatchesEmit(t *testing.T) {
 	lay := agg.NewLayout([]agg.Spec{{Kind: agg.Sum, Col: 0}, {Kind: agg.Avg, Col: 0}})
 	kern := lay.Kernels()
@@ -302,26 +395,30 @@ func TestEmitColumnsMatchesEmit(t *testing.T) {
 	for i := range vals {
 		vals[i] = int64(i) - 1500
 	}
+	cols := [][]int64{vals}
 	tb := diffTable(lay.Words)
+	ref := newRef(tb, lay)
 	hs := make([]uint64, n)
 	hashfn.HashBatch(keys, hs)
-	for lo := 0; lo < n; {
-		m := tb.InsertRawBatch(hs[lo:], keys[lo:], [][]int64{vals}, lo, kern)
-		lo += m
-		if m == 0 {
-			t.Fatal("table filled; test wants a no-split table")
-		}
+	if m := tb.InsertRawBatch(hs, keys, cols, 0, kern); m != n {
+		t.Fatalf("table filled after %d rows; test wants a no-split table", m)
+	}
+	for i, h := range hs {
+		ref.insertRaw(h, cols, i)
 	}
 
-	var wantH, wantK []uint64
+	var wantH []uint64
 	var wantS [][]uint64
-	tb.Emit(func(h, k uint64, st []uint64) {
-		wantH = append(wantH, h)
-		wantK = append(wantK, k)
-		row := make([]uint64, len(st))
-		copy(row, st)
-		wantS = append(wantS, row)
-	})
+	for s, v := range tb.version {
+		if v != tb.epoch {
+			continue
+		}
+		row := make([]uint64, tb.words)
+		for w := range row {
+			row[w] = tb.states[w][s]
+		}
+		wantH, wantS = append(wantH, tb.hashes[s]), append(wantS, row)
+	}
 
 	gotH := make([]uint64, tb.Len())
 	gotK := make([]uint64, tb.Len())
@@ -332,15 +429,16 @@ func TestEmitColumnsMatchesEmit(t *testing.T) {
 	nilS := [][]uint64{make([]uint64, tb.Len()), make([]uint64, tb.Len()), make([]uint64, tb.Len())}
 	tb.EmitColumns(nilH, nil, nilS)
 
-	if len(wantK) != tb.Len() {
-		t.Fatalf("emit visited %d rows, Len() = %d", len(wantK), tb.Len())
+	if len(wantH) != tb.Len() || len(ref.groups) != tb.Len() {
+		t.Fatalf("walk found %d rows, reference %d groups, Len() = %d", len(wantH), len(ref.groups), tb.Len())
 	}
-	for i := range wantK {
-		if gotH[i] != wantH[i] || gotK[i] != wantK[i] || nilH[i] != wantH[i] || hashfn.Murmur2(gotK[i]) != gotH[i] {
+	for i := range wantH {
+		if gotH[i] != wantH[i] || nilH[i] != wantH[i] || hashfn.Murmur2(gotK[i]) != gotH[i] {
 			t.Fatalf("row %d: hash/key mismatch", i)
 		}
+		want := ref.groups[gotH[i]]
 		for w := range wantS[i] {
-			if gotS[w][i] != wantS[i][w] || nilS[w][i] != wantS[i][w] {
+			if gotS[w][i] != wantS[i][w] || nilS[w][i] != wantS[i][w] || gotS[w][i] != want[w] {
 				t.Fatalf("row %d word %d: state mismatch", i, w)
 			}
 		}
@@ -376,8 +474,8 @@ func TestBatchedIntakeAllocFree(t *testing.T) {
 }
 
 // FuzzBatchedInsertEquivalence drives the raw batch path with fuzz-chosen
-// distribution, key domain, and batch schedule, and requires byte-identical
-// split output against the scalar oracle.
+// distribution, key domain, batch schedule and reaction to a short count,
+// against the reference model.
 func FuzzBatchedInsertEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint16(100), uint8(1), uint8(5))
 	f.Add(uint64(2), uint8(3), uint16(2000), uint8(7), uint8(0))
@@ -395,15 +493,11 @@ func FuzzBatchedInsertEquivalence(f *testing.F) {
 		}
 		lays := diffLayouts()
 		names := []string{"distinct", "count", "sum", "min", "max", "avg", "multi"}
-		lay := lays[names[int(seed)%len(names)]]
+		lay := lays[names[int(seed%uint64(len(names)))]]
 		sizes := []int{int(s1), int(s2)}
 		if sizes[0] == 0 && sizes[1] == 0 {
 			sizes = []int{1}
 		}
-		ref := diffTable(lay.Words)
-		want := drainScalarRaw(ref, keys, cols, lay.WordOps())
-		tb := diffTable(lay.Words)
-		got := drainBatchedRaw(tb, keys, cols, lay.Kernels(), sizes)
-		requireEqualRuns(t, want, got)
+		drainRaw(t, lay, keys, cols, sizes, onShort(seed/uint64(len(names))%3))
 	})
 }

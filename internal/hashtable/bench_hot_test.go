@@ -1,15 +1,10 @@
 package hashtable
 
-// Scalar-vs-batched sweeps of the full HASHING drain loop at N=2^20:
-// hash every row, insert, split on full, repeat. The scalar variant is the
-// reference oracle end to end — per-row Murmur2, per-row InsertRawCols, and
-// the row-at-a-time splitRunsSlow compaction (the pre-batching SplitRuns).
-// The batched variant is what the engine runs: HashBatch, InsertRawBatch,
-// and the arena-allocating SplitRuns. The differential tests prove the two
-// produce bit-identical runs, so the comparison is purely about speed:
+// Sweep of the full HASHING drain loop at N=2^20, as the engine runs it:
+// HashBatch a block, InsertRawBatch it, and SplitRuns whenever the table
+// stops short:
 //
-//	go test -run xxx -bench Hashing -count 10 ./internal/hashtable > out.txt
-//	benchstat -col /path out.txt
+//	go test -run '^$' -bench Hashing -count 10 ./internal/hashtable
 
 import (
 	"fmt"
@@ -32,33 +27,6 @@ func hotBenchTable(words int) *Table {
 		Blocks:       hashfn.Fanout,
 		Words:        words,
 	})
-}
-
-// BenchmarkHashingDrainScalar is the reference-oracle drain loop.
-func BenchmarkHashingDrainScalar(b *testing.B) {
-	lay := agg.NewLayout([]agg.Spec{{Kind: agg.Sum, Col: 0}})
-	ops := lay.WordOps()
-	cols := hotVals()
-	for _, kExp := range []int{8, 14, 19} {
-		keys := datagen.Generate(datagen.Spec{Dist: datagen.Uniform, N: hotN, K: 1 << uint(kExp), Seed: 42})
-		b.Run(fmt.Sprintf("K=2^%d", kExp), func(b *testing.B) {
-			tb := hotBenchTable(lay.Words)
-			b.SetBytes(hotN * 16)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for it := 0; it < b.N; it++ {
-				tb.Reset()
-				for i := 0; i < len(keys); {
-					h := hashfn.Murmur2(keys[i])
-					if !tb.InsertRawCols(h, cols, i, ops) {
-						tb.splitRunsSlow()
-						continue
-					}
-					i++
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkHashingDrainBatched is the engine's batched drain loop.

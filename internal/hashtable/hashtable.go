@@ -16,6 +16,8 @@
 //     place when its allocation allows); a cache-sized table is full, and
 //     the caller splits it into runs and starts afresh. Only that split
 //     bounds the working set to the cache, so only it is a fill event.
+//     A table that never splits (a finalization table) grows up to
+//     MaxSlots, the int32 range of the slot indices, and no further.
 //   - The table tracks how many input rows it absorbed (rowsIn) so the
 //     ADAPTIVE strategy can read the reduction factor α = rowsIn/rowsOut at
 //     split time (Section 5).
@@ -27,6 +29,11 @@
 // EmitColumns is asked for them. Every hash a caller inserts must therefore
 // be hashfn.Murmur2 of its key.
 //
+// Rows go in and out a batch at a time, and only so: InsertRawBatch and
+// InsertStateBatch fill the table (batch.go), SplitRuns and EmitColumns
+// empty it. The row-at-a-time reference the tests check them against is
+// agg.Kind's Init, Fold and Merge folded into a Go map.
+//
 // Occupancy uses epoch versioning so Reset is O(1) and tables can be reused
 // without re-zeroing cache-sized arrays.
 package hashtable
@@ -35,7 +42,6 @@ import (
 	"fmt"
 	"math"
 
-	"cacheagg/internal/agg"
 	"cacheagg/internal/hashfn"
 	"cacheagg/internal/runs"
 )
@@ -50,10 +56,18 @@ const DefaultMaxFill = 0.25
 // probing degenerate.
 const MinBlockRows = 8
 
+// MaxSlots caps a table's capacity: the batch kernels index slots with
+// int32, so a table holds at most 2^31 slots and Grow refuses beyond them.
+// Only a table that never splits reaches the cap, with about 2^30 groups
+// held at once (a finalization table, the stream's accumulator); its
+// callers turn the refusal into a memory-budget failure.
+const MaxSlots = 1 << 31
+
 // Config configures a Table.
 type Config struct {
 	// CapacityRows is the total number of slots. It is rounded up to a
-	// power of two and to at least Blocks*MinBlockRows.
+	// power of two and to at least Blocks*MinBlockRows, and capped at
+	// MaxSlots.
 	CapacityRows int
 	// Blocks is the number of split ranges, normally the partitioning
 	// fan-out (256). Must be a power of two.
@@ -114,7 +128,7 @@ func New(cfg Config) *Table {
 	if cfg.Level < 0 || cfg.Level >= 8 {
 		panic(fmt.Sprintf("hashtable: level %d out of range", cfg.Level))
 	}
-	capRows := max(ceilPow2(cfg.CapacityRows), cfg.Blocks*MinBlockRows)
+	capRows := max(ceilPow2(min(cfg.CapacityRows, MaxSlots)), cfg.Blocks*MinBlockRows)
 	fill := cfg.MaxFill
 	if fill <= 0 {
 		fill = DefaultMaxFill
@@ -222,234 +236,6 @@ func (t *Table) block(h uint64) int {
 	return int(h >> t.shift & uint64(t.blocks-1))
 }
 
-// slot probing: position within block derived from the LOW bits of the
-// hash, which no recursion level consumes (digits come from the top), so
-// in-block placement stays independent of the partitioning digits.
-func (t *Table) probeStart(h uint64) int {
-	return int(h & t.blockMask)
-}
-
-// find locates the group of hash h in its block. It returns the slot index
-// and true if present; otherwise the first free slot and false, or -1 and
-// false if the block is completely full.
-func (t *Table) find(h uint64) (int, bool) {
-	base := t.block(h) * t.blockRows
-	start := t.probeStart(h)
-	for i := 0; i < t.blockRows; i++ {
-		s := base + int((uint64(start+i))&t.blockMask)
-		if t.version[s] != t.epoch {
-			return s, false
-		}
-		if t.hashes[s] == h {
-			return s, true
-		}
-	}
-	return -1, false
-}
-
-// InsertState inserts (or merges) a row carrying an initialized aggregate
-// state vector. It returns false — without modifying the table — if the
-// row is new and the table is full (fill limit reached or block exhausted);
-// the caller then grows or splits the table and retries.
-func (t *Table) InsertState(h uint64, state []uint64, lay *agg.Layout) bool {
-	s, found := t.find(h)
-	if found {
-		if lay != nil {
-			for i, sp := range lay.Specs {
-				off := lay.Offsets[i]
-				w := sp.Kind.Width()
-				// Merge in place on the column-decomposed state.
-				mergeColumns(sp.Kind, t.states[off:off+w], s, state[off:off+w])
-			}
-		}
-		t.rowsIn++
-		return true
-	}
-	if s < 0 || t.rows >= t.maxRows {
-		return false
-	}
-	t.version[s] = t.epoch
-	t.hashes[s] = h
-	for i := 0; i < t.words; i++ {
-		t.states[i][s] = state[i]
-	}
-	t.rows++
-	t.rowsIn++
-	return true
-}
-
-// InsertRaw inserts (or folds) a raw input row whose aggregate inputs are
-// provided by values. It returns false, without modifying the table, when
-// the row is new and the table is full.
-func (t *Table) InsertRaw(h uint64, values func(col int) int64, lay *agg.Layout) bool {
-	s, found := t.find(h)
-	if found {
-		if lay != nil {
-			for i, sp := range lay.Specs {
-				off := lay.Offsets[i]
-				var v int64
-				if sp.Kind != agg.Count {
-					v = values(sp.Col)
-				}
-				foldColumns(sp.Kind, t.states[off:off+sp.Kind.Width()], s, v)
-			}
-		}
-		t.rowsIn++
-		return true
-	}
-	if s < 0 || t.rows >= t.maxRows {
-		return false
-	}
-	t.version[s] = t.epoch
-	t.hashes[s] = h
-	if lay != nil {
-		for i, sp := range lay.Specs {
-			off := lay.Offsets[i]
-			var v int64
-			if sp.Kind != agg.Count {
-				v = values(sp.Col)
-			}
-			initColumns(sp.Kind, t.states[off:off+sp.Kind.Width()], s, v)
-		}
-	}
-	t.rows++
-	t.rowsIn++
-	return true
-}
-
-// mergeColumns applies kind's super-aggregate merge at row s of the
-// column-decomposed state storage.
-func mergeColumns(k agg.Kind, cols [][]uint64, s int, src []uint64) {
-	switch k {
-	case agg.Count, agg.Sum:
-		cols[0][s] = uint64(int64(cols[0][s]) + int64(src[0]))
-	case agg.Min:
-		if int64(src[0]) < int64(cols[0][s]) {
-			cols[0][s] = src[0]
-		}
-	case agg.Max:
-		if int64(src[0]) > int64(cols[0][s]) {
-			cols[0][s] = src[0]
-		}
-	case agg.Avg:
-		cols[0][s] = uint64(int64(cols[0][s]) + int64(src[0]))
-		cols[1][s] += src[1]
-	default:
-		panic("hashtable: invalid kind")
-	}
-}
-
-func foldColumns(k agg.Kind, cols [][]uint64, s int, v int64) {
-	switch k {
-	case agg.Count:
-		cols[0][s]++
-	case agg.Sum:
-		cols[0][s] = uint64(int64(cols[0][s]) + v)
-	case agg.Min:
-		if v < int64(cols[0][s]) {
-			cols[0][s] = uint64(v)
-		}
-	case agg.Max:
-		if v > int64(cols[0][s]) {
-			cols[0][s] = uint64(v)
-		}
-	case agg.Avg:
-		cols[0][s] = uint64(int64(cols[0][s]) + v)
-		cols[1][s]++
-	default:
-		panic("hashtable: invalid kind")
-	}
-}
-
-func initColumns(k agg.Kind, cols [][]uint64, s int, v int64) {
-	switch k {
-	case agg.Count:
-		cols[0][s] = 1
-	case agg.Sum, agg.Min, agg.Max:
-		cols[0][s] = uint64(v)
-	case agg.Avg:
-		cols[0][s] = uint64(v)
-		cols[1][s] = 1
-	default:
-		panic("hashtable: invalid kind")
-	}
-}
-
-// InsertStateCols inserts or merges row `row` of column-decomposed partial
-// states (the layout of runs.Run.States), combining word-wise with the
-// layout's word operations. This is the columnar fast path of the engine:
-// no per-row state gathering. Returns false when the row is new and the
-// table is full.
-func (t *Table) InsertStateCols(h uint64, states [][]uint64, row int, ops []agg.WordOp) bool {
-	s, found := t.find(h)
-	if found {
-		for w := range ops {
-			t.states[w][s] = ops[w].Op.Apply(t.states[w][s], states[w][row])
-		}
-		t.rowsIn++
-		return true
-	}
-	if s < 0 || t.rows >= t.maxRows {
-		return false
-	}
-	t.version[s] = t.epoch
-	t.hashes[s] = h
-	for w := range ops {
-		t.states[w][s] = states[w][row]
-	}
-	t.rows++
-	t.rowsIn++
-	return true
-}
-
-// InsertRawCols inserts or folds row `row` of raw input columns, using the
-// layout's word operations (SrcOne words contribute 1, SrcCol words read
-// cols[op.Col][row]). Returns false when the row is new and the table is
-// full.
-func (t *Table) InsertRawCols(h uint64, cols [][]int64, row int, ops []agg.WordOp) bool {
-	s, found := t.find(h)
-	if found {
-		for w := range ops {
-			v := int64(1)
-			if ops[w].Src == agg.SrcCol {
-				v = cols[ops[w].Col][row]
-			}
-			t.states[w][s] = ops[w].Op.Apply(t.states[w][s], uint64(v))
-		}
-		t.rowsIn++
-		return true
-	}
-	if s < 0 || t.rows >= t.maxRows {
-		return false
-	}
-	t.version[s] = t.epoch
-	t.hashes[s] = h
-	for w := range ops {
-		v := int64(1)
-		if ops[w].Src == agg.SrcCol {
-			v = cols[ops[w].Col][row]
-		}
-		t.states[w][s] = uint64(v)
-	}
-	t.rows++
-	t.rowsIn++
-	return true
-}
-
-// Lookup returns a copy of the state vector stored for hash h and whether
-// its group is present. Intended for tests and small finalization paths.
-func (t *Table) Lookup(h uint64) ([]uint64, bool) {
-	s, found := t.find(h)
-	if !found {
-		return nil, false
-	}
-	out := make([]uint64, t.words)
-	for i := 0; i < t.words; i++ {
-		out[i] = t.states[i][s]
-	}
-	return out, true
-}
-
 // SplitRuns compacts every non-empty block into one aggregated run and
 // returns a slice indexed by block (= radix digit at the table's level);
 // empty blocks yield nil entries. A run's Keys column holds the groups'
@@ -463,9 +249,6 @@ func (t *Table) Lookup(h uint64) ([]uint64, bool) {
 // of allocations instead of a few per non-empty block, which at high group
 // counts removes most of the operator's GC pressure.
 func (t *Table) SplitRuns() []*runs.Run {
-	if t.capRows > math.MaxInt32 {
-		return t.splitRunsSlow()
-	}
 	out := make([]*runs.Run, t.blocks)
 	off := t.offScratch(t.blocks + 1)
 	hashSlab := make([]uint64, t.rows)
@@ -555,96 +338,29 @@ func (t *Table) offScratch(n int) []int {
 	return t.blockOffs[:n]
 }
 
-// splitRunsSlow is the row-at-a-time SplitRuns for tables whose slot
-// indices do not fit int32 (unreachable through the engine's cache-sized
-// tables; kept for API completeness).
-func (t *Table) splitRunsSlow() []*runs.Run {
-	out := make([]*runs.Run, t.blocks)
-	for b := 0; b < t.blocks; b++ {
-		base := b * t.blockRows
-		n := 0
-		for i := 0; i < t.blockRows; i++ {
-			if t.version[base+i] == t.epoch {
-				n++
-			}
-		}
-		if n == 0 {
-			continue
-		}
-		r := &runs.Run{
-			Keys:   make([]uint64, 0, n),
-			States: make([][]uint64, t.words),
-		}
-		for w := range r.States {
-			r.States[w] = make([]uint64, 0, n)
-		}
-		for i := 0; i < t.blockRows; i++ {
-			s := base + i
-			if t.version[s] != t.epoch {
-				continue
-			}
-			r.Keys = append(r.Keys, t.hashes[s])
-			for w := 0; w < t.words; w++ {
-				r.States[w] = append(r.States[w], t.states[w][s])
-			}
-		}
-		out[b] = r
-	}
-	t.Reset()
-	return out
-}
-
-// Emit appends every occupied row to the provided callback in block order,
-// each with its key recovered from its hash. Unlike SplitRuns it does not
-// reset the table.
-func (t *Table) Emit(fn func(hash, key uint64, state []uint64)) {
-	scratch := make([]uint64, t.words)
-	for s := 0; s < t.capRows; s++ {
-		if t.version[s] != t.epoch {
-			continue
-		}
-		for w := 0; w < t.words; w++ {
-			scratch[w] = t.states[w][s]
-		}
-		fn(t.hashes[s], hashfn.Murmur2Inverse(t.hashes[s]), scratch)
-	}
-}
-
 // EmitColumns gathers every occupied row into the provided column slices in
-// block order (the same order Emit visits). hashes must have length Len(),
-// and so must keys unless it is nil; states must hold one length-Len()
-// column per state word. Keys are recovered from the gathered hashes in
-// one batch, once per group; a nil keys slice skips the recovery. Like
-// Emit it does not reset the table. This is the batched output path: one
+// block order. hashes must have length Len(), and so must keys unless it is
+// nil; states must hold one length-Len() column per state word. Keys are
+// recovered from the gathered hashes in one batch, once per group; a nil
+// keys slice skips the recovery. It does not reset the table. One
 // occupancy scan, then one tight copy loop per column.
 func (t *Table) EmitColumns(hashes, keys []uint64, states [][]uint64) {
-	if t.capRows > math.MaxInt32 {
-		j := 0
-		t.Emit(func(h, _ uint64, st []uint64) {
-			hashes[j] = h
-			for w := range st {
-				states[w][j] = st[w]
-			}
-			j++
-		})
-	} else {
-		idx := t.slotScratch(t.rows)
-		version, epoch, hsCol := t.version, t.epoch, t.hashes
-		n := 0
-		for s, v := range version {
-			if v == epoch {
-				idx[n] = int32(s)
-				hashes[n] = hsCol[s]
-				n++
-			}
+	idx := t.slotScratch(t.rows)
+	version, epoch, hsCol := t.version, t.epoch, t.hashes
+	n := 0
+	for s, v := range version {
+		if v == epoch {
+			idx[n] = int32(s)
+			hashes[n] = hsCol[s]
+			n++
 		}
-		occ := idx[:n]
-		for w := 0; w < t.words; w++ {
-			src := t.states[w]
-			dst := states[w]
-			for j, s := range occ {
-				dst[j] = src[s]
-			}
+	}
+	occ := idx[:n]
+	for w := 0; w < t.words; w++ {
+		src := t.states[w]
+		dst := states[w]
+		for j, s := range occ {
+			dst[j] = src[s]
 		}
 	}
 	if keys != nil {
@@ -661,13 +377,17 @@ func (t *Table) EmitColumns(hashes, keys []uint64, states [][]uint64) {
 // twice the capacity the rows move within it and nothing is allocated
 // beyond the slot scratch the batch inserts share; otherwise the doubled
 // columns are allocated, the rows move in one pass over the version
-// column, and FootprintBytes doubles.
-func (t *Table) Grow() {
+// column, and FootprintBytes doubles. A table at MaxSlots does not grow:
+// Grow returns false and changes nothing.
+func (t *Table) Grow() bool {
 	c, blockRows := t.capRows, t.blockRows
+	if c >= MaxSlots {
+		return false
+	}
 	if cap(t.version) >= 2*c {
 		t.setCapacity(2 * c)
 		t.moveInPlace(blockRows)
-		return
+		return true
 	}
 	hashes, version, states, epoch := t.hashes, t.version, t.states, t.epoch
 	t.alloc(2 * c)
@@ -690,6 +410,7 @@ func (t *Table) Grow() {
 			ns[w][d] = col[s]
 		}
 	}
+	return true
 }
 
 // moveInPlace moves the rows of a table doubled within its allocation from

@@ -14,6 +14,41 @@ func newSmall(words, level int) *Table {
 	return New(Config{CapacityRows: 4096, Blocks: 16, Words: words, Level: level})
 }
 
+// distinctKern is the kernel set of a layout with no aggregates.
+var distinctKern = agg.NewLayout(nil).Kernels()
+
+// insertHash inserts one row of hash h into a table of width 0 and reports
+// whether it fit.
+func insertHash(t *Table, h uint64) bool {
+	return t.InsertStateBatch([]uint64{h}, nil, nil, 0, distinctKern) == 1
+}
+
+// lookup returns a copy of the state of hash h's group and whether t holds
+// it, found by a scan of every slot rather than by the probe.
+func lookup(t *Table, h uint64) ([]uint64, bool) {
+	for s, v := range t.version {
+		if v == t.epoch && t.hashes[s] == h {
+			st := make([]uint64, t.words)
+			for w := range st {
+				st[w] = t.states[w][s]
+			}
+			return st, true
+		}
+	}
+	return nil, false
+}
+
+// occupied counts the slots a scan up to the logical end finds occupied.
+func occupied(t *Table) int {
+	n := 0
+	for _, v := range t.version {
+		if v == t.epoch {
+			n++
+		}
+	}
+	return n
+}
+
 func TestNewRoundsCapacity(t *testing.T) {
 	tb := New(Config{CapacityRows: 1000, Blocks: 16})
 	if tb.CapacityRows() != 1024 {
@@ -54,14 +89,14 @@ func TestNewPanicsOnBadLevel(t *testing.T) {
 func TestInsertRawAndLookup(t *testing.T) {
 	lay := agg.NewLayout([]agg.Spec{{Kind: agg.Count}, {Kind: agg.Sum, Col: 0}})
 	tb := newSmall(lay.Words, 0)
-	vals := func(v int64) func(int) int64 { return func(int) int64 { return v } }
-
-	for i := 0; i < 100; i++ {
-		key := uint64(i % 10) // 10 groups, 10 rows each
-		h := hashfn.Murmur2(key)
-		if !tb.InsertRaw(h, vals(int64(i)), lay) {
-			t.Fatalf("unexpected full at row %d", i)
-		}
+	hs := make([]uint64, 100)
+	vals := make([]int64, 100)
+	for i := range hs {
+		hs[i] = hashfn.Murmur2(uint64(i % 10)) // 10 groups, 10 rows each
+		vals[i] = int64(i)
+	}
+	if m := tb.InsertRawBatch(hs, nil, [][]int64{vals}, 0, lay.Kernels()); m != 100 {
+		t.Fatalf("unexpected full at row %d", m)
 	}
 	if tb.Len() != 10 {
 		t.Fatalf("Len = %d, want 10", tb.Len())
@@ -74,7 +109,7 @@ func TestInsertRawAndLookup(t *testing.T) {
 	}
 	// Group k received values k, k+10, ..., k+90: count 10, sum 10k+450.
 	for k := uint64(0); k < 10; k++ {
-		st, ok := tb.Lookup(hashfn.Murmur2(k))
+		st, ok := lookup(tb, hashfn.Murmur2(k))
 		if !ok {
 			t.Fatalf("group %d missing", k)
 		}
@@ -82,7 +117,7 @@ func TestInsertRawAndLookup(t *testing.T) {
 			t.Fatalf("group %d state = %v", k, st)
 		}
 	}
-	if _, ok := tb.Lookup(hashfn.Murmur2(999)); ok {
+	if _, ok := lookup(tb, hashfn.Murmur2(999)); ok {
 		t.Fatal("phantom key found")
 	}
 }
@@ -91,13 +126,10 @@ func TestInsertStateMergesSuperAggregate(t *testing.T) {
 	lay := agg.NewLayout([]agg.Spec{{Kind: agg.Count}})
 	tb := newSmall(lay.Words, 0)
 	h := hashfn.Murmur2(7)
-	if !tb.InsertState(h, []uint64{3}, lay) {
-		t.Fatal("insert failed")
+	if tb.InsertStateBatch([]uint64{h, h}, nil, [][]uint64{{3, 4}}, 0, lay.Kernels()) != 2 {
+		t.Fatal("insert or merge failed")
 	}
-	if !tb.InsertState(h, []uint64{4}, lay) {
-		t.Fatal("merge failed")
-	}
-	st, _ := tb.Lookup(h)
+	st, _ := lookup(tb, h)
 	if st[0] != 7 {
 		t.Fatalf("COUNT super-aggregate gave %d, want 7", st[0])
 	}
@@ -112,7 +144,7 @@ func TestFillLimitReportsFull(t *testing.T) {
 	inserted := 0
 	for {
 		key := rng.Next()
-		if !tb.InsertState(hashfn.Murmur2(key), nil, nil) {
+		if !insertHash(tb, hashfn.Murmur2(key)) {
 			break
 		}
 		inserted++
@@ -127,19 +159,8 @@ func TestFillLimitReportsFull(t *testing.T) {
 		t.Fatal("Full() should report true")
 	}
 	// Existing groups still merge fine when full.
-	// Re-insert the first hash we can find via Emit.
-	var anyHash uint64
-	found := false
-	tb.Emit(func(h, _ uint64, _ []uint64) {
-		if !found {
-			anyHash = h
-			found = true
-		}
-	})
-	if !found {
-		t.Fatal("no rows emitted")
-	}
-	if !tb.InsertState(anyHash, nil, nil) {
+	hs, _, _ := emitAll(tb)
+	if !insertHash(tb, hs[0]) {
 		t.Fatal("merge into full table must still succeed for existing keys")
 	}
 }
@@ -152,7 +173,7 @@ func TestBlockExhaustionReportsFull(t *testing.T) {
 	var rejected bool
 	for i := 0; ; i++ {
 		h := uint64(i) // top digit 0 for small i → all in block 0
-		if !tb.InsertState(h, nil, nil) {
+		if !insertHash(tb, h) {
 			rejected = true
 			break
 		}
@@ -179,7 +200,7 @@ func TestSplitRunsPartitionsByDigit(t *testing.T) {
 		h := hashfn.Murmur2(k)
 		v := rng.Next() % 1000
 		rows = append(rows, row{h, k, v})
-		if !tb.InsertRaw(h, func(int) int64 { return int64(v) }, lay) {
+		if tb.InsertRawBatch([]uint64{h}, nil, [][]int64{{int64(v)}}, 0, lay.Kernels()) != 1 {
 			t.Fatalf("unexpected full at %d", i)
 		}
 	}
@@ -233,7 +254,7 @@ func TestSplitRunsRespectsLevel(t *testing.T) {
 	// At level 1 the block must be derived from the SECOND radix digit.
 	tb := New(Config{CapacityRows: 4096, Blocks: 256, Words: 0, Level: 1})
 	h := uint64(0xAB_CD_000000000000) // digit0=0xAB, digit1=0xCD
-	if !tb.InsertState(h, nil, nil) {
+	if !insertHash(tb, h) {
 		t.Fatal("insert failed")
 	}
 	splits := tb.SplitRuns()
@@ -250,17 +271,17 @@ func TestSplitRunsRespectsLevel(t *testing.T) {
 func TestResetEpoch(t *testing.T) {
 	tb := newSmall(0, 0)
 	for i := uint64(0); i < 100; i++ {
-		tb.InsertState(hashfn.Murmur2(i), nil, nil)
+		insertHash(tb, hashfn.Murmur2(i))
 	}
 	tb.Reset()
 	if tb.Len() != 0 {
 		t.Fatalf("Len after reset = %d", tb.Len())
 	}
-	if _, ok := tb.Lookup(hashfn.Murmur2(5)); ok {
+	if _, ok := lookup(tb, hashfn.Murmur2(5)); ok {
 		t.Fatal("stale row visible after reset")
 	}
 	// Reuse works.
-	if !tb.InsertState(hashfn.Murmur2(5), nil, nil) {
+	if !insertHash(tb, hashfn.Murmur2(5)) {
 		t.Fatal("insert after reset failed")
 	}
 	if tb.Len() != 1 {
@@ -271,19 +292,20 @@ func TestResetEpoch(t *testing.T) {
 func TestResetEpochWrap(t *testing.T) {
 	tb := New(Config{CapacityRows: 64, Blocks: 16})
 	tb.epoch = ^uint8(0) // force wrap on next Reset
-	tb.InsertState(hashfn.Murmur2(1), nil, nil)
+	insertHash(tb, hashfn.Murmur2(1))
 	tb.Reset()
 	if tb.epoch != 1 {
 		t.Fatalf("epoch after wrap = %d, want 1", tb.epoch)
 	}
-	if _, ok := tb.Lookup(hashfn.Murmur2(1)); ok {
+	if _, ok := lookup(tb, hashfn.Murmur2(1)); ok {
 		t.Fatal("stale row visible after epoch wrap")
 	}
 }
 
 // TestAgainstMapReference: property test — inserting any sequence of
-// (key, value) pairs and emitting must reproduce exactly the map-based
-// reference aggregation, for every aggregate kind.
+// (key, value) pairs through the raw batch insert and emitting must
+// reproduce exactly the map-based reference aggregation, for every
+// aggregate kind.
 func TestAgainstMapReference(t *testing.T) {
 	kinds := []agg.Kind{agg.Count, agg.Sum, agg.Min, agg.Max, agg.Avg}
 	f := func(seed uint64, nRaw uint16) bool {
@@ -293,13 +315,11 @@ func TestAgainstMapReference(t *testing.T) {
 			lay := agg.NewLayout([]agg.Spec{{Kind: kind, Col: 0}})
 			tb := New(Config{CapacityRows: 8192, Blocks: 16, Words: lay.Words})
 			ref := map[uint64][]uint64{}
-			for i := 0; i < n; i++ {
+			hs, vals := make([]uint64, n), make([]int64, n)
+			for i := range hs {
 				k := rng.Next() % 64
 				v := int64(rng.Next()%4001) - 2000
-				h := hashfn.Murmur2(k)
-				if !tb.InsertRaw(h, func(int) int64 { return v }, lay) {
-					return false
-				}
+				hs[i], vals[i] = hashfn.Murmur2(k), v
 				if st, ok := ref[k]; ok {
 					kind.Fold(st, v)
 				} else {
@@ -308,24 +328,23 @@ func TestAgainstMapReference(t *testing.T) {
 					ref[k] = st
 				}
 			}
-			if tb.Len() != len(ref) {
+			if tb.InsertRawBatch(hs, nil, [][]int64{vals}, 0, lay.Kernels()) != n || tb.Len() != len(ref) {
 				return false
 			}
-			bad := false
-			tb.Emit(func(h, k uint64, st []uint64) {
+			_, keys, states := emitAll(tb)
+			for j, k := range keys {
 				want, ok := ref[k]
 				if !ok {
-					bad = true
-					return
+					return false
 				}
-				for i := range want {
-					if st[i] != want[i] {
-						bad = true
+				for w := range want {
+					if states[w][j] != want[w] {
+						return false
 					}
 				}
 				delete(ref, k)
-			})
-			if bad || len(ref) != 0 {
+			}
+			if len(ref) != 0 {
 				return false
 			}
 		}
@@ -339,10 +358,10 @@ func TestAgainstMapReference(t *testing.T) {
 func TestZeroHashKey(t *testing.T) {
 	// hash 0 / key 0 must be storable (no sentinel confusion).
 	tb := newSmall(0, 0)
-	if !tb.InsertState(0, nil, nil) {
+	if !insertHash(tb, 0) {
 		t.Fatal("insert of zero hash/key failed")
 	}
-	if _, ok := tb.Lookup(0); !ok {
+	if _, ok := lookup(tb, 0); !ok {
 		t.Fatal("zero key not found")
 	}
 	if tb.Len() != 1 {
@@ -371,32 +390,13 @@ func TestSlotBytes(t *testing.T) {
 	}
 }
 
-func BenchmarkInsertInCache(b *testing.B) {
-	// The paper reports < 6 ns/element for in-cache insertion. This bench
-	// measures our equivalent: distinct-count insert into an L3-sized table
-	// at low fill.
-	tb := New(Config{CapacityRows: 1 << 20, Blocks: 256})
-	keys := make([]uint64, 1<<16)
-	hs := make([]uint64, len(keys))
-	rng := xrand.NewXoshiro256(1)
-	for i := range keys {
-		keys[i] = rng.Next() % (1 << 14)
-		hs[i] = hashfn.Murmur2(keys[i])
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := i & (len(keys) - 1)
-		tb.InsertState(hs[j], nil, nil)
-	}
-}
-
 // TestSplitRunsCarryTheHash: split runs hold each group's hash in their
 // Keys column, its digit at the table's level is the block the group was
 // split from, and it inverts to the inserted key.
 func TestSplitRunsCarryTheHash(t *testing.T) {
 	tb := New(Config{CapacityRows: 4096, Blocks: 16, Level: 1})
 	for i := uint64(0); i < 100; i++ {
-		if !tb.InsertState(hashfn.Murmur2(i), nil, nil) {
+		if !insertHash(tb, hashfn.Murmur2(i)) {
 			t.Fatal("insert failed")
 		}
 	}
@@ -421,48 +421,60 @@ func TestSplitRunsCarryTheHash(t *testing.T) {
 	}
 }
 
+// TestInsertColsAgainstKindAPI: for every aggregate kind, folding raw
+// columns through InsertRawBatch must agree with the Kind API's Init and
+// Fold, and merging the emitted states twice through InsertStateBatch with
+// its Merge.
 func TestInsertColsAgainstKindAPI(t *testing.T) {
-	// InsertStateCols / InsertRawCols must agree with the layout-based
-	// InsertState / InsertRaw for every aggregate kind.
 	specs := []agg.Spec{{Kind: agg.Count}, {Kind: agg.Sum, Col: 0}, {Kind: agg.Min, Col: 1},
 		{Kind: agg.Max, Col: 0}, {Kind: agg.Avg, Col: 1}}
 	lay := agg.NewLayout(specs)
-	ops := lay.WordOps()
+	kern := lay.Kernels()
 	rng := xrand.NewXoshiro256(17)
 
-	a := New(Config{CapacityRows: 4096, Blocks: 16, Words: lay.Words})
-	b := New(Config{CapacityRows: 4096, Blocks: 16, Words: lay.Words})
-	cols := [][]int64{make([]int64, 500), make([]int64, 500)}
-	keys := make([]uint64, 500)
-	for i := 0; i < 500; i++ {
-		keys[i] = rng.Next() % 40
+	const n = 500
+	cols := [][]int64{make([]int64, n), make([]int64, n)}
+	hs := make([]uint64, n)
+	ref := map[uint64][]uint64{}
+	for i := range hs {
+		k := rng.Next() % 40
 		cols[0][i] = int64(rng.Next()%999) - 500
 		cols[1][i] = int64(rng.Next()%999) - 500
-	}
-	for i := 0; i < 500; i++ {
-		i := i
-		h := hashfn.Murmur2(keys[i])
-		if !a.InsertRawCols(h, cols, i, ops) {
-			t.Fatal("a full")
+		hs[i] = hashfn.Murmur2(k)
+		val := func(c int) int64 { return cols[c][i] }
+		if st, ok := ref[k]; ok {
+			lay.FoldRow(st, val)
+		} else {
+			st = make([]uint64, lay.Words)
+			lay.InitRow(st, val)
+			ref[k] = st
 		}
-		if !b.InsertRaw(h, func(c int) int64 { return cols[c][i] }, lay) {
-			t.Fatal("b full")
+	}
+	raw := New(Config{CapacityRows: 4096, Blocks: 16, Words: lay.Words})
+	if m := raw.InsertRawBatch(hs, nil, cols, 0, kern); m != n {
+		t.Fatalf("raw insert absorbed %d of %d rows", m, n)
+	}
+	eh, ek, es := emitAll(raw)
+	merged := New(Config{CapacityRows: 4096, Blocks: 16, Words: lay.Words})
+	for range 2 {
+		if m := merged.InsertStateBatch(eh, nil, es, 0, kern); m != len(eh) {
+			t.Fatalf("state merge absorbed %d of %d rows", m, len(eh))
 		}
 	}
-	if a.Len() != b.Len() {
-		t.Fatalf("Len %d vs %d", a.Len(), b.Len())
+	if raw.Len() != len(ref) || merged.Len() != len(ref) {
+		t.Fatalf("%d raw and %d merged groups, want %d", raw.Len(), merged.Len(), len(ref))
 	}
-	b.Emit(func(h, k uint64, st []uint64) {
-		got, ok := a.Lookup(h)
-		if !ok {
-			t.Fatalf("key %d missing in cols table", k)
-		}
-		for w := range st {
-			if got[w] != st[w] {
-				t.Fatalf("key %d word %d: %d vs %d", k, w, got[w], st[w])
+	for j, k := range ek {
+		want := ref[k]
+		twice := append([]uint64(nil), want...)
+		mergeRow(lay, twice, want)
+		got, _ := lookup(merged, eh[j])
+		for w := range want {
+			if es[w][j] != want[w] || got[w] != twice[w] {
+				t.Fatalf("key %d word %d: raw %d merged %d, want %d and %d", k, w, es[w][j], got[w], want[w], twice[w])
 			}
 		}
-	})
+	}
 }
 
 // TestGrowWithoutLoss drives a table from its smallest legal size through
@@ -497,7 +509,7 @@ func TestGrowWithoutLoss(t *testing.T) {
 			if inPlace {
 				stale := 0
 				for k := uint64(1 << 40); stale < tb.MaxRows()/2; k++ {
-					if tb.InsertRawCols(hashfn.Murmur2(k), [][]int64{{0}}, 0, lay.WordOps()) {
+					if tb.InsertRawBatch([]uint64{hashfn.Murmur2(k)}, nil, [][]int64{{0}}, 0, kern) == 1 {
 						stale++
 					}
 				}
@@ -525,7 +537,9 @@ func TestGrowWithoutLoss(t *testing.T) {
 				}
 				before, footprint, capRows, limit := tb.Len(), tb.FootprintBytes(), tb.CapacityRows(), tb.MaxRows()
 				eh, ek, es := emitAll(tb)
-				tb.Grow()
+				if !tb.Grow() {
+					t.Fatalf("%s: Grow refused at %d slots", label, capRows)
+				}
 				grows++
 				wantFootprint := 2 * footprint
 				if inPlace {
@@ -576,7 +590,7 @@ func TestGrowWithoutLoss(t *testing.T) {
 				t.Fatalf("%s: %d groups, want %d", label, tb.Len(), len(ref))
 			}
 			for k, want := range ref {
-				got, ok := tb.Lookup(hashfn.Murmur2(k))
+				got, ok := lookup(tb, hashfn.Murmur2(k))
 				if !ok {
 					t.Fatalf("%s: key %d lost", label, k)
 				}
@@ -590,16 +604,48 @@ func TestGrowWithoutLoss(t *testing.T) {
 	}
 }
 
+// TestGrowRefusesAtTheCap: a table whose logical capacity is MaxSlots does
+// not grow. Grow reports false and leaves the rows, the absorbed-row count,
+// the capacity and the footprint as they were. The test sets the capacity
+// field in place of a 2^31-slot allocation; Grow refuses before it reads
+// anything else.
+func TestGrowRefusesAtTheCap(t *testing.T) {
+	kern := agg.NewLayout([]agg.Spec{{Kind: agg.Sum, Col: 0}}).Kernels()
+	tb := New(Config{CapacityRows: 4096, Blocks: 16, Words: 1})
+	hs := []uint64{hashfn.Murmur2(1), hashfn.Murmur2(2), hashfn.Murmur2(1)}
+	if m := tb.InsertRawBatch(hs, nil, [][]int64{{5, 6, 7}}, 0, kern); m != 3 {
+		t.Fatalf("insert absorbed %d of 3 rows", m)
+	}
+	tb.capRows = MaxSlots
+	rows, rowsIn, footprint := tb.Len(), tb.RowsIn(), tb.FootprintBytes()
+	wantH, _, wantS := emitAll(tb)
+	if tb.Grow() {
+		t.Fatal("Grow at MaxSlots reported success")
+	}
+	if tb.Len() != rows || tb.RowsIn() != rowsIn || tb.FootprintBytes() != footprint || tb.CapacityRows() != MaxSlots {
+		t.Fatalf("refused Grow changed the table: %d rows of %d, %d B, %d slots; was %d of %d, %d B, %d slots",
+			tb.Len(), tb.RowsIn(), tb.FootprintBytes(), tb.CapacityRows(), rows, rowsIn, footprint, MaxSlots)
+	}
+	gotH, _, gotS := emitAll(tb)
+	for j := range wantH {
+		if gotH[j] != wantH[j] || gotS[0][j] != wantS[0][j] {
+			t.Fatalf("refused Grow moved row %d", j)
+		}
+	}
+}
+
 // TestGrowInPlaceAllocatesNothing: growing within the allocation moves the
 // rows and allocates nothing, for a blocked and an unblocked table.
 func TestGrowInPlaceAllocatesNothing(t *testing.T) {
-	ops := agg.NewLayout([]agg.Spec{{Kind: agg.Count}}).WordOps()
+	kern := agg.NewLayout([]agg.Spec{{Kind: agg.Count}}).Kernels()
+	hs := make([]uint64, 1)
 	for _, blocks := range []int{1, 256} {
 		tb := New(Config{CapacityRows: 1 << 14, Blocks: blocks, Words: 1})
 		fill := func() {
 			tb.ResetCapacity(blocks * MinBlockRows)
 			for k := uint64(0); k < uint64(tb.MaxRows()); k++ {
-				for !tb.InsertRawCols(hashfn.Murmur2(k), nil, 0, ops) {
+				hs[0] = hashfn.Murmur2(k)
+				for tb.InsertRawBatch(hs, nil, nil, 0, kern) == 0 {
 					tb.Grow()
 				}
 			}
@@ -617,7 +663,7 @@ func TestGrowInPlaceAllocatesNothing(t *testing.T) {
 // same rows in the same slots. Wrapped clusters are where a row's slot in
 // the doubled block still holds a row that has not moved.
 func TestGrowInPlaceMatchesReallocation(t *testing.T) {
-	ops := agg.NewLayout([]agg.Spec{{Kind: agg.Sum, Col: 0}}).WordOps()
+	kern := agg.NewLayout([]agg.Spec{{Kind: agg.Sum, Col: 0}}).Kernels()
 	rng := xrand.NewXoshiro256(7)
 	for trial := range 300 {
 		blocks := []int{1, 4}[trial%2]
@@ -626,12 +672,12 @@ func TestGrowInPlaceMatchesReallocation(t *testing.T) {
 		large := New(Config{CapacityRows: 4 * capRows, Blocks: blocks, MaxFill: 1, Words: 1})
 		large.ResetCapacity(capRows)
 		for {
-			h := hashfn.Murmur2(rng.Next())
-			cols := [][]int64{{int64(h >> 8)}}
-			if !exact.InsertRawCols(h, cols, 0, ops) {
+			hs := []uint64{hashfn.Murmur2(rng.Next())}
+			cols := [][]int64{{int64(hs[0] >> 8)}}
+			if exact.InsertRawBatch(hs, nil, cols, 0, kern) == 0 {
 				break
 			}
-			large.InsertRawCols(h, cols, 0, ops)
+			large.InsertRawBatch(hs, nil, cols, 0, kern)
 		}
 		exact.Grow()
 		large.Grow()
@@ -667,18 +713,16 @@ func emitAll(t *Table) (hashes, keys []uint64, states [][]uint64) {
 // is small: rows written all over the allocation at epoch 2, a shrink, the
 // Resets that wrap the epoch, and a grow back to epoch 2.
 func TestResetCapacityShrinkGrow(t *testing.T) {
-	ops := agg.NewLayout([]agg.Spec{{Kind: agg.Count}}).WordOps()
+	kern := agg.NewLayout([]agg.Spec{{Kind: agg.Count}}).Kernels()
 	// fill inserts keys [from, from+n) and counts the rows a scan visits.
 	fill := func(tb *Table, from, n uint64) int {
 		t.Helper()
 		for k := from; k < from+n; k++ {
-			if !tb.InsertRawCols(hashfn.Murmur2(k), nil, 0, ops) {
+			if tb.InsertRawBatch([]uint64{hashfn.Murmur2(k)}, nil, nil, 0, kern) != 1 {
 				t.Fatalf("insert of key %d failed at capacity %d", k, tb.CapacityRows())
 			}
 		}
-		seen := 0
-		tb.Emit(func(uint64, uint64, []uint64) { seen++ })
-		return seen
+		return occupied(tb)
 	}
 	for resets := 250; resets <= 258; resets++ {
 		tb := New(Config{CapacityRows: 4096, Blocks: 16, Words: 1})

@@ -2,9 +2,11 @@ package serve
 
 // The result cache: repeated queries are the common case of a multi-tenant
 // service ("the same dashboard refreshing for a thousand users"), and the
-// operator's determinism — identical input and aggregates yield a
-// bit-identical result regardless of budgets, workers or spill behaviour —
-// makes the cached body exactly the body a fresh execution would produce.
+// operator's determinism — identical input and aggregates yield a result
+// equal as a set of rows regardless of budgets, workers or spill behaviour
+// (docs/ALGORITHM.md, "The output contract": the order of rows inside a
+// chunk follows the schedule) — makes the cached body a body a fresh
+// execution could produce: the same rows, perhaps in another order.
 //
 // Two layers keep hits nearly free and misses cheap:
 //

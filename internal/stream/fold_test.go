@@ -2,14 +2,19 @@ package stream
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"cacheagg/internal/agg"
 	"cacheagg/internal/datagen"
+	"cacheagg/internal/hashtable"
+	"cacheagg/internal/memgov"
 	"cacheagg/internal/runs"
 	"cacheagg/internal/testutil"
 )
@@ -245,6 +250,44 @@ func TestAccumLedgerIsTableFootprint(t *testing.T) {
 	checkResult(t, allSpecs, res, keys, cols)
 	if g := a.gov.Reserved(); g != 0 {
 		t.Fatalf("ledger holds %d bytes after Finish", g)
+	}
+}
+
+// TestTableAtTheCapFailsTyped: an accumulator table that stops short at
+// hashtable.MaxSlots cannot grow, and the stream fails with the governor's
+// typed budget error, holding no reservation for the refused growth. The
+// test sets the table's logical capacity field to the cap in place of a
+// 2^31-slot allocation; Grow refuses on that field alone.
+func TestTableAtTheCapFailsTyped(t *testing.T) {
+	defer testutil.VerifyNoLeaks(t)
+	a, err := Begin(Options{Dir: t.TempDir(), Specs: allSpecs, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	ctx := context.Background()
+	push := func(keys []uint64) error {
+		vals := make([]int64, len(keys))
+		return a.Push(ctx, Block{Keys: keys, Cols: [][]int64{vals, vals}})
+	}
+	if err := push(keyRange(0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	// The snapshot replies after the fold, so the table exists and the
+	// consumer is idle until the next push.
+	if _, err := a.Snapshot(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	capRows := reflect.ValueOf(a.acc.tab).Elem().FieldByName("capRows")
+	*(*int)(unsafe.Pointer(capRows.UnsafeAddr())) = hashtable.MaxSlots
+	if err := push(keyRange(1, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Checkpoint(ctx); !errors.Is(err, memgov.ErrBudget) {
+		t.Fatalf("Checkpoint after a refused growth = %v, want ErrBudget", err)
+	}
+	if got := a.gov.Reserved(); got != 0 {
+		t.Fatalf("failed stream's ledger holds %d bytes", got)
 	}
 }
 

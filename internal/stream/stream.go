@@ -716,9 +716,12 @@ func (a *Aggregator) run() {
 				a.gov.Release(m.pushBytes)
 				continue
 			}
-			a.fold(*m.push)
+			err := a.fold(*m.push)
 			a.gov.Release(m.pushBytes)
-			if err := a.maybeSeal(); err != nil {
+			if err == nil {
+				err = a.maybeSeal()
+			}
+			if err != nil {
 				a.fail(err)
 			}
 		case m.ctl == ctlSeal:
@@ -748,8 +751,9 @@ func (a *Aggregator) run() {
 // remove at least half the rows (sorted or clustered input), each segment
 // is pre-folded into one state row with the same fold kernels and the
 // segments are merged into the table (in-stream early aggregation, sound
-// by the super-aggregate law); otherwise the raw rows go straight in.
-func (a *Aggregator) fold(b Block) {
+// by the super-aggregate law); otherwise the raw rows go straight in. It
+// fails only when the table cannot grow (see fill).
+func (a *Aggregator) fold(b Block) error {
 	acc := &a.acc
 	n := len(b.Keys)
 	width := a.layout.Words
@@ -779,14 +783,18 @@ func (a *Aggregator) fold(b Block) {
 		runRows += int64(n - start)
 	}
 	g++
+	var err error
 	if 2*(n-g) >= n {
-		a.foldSegments(b, g)
+		err = a.foldSegments(b, g)
 	} else {
 		hashes := acc.hashes[:n]
 		hashfn.HashBatch(keys, hashes)
-		a.fill(acc.tab, n, func(i int) int {
+		err = a.fill(acc.tab, n, func(i int) int {
 			return acc.tab.InsertRawBatch(hashes[i:], nil, b.Cols, i, a.kern)
 		})
+	}
+	if err != nil {
+		return err
 	}
 	acc.rows += int64(n)
 	a.pending++
@@ -797,12 +805,13 @@ func (a *Aggregator) fold(b Block) {
 	a.stats.RunRows += runRows
 	a.prog.RowsBuffered = acc.rows
 	a.statMu.Unlock()
+	return nil
 }
 
 // foldSegments pre-folds each of the block's g segments (the slot vector
 // of fold's scan maps rows to segments) into one state row, starting from
 // the word identities, and merges the segment rows into the table.
-func (a *Aggregator) foldSegments(b Block, g int) {
+func (a *Aggregator) foldSegments(b Block, g int) error {
 	acc := &a.acc
 	n := len(b.Keys)
 	states := acc.segStates
@@ -823,14 +832,14 @@ func (a *Aggregator) foldSegments(b Block, g int) {
 	}
 	hashes := acc.hashes[:g]
 	hashfn.HashBatch(acc.segKeys[:g], hashes)
-	a.insertStates(acc.tab, hashes, states)
+	return a.insertStates(acc.tab, hashes, states)
 }
 
 // insertStates merges the state rows of hashes and states into tab. The
 // hash is the group: the table stores no key, and EmitColumns recovers the
 // keys at seal and snapshot.
-func (a *Aggregator) insertStates(tab *hashtable.Table, hashes []uint64, states [][]uint64) {
-	a.fill(tab, len(hashes), func(i int) int {
+func (a *Aggregator) insertStates(tab *hashtable.Table, hashes []uint64, states [][]uint64) error {
+	return a.fill(tab, len(hashes), func(i int) int {
 		return tab.InsertStateBatch(hashes[i:], nil, states, i, a.kern)
 	})
 }
@@ -840,18 +849,24 @@ func (a *Aggregator) insertStates(tab *hashtable.Table, hashes []uint64, states 
 // table grows: the doubled columns are reserved before they are allocated
 // and the old ones released afterwards. Like every fold and merge
 // reservation this is unconditional; a fold's budget is checked at the
-// block boundary (maybeSeal).
-func (a *Aggregator) fill(tab *hashtable.Table, n int, insert func(i int) int) {
+// block boundary (maybeSeal). A table at hashtable.MaxSlots cannot grow:
+// fill then returns the governor's budget error, the rows from i on not
+// inserted.
+func (a *Aggregator) fill(tab *hashtable.Table, n int, insert func(i int) int) error {
 	for i := 0; i < n; {
 		if i += insert(i); i < n {
 			old := tab.FootprintBytes()
 			a.gov.Reserve(2 * old)
-			tab.Grow()
+			if !tab.Grow() {
+				a.gov.Release(2 * old)
+				return a.gov.BudgetError(fmt.Sprintf("stream: table at its cap of %d slots", tab.CapacityRows()), 2*old)
+			}
 			// The old columns, or the whole reservation had Grow found
 			// room in the allocation.
 			a.gov.Release(3*old - tab.FootprintBytes())
 		}
 	}
+	return nil
 }
 
 // maybeSeal seals when the open epoch crossed the row threshold or the
@@ -1068,7 +1083,9 @@ func (a *Aggregator) snapshot(window int) (*Result, error) {
 	if live > 0 {
 		hashes := a.acc.outHashes[:live]
 		a.acc.tab.EmitColumns(hashes, nil, a.acc.outStates)
-		a.insertStates(tab, hashes, a.acc.outStates)
+		if err := a.insertStates(tab, hashes, a.acc.outStates); err != nil {
+			return nil, err
+		}
 	}
 	for _, e := range epochs {
 		if err := a.mergeEpoch(tab, e); err != nil {
@@ -1105,8 +1122,7 @@ func (a *Aggregator) mergeEpoch(tab *hashtable.Table, e epochEntry) error {
 	}
 	hashes := a.acc.outHashes[:len(keys)]
 	hashfn.HashBatch(keys, hashes)
-	a.insertStates(tab, hashes, states)
-	return nil
+	return a.insertStates(tab, hashes, states)
 }
 
 // finalize turns merged state columns into the specs' results, as
