@@ -395,14 +395,27 @@ func (e *exec) assemble(ctx context.Context) (*Result, error) {
 }
 
 // finalizeChunk writes chunk ch into rows [off, off+len) of res, ordered
-// by hash when sorted is set, and gives its columns to free.
+// by hash when sorted is set, and gives its columns to free. The rows of
+// a chunk share its bucket's prefix, so hashfn.Order's counting pass
+// orders them on the next digits; the keys and hashes are gathered
+// through that permutation straight into res, the state columns into
+// columns from free.
 func (e *exec) finalizeChunk(free *runs.Free, res *Result, ch *chunk, off int, sorted bool) {
-	if sorted {
-		sortChunk(ch, free)
-	}
 	end := off + len(ch.keys)
-	copy(res.Keys[off:end], ch.keys)
-	copy(res.Hashes[off:end], ch.hashes)
+	if sorted {
+		ord := make([]int32, end-off)
+		hashfn.Order(ch.hashes, ord)
+		hashfn.Gather(res.Keys[off:end], ch.keys, ord)
+		hashfn.Gather(res.Hashes[off:end], ch.hashes, ord)
+		for w, col := range ch.states {
+			ch.states[w] = free.Col(len(ord))
+			hashfn.Gather(ch.states[w], col, ord)
+			free.Put(col)
+		}
+	} else {
+		copy(res.Keys[off:end], ch.keys)
+		copy(res.Hashes[off:end], ch.hashes)
+	}
 	for si, sp := range e.layout.Specs {
 		var floats []float64
 		if f := res.AggsFloat[si]; f != nil {

@@ -440,28 +440,3 @@ func (e *exec) readBack(ctx *sched.Ctx, ws *workerState, level int, s runs.Spill
 	}
 	return ok
 }
-
-// sortChunk orders the rows of an output chunk by hash — a spilled run's
-// output is in total hash order — gathering every column through one
-// permutation into columns from free.
-func sortChunk(ch *chunk, free *runs.Free) {
-	n := len(ch.keys)
-	ord := make([]int32, n)
-	for i := range ord {
-		ord[i] = int32(i)
-	}
-	slices.SortFunc(ord, func(a, b int32) int { return cmp.Compare(ch.hashes[a], ch.hashes[b]) })
-	gather := func(col []uint64) []uint64 {
-		out := free.Col(n)
-		for i, o := range ord {
-			out[i] = col[o]
-		}
-		free.Put(col)
-		return out
-	}
-	ch.hashes = gather(ch.hashes)
-	ch.keys = gather(ch.keys)
-	for w := range ch.states {
-		ch.states[w] = gather(ch.states[w])
-	}
-}

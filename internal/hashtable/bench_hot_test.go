@@ -73,3 +73,35 @@ func hotVals() [][]int64 {
 	}
 	return [][]int64{vals}
 }
+
+// BenchmarkEmitColumns is the emit of a cache-sized table at 12.5, 25 and
+// 50 % of its slots occupied: the occupancy scan, the gathers of the hash
+// and state columns, and the key recovery, per group emitted:
+//
+//	go test -run '^$' -bench EmitColumns ./internal/hashtable
+func BenchmarkEmitColumns(b *testing.B) {
+	lay := agg.NewLayout([]agg.Spec{{Kind: agg.Sum, Col: 0}})
+	kern := lay.Kernels()
+	capRows := CapacityForCache(hotCache, lay.Words)
+	for _, pct := range []float64{12.5, 25, 50} {
+		tb := New(Config{CapacityRows: capRows, Blocks: hashfn.Fanout, Words: lay.Words, MaxFill: 0.5})
+		groups := int(float64(capRows) * pct / 100)
+		keys := make([]uint64, groups)
+		for i := range keys {
+			keys[i] = uint64(i)
+		}
+		hs := make([]uint64, groups)
+		hashfn.HashBatch(keys, hs)
+		if m := tb.InsertRawBatch(hs, keys, [][]int64{make([]int64, groups)}, 0, kern); m != groups {
+			b.Fatalf("table took %d of %d groups", m, groups)
+		}
+		outK, outS := make([]uint64, groups), [][]uint64{make([]uint64, groups)}
+		b.Run(fmt.Sprintf("occupancy=%g%%", pct), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tb.EmitColumns(hs, outK, outS)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(groups), "ns/group")
+		})
+	}
+}

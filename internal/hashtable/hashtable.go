@@ -88,7 +88,6 @@ type Table struct {
 	blockRows int
 	blockMask uint64
 	blocks    int
-	level     int
 	words     int
 	maxRows   int
 	fill      float64 // fill rate: maxRows per slot
@@ -135,7 +134,6 @@ func New(cfg Config) *Table {
 	}
 	t := &Table{
 		blocks: cfg.Blocks,
-		level:  cfg.Level,
 		words:  cfg.Words,
 		fill:   min(fill, 1),
 		shift:  uint(64 - 8*(cfg.Level+1)),
@@ -202,7 +200,6 @@ func (t *Table) SetLevel(level int) {
 	if level < 0 || level >= 8 {
 		panic(fmt.Sprintf("hashtable: level %d out of range", level))
 	}
-	t.level = level
 	t.shift = uint(64 - 8*(level+1))
 }
 
@@ -215,9 +212,6 @@ func (t *Table) Len() int { return t.rows }
 // RowsIn returns the number of input rows absorbed since the last Reset.
 func (t *Table) RowsIn() int { return t.rowsIn }
 
-// Level returns the recursion level the table was built for.
-func (t *Table) Level() int { return t.level }
-
 // Alpha returns the reduction factor α = rowsIn / rowsOut observed so far.
 // An empty table has α = 1 by convention; the strategy only consults α on
 // non-empty tables.
@@ -227,9 +221,6 @@ func (t *Table) Alpha() float64 {
 	}
 	return float64(t.rowsIn) / float64(t.rows)
 }
-
-// Full reports whether the global fill limit has been reached.
-func (t *Table) Full() bool { return t.rows >= t.maxRows }
 
 // block returns the block index of hash h at the table's level.
 func (t *Table) block(h uint64) int {
@@ -241,64 +232,26 @@ func (t *Table) block(h uint64) int {
 // empty blocks yield nil entries. A run's Keys column holds the groups'
 // hashes. The table is reset afterwards.
 //
-// The compaction is batched and arena-allocated: one scan collects the
-// occupied slot indices of every block (recording per-block boundaries),
-// each column (hashes, state words) is then gathered into a single
-// slab with one tight monomorphic copy loop, and the per-block runs are
-// carved out of the slabs as sub-slices. A split therefore costs a handful
-// of allocations instead of a few per non-empty block, which at high group
-// counts removes most of the operator's GC pressure.
+// The compaction is arena-allocated: every column (hashes, state words)
+// is gathered into a single slab, block after block, and the per-block
+// runs are carved out of the slabs as sub-slices. A split therefore costs
+// a handful of allocations instead of a few per non-empty block, which at
+// high group counts removes most of the operator's GC pressure.
 func (t *Table) SplitRuns() []*runs.Run {
 	out := make([]*runs.Run, t.blocks)
 	off := t.offScratch(t.blocks + 1)
 	hashSlab := make([]uint64, t.rows)
-	version, hashCol, epoch := t.version, t.hashes, t.epoch
-	blockRows := t.blockRows
-	// The occupancy scan gathers the hash column as it goes; the slot list is
-	// only materialized when state columns need it for their own gathers.
-	needIdx := t.words > 0
-	var idx []int32
-	if needIdx {
-		idx = t.slotScratch(t.rows)
+	stateSlabs := make([][]uint64, t.words)
+	for w := range stateSlabs {
+		stateSlabs[w] = make([]uint64, t.rows)
 	}
+	var idx [compactRows]int32
 	pos := 0
 	for b := 0; b < t.blocks; b++ {
 		off[b] = pos
-		base := b * blockRows
-		ver := version[base : base+blockRows]
-		if needIdx {
-			for i, v := range ver {
-				if v == epoch {
-					s := base + i
-					idx[pos] = int32(s)
-					hashSlab[pos] = hashCol[s]
-					pos++
-				}
-			}
-		} else {
-			for i, v := range ver {
-				if v == epoch {
-					hashSlab[pos] = hashCol[base+i]
-					pos++
-				}
-			}
-		}
+		pos = t.compact(&idx, b*t.blockRows, (b+1)*t.blockRows, hashSlab, stateSlabs, pos)
 	}
 	off[t.blocks] = pos
-	var occ []int32
-	if needIdx {
-		occ = idx[:pos]
-	}
-
-	stateSlabs := make([][]uint64, t.words)
-	for w := 0; w < t.words; w++ {
-		col := make([]uint64, pos)
-		src := t.states[w]
-		for j, s := range occ {
-			col[j] = src[s]
-		}
-		stateSlabs[w] = col
-	}
 
 	// Carve the slabs into per-block runs. The Run structs and their
 	// States headers come from two further slabs so the whole split stays
@@ -338,31 +291,52 @@ func (t *Table) offScratch(n int) []int {
 	return t.blockOffs[:n]
 }
 
+// compactRows is the slot span compact scans at a time: its slot list,
+// on the caller's stack (1 KiB), stays in L1 for the gathers.
+const compactRows = 256
+
+// compact gathers the occupied rows of slots [lo, hi), in slot order,
+// into hashes and the state columns from row pos on, and returns the row
+// after the last one written. It lists the occupied slots in idx
+// compactRows at a time, then gathers each column through the list.
+func (t *Table) compact(idx *[compactRows]int32, lo, hi int, hashes []uint64, states [][]uint64, pos int) int {
+	for c := lo; c < hi; c += compactRows {
+		occ := idx[:occupiedSlots(idx, t.version[c:min(c+compactRows, hi)], t.epoch, c)]
+		hashfn.Gather(hashes[pos:pos+len(occ)], t.hashes, occ)
+		for w, src := range t.states {
+			hashfn.Gather(states[w][pos:pos+len(occ)], src, occ)
+		}
+		pos += len(occ)
+	}
+	return pos
+}
+
+// occupiedSlots lists in idx the slots base+i whose version ver[i] is
+// epoch and returns how many it listed; ver holds at most compactRows
+// versions. It stores every slot and advances the count by the compare,
+// so the scan has no data-dependent branch. Inlined into compact, the
+// loop kept its count on the stack, hence noinline.
+//
+//go:noinline
+func occupiedSlots(idx *[compactRows]int32, ver []uint8, epoch uint8, base int) int {
+	n := 0
+	for i, v := range ver {
+		idx[n&(compactRows-1)] = int32(base + i)
+		if v == epoch {
+			n++
+		}
+	}
+	return n
+}
+
 // EmitColumns gathers every occupied row into the provided column slices in
 // block order. hashes must have length Len(), and so must keys unless it is
 // nil; states must hold one length-Len() column per state word. Keys are
 // recovered from the gathered hashes in one batch, once per group; a nil
-// keys slice skips the recovery. It does not reset the table. One
-// occupancy scan, then one tight copy loop per column.
+// keys slice skips the recovery. It does not reset the table.
 func (t *Table) EmitColumns(hashes, keys []uint64, states [][]uint64) {
-	idx := t.slotScratch(t.rows)
-	version, epoch, hsCol := t.version, t.epoch, t.hashes
-	n := 0
-	for s, v := range version {
-		if v == epoch {
-			idx[n] = int32(s)
-			hashes[n] = hsCol[s]
-			n++
-		}
-	}
-	occ := idx[:n]
-	for w := 0; w < t.words; w++ {
-		src := t.states[w]
-		dst := states[w]
-		for j, s := range occ {
-			dst[j] = src[s]
-		}
-	}
+	var idx [compactRows]int32
+	t.compact(&idx, 0, len(t.version), hashes, states, 0)
 	if keys != nil {
 		hashfn.InverseBatch(hashes[:t.rows], keys)
 	}

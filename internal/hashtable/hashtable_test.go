@@ -155,8 +155,8 @@ func TestFillLimitReportsFull(t *testing.T) {
 	if inserted != tb.MaxRows() {
 		t.Fatalf("inserted %d distinct keys, expected exactly MaxRows %d", inserted, tb.MaxRows())
 	}
-	if !tb.Full() {
-		t.Fatal("Full() should report true")
+	if tb.Len() != tb.MaxRows() {
+		t.Fatalf("Len() = %d at the fill limit, want MaxRows %d", tb.Len(), tb.MaxRows())
 	}
 	// Existing groups still merge fine when full.
 	hs, _, _ := emitAll(tb)

@@ -67,7 +67,6 @@ type Config struct {
 // Scatterer scatters rows into 256 per-digit outputs. It is not safe for
 // concurrent use; the parallel driver gives each worker its own Scatterer.
 type Scatterer struct {
-	level   int
 	shift   uint
 	words   int
 	bufRows int
@@ -112,7 +111,6 @@ func New(cfg Config) *Scatterer {
 		bufRows = DefaultBufRows
 	}
 	s := &Scatterer{
-		level:      cfg.Level,
 		shift:      uint(64 - hashfn.DigitBits*(cfg.Level+1)),
 		words:      cfg.Words,
 		bufRows:    bufRows,
@@ -135,9 +133,6 @@ func New(cfg Config) *Scatterer {
 // sitting in SWC buffers).
 func (s *Scatterer) Rows() int { return s.rows }
 
-// Level returns the radix level the scatterer was created for.
-func (s *Scatterer) Level() int { return s.level }
-
 // Reset re-targets the scatterer to a new level, emptying its writers in
 // place and keeping its buffers, so one worker can reuse the (sizable) SWC
 // buffer allocation across bucket tasks. It panics if rows are still
@@ -151,7 +146,6 @@ func (s *Scatterer) Reset(level int) {
 			panic(fmt.Sprintf("partition: Reset with %d rows buffered in partition %d", n, p))
 		}
 	}
-	s.level = level
 	s.shift = uint(64 - hashfn.DigitBits*(level+1))
 	s.rows = 0
 	for _, w := range s.writers {

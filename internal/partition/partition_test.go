@@ -113,9 +113,6 @@ func TestScatterLevelSelectsDigit(t *testing.T) {
 	for level := 0; level < 3; level++ {
 		s := New(Config{Level: level})
 		s.Scatter(hashes, keys, nil)
-		if s.Level() != level {
-			t.Fatalf("Level() = %d", s.Level())
-		}
 		_, total := collect(t, s.Seal(), level, 0)
 		if total != n {
 			t.Fatalf("level %d: %d rows, want %d", level, total, n)

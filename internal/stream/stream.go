@@ -44,13 +44,11 @@
 package stream
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 	"time"
 
@@ -1153,19 +1151,12 @@ func finalize(lay *agg.Layout, keys, hashes []uint64, states [][]uint64, res *Re
 // histories.
 func sortResult(res *Result) {
 	n := len(res.Keys)
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	slices.SortFunc(perm, func(i, j int) int {
-		return cmp.Compare(res.Hashes[i], res.Hashes[j])
-	})
+	perm := make([]int32, n)
+	hashfn.Order(res.Hashes, perm)
 	keys := make([]uint64, n)
 	hashes := make([]uint64, n)
-	for i, s := range perm {
-		keys[i] = res.Keys[s]
-		hashes[i] = res.Hashes[s]
-	}
+	hashfn.Gather(keys, res.Keys, perm)
+	hashfn.Gather(hashes, res.Hashes, perm)
 	res.Keys, res.Hashes = keys, hashes
 	for c := range res.Aggs {
 		col := make([]int64, n)
