@@ -200,7 +200,8 @@ type Stats struct {
 	// LevelRows counts rows processed (moved or aggregated) per level.
 	LevelRows [MaxPasses]int64
 	// HashedRows and PartitionedRows count rows routed through each
-	// routine (intake and recursion combined).
+	// routine (intake and recursion combined). A leaf's rows count as
+	// hashed: its sort is the fused final pass that a table made before.
 	HashedRows      int64
 	PartitionedRows int64
 	// TablesEmitted counts cache-sized hash tables that filled up and were
@@ -211,8 +212,9 @@ type Stats struct {
 	AlphaSum float64
 	// Switches counts strategy mode changes.
 	Switches int64
-	// DirectEmits counts buckets finalized by a single fused hashing pass,
-	// including the intake's when its tables hold every group.
+	// DirectEmits counts buckets finalized by a single fused final pass —
+	// a table's or a leaf's sort — including the intake's when its tables
+	// hold every group.
 	DirectEmits int64
 	// Tasks counts bucket tasks executed (including intake tasks).
 	Tasks int64
@@ -254,6 +256,7 @@ type chunk struct {
 	hashes  []uint64
 	keys    []uint64
 	states  [][]uint64 // packed state columns, finalized at assembly
+	ordered bool       // rows already in hash order (a sort leaf's)
 }
 
 // collector gathers finalized chunks from concurrent tasks.
@@ -395,14 +398,14 @@ func (e *exec) assemble(ctx context.Context) (*Result, error) {
 }
 
 // finalizeChunk writes chunk ch into rows [off, off+len) of res, ordered
-// by hash when sorted is set, and gives its columns to free. The rows of
-// a chunk share its bucket's prefix, so hashfn.Order's counting pass
-// orders them on the next digits; the keys and hashes are gathered
-// through that permutation straight into res, the state columns into
-// columns from free.
+// by hash when sorted is set, and gives its columns to free. A sort leaf's
+// chunk is in hash order already. The rows of any other chunk share its
+// bucket's prefix, so hashfn.Order's counting pass orders them on the
+// next digits; the keys and hashes are gathered through that permutation
+// straight into res, the state columns into columns from free.
 func (e *exec) finalizeChunk(free *runs.Free, res *Result, ch *chunk, off int, sorted bool) {
 	end := off + len(ch.keys)
-	if sorted {
+	if sorted && !ch.ordered {
 		ord := make([]int32, end-off)
 		hashfn.Order(ch.hashes, ord)
 		hashfn.Gather(res.Keys[off:end], ch.keys, ord)

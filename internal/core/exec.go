@@ -133,18 +133,22 @@ type exec struct {
 }
 
 // workerState is the per-worker reusable machinery: one cache-sized hash
-// table, one scatterer (whose SWC buffers are reused across tasks), and the
-// intake's hash block. Tasks on one worker never interleave, so no
-// locking is needed — the paper's share-nothing design.
+// table, one scatterer (whose SWC buffers are reused across tasks), the
+// intake's hash block and the sort leaf's scratch. Tasks on one worker
+// never interleave, so no locking is needed — the paper's share-nothing
+// design.
 type workerState struct {
 	// id is the worker's pool index, stamped on emitted trace events.
 	id    int
 	table *hashtable.Table
 	// final is the finalization table (finalTable), nil until the worker
-	// finalizes its first bucket; its allocation is retained across
-	// buckets up to four cache sizes.
+	// finalizes its first bucket above the leaf threshold; its allocation
+	// is retained across buckets up to four cache sizes.
 	final *hashtable.Table
-	scat  *partition.Scatterer
+	// leaf is the sort leaf's scratch (leafScratch), nil until the
+	// worker finalizes its first leaf.
+	leaf *leafScratch
+	scat *partition.Scatterer
 	// free is the worker's column free list: the scatterer's writers and
 	// emitTable cut chunks from it, and consumed buckets and assembled
 	// output chunks give their columns back.
@@ -194,6 +198,7 @@ type workerState struct {
 type workerKit struct {
 	table       *hashtable.Table
 	final       *hashtable.Table
+	leaf        *leafScratch
 	scat        *partition.Scatterer
 	free        *runs.Free
 	hashScratch []uint64
@@ -302,6 +307,7 @@ func newExec(ctx context.Context, cfg Config, in *Input) (*exec, error) {
 			ws.kit = k
 			ws.table = k.table
 			ws.final = k.final
+			ws.leaf = k.leaf
 			ws.scat = k.scat
 			ws.free = k.free
 			ws.hashScratch = k.hashScratch
@@ -309,11 +315,11 @@ func newExec(ctx context.Context, cfg Config, in *Input) (*exec, error) {
 			ws.rowScratch = k.rowScratch
 			ws.local = k.local
 			if e.gov != nil {
-				// Budgeted runs account the finalization table as it is
-				// (re)allocated; starting without one keeps the up-front
-				// reservation — and thus the degradation behavior —
-				// identical to a fresh execution.
-				ws.final = nil
+				// Budgeted runs account the finalization table and the
+				// leaf scratch as they are allocated; starting without
+				// them keeps the up-front reservation — and thus the
+				// degradation behavior — identical to a fresh execution.
+				ws.final, ws.leaf = nil, nil
 			}
 		} else {
 			ws.table = hashtable.New(hashtable.Config{
@@ -373,6 +379,7 @@ func (e *exec) recycle() {
 		*k = workerKit{
 			table:       ws.table,
 			final:       ws.final,
+			leaf:        ws.leaf,
 			scat:        ws.scat,
 			free:        ws.free,
 			hashScratch: ws.hashScratch,
@@ -858,12 +865,18 @@ func (e *exec) doBucket(ctx *sched.Ctx, ws *workerState, b *runs.Bucket, level i
 	// Leaf rule: a bucket whose rows fit one cache-sized table (at the
 	// relaxed leaf fill, the paper's fused final pass holding "a factor B
 	// more partitions") certainly has few enough groups for a single
-	// in-cache pass (groups ≤ rows), independent of the strategy. So does
-	// a bucket out of hash digits: all its rows share the full 64-bit
-	// hash, which is the group, so it holds one key. The level is passed
-	// through unclamped so the chunk sort key keeps the full 64-bit
-	// prefix; finalTable clamps the table level itself.
-	if n <= e.finalRows || level >= hashfn.MaxLevels {
+	// in-cache pass (groups ≤ rows), independent of the strategy; that
+	// pass sorts (sortLeaf). A larger bucket out of hash digits is
+	// finalized by the table instead: all its rows share the full 64-bit
+	// hash, which is the group, so it holds one key, and a table of one
+	// group absorbs however many rows it has. The
+	// level is passed through unclamped so the chunk sort key keeps the
+	// full 64-bit prefix; finalTable clamps the table level itself.
+	if n <= e.finalRows {
+		e.sortLeaf(ctx, ws, b, prefix, level)
+		return nil
+	}
+	if level >= hashfn.MaxLevels {
 		e.finalize(ctx, ws, b, prefix, level)
 		return nil
 	}
@@ -1006,35 +1019,24 @@ func (e *exec) hashRun(ws *workerState, st StrategyState, table *hashtable.Table
 }
 
 // finalTable returns the worker's finalization table, emptied and set to
-// level, for a bucket of n rows: unblocked (a final pass never splits) and
-// at most half full — the fused final pass "allows us to hold a factor B
-// more partitions" (Section 2.1). It starts at four slots per row, at
-// least 256 and at most the cache size, so the emit scan of a small
-// bucket touches few slots; absorbRun grows it when a bucket holds more
-// groups than that. The allocation is retained across buckets and
-// reallocated only when it is smaller than the start; its reservation
-// follows it.
-func (e *exec) finalTable(ws *workerState, n, level int) *hashtable.Table {
-	capRows := 256
-	for capRows < 4*n && capRows < e.cacheRows {
-		capRows <<= 1
-	}
+// level: unblocked (a final pass never splits), at most half full — the
+// fused final pass "allows us to hold a factor B more partitions"
+// (Section 2.1) — and cache-sized, as a bucket above the leaf threshold
+// needs; absorbRun grows it when the bucket holds more groups than that.
+// The allocation is retained across buckets and reserved as machinery.
+func (e *exec) finalTable(ws *workerState, level int) *hashtable.Table {
 	t := ws.final
-	if t != nil {
-		t.ResetCapacity(capRows)
-	}
-	if t == nil || t.CapacityRows() < capRows {
-		if t != nil {
-			e.reserveMachinery(ws, -t.FootprintBytes())
-		}
+	if t == nil {
 		t = hashtable.New(hashtable.Config{
-			CapacityRows: capRows,
+			CapacityRows: e.cacheRows,
 			Blocks:       1,
 			MaxFill:      0.5,
 			Words:        e.words,
 		})
 		ws.final = t
 		e.reserveMachinery(ws, t.FootprintBytes())
+	} else {
+		t.ResetCapacity(e.cacheRows)
 	}
 	t.SetLevel(min(level, hashfn.MaxLevels-1))
 	return t
@@ -1063,14 +1065,14 @@ func (e *exec) absorbRun(ctx *sched.Ctx, ws *workerState, table *hashtable.Table
 	return true
 }
 
-// finalize is the fused final pass over a bucket: a leaf, a bucket of a
-// fixed-pass strategy's single growing pass (ModeFinal), or one past the
-// last digit, which holds one key. It absorbs every run of b into the
-// worker's finalization table, spilled ones read back block by block, and
-// emits the table. An allocation grown past four cache sizes is dropped
-// afterwards.
+// finalize is the fused final pass over a bucket above the leaf
+// threshold: a bucket of a fixed-pass strategy's single growing pass
+// (ModeFinal), or one past the last digit, which holds one key. It absorbs
+// every run of b into the worker's finalization table, spilled ones read
+// back block by block, and emits the table. An allocation grown past four
+// cache sizes is dropped afterwards.
 func (e *exec) finalize(ctx *sched.Ctx, ws *workerState, b *runs.Bucket, prefix uint64, level int) {
-	table := e.finalTable(ws, b.Rows(), level)
+	table := e.finalTable(ws, level)
 	absorb := func(r *runs.Run) bool { return e.absorbRun(ctx, ws, table, r) }
 	t0 := e.stamp()
 	for _, r := range b.Runs {
@@ -1092,16 +1094,127 @@ func (e *exec) finalize(ctx *sched.Ctx, ws *workerState, b *runs.Bucket, prefix 
 	}
 }
 
-// emitTable converts the table's contents into an output chunk tagged with
-// the bucket's prefix and hands it to the collector. Rows are emitted in
-// block order, i.e. ordered by the next hash digit — concatenating all
-// chunks in prefix order yields the hash-ordered result. Keys are
-// recovered from the hashes here, once per group. The chunk's columns
-// come from the worker's free list; assemble gives them to the list of
-// the worker that finalizes the chunk.
-func (e *exec) emitTable(ws *workerState, table *hashtable.Table, prefix uint64, level int) {
-	n := table.Len()
+// leafScratch is one worker's sort-leaf scratch: the leaf's hashes, their
+// hash-order permutation, each row's group, and the state words of the
+// rows read back from spill files, made the first time a leaf reads one
+// back. Every column holds as many rows as the hashes.
+type leafScratch struct {
+	hashes    []uint64
+	perm, seg []int32
+	states    [][]uint64
+}
+
+// leafScratch returns the worker's sort-leaf scratch with room for a leaf
+// of n rows, its state columns too when the leaf has spilled rows. It
+// grows by doubling from 256 rows as the leaves demand, so at most to
+// finalRows; what it holds is reserved as machinery and kept for the rest
+// of the run.
+func (e *exec) leafScratch(ws *workerState, n int, spilled bool) *leafScratch {
+	sc := ws.leaf
+	if sc == nil {
+		sc = &leafScratch{}
+		ws.leaf = sc
+	}
+	if rows := len(sc.hashes); rows < n {
+		c := 256
+		for c < n {
+			c <<= 1
+		}
+		e.reserveMachinery(ws, 16*int64(c-rows))
+		sc.hashes, sc.perm, sc.seg = make([]uint64, c), make([]int32, c), make([]int32, c)
+		if sc.states != nil { // they grow with the hashes, below
+			e.reserveMachinery(ws, -8*int64(e.words)*int64(rows))
+			sc.states, spilled = nil, true
+		}
+	}
+	if spilled && sc.states == nil {
+		sc.states = make([][]uint64, e.words)
+		for w := range sc.states {
+			sc.states[w] = make([]uint64, len(sc.hashes))
+		}
+		e.reserveMachinery(ws, 8*int64(e.words)*int64(len(sc.hashes)))
+	}
+	return sc
+}
+
+// sortLeaf is the fused final pass over a leaf, a bucket of at most
+// finalRows rows, done by sorting rather than hashing (the paper's §2:
+// both make the same transfers). It orders the bucket's carried hashes
+// with hashfn.Order, numbers the groups in that order, one pass, and
+// merges every run's states into one state row per group with the
+// layout's merge kernels, a run at a time where the run lies. Spilled
+// runs are read back into the scratch first. The chunk is in hash order.
+func (e *exec) sortLeaf(ctx *sched.Ctx, ws *workerState, b *runs.Bucket, prefix uint64, level int) {
+	n := b.Rows()
+	sc := e.leafScratch(ws, n, len(b.Spilled) > 0)
 	t0 := e.stamp()
+	off := 0
+	for _, r := range b.Runs {
+		off += copy(sc.hashes[off:n], r.Keys)
+	}
+	inMem := off
+	for _, s := range b.Spilled {
+		if !e.readBack(ctx, ws, level, s, func(r *runs.Run) bool {
+			copy(sc.hashes[off:n], r.Keys)
+			for w, col := range r.States {
+				copy(sc.states[w][off:n], col)
+			}
+			off += r.Len()
+			return true
+		}) {
+			return
+		}
+	}
+	hashes, perm, seg := sc.hashes[:n], sc.perm[:n], sc.seg[:n]
+	hashfn.Order(hashes, perm)
+	// Group g is the g-th distinct hash in order. A row's group index is
+	// at most its position in perm, so perm[g] can take any row of group
+	// g in place: perm[:groups] ends up one row per group, in order.
+	g := int32(-1)
+	last := ^hashes[perm[0]]
+	for _, r := range perm {
+		h := hashes[r]
+		d := h ^ last // a new group where the hash changes, without a branch
+		g += int32((d | -d) >> 63)
+		perm[g] = r
+		seg[r] = g
+		last = h
+	}
+	groups := int(g) + 1
+	ch := e.newChunk(ws, groups, prefix, level)
+	ch.ordered = true
+	hashfn.Gather(ch.hashes, hashes, perm[:groups])
+	for w, col := range ch.states {
+		col[0] = e.kern.Ops[w].Op.Identity()
+		for i := 1; i < len(col); i *= 2 {
+			copy(col[i:], col[:i])
+		}
+	}
+	off = 0
+	for _, r := range b.Runs {
+		for w, merge := range e.kern.Merge {
+			merge(ch.states[w], seg[off:off+r.Len()], r.States[w])
+		}
+		off += r.Len()
+	}
+	if inMem < n {
+		for w, merge := range e.kern.Merge {
+			merge(ch.states[w], seg[inMem:], sc.states[w][inMem:n])
+		}
+	}
+	ws.stats.hashedRows += int64(n)
+	e.lap(t0, trace.PhaseTableBuild)
+	t0 = e.stamp()
+	hashfn.InverseBatch(ch.hashes, ch.keys)
+	e.lap(t0, trace.PhaseSplit)
+	e.emit(ws, ch, prefix, level)
+	ws.stats.directEmits++
+}
+
+// newChunk returns an output chunk of n rows for the bucket at prefix and
+// level, its columns cut from the worker's free list; assemble gives them
+// to the list of the worker that finalizes the chunk.
+func (e *exec) newChunk(ws *workerState, n int, prefix uint64, level int) chunk {
 	ch := chunk{
 		sortKey: prefix << uint(64-hashfn.DigitBits*min(level, hashfn.MaxLevels)),
 		hashes:  ws.free.Col(n),
@@ -1111,12 +1224,28 @@ func (e *exec) emitTable(ws *workerState, table *hashtable.Table, prefix uint64,
 	for w := range ch.states {
 		ch.states[w] = ws.free.Col(n)
 	}
-	table.EmitColumns(ch.hashes, ch.keys, ch.states)
-	table.Reset()
-	e.lap(t0, trace.PhaseSplit)
+	return ch
+}
+
+// emit hands a filled chunk to the collector, traced as a table emit.
+func (e *exec) emit(ws *workerState, ch chunk, prefix uint64, level int) {
 	if e.tr != nil {
-		e.tr.Emit(trace.KindTableEmit, ws.id, level, int64(prefix), float64(n))
+		e.tr.Emit(trace.KindTableEmit, ws.id, level, int64(prefix), float64(len(ch.keys)))
 	}
 	// The output is the caller's memory, not the run's working set.
 	e.out.add(ch)
+}
+
+// emitTable converts the table's contents into an output chunk tagged with
+// the bucket's prefix and hands it to the collector. Rows are emitted in
+// slot order; concatenating all chunks in prefix order yields the result
+// ordered by bucket prefix. Keys are recovered from the hashes here, once
+// per group.
+func (e *exec) emitTable(ws *workerState, table *hashtable.Table, prefix uint64, level int) {
+	t0 := e.stamp()
+	ch := e.newChunk(ws, table.Len(), prefix, level)
+	table.EmitColumns(ch.hashes, ch.keys, ch.states)
+	table.Reset()
+	e.lap(t0, trace.PhaseSplit)
+	e.emit(ws, ch, prefix, level)
 }

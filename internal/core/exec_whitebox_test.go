@@ -217,7 +217,7 @@ func TestFinalizationTableGrows(t *testing.T) {
 func TestFinalizationTableAtTheCapFailsTyped(t *testing.T) {
 	e := mkExec(nil, nil, nil)
 	ws := &e.workers[0]
-	table := e.finalTable(ws, 1, 1)
+	table := e.finalTable(ws, 1)
 	capRows := reflect.ValueOf(table).Elem().FieldByName("capRows")
 	*(*int)(unsafe.Pointer(capRows.UnsafeAddr())) = hashtable.MaxSlots
 	r := &runs.Run{Keys: hashesWhere(table.MaxRows()+1, func(uint64) bool { return true }), States: [][]uint64{}}

@@ -12,17 +12,25 @@ import (
 // it skips the bits every hash shares, makes one counting pass (count,
 // then place) on the next k bits, with 2^k about the row count, and
 // finishes each digit's few rows by insertion sort. Uniform hashes leave
-// one or two rows per digit, so the expected cost is linear. The digit is
-// at most orderMaxBits wide, so above about 2^19 rows the digits hold
-// more than orderRunRows each and take the comparison sort: the cost
+// one or two rows per digit, so the expected cost is linear. So do copies
+// of them, as a bucket of unaggregated rows holds: the copies of one hash
+// share a digit, and a digit crowded by the copies of a few hashes is
+// split one hash at a time, a pass over its rows each. The digit is at
+// most orderMaxBits wide, so above about 2^19 distinct hashes the digits
+// hold more than orderRunRows each and take the comparison sort: the cost
 // grows as n log(n/2^orderMaxBits) there.
 
 const (
 	// orderRunRows is the most rows a digit may hold and still be
-	// finished by insertion sort. A fuller digit, which uniform hashes
-	// almost never produce but crafted ones can, takes a comparison
-	// sort, so the worst case stays O(n log n).
+	// finished by insertion sort.
 	orderRunRows = 32
+	// orderPivots bounds the three-way partitions that split a fuller
+	// digit: one per hash, down to sides of orderRunRows rows. A digit
+	// that still has a fuller side after orderPivots of them holds many
+	// hashes, which uniform hashes almost never produce but crafted ones
+	// can; that side takes a comparison sort, so the worst case stays
+	// O(n log n).
+	orderPivots = 4
 	// orderSmallBits and orderMaxBits bound the digit of the counting
 	// pass. The count array lives on the stack: 1 KiB up to
 	// orderSmallBits, else 64 KiB. Zeroing the wide array nearly doubles the
@@ -34,10 +42,11 @@ const (
 
 // Order writes into perm the permutation that sorts hashes ascending:
 // hashes[perm[0]] < hashes[perm[1]] < ... perm must be at least as long
-// as hashes, and the hashes should be distinct, as the hashes of distinct
-// groups are: equal hashes are sorted too, but more than orderRunRows of
-// them crowd one digit and take the comparison sort. It returns the
-// number of digits that took the comparison sort, and allocates nothing.
+// as hashes. Hashes may repeat: the copies of one hash end up adjacent, in
+// an unspecified order among themselves. Repeats keep the cost linear in
+// expectation: a digit they crowd costs a pass per hash it holds, and only
+// one of more than orderPivots hashes takes the comparison sort. It
+// returns the number of comparison sorts taken, and allocates nothing.
 func Order(hashes []uint64, perm []int32) int {
 	n := len(hashes)
 	perm = perm[:n]
@@ -50,8 +59,8 @@ func Order(hashes []uint64, perm []int32) int {
 	}
 	k, shift := orderDigit(hashes)
 	if k <= orderSmallBits {
-		var counts [1<<orderSmallBits + 1]int32
-		return orderPass(hashes, perm, counts[:1<<k+1], shift)
+		var counts [1 << orderSmallBits]int32
+		return orderPass(hashes, perm, counts[:1<<k], shift)
 	}
 	return orderWide(hashes, perm, k, shift)
 }
@@ -77,23 +86,25 @@ func orderDigit(hashes []uint64) (k int, shift uint) {
 //
 //go:noinline
 func orderWide(hashes []uint64, perm []int32, k int, shift uint) int {
-	var counts [1<<orderMaxBits + 1]int32
-	return orderPass(hashes, perm, counts[:1<<k+1], shift)
+	var counts [1 << orderMaxBits]int32
+	return orderPass(hashes, perm, counts[:1<<k], shift)
 }
 
 // orderPass places every row by the digit hashes[i]>>shift, which takes
-// len(counts)-1 values, then sorts each digit's rows. counts must be
-// zero. It returns the number of digits that took the comparison sort.
+// len(counts) values, then sorts each digit's rows. counts must be zero.
+// It returns the number of comparison sorts taken.
 func orderPass(hashes []uint64, perm []int32, counts []int32, shift uint) int {
-	mask := uint64(len(counts) - 2)
+	mask := uint64(len(counts) - 1)
 	for _, h := range hashes {
-		counts[h>>shift&mask+1]++
+		counts[h>>shift&mask]++
 	}
-	for d := 1; d < len(counts); d++ {
-		counts[d] += counts[d-1]
-	}
-	// counts[d] is now where digit d starts; placing advances it to
+	// counts[d] becomes where digit d starts; placing advances it to
 	// where digit d ends, which is where digit d+1 starts.
+	start := int32(0)
+	for d, c := range counts {
+		counts[d] = start
+		start += c
+	}
 	for i, h := range hashes {
 		d := h >> shift & mask
 		perm[counts[d]] = int32(i)
@@ -101,18 +112,60 @@ func orderPass(hashes []uint64, perm []int32, counts []int32, shift uint) int {
 	}
 	// Digits follow one another in order, so one insertion sort over
 	// every row finishes each digit without crossing into the next; a
-	// crowded digit is sorted first and costs it one compare a row.
+	// crowded digit is split first and costs it one compare a row.
 	fallbacks := 0
 	lo := int32(0)
-	for _, hi := range counts[:len(counts)-1] {
+	for _, hi := range counts {
 		if hi-lo > orderRunRows {
-			fallbacks++
-			slices.SortFunc(perm[lo:hi], func(a, b int32) int { return cmp.Compare(hashes[a], hashes[b]) })
+			fallbacks += orderCrowded(hashes, perm[lo:hi], orderPivots)
 		}
 		lo = hi
 	}
 	insertionOrder(hashes, perm)
 	return fallbacks
+}
+
+// orderCrowded puts the rows of perm in order of their hashes up to sides
+// of orderRunRows rows, which the insertion sort finishes. Each step
+// splits the rows by the first row's hash into those below it, its
+// copies, and those above it, so the copies of a hash cost one pass
+// between them. A side still crowded after pivots splits takes the
+// comparison sort. It returns the number of comparison sorts taken.
+func orderCrowded(hashes []uint64, perm []int32, pivots int) int {
+	fallbacks := 0
+	for len(perm) > orderRunRows {
+		if pivots == 0 {
+			slices.SortFunc(perm, func(a, b int32) int { return cmp.Compare(hashes[a], hashes[b]) })
+			return fallbacks + 1
+		}
+		pivots--
+		below, above := splitByHash(hashes, perm, hashes[perm[0]])
+		fallbacks += orderCrowded(hashes, perm[:below], pivots)
+		perm = perm[above:]
+	}
+	return fallbacks
+}
+
+// splitByHash reorders the rows of perm into those whose hash is below
+// pivot, then its copies, then those above it, and returns where the
+// copies start and end.
+func splitByHash(hashes []uint64, perm []int32, pivot uint64) (below, above int) {
+	i, above := 0, len(perm)
+	for i < above {
+		r := perm[i]
+		switch h := hashes[r]; {
+		case h < pivot:
+			perm[i], perm[below] = perm[below], r
+			below++
+			i++
+		case h > pivot:
+			above--
+			perm[i], perm[above] = perm[above], r
+		default:
+			i++
+		}
+	}
+	return below, above
 }
 
 // insertionOrder sorts the rows of perm by their hashes. last is the

@@ -50,6 +50,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cacheagg/internal/agg"
@@ -233,6 +234,14 @@ type Aggregator struct {
 
 	ch   chan msg
 	done chan struct{}
+	// Pressure-seal requests, which no full queue can drop: pushWaiters
+	// counts the Pushes waiting for the budget, and sealWanted is set by
+	// a TryPush the budget refused, until the next seal. While either
+	// holds, the consumer seals after every fold (maybeSeal); wake rouses
+	// it to check when it is idle.
+	pushWaiters atomic.Int32
+	sealWanted  atomic.Bool
+	wake        chan struct{}
 
 	// sendMu serializes senders (RLock) against lifecycle flips (Lock):
 	// once closed is set under the write lock, nothing new can enter ch,
@@ -331,7 +340,7 @@ type msg struct {
 	pushBytes int64
 	ctl       ctlOp
 	window    int
-	reply     chan ctlReply // nil for fire-and-forget control (pressure seals)
+	reply     chan ctlReply
 }
 
 // Begin creates a new durable stream in opts.Dir, which must not already
@@ -381,6 +390,7 @@ func newAggregator(opts Options) (*Aggregator, error) {
 		dir:    opts.Dir,
 		ch:     make(chan msg, opts.QueueDepth),
 		done:   make(chan struct{}),
+		wake:   make(chan struct{}, 1),
 	}
 	if opts.Specs != nil {
 		a.layout = agg.NewLayout(opts.Specs)
@@ -514,13 +524,12 @@ func (a *Aggregator) backpressure(reason string) error {
 	return &BackpressureError{Reason: reason, RetryAfter: a.opts.RetryHint}
 }
 
-// requestSeal asks the consumer for an early seal without blocking: when
-// the queue is full the consumer is already busy and will release memory
-// soon anyway.
-func (a *Aggregator) requestSeal() {
+// wakeConsumer rouses an idle consumer to check for a pressure seal
+// (maybeSeal) without blocking; a busy one checks after its fold.
+func (a *Aggregator) wakeConsumer() {
 	select {
-	case a.ch <- msg{ctl: ctlSeal}:
-	default:
+	case a.wake <- struct{}{}:
+	default: // a wake-up is pending already
 	}
 }
 
@@ -560,8 +569,9 @@ func (a *Aggregator) push(ctx context.Context, b Block, wait bool) error {
 	if !a.gov.TryReserve(bytes) {
 		// The accumulator's reservation is what crowds the budget;
 		// sealing it is the release valve.
-		a.requestSeal()
 		if !wait {
+			a.sealWanted.Store(true)
+			a.wakeConsumer()
 			return a.backpressure("budget")
 		}
 		a.statMu.Lock()
@@ -570,7 +580,11 @@ func (a *Aggregator) push(ctx context.Context, b Block, wait bool) error {
 		if a.tr != nil {
 			a.tr.Emit(trace.KindBackpressure, 0, 0, int64(len(a.ch)), 1)
 		}
-		if err := a.gov.TryReserveOrWait(ctx, bytes); err != nil {
+		a.pushWaiters.Add(1)
+		a.wakeConsumer()
+		err := a.gov.TryReserveOrWait(ctx, bytes)
+		a.pushWaiters.Add(-1)
+		if err != nil {
 			return err
 		}
 	}
@@ -707,7 +721,18 @@ func (a *Aggregator) Dir() string { return a.dir }
 // manifest, applying blocks and control operations in arrival order.
 func (a *Aggregator) run() {
 	defer close(a.done)
-	for m := range a.ch {
+	for {
+		var m msg
+		select {
+		case m = <-a.ch:
+		case <-a.wake:
+			if a.loadErr() == nil {
+				if err := a.maybeSeal(); err != nil {
+					a.fail(err)
+				}
+			}
+			continue
+		}
 		switch {
 		case m.push != nil:
 			if a.loadErr() != nil {
@@ -724,9 +749,7 @@ func (a *Aggregator) run() {
 			}
 		case m.ctl == ctlSeal:
 			ep, err := a.sealChecked()
-			if m.reply != nil {
-				m.reply <- ctlReply{epoch: ep, err: err}
-			}
+			m.reply <- ctlReply{epoch: ep, err: err}
 		case m.ctl == ctlSnapshot:
 			res, err := a.snapshot(m.window)
 			m.reply <- ctlReply{res: res, err: err}
@@ -867,13 +890,15 @@ func (a *Aggregator) fill(tab *hashtable.Table, n int, insert func(i int) int) e
 	return nil
 }
 
-// maybeSeal seals when the open epoch crossed the row threshold or the
-// accumulator pushed the governor over budget (pressure seal).
+// maybeSeal seals when the open epoch crossed the row threshold, or under
+// memory pressure (pressure seal): while a Push waits for the budget, after
+// a TryPush it refused, or when the accumulator pushed the governor over
+// it.
 func (a *Aggregator) maybeSeal() error {
 	if a.acc.rows >= a.opts.EpochMaxRows {
 		return a.seal()
 	}
-	if a.acc.rows > 0 && a.gov.OverBudget() {
+	if a.acc.rows > 0 && (a.pushWaiters.Load() > 0 || a.sealWanted.Load() || a.gov.OverBudget()) {
 		a.statMu.Lock()
 		a.stats.EarlySeals++
 		a.statMu.Unlock()
@@ -902,6 +927,8 @@ func (a *Aggregator) seal() error {
 	if a.acc.rows == 0 {
 		return nil
 	}
+	// Whatever called it, the seal answers a refused TryPush's request.
+	a.sealWanted.Store(false)
 	seq := a.epoch + 1
 	path := filepath.Join(a.dir, epochFileName(seq))
 	w, err := runs.NewBlockWriter(a.fs, path, "checkpoint", a.layout.Words)

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -635,14 +636,19 @@ func TestSealFaultInjection(t *testing.T) {
 // Backpressure.
 
 // gateFS delegates to the real filesystem but blocks Create until the
-// gate opens, pinning the consumer inside a seal.
+// gate opens, pinning the consumer inside a seal; entered, when set, is
+// closed as the first Create blocks.
 type gateFS struct {
 	faultfs.FS
-	gate <-chan struct{}
-	once sync.Once
+	gate    <-chan struct{}
+	entered chan struct{}
+	once    sync.Once
 }
 
 func (g *gateFS) Create(name string) (faultfs.File, error) {
+	if g.entered != nil {
+		g.once.Do(func() { close(g.entered) })
+	}
 	<-g.gate
 	return g.FS.Create(name)
 }
@@ -793,6 +799,155 @@ func TestPressureSeal(t *testing.T) {
 	}
 	if g := a.gov.Reserved(); g != 0 {
 		t.Fatalf("ledger holds %d bytes after Finish", g)
+	}
+}
+
+// TestPushFindsAFullQueueAndAFullBudget: a Push that finds the budget
+// full while the queue is full must still get its pressure seal. The
+// consumer is held inside a seal while a second block fills the queue
+// and another reservation fills the ledger, and a third Push then waits
+// for the budget. Folding the queued block leaves the ledger at the
+// budget, not over it, so only the waiting pusher's request can seal.
+func TestPushFindsAFullQueueAndAFullBudget(t *testing.T) {
+	defer testutil.VerifyNoLeaks(t)
+	const rows, budget = 256, 4 << 20
+	rng := rand.New(rand.NewSource(11))
+	keys, cols := genInput(rng, "random", rows, 1<<30)
+	blk := Block{Keys: keys, Cols: cols}
+	gov := memgov.New(budget)
+	gate := make(chan struct{})
+	fs := &gateFS{FS: faultfs.OS(), gate: gate, entered: make(chan struct{})}
+	a, err := Begin(Options{
+		Dir: t.TempDir(), Specs: allSpecs, QueueDepth: 1,
+		EpochMaxRows: 1 << 30, Governor: gov, FS: fs, NoSync: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	// One block folded: the Snapshot round trip waits for its fold.
+	if err := a.Push(ctx, blk); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Snapshot(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	acc, need := gov.Reserved(), blockBytes(blk)+foldBytes(rows, a.layout.Words)
+	if need > acc {
+		t.Fatalf("a block needs %d bytes, more than the %d its fold holds: the seal would not admit the third push", need, acc)
+	}
+	// The consumer seals the block and is held in the epoch file's Create.
+	sealed := make(chan error, 1)
+	go func() {
+		_, err := a.Checkpoint(ctx)
+		sealed <- err
+	}()
+	<-fs.entered
+	// A second block fills the queue, and the rest of the budget but the
+	// accumulator's share goes to another tenant.
+	if err := a.Push(ctx, blk); err != nil {
+		t.Fatal(err)
+	}
+	gov.Reserve(budget - acc)
+	pushed := make(chan error, 1)
+	go func() { pushed <- a.Push(ctx, blk) }()
+	for deadline := time.Now().Add(10 * time.Second); gov.Waiting() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the third Push never waited for the budget")
+		}
+	}
+	close(gate)
+	if err := <-sealed; err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-pushed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("Push still waits for the budget with the ledger at %d of %d bytes and no seal requested", gov.Reserved(), budget)
+	}
+	gov.Release(budget - acc)
+	res, err := a.Finish(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := Block{Keys: append(append(slices.Clone(keys), keys...), keys...)}
+	for _, col := range cols {
+		all.Cols = append(all.Cols, append(append(slices.Clone(col), col...), col...))
+	}
+	checkResult(t, allSpecs, res, all.Keys, all.Cols)
+	if g := gov.Reserved(); g != 0 {
+		t.Fatalf("ledger holds %d bytes after Finish", g)
+	}
+}
+
+// TestIdleConsumerSealsForARefusedPush: a Push or TryPush that the budget
+// refuses while the consumer is idle, the queue empty and the accumulator
+// holding rows, wakes the consumer to seal: the waiting Push returns, and
+// a TryPush retried after the seal is admitted.
+func TestIdleConsumerSealsForARefusedPush(t *testing.T) {
+	for _, wait := range []bool{true, false} {
+		t.Run(fmt.Sprintf("wait=%v", wait), func(t *testing.T) {
+			defer testutil.VerifyNoLeaks(t)
+			const rows, budget = 256, 4 << 20
+			rng := rand.New(rand.NewSource(12))
+			keys, cols := genInput(rng, "random", rows, 1<<30)
+			blk := Block{Keys: keys, Cols: cols}
+			gov := memgov.New(budget)
+			a, err := Begin(Options{
+				Dir: t.TempDir(), Specs: allSpecs, EpochMaxRows: 1 << 30, Governor: gov, NoSync: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			if err := a.Push(ctx, blk); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := a.Snapshot(ctx, 0); err != nil { // the fold is done
+				t.Fatal(err)
+			}
+			acc := gov.Reserved()
+			if need := blockBytes(blk) + foldBytes(rows, a.layout.Words); need > acc {
+				t.Fatalf("a block needs %d bytes, more than the %d its fold holds", need, acc)
+			}
+			gov.Reserve(budget - acc) // the ledger at the budget, not over it
+			if wait {
+				pushed := make(chan error, 1)
+				go func() { pushed <- a.Push(ctx, blk) }()
+				select {
+				case err := <-pushed:
+					if err != nil {
+						t.Fatal(err)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("Push still waits for the budget beside an idle consumer")
+				}
+			} else {
+				if err := a.TryPush(blk); !errors.Is(err, ErrBackpressure) {
+					t.Fatalf("TryPush on a full budget = %v, want backpressure", err)
+				}
+				waitFor(t, func() bool { return a.Stats().EpochsSealed == 1 })
+				if err := a.TryPush(blk); err != nil {
+					t.Fatalf("TryPush after the pressure seal = %v", err)
+				}
+			}
+			if got := a.Stats().EarlySeals; got != 1 {
+				t.Fatalf("%d pressure seals, want 1", got)
+			}
+			gov.Release(budget - acc)
+			res, err := a.Finish(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkResult(t, allSpecs, res, append(slices.Clone(keys), keys...),
+				[][]int64{append(slices.Clone(cols[0]), cols[0]...), append(slices.Clone(cols[1]), cols[1]...)})
+			if g := gov.Reserved(); g != 0 {
+				t.Fatalf("ledger holds %d bytes after Finish", g)
+			}
+		})
 	}
 }
 
