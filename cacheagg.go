@@ -129,12 +129,12 @@ func AdaptiveStrategyTuned(alpha0 float64, c int) Strategy {
 func HashingOnlyStrategy() Strategy { return Strategy{core.HashingOnly()} }
 
 // PartitionAlwaysStrategy partitions for the first `passes` levels and
-// finishes with one hashing pass whose tables may exceed the cache
-// (Figure 4(b,c)). passes must be ≥ 1.
+// finishes each bucket with one final pass, a sort whose scratch may
+// exceed the cache (Figure 4(b,c)). passes must be ≥ 1.
 func PartitionAlwaysStrategy(passes int) Strategy { return Strategy{core.PartitionAlways(passes)} }
 
 // PartitionOnlyStrategy always partitions; leaves are finalized by the
-// framework's in-cache hashing pass (Appendix A.1).
+// framework's in-cache sort-and-fold pass (Appendix A.1).
 func PartitionOnlyStrategy() Strategy { return Strategy{core.PartitionOnly()} }
 
 // Routine is ignored.

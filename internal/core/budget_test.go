@@ -135,7 +135,7 @@ func TestGovernorResultMatchesUngovernedRun(t *testing.T) {
 
 // TestFootprintMatchesReservation pins Footprint to the bytes a governed
 // run reserves up front, and both to the live machinery of the workers:
-// their tables, intake and row scratch, plus the scatterers' SWC buffers.
+// their tables and intake hash blocks, plus the scatterers' SWC buffers.
 func TestFootprintMatchesReservation(t *testing.T) {
 	widths := []struct {
 		words int
@@ -171,7 +171,7 @@ func TestFootprintMatchesReservation(t *testing.T) {
 				for w := range e.workers {
 					ws := &e.workers[w]
 					live += ws.table.FootprintBytes()
-					live += 8 * int64(cap(ws.hashScratch)+cap(ws.rowScratch))
+					live += 8 * int64(cap(ws.hashScratch))
 					live += int64(hashfn.Fanout*partition.DefaultBufRows*8*(1+wd.words)) + partition.ScratchBytes
 				}
 				if live != e.fixedBytes {

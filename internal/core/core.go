@@ -28,7 +28,10 @@
 //     again choosing HASHING or PARTITIONING per run — and either emits the
 //     final aggregates directly (when one hash table absorbed the entire
 //     bucket without filling: the fused final pass of Section 2.1) or
-//     spawns child tasks for the 256 sub-buckets at level d+1.
+//     spawns child tasks for the 256 sub-buckets at level d+1. Every other
+//     final pass sorts: a bucket that fits a cache-sized table's fill, or
+//     a fixed-pass strategy's last, is put in hash order and equal hashes
+//     are folded; one past the last digit holds one group, folded in place.
 //  3. Assembly: the chunks are ordered by hash prefix, and each is
 //     finalized in parallel into its range of the result — the output is
 //     "a hash table like HASHAGGREGATION would produce, but built with a
@@ -186,7 +189,8 @@ func (r *Result) Float(a, row int) float64 {
 }
 
 // MaxPasses is the deepest possible recursion: one level per radix-256
-// digit of the 64-bit hash, plus one pseudo-level for forced finalization.
+// digit of the 64-bit hash, plus one pseudo-level for the one-group fold of
+// a bucket past the last digit.
 const MaxPasses = hashfn.MaxLevels + 1
 
 // Stats reports what the execution did, mirroring the measurements behind
@@ -213,8 +217,8 @@ type Stats struct {
 	// Switches counts strategy mode changes.
 	Switches int64
 	// DirectEmits counts buckets finalized by a single fused final pass —
-	// a table's or a leaf's sort — including the intake's when its tables
-	// hold every group.
+	// a table's, a sort's or a one-group fold — including the intake's when
+	// its tables hold every group.
 	DirectEmits int64
 	// Tasks counts bucket tasks executed (including intake tasks).
 	Tasks int64
@@ -256,7 +260,7 @@ type chunk struct {
 	hashes  []uint64
 	keys    []uint64
 	states  [][]uint64 // packed state columns, finalized at assembly
-	ordered bool       // rows already in hash order (a sort leaf's)
+	ordered bool       // rows already in hash order (sorted or one row)
 }
 
 // collector gathers finalized chunks from concurrent tasks.

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -79,11 +80,10 @@ func chunkRowBytes(words int) int64 { return int64(8 * (2 + words)) }
 func runRowBytes(words int) int64 { return int64(8 * (1 + words)) }
 
 // workerBytes is one worker's fixed machinery: a table of tableRows slots,
-// the intake's hash block, the packed-row scratch and the scatterer.
+// the intake's hash block and the scatterer.
 func workerBytes(tableRows, words int) int64 {
 	b := int64(tableRows) * int64(hashtable.SlotBytes(words))
 	b += int64(scratchRows * 8) // hashScratch
-	b += int64(8 * words)       // rowScratch
 	return b + swcBytes(words)
 }
 
@@ -139,25 +139,11 @@ type exec struct {
 // design.
 type workerState struct {
 	// id is the worker's pool index, stamped on emitted trace events.
-	id    int
-	table *hashtable.Table
-	// final is the finalization table (finalTable), nil until the worker
-	// finalizes its first bucket above the leaf threshold; its allocation
-	// is retained across buckets up to four cache sizes.
-	final *hashtable.Table
-	// leaf is the sort leaf's scratch (leafScratch), nil until the
-	// worker finalizes its first leaf.
-	leaf *leafScratch
-	scat *partition.Scatterer
-	// free is the worker's column free list: the scatterer's writers and
-	// emitTable cut chunks from it, and consumed buckets and assembled
-	// output chunks give their columns back.
-	free *runs.Free
-
-	hashScratch []uint64
-	stateViews  [][]uint64    // reusable column-view scratch
-	rowScratch  []uint64      // one packed state row
-	local       []runs.Bucket // intake's level-0 buckets, empty between runs
+	id        int
+	workerKit // the machinery, pooled across executions
+	// kit is the pooled kit the machinery came from, if any; recycle
+	// hands the machinery back in it.
+	kit *workerKit
 	// intakeSplit says the worker's intake put rows into its level-0
 	// buckets: it split a table or scattered a row, or the run may spill.
 	// Until then its table holds everything it consumed, for finishIntake.
@@ -166,9 +152,6 @@ type workerState struct {
 	// mem is the worker's reservation cache against the shared governor
 	// (nil, a no-op, when no governor is configured).
 	mem *memgov.Cache
-	// kit is the pooled kit the machinery above came from, if any; recycle
-	// hands the machinery back in it.
-	kit *workerKit
 
 	// The spill tier's per-worker state. owned is the bucket set the worker
 	// may spill: its intake-local buckets, or the sub-buckets of the
@@ -196,15 +179,19 @@ type workerState struct {
 // results are materialized by copy in assemble, and the free list holds
 // only columns of runs and chunks the execution has finished with.
 type workerKit struct {
-	table       *hashtable.Table
-	final       *hashtable.Table
-	leaf        *leafScratch
-	scat        *partition.Scatterer
-	free        *runs.Free
+	table *hashtable.Table
+	// leaf is the sort leaf's scratch (leafScratch), nil until the
+	// worker finalizes its first leaf.
+	leaf *leafScratch
+	scat *partition.Scatterer
+	// free is the worker's column free list: the scatterer's writers and
+	// emitTable cut chunks from it, and consumed buckets and assembled
+	// output chunks give their columns back.
+	free *runs.Free
+
 	hashScratch []uint64
-	stateViews  [][]uint64
-	rowScratch  []uint64
-	local       []runs.Bucket
+	stateViews  [][]uint64    // reusable column-view scratch
+	local       []runs.Bucket // intake's level-0 buckets, empty between runs
 }
 
 // kitKey pins every size- or layout-relevant parameter of a kit; kits are
@@ -304,40 +291,33 @@ func newExec(ctx context.Context, cfg Config, in *Input) (*exec, error) {
 		ws := &e.workers[w]
 		ws.id = w
 		if k, _ := kp.Get().(*workerKit); k != nil {
-			ws.kit = k
-			ws.table = k.table
-			ws.final = k.final
-			ws.leaf = k.leaf
-			ws.scat = k.scat
-			ws.free = k.free
-			ws.hashScratch = k.hashScratch
-			ws.stateViews = k.stateViews
-			ws.rowScratch = k.rowScratch
-			ws.local = k.local
+			ws.kit, ws.workerKit = k, *k
 			if e.gov != nil {
-				// Budgeted runs account the finalization table and the
-				// leaf scratch as they are allocated; starting without
-				// them keeps the up-front reservation — and thus the
-				// degradation behavior — identical to a fresh execution.
-				ws.final, ws.leaf = nil, nil
+				// Budgeted runs account the leaf scratch as it is
+				// allocated; starting without it keeps the up-front
+				// reservation — and thus the degradation behavior —
+				// identical to a fresh execution.
+				ws.leaf = nil
 			}
 		} else {
-			ws.table = hashtable.New(hashtable.Config{
-				CapacityRows: e.cacheRows,
-				Blocks:       hashfn.Fanout,
-				Words:        e.words,
-			})
-			ws.free = &runs.Free{}
-			ws.scat = partition.New(partition.Config{
-				Level:     0,
-				Words:     e.words,
-				ChunkRows: cfg.ChunkRows,
-				Free:      ws.free,
-			})
-			ws.hashScratch = make([]uint64, scratchRows)
-			ws.stateViews = make([][]uint64, e.words)
-			ws.rowScratch = make([]uint64, e.words)
-			ws.local = make([]runs.Bucket, hashfn.Fanout)
+			free := &runs.Free{}
+			ws.workerKit = workerKit{
+				table: hashtable.New(hashtable.Config{
+					CapacityRows: e.cacheRows,
+					Blocks:       hashfn.Fanout,
+					Words:        e.words,
+				}),
+				scat: partition.New(partition.Config{
+					Level:     0,
+					Words:     e.words,
+					ChunkRows: cfg.ChunkRows,
+					Free:      free,
+				}),
+				free:        free,
+				hashScratch: make([]uint64, scratchRows),
+				stateViews:  make([][]uint64, e.words),
+				local:       make([]runs.Bucket, hashfn.Fanout),
+			}
 		}
 		if e.gov != nil {
 			ws.mem = e.gov.NewCache(0)
@@ -376,17 +356,7 @@ func (e *exec) recycle() {
 		if k == nil {
 			k = new(workerKit)
 		}
-		*k = workerKit{
-			table:       ws.table,
-			final:       ws.final,
-			leaf:        ws.leaf,
-			scat:        ws.scat,
-			free:        ws.free,
-			hashScratch: ws.hashScratch,
-			stateViews:  ws.stateViews,
-			rowScratch:  ws.rowScratch,
-			local:       ws.local,
-		}
+		*k = ws.workerKit
 		kp.Put(k)
 		ws.kit, ws.table = nil, nil
 	}
@@ -866,25 +836,30 @@ func (e *exec) doBucket(ctx *sched.Ctx, ws *workerState, b *runs.Bucket, level i
 	// relaxed leaf fill, the paper's fused final pass holding "a factor B
 	// more partitions") certainly has few enough groups for a single
 	// in-cache pass (groups ≤ rows), independent of the strategy; that
-	// pass sorts (sortLeaf). A larger bucket out of hash digits is
-	// finalized by the table instead: all its rows share the full 64-bit
-	// hash, which is the group, so it holds one key, and a table of one
-	// group absorbs however many rows it has. The
-	// level is passed through unclamped so the chunk sort key keeps the
-	// full 64-bit prefix; finalTable clamps the table level itself.
+	// pass sorts (sortLeaf). A larger bucket out of hash digits holds one
+	// group, since all its rows share the full 64-bit hash, and is folded
+	// into one state row (foldGroup). The level is passed through
+	// unclamped so the chunk sort key keeps the full 64-bit prefix.
 	if n <= e.finalRows {
 		e.sortLeaf(ctx, ws, b, prefix, level)
 		return nil
 	}
 	if level >= hashfn.MaxLevels {
-		e.finalize(ctx, ws, b, prefix, level)
+		e.foldGroup(ctx, ws, b, prefix, level)
 		return nil
 	}
 
 	st := e.cfg.Strategy.NewState(level, e.cacheRows)
 	if st.NextMode() == ModeFinal {
-		// Fixed-pass strategy demands its single growing hashing pass.
-		e.finalize(ctx, ws, b, prefix, level)
+		// A fixed-pass strategy's single final pass over a bucket above
+		// the leaf threshold: the paper lets PARTITIONALWAYS' tables grow
+		// past the cache, and here the sort's scratch, which is dropped
+		// afterwards so that no more than finalRows rows of it stay held.
+		e.sortLeaf(ctx, ws, b, prefix, level)
+		if sc := ws.leaf; sc != nil && len(sc.hashes) > e.finalRows {
+			e.reserveMachinery(ws, -sc.bytes(e.words))
+			ws.leaf = nil
+		}
 		return nil
 	}
 
@@ -1018,82 +993,6 @@ func (e *exec) hashRun(ws *workerState, st StrategyState, table *hashtable.Table
 	return i, false
 }
 
-// finalTable returns the worker's finalization table, emptied and set to
-// level: unblocked (a final pass never splits), at most half full — the
-// fused final pass "allows us to hold a factor B more partitions"
-// (Section 2.1) — and cache-sized, as a bucket above the leaf threshold
-// needs; absorbRun grows it when the bucket holds more groups than that.
-// The allocation is retained across buckets and reserved as machinery.
-func (e *exec) finalTable(ws *workerState, level int) *hashtable.Table {
-	t := ws.final
-	if t == nil {
-		t = hashtable.New(hashtable.Config{
-			CapacityRows: e.cacheRows,
-			Blocks:       1,
-			MaxFill:      0.5,
-			Words:        e.words,
-		})
-		ws.final = t
-		e.reserveMachinery(ws, t.FootprintBytes())
-	} else {
-		t.ResetCapacity(e.cacheRows)
-	}
-	t.SetLevel(min(level, hashfn.MaxLevels-1))
-	return t
-}
-
-// absorbRun feeds an entire run, hashes carried, through the batch merge
-// path into the finalization table, which grows on a short count; the
-// growth is reserved as machinery. A table at hashtable.MaxSlots cannot
-// grow: the run fails with ErrMemoryBudget and absorbRun returns false.
-func (e *exec) absorbRun(ctx *sched.Ctx, ws *workerState, table *hashtable.Table, r *runs.Run) bool {
-	n := r.Len()
-	for i := 0; i < n; {
-		blk := min(n-i, scratchRows)
-		m := table.InsertStateBatch(r.Keys[i:i+blk], nil, r.States, i, e.kern)
-		ws.stats.hashedRows += int64(m)
-		if i += m; m < blk {
-			before := table.FootprintBytes()
-			if !table.Grow() {
-				ctx.Fail(fmt.Errorf("core: finalization table of %d groups at its cap of %d slots: %w",
-					table.Len(), table.CapacityRows(), ErrMemoryBudget))
-				return false
-			}
-			e.reserveMachinery(ws, table.FootprintBytes()-before)
-		}
-	}
-	return true
-}
-
-// finalize is the fused final pass over a bucket above the leaf
-// threshold: a bucket of a fixed-pass strategy's single growing pass
-// (ModeFinal), or one past the last digit, which holds one key. It absorbs
-// every run of b into the worker's finalization table, spilled ones read
-// back block by block, and emits the table. An allocation grown past four
-// cache sizes is dropped afterwards.
-func (e *exec) finalize(ctx *sched.Ctx, ws *workerState, b *runs.Bucket, prefix uint64, level int) {
-	table := e.finalTable(ws, level)
-	absorb := func(r *runs.Run) bool { return e.absorbRun(ctx, ws, table, r) }
-	t0 := e.stamp()
-	for _, r := range b.Runs {
-		if !absorb(r) {
-			return
-		}
-	}
-	for _, s := range b.Spilled {
-		if !e.readBack(ctx, ws, level, s, absorb) {
-			return
-		}
-	}
-	e.lap(t0, trace.PhaseTableBuild)
-	e.emitTable(ws, table, prefix, level)
-	ws.stats.directEmits++
-	if table.CapacityRows() > 4*e.cacheRows {
-		e.reserveMachinery(ws, -table.FootprintBytes())
-		ws.final = nil
-	}
-}
-
 // leafScratch is one worker's sort-leaf scratch: the leaf's hashes, their
 // hash-order permutation, each row's group, and the state words of the
 // rows read back from spill files, made the first time a leaf reads one
@@ -1104,48 +1003,61 @@ type leafScratch struct {
 	states    [][]uint64
 }
 
+// bytes is what the scratch holds at the given state width.
+func (sc *leafScratch) bytes(words int) int64 {
+	b := 16 * int64(len(sc.hashes))
+	if sc.states != nil {
+		b += 8 * int64(words) * int64(len(sc.hashes))
+	}
+	return b
+}
+
 // leafScratch returns the worker's sort-leaf scratch with room for a leaf
 // of n rows, its state columns too when the leaf has spilled rows. It
 // grows by doubling from 256 rows as the leaves demand, so at most to
-// finalRows; what it holds is reserved as machinery and kept for the rest
-// of the run.
+// finalRows but for a fixed-pass strategy's final bucket; what it holds is
+// reserved as machinery and kept for the rest of the run.
 func (e *exec) leafScratch(ws *workerState, n int, spilled bool) *leafScratch {
 	sc := ws.leaf
 	if sc == nil {
 		sc = &leafScratch{}
 		ws.leaf = sc
 	}
-	if rows := len(sc.hashes); rows < n {
+	before := sc.bytes(e.words)
+	if len(sc.hashes) < n {
 		c := 256
 		for c < n {
 			c <<= 1
 		}
-		e.reserveMachinery(ws, 16*int64(c-rows))
 		sc.hashes, sc.perm, sc.seg = make([]uint64, c), make([]int32, c), make([]int32, c)
-		if sc.states != nil { // they grow with the hashes, below
-			e.reserveMachinery(ws, -8*int64(e.words)*int64(rows))
-			sc.states, spilled = nil, true
-		}
+		// The state columns grow with the hashes, below.
+		spilled, sc.states = spilled || sc.states != nil, nil
 	}
 	if spilled && sc.states == nil {
 		sc.states = make([][]uint64, e.words)
 		for w := range sc.states {
 			sc.states[w] = make([]uint64, len(sc.hashes))
 		}
-		e.reserveMachinery(ws, 8*int64(e.words)*int64(len(sc.hashes)))
 	}
+	e.reserveMachinery(ws, sc.bytes(e.words)-before)
 	return sc
 }
 
 // sortLeaf is the fused final pass over a leaf, a bucket of at most
-// finalRows rows, done by sorting rather than hashing (the paper's §2:
-// both make the same transfers). It orders the bucket's carried hashes
-// with hashfn.Order, numbers the groups in that order, one pass, and
-// merges every run's states into one state row per group with the
-// layout's merge kernels, a run at a time where the run lies. Spilled
-// runs are read back into the scratch first. The chunk is in hash order.
+// finalRows rows, or over a fixed-pass strategy's final bucket, done by
+// sorting rather than hashing (the paper's §2: both make the same
+// transfers). It orders the bucket's carried hashes with hashfn.Order,
+// numbers the groups in that order, one pass, and merges every run's
+// states into one state row per group with the layout's merge kernels, a
+// run at a time where the run lies. Spilled runs are read back into the
+// scratch first. The chunk is in hash order. The order indexes rows with
+// int32: a bucket of more rows fails the run with ErrMemoryBudget.
 func (e *exec) sortLeaf(ctx *sched.Ctx, ws *workerState, b *runs.Bucket, prefix uint64, level int) {
 	n := b.Rows()
+	if n > math.MaxInt32 {
+		ctx.Fail(fmt.Errorf("core: bucket of %d rows past the sort's int32 row index: %w", n, ErrMemoryBudget))
+		return
+	}
 	sc := e.leafScratch(ws, n, len(b.Spilled) > 0)
 	t0 := e.stamp()
 	off := 0
@@ -1204,7 +1116,52 @@ func (e *exec) sortLeaf(ctx *sched.Ctx, ws *workerState, b *runs.Bucket, prefix 
 	}
 	ws.stats.hashedRows += int64(n)
 	e.lap(t0, trace.PhaseTableBuild)
-	t0 = e.stamp()
+	e.emitFinal(ws, ch, prefix, level)
+}
+
+// zeroSlots is a slot vector of one block that names state row 0 for
+// every row: the merge kernels fold a block of rows into one row with it.
+var zeroSlots [scratchRows]int32
+
+// foldGroup is the final pass over a bucket past the last digit above the
+// leaf threshold: all its rows share the full 64-bit hash, so it holds
+// one group, and the merge kernels fold every row's states into one state
+// row over zeroSlots, a block at a time, spilled runs read back block by
+// block. It takes no scratch, however many rows the bucket has.
+func (e *exec) foldGroup(ctx *sched.Ctx, ws *workerState, b *runs.Bucket, prefix uint64, level int) {
+	t0 := e.stamp()
+	ch := e.newChunk(ws, 1, prefix, level)
+	ch.ordered = true
+	for w, col := range ch.states {
+		col[0] = e.kern.Ops[w].Op.Identity()
+	}
+	fold := func(r *runs.Run) bool {
+		ch.hashes[0] = r.Keys[0]
+		for lo := 0; lo < r.Len(); lo += len(zeroSlots) {
+			hi := min(r.Len(), lo+len(zeroSlots))
+			for w, merge := range e.kern.Merge {
+				merge(ch.states[w], zeroSlots[:hi-lo], r.States[w][lo:hi])
+			}
+		}
+		return true
+	}
+	for _, r := range b.Runs {
+		fold(r)
+	}
+	for _, s := range b.Spilled {
+		if !e.readBack(ctx, ws, level, s, fold) {
+			return
+		}
+	}
+	ws.stats.hashedRows += int64(b.Rows())
+	e.lap(t0, trace.PhaseTableBuild)
+	e.emitFinal(ws, ch, prefix, level)
+}
+
+// emitFinal recovers the keys of a bucket's final chunk from its hashes,
+// once per group, and emits it: the bucket's fused final pass.
+func (e *exec) emitFinal(ws *workerState, ch chunk, prefix uint64, level int) {
+	t0 := e.stamp()
 	hashfn.InverseBatch(ch.hashes, ch.keys)
 	e.lap(t0, trace.PhaseSplit)
 	e.emit(ws, ch, prefix, level)

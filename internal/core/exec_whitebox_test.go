@@ -2,24 +2,23 @@ package core
 
 // White-box tests for engine paths that are hard to reach through the
 // public surface: forced finalization at hash-digit exhaustion, a leaf
-// whose keys share one probe start, the finalization table's size and
-// growth and its refusal at the cap, direct table emission, and chunk
-// ordering. Runs carry the hash, so each test builds its runs from the
-// hashes of real keys found by searching Murmur2, and the emitted keys are
-// those keys recovered.
+// whose keys share one probe start, the one-group fold past the last
+// digit, a fixed-pass strategy's final sort and its int32 row cap, direct
+// table emission, and chunk ordering. Runs carry the hash, so each test
+// builds its runs from the hashes of real keys found by searching Murmur2,
+// and the emitted keys are those keys recovered.
 
 import (
 	"context"
 	"errors"
 	"math"
-	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
-	"unsafe"
 
 	"cacheagg/internal/agg"
+	"cacheagg/internal/faultfs"
 	"cacheagg/internal/hashfn"
-	"cacheagg/internal/hashtable"
 	"cacheagg/internal/memgov"
 	"cacheagg/internal/partition"
 	"cacheagg/internal/runs"
@@ -71,8 +70,9 @@ func runBucketTask(e *exec, b *runs.Bucket, level int, prefix uint64) {
 
 func TestForcedFinalizationAtMaxLevels(t *testing.T) {
 	// A bucket processed at MaxLevels has no hash digit left to partition
-	// by: it must finalize in the finalization table. The rows share the top
-	// digit, as a real bucket's rows share their prefix.
+	// by: it must be finalized in one pass, here the sort leaf's, as it is
+	// under the leaf threshold. The rows share the top digit, as a real
+	// bucket's rows share their prefix.
 	e := mkExec(nil, nil, nil)
 	const n = 100
 	r := &runs.Run{
@@ -119,16 +119,14 @@ func TestForcedFinalizationMergesDuplicates(t *testing.T) {
 }
 
 func TestLeafHoldsOneLongProbeChain(t *testing.T) {
-	// A leaf-sized bucket whose rows all start probing at ONE slot, with
-	// more rows than a block of a cache-sized table holds: the
-	// finalization table is unblocked with room for four times the rows,
-	// so finalize must hold them all along one long probe chain.
+	// A leaf-sized bucket whose rows all share their low 12 bits, the
+	// probe start of every table of up to 4096 slots, with more rows than
+	// a block of a cache-sized table holds: the sort leaf, which orders
+	// by every bit, must keep them all apart.
 	e := mkExec(nil, nil, nil)
 	if e.finalRows < 300 {
 		t.Skip("cache too small for this scenario")
 	}
-	// Hashes sharing their low 12 bits share the probe start of every
-	// table of up to 4096 slots; the 300 rows' leaf table has 2048.
 	const n = 300 // more than blockRows = capRows/256 for a 32 KiB table
 	r := &runs.Run{
 		Keys:   hashesWhere(n, func(h uint64) bool { return h&0xFFF == 0x2A5 }),
@@ -146,37 +144,62 @@ func TestLeafHoldsOneLongProbeChain(t *testing.T) {
 	}
 }
 
-// TestOneGroupBucketGetsASmallTable: a bucket past the last digit holds
-// one key however many rows it has, so it finalizes in a table that starts
-// at most cache-sized and never grows, not in one sized to its rows.
-func TestOneGroupBucketGetsASmallTable(t *testing.T) {
-	e := mkExec([]agg.Spec{{Kind: agg.Count}}, nil, nil)
-	const n = 1 << 16
-	r := &runs.Run{Keys: make([]uint64, n), States: [][]uint64{make([]uint64, n)}}
-	for i := range r.Keys {
-		r.Keys[i], r.States[0][i] = hashfn.Murmur2(42), 1
-	}
-	var b runs.Bucket
-	b.Add(r)
-	runBucketTask(e, &b, hashfn.MaxLevels, 0)
-	res := assembled(t, e)
-	if res.Groups() != 1 || res.Keys[0] != 42 || res.Aggs[0][0] != n {
-		t.Fatalf("got %d groups, first key %d count %d; want key 42 counted %d times",
-			res.Groups(), res.Keys[0], res.Aggs[0][0], n)
-	}
-	fin := e.workers[0].final
-	slots := fin.FootprintBytes() / int64(hashtable.SlotBytes(e.words))
-	if fin.CapacityRows() > e.cacheRows || slots > int64(e.cacheRows) {
-		t.Fatalf("one group finalized in %d slots of an allocation of %d, want at most %d",
-			fin.CapacityRows(), slots, e.cacheRows)
+// TestOneGroupBucketFolds: a bucket past the last digit holds one group
+// however many rows it has, resident or partly spilled, and is folded into
+// one state row through the merge kernels: the leaf scratch stays
+// untouched, so it does not grow with the rows.
+func TestOneGroupBucketFolds(t *testing.T) {
+	const n, runRows = 1 << 16, 4096
+	h := hashfn.Murmur2(42)
+	for _, spill := range []bool{false, true} {
+		cfg := Config{Workers: 1, CacheBytes: 32 << 10, ChunkRows: 128}
+		if spill {
+			cfg.Spill = &Spill{FS: newMemFS(), Dir: t.TempDir()}
+		}
+		e, err := newExec(context.Background(), cfg.withDefaults(), &Input{Specs: []agg.Spec{{Kind: agg.Count}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws := &e.workers[0]
+		ws.mem.Reserve(int64(n) * e.interRow) // as a scatter reserves them
+		var b runs.Bucket
+		for lo := 0; lo < n; lo += runRows {
+			r := &runs.Run{Keys: make([]uint64, runRows), States: [][]uint64{make([]uint64, runRows)}}
+			for i := range r.Keys {
+				r.Keys[i], r.States[0][i] = h, 1
+			}
+			b.Add(r)
+			if spill && lo < n/2 {
+				if err := e.spillBucket(ws, &b); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if spill && (len(b.Spilled) == 0 || len(b.Runs) == 0) {
+			t.Fatalf("%d spilled and %d resident runs, want both", len(b.Spilled), len(b.Runs))
+		}
+		runBucketTask(e, &b, hashfn.MaxLevels, h)
+		res := assembled(t, e)
+		if res.Groups() != 1 || res.Keys[0] != 42 || res.Aggs[0][0] != n {
+			t.Fatalf("spill %v: got %d groups, first key %d count %d; want key 42 counted %d times",
+				spill, res.Groups(), res.Keys[0], res.Aggs[0][0], n)
+		}
+		if st := ws.stats; ws.leaf != nil || st.directEmits != 1 || st.hashedRows != n {
+			t.Fatalf("spill %v: leaf scratch %v, %d direct emits, %d hashed rows; want none, 1, %d",
+				spill, ws.leaf != nil, st.directEmits, st.hashedRows, n)
+		}
+		if spill {
+			e.spill.close()
+		}
 	}
 }
 
-// TestFinalizationTableGrows: a fixed-pass strategy's single pass over a
-// bucket with more groups than half a cache-sized table grows the
-// finalization table past the cache size, loses no group, and keeps the
-// table's reservation equal to its allocation.
-func TestFinalizationTableGrows(t *testing.T) {
+// TestFixedPassFinalBucketSorts: a fixed-pass strategy's final pass over
+// a bucket with more groups than the leaf threshold sorts it, loses no
+// group, and holds a scratch past finalRows only while it sorts: the
+// scratch's reservation equals its allocation while it is held, and both
+// are gone once the bucket is done.
+func TestFixedPassFinalBucketSorts(t *testing.T) {
 	cfg := Config{
 		Strategy:   PartitionAlways(1),
 		Workers:    1,
@@ -189,46 +212,68 @@ func TestFinalizationTableGrows(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 3 * e.cacheRows / 2
-	r := &runs.Run{Keys: hashesWhere(n, func(uint64) bool { return true }), States: [][]uint64{}}
-	var b runs.Bucket
-	b.Add(r)
-	runBucketTask(e, &b, 1, 0)
-	res := assembled(t, e)
-	if res.Groups() != n {
-		t.Fatalf("%d groups, want %d", res.Groups(), n)
+	hashes := hashesWhere(n, func(uint64) bool { return true })
+	bucket := func() *runs.Bucket {
+		var b runs.Bucket
+		b.Add(&runs.Run{Keys: hashes, States: [][]uint64{}})
+		return &b
 	}
 	ws := &e.workers[0]
-	if got, want := ws.final.CapacityRows(), 4*e.cacheRows; got != want {
-		t.Fatalf("finalization table of %d slots, want %d", got, want)
+	runBucketTask(e, bucket(), 1, 0)
+	if res := assembled(t, e); res.Groups() != n {
+		t.Fatalf("%d groups, want %d", res.Groups(), n)
 	}
 	// The bucket's rows were never reserved, so the consumed bucket
-	// leaves its rows' release beside the table's reservation.
+	// leaves its rows' release on the ledger beside the scratch's.
+	rowsNet := -int64(n) * e.interRow
 	ws.mem.Flush()
-	if got, want := ws.mem.Net(), ws.final.FootprintBytes()-int64(n)*e.interRow; got != want {
-		t.Fatalf("worker reserved %d bytes, want the table's %d less the bucket's rows", got, want)
+	if ws.leaf != nil || ws.mem.Net() != rowsNet {
+		t.Fatalf("after the bucket: scratch held %v, worker reserved %d; want none, %d",
+			ws.leaf != nil, ws.mem.Net(), rowsNet)
+	}
+	// The same sort, stopped before doBucket drops the scratch.
+	e.pool.Run(func(ctx *sched.Ctx) { e.sortLeaf(ctx, ws, bucket(), 0, 1) })
+	ws.mem.Flush()
+	sc := ws.leaf
+	if rows := len(sc.hashes); rows <= e.finalRows || rows < n || ws.mem.Net()-rowsNet != 16*int64(rows) {
+		t.Fatalf("while sorting: scratch of %d rows, worker reserved %d beyond the rows; want ≥ %d rows at 16 bytes",
+			rows, ws.mem.Net()-rowsNet, n)
 	}
 }
 
-// TestFinalizationTableAtTheCapFailsTyped: a finalization table at
-// hashtable.MaxSlots that stops short cannot grow, and the run fails with
-// ErrMemoryBudget rather than a panic. The test sets the table's logical
-// capacity field to the cap in place of a 2^31-slot allocation; Grow
-// refuses on that field alone.
-func TestFinalizationTableAtTheCapFailsTyped(t *testing.T) {
-	e := mkExec(nil, nil, nil)
-	ws := &e.workers[0]
-	table := e.finalTable(ws, 1)
-	capRows := reflect.ValueOf(table).Elem().FieldByName("capRows")
-	*(*int)(unsafe.Pointer(capRows.UnsafeAddr())) = hashtable.MaxSlots
-	r := &runs.Run{Keys: hashesWhere(table.MaxRows()+1, func(uint64) bool { return true }), States: [][]uint64{}}
-	var absorbed bool
-	err := e.pool.Run(func(ctx *sched.Ctx) { absorbed = e.absorbRun(ctx, ws, table, r) })
-	if absorbed || !errors.Is(err, ErrMemoryBudget) {
-		t.Fatalf("absorb at the cap: absorbed %v, error %v; want a failure wrapping ErrMemoryBudget", absorbed, err)
+// openCounter counts the files opened through it.
+type openCounter struct {
+	faultfs.FS
+	opens atomic.Int32
+}
+
+func (c *openCounter) Open(name string) (faultfs.File, error) {
+	c.opens.Add(1)
+	return c.FS.Open(name)
+}
+
+// TestSortPastInt32RowsFailsTyped: the final sort indexes rows with
+// int32, so a bucket whose spilled run claims 2^31 rows fails the run with
+// ErrMemoryBudget before the sort sizes its scratch or opens the file.
+func TestSortPastInt32RowsFailsTyped(t *testing.T) {
+	fs := &openCounter{FS: newMemFS()}
+	cfg := Config{
+		Strategy:   PartitionAlways(1),
+		Workers:    1,
+		CacheBytes: 32 << 10,
+		Spill:      &Spill{FS: fs, Dir: t.TempDir()},
+	}.withDefaults()
+	e, err := newExec(context.Background(), cfg, &Input{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if table.Len() != table.MaxRows() || table.CapacityRows() != hashtable.MaxSlots {
-		t.Fatalf("refused table holds %d groups in %d slots, want %d in %d",
-			table.Len(), table.CapacityRows(), table.MaxRows(), hashtable.MaxSlots)
+	defer e.spill.close()
+	var b runs.Bucket
+	b.Spilled = []runs.Spilled{{Path: "claimed", Rows: 1 << 31}}
+	err = e.pool.Run(func(ctx *sched.Ctx) { e.processBucket(ctx, &b, 1, 0) })
+	if !errors.Is(err, ErrMemoryBudget) || fs.opens.Load() != 0 || e.workers[0].leaf != nil {
+		t.Fatalf("error %v, %d files opened, scratch made %v; want ErrMemoryBudget, none, no",
+			err, fs.opens.Load(), e.workers[0].leaf != nil)
 	}
 }
 

@@ -6,6 +6,7 @@ package core
 // tiny caches) against the map-based reference.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 
@@ -48,6 +49,12 @@ func FuzzAggregateMatchesReference(f *testing.F) {
 		}
 	}
 	f.Add(sameDigit, uint8(24))
+	// 4,096 copies of one key at the 8 KiB cache, whose leaf threshold is
+	// 1,024 rows: PARTITIONALWAYS(1) sorts the level-1 bucket as its final
+	// pass, and PARTITIONONLY partitions it past the last digit, where it
+	// is folded into one state row.
+	f.Add(bytes.Repeat([]byte{7}, 4096), uint8(1))
+	f.Add(bytes.Repeat([]byte{7}, 4096), uint8(3))
 	f.Fuzz(func(t *testing.T, data []byte, mode uint8) {
 		if len(data) == 0 || len(data) > 1<<14 {
 			return

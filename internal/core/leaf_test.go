@@ -296,16 +296,15 @@ func TestSortLeafScratchIsMachinery(t *testing.T) {
 				i, got, e.spill.machinery.Load(), want)
 		}
 	}
-	if ws.final != nil {
-		t.Fatal("a leaf allocated a finalization table")
-	}
 	assembled(t, e)
 }
 
-// leafBenchExec is an exec with one worker at the default cache, whose
-// leaves hold up to 16,384 rows at either width.
+// leafBenchExec is an exec of PARTITIONALWAYS(1) with one worker at the
+// default cache, whose leaves hold up to 32,768 rows at width 5 and
+// 131,072 at width 0; a larger level-1 bucket is its final bucket.
 func leafBenchExec(specs []agg.Spec) *exec {
-	e, err := newExec(context.Background(), Config{Workers: 1}.withDefaults(), &Input{AggCols: [][]int64{nil}, Specs: specs})
+	cfg := Config{Strategy: PartitionAlways(1), Workers: 1}.withDefaults()
+	e, err := newExec(context.Background(), cfg, &Input{AggCols: [][]int64{nil}, Specs: specs})
 	if err != nil {
 		panic(err)
 	}
@@ -313,21 +312,26 @@ func leafBenchExec(specs []agg.Spec) *exec {
 }
 
 // BenchmarkLeaf finalizes the same level-1 bucket runs two ways: by the
-// sort leaf (sort) and by the finalization table the leaf replaced
-// (table: absorbRun into an unblocked table of four slots a row, at least
-// 256 and at most the cache size, and the emit scan). The bucket has n
-// rows over n/alpha groups, as 128-row runs; width 0 is a DISTINCT and
-// width 5 is COUNT, SUM, MIN and AVG. ns/row is per bucket row:
+// sort doBucket sends them to (sort, the only final pass, with the drop
+// of a scratch grown past the leaf threshold) and by the unblocked,
+// growing hash table it replaced (table: the batch merge into a table of
+// four slots a row, at least 256 and at most the cache size, grown on a
+// short count, and the emit scan). The bucket has n rows over n/alpha
+// groups, as 128-row runs; width 0 is a DISTINCT and width 5 is COUNT,
+// SUM, MIN and AVG. At width 5, n = 65,536 is above the default cache's
+// leaf threshold: a fixed-pass strategy's final bucket. ns/row is per
+// bucket row:
 //
 //	go test -run '^$' -bench Leaf ./internal/core
 func BenchmarkLeaf(b *testing.B) {
 	for _, width := range []int{0, 5} {
 		var specs []agg.Spec
+		ns := []int{256, 2048, 16384}
 		if width == 5 {
-			specs = goldenSpecs
+			specs, ns = goldenSpecs, append(ns, 65536)
 		}
 		lay := agg.NewLayout(specs)
-		for _, n := range []int{256, 2048, 16384} {
+		for _, n := range ns {
 			for _, alpha := range []int{1, 2, 4, 16, 64} {
 				hashes, states := leafRows(lay, n, alpha, 8, uint64(n+alpha))
 				var bucket runs.Bucket
@@ -340,14 +344,21 @@ func BenchmarkLeaf(b *testing.B) {
 				}
 				prefix := hashes[0] >> 56
 				var table *hashtable.Table
+				var capRows int
 				paths := []struct {
 					name string
 					leaf func(e *exec, ctx *sched.Ctx, ws *workerState)
 				}{
-					{"sort", func(e *exec, ctx *sched.Ctx, ws *workerState) { e.sortLeaf(ctx, ws, &bucket, prefix, 1) }},
+					{"sort", func(e *exec, ctx *sched.Ctx, ws *workerState) { e.doBucket(ctx, ws, &bucket, 1, prefix) }},
 					{"table", func(e *exec, ctx *sched.Ctx, ws *workerState) {
+						table.ResetCapacity(capRows) // keeps the grown allocation
 						for _, r := range bucket.Runs {
-							e.absorbRun(ctx, ws, table, r)
+							for i := 0; i < r.Len(); {
+								i += table.InsertStateBatch(r.Keys[i:], nil, r.States, i, e.kern)
+								if i < r.Len() {
+									table.Grow()
+								}
+							}
 						}
 						e.emitTable(ws, table, prefix, 1)
 					}},
@@ -355,7 +366,7 @@ func BenchmarkLeaf(b *testing.B) {
 				for _, p := range paths {
 					b.Run(fmt.Sprintf("width=%d/n=%d/alpha=%d/%s", width, n, alpha, p.name), func(b *testing.B) {
 						e := leafBenchExec(specs)
-						capRows := 256
+						capRows = 256
 						for capRows < 4*n && capRows < e.cacheRows {
 							capRows <<= 1
 						}

@@ -12,10 +12,11 @@ const (
 	// ModePartition processes rows with the PARTITIONING routine: radix
 	// scatter by the current hash digit.
 	ModePartition
-	// ModeFinal forces a single hashing pass whose table may grow beyond
-	// the cache. Only the illustrative fixed-pass strategies use it (the
-	// paper "exceptionally let[s] its hash tables grow larger than the
-	// cache" for PARTITIONALWAYS); ADAPTIVE and HASHINGONLY never do.
+	// ModeFinal forces a single final pass over the bucket, by sorting,
+	// whose scratch may grow beyond the cache. Only the illustrative
+	// fixed-pass strategies use it (the paper "exceptionally let[s] its hash
+	// tables grow larger than the cache" for PARTITIONALWAYS; here its
+	// sort's scratch does); ADAPTIVE and HASHINGONLY never do.
 	ModeFinal
 )
 
@@ -81,7 +82,8 @@ func (hashingOnlyState) OnPartitioned(int)   {}
 
 // ---------------------------------------------------------------------------
 // PARTITIONALWAYS (Figure 4(b,c)): a fixed number of partitioning passes
-// followed by a single hashing pass with growing tables. Needs external
+// followed by a single final pass over each bucket, a sort whose scratch
+// may exceed the cache (the paper's growing tables). Needs external
 // knowledge of K to pick the right pass count — exactly the weakness the
 // adaptive strategy removes.
 
@@ -90,7 +92,7 @@ type partitionAlways struct {
 }
 
 // PartitionAlways returns the strategy that partitions for the first
-// `passes` levels and then finishes with one (growing) hashing pass.
+// `passes` levels and then finishes each bucket with one final pass.
 // passes must be at least 1.
 func PartitionAlways(passes int) Strategy {
 	if passes < 1 {
@@ -120,14 +122,14 @@ func (s *partitionAlwaysState) OnTableEmit(float64) {}
 func (s *partitionAlwaysState) OnPartitioned(int)   {}
 
 // ---------------------------------------------------------------------------
-// PARTITIONONLY (Appendix A.1): partition at every level; hashing happens
-// only through the framework's natural leaf finalization. Used to locate
-// the α crossover against HASHINGONLY.
+// PARTITIONONLY (Appendix A.1): partition at every level; aggregation
+// happens only in the framework's leaf finalization, a sort. Used to
+// locate the α crossover against HASHINGONLY.
 
 type partitionOnly struct{}
 
 // PartitionOnly returns the strategy that always partitions (leaves are
-// still finalized by the framework's in-cache hashing pass).
+// still finalized by the framework's in-cache sort-and-fold pass).
 func PartitionOnly() Strategy { return partitionOnly{} }
 
 func (partitionOnly) Name() string { return "PartitionOnly" }

@@ -16,7 +16,7 @@
 //     place when its allocation allows); a cache-sized table is full, and
 //     the caller splits it into runs and starts afresh. Only that split
 //     bounds the working set to the cache, so only it is a fill event.
-//     A table that never splits (a finalization table) grows up to
+//     A table that never splits (the stream's accumulator) grows up to
 //     MaxSlots, the int32 range of the slot indices, and no further.
 //   - The table tracks how many input rows it absorbed (rowsIn) so the
 //     ADAPTIVE strategy can read the reduction factor α = rowsIn/rowsOut at
@@ -59,8 +59,8 @@ const MinBlockRows = 8
 // MaxSlots caps a table's capacity: the batch kernels index slots with
 // int32, so a table holds at most 2^31 slots and Grow refuses beyond them.
 // Only a table that never splits reaches the cap, with about 2^30 groups
-// held at once (a finalization table, the stream's accumulator); its
-// callers turn the refusal into a memory-budget failure.
+// held at once (the stream's accumulator); its caller turns the refusal
+// into a memory-budget failure.
 const MaxSlots = 1 << 31
 
 // Config configures a Table.

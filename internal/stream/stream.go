@@ -265,7 +265,7 @@ type Aggregator struct {
 
 // accum is the open epoch's accumulator: one growable batch hash table
 // with one state word per decomposed column — unblocked and at most half
-// full, like core's grown finalization table — plus reusable scratch. The
+// full, since it never splits — plus reusable scratch. The
 // governor holds exactly tab.FootprintBytes() for it while tab is non-nil.
 type accum struct {
 	tab  *hashtable.Table // nil until the epoch's first fold

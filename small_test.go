@@ -80,7 +80,7 @@ func BenchmarkAggregateSmall(b *testing.B) {
 
 // TestAggregateSmallAllocs guards the allocation count of a small call:
 // with the fused final pass at intake it makes no split, no buckets and no
-// finalization table, so what remains is the result and a fixed handful of
+// leaf scratch, so what remains is the result and a fixed handful of
 // bookkeeping allocations, independent of the group count. Up to 16,384
 // rows the input is one morsel, so Workers 2 runs one worker too; its caps
 // are the 29–30 allocations BenchmarkAggregateSmall reads for it.
